@@ -13,15 +13,13 @@ import numpy as np
 
 from . import family_io, verify
 from .constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
-from .phase_space import check_partition, span_enumerate
+from .phase_space import SPAN_LIMIT, check_partition, span_enumerate
 from .weyl import monomial_text
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_IO = 3
-
-PARTITION_LIMIT = 10**6
 
 
 def _parse_coords(text: str) -> tuple[int, ...]:
@@ -84,7 +82,7 @@ def cmd_verify(args) -> int:
         ok = ok and rep.passed
         print(f"symbolic: {rep.describe()}")
         ambient = ff.p ** (2 * ff.k * ff.n)
-        if ambient <= PARTITION_LIMIT:
+        if ambient <= SPAN_LIMIT:
             rep = check_partition(family.subspaces(), family.labels())
             ok = ok and rep.passed
             print(f"partition: {rep.describe()}")

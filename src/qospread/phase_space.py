@@ -22,18 +22,21 @@ exactly, for the full form and for the first-block form alike; the property
 suite re-verifies this rather than trusting the construction.
 
 ``Subspace`` canonicalises its generators to the reduced row echelon basis
-over Z_p, so equal spans compare equal and serialise identically.  All the
-set-theoretic checks here (pairwise trivial intersection, spread/partition,
-union comparison) are exact integer combinatorics; nothing in this module
-touches floating point.
+over Z_p, so equal spans compare equal and serialise identically.  Spans are
+enumerated as one integer matrix product: the coefficient vectors, in
+``itertools.product`` order (zero first), times the echelon basis, mod p.
+The set checks read one point-ownership index, each nonzero point mapped to
+the members containing it; members too large to enumerate are compared by
+rank.  All of it is exact integer combinatorics, with no floating point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import _modlin
 from .finite_field import FieldSpec, GFElement, field_trace
@@ -152,46 +155,20 @@ def dual_coords(z: GFElement) -> tuple[int, ...]:
     return tuple(field_trace(z * tp) for tp in z.field.power_basis())
 
 
-def pi1(a: GFPhasePoint, partial: bool = False) -> PhasePoint:
+def pi1(a: GFPhasePoint) -> PhasePoint:
     """Z_p-linear bijection GF(p^k)^4 -> Z_p^{4k} compatible with the forms.
 
     Coordinates 1 and 3 expand over the power basis, 2 and 4 over its
     trace-dual basis, interleaved (shift, clock) per factor.  The map sends
     (*,*,0,0) to (*,*,0,0) and (0,0,*,*) to (0,0,*,*) blockwise, and one and
     the same map satisfies both the full and the first-block trace
-    identities, so ``partial`` does not change the output; the flag mirrors
-    ``gf_symplectic`` for callers that track which form they mean.
+    identities.
     """
-    del partial
     field = a.field
     p, k = field.p, field.k
     a1, a2, a3, a4 = a.coords
     u1, u3 = a1.coords, a3.coords
     u2, u4 = dual_coords(a2), dual_coords(a4)
-    coords: list[int] = []
-    for i in range(k):
-        coords += (u1[i], u2[i])
-    for i in range(k):
-        coords += (u3[i], u4[i])
-    return PhasePoint(p, 2 * k, tuple(coords))
-
-
-def to_blocked(u: PhasePoint) -> tuple[int, ...]:
-    """Reorder interleaved coordinates into four length-k blocks (m = 2k only)."""
-    if u.m % 2:
-        raise ValueError("blocked layout needs an even number of factors")
-    k = u.m // 2
-    shifts = [u.coords[2 * i] for i in range(u.m)]
-    clocks = [u.coords[2 * i + 1] for i in range(u.m)]
-    return tuple(shifts[:k] + clocks[:k] + shifts[k:] + clocks[k:])
-
-
-def from_blocked(p: int, blocked: Sequence[int]) -> PhasePoint:
-    """Inverse of :func:`to_blocked`."""
-    if len(blocked) % 4:
-        raise ValueError("blocked layout has 4k coordinates")
-    k = len(blocked) // 4
-    u1, u2, u3, u4 = (blocked[i * k:(i + 1) * k] for i in range(4))
     coords: list[int] = []
     for i in range(k):
         coords += (u1[i], u2[i])
@@ -242,25 +219,38 @@ class Subspace:
         return _modlin.rank(rows, self.p) == self.dim
 
 
-def span_enumerate(s: Subspace, limit: int = SPAN_LIMIT) -> list[PhasePoint]:
-    """All p^dim points of the span (zero first), in coefficient order."""
+def _span_rows(s: Subspace, limit: int = SPAN_LIMIT) -> np.ndarray:
+    """All p^dim points of the span as integer rows (zero first), in coefficient order."""
     total = s.p**s.dim
     if total > limit:
         raise ValueError(f"span has {total} points, above the limit {limit}")
-    zero = PhasePoint.zero(s.p, s.m)
-    points = []
-    for coeffs in itertools.product(range(s.p), repeat=s.dim):
-        acc = zero
-        for c, b in zip(coeffs, s.basis):
-            if c:
-                acc = acc + c * b
-        points.append(acc)
-    return points
+    coeffs = np.indices((s.p,) * s.dim).reshape(s.dim, total).T
+    basis = np.array([b.coords for b in s.basis], dtype=np.int64).reshape(s.dim, 2 * s.m)
+    return coeffs @ basis % s.p
 
 
-@lru_cache(maxsize=None)
-def _nonzero_coords(s: Subspace) -> frozenset[tuple[int, ...]]:
-    return frozenset(pt.coords for pt in span_enumerate(s) if not pt.is_zero)
+def span_enumerate(s: Subspace, limit: int = SPAN_LIMIT) -> list[PhasePoint]:
+    """All p^dim points of the span (zero first), in coefficient order."""
+    return [PhasePoint(s.p, s.m, row) for row in _span_rows(s, limit).tolist()]
+
+
+def _owners(members: Iterable[tuple[int, Subspace]]) -> dict[tuple[int, ...], list[int]]:
+    """The point-ownership index: each nonzero point of the (index, member) spans
+    -> the indices of its owners, in input order; raises above ``SPAN_LIMIT``."""
+    index: dict[tuple[int, ...], list[int]] = {}
+    for i, s in members:
+        for row in _span_rows(s)[1:].tolist():
+            index.setdefault(tuple(row), []).append(i)
+    return index
+
+
+def _conflicts(index: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, int], list]:
+    """Pairs sharing a nonzero point, in pair order -> [smallest shared point, count]."""
+    shared: dict[tuple[int, int], list] = {}
+    for pt, owners in sorted(item for item in index.items() if len(item[1]) > 1):
+        for pair in itertools.combinations(owners, 2):
+            shared.setdefault(pair, [pt, 0])[1] += 1
+    return dict(sorted(shared.items()))
 
 
 def intersect_trivially(a: Subspace, b: Subspace) -> bool:
@@ -289,27 +279,23 @@ def check_pairwise_trivial(
 ) -> VerificationReport:
     """Pass iff every pair of distinct members meets only in 0.
 
-    Enumerable members are compared as exact point sets; oversize ones fall
-    back to the rank test.  On failure the report names an offending pair
-    and a shared nonzero point.
+    Each pair of owners of a point in the enumerable members' ownership
+    index fails, with its smallest shared point as witness; pairs with a
+    member above ``SPAN_LIMIT`` get the rank test.  Failures are in pair order.
     """
-    labels = list(labels) if labels is not None else [f"member {i}" for i in range(len(subspaces))]
-    sets = []
-    for s in subspaces:
-        sets.append(_nonzero_coords(s) if s.p**s.dim <= SPAN_LIMIT else None)
-    failures = []
-    checks = 0
-    for i in range(len(subspaces)):
-        for j in range(i + 1, len(subspaces)):
-            checks += 1
-            if sets[i] is not None and sets[j] is not None:
-                if not sets[i].isdisjoint(sets[j]):
-                    witness = min(sets[i] & sets[j])
-                    failures.append((f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}"))
-            elif not intersect_trivially(subspaces[i], subspaces[j]):
-                witness = _shared_point(subspaces[i], subspaces[j]).coords
-                failures.append((f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}"))
-    return VerificationReport(passed=not failures, checks_run=checks, failures=failures)
+    n = len(subspaces)
+    labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
+    oversize = {i for i, s in enumerate(subspaces) if s.p**s.dim > SPAN_LIMIT}
+    index = _owners((i, s) for i, s in enumerate(subspaces) if i not in oversize)
+    witnesses = {pair: pt for pair, (pt, _) in _conflicts(index).items()}
+    for i, j in {tuple(sorted((b, other))) for b in oversize for other in range(n) if other != b}:
+        if not intersect_trivially(subspaces[i], subspaces[j]):
+            witnesses[i, j] = _shared_point(subspaces[i], subspaces[j]).coords
+    failures = [
+        (f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}")
+        for (i, j), witness in sorted(witnesses.items())
+    ]
+    return VerificationReport(passed=not failures, checks_run=n * (n - 1) // 2, failures=failures)
 
 
 def check_partition(
@@ -320,28 +306,17 @@ def check_partition(
 ) -> VerificationReport:
     """Pass iff the members' nonzero points are disjoint and cover the target.
 
+    A point of the members' ownership index with two or more owners fails
+    (the first such pair is named); ``covered`` counts the index's points.
     The default target is the whole nonzero ambient Z_p^{2m} \\ {0}; passing
-    ``against`` compares to the union of a second family instead.
+    ``against`` compares to the points of a second family's index instead.
     """
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(len(subspaces))]
-    sets = [_nonzero_coords(s) for s in subspaces]
-    union: set[tuple[int, ...]] = set()
-    for s in sets:
-        union |= s
-    total = sum(len(s) for s in sets)
-    failures = []
-    checks = len(subspaces)
-    if total != len(union):
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if not sets[i].isdisjoint(sets[j]):
-                    failures.append(
-                        (f"{labels[i]} & {labels[j]}",
-                         f"{len(sets[i] & sets[j])} shared nonzero points")
-                    )
-                    break
-            if failures:
-                break
+    index = _owners(enumerate(subspaces))
+    failures = [
+        (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points")
+        for (i, j), (_, count) in itertools.islice(_conflicts(index).items(), 1)
+    ]
     if against is None:
         if not subspaces:
             raise ValueError("empty family")
@@ -350,12 +325,10 @@ def check_partition(
         if ambient > limit:
             raise ValueError(f"ambient has {ambient} points, above the limit {limit}")
         expected = ambient - 1
-        if len(union) != expected:
-            failures.append(("family", f"covers {len(union)} of {expected} nonzero points"))
+        if len(index) != expected:
+            failures.append(("family", f"covers {len(index)} of {expected} nonzero points"))
     else:
-        target: set[tuple[int, ...]] = set()
-        for s in against:
-            target |= _nonzero_coords(s)
+        union, target = index.keys(), _owners(enumerate(against)).keys()
         expected = len(target)
         if union != target:
             failures.append(
@@ -364,9 +337,9 @@ def check_partition(
             )
     return VerificationReport(
         passed=not failures,
-        checks_run=checks,
+        checks_run=len(subspaces),
         failures=failures,
-        covered=len(union),
+        covered=len(index),
         expected=expected,
     )
 

@@ -170,10 +170,10 @@ def test_criterion_6_trace_compatibility():
         zero = f9.zero()
         firsts = [GFPhasePoint((x, y, zero, zero)) for x in elements for y in elements]
         for a in firsts:
-            ia = pi1(a, partial=True)
+            ia = pi1(a)
             for b in firsts:
                 lhs = field_trace(gf_symplectic(a, b, partial=True))
-                assert lhs == symplectic_product(ia, pi1(b, partial=True), nfactors=2)
+                assert lhs == symplectic_product(ia, pi1(b), nfactors=2)
 
 
 def test_criterion_7_recursion():

@@ -1,6 +1,7 @@
 """Exit-code and determinism tests for the command-line surface."""
 
 import random
+import re
 
 import pytest
 import yaml
@@ -143,6 +144,27 @@ def test_verify_sampled_numeric(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--mode", "numeric", "--sample", "25")
     assert code == EXIT_OK
     assert "checks=25" in out
+
+
+def _mask_residual(text):
+    # the dense residual depends on the BLAS build; every other byte is pinned
+    return re.sub(r"max_residual=[0-9.e+-]+", "max_residual=<r>", text)
+
+
+@pytest.mark.parametrize("name,duplicate", [("pass", None), ("dup", (5, 40))])
+def test_verify_both_matches_golden(tmp_path, capsys, request, name, duplicate):
+    # p=3, n=3 (91 members); "dup" gives member 40 the rows of member 5
+    path = tmp_path / "fam.yaml"
+    run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
+    if duplicate:
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        src, dst = duplicate
+        doc["members"][dst]["generators"] = doc["members"][src]["generators"]
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
+    golden = request.path.parent / "data" / f"verify_p3n3_{name}.txt"
+    assert code == (EXIT_VERIFY_FAILED if duplicate else EXIT_OK)
+    assert _mask_residual(out) == _mask_residual(golden.read_text(encoding="utf-8"))
 
 
 # --- example --------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import re
+from collections import Counter
 
 import pytest
 
 from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D
 from qospread.finite_field import field_trace, gf
 from qospread.phase_space import (
+    SPAN_LIMIT,
     GFPhasePoint,
     PhasePoint,
     Subspace,
@@ -15,14 +18,12 @@ from qospread.phase_space import (
     check_partition,
     classify_subspace,
     concat,
-    from_blocked,
     gf_symplectic,
     intersect_trivially,
     pi1,
     span_enumerate,
     symplectic_basis,
     symplectic_product,
-    to_blocked,
 )
 
 F9 = gf(3, 2)
@@ -143,7 +144,7 @@ def test_pi1_is_identity_for_k1():
 
 def test_pi1_frozen_example():
     a = GFPhasePoint((F9.element((0, 1)), F9.zero(), F9.zero(), F9.zero()))
-    assert to_blocked(pi1(a)) == (0, 1, 0, 0, 0, 0, 0, 0)
+    assert pi1(a).coords == (0, 0, 1, 0, 0, 0, 0, 0)
 
 
 def test_pi1_trace_identity_random():
@@ -153,7 +154,7 @@ def test_pi1_trace_identity_random():
         b = random_gf_point(F9, rng)
         assert field_trace(gf_symplectic(a, b)) == symplectic_product(pi1(a), pi1(b))
         assert field_trace(gf_symplectic(a, b, partial=True)) == symplectic_product(
-            pi1(a, partial=True), pi1(b, partial=True), nfactors=F9.k
+            pi1(a), pi1(b), nfactors=F9.k
         )
 
 
@@ -174,13 +175,6 @@ def test_pi1_preserves_block_support():
         assert not any(left.coords[2 * F9.k:])
         right = pi1(GFPhasePoint((zero, zero, x, y)))
         assert not any(right.coords[: 2 * F9.k])
-
-
-def test_blocked_round_trip():
-    rng = random.Random(17)
-    for _ in range(50):
-        u = PhasePoint(3, 4, tuple(rng.randrange(3) for _ in range(8)))
-        assert from_blocked(3, to_blocked(u)) == u
 
 
 def test_dual_coords_match_trace_dual_basis():
@@ -293,20 +287,68 @@ def test_duplicate_member_fails_with_offending_pair():
     assert "shared nonzero point" in rep.failures[0][1]
 
 
+def _brute_nonzero_points(s):
+    # the span from its basis by plain integer loops, independent of span_enumerate
+    rows = [b.coords for b in s.basis]
+    pts = {
+        tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) % s.p for k in range(2 * s.m))
+        for coeffs in itertools.product(range(s.p), repeat=s.dim)
+    }
+    pts.discard((0,) * (2 * s.m))
+    return pts
+
+
 def test_set_check_agrees_with_rank_oracle():
+    # random 3-6 member families, so some points have three or more owners
     rng = random.Random(31)
-    agree_trivial = agree_shared = 0
-    for _ in range(200):
-        gens_a = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(2)]
-        gens_b = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(2)]
-        a = Subspace.from_generators(3, 2, gens_a)
-        b = Subspace.from_generators(3, 2, gens_b)
-        by_rank = intersect_trivially(a, b)
-        by_sets = check_pairwise_trivial([a, b]).passed
-        assert by_rank == by_sets
-        agree_trivial += by_rank
-        agree_shared += not by_rank
-    assert agree_trivial and agree_shared  # both branches exercised
+    agree_trivial = agree_shared = multi_owner = 0
+    for m in (2, 3):
+        for _ in range(100):
+            subs = [
+                Subspace.from_generators(
+                    3, m, [tuple(rng.randrange(3) for _ in range(2 * m)) for _ in range(rng.randrange(1, m + 1))]
+                )
+                for _ in range(rng.randrange(3, 7))
+            ]
+            spans = [_brute_nonzero_points(s) for s in subs]
+            want = []
+            for i, j in itertools.combinations(range(len(subs)), 2):
+                shared = spans[i] & spans[j]
+                assert intersect_trivially(subs[i], subs[j]) == (not shared)
+                if shared:
+                    want.append((f"member {i} & member {j}", f"shared nonzero point {min(shared)}"))
+            rep = check_pairwise_trivial(subs)
+            assert rep.failures == want
+            assert rep.passed == (not want)
+            assert check_partition(subs).covered == len(set().union(*spans))
+            owners = Counter(pt for span in spans for pt in span)
+            multi_owner += max(owners.values(), default=0) >= 3
+            agree_trivial += not want
+            agree_shared += bool(want)
+    assert agree_trivial and agree_shared and multi_owner  # every branch exercised
+
+
+def test_oversize_members_fall_back_to_rank_test():
+    # p=1009, dim 2: 1,018,081 points, above SPAN_LIMIT
+    p = 1009
+    small = Subspace.from_generators(p, 2, [(1, 5, 0, 0)])
+    meets = Subspace.from_generators(p, 2, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    misses = Subspace.from_generators(p, 2, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    straddles = Subspace.from_generators(p, 2, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    subs = [small, meets, misses, small, straddles]
+    assert meets.p**meets.dim > SPAN_LIMIT
+    rep = check_pairwise_trivial(subs)
+    assert not rep.passed
+    assert rep.checks_run == 10
+    pairs = [(0, 1), (0, 3), (1, 3), (1, 4), (2, 4)]
+    assert [who for who, _ in rep.failures] == [f"member {i} & member {j}" for i, j in pairs]
+    for (_, what), (i, j) in zip(rep.failures, pairs):
+        witness = PhasePoint(p, 2, tuple(int(c) for c in re.findall(r"\d+", what)))
+        assert not witness.is_zero
+        assert subs[i].contains(witness) and subs[j].contains(witness)
+    assert rep.failures[1][1] == "shared nonzero point (1, 5, 0, 0)"
+    with pytest.raises(ValueError, match="limit"):
+        check_partition([small, meets])
 
 
 def test_partition_of_full_spread():
@@ -355,6 +397,14 @@ def test_partition_union_comparison_detects_mismatch():
     c_all = [build_C(field.one(), b, params) for b in field.elements()]
     rep = check_partition(d_family(params), against=c_all)
     assert not rep.passed
+    assert rep.failures == [("family", "union differs from target: 32 extra, 24 missing")]
+    # of two repeated members only the first pair is named, with its shared-point count
+    rep = check_partition(d_family(params) + d_family(params)[:2], against=c_all)
+    assert rep.failures == [
+        ("member 0 & member 4", "8 shared nonzero points"),
+        ("family", "union differs from target: 32 extra, 24 missing"),
+    ]
+    assert (rep.checks_run, rep.covered, rep.expected) == (6, 32, 24)
 
 
 # --- classification and symplectic frames ------------------------------------
