@@ -27,10 +27,9 @@ from .phase_space import (
     Subspace,
     check_pairwise_trivial,
     classify_subspace,
-    span_enumerate,
 )
 from .report import VerificationReport
-from .weyl import WeylMonomial, synthesize
+from .weyl import basis_matrices
 
 DEFAULT_TOL = 1e-9
 NUMERIC_MAX_DIM = 81
@@ -94,10 +93,8 @@ def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
 
 def _member_stack(sub: Subspace, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack of non-identity basis matrices and their traces."""
-    mats = [synthesize(WeylMonomial(pt), max_dim) for pt in span_enumerate(sub) if not pt.is_zero]
-    stack = np.stack(mats)
-    traces = np.einsum("aii->a", stack)
-    return stack, traces
+    stack = basis_matrices(sub, max_dim)[1:]
+    return stack, np.einsum("aii->a", stack)
 
 
 def verify_qo_numeric(
@@ -115,7 +112,8 @@ def verify_qo_numeric(
     |Tr(A1 A2) - Tr(A1) Tr(A2) / Tr(I)|; the check passes iff the largest
     residual stays within ``tol``.  Above ``SAMPLE_THRESHOLD`` member pairs
     a random subset of ``SAMPLE_PAIRS`` pairs is used unless ``sample_pairs``
-    says otherwise.
+    says otherwise.  Both members' stacks are synthesized afresh for each
+    pair; no member stacks are kept between pairs.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -135,20 +133,11 @@ def verify_qo_numeric(
     else:
         pairs = all_pairs
 
-    stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def stack_of(i: int) -> tuple[np.ndarray, np.ndarray]:
-        if i not in stacks:
-            if len(stacks) > 256:
-                stacks.clear()
-            stacks[i] = _member_stack(family.members[i].subspace, max_dim)
-        return stacks[i]
-
     worst = 0.0
     failures = []
     for i, j in pairs:
-        s1, tr1 = stack_of(i)
-        s2, tr2 = stack_of(j)
+        s1, tr1 = _member_stack(family.members[i].subspace, max_dim)
+        s2, tr2 = _member_stack(family.members[j].subspace, max_dim)
         flat1 = s1.reshape(s1.shape[0], -1)
         flat2 = s2.transpose(0, 2, 1).reshape(s2.shape[0], -1)
         cross = flat1 @ flat2.T  # cross[a, b] = Tr(A_a B_b)
@@ -192,13 +181,12 @@ def verify_full_algebra(
         dim = s.p**s.m
         if dim > max_dim:
             raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {max_dim}")
-        mats = [synthesize(WeylMonomial(pt), max_dim) for pt in span_enumerate(s)]
-        stack = np.stack(mats)
+        stack = basis_matrices(s, max_dim)
         flat = stack.reshape(stack.shape[0], -1)
         gram = flat.conj() @ flat.T  # gram[a, b] = Tr(A_a^* A_b)
         expected = s.p**s.dim
         covered = int(np.linalg.matrix_rank(gram, tol=1e-6))
-        worst = float(np.abs(gram - dim * np.eye(len(mats))).max())
+        worst = float(np.abs(gram - dim * np.eye(len(stack))).max())
         if covered != expected:
             failures.append(("subspace", f"span dimension {covered}, expected {expected}"))
         if worst > max(tol, 1e-6):
@@ -233,11 +221,10 @@ def extract_mub_bases(
     rng = np.random.default_rng(seed)
     bases = []
     for mem in masas.members:
-        if classify_subspace(mem.subspace).kind != ISOTROPIC:
-            raise ValueError(
-                f"{mem.label}: basis monomials do not commute (subspace is not isotropic)"
-            )
-        mats = [synthesize(WeylMonomial(pt), max_dim) for pt in span_enumerate(mem.subspace)]
+        sub = mem.subspace
+        if classify_subspace(sub).kind != ISOTROPIC or sub.dim != sub.m:
+            raise ValueError(f"{mem.label}: subspace is not isotropic of dimension {sub.m}")
+        mats = basis_matrices(sub, max_dim)
         vecs = None
         for _ in range(max_tries):
             coeff = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))

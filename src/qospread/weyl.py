@@ -17,18 +17,21 @@ product of their points.  Subalgebra spans are phase-independent, so span
 synthesis fixes the representative with exponent 0 per point; phases only
 matter through products.
 
-Synthesis returns numpy complex128 matrices (about 16 significant digits);
-dimensions are guarded because dense Kronecker products grow as p^m.
+Synthesis writes each monomial as a generalized permutation matrix: with
+indices of C^{p^m} as m base-p digits, factor 1 the most significant, factor
+i sends column digit j to row digit (j + k_i) mod p with value lam^{l_i j},
+and the m values multiply factor 1 first, left to right.  The result is a
+numpy complex128 array (about 16 significant digits); dimensions are
+guarded because dense matrices grow as p^{2m}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
-from .phase_space import PhasePoint, Subspace, span_enumerate, symplectic_product
+from .phase_space import PhasePoint, Subspace, _span_rows, symplectic_product
 
 MAX_DIM = 3**6
 
@@ -65,36 +68,41 @@ def commutation_phase(u: PhasePoint, v: PhasePoint) -> int:
     return (-symplectic_product(u, v)) % u.p
 
 
-@lru_cache(maxsize=None)
-def _factor_matrix(p: int, k: int, l: int) -> np.ndarray:
-    """The p x p matrix S^k W^l: entry (j+k mod p, j) equals lam^{l j}."""
+def _monomial_stack(p: int, m: int, rows: np.ndarray, max_dim: int) -> np.ndarray:
+    """Dense phase-0 monomials, one (p^m, p^m) matrix per integer point row."""
+    d = p**m
+    if d > max_dim:
+        raise ValueError(f"dimension {d} exceeds the synthesis limit {max_dim}")
     lam = np.exp(2j * np.pi / p)
-    mat = np.zeros((p, p), dtype=complex)
-    for j in range(p):
-        mat[(j + k) % p, j] = lam ** (l * j)
-    mat.flags.writeable = False
-    return mat
+    table = np.array([[lam ** (l * j) for j in range(p)] for l in range(p)])
+    digits = np.indices((p,) * m).reshape(m, d)  # column digits, factor 1 first
+    target, values = 0, None
+    for i in range(m):
+        target = target * p + (digits[i] + rows[:, 2 * i, None]) % p
+        factor = table[rows[:, 2 * i + 1, None], digits[i]]
+        # earlier factors on the left, as in np.kron: SIMD complex * is not commutative
+        values = factor if values is None else np.multiply(values, factor)
+    stack = np.zeros((len(rows), d, d), dtype=complex)
+    stack[np.arange(len(rows))[:, None], target, np.arange(d)] = values
+    return stack
 
 
 def synthesize(x: WeylMonomial, max_dim: int = MAX_DIM) -> np.ndarray:
     """Dense complex matrix of the monomial, factor 1 as the leftmost factor."""
-    p, m = x.point.p, x.point.m
-    if p**m > max_dim:
-        raise ValueError(f"dimension {p**m} exceeds the synthesis limit {max_dim}")
-    factors = [_factor_matrix(p, x.point.coords[2 * i], x.point.coords[2 * i + 1]) for i in range(m)]
-    mat = reduce(np.kron, factors)
+    p = x.point.p
+    mat = _monomial_stack(p, x.point.m, np.array([x.point.coords]), max_dim)[0]
     if x.phase_exp:
         mat = np.exp(2j * np.pi * x.phase_exp / p) * mat
     return mat
 
 
-def basis_matrices(s: Subspace, max_dim: int = MAX_DIM) -> list[np.ndarray]:
+def basis_matrices(s: Subspace, max_dim: int = MAX_DIM) -> np.ndarray:
     """One matrix per span point (phase 0 each): a trace-orthogonal family.
 
-    The list spans a p^dim(s)-dimensional subspace of the matrices, with the
-    identity contributed by the zero point.
+    Returns a (p^dim(s), p^m, p^m) complex ndarray stack with rows in
+    ``span_enumerate`` order, so the zero point's identity comes first.
     """
-    return [synthesize(WeylMonomial(pt), max_dim) for pt in span_enumerate(s)]
+    return _monomial_stack(s.p, s.m, _span_rows(s), max_dim)
 
 
 def monomial_text(u: PhasePoint) -> str:

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qospread import verify
 from qospread.constructions import (
     MASA,
     MATRIX_ALGEBRA,
@@ -125,6 +127,21 @@ def test_numeric_sampling_is_deterministic():
     assert r1.checks_run == 50
 
 
+def test_numeric_memory_stays_bounded():
+    """No member stacks are kept between pairs: one d=81 member stack is
+    about 8.4 MB, so holding the stacks of 20 sampled pairs would need far
+    more than the cap."""
+    fam = build_spread_2(ConstructionParams.create(3, 2, 2))
+    tracemalloc.start()
+    try:
+        rep = verify_qo_numeric(fam, sample_pairs=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.checks_run == 20
+    assert peak < 64 * 10**6
+
+
 def test_numeric_rejects_bad_tolerance():
     with pytest.raises(ValueError, match="positive"):
         verify_qo_numeric(build_spread_2(P3), tol=0.0)
@@ -239,6 +256,21 @@ def test_mub_single_basis_trivially_unbiased():
 def test_mub_rejects_non_isotropic_member():
     sub = build_C(P3.field.one(), P3.field.zero(), P3)
     fam = SpreadFamily(P3, [FamilyMember("bad", MASA, sub)], complete=False)
+    with pytest.raises(ValueError, match="not isotropic"):
+        extract_and_check_mub(fam)
+
+
+def test_mub_rejects_non_maximal_isotropic_member(monkeypatch):
+    """A 1-dim member of Z_3^4 commutes but is no masa: refused before synthesis."""
+    sub = Subspace.from_generators(3, 2, [(1, 0, 0, 0)])
+    fam = SpreadFamily(P3, [FamilyMember("short", MASA, sub)], complete=False)
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized a rejected member")
+
+    monkeypatch.setattr(verify, "basis_matrices", no_synthesis)
+    with pytest.raises(ValueError, match="not isotropic of dimension 2"):
+        extract_mub_bases(fam)
     with pytest.raises(ValueError, match="not isotropic"):
         extract_and_check_mub(fam)
 

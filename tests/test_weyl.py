@@ -1,6 +1,7 @@
 """Tests for monomial products, commutation phases and dense synthesis."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -151,6 +152,63 @@ def test_basis_matrices_zero_subspace():
     mats = basis_matrices(z)
     assert len(mats) == 1
     assert np.allclose(mats[0], np.eye(9), atol=1e-12)
+
+
+# --- the dense builder against literal Kronecker products ------------------------
+
+KRON_CASES = [(3, 1), (3, 2), (3, 4), (5, 2), (7, 2)]
+
+
+def kron_reference(p, coords, phase_exp=0):
+    """The monomial as a literal Kronecker product of per-factor S^k W^l."""
+    lam = np.exp(2j * np.pi / p)
+    factors = []
+    for k, l in zip(coords[0::2], coords[1::2]):
+        mat = np.zeros((p, p), dtype=complex)
+        for j in range(p):
+            mat[(j + k) % p, j] = lam ** (l * j)
+        factors.append(mat)
+    mat = reduce(np.kron, factors)
+    return np.exp(2j * np.pi * phase_exp / p) * mat if phase_exp else mat
+
+
+def sampled_points(p, m, rng, limit=500):
+    pts = points(p, m)
+    if len(pts) > limit:
+        pts = [pts[i] for i in sorted(rng.choice(len(pts), size=limit, replace=False))]
+    return pts
+
+
+@pytest.mark.parametrize("p,m", KRON_CASES)
+def test_synthesize_equals_kron_reference(p, m):
+    rng = np.random.default_rng(p * 10 + m)
+    for u in sampled_points(p, m, rng):
+        e = int(rng.integers(p))
+        assert np.array_equal(synthesize(WeylMonomial(u, e)), kron_reference(p, u.coords, e))
+
+
+@pytest.mark.parametrize("p,m", KRON_CASES)
+def test_basis_matrices_equal_kron_reference(p, m):
+    rng = np.random.default_rng(p * 10 + m)
+    max_span_dim = max(d for d in range(2 * m + 1) if p**d <= 500)
+    subspaces = [Subspace.from_generators(p, m, [])]
+    for _ in range(3):
+        gens = rng.integers(p, size=(int(rng.integers(1, max_span_dim + 1)), 2 * m))
+        subspaces.append(Subspace.from_generators(p, m, gens.tolist()))
+    for sub in subspaces:
+        stack = basis_matrices(sub)
+        span = span_enumerate(sub)
+        assert isinstance(stack, np.ndarray)
+        assert stack.shape == (len(span), p**m, p**m)
+        for mat, pt in zip(stack, span):
+            assert np.array_equal(mat, kron_reference(p, pt.coords))
+
+
+def test_basis_matrices_dimension_guard():
+    with pytest.raises(ValueError, match="limit"):
+        basis_matrices(Subspace.from_generators(3, 2, [(1, 0, 0, 0)]), max_dim=8)
+    with pytest.raises(ValueError, match="limit"):
+        basis_matrices(Subspace.from_generators(3, 7, []))
 
 
 def test_monomial_text():
