@@ -17,6 +17,10 @@ layers of construction live here:
   symplectic frame of the left member — reaching the dimension bound
   (p^{2kn}-1)/(p^{2k}-1) members in M_{p^{kn}}.
 
+The recursion step is integer linear algebra (the symplectic-tableau view of
+Aaronson & Gottesman, PRA 70, 052328, 2004): one batched kernel computes the
+generator rows of every mixed member of a frame as Z_p matrix products.
+
 All builders are deterministic: field elements enumerate in base-p counting
 order, labels encode the construction path, and subspaces canonicalise, so
 identical parameters reproduce identical families byte for byte.
@@ -26,17 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 
-from .finite_field import FieldSpec, GFElement, find_nonresidue, format_element, gf
-from .phase_space import (
-    GFPhasePoint,
-    PhasePoint,
-    Subspace,
-    concat,
-    dual_coords,
-    pi1,
-    symplectic_basis,
-    symplectic_product,
-)
+import numpy as np
+
+from .finite_field import FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue
+from .phase_space import GFPhasePoint, PhasePoint, Subspace, _interleave, _pi1_rows, symplectic_basis
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
@@ -72,9 +69,8 @@ class ConstructionParams:
             raise ValueError("non-residue comes from a different field")
         if self.nonresidue.is_zero:
             raise ValueError("non-residue must be nonzero")
-        for x in self.field.elements():
-            if (x * x) == self.nonresidue:
-                raise ValueError(f"{format_element(self.nonresidue)} is a square, not a non-residue")
+        if not is_nonresidue(self.nonresidue):
+            raise ValueError(f"{format_element(self.nonresidue)} is a square, not a non-residue")
 
     @classmethod
     def create(cls, p: int, k: int = 1, n: int = 2, poly=None, nonresidue=None) -> "ConstructionParams":
@@ -133,8 +129,8 @@ def _gf_subspace(field: FieldSpec, generators: list[GFPhasePoint]) -> Subspace:
     The GF(p^k)-span of g is Z_p-spanned by {t^i g}, so each generator
     contributes k rows, pushed through the coordinate map.
     """
-    rows = [pi1(g.scale(tp)) for g in generators for tp in field.power_basis()]
-    return Subspace.from_generators(field.p, 2 * field.k, rows)
+    rows = np.concatenate([_pi1_rows(g) for g in generators])
+    return Subspace.from_generators(field.p, 2 * field.k, rows.tolist())
 
 
 def build_C(a, b, params: ConstructionParams) -> Subspace:
@@ -208,39 +204,59 @@ def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
         raise ValueError(f"the masa spread needs n = 2, got n = {params.n}")
     p, k = params.p, params.k
     big = gf(p, 2 * k)
-
-    def line_point(x: GFElement, y: GFElement) -> PhasePoint:
-        shifts = x.coords
-        clocks = dual_coords(y)
-        coords: list[int] = []
-        for i in range(2 * k):
-            coords += (shifts[i], clocks[i])
-        return PhasePoint(p, 2 * k, tuple(coords))
-
-    basis = big.power_basis()
-    members = []
-    for slope in big.elements():
-        rows = [line_point(e, slope * e) for e in basis]
-        sub = Subspace.from_generators(p, 2 * k, rows)
-        members.append(FamilyMember(f"M[{format_element(slope)}]", MASA, sub))
-    rows = [line_point(big.zero(), e) for e in basis]
+    slopes = list(big.elements())
+    clocks = big.mul_matrices([m.coords for m in slopes]) @ big.trace_matrix % p
+    shifts = np.eye(2 * k, dtype=np.int64)
+    members = [
+        FamilyMember(f"M[{format_element(m)}]", MASA,
+                     Subspace.from_generators(p, 2 * k, _interleave(shifts, c).tolist()))
+        for m, c in zip(slopes, clocks)
+    ]
+    rows = _interleave(0 * shifts, big.trace_matrix).tolist()
     members.append(FamilyMember("M[inf]", MASA, Subspace.from_generators(p, 2 * k, rows)))
     return SpreadFamily(params, members)
 
 
-def _standard_gram_ok(basis: list[PhasePoint]) -> bool:
-    k = len(basis) // 2
-    p = basis[0].p
-    for i in range(2 * k):
-        for j in range(2 * k):
-            want = 0
-            if j == i + k:
-                want = 1
-            elif i == j + k:
-                want = p - 1
-            if symplectic_product(basis[i], basis[j]) != want:
-                return False
-    return True
+def _gram(rows: np.ndarray, p: int) -> np.ndarray:
+    """Symplectic Gram matrices of a stack of row bases, mod p."""
+    shift, clock = rows[..., 0::2], rows[..., 1::2]
+    return (shift @ clock.swapaxes(-1, -2) - clock @ shift.swapaxes(-1, -2)) % p
+
+
+def _mixed_members(frames, masas, pairs, params: ConstructionParams):
+    """Per left frame F_i, the (masa, pair, 2k, columns) generator rows
+    [Lc @ F_i | Rc @ R_j] mod p of the mixed members, after checking every
+    frame's Gram matrix and every masa basis R_j's isotropy up front.
+
+    With T the trace matrix and M_z multiplication by z: Lc = blockdiag(I, T)
+    and Rc = [[M_a, M_b T], [M_bD, M_a T]] for finite (a, b), so row j < k is
+    the image of t^j (1, 0, a, b) and row k + j of t^j (0, 1, bD, a); for
+    (INFINITY, None), Lc = 0 and Rc = blockdiag(I, T).
+    """
+    fld, p, k = params.field, params.p, params.k
+    frames, masas = np.asarray(frames, dtype=np.int64), np.asarray(masas, dtype=np.int64)
+    eye, zero, t = np.eye(k, dtype=np.int64), np.zeros((k, k), dtype=np.int64), fld.trace_matrix
+    if (_gram(frames, p) != np.block([[zero, eye], [-eye, zero]]) % p).any():
+        raise ValueError("left basis is not a normalised symplectic frame")
+    if _gram(masas, p).any():
+        raise ValueError("right basis does not span an isotropic subspace")
+    dual = np.block([[eye, zero], [zero, t]])
+    lefts, rights = [], []
+    for a, b in pairs:
+        if a is INFINITY:
+            lefts.append(0 * dual)
+            rights.append(dual)
+        else:
+            ma, mb, mbd = fld.mul_matrices([a.coords, b.coords, (b * params.nonresidue).coords])
+            lefts.append(dual)
+            rights.append(np.block([[ma, mb @ t], [mbd, ma @ t]]) % p)
+    lefts, right = np.array(lefts), np.array(rights) @ masas[:, None] % p
+
+    def rows(frame: np.ndarray) -> np.ndarray:
+        left = lefts @ frame % p
+        return np.concatenate([np.broadcast_to(left, (len(masas),) + left.shape), right], axis=-1)
+
+    return map(rows, frames)
 
 
 def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
@@ -253,47 +269,16 @@ def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
     the image of the span of (1, 0, a, b) and (0, 1, bD, a) over the field,
     with first/second coordinates threaded along the left frame and
     third/fourth along the right basis.  (0, 0) reproduces left tensor
-    identity; the INFINITY sentinel reproduces identity tensor right.
+    identity; the INFINITY sentinel reproduces identity tensor right.  This
+    is the one-member case of the batched kernel ``build_recursive`` uses.
     """
-    fld = params.field
-    k = fld.k
+    k = params.k
     if len(left_basis) != 2 * k or len(right_basis) != 2 * k:
         raise ValueError(f"bases must have 2k = {2 * k} vectors")
-    if not _standard_gram_ok(left_basis):
-        raise ValueError("left basis is not a normalised symplectic frame")
-    if any(symplectic_product(u, v) for u in right_basis for v in right_basis):
-        raise ValueError("right basis does not span an isotropic subspace")
-    m_left = left_basis[0].m
-    m_right = right_basis[0].m
-    p = params.p
-
-    def embed(w: GFPhasePoint) -> PhasePoint:
-        c1, c2, c3, c4 = w.coords
-        alpha, gamma = c1.coords, c3.coords
-        beta, delta = dual_coords(c2), dual_coords(c4)
-        left = PhasePoint.zero(p, m_left)
-        for i in range(k):
-            if alpha[i]:
-                left = left + alpha[i] * left_basis[i]
-            if beta[i]:
-                left = left + beta[i] * left_basis[k + i]
-        right = PhasePoint.zero(p, m_right)
-        for i in range(k):
-            if gamma[i]:
-                right = right + gamma[i] * right_basis[i]
-            if delta[i]:
-                right = right + delta[i] * right_basis[k + i]
-        return concat(left, right)
-
-    one, zero = fld.one(), fld.zero()
-    if a is INFINITY:
-        g1 = GFPhasePoint((zero, zero, one, zero))
-        g2 = GFPhasePoint((zero, zero, zero, one))
-    else:
-        g1 = GFPhasePoint((one, zero, a, b))
-        g2 = GFPhasePoint((zero, one, b * params.nonresidue, a))
-    rows = [embed(g.scale(tp)) for g in (g1, g2) for tp in fld.power_basis()]
-    return Subspace.from_generators(p, m_left + m_right, rows)
+    frame = [pt.coords for pt in left_basis]
+    masa = [pt.coords for pt in right_basis]
+    rows = next(_mixed_members([frame], [masa], [(a, b)], params))[0, 0]
+    return Subspace.from_generators(params.p, left_basis[0].m + right_basis[0].m, rows.tolist())
 
 
 def _pad(sub: Subspace, before: int, after: int) -> Subspace:
@@ -340,15 +325,14 @@ def build_recursive(params: ConstructionParams, max_members: int = MAX_MEMBERS) 
         members.append(
             FamilyMember(f"I⊗{mem.label}", MATRIX_ALGEBRA, _pad(mem.subspace, m_left, 0))
         )
-    frames = [symplectic_basis(mem.subspace) for mem in left.members]
-    for i, frame in enumerate(frames):
-        for j, masa in enumerate(masas.members):
-            right_rows = list(masa.subspace.basis)
-            for a in params.field.elements():
-                for b in params.field.elements():
-                    if a.is_zero and b.is_zero:
-                        continue
-                    label = f"B[A={i}|C={j}|a={format_element(a)},b={format_element(b)}]"
-                    sub = embed_hat(a, b, frame, right_rows, params)
-                    members.append(FamilyMember(label, MATRIX_ALGEBRA, sub))
+    frames = [[pt.coords for pt in symplectic_basis(mem.subspace)] for mem in left.members]
+    masa_rows = [[pt.coords for pt in mem.subspace.basis] for mem in masas.members]
+    elements = list(params.field.elements())
+    pairs = [(a, b) for a in elements for b in elements if a or b]
+    names = [(format_element(a), format_element(b)) for a, b in pairs]
+    for i, rows in enumerate(_mixed_members(frames, masa_rows, pairs, params)):
+        for j, masa_members in enumerate(rows):
+            for (a, b), gens in zip(names, masa_members.tolist()):
+                sub = Subspace.from_generators(p, m_left + m_right, gens)
+                members.append(FamilyMember(f"B[A={i}|C={j}|a={a},b={b}]", MATRIX_ALGEBRA, sub))
     return SpreadFamily(params, members)

@@ -20,6 +20,12 @@ Reproducibility conventions, relied on by the on-disk family format:
   that coefficient order (c_0 varies fastest).
 * ``find_nonresidue`` returns the first non-square in enumeration order.
 
+Each ``FieldSpec`` carries two Z_p tables, computed once from the literal
+product and trace, that turn field arithmetic into integer matrix products:
+``mul_tables`` (multiplication by each t^j) and ``trace_matrix``
+(T[i][j] = Tr(t^i t^j), so T z lists z's trace-dual coordinates).  They
+hold O(k^3) integers whatever the field size.
+
 Characteristic 2 is rejected everywhere: the subspace constructions built on
 top of this module need both 2^{-1} mod p and a quadratic non-residue.
 """
@@ -27,6 +33,9 @@ top of this module need both 2^{-1} mod p and a quadratic non-residue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import _modlin
 
@@ -161,6 +170,23 @@ class FieldSpec:
         """The basis {1, t, ..., t^{k-1}}; t^i has unit coordinate vector e_i."""
         return [self.element(tuple(1 if j == i else 0 for j in range(self.k))) for i in range(self.k)]
 
+    @cached_property
+    def mul_tables(self) -> np.ndarray:
+        """(k, k, k) array: row i of ``mul_tables[j]`` holds the coordinates of t^i t^j."""
+        units = [(0,) * i + (1,) + (0,) * (self.k - 1 - i) for i in range(self.k)]
+        return _frozen([[_mul_coords(self, ti, tj) for ti in units] for tj in units])
+
+    @cached_property
+    def trace_matrix(self) -> np.ndarray:
+        """The symmetric (k, k) array T[i][j] = Tr(t^i t^j)."""
+        basis = self.power_basis()
+        return _frozen([[field_trace(ti * tj) for tj in basis] for ti in basis])
+
+    def mul_matrices(self, coords) -> np.ndarray:
+        """Multiplication matrices, row j = coordinates of z t^j, for an (..., k)
+        array of coordinate vectors z: an (..., k, k) array mod p."""
+        return np.tensordot(np.asarray(coords, dtype=np.int64), self.mul_tables, axes=1) % self.p
+
     def __str__(self) -> str:
         if self.k == 1:
             return f"GF({self.p})"
@@ -170,6 +196,12 @@ class FieldSpec:
 def gf(p: int, k: int = 1, poly=None) -> FieldSpec:
     """GF(p^k) with the default (first-in-scan-order) irreducible polynomial."""
     return FieldSpec(p, k, tuple(poly) if poly is not None else find_irreducible(p, k))
+
+
+def _frozen(table) -> np.ndarray:
+    arr = np.array(table, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 def _mul_coords(field: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -310,8 +342,7 @@ def trace_dual_basis(basis: list[GFElement]) -> list[GFElement]:
     field = basis[0].field
     if len(basis) != field.k or any(e.field != field for e in basis):
         raise ValueError(f"need {field.k} elements of {field}")
-    powers = field.power_basis()
-    mat = [[field_trace(e * tp) for tp in powers] for e in basis]
+    mat = (np.array([e.coords for e in basis]) @ field.trace_matrix % field.p).tolist()
     inv = _modlin.inverse(mat, field.p)
     if inv is None:
         raise ValueError("input elements are linearly dependent over Z_p")
@@ -319,15 +350,19 @@ def trace_dual_basis(basis: list[GFElement]) -> list[GFElement]:
     return [field.element(tuple(inv[c][j] for c in range(k))) for j in range(k)]
 
 
+def is_nonresidue(a: GFElement) -> bool:
+    """Euler's criterion: a is a non-square exactly when a^((q-1)/2) = -1."""
+    return a ** ((a.field.size - 1) // 2) == a.field.scalar(-1)
+
+
 def find_nonresidue(field: FieldSpec) -> GFElement:
     """First element D != 0 in enumeration order with D != x^2 for all x.
 
     Exactly half the nonzero elements are squares when p >= 3, so the scan
-    always terminates.
+    always terminates; each candidate costs O(log q) multiplications.
     """
-    squares = {(x * x).coords for x in field.elements()}
     for x in field.elements():
-        if not x.is_zero and x.coords not in squares:
+        if is_nonresidue(x):
             return x
     raise AssertionError("unreachable for p >= 3")
 

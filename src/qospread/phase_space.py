@@ -13,8 +13,9 @@ governs commutation when the trailing factors carry only clock operators.
 Points with four GF(p^k) coordinates (``GFPhasePoint``) convert to Z_p
 points through ``pi1``: odd GF coordinates expand over the power basis
 {1, t, ..., t^{k-1}}, even ones over its trace-dual basis, and the blocks
-are interleaved factor by factor.  By construction the field trace carries
-the GF form to the Z_p form,
+are interleaved factor by factor; both expansions are integer matrix
+products with the field's multiplication and trace tables.  By
+construction the field trace carries the GF form to the Z_p form,
 
     Tr(a o b) = pi1(a) o pi1(b),
 
@@ -39,7 +40,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _modlin
-from .finite_field import FieldSpec, GFElement, field_trace
+from .finite_field import FieldSpec, GFElement
 from .report import VerificationReport
 
 SPAN_LIMIT = 10**6
@@ -151,8 +152,22 @@ def gf_symplectic(a: GFPhasePoint, b: GFPhasePoint, partial: bool = False) -> GF
 
 
 def dual_coords(z: GFElement) -> tuple[int, ...]:
-    """Coordinates of z over the trace-dual of the power basis: (Tr(z t^i))_i."""
-    return tuple(field_trace(z * tp) for tp in z.field.power_basis())
+    """Coordinates of z over the trace-dual of the power basis: (Tr(z t^i))_i = T z."""
+    return tuple((z.field.trace_matrix @ np.array(z.coords, dtype=np.int64) % z.field.p).tolist())
+
+
+def _interleave(shifts: np.ndarray, clocks: np.ndarray) -> np.ndarray:
+    """Rows (k_1, l_1, k_2, l_2, ...) from equal-shape shift and clock exponent rows."""
+    return np.stack([shifts, clocks], axis=-1).reshape(shifts.shape[:-1] + (-1,))
+
+
+def _pi1_rows(a: GFPhasePoint) -> np.ndarray:
+    """The (k, 4k) integer rows pi1(t^j a), j = 0..k-1: multiplication matrices
+    of the four coordinates, the even ones times the trace matrix, interleaved."""
+    field = a.field
+    m1, m2, m3, m4 = field.mul_matrices([c.coords for c in a.coords])
+    t = field.trace_matrix
+    return np.concatenate([_interleave(m1, m2 @ t % field.p), _interleave(m3, m4 @ t % field.p)], axis=1)
 
 
 def pi1(a: GFPhasePoint) -> PhasePoint:
@@ -164,17 +179,7 @@ def pi1(a: GFPhasePoint) -> PhasePoint:
     the same map satisfies both the full and the first-block trace
     identities.
     """
-    field = a.field
-    p, k = field.p, field.k
-    a1, a2, a3, a4 = a.coords
-    u1, u3 = a1.coords, a3.coords
-    u2, u4 = dual_coords(a2), dual_coords(a4)
-    coords: list[int] = []
-    for i in range(k):
-        coords += (u1[i], u2[i])
-    for i in range(k):
-        coords += (u3[i], u4[i])
-    return PhasePoint(p, 2 * k, tuple(coords))
+    return PhasePoint(a.field.p, 2 * a.field.k, tuple(_pi1_rows(a)[0].tolist()))
 
 
 def concat(u: PhasePoint, v: PhasePoint) -> PhasePoint:

@@ -22,7 +22,8 @@ indices of C^{p^m} as m base-p digits, factor 1 the most significant, factor
 i sends column digit j to row digit (j + k_i) mod p with value lam^{l_i j},
 and the m values multiply factor 1 first, left to right.  The result is a
 numpy complex128 array (about 16 significant digits); dimensions are
-guarded because dense matrices grow as p^{2m}.
+guarded because dense matrices grow as p^{2m}, and a span's stack is
+refused before anything is allocated when it holds too many entries.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .phase_space import PhasePoint, Subspace, _span_rows, symplectic_product
 
 MAX_DIM = 3**6
+MAX_STACK_ENTRIES = 2**24  # complex entries of one synthesized stack: 256 MiB
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,11 @@ def basis_matrices(s: Subspace, max_dim: int = MAX_DIM) -> np.ndarray:
 
     Returns a (p^dim(s), p^m, p^m) complex ndarray stack with rows in
     ``span_enumerate`` order, so the zero point's identity comes first.
+    A stack of more than ``MAX_STACK_ENTRIES`` entries is refused up front.
     """
+    count, d = s.p**s.dim, s.p**s.m
+    if count * d * d > MAX_STACK_ENTRIES:
+        raise ValueError(f"{count} matrices of side {d} exceed the stack limit {MAX_STACK_ENTRIES}")
     return _monomial_stack(s.p, s.m, _span_rows(s), max_dim)
 
 

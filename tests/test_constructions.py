@@ -1,6 +1,10 @@
 """Tests for the family builders: the two-block spreads, the masa spread,
 the frame embedding and the recursion."""
 
+import itertools
+import random
+import time
+
 import pytest
 
 from qospread.constructions import (
@@ -8,6 +12,7 @@ from qospread.constructions import (
     MASA,
     MATRIX_ALGEBRA,
     ConstructionParams,
+    _mixed_members,
     build_C,
     build_D,
     build_masa_spread,
@@ -15,7 +20,7 @@ from qospread.constructions import (
     build_spread_2,
     embed_hat,
 )
-from qospread.finite_field import gf
+from qospread.finite_field import field_trace, gf
 from qospread.phase_space import (
     Subspace,
     check_pairwise_trivial,
@@ -235,6 +240,73 @@ def test_embed_hat_validates_inputs():
         embed_hat(scal(P3, 1), scal(P3, 0), frame, not_isotropic, P3)
 
 
+# --- the batched recursion kernel ---------------------------------------------------
+
+
+def embed_reference(a, b, frame, masa, params):
+    """Generator rows of a mixed member by literal GF arithmetic and traces,
+    before canonicalisation: t^j times each generator, coordinates 1 and 3
+    over the power basis and 2 and 4 over its trace dual, threaded along
+    the frame (left) and the masa basis (right)."""
+    fld, p = params.field, params.p
+    one, zero, basis = fld.one(), fld.zero(), fld.power_basis()
+    if a is INFINITY:
+        gens = [(zero, zero, one, zero), (zero, zero, zero, one)]
+    else:
+        gens = [(one, zero, a, b), (zero, one, b * params.nonresidue, a)]
+
+    def thread(power, dual, vectors):
+        coeffs = list(power.coords) + [field_trace(dual * ti) for ti in basis]
+        width = len(vectors[0].coords)
+        return [sum(c * v.coords[col] for c, v in zip(coeffs, vectors)) % p for col in range(width)]
+
+    rows = []
+    for g in gens:
+        for tj in basis:
+            c1, c2, c3, c4 = (tj * c for c in g)
+            rows.append(thread(c1, c2, frame) + thread(c3, c4, masa))
+    return rows
+
+
+def recursion_inputs(p, k, n):
+    params = ConstructionParams.create(p, k, n)
+    left = build_recursive(ConstructionParams.create(p, k, n - 2))
+    frames = [symplectic_basis(m.subspace) for m in left.members]
+    two_block = ConstructionParams.create(p, k, 2)
+    masas = [list(m.subspace.basis) for m in build_masa_spread(two_block).members]
+    elements = list(params.field.elements())
+    pairs = [(a, b) for a in elements for b in elements] + [(INFINITY, None)]
+    return params, frames, masas, pairs
+
+
+@pytest.mark.parametrize("p,k,n,sample", [(3, 1, 3, None), (3, 1, 4, 150), (5, 1, 3, 150), (3, 2, 3, 150)])
+def test_kernel_rows_match_literal_embedding_and_embed_hat(p, k, n, sample):
+    params, frames, masas, pairs = recursion_inputs(p, k, n)
+    batches = list(_mixed_members([[pt.coords for pt in f] for f in frames],
+                                  [[pt.coords for pt in r] for r in masas], pairs, params))
+    cases = list(itertools.product(range(len(frames)), range(len(masas)), range(len(pairs))))
+    if sample is not None:
+        rng = random.Random(p * 100 + k * 10 + n)
+        cases = rng.sample(cases, sample)
+    m = k * n
+    for i, j, q in cases:
+        (a, b), rows = pairs[q], batches[i][j, q].tolist()
+        assert rows == embed_reference(a, b, frames[i], masas[j], params)
+        assert embed_hat(a, b, frames[i], masas[j], params) == Subspace.from_generators(p, m, rows)
+
+
+def test_kernel_rejects_skewed_frame_or_non_isotropic_masa():
+    params, frames, masas, pairs = recursion_inputs(3, 1, 4)
+    frame_rows = [[pt.coords for pt in f] for f in frames]
+    masa_rows = [[pt.coords for pt in r] for r in masas]
+    skewed = frame_rows[:3] + [[frame_rows[3][0], [2 * c for c in frame_rows[3][1]]]] + frame_rows[4:]
+    with pytest.raises(ValueError, match="symplectic frame"):
+        _mixed_members(skewed, masa_rows, pairs, params)
+    nondegenerate = [pt.coords for pt in build_spread_2(P3).members[0].subspace.basis]
+    with pytest.raises(ValueError, match="isotropic"):
+        _mixed_members(frame_rows, masa_rows[:5] + [nondegenerate] + masa_rows[6:], pairs, params)
+
+
 # --- recursion ---------------------------------------------------------------------
 
 
@@ -297,6 +369,17 @@ def test_params_reject_even_prime():
 def test_params_reject_square_nonresidue():
     with pytest.raises(ValueError, match="square"):
         ConstructionParams.create(3, 1, 2, nonresidue=(1,))
+
+
+def test_params_large_prime_field_is_fast_and_checks_squares():
+    p = 100003
+    t0 = time.perf_counter()
+    params = ConstructionParams.create(p, 1, 1)
+    assert time.perf_counter() - t0 < 0.5
+    # the first non-residue in enumeration order, by Euler's criterion on ints
+    assert params.nonresidue.coords == (next(x for x in range(1, p) if pow(x, (p - 1) // 2, p) == p - 1),)
+    with pytest.raises(ValueError, match="square"):
+        ConstructionParams.create(p, 1, 1, nonresidue=(4,))
 
 
 def test_params_reject_zero_nonresidue():

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from qospread.finite_field import (
     FieldSpec,
+    _mul_coords,
     field_trace,
     find_irreducible,
     find_nonresidue,
@@ -147,6 +149,8 @@ def test_nonresidue_is_never_a_square(field):
     assert not d.is_zero
     for x in field.elements():
         assert x * x != d
+    squares = brute_force_squares(field)
+    assert d == next(x for x in field.elements() if not x.is_zero and x not in squares)
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
@@ -305,3 +309,28 @@ def test_format_element():
 def test_mixed_field_addition_rejected():
     with pytest.raises(ValueError, match="mixed fields"):
         gf(3).one() + gf(5).one()
+
+
+# --- multiplication and trace tables -----------------------------------------
+
+
+@pytest.mark.parametrize("field", [gf(3, 2), gf(5, 2), gf(3, 3), gf(3, 4)], ids=str)
+def test_field_tables_match_literal_definitions(field):
+    p, basis = field.p, field.power_basis()
+    trace, tables = field.trace_matrix, field.mul_tables
+    assert trace.shape == (field.k, field.k) and tables.shape == (field.k,) * 3
+    for z in field.elements():
+        coords = np.array(z.coords)
+        assert (trace @ coords % p).tolist() == [field_trace(z * ti) for ti in basis]
+        for j, tj in enumerate(basis):
+            assert (coords @ tables[j] % p).tolist() == list(_mul_coords(field, z.coords, tj.coords))
+        assert field.mul_matrices(z.coords).tolist() == [list((z * tj).coords) for tj in basis]
+
+
+def test_field_tables_are_cached_read_only_and_sized_by_k():
+    field = gf(3, 2)
+    assert field.trace_matrix is field.trace_matrix
+    assert field.mul_tables is field.mul_tables
+    assert not field.trace_matrix.flags.writeable and not field.mul_tables.flags.writeable
+    big = gf(1000003)
+    assert big.trace_matrix.tolist() == [[1]] and big.mul_tables.tolist() == [[[1]]]

@@ -1,6 +1,7 @@
 """Tests for monomial products, commutation phases and dense synthesis."""
 
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -209,6 +210,19 @@ def test_basis_matrices_dimension_guard():
         basis_matrices(Subspace.from_generators(3, 2, [(1, 0, 0, 0)]), max_dim=8)
     with pytest.raises(ValueError, match="limit"):
         basis_matrices(Subspace.from_generators(3, 7, []))
+
+
+def test_oversized_stack_is_refused_before_allocation():
+    # 729 matrices of 729 x 729 complex entries would take 6.2 GB
+    span = Subspace.from_generators(3, 6, [[int(j == 2 * i) for j in range(12)] for i in range(6)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="stack limit"):
+            basis_matrices(span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_monomial_text():
