@@ -60,6 +60,9 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: malformed family file: not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         ff = family_io.parse(text)
         family = family_io.to_family(ff)

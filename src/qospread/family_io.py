@@ -21,14 +21,19 @@ Example file::
 is independent of how those were picked.  Generator rows are the canonical
 echelon basis of each member (2kn integers per row, all in [0, p-1]).
 
-Parsing goes through ``yaml.safe_load`` so any YAML tool can read the
-files; writing is manual so identical families produce identical bytes.
-An optional ``verification`` mapping carries a machine-readable check
-summary and round-trips untouched.
+The files are plain YAML, so any YAML tool can read them; writing is
+manual so identical families produce identical bytes.  Reading takes two
+routes to the same document: text in exactly the writer's line format (what
+``serialize`` writes for a family without a verification block) goes
+through a strict line reader, and any other YAML, restyled or hand-edited,
+through ``yaml.safe_load``.  Both feed one validation.  An optional
+``verification`` mapping carries a machine-readable check summary and
+round-trips untouched.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 
 import yaml
@@ -131,11 +136,55 @@ def _int_list(values, what: str, p: int, length: int | None = None) -> tuple[int
     return tuple(values)
 
 
+_INT = r"(?:0|[1-9][0-9]*)"
+_ROW = rf"\[{_INT}(?:, {_INT})*\]"
+_HEADER = re.compile(
+    rf"format_version: ({_INT})\np: ({_INT})\nk: ({_INT})\nn: ({_INT})\n"
+    rf"poly: ({_ROW})\nnonresidue: ({_ROW})\nmembers:\n"
+)
+_MEMBER = re.compile(
+    rf'- label: "([^"\\\n]*)"\n  kind: ({"|".join(_KINDS)})\n  generators:\n((?:  - {_ROW}\n)+)'
+)
+
+
+def _ints(row: str) -> list[int]:
+    return [int(v) for v in row[1:-1].split(", ")]
+
+
+def _own_format(text: str) -> dict | None:
+    """The document ``yaml.safe_load`` gives for text in exactly the line
+    format ``serialize`` writes (no verification block, printable labels
+    without quotes or backslashes, plain decimal integers); None for any
+    other text."""
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    version, p, k, n, poly, nonresidue = head.groups()
+    members, pos = [], head.end()
+    while pos < len(text):
+        block = _MEMBER.match(text, pos)
+        if block is None or not block[1].isprintable():
+            return None
+        rows = block[3].split("\n")[:-1]
+        members.append({"label": block[1], "kind": block[2], "generators": [_ints(r[4:]) for r in rows]})
+        pos = block.end()
+    return {
+        "format_version": int(version), "p": int(p), "k": int(k), "n": int(n),
+        "poly": _ints(poly), "nonresidue": _ints(nonresidue), "members": members or None,
+    }
+
+
 def parse(text: str) -> FamilyFile:
     try:
-        doc = yaml.safe_load(text)
+        doc = _own_format(text)
+        if doc is None:
+            doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise FamilyFormatError(f"not valid YAML: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # a YAML timestamp that is no date, an integer past Python's digit
+        # limit, or nesting past the recursion limit
+        raise FamilyFormatError(f"unreadable value: {exc}") from exc
     if not isinstance(doc, dict):
         raise FamilyFormatError("top level must be a mapping")
     if doc.get("format_version") != FORMAT_VERSION:

@@ -26,16 +26,19 @@ suite re-verifies this rather than trusting the construction.
 over Z_p, so equal spans compare equal and serialise identically.  Spans are
 enumerated as one integer matrix product: the coefficient vectors, in
 ``itertools.product`` order (zero first), times the echelon basis, mod p.
-The set checks read one point-ownership index, each nonzero point mapped to
-the members containing it; members too large to enumerate are compared by
-rank.  All of it is exact integer combinatorics, with no floating point.
+The set checks read one point-ownership index: every member's nonzero
+points stacked with an owner column and sorted lexicographically into
+arrays, so the points with two or more owners sit next to each other and
+the distinct points are counted without a Python object per point; members
+too large to enumerate are compared by rank.  All of it is exact integer
+combinatorics, with no floating point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .finite_field import FieldSpec, GFElement
 from .report import VerificationReport
 
 SPAN_LIMIT = 10**6
+MAX_LISTED_PAIRS = 1000
 
 NONDEGENERATE = "nondegenerate"
 ISOTROPIC = "isotropic"
@@ -62,6 +66,17 @@ class PhasePoint:
         if len(self.coords) != 2 * self.m:
             raise ValueError(f"expected {2 * self.m} coordinates, got {len(self.coords)}")
         object.__setattr__(self, "coords", tuple(int(c) % self.p for c in self.coords))
+
+    @classmethod
+    def _reduced(cls, p: int, m: int, coords: tuple[int, ...]) -> "PhasePoint":
+        """A point from 2m Python ints already in [0, p-1], without re-validating them."""
+        pt = object.__new__(cls)
+        # attribute by attribute, as __init__ does: writing __dict__ directly
+        # would give each point its own dict instead of the shared-key one
+        object.__setattr__(pt, "p", p)
+        object.__setattr__(pt, "m", m)
+        object.__setattr__(pt, "coords", coords)
+        return pt
 
     @classmethod
     def zero(cls, p: int, m: int) -> "PhasePoint":
@@ -204,14 +219,19 @@ class Subspace:
 
     @classmethod
     def from_generators(cls, p: int, m: int, generators: Iterable) -> "Subspace":
-        pts = []
+        rows = []
         for g in generators:
-            pt = g if isinstance(g, PhasePoint) else PhasePoint(p, m, tuple(g))
-            if (pt.p, pt.m) != (p, m):
-                raise ValueError("generator ambient mismatch")
-            pts.append(pt)
-        ech, _ = _modlin.rref([pt.coords for pt in pts], p)
-        return cls(p, m, tuple(PhasePoint(p, m, row) for row in ech))
+            if isinstance(g, PhasePoint):
+                if (g.p, g.m) != (p, m):
+                    raise ValueError("generator ambient mismatch")
+                rows.append(g.coords)
+            else:
+                row = tuple(int(c) % p for c in g)
+                if len(row) != 2 * m:
+                    raise ValueError(f"expected {2 * m} coordinates, got {len(row)}")
+                rows.append(row)
+        ech, _ = _modlin.rref(rows, p)
+        return cls(p, m, tuple(PhasePoint._reduced(p, m, row) for row in ech))
 
     @property
     def dim(self) -> int:
@@ -239,23 +259,72 @@ def span_enumerate(s: Subspace, limit: int = SPAN_LIMIT) -> list[PhasePoint]:
     return [PhasePoint(s.p, s.m, row) for row in _span_rows(s, limit).tolist()]
 
 
-def _owners(members: Iterable[tuple[int, Subspace]]) -> dict[tuple[int, ...], list[int]]:
-    """The point-ownership index: each nonzero point of the (index, member) spans
-    -> the indices of its owners, in input order; raises above ``SPAN_LIMIT``."""
-    index: dict[tuple[int, ...], list[int]] = {}
-    for i, s in members:
-        for row in _span_rows(s)[1:].tolist():
-            index.setdefault(tuple(row), []).append(i)
-    return index
+class _Index(NamedTuple):
+    """The point-ownership index: every nonzero point of the members' spans with
+    its owner, sorted lexicographically by point and, for equal points, by owner;
+    ``first`` marks the first row of each distinct point."""
+
+    points: np.ndarray
+    owners: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def sort(cls, points: np.ndarray, owners: np.ndarray) -> "_Index":
+        # lexsort on the coordinate columns (the last key is primary) is stable
+        # and, unlike base-p codes, cannot overflow for any ambient
+        order = np.lexsort(points.T[::-1]) if points.size else np.arange(len(points))
+        points, owners = points[order], owners[order]
+        first = np.ones(len(points), dtype=bool)
+        first[1:] = (points[1:] != points[:-1]).any(axis=1)
+        return cls(points, owners, first)
+
+    def distinct(self) -> np.ndarray:
+        return self.points[self.first]
 
 
-def _conflicts(index: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, int], list]:
-    """Pairs sharing a nonzero point, in pair order -> [smallest shared point, count]."""
-    shared: dict[tuple[int, int], list] = {}
-    for pt, owners in sorted(item for item in index.items() if len(item[1]) > 1):
-        for pair in itertools.combinations(owners, 2):
-            shared.setdefault(pair, [pt, 0])[1] += 1
-    return dict(sorted(shared.items()))
+def _owners(members: Iterable[tuple[int, Subspace]]) -> _Index:
+    """The index of the (owner index, member) spans, owners given in ascending
+    order; raises above ``SPAN_LIMIT``."""
+    members = list(members)
+    if not members:
+        return _Index.sort(np.zeros((0, 0), dtype=np.uint8), np.zeros(0, dtype=np.int64))
+    p, m = members[0][1].p, members[0][1].m
+    if any((s.p, s.m) != (p, m) for _, s in members):
+        raise ValueError("ambient mismatch")
+    # the smallest dtype holding [0, p-1] makes the sort several times faster
+    spans = [_span_rows(s)[1:].astype(np.min_scalar_type(p - 1)) for _, s in members]
+    owners = np.repeat([i for i, _ in members], [len(span) for span in spans])
+    return _Index.sort(np.concatenate(spans), owners)
+
+
+def _conflicts(index: _Index) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
+    """The pairs sharing a nonzero point, lazily in pair order, each with its
+    smallest shared point and the number of points it shares.
+
+    Only the points with two or more owners are read, one owner at a time, so
+    a caller that stops early pays only for the owners it reached.
+    """
+    starts = np.flatnonzero(index.first)
+    sizes = np.diff(np.append(starts, len(index.first)))
+    group = np.cumsum(index.first) - 1
+    shared = np.flatnonzero(sizes[group] > 1)
+    if not len(shared):
+        return
+    shared = shared[np.argsort(index.owners[shared], kind="stable")]  # by owner, then point
+    for rows in np.split(shared, np.flatnonzero(np.diff(index.owners[shared])) + 1):
+        i = int(index.owners[rows[0]])
+        groups = group[rows]
+        # every row of the groups of owner i, group by group (groups ascend)
+        lengths = sizes[groups]
+        where = np.arange(lengths.sum()) + np.repeat(starts[groups] - np.cumsum(lengths) + lengths, lengths)
+        owner = index.owners[where]
+        others, at = owner[owner > i], np.repeat(groups, lengths)[owner > i]
+        order = np.argsort(others, kind="stable")  # by partner, then point
+        others, at = others[order], at[order]
+        heads = np.flatnonzero(np.diff(others, prepend=-1))
+        counts = np.diff(np.append(heads, len(others)))
+        for j, g, count in zip(others[heads].tolist(), at[heads].tolist(), counts.tolist()):
+            yield (i, j), tuple(index.points[starts[g]].tolist()), count
 
 
 def intersect_trivially(a: Subspace, b: Subspace) -> bool:
@@ -286,20 +355,26 @@ def check_pairwise_trivial(
 
     Each pair of owners of a point in the enumerable members' ownership
     index fails, with its smallest shared point as witness; pairs with a
-    member above ``SPAN_LIMIT`` get the rank test.  Failures are in pair order.
+    member above ``SPAN_LIMIT`` get the rank test.  Failures are in pair order;
+    past ``MAX_LISTED_PAIRS`` pairs the listing stops with a "family" entry.
     """
     n = len(subspaces)
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
     oversize = {i for i, s in enumerate(subspaces) if s.p**s.dim > SPAN_LIMIT}
     index = _owners((i, s) for i, s in enumerate(subspaces) if i not in oversize)
-    witnesses = {pair: pt for pair, (pt, _) in _conflicts(index).items()}
+    witnesses = {pair: pt for pair, pt, _ in itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1)}
     for i, j in {tuple(sorted((b, other))) for b in oversize for other in range(n) if other != b}:
         if not intersect_trivially(subspaces[i], subspaces[j]):
             witnesses[i, j] = _shared_point(subspaces[i], subspaces[j]).coords
+    listed = sorted(witnesses.items())
     failures = [
         (f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}")
-        for (i, j), witness in sorted(witnesses.items())
+        for (i, j), witness in listed[:MAX_LISTED_PAIRS]
     ]
+    if len(listed) > MAX_LISTED_PAIRS:
+        failures.append(
+            ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
+        )
     return VerificationReport(passed=not failures, checks_run=n * (n - 1) // 2, failures=failures)
 
 
@@ -312,16 +387,18 @@ def check_partition(
     """Pass iff the members' nonzero points are disjoint and cover the target.
 
     A point of the members' ownership index with two or more owners fails
-    (the first such pair is named); ``covered`` counts the index's points.
-    The default target is the whole nonzero ambient Z_p^{2m} \\ {0}; passing
-    ``against`` compares to the points of a second family's index instead.
+    (the first such pair is named); ``covered`` counts the index's distinct
+    points.  The default target is the whole nonzero ambient Z_p^{2m} \\ {0};
+    passing ``against`` compares to the distinct points of a second family's
+    index instead.
     """
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(len(subspaces))]
     index = _owners(enumerate(subspaces))
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points")
-        for (i, j), (_, count) in itertools.islice(_conflicts(index).items(), 1)
+        for (i, j), _, count in itertools.islice(_conflicts(index), 1)
     ]
+    covered = int(index.first.sum())
     if against is None:
         if not subspaces:
             raise ValueError("empty family")
@@ -330,21 +407,24 @@ def check_partition(
         if ambient > limit:
             raise ValueError(f"ambient has {ambient} points, above the limit {limit}")
         expected = ambient - 1
-        if len(index) != expected:
-            failures.append(("family", f"covers {len(index)} of {expected} nonzero points"))
+        if covered != expected:
+            failures.append(("family", f"covers {covered} of {expected} nonzero points"))
     else:
-        union, target = index.keys(), _owners(enumerate(against)).keys()
-        expected = len(target)
-        if union != target:
+        union, target = index.distinct(), _owners(enumerate(against)).distinct()
+        expected, common = len(target), 0
+        if union.shape[1] == target.shape[1]:
+            both = np.concatenate([union, target])
+            common = len(both) - int(_Index.sort(both, np.zeros(len(both), dtype=np.int64)).first.sum())
+        if common != len(union) or common != expected:
             failures.append(
                 ("family",
-                 f"union differs from target: {len(union - target)} extra, {len(target - union)} missing")
+                 f"union differs from target: {len(union) - common} extra, {expected - common} missing")
             )
     return VerificationReport(
         passed=not failures,
         checks_run=len(subspaces),
         failures=failures,
-        covered=len(index),
+        covered=covered,
         expected=expected,
     )
 

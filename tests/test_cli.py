@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 import yaml
@@ -119,6 +120,50 @@ def test_verify_truncated_file(family_path, capsys):
     code, _, err = run(capsys, "verify", str(family_path))
     assert code == EXIT_BAD_INPUT
     assert "malformed" in err
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("p: 3\n", "p: 2001-02-30\n"),  # the YAML timestamp constructor raises
+        ("p: 3\n", f"p: {'7' * 5000}\n"),  # past Python's integer digit limit
+        ("p: 3\n", f"p: {'[' * 5000}{']' * 5000}\n"),  # past the recursion limit
+    ],
+    ids=["timestamp", "huge-int", "deep-nesting"],
+)
+def test_verify_crafted_file_is_malformed(family_path, capsys, old, new):
+    family_path.write_text(family_path.read_text().replace(old, new, 1))
+    code, out, err = run(capsys, "verify", str(family_path))
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: malformed family file: ")
+    assert out == ""
+
+
+def test_verify_non_utf8_file_is_malformed(family_path, capsys):
+    family_path.write_bytes(family_path.read_bytes().replace(b"p: 3", b"p: \xff", 1))
+    code, out, err = run(capsys, "verify", str(family_path))
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: malformed family file: not UTF-8 text")
+    assert out == ""
+
+
+def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
+    # p=5, n=3: all 651 members carry the first member's rows, so every pair
+    # of the 211,575 shares all 24 nonzero points; the listing stops at the cap
+    path = tmp_path / "same.yaml"
+    run(capsys, "generate", "--p", "5", "--n", "3", "--out", str(path))
+    ff = family_io.load(path)
+    for member in ff.members:
+        member.rows = ff.members[0].rows
+    family_io.save(ff, path)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_VERIFY_FAILED
+    assert "integrity: ok (651 members, canonical rows)" in out
+    assert "  ... and 981 more failures" in out  # 20 shown + 1,000 pairs + the stop entry
+    assert "partition: FAIL (checks=651, covered=24/15624)" in out
+    assert elapsed < 3.0, f"verify took {elapsed:.2f} s"
 
 
 def test_verify_missing_file(tmp_path, capsys):

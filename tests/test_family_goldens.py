@@ -6,9 +6,11 @@ matrices; any change to a single byte of the output fails here.  The
 (3,2,3) and (7,1,3) digests are the ones ``bench/run.py`` gates on.
 """
 
+import functools
 import hashlib
 
 import pytest
+import yaml
 
 from qospread import family_io
 from qospread.constructions import ConstructionParams, build_recursive
@@ -25,8 +27,37 @@ GOLDENS = {
 }
 
 
-@pytest.mark.parametrize("pkn", sorted(GOLDENS), ids=lambda pkn: "p{}k{}n{}".format(*pkn))
+def _id(pkn):
+    return "p{}k{}n{}".format(*pkn)
+
+
+# libyaml's loader builds the same document as yaml.safe_load (the same
+# SafeConstructor) in a fraction of the time on these megabyte files
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@functools.lru_cache(maxsize=None)
+def serialized(pkn):
+    return family_io.serialize(family_io.from_family(build_recursive(ConstructionParams.create(*pkn))))
+
+
+@pytest.mark.parametrize("pkn", sorted(GOLDENS), ids=_id)
 def test_serialized_family_matches_golden(pkn):
-    family = build_recursive(ConstructionParams.create(*pkn))
-    text = family_io.serialize(family_io.from_family(family))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDENS[pkn]
+    assert hashlib.sha256(serialized(pkn).encode("utf-8")).hexdigest() == GOLDENS[pkn]
+
+
+@pytest.mark.parametrize("pkn", sorted(GOLDENS), ids=_id)
+def test_line_reader_matches_yaml(pkn):
+    text = serialized(pkn)
+    assert family_io._own_format(text) == yaml.load(text, Loader=_SafeLoader)
+
+
+def test_line_reader_matches_yaml_on_fault_copy():
+    # member 1500 gets member 1200's rows, as the benchmark's fault injection does
+    lines = serialized((7, 1, 3)).split("\n")
+    starts = [i for i, line in enumerate(lines) if line.startswith("- label: ")]
+    a, b = (range(starts[m] + 3, starts[m + 1]) for m in (1200, 1500))
+    text = "\n".join(lines[: b.start] + lines[a.start : a.stop] + lines[b.stop :])
+    doc = family_io._own_format(text)
+    assert doc == yaml.load(text, Loader=_SafeLoader)
+    assert doc["members"][1500]["generators"] == doc["members"][1200]["generators"]

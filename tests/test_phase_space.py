@@ -10,6 +10,7 @@ import pytest
 from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D
 from qospread.finite_field import field_trace, gf
 from qospread.phase_space import (
+    MAX_LISTED_PAIRS,
     SPAN_LIMIT,
     GFPhasePoint,
     PhasePoint,
@@ -349,6 +350,54 @@ def test_oversize_members_fall_back_to_rank_test():
     assert rep.failures[1][1] == "shared nonzero point (1, 5, 0, 0)"
     with pytest.raises(ValueError, match="limit"):
         check_partition([small, meets])
+
+
+def test_index_above_int64_codes_agrees_with_rank_oracle():
+    # Z_3^42 has 3^42 > 2^63 points, so base-p point codes would overflow int64
+    p, m = 3, 21
+    assert p ** (2 * m) > 2**63
+    rng = random.Random(7)
+
+    def vec():
+        return tuple(rng.randrange(p) for _ in range(2 * m))
+
+    shared = [vec() for _ in range(3)]
+    subs = []
+    for _ in range(12):
+        gens = [vec() for _ in range(rng.randrange(1, 3))]
+        if rng.random() < 0.5:  # meet another member in a chosen line
+            gens.append(rng.choice(shared))
+        subs.append(Subspace.from_generators(p, m, gens))
+    rep = check_pairwise_trivial(subs)
+    want = [(i, j) for i, j in itertools.combinations(range(len(subs)), 2)
+            if not intersect_trivially(subs[i], subs[j])]
+    assert want and len(want) < len(subs) * (len(subs) - 1) // 2
+    assert [who for who, _ in rep.failures] == [f"member {i} & member {j}" for i, j in want]
+    for (_, what), (i, j) in zip(rep.failures, want):
+        witness = PhasePoint(p, m, tuple(int(c) for c in re.findall(r"\d+", what)))
+        assert not witness.is_zero
+        assert subs[i].contains(witness) and subs[j].contains(witness)
+        assert what == f"shared nonzero point {min(_brute_nonzero_points(subs[i]) & _brute_nonzero_points(subs[j]))}"
+    covered = len(set().union(*map(_brute_nonzero_points, subs)))
+    assert check_partition(subs, against=subs).covered == covered
+
+
+def test_conflict_listing_stops_at_the_cap():
+    params = ConstructionParams.create(3, 1, 2)
+    sub = build_C(params.field.one(), params.field.zero(), params)
+    n = 47  # 1,081 pairs, all sharing all eight nonzero points
+    assert n * (n - 1) // 2 > MAX_LISTED_PAIRS
+    rep = check_pairwise_trivial([sub] * n)
+    pairs = list(itertools.combinations(range(n), 2))[:MAX_LISTED_PAIRS]
+    assert [who for who, _ in rep.failures[:-1]] == [f"member {i} & member {j}" for i, j in pairs]
+    assert rep.failures[-1] == ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
+    # the largest family below the cap (45 members, 990 pairs) is listed in full
+    n_below = next(n for n in range(n, 0, -1) if n * (n - 1) // 2 <= MAX_LISTED_PAIRS)
+    rep = check_pairwise_trivial([sub] * n_below)
+    assert len(rep.failures) == n_below * (n_below - 1) // 2
+    assert all(who != "family" for who, _ in rep.failures)
+    rep = check_partition([sub] * n)
+    assert rep.failures == [("member 0 & member 1", "8 shared nonzero points"), ("family", "covers 8 of 80 nonzero points")]
 
 
 def test_partition_of_full_spread():
