@@ -212,6 +212,35 @@ def test_verify_both_matches_golden(tmp_path, capsys, request, name, duplicate):
     assert _mask_residual(out) == _mask_residual(golden.read_text(encoding="utf-8"))
 
 
+def _tamper_p3n3(path):
+    """Three edits of the p=3, n=3 file, each through the writer's own format:
+    member 5's rows become another basis of the same span, member 40 gets a
+    dependent second row (dimension 1), member 60 becomes an isotropic span."""
+    ff = family_io.load(path)
+    r0, r1 = ff.members[5].rows
+    ff.members[5].rows = [tuple((x + y) % 3 for x, y in zip(r0, r1)), r1]
+    r0 = ff.members[40].rows[0]
+    ff.members[40].rows = [r0, tuple(2 * x % 3 for x in r0)]
+    ff.members[60].rows = [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
+    family_io.save(ff, path)
+
+
+@pytest.mark.parametrize("name,pkn,tamper", [
+    ("p3k2n2", ("3", "2", "2"), None),
+    ("p3n3_tampered", ("3", "1", "3"), _tamper_p3n3),
+])
+def test_verify_symbolic_matches_golden(tmp_path, capsys, request, name, pkn, tamper):
+    path = tmp_path / "fam.yaml"
+    p, k, n = pkn
+    run(capsys, "generate", "--p", p, "--k", k, "--n", n, "--out", str(path))
+    if tamper:
+        tamper(path)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "symbolic")
+    golden = request.path.parent / "data" / f"verify_symbolic_{name}.txt"
+    assert code == (EXIT_VERIFY_FAILED if tamper else EXIT_OK)
+    assert out == golden.read_text(encoding="utf-8")
+
+
 # --- example --------------------------------------------------------------------
 
 
