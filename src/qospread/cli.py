@@ -29,6 +29,21 @@ def _parse_coords(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _positive(kind):
+    """An argparse type: ``kind`` of the text, refused unless > 0 (so NaN is refused too)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _make_params(args) -> ConstructionParams:
     poly = _parse_coords(args.poly_override) if args.poly_override else None
     nonres = _parse_coords(args.d_override) if args.d_override else None
@@ -71,7 +86,7 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_INPUT
 
     ok = True
-    bad_rows = family_io.noncanonical_members(ff)
+    bad_rows = family_io.noncanonical_members(ff, family)
     if bad_rows:
         ok = False
         print(f"integrity: FAIL ({len(bad_rows)} members with non-canonical rows)")
@@ -93,9 +108,6 @@ def cmd_verify(args) -> int:
             print(f"partition: skipped (ambient has {ambient} points)")
 
     if args.mode in ("numeric", "both"):
-        if args.tol <= 0 or (args.sample is not None and args.sample < 1):
-            print("error: --tol must be positive and --sample at least 1", file=sys.stderr)
-            return EXIT_BAD_INPUT
         dim = ff.p ** (ff.k * ff.n)
         if dim > verify.NUMERIC_MAX_DIM:
             if args.mode == "numeric":
@@ -180,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verify a stored family file")
     ver.add_argument("path", help="family file to verify")
     ver.add_argument("--mode", choices=("symbolic", "numeric", "both"), default="both")
-    ver.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
-    ver.add_argument("--sample", type=int, default=None,
+    ver.add_argument("--tol", type=_positive(float), default=verify.DEFAULT_TOL)
+    ver.add_argument("--sample", type=_positive(int), default=None,
                      help="number of member pairs for the numeric check (default: all, "
                           "or 200 when there are many)")
     ver.set_defaults(func=cmd_verify)
@@ -193,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     mub.add_argument("--p", type=int, required=True)
     mub.add_argument("--k", type=int, default=1)
     mub.add_argument("--out", default=None, help="output file (default mub_p{p}_k{k}.txt)")
-    mub.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
+    mub.add_argument("--tol", type=_positive(float), default=verify.DEFAULT_TOL)
     mub.set_defaults(func=cmd_mub)
 
     return parser

@@ -33,7 +33,16 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .finite_field import FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue
-from .phase_space import GFPhasePoint, PhasePoint, Subspace, _interleave, _pi1_rows, symplectic_basis
+from .phase_space import (
+    GFPhasePoint,
+    PhasePoint,
+    Subspace,
+    _canonical,
+    _gram,
+    _interleave,
+    _pi1_rows,
+    symplectic_basis,
+)
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
@@ -207,20 +216,11 @@ def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
     slopes = list(big.elements())
     clocks = big.mul_matrices([m.coords for m in slopes]) @ big.trace_matrix % p
     shifts = np.eye(2 * k, dtype=np.int64)
-    members = [
-        FamilyMember(f"M[{format_element(m)}]", MASA,
-                     Subspace.from_generators(p, 2 * k, _interleave(shifts, c).tolist()))
-        for m, c in zip(slopes, clocks)
-    ]
-    rows = _interleave(0 * shifts, big.trace_matrix).tolist()
-    members.append(FamilyMember("M[inf]", MASA, Subspace.from_generators(p, 2 * k, rows)))
-    return SpreadFamily(params, members)
-
-
-def _gram(rows: np.ndarray, p: int) -> np.ndarray:
-    """Symplectic Gram matrices of a stack of row bases, mod p."""
-    shift, clock = rows[..., 0::2], rows[..., 1::2]
-    return (shift @ clock.swapaxes(-1, -2) - clock @ shift.swapaxes(-1, -2)) % p
+    rows = np.concatenate([_interleave(np.broadcast_to(shifts, clocks.shape), clocks),
+                           _interleave(0 * shifts, big.trace_matrix)[None]])
+    labels = [f"M[{format_element(m)}]" for m in slopes] + ["M[inf]"]
+    return SpreadFamily(params, [FamilyMember(label, MASA, sub)
+                                 for label, sub in zip(labels, _canonical(p, 2 * k, rows))])
 
 
 def _mixed_members(frames, masas, pairs, params: ConstructionParams):
@@ -282,9 +282,12 @@ def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
 
 
 def _pad(sub: Subspace, before: int, after: int) -> Subspace:
-    """The same span inside a wider ambient, zero on the added factors."""
-    rows = [(0,) * (2 * before) + pt.coords + (0,) * (2 * after) for pt in sub.basis]
-    return Subspace.from_generators(sub.p, before + sub.m + after, rows)
+    """The same span inside a wider ambient, zero on the added factors.
+
+    Zero columns keep echelon rows reduced, so the padded rows are canonical.
+    """
+    rows = tuple((0,) * (2 * before) + row + (0,) * (2 * after) for row in sub.rows)
+    return Subspace(sub.p, before + sub.m + after, rows)
 
 
 def _full_block(params: ConstructionParams) -> Subspace:
@@ -293,7 +296,7 @@ def _full_block(params: ConstructionParams) -> Subspace:
     return Subspace.from_generators(params.p, m, rows)
 
 
-def build_recursive(params: ConstructionParams, max_members: int = MAX_MEMBERS) -> SpreadFamily:
+def build_recursive(params: ConstructionParams) -> SpreadFamily:
     """The maximal family of (p^{2kn}-1)/(p^{2k}-1) members in M_{p^{kn}}.
 
     n = 1 is the single full block and n = 2 the two-block spread; larger n
@@ -302,15 +305,15 @@ def build_recursive(params: ConstructionParams, max_members: int = MAX_MEMBERS) 
     """
     p, k, n = params.p, params.k, params.n
     expected = (p ** (2 * k * n) - 1) // (p ** (2 * k) - 1)
-    if expected > max_members:
-        raise ValueError(f"family would have {expected} members, above the budget {max_members}")
+    if expected > MAX_MEMBERS:
+        raise ValueError(f"family would have {expected} members, above the budget {MAX_MEMBERS}")
     if n == 1:
         return SpreadFamily(params, [FamilyMember("full", MATRIX_ALGEBRA, _full_block(params))])
     if n == 2:
         return build_spread_2(params)
 
     two_block = replace(params, n=2)
-    left = build_recursive(replace(params, n=n - 2), max_members)
+    left = build_recursive(replace(params, n=n - 2))
     masas = build_masa_spread(two_block)
     right = build_spread_2(two_block)
     m_left = k * (n - 2)
@@ -326,13 +329,12 @@ def build_recursive(params: ConstructionParams, max_members: int = MAX_MEMBERS) 
             FamilyMember(f"I⊗{mem.label}", MATRIX_ALGEBRA, _pad(mem.subspace, m_left, 0))
         )
     frames = [[pt.coords for pt in symplectic_basis(mem.subspace)] for mem in left.members]
-    masa_rows = [[pt.coords for pt in mem.subspace.basis] for mem in masas.members]
+    masa_rows = [mem.subspace.rows for mem in masas.members]
     elements = list(params.field.elements())
     pairs = [(a, b) for a in elements for b in elements if a or b]
-    names = [(format_element(a), format_element(b)) for a, b in pairs]
+    names = [(j, format_element(a), format_element(b)) for j in range(len(masa_rows)) for a, b in pairs]
     for i, rows in enumerate(_mixed_members(frames, masa_rows, pairs, params)):
-        for j, masa_members in enumerate(rows):
-            for (a, b), gens in zip(names, masa_members.tolist()):
-                sub = Subspace.from_generators(p, m_left + m_right, gens)
-                members.append(FamilyMember(f"B[A={i}|C={j}|a={a},b={b}]", MATRIX_ALGEBRA, sub))
+        subs = _canonical(p, m_left + m_right, rows.reshape((-1,) + rows.shape[2:]))
+        members.extend(FamilyMember(f"B[A={i}|C={j}|a={a},b={b}]", MATRIX_ALGEBRA, sub)
+                       for (j, a, b), sub in zip(names, subs))
     return SpreadFamily(params, members)

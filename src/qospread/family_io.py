@@ -45,7 +45,7 @@ from .constructions import (
     FamilyMember,
     SpreadFamily,
 )
-from .phase_space import Subspace
+from .phase_space import _canonical, _stacks
 
 FORMAT_VERSION = 1
 
@@ -84,7 +84,7 @@ def from_family(family: SpreadFamily, verification: dict | None = None) -> Famil
         poly=params.field.poly,
         nonresidue=params.nonresidue.coords,
         members=[
-            FileMember(m.label, m.kind, [pt.coords for pt in m.subspace.basis])
+            FileMember(m.label, m.kind, list(m.subspace.rows))
             for m in family.members
         ],
         verification=verification,
@@ -92,38 +92,38 @@ def from_family(family: SpreadFamily, verification: dict | None = None) -> Famil
 
 
 def to_family(ff: FamilyFile) -> SpreadFamily:
-    """Rebuild the in-memory family; invalid field/non-residue data is a
-    format error."""
+    """Rebuild the in-memory family, canonicalising the members in one
+    batched elimination per distinct row count; invalid field/non-residue
+    data is a format error."""
     try:
         params = ConstructionParams.create(ff.p, ff.k, ff.n, poly=ff.poly, nonresidue=ff.nonresidue)
     except (ValueError, ZeroDivisionError) as exc:
         raise FamilyFormatError(f"invalid construction parameters: {exc}") from exc
     m = ff.k * ff.n
-    members = []
-    for fm in ff.members:
-        sub = Subspace.from_generators(ff.p, m, fm.rows)
-        members.append(FamilyMember(fm.label, fm.kind, sub))
+    subs = [None] * len(ff.members)
+    for at, stack in _stacks(ff.p, 2 * m, [fm.rows for fm in ff.members]):
+        for i, sub in zip(at, _canonical(ff.p, m, stack)):
+            subs[i] = sub
+    members = [FamilyMember(fm.label, fm.kind, sub) for fm, sub in zip(ff.members, subs)]
     try:
         return SpreadFamily(params, members)
     except ValueError as exc:
         raise FamilyFormatError(str(exc)) from exc
 
 
-def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
-    """Members whose stored rows are not the canonical basis of their span.
+def noncanonical_members(ff: FamilyFile, family: SpreadFamily) -> list[tuple[str, str]]:
+    """Members whose stored rows are not the canonical basis of their span,
+    read against ``family = to_family(ff)``.
 
     Generated files always store canonical rows, so any hit here means the
     file was edited or corrupted — including edits that happen to preserve
     the span and would be invisible to the set-theoretic checks.
     """
-    bad = []
-    m = ff.k * ff.n
-    for fm in ff.members:
-        sub = Subspace.from_generators(ff.p, m, fm.rows)
-        canonical = [pt.coords for pt in sub.basis]
-        if [tuple(r) for r in fm.rows] != canonical:
-            bad.append((fm.label, "rows are not the canonical basis of their span"))
-    return bad
+    return [
+        (fm.label, "rows are not the canonical basis of their span")
+        for fm, mem in zip(ff.members, family.members)
+        if tuple(map(tuple, fm.rows)) != mem.subspace.rows
+    ]
 
 
 def _int_list(values, what: str, p: int, length: int | None = None) -> tuple[int, ...]:

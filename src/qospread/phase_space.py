@@ -22,16 +22,21 @@ construction the field trace carries the GF form to the Z_p form,
 exactly, for the full form and for the first-block form alike; the property
 suite re-verifies this rather than trusting the construction.
 
-``Subspace`` canonicalises its generators to the reduced row echelon basis
-over Z_p, so equal spans compare equal and serialise identically.  Spans are
-enumerated as one integer matrix product: the coefficient vectors, in
-``itertools.product`` order (zero first), times the echelon basis, mod p.
-The set checks read one point-ownership index: every member's nonzero
-points stacked with an owner column and sorted lexicographically into
-arrays, so the points with two or more owners sit next to each other and
-the distinct points are counted without a Python object per point; members
-too large to enumerate are compared by rank.  All of it is exact integer
-combinatorics, with no floating point.
+``Subspace`` holds the reduced row echelon basis of its span over Z_p as
+rows of plain Python ints, so equal spans compare equal and serialise
+identically; ``basis`` is a ``PhasePoint`` view built on access.  Members
+are canonicalised, classified and enumerated in batches: their rows are
+stacked into one integer array per distinct dimension, and one elimination
+(``_modlin.rref_stack``) canonicalises a stack or ranks its symplectic Gram
+matrices.  Spans are enumerated as one integer matrix product per
+dimension: the coefficient vectors, in ``itertools.product`` order (zero
+first), times every echelon basis of that dimension, mod p.  The set checks
+read one point-ownership index: every member's nonzero points stacked with
+an owner column and sorted lexicographically into arrays, so the points
+with two or more owners sit next to each other and the distinct points are
+counted without a Python object per point; members too large to enumerate
+are compared by rank.  All of it is exact integer combinatorics, with no
+floating point.
 """
 
 from __future__ import annotations
@@ -66,17 +71,6 @@ class PhasePoint:
         if len(self.coords) != 2 * self.m:
             raise ValueError(f"expected {2 * self.m} coordinates, got {len(self.coords)}")
         object.__setattr__(self, "coords", tuple(int(c) % self.p for c in self.coords))
-
-    @classmethod
-    def _reduced(cls, p: int, m: int, coords: tuple[int, ...]) -> "PhasePoint":
-        """A point from 2m Python ints already in [0, p-1], without re-validating them."""
-        pt = object.__new__(cls)
-        # attribute by attribute, as __init__ does: writing __dict__ directly
-        # would give each point its own dict instead of the shared-key one
-        object.__setattr__(pt, "p", p)
-        object.__setattr__(pt, "m", m)
-        object.__setattr__(pt, "coords", coords)
-        return pt
 
     @classmethod
     def zero(cls, p: int, m: int) -> "PhasePoint":
@@ -206,16 +200,16 @@ def concat(u: PhasePoint, v: PhasePoint) -> PhasePoint:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Z_p^{2m}, held as its canonical echelon basis.
+    """A linear subspace of Z_p^{2m}, held as its canonical echelon rows.
 
     Two subspaces are equal (and hash equal) exactly when their spans are
-    equal; the canonical basis also fixes the serialisation and the span
+    equal; the canonical rows also fix the serialisation and the span
     enumeration order.
     """
 
     p: int
     m: int
-    basis: tuple[PhasePoint, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_generators(cls, p: int, m: int, generators: Iterable) -> "Subspace":
@@ -224,39 +218,62 @@ class Subspace:
             if isinstance(g, PhasePoint):
                 if (g.p, g.m) != (p, m):
                     raise ValueError("generator ambient mismatch")
-                rows.append(g.coords)
-            else:
-                row = tuple(int(c) % p for c in g)
-                if len(row) != 2 * m:
-                    raise ValueError(f"expected {2 * m} coordinates, got {len(row)}")
-                rows.append(row)
-        ech, _ = _modlin.rref(rows, p)
-        return cls(p, m, tuple(PhasePoint._reduced(p, m, row) for row in ech))
+                g = g.coords
+            row = [int(c) % p for c in g]
+            if len(row) != 2 * m:
+                raise ValueError(f"expected {2 * m} coordinates, got {len(row)}")
+            rows.append(row)
+        return cls(p, m, tuple(_modlin.rref(rows, p)[0]))
+
+    @property
+    def basis(self) -> tuple[PhasePoint, ...]:
+        return tuple(PhasePoint(self.p, self.m, row) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, pt: PhasePoint) -> bool:
         if (pt.p, pt.m) != (self.p, self.m):
             return False
-        rows = [b.coords for b in self.basis] + [pt.coords]
-        return _modlin.rank(rows, self.p) == self.dim
+        return _modlin.rank(self.rows + (pt.coords,), self.p) == self.dim
 
 
-def _span_rows(s: Subspace, limit: int = SPAN_LIMIT) -> np.ndarray:
+def _stacks(p: int, width: int, row_lists: Sequence[Sequence[Sequence[int]]]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Per distinct row count r, ascending: the positions of the row lists with
+    r rows and their (count, r, width) integer stack."""
+    counts = [len(rows) for rows in row_lists]
+    for r in sorted(set(counts)):
+        at = [i for i, count in enumerate(counts) if count == r]
+        stack = np.array([row_lists[i] for i in at], dtype=_modlin._dtype(p, width))
+        yield at, stack.reshape(len(at), r, width)
+
+
+def _canonical(p: int, m: int, stack) -> list[Subspace]:
+    """The span of every matrix of an (N, r, 2m) stack, by one batched elimination."""
+    ech, ranks = _modlin.rref_stack(stack, p)
+    return [Subspace(p, m, tuple(map(tuple, rows[:r]))) for rows, r in zip(ech.tolist(), ranks.tolist())]
+
+
+def _spans(p: int, stack: np.ndarray) -> np.ndarray:
+    """All p^d points of the span of every matrix of an (N, d, w) stack of
+    echelon rows, zero first, in coefficient order."""
+    d = stack.shape[1]
+    if p**d > SPAN_LIMIT:
+        raise ValueError(f"span has {p**d} points, above the limit {SPAN_LIMIT}")
+    coeffs = np.indices((p,) * d).reshape(d, p**d).T
+    return coeffs.astype(stack.dtype) @ stack % p
+
+
+def _span_rows(s: Subspace) -> np.ndarray:
     """All p^dim points of the span as integer rows (zero first), in coefficient order."""
-    total = s.p**s.dim
-    if total > limit:
-        raise ValueError(f"span has {total} points, above the limit {limit}")
-    coeffs = np.indices((s.p,) * s.dim).reshape(s.dim, total).T
-    basis = np.array([b.coords for b in s.basis], dtype=np.int64).reshape(s.dim, 2 * s.m)
-    return coeffs @ basis % s.p
+    (_, stack), = _stacks(s.p, 2 * s.m, [s.rows])
+    return _spans(s.p, stack)[0]
 
 
-def span_enumerate(s: Subspace, limit: int = SPAN_LIMIT) -> list[PhasePoint]:
+def span_enumerate(s: Subspace) -> list[PhasePoint]:
     """All p^dim points of the span (zero first), in coefficient order."""
-    return [PhasePoint(s.p, s.m, row) for row in _span_rows(s, limit).tolist()]
+    return [PhasePoint(s.p, s.m, row) for row in _span_rows(s).tolist()]
 
 
 class _Index(NamedTuple):
@@ -270,9 +287,9 @@ class _Index(NamedTuple):
 
     @classmethod
     def sort(cls, points: np.ndarray, owners: np.ndarray) -> "_Index":
-        # lexsort on the coordinate columns (the last key is primary) is stable
-        # and, unlike base-p codes, cannot overflow for any ambient
-        order = np.lexsort(points.T[::-1]) if points.size else np.arange(len(points))
+        # lexsort on the coordinate columns, then the owner (the last key is
+        # primary), cannot overflow for any ambient, unlike base-p codes
+        order = np.lexsort((owners, *points.T[::-1]))
         points, owners = points[order], owners[order]
         first = np.ones(len(points), dtype=bool)
         first[1:] = (points[1:] != points[:-1]).any(axis=1)
@@ -283,18 +300,22 @@ class _Index(NamedTuple):
 
 
 def _owners(members: Iterable[tuple[int, Subspace]]) -> _Index:
-    """The index of the (owner index, member) spans, owners given in ascending
-    order; raises above ``SPAN_LIMIT``."""
+    """The index of the (owner index, member) spans, one span product per
+    distinct member dimension; raises above ``SPAN_LIMIT``."""
     members = list(members)
     if not members:
         return _Index.sort(np.zeros((0, 0), dtype=np.uint8), np.zeros(0, dtype=np.int64))
     p, m = members[0][1].p, members[0][1].m
     if any((s.p, s.m) != (p, m) for _, s in members):
         raise ValueError("ambient mismatch")
-    # the smallest dtype holding [0, p-1] makes the sort several times faster
-    spans = [_span_rows(s)[1:].astype(np.min_scalar_type(p - 1)) for _, s in members]
-    owners = np.repeat([i for i, _ in members], [len(span) for span in spans])
-    return _Index.sort(np.concatenate(spans), owners)
+    ids = np.array([i for i, _ in members])
+    points, owners = [], []
+    for at, stack in _stacks(p, 2 * m, [s.rows for _, s in members]):
+        span = _spans(p, stack)[:, 1:]
+        # the smallest dtype holding [0, p-1] makes the sort several times faster
+        points.append(span.reshape(-1, 2 * m).astype(np.min_scalar_type(p - 1)))
+        owners.append(np.repeat(ids[at], span.shape[1]))
+    return _Index.sort(np.concatenate(points), np.concatenate(owners))
 
 
 def _conflicts(index: _Index) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
@@ -331,14 +352,12 @@ def intersect_trivially(a: Subspace, b: Subspace) -> bool:
     """Exact rank test: dim(a + b) = dim a + dim b iff the intersection is 0."""
     if (a.p, a.m) != (b.p, b.m):
         raise ValueError("ambient mismatch")
-    rows = [pt.coords for pt in a.basis + b.basis]
-    return _modlin.rank(rows, a.p) == a.dim + b.dim
+    return _modlin.rank(a.rows + b.rows, a.p) == a.dim + b.dim
 
 
 def _shared_point(a: Subspace, b: Subspace) -> PhasePoint:
     """A nonzero point of a meet b (callers ensure the meet is nontrivial)."""
-    rows = [pt.coords for pt in a.basis + b.basis]
-    dep = _modlin.dependency(rows, a.p)
+    dep = _modlin.dependency(a.rows + b.rows, a.p)
     if dep is None:
         raise AssertionError("no dependency found for a nontrivial intersection")
     acc = PhasePoint.zero(a.p, a.m)
@@ -382,7 +401,6 @@ def check_partition(
     subspaces: Sequence[Subspace],
     labels: Sequence[str] | None = None,
     against: Sequence[Subspace] | None = None,
-    limit: int = SPAN_LIMIT,
 ) -> VerificationReport:
     """Pass iff the members' nonzero points are disjoint and cover the target.
 
@@ -404,8 +422,8 @@ def check_partition(
             raise ValueError("empty family")
         p, m = subspaces[0].p, subspaces[0].m
         ambient = p ** (2 * m)
-        if ambient > limit:
-            raise ValueError(f"ambient has {ambient} points, above the limit {limit}")
+        if ambient > SPAN_LIMIT:
+            raise ValueError(f"ambient has {ambient} points, above the limit {SPAN_LIMIT}")
         expected = ambient - 1
         if covered != expected:
             failures.append(("family", f"covers {covered} of {expected} nonzero points"))
@@ -434,17 +452,33 @@ class Classification(NamedTuple):
     gram_rank: int
 
 
+def _gram(rows: np.ndarray, p: int) -> np.ndarray:
+    """Symplectic Gram matrices of a stack of row bases, mod p."""
+    shift, clock = rows[..., 0::2], rows[..., 1::2]
+    return (shift @ clock.swapaxes(-1, -2) - clock @ shift.swapaxes(-1, -2)) % p
+
+
+def _classify(subspaces: Sequence[Subspace]) -> list[Classification]:
+    """``classify_subspace`` of every member of one ambient: per distinct
+    dimension one Gram stack, ranked by one batched elimination."""
+    out: list[Classification] = [None] * len(subspaces)
+    if not subspaces:
+        return out
+    p, m = subspaces[0].p, subspaces[0].m
+    for at, stack in _stacks(p, 2 * m, [s.rows for s in subspaces]):
+        dim = stack.shape[1]
+        for i, r in zip(at, _modlin.rref_stack(_gram(stack, p), p)[1].tolist()):
+            out[i] = Classification(ISOTROPIC if r == 0 else NONDEGENERATE if r == dim else MIXED, r)
+    return out
+
+
 def classify_subspace(s: Subspace) -> Classification:
     """Rank of the symplectic Gram matrix of the canonical basis.
 
     Nondegenerate (rank = dim) spans generate a full matrix algebra; an
     isotropic span (zero Gram) generates a commutative one.
     """
-    gram = [[symplectic_product(bi, bj) for bj in s.basis] for bi in s.basis]
-    if all(not any(row) for row in gram):
-        return Classification(ISOTROPIC, 0)
-    r = _modlin.rank(gram, s.p)
-    return Classification(NONDEGENERATE if r == s.dim else MIXED, r)
+    return _classify([s])[0]
 
 
 def symplectic_basis(s: Subspace) -> list[PhasePoint]:

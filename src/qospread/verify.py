@@ -25,6 +25,7 @@ from .phase_space import (
     ISOTROPIC,
     NONDEGENERATE,
     Subspace,
+    _classify,
     check_pairwise_trivial,
     classify_subspace,
 )
@@ -36,6 +37,7 @@ NUMERIC_MAX_DIM = 81
 SAMPLE_THRESHOLD = 1000
 SAMPLE_PAIRS = 200
 EIGENVALUE_GAP = 1e-6
+EIGH_TRIES = 32
 
 
 def expected_count(p: int, k: int, n: int) -> int:
@@ -72,9 +74,8 @@ def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
     failures = list(pairs.failures)
     checks = pairs.checks_run
     dim_want = 2 * family.params.k
-    for mem in family.members:
+    for mem, cls in zip(family.members, _classify(family.subspaces())):
         checks += 1
-        cls = classify_subspace(mem.subspace)
         want = NONDEGENERATE if mem.kind == MATRIX_ALGEBRA else ISOTROPIC
         if cls.kind != want or mem.subspace.dim != dim_want:
             failures.append(
@@ -91,9 +92,9 @@ def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
     return VerificationReport(passed=not failures, checks_run=checks, failures=failures)
 
 
-def _member_stack(sub: Subspace, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _member_stack(sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Stack of non-identity basis matrices and their traces."""
-    stack = basis_matrices(sub, max_dim)[1:]
+    stack = basis_matrices(sub, NUMERIC_MAX_DIM)[1:]
     return stack, np.einsum("aii->a", stack)
 
 
@@ -101,7 +102,6 @@ def verify_qo_numeric(
     family: SpreadFamily,
     tol: float = DEFAULT_TOL,
     *,
-    max_dim: int = NUMERIC_MAX_DIM,
     sample_pairs: int | None = None,
     seed: int = 0,
 ) -> VerificationReport:
@@ -119,8 +119,8 @@ def verify_qo_numeric(
         raise ValueError("tolerance must be positive")
     p = family.params.p
     dim = p**family.params.ambient_factors
-    if dim > max_dim:
-        raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {max_dim}")
+    if dim > NUMERIC_MAX_DIM:
+        raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
     all_pairs = [
         (i, j) for i in range(len(family.members)) for j in range(i + 1, len(family.members))
     ]
@@ -136,8 +136,8 @@ def verify_qo_numeric(
     worst = 0.0
     failures = []
     for i, j in pairs:
-        s1, tr1 = _member_stack(family.members[i].subspace, max_dim)
-        s2, tr2 = _member_stack(family.members[j].subspace, max_dim)
+        s1, tr1 = _member_stack(family.members[i].subspace)
+        s2, tr2 = _member_stack(family.members[j].subspace)
         flat1 = s1.reshape(s1.shape[0], -1)
         flat2 = s2.transpose(0, 2, 1).reshape(s2.shape[0], -1)
         cross = flat1 @ flat2.T  # cross[a, b] = Tr(A_a B_b)
@@ -158,7 +158,6 @@ def verify_full_algebra(
     s: Subspace,
     numeric: bool = False,
     tol: float = DEFAULT_TOL,
-    max_dim: int = NUMERIC_MAX_DIM,
 ) -> VerificationReport:
     """Certify that the span of the monomials over ``s`` is a full matrix
     algebra of dimension p^dim(s).
@@ -179,9 +178,9 @@ def verify_full_algebra(
     if numeric and not failures:
         checks += 1
         dim = s.p**s.m
-        if dim > max_dim:
-            raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {max_dim}")
-        stack = basis_matrices(s, max_dim)
+        if dim > NUMERIC_MAX_DIM:
+            raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
+        stack = basis_matrices(s, NUMERIC_MAX_DIM)
         flat = stack.reshape(stack.shape[0], -1)
         gram = flat.conj() @ flat.T  # gram[a, b] = Tr(A_a^* A_b)
         expected = s.p**s.dim
@@ -201,13 +200,7 @@ def verify_full_algebra(
     )
 
 
-def extract_mub_bases(
-    masas: SpreadFamily,
-    *,
-    seed: int = 0,
-    max_dim: int = NUMERIC_MAX_DIM,
-    max_tries: int = 32,
-) -> list[np.ndarray]:
+def extract_mub_bases(masas: SpreadFamily, *, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal eigenbases (one unitary column matrix per masa member).
 
     Each member's commuting monomials are simultaneously diagonalised via a
@@ -216,17 +209,17 @@ def extract_mub_bases(
     reproducible for a fixed seed.
     """
     dim = masas.params.p**masas.params.ambient_factors
-    if dim > max_dim:
-        raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {max_dim}")
+    if dim > NUMERIC_MAX_DIM:
+        raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
     rng = np.random.default_rng(seed)
     bases = []
     for mem in masas.members:
         sub = mem.subspace
         if classify_subspace(sub).kind != ISOTROPIC or sub.dim != sub.m:
             raise ValueError(f"{mem.label}: subspace is not isotropic of dimension {sub.m}")
-        mats = basis_matrices(sub, max_dim)
+        mats = basis_matrices(sub, NUMERIC_MAX_DIM)
         vecs = None
-        for _ in range(max_tries):
+        for _ in range(EIGH_TRIES):
             coeff = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))
             combo = sum(c * m for c, m in zip(coeff, mats))
             herm = combo + combo.conj().T
@@ -235,7 +228,7 @@ def extract_mub_bases(
                 vecs = cand
                 break
         if vecs is None:
-            raise RuntimeError(f"{mem.label}: no non-degenerate combination in {max_tries} tries")
+            raise RuntimeError(f"{mem.label}: no non-degenerate combination in {EIGH_TRIES} tries")
         for col in range(vecs.shape[1]):
             anchor = vecs[np.argmax(np.abs(vecs[:, col])), col]
             vecs[:, col] *= anchor.conjugate() / abs(anchor)
@@ -282,11 +275,10 @@ def extract_and_check_mub(
     tol: float = DEFAULT_TOL,
     *,
     seed: int = 0,
-    max_dim: int = NUMERIC_MAX_DIM,
 ) -> VerificationReport:
     """Extract one orthonormal basis per masa member and check mutual
     unbiasedness of the whole collection."""
     if any(mem.kind != MASA for mem in masas.members):
         raise ValueError("all members must be masas")
-    bases = extract_mub_bases(masas, seed=seed, max_dim=max_dim)
+    bases = extract_mub_bases(masas, seed=seed)
     return check_mub_overlaps(bases, tol, masas.labels())

@@ -68,12 +68,12 @@ def test_integer_payload_in_range(spread3):
 
 def test_noncanonical_members_detects_tampering(spread3):
     ff = family_io.from_family(spread3)
-    assert family_io.noncanonical_members(ff) == []
+    assert family_io.noncanonical_members(ff, family_io.to_family(ff)) == []
     # span-preserving edit: replace a D[0] row by a non-reduced combination
     target = next(m for m in ff.members if m.label == "D[0]")
     assert target.rows == [(1, 0, 0, 0), (0, 1, 0, 0)]
     target.rows[0] = (1, 2, 0, 0)
-    bad = family_io.noncanonical_members(ff)
+    bad = family_io.noncanonical_members(ff, family_io.to_family(ff))
     assert [label for label, _ in bad] == ["D[0]"]
 
 
