@@ -1,19 +1,15 @@
 """Exact Gaussian elimination over the prime field Z_p.
 
-There is one elimination, ``rref_stack``: it reduces a whole ``(N, r, c)``
-stack of matrices one column at a time, with the pivot search, row swap,
-scaling to a unit leading entry and clearing of the column running over all
-N matrices in one numpy step each (the dense mod-p elimination of
-FFLAS-FFPACK, Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008, reduced to array
-broadcasting).  ``rref``, ``rank``, ``kernel``, ``dependency`` and
-``inverse`` are its one-matrix case.
-
-The arithmetic is exact for every prime p: ``_dtype`` picks the smallest
-signed integer dtype that holds every intermediate value, and Python-int
-object arrays once that passes int64; the same code runs on both.  There is
-no floating point anywhere in this module.  Row echelon forms use the first
-nonzero column as pivot with unit leading entries, which makes the reduced
-form (and hence the canonical basis of a row span) unique.
+``rref_stack`` is the one elimination: it reduces an ``(N, r, c)`` stack of
+matrices one column at a time, each step (pivot search, swap, scaling to a
+unit leading entry, clearing the column) one numpy operation over all N
+matrices, as in the dense mod-p elimination of FFLAS-FFPACK (Dumas, Giorgi &
+Pernet, ACM TOMS 35(3), 2008).  ``rref``, ``rank`` and ``inverse`` are its
+one-matrix case.  It is exact for every prime: ``_dtype`` picks the smallest
+signed integer dtype that holds every intermediate, or Python-int objects
+past int64, and the same code runs on both; no floating point is involved.
+Pivots are the first nonzero columns with unit leading entries, so the
+reduced form, and with it the canonical basis of a row span, is unique.
 """
 
 from __future__ import annotations
@@ -24,18 +20,8 @@ import numpy as np
 
 
 def _dtype(p: int, terms: int) -> np.dtype:
-    """The smallest signed integer dtype holding every sum of ``terms``
-    products of two residues mod p, of either sign; object (Python ints)
-    when int64 cannot."""
+    """The smallest signed dtype holding any sum of ``terms`` products of residues, of either sign."""
     return np.min_scalar_type(-max(terms, 1) * (p - 1) ** 2 - 1)
-
-
-def inv_mod(a: int, p: int) -> int:
-    """Inverse of a mod p (p prime)."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"0 is not invertible mod {p}")
-    return pow(a, p - 2, p)
 
 
 def _inv(x: np.ndarray, p: int) -> np.ndarray:
@@ -50,11 +36,8 @@ def _inv(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon forms mod p of an (N, r, c) stack, and their ranks.
-
-    The first ``ranks[i]`` rows of matrix i are the canonical basis of its
-    row span; its remaining rows are zero.
-    """
+    """Reduced row echelon forms mod p of an (N, r, c) stack and their ranks:
+    matrix i keeps its canonical span basis in its first ranks[i] rows, zeros after."""
     a = np.asarray(stack) % p
     n, r, c = a.shape
     a = a.astype(_dtype(p, c))
@@ -96,30 +79,6 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, ...]], 
 
 def rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(rref(rows, p)[0])
-
-
-def kernel(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel {x : M x = 0} of the matrix with these rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ech, pivots = rref(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-ech[r][fc]) % p
-        basis.append(tuple(vec))
-    return basis
-
-
-def dependency(rows: Sequence[Sequence[int]], p: int) -> tuple[int, ...] | None:
-    """A nonzero coefficient vector c with sum(c_i * rows_i) = 0, or None."""
-    cols = [tuple(col) for col in zip(*rows)]
-    ker = kernel(cols, p)
-    return ker[0] if ker else None
 
 
 def inverse(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]] | None:

@@ -30,18 +30,13 @@ def _parse_coords(text: str) -> tuple[int, ...]:
 
 
 def _positive(kind):
-    """An argparse type: ``kind`` of the text, refused unless > 0 (so NaN is refused too)."""
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = None
-        if value is None or not value > 0:
+    """An argparse type: the text read as ``kind``, refused (exit 2) unless it is > 0."""
+    def positive(text: str):
+        value = kind(text)
+        if not value > 0:  # NaN too
             raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
         return value
-
-    return parse
+    return positive
 
 
 def _make_params(args) -> ConstructionParams:

@@ -33,16 +33,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .finite_field import FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue
-from .phase_space import (
-    GFPhasePoint,
-    PhasePoint,
-    Subspace,
-    _canonical,
-    _gram,
-    _interleave,
-    _pi1_rows,
-    symplectic_basis,
-)
+from .phase_space import GFPhasePoint, PhasePoint, Subspace, _canonical, _gram, _interleave, _pi1_rows
+from .phase_space import symplectic_basis
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
@@ -290,12 +282,6 @@ def _pad(sub: Subspace, before: int, after: int) -> Subspace:
     return Subspace(sub.p, before + sub.m + after, rows)
 
 
-def _full_block(params: ConstructionParams) -> Subspace:
-    m = params.k
-    rows = [tuple(1 if j == i else 0 for j in range(2 * m)) for i in range(2 * m)]
-    return Subspace.from_generators(params.p, m, rows)
-
-
 def build_recursive(params: ConstructionParams) -> SpreadFamily:
     """The maximal family of (p^{2kn}-1)/(p^{2k}-1) members in M_{p^{kn}}.
 
@@ -308,7 +294,8 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     if expected > MAX_MEMBERS:
         raise ValueError(f"family would have {expected} members, above the budget {MAX_MEMBERS}")
     if n == 1:
-        return SpreadFamily(params, [FamilyMember("full", MATRIX_ALGEBRA, _full_block(params))])
+        full = Subspace.from_generators(p, k, np.eye(2 * k, dtype=np.int64))
+        return SpreadFamily(params, [FamilyMember("full", MATRIX_ALGEBRA, full)])
     if n == 2:
         return build_spread_2(params)
 
@@ -319,15 +306,10 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     m_left = k * (n - 2)
     m_right = 2 * k
 
-    members = []
-    for mem in left.members:
-        members.append(
-            FamilyMember(f"{mem.label}⊗I", MATRIX_ALGEBRA, _pad(mem.subspace, 0, m_right))
-        )
-    for mem in right.members:
-        members.append(
-            FamilyMember(f"I⊗{mem.label}", MATRIX_ALGEBRA, _pad(mem.subspace, m_left, 0))
-        )
+    members = [FamilyMember(f"{mem.label}⊗I", MATRIX_ALGEBRA, _pad(mem.subspace, 0, m_right))
+               for mem in left.members]
+    members += [FamilyMember(f"I⊗{mem.label}", MATRIX_ALGEBRA, _pad(mem.subspace, m_left, 0))
+                for mem in right.members]
     frames = [[pt.coords for pt in symplectic_basis(mem.subspace)] for mem in left.members]
     masa_rows = [mem.subspace.rows for mem in masas.members]
     elements = list(params.field.elements())

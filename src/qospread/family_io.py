@@ -45,7 +45,7 @@ from .constructions import (
     FamilyMember,
     SpreadFamily,
 )
-from .phase_space import _canonical, _stacks
+from .phase_space import _canonical
 
 FORMAT_VERSION = 1
 
@@ -92,18 +92,14 @@ def from_family(family: SpreadFamily, verification: dict | None = None) -> Famil
 
 
 def to_family(ff: FamilyFile) -> SpreadFamily:
-    """Rebuild the in-memory family, canonicalising the members in one
-    batched elimination per distinct row count; invalid field/non-residue
-    data is a format error."""
+    """Rebuild the in-memory family (one batched elimination per distinct row
+    count); invalid field/non-residue data is a format error."""
     try:
         params = ConstructionParams.create(ff.p, ff.k, ff.n, poly=ff.poly, nonresidue=ff.nonresidue)
     except (ValueError, ZeroDivisionError) as exc:
         raise FamilyFormatError(f"invalid construction parameters: {exc}") from exc
     m = ff.k * ff.n
-    subs = [None] * len(ff.members)
-    for at, stack in _stacks(ff.p, 2 * m, [fm.rows for fm in ff.members]):
-        for i, sub in zip(at, _canonical(ff.p, m, stack)):
-            subs[i] = sub
+    subs = _canonical(ff.p, m, [fm.rows for fm in ff.members])
     members = [FamilyMember(fm.label, fm.kind, sub) for fm, sub in zip(ff.members, subs)]
     try:
         return SpreadFamily(params, members)
@@ -119,11 +115,9 @@ def noncanonical_members(ff: FamilyFile, family: SpreadFamily) -> list[tuple[str
     file was edited or corrupted — including edits that happen to preserve
     the span and would be invisible to the set-theoretic checks.
     """
-    return [
-        (fm.label, "rows are not the canonical basis of their span")
-        for fm, mem in zip(ff.members, family.members)
-        if tuple(map(tuple, fm.rows)) != mem.subspace.rows
-    ]
+    return [(fm.label, "rows are not the canonical basis of their span")
+            for fm, mem in zip(ff.members, family.members)
+            if tuple(map(tuple, fm.rows)) != mem.subspace.rows]
 
 
 def _int_list(values, what: str, p: int, length: int | None = None) -> tuple[int, ...]:

@@ -23,20 +23,17 @@ exactly, for the full form and for the first-block form alike; the property
 suite re-verifies this rather than trusting the construction.
 
 ``Subspace`` holds the reduced row echelon basis of its span over Z_p as
-rows of plain Python ints, so equal spans compare equal and serialise
+rows of Python ints, so equal spans compare equal and serialise
 identically; ``basis`` is a ``PhasePoint`` view built on access.  Members
-are canonicalised, classified and enumerated in batches: their rows are
-stacked into one integer array per distinct dimension, and one elimination
-(``_modlin.rref_stack``) canonicalises a stack or ranks its symplectic Gram
-matrices.  Spans are enumerated as one integer matrix product per
-dimension: the coefficient vectors, in ``itertools.product`` order (zero
-first), times every echelon basis of that dimension, mod p.  The set checks
-read one point-ownership index: every member's nonzero points stacked with
-an owner column and sorted lexicographically into arrays, so the points
-with two or more owners sit next to each other and the distinct points are
-counted without a Python object per point; members too large to enumerate
-are compared by rank.  All of it is exact integer combinatorics, with no
-floating point.
+are stacked into one integer array per distinct dimension, which one
+elimination canonicalises or classifies (by the ranks of the Gram stack)
+and one matrix product enumerates: the coefficient vectors, in
+``itertools.product`` order (zero first), times every echelon basis, mod p.
+The set checks read one point-ownership index, one such product per member
+dimension, stacked with an owner column and sorted lexicographically into
+arrays, so points with two or more owners sit next to each other; members
+too large to enumerate are compared by rank.  All of it is exact integer
+combinatorics, with no floating point.
 """
 
 from __future__ import annotations
@@ -213,17 +210,10 @@ class Subspace:
 
     @classmethod
     def from_generators(cls, p: int, m: int, generators: Iterable) -> "Subspace":
-        rows = []
-        for g in generators:
-            if isinstance(g, PhasePoint):
-                if (g.p, g.m) != (p, m):
-                    raise ValueError("generator ambient mismatch")
-                g = g.coords
-            row = [int(c) % p for c in g]
-            if len(row) != 2 * m:
-                raise ValueError(f"expected {2 * m} coordinates, got {len(row)}")
-            rows.append(row)
-        return cls(p, m, tuple(_modlin.rref(rows, p)[0]))
+        points = [g if isinstance(g, PhasePoint) else PhasePoint(p, m, tuple(g)) for g in generators]
+        if any((g.p, g.m) != (p, m) for g in points):
+            raise ValueError("generator ambient mismatch")
+        return cls(p, m, tuple(_modlin.rref([g.coords for g in points], p)[0]))
 
     @property
     def basis(self) -> tuple[PhasePoint, ...]:
@@ -239,9 +229,9 @@ class Subspace:
         return _modlin.rank(self.rows + (pt.coords,), self.p) == self.dim
 
 
-def _stacks(p: int, width: int, row_lists: Sequence[Sequence[Sequence[int]]]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Per distinct row count r, ascending: the positions of the row lists with
-    r rows and their (count, r, width) integer stack."""
+def _stacks(p: int, width: int, row_lists: Sequence) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Per distinct row count r, ascending: the positions of the row lists
+    (matrices) with r rows and their (count, r, width) integer stack."""
     counts = [len(rows) for rows in row_lists]
     for r in sorted(set(counts)):
         at = [i for i, count in enumerate(counts) if count == r]
@@ -249,10 +239,14 @@ def _stacks(p: int, width: int, row_lists: Sequence[Sequence[Sequence[int]]]) ->
         yield at, stack.reshape(len(at), r, width)
 
 
-def _canonical(p: int, m: int, stack) -> list[Subspace]:
-    """The span of every matrix of an (N, r, 2m) stack, by one batched elimination."""
-    ech, ranks = _modlin.rref_stack(stack, p)
-    return [Subspace(p, m, tuple(map(tuple, rows[:r]))) for rows, r in zip(ech.tolist(), ranks.tolist())]
+def _canonical(p: int, m: int, row_lists: Sequence) -> list[Subspace]:
+    """The span of every row list, by one batched elimination per distinct row count."""
+    out: list[Subspace] = [None] * len(row_lists)
+    for at, stack in _stacks(p, 2 * m, row_lists):
+        ech, ranks = _modlin.rref_stack(stack, p)
+        for i, rows, r in zip(at, ech.tolist(), ranks.tolist()):
+            out[i] = Subspace(p, m, tuple(map(tuple, rows[:r])))
+    return out
 
 
 def _spans(p: int, stack: np.ndarray) -> np.ndarray:
@@ -261,8 +255,9 @@ def _spans(p: int, stack: np.ndarray) -> np.ndarray:
     d = stack.shape[1]
     if p**d > SPAN_LIMIT:
         raise ValueError(f"span has {p**d} points, above the limit {SPAN_LIMIT}")
-    coeffs = np.indices((p,) * d).reshape(d, p**d).T
-    return coeffs.astype(stack.dtype) @ stack % p
+    span = np.indices((p,) * d).reshape(d, p**d).T.astype(stack.dtype) @ stack
+    span %= p
+    return span
 
 
 def _span_rows(s: Subspace) -> np.ndarray:
@@ -311,11 +306,11 @@ def _owners(members: Iterable[tuple[int, Subspace]]) -> _Index:
     ids = np.array([i for i, _ in members])
     points, owners = [], []
     for at, stack in _stacks(p, 2 * m, [s.rows for _, s in members]):
-        span = _spans(p, stack)[:, 1:]
         # the smallest dtype holding [0, p-1] makes the sort several times faster
-        points.append(span.reshape(-1, 2 * m).astype(np.min_scalar_type(p - 1)))
-        owners.append(np.repeat(ids[at], span.shape[1]))
-    return _Index.sort(np.concatenate(points), np.concatenate(owners))
+        points.append(_spans(p, stack)[:, 1:].astype(np.min_scalar_type(p - 1)).reshape(-1, 2 * m))
+        owners.append(np.repeat(ids[at], p ** stack.shape[1] - 1))
+    points, owners = np.concatenate(points), np.concatenate(owners)  # frees the parts before sorting
+    return _Index.sort(points, owners)
 
 
 def _conflicts(index: _Index) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
@@ -355,16 +350,12 @@ def intersect_trivially(a: Subspace, b: Subspace) -> bool:
     return _modlin.rank(a.rows + b.rows, a.p) == a.dim + b.dim
 
 
-def _shared_point(a: Subspace, b: Subspace) -> PhasePoint:
-    """A nonzero point of a meet b (callers ensure the meet is nontrivial)."""
-    dep = _modlin.dependency(a.rows + b.rows, a.p)
-    if dep is None:
-        raise AssertionError("no dependency found for a nontrivial intersection")
-    acc = PhasePoint.zero(a.p, a.m)
-    for c, pt in zip(dep[: a.dim], a.basis):
-        if c:
-            acc = acc + c * pt
-    return acc
+def _shared_point(a: Subspace, b: Subspace) -> tuple[int, ...]:
+    """A nonzero point of a meet b (callers ensure the meet is nontrivial): an echelon
+    row of [a_i | a_i], [b_j | 0] zero on the left carries sum c_i a_i = -sum d_j b_j."""
+    zero = (0,) * (2 * a.m)
+    ech, _ = _modlin.rref([row + row for row in a.rows] + [row + zero for row in b.rows], a.p)
+    return next(row[2 * a.m :] for row in ech if not any(row[: 2 * a.m]))
 
 
 def check_pairwise_trivial(
@@ -384,7 +375,7 @@ def check_pairwise_trivial(
     witnesses = {pair: pt for pair, pt, _ in itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1)}
     for i, j in {tuple(sorted((b, other))) for b in oversize for other in range(n) if other != b}:
         if not intersect_trivially(subspaces[i], subspaces[j]):
-            witnesses[i, j] = _shared_point(subspaces[i], subspaces[j]).coords
+            witnesses[i, j] = _shared_point(subspaces[i], subspaces[j])
     listed = sorted(witnesses.items())
     failures = [
         (f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}")
@@ -398,8 +389,7 @@ def check_pairwise_trivial(
 
 
 def check_partition(
-    subspaces: Sequence[Subspace],
-    labels: Sequence[str] | None = None,
+    subspaces: Sequence[Subspace], labels: Sequence[str] | None = None,
     against: Sequence[Subspace] | None = None,
 ) -> VerificationReport:
     """Pass iff the members' nonzero points are disjoint and cover the target.
@@ -466,9 +456,8 @@ def _classify(subspaces: Sequence[Subspace]) -> list[Classification]:
         return out
     p, m = subspaces[0].p, subspaces[0].m
     for at, stack in _stacks(p, 2 * m, [s.rows for s in subspaces]):
-        dim = stack.shape[1]
         for i, r in zip(at, _modlin.rref_stack(_gram(stack, p), p)[1].tolist()):
-            out[i] = Classification(ISOTROPIC if r == 0 else NONDEGENERATE if r == dim else MIXED, r)
+            out[i] = Classification(ISOTROPIC if r == 0 else NONDEGENERATE if r == stack.shape[1] else MIXED, r)
     return out
 
 
@@ -499,7 +488,7 @@ def symplectic_basis(s: Subspace) -> list[PhasePoint]:
         if idx is None:
             raise ValueError("symplectic form is degenerate on this subspace")
         f = vecs.pop(idx)
-        f = _modlin.inv_mod(symplectic_product(e, f), s.p) * f
+        f = pow(symplectic_product(e, f), -1, s.p) * f
         vecs = [v - symplectic_product(v, f) * e + symplectic_product(v, e) * f for v in vecs]
         first.append(e)
         second.append(f)

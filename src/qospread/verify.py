@@ -99,11 +99,7 @@ def _member_stack(sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def verify_qo_numeric(
-    family: SpreadFamily,
-    tol: float = DEFAULT_TOL,
-    *,
-    sample_pairs: int | None = None,
-    seed: int = 0,
+    family: SpreadFamily, tol: float = DEFAULT_TOL, *, sample_pairs: int | None = None, seed: int = 0
 ) -> VerificationReport:
     """Evaluate the trace condition on dense matrices, pair by pair.
 
@@ -154,11 +150,7 @@ def verify_qo_numeric(
     )
 
 
-def verify_full_algebra(
-    s: Subspace,
-    numeric: bool = False,
-    tol: float = DEFAULT_TOL,
-) -> VerificationReport:
+def verify_full_algebra(s: Subspace, numeric: bool = False, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Certify that the span of the monomials over ``s`` is a full matrix
     algebra of dimension p^dim(s).
 
@@ -271,10 +263,7 @@ def check_mub_overlaps(
 
 
 def extract_and_check_mub(
-    masas: SpreadFamily,
-    tol: float = DEFAULT_TOL,
-    *,
-    seed: int = 0,
+    masas: SpreadFamily, tol: float = DEFAULT_TOL, *, seed: int = 0
 ) -> VerificationReport:
     """Extract one orthonormal basis per masa member and check mutual
     unbiasedness of the whole collection."""

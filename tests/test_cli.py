@@ -191,6 +191,24 @@ def test_verify_sampled_numeric(tmp_path, capsys):
     assert "checks=25" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "{path}", "--mode", "both", "--tol", "0"],
+    ["verify", "{path}", "--mode", "numeric", "--tol", "nan"],
+    ["verify", "{path}", "--mode", "numeric", "--sample", "0"],
+    ["verify", "{path}", "--sample", "two"],
+    ["mub", "--p", "3", "--out", "{out}", "--tol", "-1"],
+], ids=["tol-0", "tol-nan", "sample-0", "sample-text", "mub-tol-negative"])
+def test_bad_numeric_arguments_exit_2_before_any_io(tmp_path, capsys, argv):
+    path, out = tmp_path / "missing.yaml", tmp_path / "mub.txt"  # reading the missing file would exit 3
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path, out=out) for arg in argv])
+    assert exc.value.code == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive" in captured.err
+    assert not out.exists()
+
+
 def _mask_residual(text):
     # the dense residual depends on the BLAS build; every other byte is pinned
     return re.sub(r"max_residual=[0-9.e+-]+", "max_residual=<r>", text)
