@@ -33,8 +33,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .finite_field import FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue
-from .phase_space import GFPhasePoint, PhasePoint, Subspace, _canonical, _gram, _interleave, _pi1_rows
-from .phase_space import symplectic_basis
+from .phase_space import (GFPhasePoint, PhasePoint, Subspace, _canonical, _gram, _interleave, _pi1_rows,
+                          symplectic_basis)
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"

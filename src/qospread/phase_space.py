@@ -235,8 +235,8 @@ def _stacks(p: int, width: int, row_lists: Sequence) -> Iterator[tuple[list[int]
     counts = [len(rows) for rows in row_lists]
     for r in sorted(set(counts)):
         at = [i for i, count in enumerate(counts) if count == r]
-        stack = np.array([row_lists[i] for i in at], dtype=_modlin._dtype(p, width))
-        yield at, stack.reshape(len(at), r, width)
+        stack = np.array([row_lists[i] for i in at]) % p  # entries of any size or sign
+        yield at, stack.astype(_modlin._dtype(p, width)).reshape(len(at), r, width)
 
 
 def _canonical(p: int, m: int, row_lists: Sequence) -> list[Subspace]:
