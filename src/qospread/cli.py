@@ -133,8 +133,15 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
-def _format_complex(z: complex) -> str:
-    return f"{z.real:+.15e}{z.imag:+.15e}j"
+def _basis_text(basis: np.ndarray) -> str:
+    """One line per column of ``basis``: its entries as ``+x.xxxe+xx+y.yyye+yyj``,
+    space separated, with one ``%`` format over the interleaved real and
+    imaginary parts (the same bytes as ``f"{x:+.15e}"``, NaN, inf and -0.0
+    included)."""
+    rows, cols = basis.shape
+    line = " ".join(["%+.15e%+.15ej"] * rows)
+    values = np.ascontiguousarray(basis.T, dtype=complex).view(np.float64)
+    return ("\n".join([line] * cols) + "\n") % tuple(values.ravel().tolist())
 
 
 def cmd_mub(args) -> int:
@@ -150,15 +157,13 @@ def cmd_mub(args) -> int:
         return EXIT_BAD_INPUT
     rep = verify.check_mub_overlaps(bases, args.tol, masas.labels())
     out = args.out or f"mub_p{args.p}_k{args.k}.txt"
-    lines = [f"# {len(bases)} mutually unbiased bases of C^{dim} "
-             f"(p={args.p}, k={args.k}, basis vectors are columns, one per line)"]
-    for mem, basis in zip(masas.members, bases):
-        lines.append(f"basis {mem.label}")
-        for col in range(basis.shape[1]):
-            lines.append(" ".join(_format_complex(z) for z in np.asarray(basis[:, col])))
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(f"# {len(bases)} mutually unbiased bases of C^{dim} (p={args.p}, "
+                         f"k={args.k}, basis vectors are columns, one per line)\n")
+            for mem, basis in zip(masas.members, bases):
+                handle.write(f"basis {mem.label}\n")
+                handle.write(_basis_text(basis))
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -4,11 +4,13 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 import yaml
 
-from qospread import family_io
-from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, main
+from qospread import family_io, verify
+from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_text, main
+from qospread.constructions import ConstructionParams, build_masa_spread
 
 
 def run(capsys, *argv):
@@ -304,6 +306,44 @@ def test_mub_is_deterministic(tmp_path, capsys):
     run(capsys, "mub", "--p", "3", "--out", str(a))
     run(capsys, "mub", "--p", "3", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _format_complex(z):
+    return f"{z.real:+.15e}{z.imag:+.15e}j"
+
+
+def _reference_text(basis):
+    """The writer as one f-string per entry: one line per column."""
+    return "".join(
+        " ".join(_format_complex(z) for z in np.asarray(basis[:, col])) + "\n"
+        for col in range(basis.shape[1])
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_mub_file_matches_per_entry_formatter(tmp_path, capsys, p):
+    # the bases are extracted in this process, so the comparison does not depend on LAPACK
+    masas = build_masa_spread(ConstructionParams.create(p, 1, 2))
+    bases = verify.extract_mub_bases(masas, seed=0)
+    want = [f"# {len(bases)} mutually unbiased bases of C^{p * p} (p={p}, k=1, "
+            f"basis vectors are columns, one per line)\n"]
+    for label, basis in zip(masas.labels(), bases):
+        assert _basis_text(basis) == _reference_text(basis)
+        want += [f"basis {label}\n", _reference_text(basis)]
+    out_path = tmp_path / "mub.txt"
+    code, _, _ = run(capsys, "mub", "--p", str(p), "--out", str(out_path))
+    assert code == EXIT_OK
+    assert out_path.read_bytes() == "".join(want).encode("utf-8")
+
+
+def test_basis_text_special_values_match_per_entry_formatter():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -1 / 3,
+              float("nan"), float("inf"), float("-inf"), 1.0]
+    basis = np.array([complex(x, y) for x in values for y in values[::-1]]).reshape(12, 12)
+    basis = basis[:, :5]  # not square: rows per line and lines per basis differ
+    assert _basis_text(basis) == _reference_text(basis)
+    assert "-0.000000000000000e+00" in _basis_text(basis)
+    assert "+nan" in _basis_text(basis) and "-inf" in _basis_text(basis)
 
 
 def test_mub_guard(tmp_path, capsys):

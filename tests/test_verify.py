@@ -128,7 +128,7 @@ def test_numeric_sampling_is_deterministic():
 
 
 def test_numeric_memory_stays_bounded():
-    """No member stacks are kept between pairs: one d=81 member stack is
+    """At most two member stacks are alive at once: one d=81 member stack is
     about 8.4 MB, so holding the stacks of 20 sampled pairs would need far
     more than the cap."""
     fam = build_spread_2(ConstructionParams.create(3, 2, 2))
@@ -164,6 +164,57 @@ def test_numeric_residual_matches_plain_loop_oracle():
                 for b in m2:
                     worst = max(worst, abs(np.trace(a @ b) - np.trace(a) * np.trace(b) / 9))
     assert worst == pytest.approx(rep.max_residual, abs=1e-12)
+
+
+def _numeric_per_pair(family, tol, pairs):
+    """The oracle as a plain per-pair loop: both stacks synthesized for every pair."""
+    dim = family.params.p**family.params.ambient_factors
+    worst, failures = 0.0, []
+    for i, j in pairs:
+        s1, tr1 = verify._member_stack(family.members[i].subspace)
+        s2, tr2 = verify._member_stack(family.members[j].subspace)
+        cross = s1.reshape(len(s1), -1) @ s2.transpose(0, 2, 1).reshape(len(s2), -1).T
+        top = float(np.abs(cross - np.outer(tr1, tr2) / dim).max())
+        worst = max(worst, top)
+        if not top <= tol:
+            failures.append(
+                (f"{family.members[i].label} & {family.members[j].label}",
+                 f"trace-condition residual {top:.3e} exceeds tol {tol:.1e}")
+            )
+    return worst, failures
+
+
+@pytest.mark.parametrize("sample,seed", [(4095, 0), (200, 3)])
+def test_numeric_row_reuse_matches_per_pair_loop(sample, seed):
+    """p=3, n=3 with member 40 given member 5's rows: the same pairs, failures
+    and residual scale as synthesizing both stacks for every pair."""
+    fam = build_recursive(ConstructionParams.create(3, 1, 3))
+    members = list(fam.members)
+    members[40] = FamilyMember(members[40].label, members[40].kind, members[5].subspace)
+    fam = SpreadFamily(fam.params, members, complete=False)
+    rep = verify_qo_numeric(fam, 1e-9, sample_pairs=sample, seed=seed)
+    all_pairs = list(itertools.combinations(range(91), 2))
+    if sample < len(all_pairs):
+        idx = np.random.default_rng(seed).choice(len(all_pairs), size=sample, replace=False)
+        all_pairs = [all_pairs[i] for i in sorted(idx)]
+    worst, failures = _numeric_per_pair(fam, 1e-9, all_pairs)
+    assert rep.checks_run == len(all_pairs) == sample
+    assert rep.failures == failures
+    assert rep.passed == (not failures)
+    assert rep.max_residual == pytest.approx(worst, abs=1e-12)
+    if sample == 4095:
+        assert [who for who, _ in failures] == [f"{members[5].label} & {members[40].label}"]
+
+
+def test_numeric_nan_stack_fails(monkeypatch):
+    """NaN residuals are failures and make max_residual NaN (nan > tol is False)."""
+    real = verify.basis_matrices
+    monkeypatch.setattr(verify, "basis_matrices", lambda s, m: np.full_like(real(s, m), np.nan))
+    rep = verify_qo_numeric(build_spread_2(P3))
+    assert not rep.passed
+    assert rep.checks_run == len(rep.failures) == 45
+    assert np.isnan(rep.max_residual)
+    assert "max_residual=nan" in rep.describe()
 
 
 def random_plane(rng):
@@ -223,6 +274,14 @@ def test_full_algebra_gf9_d_member():
     assert rep.covered == rep.expected == 81
 
 
+def test_full_algebra_nan_stack_fails(monkeypatch):
+    real = verify.basis_matrices
+    monkeypatch.setattr(verify, "basis_matrices", lambda s, m: np.full_like(real(s, m), np.nan))
+    rep = verify_full_algebra(build_C(P3.field.one(), P3.field.zero(), P3), numeric=True)
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
+    assert any("not trace-orthogonal" in detail for _, detail in rep.failures)
+
 # --- masa extraction and unbiasedness ------------------------------------------------
 
 
@@ -279,6 +338,72 @@ def test_mub_rejects_matrix_algebra_kind():
     fam = build_spread_2(P3)
     with pytest.raises(ValueError, match="masas"):
         extract_and_check_mub(fam)
+
+
+def _overlaps_per_pair(bases, tol, labels):
+    """The overlap check as a plain per-basis, then per-pair, loop."""
+    d = bases[0].shape[0]
+    failures, worst, checks = [], 0.0, 0
+    for i, u in enumerate(bases):
+        checks += 1
+        resid = float(np.abs(u.conj().T @ u - np.eye(d)).max())
+        worst = max(worst, resid)
+        if not resid <= tol:
+            failures.append((labels[i], f"not orthonormal: residual {resid:.3e}"))
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            checks += 1
+            resid = float(np.abs(np.abs(bases[i].conj().T @ bases[j]) ** 2 - 1.0 / d).max())
+            worst = max(worst, resid)
+            if not resid <= tol:
+                failures.append((f"{labels[i]} & {labels[j]}", f"unbiasedness residual {resid:.3e}"))
+    return checks, failures, worst
+
+
+def _assert_overlaps_match_per_pair(bases, labels):
+    rep = check_mub_overlaps(bases, 1e-9, labels)
+    checks, failures, worst = _overlaps_per_pair(bases, 1e-9, labels)
+    assert rep.checks_run == checks
+    assert [who for who, _ in rep.failures] == [who for who, _ in failures]
+    assert [float(what.split()[-1]) for _, what in rep.failures] == pytest.approx(
+        [float(what.split()[-1]) for _, what in failures], abs=1e-12)
+    assert rep.passed == (not failures)
+    assert rep.max_residual == pytest.approx(worst, abs=1e-12)
+    return rep
+
+
+def test_mub_overlaps_match_per_pair_loop_with_repeated_basis():
+    masas = build_masa_spread(ConstructionParams.create(3, 2, 2))
+    bases = extract_mub_bases(masas, seed=0)
+    bases[57] = bases[12]
+    rep = _assert_overlaps_match_per_pair(bases, masas.labels())
+    assert rep.checks_run == 82 * 83 // 2
+    assert [who for who, _ in rep.failures] == [f"{masas.labels()[12]} & {masas.labels()[57]}"]
+
+
+def test_mub_overlaps_match_per_pair_loop_past_the_failure_cap():
+    """Seven copies of one basis (21 failing pairs) and a scaled basis that is
+    not orthonormal: the "... and N more failures" line is reached."""
+    masas = build_masa_spread(P3)
+    bases = extract_mub_bases(masas, seed=0)
+    bases[1:7] = [bases[0]] * 6
+    bases[8] = 2 * bases[8]
+    rep = _assert_overlaps_match_per_pair(bases, masas.labels())
+    assert rep.failures[0][1].startswith("not orthonormal")
+    assert len(rep.failures) > 20
+    assert rep.describe().endswith(f"... and {len(rep.failures) - 20} more failures")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mub_overlaps_non_finite_basis_fails(bad):
+    """nan > tol and max(0.0, nan) both hide a NaN; the check must not."""
+    rep = check_mub_overlaps([np.eye(3), np.full((3, 3), bad)], 1e-9)
+    assert not rep.passed
+    assert rep.checks_run == 3
+    assert [who for who, _ in rep.failures] == ["basis 1", "basis 0 & basis 1"]
+    assert np.isnan(rep.max_residual)
+    assert "max_residual=nan" in rep.describe()
 
 
 def test_projector_trace_equals_overlap_squared():
