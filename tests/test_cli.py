@@ -232,6 +232,23 @@ def test_verify_both_matches_golden(tmp_path, capsys, request, name, duplicate):
     assert _mask_residual(out) == _mask_residual(golden.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("name,duplicate", [("pass", None), ("dup", (7, 1200))])
+def test_verify_both_p7n3_matches_golden(tmp_path, capsys, request, name, duplicate):
+    # p=7, n=3 (2,451 members, d = 343, so the numeric check is skipped and
+    # every byte is pinned); "dup" gives member 1200 the rows of member 7
+    path = tmp_path / "fam.yaml"
+    run(capsys, "generate", "--p", "7", "--k", "1", "--n", "3", "--out", str(path))
+    if duplicate:
+        ff = family_io.load(path)
+        src, dst = duplicate
+        ff.members[dst].rows = ff.members[src].rows
+        family_io.save(ff, path)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
+    golden = request.path.parent / "data" / f"verify_p7n3_{name}.txt"
+    assert code == (EXIT_VERIFY_FAILED if duplicate else EXIT_OK)
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def _tamper_p3n3(path):
     """Three edits of the p=3, n=3 file, each through the writer's own format:
     member 5's rows become another basis of the same span, member 40 gets a
