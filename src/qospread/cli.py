@@ -13,7 +13,7 @@ import numpy as np
 
 from . import family_io, verify
 from .constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
-from .phase_space import SPAN_LIMIT, check_partition, span_enumerate
+from .phase_space import span_enumerate
 from .weyl import monomial_text
 
 EXIT_OK = 0
@@ -91,16 +91,14 @@ def cmd_verify(args) -> int:
         print(f"integrity: ok ({len(ff.members)} members, canonical rows)")
 
     if args.mode in ("symbolic", "both"):
-        rep = verify.verify_qo_symbolic(family)
+        rep, partition = verify.verify_symbolic(family)
         ok = ok and rep.passed
         print(f"symbolic: {rep.describe()}")
-        ambient = ff.p ** (2 * ff.k * ff.n)
-        if ambient <= SPAN_LIMIT:
-            rep = check_partition(family.subspaces(), family.labels())
-            ok = ok and rep.passed
-            print(f"partition: {rep.describe()}")
+        if partition is None:
+            print(f"partition: skipped (ambient has {ff.p ** (2 * ff.k * ff.n)} points)")
         else:
-            print(f"partition: skipped (ambient has {ambient} points)")
+            ok = ok and partition.passed
+            print(f"partition: {partition.describe()}")
 
     if args.mode in ("numeric", "both"):
         dim = ff.p ** (ff.k * ff.n)

@@ -40,17 +40,20 @@ import numpy as np
 from . import _modlin
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all of them
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin over the prime bases 2..41, exact below
+    ``_PRIME_TEST_BOUND``; larger n are refused with ``ValueError``."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is at or above {_PRIME_TEST_BOUND}, the limit of the exact primality test")
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in _PRIME_BASES)
 
 
 def require_odd_prime(p: int) -> None:

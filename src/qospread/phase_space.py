@@ -29,11 +29,13 @@ are stacked into one integer array per distinct dimension, which one
 elimination canonicalises or classifies (by the ranks of the Gram stack)
 and one matrix product enumerates: the coefficient vectors, in
 ``itertools.product`` order (zero first), times every echelon basis, mod p.
-The set checks read one point-ownership index, one such product per member
-dimension, stacked with an owner column and sorted lexicographically into
-arrays, so points with two or more owners sit next to each other; members
-too large to enumerate are compared by rank.  All of it is exact integer
-combinatorics, with no floating point.
+Both set checks, trivial pairwise intersection and the partition of the
+nonzero ambient, are one scan of one point-ownership index: one such product
+per member dimension, stacked with an owner column and sorted
+lexicographically into arrays, so points with two or more owners sit next
+to each other and the distinct points are counted in passing.  Members too
+large to enumerate are compared by rank, and the partition then goes
+unchecked.  All of it is exact integer combinatorics, with no floating point.
 """
 
 from __future__ import annotations
@@ -157,11 +159,6 @@ def gf_symplectic(a: GFPhasePoint, b: GFPhasePoint, partial: bool = False) -> GF
     return out
 
 
-def dual_coords(z: GFElement) -> tuple[int, ...]:
-    """Coordinates of z over the trace-dual of the power basis: (Tr(z t^i))_i = T z."""
-    return tuple((z.field.trace_matrix @ np.array(z.coords, dtype=np.int64) % z.field.p).tolist())
-
-
 def _interleave(shifts: np.ndarray, clocks: np.ndarray) -> np.ndarray:
     """Rows (k_1, l_1, k_2, l_2, ...) from equal-shape shift and clock exponent rows."""
     return np.stack([shifts, clocks], axis=-1).reshape(shifts.shape[:-1] + (-1,))
@@ -186,13 +183,6 @@ def pi1(a: GFPhasePoint) -> PhasePoint:
     identities.
     """
     return PhasePoint(a.field.p, 2 * a.field.k, tuple(_pi1_rows(a)[0].tolist()))
-
-
-def concat(u: PhasePoint, v: PhasePoint) -> PhasePoint:
-    """Point of the joined ambient: u on the leading factors, v on the trailing."""
-    if u.p != v.p:
-        raise ValueError("cannot concatenate points over different primes")
-    return PhasePoint(u.p, u.m + v.m, u.coords + v.coords)
 
 
 @dataclass(frozen=True)
@@ -290,9 +280,6 @@ class _Index(NamedTuple):
         first[1:] = (points[1:] != points[:-1]).any(axis=1)
         return cls(points, owners, first)
 
-    def distinct(self) -> np.ndarray:
-        return self.points[self.first]
-
 
 def _owners(members: Iterable[tuple[int, Subspace]]) -> _Index:
     """The index of the (owner index, member) spans, one span product per
@@ -358,21 +345,24 @@ def _shared_point(a: Subspace, b: Subspace) -> tuple[int, ...]:
     return next(row[2 * a.m :] for row in ech if not any(row[: 2 * a.m]))
 
 
-def check_pairwise_trivial(
+def _disjointness(
     subspaces: Sequence[Subspace], labels: Sequence[str] | None = None
-) -> VerificationReport:
-    """Pass iff every pair of distinct members meets only in 0.
+) -> tuple[VerificationReport, VerificationReport | None]:
+    """The pairwise and partition reports from one ownership index of the
+    members at or below ``SPAN_LIMIT``; pairs with a larger member get the
+    rank test, and the partition report is then None (also when empty).
 
-    Each pair of owners of a point in the enumerable members' ownership
-    index fails, with its smallest shared point as witness; pairs with a
-    member above ``SPAN_LIMIT`` get the rank test.  Failures are in pair order;
-    past ``MAX_LISTED_PAIRS`` pairs the listing stops with a "family" entry.
+    Each pair of owners of a point fails, with its smallest shared point, in
+    pair order; past ``MAX_LISTED_PAIRS`` pairs the listing stops with a
+    "family" entry.  The partition names the first pair with its number of
+    shared points and counts the index's distinct points against the ambient.
     """
     n = len(subspaces)
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
     oversize = {i for i, s in enumerate(subspaces) if s.p**s.dim > SPAN_LIMIT}
     index = _owners((i, s) for i, s in enumerate(subspaces) if i not in oversize)
-    witnesses = {pair: pt for pair, pt, _ in itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1)}
+    conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
+    witnesses = {pair: pt for pair, pt, _ in conflicts}
     for i, j in {tuple(sorted((b, other))) for b in oversize for other in range(n) if other != b}:
         if not intersect_trivially(subspaces[i], subspaces[j]):
             witnesses[i, j] = _shared_point(subspaces[i], subspaces[j])
@@ -385,56 +375,34 @@ def check_pairwise_trivial(
         failures.append(
             ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
         )
-    return VerificationReport(passed=not failures, checks_run=n * (n - 1) // 2, failures=failures)
-
-
-def check_partition(
-    subspaces: Sequence[Subspace], labels: Sequence[str] | None = None,
-    against: Sequence[Subspace] | None = None,
-) -> VerificationReport:
-    """Pass iff the members' nonzero points are disjoint and cover the target.
-
-    A point of the members' ownership index with two or more owners fails
-    (the first such pair is named); ``covered`` counts the index's distinct
-    points.  The default target is the whole nonzero ambient Z_p^{2m} \\ {0};
-    passing ``against`` compares to the distinct points of a second family's
-    index instead.
-    """
-    labels = list(labels) if labels is not None else [f"member {i}" for i in range(len(subspaces))]
-    index = _owners(enumerate(subspaces))
+    pairwise = VerificationReport(passed=not failures, checks_run=n * (n - 1) // 2, failures=failures)
+    if oversize or not n:
+        return pairwise, None
     failures = [
-        (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points")
-        for (i, j), _, count in itertools.islice(_conflicts(index), 1)
+        (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points") for (i, j), _, count in conflicts[:1]
     ]
-    covered = int(index.first.sum())
-    if against is None:
-        if not subspaces:
-            raise ValueError("empty family")
-        p, m = subspaces[0].p, subspaces[0].m
-        ambient = p ** (2 * m)
-        if ambient > SPAN_LIMIT:
-            raise ValueError(f"ambient has {ambient} points, above the limit {SPAN_LIMIT}")
-        expected = ambient - 1
-        if covered != expected:
-            failures.append(("family", f"covers {covered} of {expected} nonzero points"))
-    else:
-        union, target = index.distinct(), _owners(enumerate(against)).distinct()
-        expected, common = len(target), 0
-        if union.shape[1] == target.shape[1]:
-            both = np.concatenate([union, target])
-            common = len(both) - int(_Index.sort(both, np.zeros(len(both), dtype=np.int64)).first.sum())
-        if common != len(union) or common != expected:
-            failures.append(
-                ("family",
-                 f"union differs from target: {len(union) - common} extra, {expected - common} missing")
-            )
-    return VerificationReport(
-        passed=not failures,
-        checks_run=len(subspaces),
-        failures=failures,
-        covered=covered,
-        expected=expected,
+    covered, expected = int(index.first.sum()), subspaces[0].p ** (2 * subspaces[0].m) - 1
+    if covered != expected:
+        failures.append(("family", f"covers {covered} of {expected} nonzero points"))
+    return pairwise, VerificationReport(
+        passed=not failures, checks_run=n, failures=failures, covered=covered, expected=expected
     )
+
+
+def check_pairwise_trivial(
+    subspaces: Sequence[Subspace], labels: Sequence[str] | None = None
+) -> VerificationReport:
+    """Pass iff every pair of distinct members meets only in 0 (see ``_disjointness``)."""
+    return _disjointness(subspaces, labels)[0]
+
+
+def check_partition(subspaces: Sequence[Subspace], labels: Sequence[str] | None = None) -> VerificationReport:
+    """Pass iff the members' nonzero points are disjoint and cover Z_p^{2m} \\ {0};
+    raises for an empty family or a member above ``SPAN_LIMIT``."""
+    report = _disjointness(subspaces, labels)[1]
+    if report is None:
+        raise ValueError(f"a member's span is above the limit {SPAN_LIMIT}" if subspaces else "empty family")
+    return report
 
 
 class Classification(NamedTuple):

@@ -5,7 +5,9 @@ finite-field combinatorics: monomial spans of two subspaces satisfy the
 trace condition Tr(A1 A2) = Tr(A1) Tr(A2) / Tr(I) exactly when the
 subspaces meet only in zero, because distinct monomials are trace
 orthogonal; a member is a full matrix algebra M_{p^k} exactly when its
-subspace is symplectically nondegenerate of dimension 2k.  The numeric
+subspace is symplectically nondegenerate of dimension 2k; and the family is
+maximal when the members' nonzero points partition the nonzero phase space,
+read from the same scan as the pairwise intersections.  The numeric
 route ignores all of that and evaluates the trace condition literally on
 synthesized dense matrices, so the two routes check each other.
 
@@ -26,7 +28,7 @@ from .phase_space import (
     NONDEGENERATE,
     Subspace,
     _classify,
-    check_pairwise_trivial,
+    _disjointness,
     classify_subspace,
 )
 from .report import VerificationReport
@@ -62,15 +64,18 @@ def counting_identity_holds(p: int, k: int, n: int) -> bool:
     return nrec + n2 + (p ** (2 * k) - 1) * n2 * nrec == expected_count(p, k, n)
 
 
-def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
-    """Exact certification of a family.
+def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, VerificationReport | None]:
+    """Exact certification of a family, and its partition report.
 
-    Passes iff all pairwise intersections are trivial, every matrix-algebra
-    member is nondegenerate of dimension 2k (hence spans a copy of M_{p^k}),
-    every masa member is isotropic of dimension 2k, and — for families that
-    claim completeness — the member count meets the dimension bound.
+    The first passes iff all pairwise intersections are trivial, every
+    matrix-algebra member is nondegenerate of dimension 2k (hence spans a
+    copy of M_{p^k}), every masa member is isotropic of dimension 2k, and —
+    for families that claim completeness — the member count meets the
+    dimension bound.  The second, from the same scan of the point-ownership
+    index, is ``phase_space.check_partition``'s report, or None when a member
+    is too large to enumerate.
     """
-    pairs = check_pairwise_trivial(family.subspaces(), family.labels())
+    pairs, partition = _disjointness(family.subspaces(), family.labels())
     failures = list(pairs.failures)
     checks = pairs.checks_run
     dim_want = 2 * family.params.k
@@ -89,7 +94,12 @@ def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
         want_count = expected_count(p, k, n)
         if len(family.members) != want_count:
             failures.append(("family", f"{len(family.members)} members, expected {want_count}"))
-    return VerificationReport(passed=not failures, checks_run=checks, failures=failures)
+    return VerificationReport(passed=not failures, checks_run=checks, failures=failures), partition
+
+
+def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
+    """The exact certification of ``verify_symbolic``, without the partition."""
+    return verify_symbolic(family)[0]
 
 
 def _member_stack(sub: Subspace) -> tuple[np.ndarray, np.ndarray]:

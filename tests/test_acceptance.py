@@ -119,11 +119,14 @@ def test_criterion_3_partition_exactness():
         for p, k in [(3, 1), (5, 1), (7, 1), (3, 2)]:
             params = ConstructionParams.create(p, k, 2)
             field = params.field
+            rest = [build_C(a, b, params) for a in field.elements() if not a.is_zero for b in field.elements()]
             ds = [build_D(a, params) for a in field.elements()]
             ds.append(build_D(INFINITY, params))
             cs = [build_C(field.zero(), b, params) for b in field.elements()]
             cs.append(build_C(INFINITY, None, params))
-            assert check_partition(ds, against=cs).passed
+            # D covers exactly C[0,*] and C[inf]: both complete C[a,*], a != 0, to a partition
+            assert check_partition(rest + ds).passed
+            assert check_partition(rest + cs).passed
 
 
 def test_criterion_4_numeric_quasi_orthogonality():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qospread import family_io, verify
+from qospread import family_io, phase_space, verify
 from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_text, main
 from qospread.constructions import ConstructionParams, build_masa_spread
 
@@ -41,6 +41,27 @@ def test_generate_n1(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "--p", "3", "--n", "1", "--out", str(path))
     assert code == EXIT_OK
     assert len(family_io.load(path).members) == 1
+
+
+def test_generate_and_verify_at_a_61_bit_prime(tmp_path, capsys):
+    p = str(2**61 - 1)
+    path = tmp_path / "big.yaml"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "generate", "--p", p, "--n", "1", "--out", str(path))
+    assert code == EXIT_OK
+    assert family_io.load(path).p == 2**61 - 1
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == EXIT_OK
+    assert f"partition: skipped (ambient has {(2**61 - 1) ** 2} points)" in out
+    assert time.perf_counter() - start < 5.0
+
+
+def test_generate_rejects_p_above_the_primality_bound(tmp_path, capsys):
+    out = tmp_path / "x.yaml"
+    code, _, err = run(capsys, "generate", "--p", "3317044064679887385961981", "--n", "1", "--out", str(out))
+    assert code == EXIT_BAD_INPUT
+    assert "primality" in err
+    assert not out.exists()
 
 
 def test_generate_rejects_p4(tmp_path, capsys):
@@ -247,6 +268,29 @@ def test_verify_both_p7n3_matches_golden(tmp_path, capsys, request, name, duplic
     golden = request.path.parent / "data" / f"verify_p7n3_{name}.txt"
     assert code == (EXIT_VERIFY_FAILED if duplicate else EXIT_OK)
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_verify_partition_above_a_million_points(tmp_path, capsys):
+    # p=3, n=7: the ambient Z_3^14 has 4,782,969 points; the seven single-factor
+    # members are small, so the partition is read from the same index
+    params = ConstructionParams.create(3, 1, 7)
+    unit = [tuple(int(i == j) for j in range(14)) for i in range(14)]
+    members = [family_io.FileMember(f"F[{i}]", "matrix_algebra", unit[2 * i:2 * i + 2]) for i in range(7)]
+    path = tmp_path / "few.yaml"
+    family_io.save(family_io.FamilyFile(3, 1, 7, params.field.poly, params.nonresidue.coords, members), path)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "symbolic")
+    assert code == EXIT_VERIFY_FAILED
+    assert "partition: FAIL (checks=7, covered=56/4782968)\n  family: covers 56 of 4782968 nonzero points\n" in out
+
+
+def test_verify_builds_the_ownership_index_once(family_path, capsys, monkeypatch):
+    calls = []
+    owners = phase_space._owners
+    monkeypatch.setattr(phase_space, "_owners", lambda members: calls.append(1) or owners(members))
+    code, out, _ = run(capsys, "verify", str(family_path), "--mode", "both")
+    assert code == EXIT_OK
+    assert "partition: PASS (checks=10, covered=80/80)" in out
+    assert len(calls) == 1
 
 
 def _tamper_p3n3(path):

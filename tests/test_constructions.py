@@ -120,24 +120,24 @@ def test_spread_2_requires_two_blocks():
 # --- union identity -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_union_identity_prime_fields(p):
-    params = ConstructionParams.create(p, 1, 2)
+def _union_identity_holds(params):
+    # D covers exactly the points of C[0,*] and C[inf]: both complete the
+    # C[a,*] with a != 0 to a partition of the nonzero ambient
     field = params.field
+    rest = [build_C(a, b, params) for a in field.elements() if not a.is_zero for b in field.elements()]
     ds = [build_D(a, params) for a in field.elements()] + [build_D(INFINITY, params)]
     cs = [build_C(field.zero(), b, params) for b in field.elements()]
     cs.append(build_C(INFINITY, None, params))
-    assert check_partition(ds, against=cs).passed
-    assert check_partition(cs, against=ds).passed
+    return check_partition(rest + ds).passed and check_partition(rest + cs).passed
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_union_identity_prime_fields(p):
+    assert _union_identity_holds(ConstructionParams.create(p, 1, 2))
 
 
 def test_union_identity_gf9():
-    params = ConstructionParams.create(3, 2, 2)
-    field = params.field
-    ds = [build_D(a, params) for a in field.elements()] + [build_D(INFINITY, params)]
-    cs = [build_C(field.zero(), b, params) for b in field.elements()]
-    cs.append(build_C(INFINITY, None, params))
-    assert check_partition(ds, against=cs).passed
+    assert _union_identity_holds(ConstructionParams.create(3, 2, 2))
 
 
 # --- masa spread ----------------------------------------------------------------

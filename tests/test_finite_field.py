@@ -15,6 +15,7 @@ from qospread.finite_field import (
     gf,
     gf_inv,
     gf_mul,
+    is_prime,
     trace_dual_basis,
 )
 
@@ -63,6 +64,37 @@ def brute_force_irreducible(low_coeffs, p):
             if poly_divides(g, f, p):
                 return False
     return True
+
+
+# --- is_prime ----------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n) != trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,  # ... to every prime base up to 31
+    318665857834031151167461,  # ... to every prime base up to 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_decides_large_primes_at_once():
+    assert is_prime(2**61 - 1) and is_prime(1000000000000000003) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) ** 2) and not is_prime(1000003 * 1000000000000000003)
+
+
+def test_is_prime_refuses_above_the_exact_bound():
+    with pytest.raises(ValueError, match="primality"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="primality"):
+        gf(2**127 - 1)
 
 
 # --- find_irreducible ------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D
@@ -18,7 +19,6 @@ from qospread.phase_space import (
     check_pairwise_trivial,
     check_partition,
     classify_subspace,
-    concat,
     gf_symplectic,
     intersect_trivially,
     pi1,
@@ -179,15 +179,14 @@ def test_pi1_preserves_block_support():
 
 
 def test_dual_coords_match_trace_dual_basis():
-    # dual-route check: the inline coordinates used by pi1 must agree with
-    # the expansion over the explicitly solved trace-dual basis
+    # dual-route check: the trace matrix pi1 uses for the even coordinates must
+    # give the expansion over the explicitly solved trace-dual basis
     from qospread.finite_field import trace_dual_basis
-    from qospread.phase_space import dual_coords
 
     for field in (F9, gf(3, 3), gf(5, 2)):
         dual = trace_dual_basis(field.power_basis())
         for z in field.elements():
-            coords = dual_coords(z)
+            coords = (field.trace_matrix @ np.array(z.coords) % field.p).tolist()
             recombined = field.zero()
             for c, f in zip(coords, dual):
                 recombined = recombined + c * f
@@ -350,6 +349,8 @@ def test_oversize_members_fall_back_to_rank_test():
     assert rep.failures[1][1] == "shared nonzero point (1, 5, 0, 0)"
     with pytest.raises(ValueError, match="limit"):
         check_partition([small, meets])
+    with pytest.raises(ValueError, match="empty family"):
+        check_partition([])
 
 
 def test_index_above_int64_codes_agrees_with_rank_oracle():
@@ -379,7 +380,24 @@ def test_index_above_int64_codes_agrees_with_rank_oracle():
         assert subs[i].contains(witness) and subs[j].contains(witness)
         assert what == f"shared nonzero point {min(_brute_nonzero_points(subs[i]) & _brute_nonzero_points(subs[j]))}"
     covered = len(set().union(*map(_brute_nonzero_points, subs)))
-    assert check_partition(subs, against=subs).covered == covered
+    rep = check_partition(subs)
+    assert (rep.covered, rep.expected) == (covered, p ** (2 * m) - 1)
+
+
+def test_partition_of_non_complete_family_above_a_million_points():
+    # Z_3^14 has 4,782,969 points; every member is small, so the index holds
+    # them all and the partition report counts what they cover
+    p, m = 3, 7
+    rng = random.Random(14)
+    subs = [
+        Subspace.from_generators(p, m, [tuple(rng.randrange(p) for _ in range(2 * m)) for _ in range(3)])
+        for _ in range(20)
+    ]
+    rep = check_partition(subs)
+    covered = len(set().union(*map(_brute_nonzero_points, subs)))
+    assert (rep.covered, rep.expected) == (covered, p ** (2 * m) - 1)
+    assert not rep.passed
+    assert rep.failures[-1] == ("family", f"covers {covered} of {p ** (2 * m) - 1} nonzero points")
 
 
 def test_conflict_listing_stops_at_the_cap():
@@ -430,32 +448,6 @@ def test_partition_fails_when_member_dropped():
     assert rep.covered == 72
 
 
-def test_partition_union_comparison_mode():
-    params = ConstructionParams.create(3, 1, 2)
-    field = params.field
-    c_zero = [build_C(field.zero(), b, params) for b in field.elements()]
-    c_zero.append(build_C(INFINITY, None, params))
-    rep = check_partition(d_family(params), against=c_zero)
-    assert rep.passed
-    assert rep.covered == rep.expected == 4 * 8  # 4 distinct spans of 8 points
-
-
-def test_partition_union_comparison_detects_mismatch():
-    params = ConstructionParams.create(3, 1, 2)
-    field = params.field
-    c_all = [build_C(field.one(), b, params) for b in field.elements()]
-    rep = check_partition(d_family(params), against=c_all)
-    assert not rep.passed
-    assert rep.failures == [("family", "union differs from target: 32 extra, 24 missing")]
-    # of two repeated members only the first pair is named, with its shared-point count
-    rep = check_partition(d_family(params) + d_family(params)[:2], against=c_all)
-    assert rep.failures == [
-        ("member 0 & member 4", "8 shared nonzero points"),
-        ("family", "union differs from target: 32 extra, 24 missing"),
-    ]
-    assert (rep.checks_run, rep.covered, rep.expected) == (6, 32, 24)
-
-
 # --- classification and symplectic frames ------------------------------------
 
 
@@ -502,9 +494,3 @@ def test_symplectic_basis_rejects_isotropic():
     with pytest.raises(ValueError, match="degenerate"):
         symplectic_basis(build_C(INFINITY, None, params))
 
-
-def test_concat():
-    u = pt3(1, 2)
-    v = pt3(0, 1, 2, 0)
-    assert concat(u, v).coords == (1, 2, 0, 1, 2, 0)
-    assert concat(u, v).m == 3
