@@ -133,13 +133,15 @@ def cmd_example(args) -> int:
 
 def _basis_text(basis: np.ndarray) -> str:
     """One line per column of ``basis``: its entries as ``+x.xxxe+xx+y.yyye+yyj``,
-    space separated, with one ``%`` format over the interleaved real and
-    imaginary parts (the same bytes as ``f"{x:+.15e}"``, NaN, inf and -0.0
-    included)."""
+    space separated: each distinct double (by bit pattern) is formatted once,
+    the same bytes as ``f"{x:+.15e}"``, NaN, inf and -0.0 included, and one
+    ``%`` format places the tokens of the interleaved real and imaginary parts."""
     rows, cols = basis.shape
-    line = " ".join(["%+.15e%+.15ej"] * rows)
-    values = np.ascontiguousarray(basis.T, dtype=complex).view(np.float64)
-    return ("\n".join([line] * cols) + "\n") % tuple(values.ravel().tolist())
+    line = " ".join(["%s%sj"] * rows)
+    bits = np.ascontiguousarray(basis.T, dtype=complex).view(np.int64).ravel()
+    distinct, at = np.unique(bits, return_inverse=True)
+    tokens = ["%+.15e" % x for x in distinct.view(np.float64).tolist()]
+    return ("\n".join([line] * cols) + "\n") % tuple([tokens[i] for i in at.tolist()])
 
 
 def cmd_mub(args) -> int:

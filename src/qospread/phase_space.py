@@ -349,8 +349,9 @@ def _disjointness(
     subspaces: Sequence[Subspace], labels: Sequence[str] | None = None
 ) -> tuple[VerificationReport, VerificationReport | None]:
     """The pairwise and partition reports from one ownership index of the
-    members at or below ``SPAN_LIMIT``; pairs with a larger member get the
-    rank test, and the partition report is then None (also when empty).
+    members at or below ``SPAN_LIMIT``; pairs with a larger member get a rank
+    test, one batched elimination per row count, and the partition report is
+    then None (also when empty).
 
     Each pair of owners of a point fails, with its smallest shared point, in
     pair order; past ``MAX_LISTED_PAIRS`` pairs the listing stops with a
@@ -363,9 +364,15 @@ def _disjointness(
     index = _owners((i, s) for i, s in enumerate(subspaces) if i not in oversize)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}
-    for i, j in {tuple(sorted((b, other))) for b in oversize for other in range(n) if other != b}:
-        if not intersect_trivially(subspaces[i], subspaces[j]):
-            witnesses[i, j] = _shared_point(subspaces[i], subspaces[j])
+    pairs = sorted({tuple(sorted((b, other))) for b in oversize for other in range(n) if other != b})
+    meets = []  # the pairs whose stacked rows are dependent, by one elimination per row count
+    if pairs:
+        p, m = subspaces[0].p, subspaces[0].m
+        for at, stack in _stacks(p, 2 * m, [subspaces[i].rows + subspaces[j].rows for i, j in pairs]):
+            ranks = _modlin.rref_stack(stack, p)[1].tolist()
+            meets += [pairs[k] for k, r in zip(at, ranks) if r < stack.shape[1]]
+    for i, j in sorted(meets)[: MAX_LISTED_PAIRS + 1]:  # no later pair can be listed
+        witnesses[i, j] = _shared_point(subspaces[i], subspaces[j])
     listed = sorted(witnesses.items())
     failures = [
         (f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}")

@@ -9,7 +9,8 @@ subspace is symplectically nondegenerate of dimension 2k; and the family is
 maximal when the members' nonzero points partition the nonzero phase space,
 read from the same scan as the pairwise intersections.  The numeric
 route ignores all of that and evaluates the trace condition literally on
-synthesized dense matrices, so the two routes check each other.
+synthesized matrices, one member of a pair dense and the other as the one
+nonzero entry per column of each monomial, so the two routes check each other.
 
 The masa bridge: each isotropic member spans a maximal abelian subalgebra;
 simultaneous diagonalisation of its commuting basis yields an orthonormal
@@ -32,7 +33,7 @@ from .phase_space import (
     classify_subspace,
 )
 from .report import VerificationReport
-from .weyl import basis_matrices
+from .weyl import basis_matrices, basis_parts
 
 DEFAULT_TOL = 1e-9
 NUMERIC_MAX_DIM = 81
@@ -116,7 +117,7 @@ def _worse(worst: float, resid: float) -> float:
 def verify_qo_numeric(
     family: SpreadFamily, tol: float = DEFAULT_TOL, *, sample_pairs: int | None = None, seed: int = 0
 ) -> VerificationReport:
-    """Evaluate the trace condition on dense matrices, pair by pair.
+    """Evaluate the trace condition on synthesized matrices, pair by pair.
 
     For every examined pair of members and every pair (A1, A2) of their
     non-identity basis matrices, the residual is
@@ -124,9 +125,11 @@ def verify_qo_numeric(
     residual is finite and within ``tol``.  Above ``SAMPLE_THRESHOLD`` member
     pairs a random subset of ``SAMPLE_PAIRS`` pairs is used unless
     ``sample_pairs`` says otherwise.  Pairs are examined in sorted order, so
-    the first member's stack is synthesized once for the whole run of pairs
-    that start with it; the second member's stack is synthesized afresh for
-    each pair.  At most two member stacks are alive at a time.
+    the first member's dense stack is synthesized once for the whole run of
+    pairs that start with it.  The second member comes as ``basis_parts``,
+    whose matrix B has the value v[x] at (t[x], x) and zeros elsewhere, so
+    Tr(A B) = sum_x A[x, t[x]] v[x] and Tr(B) = sum_x [t[x] = x] v[x], read
+    literally from the entries.  One member's dense matrices are held at a time.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -149,15 +152,15 @@ def verify_qo_numeric(
     worst = 0.0
     failures = []
     row = flat1 = None
+    cols = np.arange(dim)
     for i, j in pairs:
         if i != row:
             flat1 = None  # drop the previous row member before synthesizing the next
-            s1, tr1 = _member_stack(family.members[i].subspace)
-            flat1 = s1.transpose(0, 2, 1).reshape(len(s1), -1)  # a copy: flat1[a] = vec(A_a^T)
-            row, s1 = i, None
-        s2, tr2 = _member_stack(family.members[j].subspace)
-        cross = flat1 @ s2.reshape(len(s2), -1).T  # cross[a, b] = Tr(A_a B_b)
-        s2 = None
+            flat1, tr1 = _member_stack(family.members[i].subspace)
+            flat1, row = flat1.reshape(len(flat1), -1).T.copy(), i  # flat1[x * dim + y, a] = A_a[x, y]
+        t2, v2 = (part[1:] for part in basis_parts(family.members[j].subspace, NUMERIC_MAX_DIM))
+        cross = (v2[:, None] @ flat1[cols * dim + t2])[:, 0].T  # cross[a, b] = Tr(A_a B_b)
+        tr2 = np.where(t2 == cols, v2, 0).sum(axis=1)
         resid = np.abs(cross - np.outer(tr1, tr2) / dim)
         top = float(resid.max())
         worst = _worse(worst, top)
@@ -231,11 +234,12 @@ def extract_mub_bases(masas: SpreadFamily, *, seed: int = 0) -> list[np.ndarray]
         sub = mem.subspace
         if classify_subspace(sub).kind != ISOTROPIC or sub.dim != sub.m:
             raise ValueError(f"{mem.label}: subspace is not isotropic of dimension {sub.m}")
-        mats = basis_matrices(sub, NUMERIC_MAX_DIM)
+        target, values = basis_parts(sub, NUMERIC_MAX_DIM)
         vecs = None
         for _ in range(EIGH_TRIES):
-            coeff = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))
-            combo = sum(c * m for c, m in zip(coeff, mats))
+            coeff = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
+            combo = np.zeros((dim, dim), dtype=complex)
+            np.add.at(combo, (target, np.arange(dim)), coeff[:, None] * values)
             herm = combo + combo.conj().T
             vals, cand = np.linalg.eigh(herm)
             if np.diff(vals).min() > EIGENVALUE_GAP:
@@ -243,9 +247,9 @@ def extract_mub_bases(masas: SpreadFamily, *, seed: int = 0) -> list[np.ndarray]
                 break
         if vecs is None:
             raise RuntimeError(f"{mem.label}: no non-degenerate combination in {EIGH_TRIES} tries")
-        for col in range(vecs.shape[1]):
-            anchor = vecs[np.argmax(np.abs(vecs[:, col])), col]
-            vecs[:, col] *= anchor.conjugate() / abs(anchor)
+        anchors = vecs[np.abs(vecs).argmax(axis=0), np.arange(dim)]
+        # numpy scalar division per column, as in a loop: the array division rounds differently
+        vecs *= [a.conjugate() / abs(a) for a in anchors]
         bases.append(vecs)
     return bases
 
@@ -275,13 +279,12 @@ def check_mub_overlaps(
         worst = _worse(worst, resid)
         if not resid <= tol:
             own_failures.append((labels[i], f"not orthonormal: residual {resid:.3e}"))
-        overlap = np.abs(blocks[:, 1:]) ** 2
-        for j, resid in enumerate(np.abs(overlap - 1.0 / d).max(axis=(0, 2)).tolist(), i + 1):
-            worst = _worse(worst, resid)
-            if not resid <= tol:
-                pair_failures.append(
-                    (f"{labels[i]} & {labels[j]}", f"unbiasedness residual {resid:.3e}")
-                )
+        resid = np.abs(np.abs(blocks[:, 1:]) ** 2 - 1.0 / d).max(axis=(0, 2))  # one per later basis
+        worst = float(np.max(resid, initial=worst))  # NaN-propagating, like _worse
+        for j in np.flatnonzero(~(resid <= tol)).tolist():
+            pair_failures.append(
+                (f"{labels[i]} & {labels[i + 1 + j]}", f"unbiasedness residual {resid[j]:.3e}")
+            )
     checks = len(bases) * (len(bases) + 1) // 2
     failures = own_failures + pair_failures
     return VerificationReport(

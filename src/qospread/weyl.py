@@ -20,10 +20,12 @@ matter through products.
 Synthesis writes each monomial as a generalized permutation matrix: with
 indices of C^{p^m} as m base-p digits, factor 1 the most significant, factor
 i sends column digit j to row digit (j + k_i) mod p with value lam^{l_i j},
-and the m values multiply factor 1 first, left to right.  The result is a
-numpy complex128 array (about 16 significant digits); dimensions are
-guarded because dense matrices grow as p^{2m}, and a span's stack is
-refused before anything is allocated when it holds too many entries.
+and the m values multiply factor 1 first, left to right.  ``basis_parts``
+keeps that (target, values) form, p^m row indices and complex128 values per
+matrix; ``basis_matrices`` scatters the same bits into dense (p^m, p^m)
+arrays.  Dimensions are guarded because dense matrices grow as p^{2m}, and
+a span's stack is refused before anything is allocated when it holds too
+many entries.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def commutation_phase(u: PhasePoint, v: PhasePoint) -> int:
     return (-symplectic_product(u, v)) % u.p
 
 
-def _monomial_stack(p: int, m: int, rows: np.ndarray, max_dim: int) -> np.ndarray:
-    """Dense phase-0 monomials, one (p^m, p^m) matrix per integer point row."""
+def _monomial_parts(p: int, m: int, rows: np.ndarray, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-0 monomials, one per integer point row, as (target, values): column x
+    of matrix a holds values[a, x] in row target[a, x] and zeros elsewhere."""
     d = p**m
     if d > max_dim:
         raise ValueError(f"dimension {d} exceeds the synthesis limit {max_dim}")
@@ -84,6 +87,13 @@ def _monomial_stack(p: int, m: int, rows: np.ndarray, max_dim: int) -> np.ndarra
         factor = table[rows[:, 2 * i + 1, None], digits[i]]
         # earlier factors on the left, as in np.kron: SIMD complex * is not commutative
         values = factor if values is None else np.multiply(values, factor)
+    return target, values
+
+
+def _monomial_stack(p: int, m: int, rows: np.ndarray, max_dim: int) -> np.ndarray:
+    """Dense phase-0 monomials, one (p^m, p^m) matrix per integer point row."""
+    target, values = _monomial_parts(p, m, rows, max_dim)
+    d = p**m
     stack = np.zeros((len(rows), d, d), dtype=complex)
     stack[np.arange(len(rows))[:, None], target, np.arange(d)] = values
     return stack
@@ -109,6 +119,11 @@ def basis_matrices(s: Subspace, max_dim: int = MAX_DIM) -> np.ndarray:
     if count * d * d > MAX_STACK_ENTRIES:
         raise ValueError(f"{count} matrices of side {d} exceed the stack limit {MAX_STACK_ENTRIES}")
     return _monomial_stack(s.p, s.m, _span_rows(s), max_dim)
+
+
+def basis_parts(s: Subspace, max_dim: int = MAX_DIM) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of ``basis_matrices`` as (target, values) arrays of shape (p^dim(s), p^m)."""
+    return _monomial_parts(s.p, s.m, _span_rows(s), max_dim)
 
 
 def monomial_text(u: PhasePoint) -> str:

@@ -381,18 +381,21 @@ def _reference_text(basis):
     )
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_mub_file_matches_per_entry_formatter(tmp_path, capsys, p):
+@pytest.mark.parametrize("p,k", [
+    pytest.param(3, 1, id="3"), pytest.param(5, 1, id="5"), pytest.param(3, 2, id="3-k2"),
+])
+def test_mub_file_matches_per_entry_formatter(tmp_path, capsys, p, k):
     # the bases are extracted in this process, so the comparison does not depend on LAPACK
-    masas = build_masa_spread(ConstructionParams.create(p, 1, 2))
+    masas = build_masa_spread(ConstructionParams.create(p, k, 2))
     bases = verify.extract_mub_bases(masas, seed=0)
-    want = [f"# {len(bases)} mutually unbiased bases of C^{p * p} (p={p}, k=1, "
+    want = [f"# {len(bases)} mutually unbiased bases of C^{p ** (2 * k)} (p={p}, k={k}, "
             f"basis vectors are columns, one per line)\n"]
     for label, basis in zip(masas.labels(), bases):
-        assert _basis_text(basis) == _reference_text(basis)
-        want += [f"basis {label}\n", _reference_text(basis)]
+        text = _reference_text(basis)
+        assert _basis_text(basis) == text
+        want += [f"basis {label}\n", text]
     out_path = tmp_path / "mub.txt"
-    code, _, _ = run(capsys, "mub", "--p", str(p), "--out", str(out_path))
+    code, _, _ = run(capsys, "mub", "--p", str(p), "--k", str(k), "--out", str(out_path))
     assert code == EXIT_OK
     assert out_path.read_bytes() == "".join(want).encode("utf-8")
 

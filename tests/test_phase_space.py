@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qospread import _modlin, phase_space
 from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D
 from qospread.finite_field import field_trace, gf
 from qospread.phase_space import (
@@ -351,6 +352,54 @@ def test_oversize_members_fall_back_to_rank_test():
         check_partition([small, meets])
     with pytest.raises(ValueError, match="empty family"):
         check_partition([])
+
+
+def _rank_fallback_reference(subs):
+    """The pairwise failures as the rank fallback listed them, one rank test and
+    one witness per pair, for a family in which every pair has a member above
+    ``SPAN_LIMIT``."""
+    witnesses = {}
+    for i, j in itertools.combinations(range(len(subs)), 2):
+        if not intersect_trivially(subs[i], subs[j]):
+            witnesses[i, j] = phase_space._shared_point(subs[i], subs[j])
+    listed = sorted(witnesses.items())
+    failures = [(f"member {i} & member {j}", f"shared nonzero point {w}") for (i, j), w in listed[:MAX_LISTED_PAIRS]]
+    if len(listed) > MAX_LISTED_PAIRS:
+        failures.append(
+            ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
+        )
+    return failures, len(listed)
+
+
+@pytest.mark.parametrize("copies", [3, 46])
+def test_oversize_pairs_are_ranked_in_one_batch(monkeypatch, copies):
+    """p=1009: 20 random planes (1,018,081 points each), ``copies`` copies of one
+    more plane, a line inside it and a 3-dimensional member that meets every
+    plane, so the pairs stack 3, 4 and 5 rows.  The report is the per-pair rank
+    test's, with no per-pair rank call and witnesses only for listable pairs;
+    46 copies make 1,035 failing pairs, past the listing cap."""
+    p, rng = 1009, random.Random(copies)
+
+    def member(dim):
+        while True:
+            sub = Subspace.from_generators(p, 2, [[rng.randrange(p) for _ in range(4)] for _ in range(dim)])
+            if sub.dim == dim:
+                return sub
+
+    plane = member(2)
+    line = Subspace.from_generators(p, 2, [tuple(a + 2 * b for a, b in zip(*plane.rows))])
+    subs = [member(2) for _ in range(20)] + [plane] * copies + [line, member(3)]
+    want, failing = _rank_fallback_reference(subs)
+    ranks, witnesses = [], []
+    monkeypatch.setattr(_modlin, "rank", lambda rows, p: ranks.append(1) or len(_modlin.rref(rows, p)[0]))
+    shared_point = phase_space._shared_point
+    monkeypatch.setattr(phase_space, "_shared_point", lambda a, b: witnesses.append(1) or shared_point(a, b))
+    rep = check_pairwise_trivial(subs)
+    assert rep.failures == want
+    assert rep.checks_run == len(subs) * (len(subs) - 1) // 2
+    assert failing >= copies * (copies - 1) // 2 + copies + (20 + copies)  # copies, line, 3-dim member
+    assert not ranks
+    assert len(witnesses) == min(failing, MAX_LISTED_PAIRS + 1)
 
 
 def test_index_above_int64_codes_agrees_with_rank_oracle():

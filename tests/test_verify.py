@@ -30,6 +30,7 @@ from qospread.verify import (
     verify_qo_numeric,
     verify_qo_symbolic,
 )
+from qospread.weyl import basis_matrices
 
 P3 = ConstructionParams.create(3, 1, 2)
 
@@ -184,16 +185,22 @@ def _numeric_per_pair(family, tol, pairs):
     return worst, failures
 
 
-@pytest.mark.parametrize("sample,seed", [(4095, 0), (200, 3)])
-def test_numeric_row_reuse_matches_per_pair_loop(sample, seed):
-    """p=3, n=3 with member 40 given member 5's rows: the same pairs, failures
-    and residual scale as synthesizing both stacks for every pair."""
-    fam = build_recursive(ConstructionParams.create(3, 1, 3))
+@pytest.mark.parametrize("k,n,sample,seed,dup", [
+    pytest.param(1, 3, 4095, 0, (5, 40), id="4095-0"),
+    pytest.param(1, 3, 200, 3, (5, 40), id="200-3"),
+    pytest.param(2, 2, 20, 0, (24, 45), id="k2-20-0"),  # d = 81; (24, 45) is a sampled pair
+])
+def test_numeric_row_reuse_matches_per_pair_loop(k, n, sample, seed, dup):
+    """p=3, n=3 with member 40 given member 5's rows, and p=3, k=2, n=2 with
+    member 45 given member 24's rows: the same pairs, failures and residual
+    scale as synthesizing both dense stacks for every pair."""
+    fam = build_recursive(ConstructionParams.create(3, k, n))
     members = list(fam.members)
-    members[40] = FamilyMember(members[40].label, members[40].kind, members[5].subspace)
+    src, dst = dup
+    members[dst] = FamilyMember(members[dst].label, members[dst].kind, members[src].subspace)
     fam = SpreadFamily(fam.params, members, complete=False)
     rep = verify_qo_numeric(fam, 1e-9, sample_pairs=sample, seed=seed)
-    all_pairs = list(itertools.combinations(range(91), 2))
+    all_pairs = list(itertools.combinations(range(len(members)), 2))
     if sample < len(all_pairs):
         idx = np.random.default_rng(seed).choice(len(all_pairs), size=sample, replace=False)
         all_pairs = [all_pairs[i] for i in sorted(idx)]
@@ -204,6 +211,8 @@ def test_numeric_row_reuse_matches_per_pair_loop(sample, seed):
     assert rep.max_residual == pytest.approx(worst, abs=1e-12)
     if sample == 4095:
         assert [who for who, _ in failures] == [f"{members[5].label} & {members[40].label}"]
+    if k == 2:
+        assert [who for who, _ in failures] == [f"{members[24].label} & {members[45].label}"]
 
 
 def test_numeric_nan_stack_fails(monkeypatch):
@@ -215,6 +224,23 @@ def test_numeric_nan_stack_fails(monkeypatch):
     assert rep.checks_run == len(rep.failures) == 45
     assert np.isnan(rep.max_residual)
     assert "max_residual=nan" in rep.describe()
+
+    # the partner comes as (target, values): one NaN value, off the diagonal, fails every pair too
+    monkeypatch.setattr(verify, "basis_matrices", real)
+    parts = verify.basis_parts
+
+    def nan_partner(s, max_dim):
+        target, values = parts(s, max_dim)
+        values = values.copy()
+        values[-1, -1] = np.nan
+        assert target[-1, -1] != values.shape[1] - 1  # so only the cross trace can see it
+        return target, values
+
+    monkeypatch.setattr(verify, "basis_parts", nan_partner)
+    rep = verify_qo_numeric(build_spread_2(P3))
+    assert not rep.passed
+    assert rep.checks_run == len(rep.failures) == 45
+    assert np.isnan(rep.max_residual)
 
 
 def random_plane(rng):
@@ -303,6 +329,38 @@ def test_mub_extraction_is_deterministic():
         assert np.array_equal(x, y)
 
 
+def extract_mub_bases_reference(masas, seed=0):
+    """The extraction as it was written first: a dense stack per member, its
+    random combination summed in Python, column phases fixed one at a time."""
+    rng = np.random.default_rng(seed)
+    bases = []
+    for mem in masas.members:
+        mats = basis_matrices(mem.subspace, verify.NUMERIC_MAX_DIM)
+        vecs = None
+        for _ in range(verify.EIGH_TRIES):
+            coeff = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))
+            combo = sum(c * m for c, m in zip(coeff, mats))
+            vals, cand = np.linalg.eigh(combo + combo.conj().T)
+            if np.diff(vals).min() > verify.EIGENVALUE_GAP:
+                vecs = cand
+                break
+        for col in range(vecs.shape[1]):
+            anchor = vecs[np.argmax(np.abs(vecs[:, col])), col]
+            vecs[:, col] *= anchor.conjugate() / abs(anchor)
+        bases.append(vecs)
+    return bases
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])
+def test_mub_extraction_matches_dense_reference(p, k):
+    """Bit for bit: the mub file's bytes follow from these arrays."""
+    masas = build_masa_spread(ConstructionParams.create(p, k, 2))
+    bases = extract_mub_bases(masas, seed=0)
+    want = extract_mub_bases_reference(masas, seed=0)
+    assert len(bases) == len(want) == p ** (2 * k) + 1
+    assert all(np.array_equal(x, y) for x, y in zip(bases, want))
+
+
 def test_mub_single_basis_trivially_unbiased():
     masas = build_masa_spread(P3)
     solo = SpreadFamily(P3, masas.members[:1])
@@ -328,6 +386,7 @@ def test_mub_rejects_non_maximal_isotropic_member(monkeypatch):
         raise AssertionError("synthesized a rejected member")
 
     monkeypatch.setattr(verify, "basis_matrices", no_synthesis)
+    monkeypatch.setattr(verify, "basis_parts", no_synthesis)
     with pytest.raises(ValueError, match="not isotropic of dimension 2"):
         extract_mub_bases(fam)
     with pytest.raises(ValueError, match="not isotropic"):

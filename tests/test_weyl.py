@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from qospread.constructions import ConstructionParams, build_C
-from qospread.phase_space import PhasePoint, Subspace, span_enumerate
+from qospread.phase_space import PhasePoint, Subspace, _span_rows, span_enumerate
 from qospread.weyl import (
+    MAX_DIM,
     WeylMonomial,
+    _monomial_parts,
     basis_matrices,
+    basis_parts,
     commutation_phase,
     monomial_text,
     synthesize,
@@ -203,6 +206,25 @@ def test_basis_matrices_equal_kron_reference(p, m):
         assert stack.shape == (len(span), p**m, p**m)
         for mat, pt in zip(stack, span):
             assert np.array_equal(mat, kron_reference(p, pt.coords))
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (3, 5) for m in (1, 2, 3, 4)])
+def test_monomial_parts_scatter_to_basis_matrices(p, m):
+    """The (target, values) form, scattered into zeros, is the dense stack bit for bit."""
+    rng = np.random.default_rng(p * 10 + m)
+    d = p**m
+    max_span_dim = max(k for k in range(2 * m + 1) if p**k * d * d <= 2**21)  # stacks of at most 32 MB
+    subspaces = [Subspace.from_generators(p, m, [])]
+    for _ in range(3):
+        gens = rng.integers(p, size=(int(rng.integers(1, max_span_dim + 1)), 2 * m))
+        subspaces.append(Subspace.from_generators(p, m, gens.tolist()))
+    for sub in subspaces:
+        target, values = _monomial_parts(p, m, _span_rows(sub), MAX_DIM)
+        assert all(np.array_equal(x, y) for x, y in zip((target, values), basis_parts(sub)))
+        assert target.shape == values.shape == (p**sub.dim, d)
+        dense = np.zeros((len(values), d, d), dtype=complex)
+        dense[np.arange(len(values))[:, None], target, np.arange(d)] = values
+        assert np.array_equal(dense, basis_matrices(sub))
 
 
 def test_basis_matrices_dimension_guard():
