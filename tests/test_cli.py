@@ -253,6 +253,23 @@ def test_verify_both_matches_golden(tmp_path, capsys, request, name, duplicate):
     assert _mask_residual(out) == _mask_residual(golden.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("name,extra", [("dup20", ()), ("dup20_sample2000", ("--sample", "2000"))])
+def test_verify_both_sampled_failures_match_golden(tmp_path, capsys, request, name, extra):
+    # p=3, n=3 (4,095 pairs, so the numeric check samples); members 40-59 get
+    # the rows of member 5, so the golden pins which failing pairs the sampler
+    # draws and in what order
+    path = tmp_path / "fam.yaml"
+    run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
+    ff = family_io.load(path)
+    for i in range(40, 60):
+        ff.members[i].rows = ff.members[5].rows
+    family_io.save(ff, path)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "both", *extra)
+    golden = request.path.parent / "data" / f"verify_p3n3_{name}.txt"
+    assert code == EXIT_VERIFY_FAILED
+    assert _mask_residual(out) == _mask_residual(golden.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name,duplicate", [("pass", None), ("dup", (7, 1200))])
 def test_verify_both_p7n3_matches_golden(tmp_path, capsys, request, name, duplicate):
     # p=7, n=3 (2,451 members, d = 343, so the numeric check is skipped and
