@@ -19,6 +19,7 @@ from .constructions import (
     build_recursive,
     build_spread_2,
     embed_hat,
+    expected_count,
 )
 from .finite_field import (
     FieldSpec,
@@ -49,7 +50,6 @@ from .report import VerificationReport
 from .verify import (
     check_mub_overlaps,
     counting_identity_holds,
-    expected_count,
     extract_and_check_mub,
     extract_mub_bases,
     verify_full_algebra,

@@ -145,13 +145,11 @@ def _basis_text(basis: np.ndarray) -> str:
 
 
 def cmd_mub(args) -> int:
-    dim = args.p ** (2 * args.k)
     try:
-        if dim > verify.NUMERIC_MAX_DIM:
-            raise ValueError(f"dimension {dim} exceeds the numeric guard {verify.NUMERIC_MAX_DIM}")
+        dim = verify._numeric_dim(args.p, 2 * args.k)
         params = ConstructionParams.create(args.p, args.k, 2)
         masas = build_masa_spread(params)
-        bases = verify.extract_mub_bases(masas, seed=0)
+        bases = verify.extract_mub_bases(masas)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .finite_field import FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue
+from .finite_field import (FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue,
+                           require_odd_prime)
 from .phase_space import (GFPhasePoint, PhasePoint, Subspace, _canonical, _gram, _interleave, _pi1_rows,
                           symplectic_basis)
 
@@ -122,6 +123,18 @@ class SpreadFamily:
 
     def labels(self) -> list[str]:
         return [m.label for m in self.members]
+
+
+def expected_count(p: int, k: int, n: int) -> int:
+    """The dimension bound (p^{2kn} - 1) / (p^{2k} - 1), an exact integer."""
+    require_odd_prime(p)
+    if k < 1 or n < 1:
+        raise ValueError(f"k and n must be >= 1, got k={k}, n={n}")
+    num = p ** (2 * k * n) - 1
+    den = p ** (2 * k) - 1
+    if num % den:
+        raise AssertionError("count is not an integer")  # impossible
+    return num // den
 
 
 def _gf_subspace(field: FieldSpec, generators: list[GFPhasePoint]) -> Subspace:
@@ -290,7 +303,7 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     through the masa spread.
     """
     p, k, n = params.p, params.k, params.n
-    expected = (p ** (2 * k * n) - 1) // (p ** (2 * k) - 1)
+    expected = expected_count(p, k, n)
     if expected > MAX_MEMBERS:
         raise ValueError(f"family would have {expected} members, above the budget {MAX_MEMBERS}")
     if n == 1:

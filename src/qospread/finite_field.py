@@ -69,33 +69,18 @@ def _digits(i: int, p: int, k: int) -> list[int]:
     return out
 
 
-def _poly_mod(f: list[int], g: list[int], p: int) -> list[int]:
-    """Remainder of f by the monic polynomial g, coefficients low-to-high."""
-    r = [x % p for x in f]
-    while len(r) >= len(g):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        c = r[-1]
-        shift = len(r) - len(g)
-        for i, gi in enumerate(g):
-            r[shift + i] = (r[shift + i] - c * gi) % p
-        r.pop()
-    return r
-
-
-def _is_irreducible(low_coeffs: tuple[int, ...], p: int) -> bool:
-    """Trial division: no monic factor of degree 1..k//2 divides f."""
-    k = len(low_coeffs)
+def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
+    """Berlekamp's criterion: f is irreducible iff x^{p^k} = x mod f, so f is
+    square-free with factors of degrees dividing k, and Q - I has rank k - 1,
+    k minus the number of factors, where row j of Q is x^{jp} mod f."""
+    k = len(poly)
     if k == 1:
         return True
-    f = list(low_coeffs) + [1]
-    for d in range(1, k // 2 + 1):
-        for idx in range(p**d):
-            g = _digits(idx, p, d) + [1]
-            if not any(_poly_mod(f, g, p)):
-                return False
-    return True
+    x = (0, 1) + (0,) * (k - 2)
+    if _pow_coords(p, poly, x, p**k) != x:
+        return False
+    q = [_pow_coords(p, poly, x, j * p) for j in range(k)]
+    return _modlin.rank([[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(q)], p) == k - 1
 
 
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -177,7 +162,7 @@ class FieldSpec:
     def mul_tables(self) -> np.ndarray:
         """(k, k, k) array: row i of ``mul_tables[j]`` holds the coordinates of t^i t^j."""
         units = [(0,) * i + (1,) + (0,) * (self.k - 1 - i) for i in range(self.k)]
-        return _frozen([[_mul_coords(self, ti, tj) for ti in units] for tj in units])
+        return _frozen([[_mul_coords(self.p, self.poly, ti, tj) for ti in units] for tj in units])
 
     @cached_property
     def trace_matrix(self) -> np.ndarray:
@@ -207,8 +192,9 @@ def _frozen(table) -> np.ndarray:
     return arr
 
 
-def _mul_coords(field: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    p, k = field.p, field.k
+def _mul_coords(p: int, poly: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of a and b in Z_p[x]/(f), f monic with low coefficients ``poly``."""
+    k = len(poly)
     prod = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -219,9 +205,20 @@ def _mul_coords(field: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tup
         c = prod[d]
         if c:
             prod[d] = 0
-            for j, fj in enumerate(field.poly):
+            for j, fj in enumerate(poly):
                 prod[d - k + j] = (prod[d - k + j] - c * fj) % p
     return tuple(prod[:k])
+
+
+def _pow_coords(p: int, poly: tuple[int, ...], a: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """a^e in Z_p[x]/(f) for e >= 0, by square and multiply."""
+    out = (1,) + (0,) * (len(poly) - 1)
+    while e:
+        if e & 1:
+            out = _mul_coords(p, poly, out, a)
+        a = _mul_coords(p, poly, a, a)
+        e >>= 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,21 +275,14 @@ class GFElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GFElement(self.field, _mul_coords(self.field, self.coords, other.coords))
+        return GFElement(self.field, _mul_coords(self.field.p, self.field.poly, self.coords, other.coords))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "GFElement":
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return GFElement(self.field, _pow_coords(self.field.p, self.field.poly, self.coords, e))
 
     def inverse(self) -> "GFElement":
         if self.is_zero:
@@ -362,9 +352,11 @@ def find_nonresidue(field: FieldSpec) -> GFElement:
     """First element D != 0 in enumeration order with D != x^2 for all x.
 
     Exactly half the nonzero elements are squares when p >= 3, so the scan
-    always terminates; each candidate costs O(log q) multiplications.
+    always terminates; each candidate costs O(log q) multiplications.  For even
+    k the scan skips Z_p, whose elements are all squares in GF(p^2) <= GF(p^k).
     """
-    for x in field.elements():
+    for i in range(field.p if field.k % 2 == 0 else 0, field.size):
+        x = field.from_index(i)
         if is_nonresidue(x):
             return x
     raise AssertionError("unreachable for p >= 3")

@@ -11,17 +11,20 @@ class VerificationReport:
 
     ``failures`` holds (member labels, detail) pairs; ``max_residual`` is set
     by numeric checks only; ``covered``/``expected`` are filled by counting
-    checks such as the partition oracle.  ``passed`` is true exactly when
-    ``failures`` is empty (numeric residuals above tolerance are recorded as
-    failures by the checker that measured them).
+    checks such as the partition oracle.  ``passed`` is read from
+    ``failures``: it is true exactly when there are none (numeric residuals
+    above tolerance are recorded as failures by the checker that measured them).
     """
 
-    passed: bool
     checks_run: int
     max_residual: float | None = None
     failures: list[tuple[str, str]] = field(default_factory=list)
     covered: int | None = None
     expected: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def describe(self) -> str:
         bits = [f"checks={self.checks_run}"]

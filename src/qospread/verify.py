@@ -20,10 +20,11 @@ two bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .constructions import MASA, MATRIX_ALGEBRA, SpreadFamily
-from .finite_field import require_odd_prime
+from .constructions import MASA, MATRIX_ALGEBRA, SpreadFamily, expected_count
 from .phase_space import (
     ISOTROPIC,
     NONDEGENERATE,
@@ -41,18 +42,6 @@ SAMPLE_THRESHOLD = 1000
 SAMPLE_PAIRS = 200
 EIGENVALUE_GAP = 1e-6
 EIGH_TRIES = 32
-
-
-def expected_count(p: int, k: int, n: int) -> int:
-    """The dimension bound (p^{2kn} - 1) / (p^{2k} - 1), an exact integer."""
-    require_odd_prime(p)
-    if k < 1 or n < 1:
-        raise ValueError(f"k and n must be >= 1, got k={k}, n={n}")
-    num = p ** (2 * k * n) - 1
-    den = p ** (2 * k) - 1
-    if num % den:
-        raise AssertionError("count is not an integer")  # impossible
-    return num // den
 
 
 def counting_identity_holds(p: int, k: int, n: int) -> bool:
@@ -95,7 +84,7 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
         want_count = expected_count(p, k, n)
         if len(family.members) != want_count:
             failures.append(("family", f"{len(family.members)} members, expected {want_count}"))
-    return VerificationReport(passed=not failures, checks_run=checks, failures=failures), partition
+    return VerificationReport(checks_run=checks, failures=failures), partition
 
 
 def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
@@ -103,10 +92,12 @@ def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
     return verify_symbolic(family)[0]
 
 
-def _member_stack(sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of non-identity basis matrices and their traces."""
-    stack = basis_matrices(sub, NUMERIC_MAX_DIM)[1:]
-    return stack, np.einsum("aii->a", stack)
+def _numeric_dim(p: int, m: int) -> int:
+    """The dimension p^m of the matrices over m factors, refused above ``NUMERIC_MAX_DIM``."""
+    dim = p**m
+    if dim > NUMERIC_MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
+    return dim
 
 
 def _worse(worst: float, resid: float) -> float:
@@ -124,30 +115,30 @@ def verify_qo_numeric(
     |Tr(A1 A2) - Tr(A1) Tr(A2) / Tr(I)|; the check passes iff the largest
     residual is finite and within ``tol``.  Above ``SAMPLE_THRESHOLD`` member
     pairs a random subset of ``SAMPLE_PAIRS`` pairs is used unless
-    ``sample_pairs`` says otherwise.  Pairs are examined in sorted order, so
-    the first member's dense stack is synthesized once for the whole run of
-    pairs that start with it.  The second member comes as ``basis_parts``,
-    whose matrix B has the value v[x] at (t[x], x) and zeros elsewhere, so
-    Tr(A B) = sum_x A[x, t[x]] v[x] and Tr(B) = sum_x [t[x] = x] v[x], read
-    literally from the entries.  One member's dense matrices are held at a time.
+    ``sample_pairs`` says otherwise; it is drawn as ranks in the lexicographic
+    order of all pairs, each mapped back to its pair, so no pair list is built.
+    Pairs are examined in sorted order, so the first member's dense stack is
+    synthesized once for the whole run of pairs that start with it.  The second
+    member comes as ``basis_parts``, whose matrix B has the value v[x] at
+    (t[x], x) and zeros elsewhere, so Tr(A B) = sum_x A[x, t[x]] v[x] and
+    Tr(B) = sum_x [t[x] = x] v[x], read literally from the entries.  One
+    member's dense matrices are held at a time.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    p = family.params.p
-    dim = p**family.params.ambient_factors
-    if dim > NUMERIC_MAX_DIM:
-        raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
-    all_pairs = [
-        (i, j) for i in range(len(family.members)) for j in range(i + 1, len(family.members))
-    ]
-    if sample_pairs is None and len(all_pairs) > SAMPLE_THRESHOLD:
+    dim = _numeric_dim(family.params.p, family.params.ambient_factors)
+    n = len(family.members)
+    checks = n * (n - 1) // 2
+    if sample_pairs is None and checks > SAMPLE_THRESHOLD:
         sample_pairs = SAMPLE_PAIRS
-    if sample_pairs is not None and sample_pairs < len(all_pairs):
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(all_pairs), size=sample_pairs, replace=False)
-        pairs = [all_pairs[i] for i in sorted(idx)]
+    if sample_pairs is not None and sample_pairs < checks:
+        ranks = np.sort(np.random.default_rng(seed).choice(checks, size=sample_pairs, replace=False))
+        starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # the rank of the pair (i, i + 1)
+        firsts = np.searchsorted(starts, ranks, side="right") - 1
+        pairs = zip(firsts.tolist(), (ranks - starts[firsts] + firsts + 1).tolist())
+        checks = sample_pairs
     else:
-        pairs = all_pairs
+        pairs = itertools.combinations(range(n), 2)
 
     worst = 0.0
     failures = []
@@ -156,9 +147,10 @@ def verify_qo_numeric(
     for i, j in pairs:
         if i != row:
             flat1 = None  # drop the previous row member before synthesizing the next
-            flat1, tr1 = _member_stack(family.members[i].subspace)
+            flat1 = basis_matrices(family.members[i].subspace)[1:]
+            tr1 = np.einsum("aii->a", flat1)
             flat1, row = flat1.reshape(len(flat1), -1).T.copy(), i  # flat1[x * dim + y, a] = A_a[x, y]
-        t2, v2 = (part[1:] for part in basis_parts(family.members[j].subspace, NUMERIC_MAX_DIM))
+        t2, v2 = (part[1:] for part in basis_parts(family.members[j].subspace))
         cross = (v2[:, None] @ flat1[cols * dim + t2])[:, 0].T  # cross[a, b] = Tr(A_a B_b)
         tr2 = np.where(t2 == cols, v2, 0).sum(axis=1)
         resid = np.abs(cross - np.outer(tr1, tr2) / dim)
@@ -169,9 +161,7 @@ def verify_qo_numeric(
                 (f"{family.members[i].label} & {family.members[j].label}",
                  f"trace-condition residual {top:.3e} exceeds tol {tol:.1e}")
             )
-    return VerificationReport(
-        passed=not failures, checks_run=len(pairs), max_residual=worst, failures=failures
-    )
+    return VerificationReport(checks_run=checks, max_residual=worst, failures=failures)
 
 
 def verify_full_algebra(s: Subspace, numeric: bool = False, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -193,10 +183,8 @@ def verify_full_algebra(s: Subspace, numeric: bool = False, tol: float = DEFAULT
     worst = None
     if numeric and not failures:
         checks += 1
-        dim = s.p**s.m
-        if dim > NUMERIC_MAX_DIM:
-            raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
-        stack = basis_matrices(s, NUMERIC_MAX_DIM)
+        dim = _numeric_dim(s.p, s.m)
+        stack = basis_matrices(s)
         flat = stack.reshape(stack.shape[0], -1)
         gram = flat.conj() @ flat.T  # gram[a, b] = Tr(A_a^* A_b)
         expected = s.p**s.dim
@@ -208,33 +196,26 @@ def verify_full_algebra(s: Subspace, numeric: bool = False, tol: float = DEFAULT
         if not worst <= max(tol, 1e-6):
             failures.append(("subspace", f"basis not trace-orthogonal: residual {worst:.3e}"))
     return VerificationReport(
-        passed=not failures,
-        checks_run=checks,
-        max_residual=worst,
-        failures=failures,
-        covered=covered,
-        expected=expected,
+        checks_run=checks, max_residual=worst, failures=failures, covered=covered, expected=expected
     )
 
 
-def extract_mub_bases(masas: SpreadFamily, *, seed: int = 0) -> list[np.ndarray]:
+def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
     """Orthonormal eigenbases (one unitary column matrix per masa member).
 
     Each member's commuting monomials are simultaneously diagonalised via a
     random-coefficient Hermitian combination, retried if the spectrum has a
-    near-degenerate gap; column phases are normalised so the run is
-    reproducible for a fixed seed.
+    near-degenerate gap.  The coefficients come from a generator seeded with
+    0 and column phases are normalised, so every run gives the same bases.
     """
-    dim = masas.params.p**masas.params.ambient_factors
-    if dim > NUMERIC_MAX_DIM:
-        raise ValueError(f"ambient dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
-    rng = np.random.default_rng(seed)
+    dim = _numeric_dim(masas.params.p, masas.params.ambient_factors)
+    rng = np.random.default_rng(0)
     bases = []
     for mem in masas.members:
         sub = mem.subspace
         if classify_subspace(sub).kind != ISOTROPIC or sub.dim != sub.m:
             raise ValueError(f"{mem.label}: subspace is not isotropic of dimension {sub.m}")
-        target, values = basis_parts(sub, NUMERIC_MAX_DIM)
+        target, values = basis_parts(sub)
         vecs = None
         for _ in range(EIGH_TRIES):
             coeff = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
@@ -287,17 +268,13 @@ def check_mub_overlaps(
             )
     checks = len(bases) * (len(bases) + 1) // 2
     failures = own_failures + pair_failures
-    return VerificationReport(
-        passed=not failures, checks_run=checks, max_residual=worst, failures=failures
-    )
+    return VerificationReport(checks_run=checks, max_residual=worst, failures=failures)
 
 
-def extract_and_check_mub(
-    masas: SpreadFamily, tol: float = DEFAULT_TOL, *, seed: int = 0
-) -> VerificationReport:
+def extract_and_check_mub(masas: SpreadFamily, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Extract one orthonormal basis per masa member and check mutual
     unbiasedness of the whole collection."""
     if any(mem.kind != MASA for mem in masas.members):
         raise ValueError("all members must be masas")
-    bases = extract_mub_bases(masas, seed=seed)
+    bases = extract_mub_bases(masas)
     return check_mub_overlaps(bases, tol, masas.labels())

@@ -23,9 +23,9 @@ i sends column digit j to row digit (j + k_i) mod p with value lam^{l_i j},
 and the m values multiply factor 1 first, left to right.  ``basis_parts``
 keeps that (target, values) form, p^m row indices and complex128 values per
 matrix; ``basis_matrices`` scatters the same bits into dense (p^m, p^m)
-arrays.  Dimensions are guarded because dense matrices grow as p^{2m}, and
-a span's stack is refused before anything is allocated when it holds too
-many entries.
+arrays.  Both span functions refuse a dimension above ``MAX_DIM``, because
+dense matrices grow as p^{2m}, and a span's dense stack is refused before
+anything is allocated when it holds too many entries.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def synthesize(x: WeylMonomial, max_dim: int = MAX_DIM) -> np.ndarray:
     return mat
 
 
-def basis_matrices(s: Subspace, max_dim: int = MAX_DIM) -> np.ndarray:
+def basis_matrices(s: Subspace) -> np.ndarray:
     """One matrix per span point (phase 0 each): a trace-orthogonal family.
 
     Returns a (p^dim(s), p^m, p^m) complex ndarray stack with rows in
@@ -118,12 +118,12 @@ def basis_matrices(s: Subspace, max_dim: int = MAX_DIM) -> np.ndarray:
     count, d = s.p**s.dim, s.p**s.m
     if count * d * d > MAX_STACK_ENTRIES:
         raise ValueError(f"{count} matrices of side {d} exceed the stack limit {MAX_STACK_ENTRIES}")
-    return _monomial_stack(s.p, s.m, _span_rows(s), max_dim)
+    return _monomial_stack(s.p, s.m, _span_rows(s), MAX_DIM)
 
 
-def basis_parts(s: Subspace, max_dim: int = MAX_DIM) -> tuple[np.ndarray, np.ndarray]:
+def basis_parts(s: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """The matrices of ``basis_matrices`` as (target, values) arrays of shape (p^dim(s), p^m)."""
-    return _monomial_parts(s.p, s.m, _span_rows(s), max_dim)
+    return _monomial_parts(s.p, s.m, _span_rows(s), MAX_DIM)
 
 
 def monomial_text(u: PhasePoint) -> str:

@@ -1,12 +1,14 @@
 """Tests for Z_p / GF(p^k) arithmetic against brute-force oracles."""
 
 import random
+import time
 
 import numpy as np
 import pytest
 
 from qospread.finite_field import (
     FieldSpec,
+    _is_irreducible,
     _mul_coords,
     field_trace,
     find_irreducible,
@@ -15,6 +17,7 @@ from qospread.finite_field import (
     gf,
     gf_inv,
     gf_mul,
+    is_nonresidue,
     is_prime,
     trace_dual_basis,
 )
@@ -134,6 +137,40 @@ def test_find_irreducible_is_first_in_scan_order():
     for i in range(idx):
         cand = (i % p, (i // p) % p)
         assert not brute_force_irreducible(cand, p)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3),
+                                 (11, 2), (11, 3), (13, 2)])
+def test_berlekamp_criterion_matches_trial_division(p, k):
+    """Every monic polynomial of degree k, powers of irreducibles such as
+    (x^2 + 1)^2 over Z_3 included; find_irreducible returns the first
+    irreducible one in scan order."""
+    verdicts = []
+    for idx in range(p**k):
+        low = tuple(idx // p**i % p for i in range(k))
+        verdicts.append(brute_force_irreducible(low, p))
+        assert _is_irreducible(low, p) == verdicts[-1], low
+    first = verdicts.index(True)
+    assert find_irreducible(p, k) == tuple(first // p**i % p for i in range(k))
+
+
+def test_big_fields_are_set_up_at_once():
+    # trial division would try up to p linear factors, and the non-residue
+    # scan p squares of Z_p, before reaching an answer
+    start = time.perf_counter()
+    for p, k in [(2**61 - 1, 2), (1_000_003, 2), (3, 26)]:
+        field = gf(p, k)
+        assert is_nonresidue(find_nonresidue(field))
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(1_000_003, 2, (1_000_002, 0))  # x^2 - 1 = (x - 1)(x + 1)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("field", [gf(3, 2), gf(5, 2), gf(7, 2), gf(3, 4)], ids=str)
+def test_find_nonresidue_skip_of_z_p_keeps_the_result(field):
+    # every element of Z_p is a square in GF(p^2), so the first non-residue lies past Z_p
+    assert not any(is_nonresidue(field.from_index(i)) for i in range(field.p))
+    assert find_nonresidue(field) == next(x for x in field.elements() if is_nonresidue(x))
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9, -3])
@@ -355,7 +392,7 @@ def test_field_tables_match_literal_definitions(field):
         coords = np.array(z.coords)
         assert (trace @ coords % p).tolist() == [field_trace(z * ti) for ti in basis]
         for j, tj in enumerate(basis):
-            assert (coords @ tables[j] % p).tolist() == list(_mul_coords(field, z.coords, tj.coords))
+            assert (coords @ tables[j] % p).tolist() == list(_mul_coords(p, field.poly, z.coords, tj.coords))
         assert field.mul_matrices(z.coords).tolist() == [list((z * tj).coords) for tj in basis]
 
 

@@ -11,6 +11,7 @@ import pytest
 from qospread import _modlin, phase_space
 from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D
 from qospread.finite_field import field_trace, gf
+from helpers import intersect_trivially
 from qospread.phase_space import (
     MAX_LISTED_PAIRS,
     SPAN_LIMIT,
@@ -21,7 +22,6 @@ from qospread.phase_space import (
     check_partition,
     classify_subspace,
     gf_symplectic,
-    intersect_trivially,
     pi1,
     span_enumerate,
     symplectic_basis,
@@ -371,13 +371,11 @@ def _rank_fallback_reference(subs):
     return failures, len(listed)
 
 
-@pytest.mark.parametrize("copies", [3, 46])
-def test_oversize_pairs_are_ranked_in_one_batch(monkeypatch, copies):
+def _oversize_family(copies):
     """p=1009: 20 random planes (1,018,081 points each), ``copies`` copies of one
     more plane, a line inside it and a 3-dimensional member that meets every
-    plane, so the pairs stack 3, 4 and 5 rows.  The report is the per-pair rank
-    test's, with no per-pair rank call and witnesses only for listable pairs;
-    46 copies make 1,035 failing pairs, past the listing cap."""
+    plane, so the pairs stack 3, 4 and 5 rows; 46 copies make 1,035 failing
+    pairs, past the listing cap."""
     p, rng = 1009, random.Random(copies)
 
     def member(dim):
@@ -388,7 +386,14 @@ def test_oversize_pairs_are_ranked_in_one_batch(monkeypatch, copies):
 
     plane = member(2)
     line = Subspace.from_generators(p, 2, [tuple(a + 2 * b for a, b in zip(*plane.rows))])
-    subs = [member(2) for _ in range(20)] + [plane] * copies + [line, member(3)]
+    return [member(2) for _ in range(20)] + [plane] * copies + [line, member(3)]
+
+
+@pytest.mark.parametrize("copies", [3, 46])
+def test_oversize_pairs_are_ranked_in_one_batch(monkeypatch, copies):
+    """The report on ``_oversize_family`` is the per-pair rank test's, with no
+    per-pair rank call and witnesses only for listable pairs."""
+    subs = _oversize_family(copies)
     want, failing = _rank_fallback_reference(subs)
     ranks, witnesses = [], []
     monkeypatch.setattr(_modlin, "rank", lambda rows, p: ranks.append(1) or len(_modlin.rref(rows, p)[0]))
@@ -400,6 +405,20 @@ def test_oversize_pairs_are_ranked_in_one_batch(monkeypatch, copies):
     assert failing >= copies * (copies - 1) // 2 + copies + (20 + copies)  # copies, line, 3-dim member
     assert not ranks
     assert len(witnesses) == min(failing, MAX_LISTED_PAIRS + 1)
+
+
+@pytest.mark.parametrize("copies", [3, 46])
+def test_oversize_rank_stacks_hold_one_first_member(monkeypatch, copies):
+    """Each elimination stacks the pairs of one first member, so it holds fewer
+    pairs than there are members; one stack of every pair with the same row
+    count would grow with the square of the member count."""
+    subs = _oversize_family(copies)
+    want, _ = _rank_fallback_reference(subs)
+    sizes = []
+    rref_stack = _modlin.rref_stack
+    monkeypatch.setattr(_modlin, "rref_stack", lambda stack, p: sizes.append(len(stack)) or rref_stack(stack, p))
+    assert check_pairwise_trivial(subs).failures == want
+    assert 1 < max(sizes) < len(subs)
 
 
 def test_index_above_int64_codes_agrees_with_rank_oracle():

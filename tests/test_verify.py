@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import intersect_trivially
 from qospread import verify
 from qospread.constructions import (
     MASA,
@@ -19,7 +20,7 @@ from qospread.constructions import (
     build_recursive,
     build_spread_2,
 )
-from qospread.phase_space import Subspace, intersect_trivially
+from qospread.phase_space import Subspace
 from qospread.verify import (
     check_mub_overlaps,
     counting_identity_holds,
@@ -143,6 +144,26 @@ def test_numeric_memory_stays_bounded():
     assert peak < 64 * 10**6
 
 
+def test_numeric_sampling_does_not_list_the_pairs():
+    """2,000 random members of Z_3^6 (1,999,000 pairs): five sampled pairs must
+    not cost a list of every pair, which alone takes over 100 MB."""
+    rng = random.Random(2000)
+    members = [
+        FamilyMember(f"M{i}", MATRIX_ALGEBRA,
+                     Subspace.from_generators(3, 3, [[rng.randrange(3) for _ in range(6)] for _ in range(2)]))
+        for i in range(2000)
+    ]
+    fam = SpreadFamily(ConstructionParams.create(3, 1, 3), members, complete=False)
+    tracemalloc.start()
+    try:
+        rep = verify_qo_numeric(fam, sample_pairs=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.checks_run == 5
+    assert peak < 10 * 10**6
+
+
 def test_numeric_rejects_bad_tolerance():
     with pytest.raises(ValueError, match="positive"):
         verify_qo_numeric(build_spread_2(P3), tol=0.0)
@@ -172,8 +193,8 @@ def _numeric_per_pair(family, tol, pairs):
     dim = family.params.p**family.params.ambient_factors
     worst, failures = 0.0, []
     for i, j in pairs:
-        s1, tr1 = verify._member_stack(family.members[i].subspace)
-        s2, tr2 = verify._member_stack(family.members[j].subspace)
+        s1, s2 = (basis_matrices(family.members[x].subspace)[1:] for x in (i, j))
+        tr1, tr2 = np.einsum("aii->a", s1), np.einsum("aii->a", s2)
         cross = s1.reshape(len(s1), -1) @ s2.transpose(0, 2, 1).reshape(len(s2), -1).T
         top = float(np.abs(cross - np.outer(tr1, tr2) / dim).max())
         worst = max(worst, top)
@@ -218,7 +239,7 @@ def test_numeric_row_reuse_matches_per_pair_loop(k, n, sample, seed, dup):
 def test_numeric_nan_stack_fails(monkeypatch):
     """NaN residuals are failures and make max_residual NaN (nan > tol is False)."""
     real = verify.basis_matrices
-    monkeypatch.setattr(verify, "basis_matrices", lambda s, m: np.full_like(real(s, m), np.nan))
+    monkeypatch.setattr(verify, "basis_matrices", lambda s: np.full_like(real(s), np.nan))
     rep = verify_qo_numeric(build_spread_2(P3))
     assert not rep.passed
     assert rep.checks_run == len(rep.failures) == 45
@@ -229,8 +250,8 @@ def test_numeric_nan_stack_fails(monkeypatch):
     monkeypatch.setattr(verify, "basis_matrices", real)
     parts = verify.basis_parts
 
-    def nan_partner(s, max_dim):
-        target, values = parts(s, max_dim)
+    def nan_partner(s):
+        target, values = parts(s)
         values = values.copy()
         values[-1, -1] = np.nan
         assert target[-1, -1] != values.shape[1] - 1  # so only the cross trace can see it
@@ -302,7 +323,7 @@ def test_full_algebra_gf9_d_member():
 
 def test_full_algebra_nan_stack_fails(monkeypatch):
     real = verify.basis_matrices
-    monkeypatch.setattr(verify, "basis_matrices", lambda s, m: np.full_like(real(s, m), np.nan))
+    monkeypatch.setattr(verify, "basis_matrices", lambda s: np.full_like(real(s), np.nan))
     rep = verify_full_algebra(build_C(P3.field.one(), P3.field.zero(), P3), numeric=True)
     assert not rep.passed
     assert np.isnan(rep.max_residual)
@@ -313,7 +334,7 @@ def test_full_algebra_nan_stack_fails(monkeypatch):
 
 def test_mub_extraction_p3():
     masas = build_masa_spread(P3)
-    bases = extract_mub_bases(masas, seed=0)
+    bases = extract_mub_bases(masas)
     assert len(bases) == 10
     assert all(b.shape == (9, 9) for b in bases)
     rep = check_mub_overlaps(bases, 1e-9, masas.labels())
@@ -323,19 +344,19 @@ def test_mub_extraction_p3():
 
 def test_mub_extraction_is_deterministic():
     masas = build_masa_spread(P3)
-    b1 = extract_mub_bases(masas, seed=0)
-    b2 = extract_mub_bases(masas, seed=0)
+    b1 = extract_mub_bases(masas)
+    b2 = extract_mub_bases(masas)
     for x, y in zip(b1, b2):
         assert np.array_equal(x, y)
 
 
-def extract_mub_bases_reference(masas, seed=0):
+def extract_mub_bases_reference(masas):
     """The extraction as it was written first: a dense stack per member, its
     random combination summed in Python, column phases fixed one at a time."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     bases = []
     for mem in masas.members:
-        mats = basis_matrices(mem.subspace, verify.NUMERIC_MAX_DIM)
+        mats = basis_matrices(mem.subspace)
         vecs = None
         for _ in range(verify.EIGH_TRIES):
             coeff = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))
@@ -355,8 +376,8 @@ def extract_mub_bases_reference(masas, seed=0):
 def test_mub_extraction_matches_dense_reference(p, k):
     """Bit for bit: the mub file's bytes follow from these arrays."""
     masas = build_masa_spread(ConstructionParams.create(p, k, 2))
-    bases = extract_mub_bases(masas, seed=0)
-    want = extract_mub_bases_reference(masas, seed=0)
+    bases = extract_mub_bases(masas)
+    want = extract_mub_bases_reference(masas)
     assert len(bases) == len(want) == p ** (2 * k) + 1
     assert all(np.array_equal(x, y) for x, y in zip(bases, want))
 
@@ -433,7 +454,7 @@ def _assert_overlaps_match_per_pair(bases, labels):
 
 def test_mub_overlaps_match_per_pair_loop_with_repeated_basis():
     masas = build_masa_spread(ConstructionParams.create(3, 2, 2))
-    bases = extract_mub_bases(masas, seed=0)
+    bases = extract_mub_bases(masas)
     bases[57] = bases[12]
     rep = _assert_overlaps_match_per_pair(bases, masas.labels())
     assert rep.checks_run == 82 * 83 // 2
@@ -444,7 +465,7 @@ def test_mub_overlaps_match_per_pair_loop_past_the_failure_cap():
     """Seven copies of one basis (21 failing pairs) and a scaled basis that is
     not orthonormal: the "... and N more failures" line is reached."""
     masas = build_masa_spread(P3)
-    bases = extract_mub_bases(masas, seed=0)
+    bases = extract_mub_bases(masas)
     bases[1:7] = [bases[0]] * 6
     bases[8] = 2 * bases[8]
     rep = _assert_overlaps_match_per_pair(bases, masas.labels())
@@ -469,7 +490,7 @@ def test_projector_trace_equals_overlap_squared():
     """The bridge identity: Tr(P Q) for rank-one projectors equals |<x,z>|^2,
     so quasi-orthogonality of the projector algebras is unbiasedness."""
     masas = build_masa_spread(P3)
-    u, v = extract_mub_bases(masas, seed=0)[:2]
+    u, v = extract_mub_bases(masas)[:2]
     d = u.shape[0]
     for i, j in itertools.product(range(3), range(3)):
         proj_u = np.outer(u[:, i], u[:, i].conj())

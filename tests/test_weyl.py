@@ -229,7 +229,7 @@ def test_monomial_parts_scatter_to_basis_matrices(p, m):
 
 def test_basis_matrices_dimension_guard():
     with pytest.raises(ValueError, match="limit"):
-        basis_matrices(Subspace.from_generators(3, 2, [(1, 0, 0, 0)]), max_dim=8)
+        basis_parts(Subspace.from_generators(3, 7, []))
     with pytest.raises(ValueError, match="limit"):
         basis_matrices(Subspace.from_generators(3, 7, []))
 
