@@ -12,10 +12,10 @@ route ignores all of that and evaluates the trace condition literally on
 synthesized matrices, one member of a pair dense and the other as the one
 nonzero entry per column of each monomial, so the two routes check each other.
 
-The masa bridge: each isotropic member spans a maximal abelian subalgebra;
-simultaneous diagonalisation of its commuting basis yields an orthonormal
-basis of C^d, and quasi-orthogonality of two masas is equivalent to the
-two bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).
+The masa bridge: each isotropic member of dimension m spans a maximal
+abelian subalgebra whose common eigenbasis is written down from its
+characters, and quasi-orthogonality of two masas is equivalent to the two
+bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .phase_space import (
     Subspace,
     _classify,
     _disjointness,
+    _span_rows,
     classify_subspace,
 )
 from .report import VerificationReport
@@ -40,8 +41,6 @@ DEFAULT_TOL = 1e-9
 NUMERIC_MAX_DIM = 81
 SAMPLE_THRESHOLD = 1000
 SAMPLE_PAIRS = 200
-EIGENVALUE_GAP = 1e-6
-EIGH_TRIES = 32
 
 
 def counting_identity_holds(p: int, k: int, n: int) -> bool:
@@ -201,37 +200,36 @@ def verify_full_algebra(s: Subspace, numeric: bool = False, tol: float = DEFAULT
 
 
 def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
-    """Orthonormal eigenbases (one unitary column matrix per masa member).
+    """The common eigenbasis of each masa member, as a unitary column matrix.
 
-    Each member's commuting monomials are simultaneously diagonalised via a
-    random-coefficient Hermitian combination, retried if the spectrum has a
-    near-degenerate gap.  The coefficients come from a generator seeded with
-    0 and column phases are normalised, so every run gives the same bases.
+    Monomials multiply as M_u M_v = lam^beta(u, v) M_{u+v}, beta(u, v) = l(u) . k(v),
+    and beta is symmetric on an isotropic L, so N_u = lam^{beta(u, u)/2} M_u
+    represents L.  Column w is the normalised column x_w of the projector
+    (1/d) sum_u lam^{w . c(u)} N_u (c(u): u's span coefficients), x_w being the
+    first index on which the shift-free points K of L act by the character w.
+    Each u in L puts sqrt(|K|/d) lam^e at row x_w + k(u), with
+    e = w . c(u) + beta(u, u)/2 + l(u) . x_w: no random draw, no eigensolver.
     """
-    dim = _numeric_dim(masas.params.p, masas.params.ambient_factors)
-    rng = np.random.default_rng(0)
+    p, m = masas.params.p, masas.params.ambient_factors
+    dim = _numeric_dim(p, m)
+    digits = np.indices((p,) * m).reshape(m, dim).T  # row t: the m base-p digits of t
+    char = digits @ digits.T % p  # char[w, u] = w . c(u), span row u having coefficients digits[u]
+    places = p ** np.arange(m - 1, -1, -1)
     bases = []
     for mem in masas.members:
         sub = mem.subspace
         if classify_subspace(sub).kind != ISOTROPIC or sub.dim != sub.m:
             raise ValueError(f"{mem.label}: subspace is not isotropic of dimension {sub.m}")
-        target, values = basis_parts(sub)
-        vecs = None
-        for _ in range(EIGH_TRIES):
-            coeff = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
-            combo = np.zeros((dim, dim), dtype=complex)
-            np.add.at(combo, (target, np.arange(dim)), coeff[:, None] * values)
-            herm = combo + combo.conj().T
-            vals, cand = np.linalg.eigh(herm)
-            if np.diff(vals).min() > EIGENVALUE_GAP:
-                vecs = cand
-                break
-        if vecs is None:
-            raise RuntimeError(f"{mem.label}: no non-degenerate combination in {EIGH_TRIES} tries")
-        anchors = vecs[np.abs(vecs).argmax(axis=0), np.arange(dim)]
-        # numpy scalar division per column, as in a loop: the array division rounds differently
-        vecs *= [a.conjugate() / abs(a) for a in anchors]
-        bases.append(vecs)
+        span = _span_rows(sub).astype(np.int64)
+        shifts, clocks = span[:, 0::2], span[:, 1::2]
+        free = ~shifts.any(axis=1)
+        acts = (char[:, None, free] + (digits @ clocks[free].T)[None]) % p  # acts[w, x, kappa]
+        first = digits[(~acts.any(axis=2)).argmax(axis=1)]  # the digits of x_w
+        expo = (char + (clocks * shifts).sum(axis=1) * ((p + 1) // 2) + first @ clocks.T) % p
+        table = np.sqrt(free.sum() / dim) * np.exp(2j * np.pi * np.arange(p) / p)
+        basis = np.zeros((dim, dim), dtype=complex)
+        basis[(first[:, None] + shifts) % p @ places, np.arange(dim)[:, None]] = table[expo]
+        bases.append(basis)
     return bases
 
 

@@ -1,5 +1,6 @@
 """Exit-code and determinism tests for the command-line surface."""
 
+import hashlib
 import random
 import re
 import time
@@ -411,11 +412,18 @@ def _reference_text(basis):
     )
 
 
+# the exact bases pin the file bytes once; CI checks the same digests
+MUB_SHA256 = {
+    (3, 1): "92a101060e0e27c960c3a5610ee97e1f18863f546c11116dacad848d7f779a3d",
+    (5, 1): "a36c37a390e52e8332d5d5e7b85cb802112ab5f3c21ad0b77853b000bc60c157",
+    (3, 2): "04e0922872ee4d0600ffaa00daa656937324a1af44834e118e282f20368820f0",
+}
+
+
 @pytest.mark.parametrize("p,k", [
     pytest.param(3, 1, id="3"), pytest.param(5, 1, id="5"), pytest.param(3, 2, id="3-k2"),
 ])
 def test_mub_file_matches_per_entry_formatter(tmp_path, capsys, p, k):
-    # the bases are extracted in this process, so the comparison does not depend on LAPACK
     masas = build_masa_spread(ConstructionParams.create(p, k, 2))
     bases = verify.extract_mub_bases(masas)
     want = [f"# {len(bases)} mutually unbiased bases of C^{p ** (2 * k)} (p={p}, k={k}, "
@@ -425,9 +433,13 @@ def test_mub_file_matches_per_entry_formatter(tmp_path, capsys, p, k):
         assert _basis_text(basis) == text
         want += [f"basis {label}\n", text]
     out_path = tmp_path / "mub.txt"
-    code, _, _ = run(capsys, "mub", "--p", str(p), "--k", str(k), "--out", str(out_path))
+    code, out, _ = run(capsys, "mub", "--p", str(p), "--k", str(k), "--out", str(out_path))
     assert code == EXIT_OK
     assert out_path.read_bytes() == "".join(want).encode("utf-8")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == MUB_SHA256[p, k]
+    checks, resid = re.search(r"unbiasedness: PASS \(checks=(\d+), max_residual=(\S+)\)", out).groups()
+    assert int(checks) == (len(bases) * (len(bases) + 1)) // 2
+    assert float(resid) <= 1e-13
 
 
 def test_basis_text_special_values_match_per_entry_formatter():
