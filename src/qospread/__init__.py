@@ -3,7 +3,7 @@
 Constructs spreads of Weyl-monomial subalgebras of M_{p^{kn}} isomorphic to
 M_{p^k} (p an odd prime), the companion masa spreads and the mutually
 unbiased bases they induce, and verifies everything twice: exactly, through
-finite-field combinatorics, and numerically, through dense trace checks.
+finite-field combinatorics, and numerically, through literal trace checks.
 """
 
 from .constructions import (

@@ -41,6 +41,7 @@ MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
 
 MAX_MEMBERS = 100_000
+MAX_K = 32  # extension degree: field arithmetic costs O(k^3) Python-int operations per candidate
 
 
 class _Infinity:
@@ -76,6 +77,8 @@ class ConstructionParams:
 
     @classmethod
     def create(cls, p: int, k: int = 1, n: int = 2, poly=None, nonresidue=None) -> "ConstructionParams":
+        if k > MAX_K:
+            raise ValueError(f"extension degree {k} exceeds the limit {MAX_K}")
         fld = gf(p, k, poly)
         d = fld.element(nonresidue) if nonresidue is not None else find_nonresidue(fld)
         return cls(fld, n, d)

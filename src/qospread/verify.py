@@ -9,8 +9,9 @@ subspace is symplectically nondegenerate of dimension 2k; and the family is
 maximal when the members' nonzero points partition the nonzero phase space,
 read from the same scan as the pairwise intersections.  The numeric
 route ignores all of that and evaluates the trace condition literally on
-synthesized matrices, one member of a pair dense and the other as the one
-nonzero entry per column of each monomial, so the two routes check each other.
+synthesized matrices, both members of a pair as (target, values) parts, the
+one nonzero entry per column of each monomial, with a CSR index on the row
+member, so the two routes check each other.
 
 The masa bridge: each isotropic member of dimension m spans a maximal
 abelian subalgebra whose common eigenbasis is written down from its
@@ -99,9 +100,30 @@ def _numeric_dim(p: int, m: int) -> int:
     return dim
 
 
-def _worse(worst: float, resid: float) -> float:
-    """The larger residual, NaN once either is NaN (``max`` would drop it)."""
-    return float(np.maximum(worst, resid))
+def _cross_traces(target: np.ndarray, values: np.ndarray):
+    """cross(t, v)[a, b] = Tr(A_a B_b) = sum_{x,y} A_a[x, y] B_b[y, x] for the A_a of
+    parts (target, values) and the B_b of parts (t, v).  A_a's entries are indexed
+    once by position (CSR, key x * d + y); B_b[y, x] is nonzero only at y = t[b, x],
+    so only the keys x * d + t[b, x] are read.  A non-finite value on either side
+    makes every trace NaN, as in a dense product, though most entries go unread."""
+    count, d = target.shape
+    keys = (target * d + np.arange(d)).ravel()
+    order = np.argsort(keys, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=d * d))))
+    owners, vals, finite = order // d, values.ravel()[order], np.isfinite(values).all()
+
+    def cross(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if not (finite and np.isfinite(v).all()):
+            return np.full((count, len(t)), np.nan, dtype=complex)
+        keys = (np.arange(d) * d + t).ravel()
+        lo, hits = indptr[keys], indptr[keys + 1] - indptr[keys]
+        query = np.repeat(np.arange(keys.size), hits)  # b * d + x of each hit
+        pos = np.arange(query.size) + np.repeat(lo - np.cumsum(hits) + hits, hits)
+        prod, cell, size = vals[pos] * v.ravel()[query], owners[pos] * len(t) + query // d, count * len(t)
+        cross = np.bincount(cell, prod.real, size) + 1j * np.bincount(cell, prod.imag, size)
+        return cross.reshape(count, len(t))
+
+    return cross
 
 
 def verify_qo_numeric(
@@ -109,19 +131,16 @@ def verify_qo_numeric(
 ) -> VerificationReport:
     """Evaluate the trace condition on synthesized matrices, pair by pair.
 
-    For every examined pair of members and every pair (A1, A2) of their
-    non-identity basis matrices, the residual is
-    |Tr(A1 A2) - Tr(A1) Tr(A2) / Tr(I)|; the check passes iff the largest
-    residual is finite and within ``tol``.  Above ``SAMPLE_THRESHOLD`` member
-    pairs a random subset of ``SAMPLE_PAIRS`` pairs is used unless
-    ``sample_pairs`` says otherwise; it is drawn as ranks in the lexicographic
-    order of all pairs, each mapped back to its pair, so no pair list is built.
-    Pairs are examined in sorted order, so the first member's dense stack is
-    synthesized once for the whole run of pairs that start with it.  The second
-    member comes as ``basis_parts``, whose matrix B has the value v[x] at
-    (t[x], x) and zeros elsewhere, so Tr(A B) = sum_x A[x, t[x]] v[x] and
-    Tr(B) = sum_x [t[x] = x] v[x], read literally from the entries.  One
-    member's dense matrices are held at a time.
+    For every examined pair of members and every pair (A1, A2) of their non-identity
+    basis matrices, the residual is |Tr(A1 A2) - Tr(A1) Tr(A2) / Tr(I)|; the check
+    passes iff the largest residual is finite and within ``tol``.  Above
+    ``SAMPLE_THRESHOLD`` member pairs a random subset of ``SAMPLE_PAIRS`` pairs is
+    used unless ``sample_pairs`` says otherwise; it is drawn as ranks in the
+    lexicographic order of all pairs, each mapped back to its pair, so no pair list
+    is built.  Both members come as ``basis_parts`` (value v[x] at (t[x], x)), and
+    every trace, Tr(A) = Tr(A I) included, is ``_cross_traces`` over the stored
+    entries of both.  Pairs are examined in sorted order, so the first member is
+    indexed once for the whole run of pairs that start with it.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -139,22 +158,15 @@ def verify_qo_numeric(
     else:
         pairs = itertools.combinations(range(n), 2)
 
-    worst = 0.0
-    failures = []
-    row = flat1 = None
-    cols = np.arange(dim)
+    worst, failures, row = 0.0, [], None
     for i, j in pairs:
         if i != row:
-            flat1 = None  # drop the previous row member before synthesizing the next
-            flat1 = basis_matrices(family.members[i].subspace)[1:]
-            tr1 = np.einsum("aii->a", flat1)
-            flat1, row = flat1.reshape(len(flat1), -1).T.copy(), i  # flat1[x * dim + y, a] = A_a[x, y]
-        t2, v2 = (part[1:] for part in basis_parts(family.members[j].subspace))
-        cross = (v2[:, None] @ flat1[cols * dim + t2])[:, 0].T  # cross[a, b] = Tr(A_a B_b)
-        tr2 = np.where(t2 == cols, v2, 0).sum(axis=1)
-        resid = np.abs(cross - np.outer(tr1, tr2) / dim)
+            traces, row = _cross_traces(*basis_parts(family.members[i].subspace)), i
+        cross = traces(*basis_parts(family.members[j].subspace))
+        # both spans list the identity first: cross[a, 0] = Tr(A_a) and cross[0, b] = Tr(B_b)
+        resid = np.abs(cross[1:, 1:] - np.outer(cross[1:, 0], cross[0, 1:]) / dim)
         top = float(resid.max())
-        worst = _worse(worst, top)
+        worst = float(np.maximum(worst, top))  # NaN once either is NaN; max() would drop it
         if not top <= tol:
             failures.append(
                 (f"{family.members[i].label} & {family.members[j].label}",
@@ -255,11 +267,11 @@ def check_mub_overlaps(
     for i, u in enumerate(bases):
         blocks = (u.conj().T @ columns[:, i * d:]).reshape(d, len(bases) - i, d)
         resid = float(np.abs(blocks[:, 0] - eye).max())
-        worst = _worse(worst, resid)
+        worst = float(np.maximum(worst, resid))
         if not resid <= tol:
             own_failures.append((labels[i], f"not orthonormal: residual {resid:.3e}"))
         resid = np.abs(np.abs(blocks[:, 1:]) ** 2 - 1.0 / d).max(axis=(0, 2))  # one per later basis
-        worst = float(np.max(resid, initial=worst))  # NaN-propagating, like _worse
+        worst = float(np.max(resid, initial=worst))  # NaN-propagating, like np.maximum
         for j in np.flatnonzero(~(resid <= tol)).tolist():
             pair_failures.append(
                 (f"{labels[i]} & {labels[i + 1 + j]}", f"unbiasedness residual {resid[j]:.3e}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qospread import family_io, phase_space, verify
+from qospread import constructions, family_io, phase_space, verify
 from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_text, main
 from qospread.constructions import ConstructionParams, build_masa_spread
 
@@ -68,6 +68,26 @@ def test_generate_and_verify_big_fields_at_once(tmp_path, capsys, p, k):
     assert code == EXIT_OK
     assert "symbolic: PASS (checks=2)" in out
     assert time.perf_counter() - start < 10.0
+
+
+def test_generate_and_verify_refuse_k_above_the_limit_at_once(tmp_path, capsys):
+    # k = 100 took 107 s of field arithmetic before any check; the header's k is bounded the same way
+    k = constructions.MAX_K + 1
+    path = tmp_path / "big_k.yaml"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "generate", "--p", "3", "--k", str(k), "--n", "1", "--out", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert f"extension degree {k} exceeds the limit {constructions.MAX_K}" in err
+    assert not path.exists()
+    unit = [1] + [0] * (2 * k - 1)
+    path.write_text(
+        f"format_version: 1\np: 3\nk: {k}\nn: 1\npoly: {[1] + [0] * (k - 1)}\nnonresidue: {[2] + [0] * (k - 1)}\n"
+        f'members:\n- label: "full"\n  kind: matrix_algebra\n  generators:\n  - {unit}\n'
+    )
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert f"extension degree {k} exceeds the limit {constructions.MAX_K}" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_generate_rejects_p_above_the_primality_bound(tmp_path, capsys):

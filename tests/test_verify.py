@@ -129,19 +129,41 @@ def test_numeric_sampling_is_deterministic():
     assert r1.checks_run == 50
 
 
-def test_numeric_memory_stays_bounded():
-    """At most two member stacks are alive at once: one d=81 member stack is
-    about 8.4 MB, so holding the stacks of 20 sampled pairs would need far
-    more than the cap."""
+def test_numeric_memory_stays_bounded(monkeypatch):
+    """The default 200-pair run at d = 81 reads parts only: no dense member
+    stack (8.4 MB each) is synthesized, and the peak stays under 4 MB."""
+    def no_dense(s):
+        raise AssertionError("the numeric oracle synthesized a dense stack")
+
     fam = build_spread_2(ConstructionParams.create(3, 2, 2))
+    monkeypatch.setattr(verify, "basis_matrices", no_dense)
     tracemalloc.start()
     try:
-        rep = verify_qo_numeric(fam, sample_pairs=20)
+        rep = verify_qo_numeric(fam)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.passed and rep.checks_run == 20
-    assert peak < 64 * 10**6
+    assert rep.passed and rep.checks_run == 200
+    assert peak < 4 * 10**6
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sparse_cross_traces_equal_dense_products(p):
+    """Random planes of Z_p^4, meeting or not: ``_cross_traces`` over both
+    members' parts equals the dense cross[a, b] = flat(A_a) . flat(B_b^T),
+    the traces Tr(A_a) = cross[a, 0] and Tr(B_b) = cross[0, b] included."""
+    rng = random.Random(p)
+    nonzero = 0
+    for trial in range(20):
+        a, b = random_plane(rng, p), random_plane(rng, p)
+        if trial % 2:  # a plane through a's first row: the pair meets
+            b = Subspace.from_generators(p, 2, [a.rows[0], b.rows[0]])
+        sparse = verify._cross_traces(*basis_parts(a))(*basis_parts(b))  # identities included
+        s1, s2 = basis_matrices(a), basis_matrices(b)
+        dense = s1.reshape(len(s1), -1) @ s2.transpose(0, 2, 1).reshape(len(s2), -1).T
+        assert np.abs(sparse - dense).max() <= 1e-12
+        nonzero += int((np.abs(dense[1:, 1:]) > 0.5).sum())
+    assert nonzero > 0  # where the planes meet, some non-identity traces are p^2 in size
 
 
 def test_numeric_sampling_does_not_list_the_pairs():
@@ -236,20 +258,53 @@ def test_numeric_row_reuse_matches_per_pair_loop(k, n, sample, seed, dup):
         assert [who for who, _ in failures] == [f"{members[24].label} & {members[45].label}"]
 
 
-def test_numeric_nan_stack_fails(monkeypatch):
-    """NaN residuals are failures and make max_residual NaN (nan > tol is False)."""
-    real = verify.basis_matrices
-    monkeypatch.setattr(verify, "basis_matrices", lambda s: np.full_like(real(s), np.nan))
-    rep = verify_qo_numeric(build_spread_2(P3))
+def test_numeric_nan_parts_fail(monkeypatch):
+    """NaN residuals are failures and make max_residual NaN (nan > tol is False).
+
+    A NaN value in a member's parts fails every pair it is part of, as
+    0 * NaN does in a dense product, even where no entry of the other member
+    meets it.  Ten planes of Z_3^6 spanned by (shift D, clock 0) and
+    (shift 0, clock D), one direction D each: pairwise trivial, so they pass
+    clean.  A NaN value goes at a shifted monomial; no monomial of another
+    plane has the opposite shift, so no entry of the other member meets it."""
+    directions = [v for v in itertools.product(range(3), repeat=3) if any(v) and v[np.flatnonzero(v)[0]] == 1]
+    planes = [Subspace.from_generators(3, 3, [sum(([c, 0] for c in dirn), []), sum(([0, c] for c in dirn), [])])
+              for dirn in directions[:10]]
+    fam = SpreadFamily(ConstructionParams.create(3, 1, 3),
+                       [FamilyMember(f"P{i}", MATRIX_ALGEBRA, sub) for i, sub in enumerate(planes)], complete=False)
+    assert verify_qo_numeric(fam).passed
+    parts = verify.basis_parts
+    shifted = [int(np.flatnonzero(parts(sub)[0][:, 0])[0]) for sub in planes]  # target[a, 0] != 0
+    for i, j in itertools.permutations(range(10), 2):
+        t1, t2 = parts(planes[i])[0], parts(planes[j])[0]
+        x = t1[shifted[i], 0]  # the NaN of plane i sits at (x, 0), off the diagonal
+        assert x != 0 and not (t2[:, x] == 0).any()  # B_b[0, x] = 0 for every b: no hit reads it
+
+    def nan_in(poisoned):
+        def nan_parts(s):
+            target, values = parts(s)
+            if s in poisoned:
+                values = values.copy()
+                values[shifted[planes.index(s)], 0] = np.nan
+            return target, values
+        return nan_parts
+
+    # every member but the last, so every pair has a NaN in its row member
+    monkeypatch.setattr(verify, "basis_parts", nan_in(planes[:-1]))
+    rep = verify_qo_numeric(fam)
     assert not rep.passed
     assert rep.checks_run == len(rep.failures) == 45
+    assert all("residual nan" in detail for _, detail in rep.failures)
     assert np.isnan(rep.max_residual)
     assert "max_residual=nan" in rep.describe()
 
-    # the partner comes as (target, values): one NaN value, off the diagonal, fails every pair too
-    monkeypatch.setattr(verify, "basis_matrices", real)
-    parts = verify.basis_parts
+    # the last member only, which is never a row member: the nine pairs with it fail
+    monkeypatch.setattr(verify, "basis_parts", nan_in(planes[-1:]))
+    rep = verify_qo_numeric(fam)
+    assert [who for who, _ in rep.failures] == [f"P{i} & P9" for i in range(9)]
+    assert all("residual nan" in detail for _, detail in rep.failures)
 
+    # the partner's parts: one NaN value, off the diagonal, fails every pair too
     def nan_partner(s):
         target, values = parts(s)
         values = values.copy()
@@ -264,10 +319,10 @@ def test_numeric_nan_stack_fails(monkeypatch):
     assert np.isnan(rep.max_residual)
 
 
-def random_plane(rng):
+def random_plane(rng, p=3):
     while True:
-        gens = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(2)]
-        sub = Subspace.from_generators(3, 2, gens)
+        gens = [tuple(rng.randrange(p) for _ in range(4)) for _ in range(2)]
+        sub = Subspace.from_generators(p, 2, gens)
         if sub.dim == 2:
             return sub
 
