@@ -24,6 +24,12 @@ def _dtype(p: int, terms: int) -> np.dtype:
     return np.min_scalar_type(-max(terms, 1) * (p - 1) ** 2 - 1)
 
 
+def _residues(values, p: int, terms: int) -> np.ndarray:
+    """Integers of any size or sign mod p, in ``_dtype(p, terms)``."""
+    dtype = _dtype(p, terms)
+    return (np.asarray(values, dtype=object if dtype == object else None) % p).astype(dtype)
+
+
 def _inv(x: np.ndarray, p: int) -> np.ndarray:
     """x^(p-2) mod p elementwise: the inverse of every nonzero residue."""
     out, e = np.ones_like(x), p - 2
@@ -38,9 +44,8 @@ def _inv(x: np.ndarray, p: int) -> np.ndarray:
 def rref_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms mod p of an (N, r, c) stack and their ranks:
     matrix i keeps its canonical span basis in its first ranks[i] rows, zeros after."""
-    a = np.asarray(stack) % p
-    n, r, c = a.shape
-    a = a.astype(_dtype(p, c))
+    n, r, c = np.shape(stack)
+    a = _residues(stack, p, c)
     rank = np.zeros(n, dtype=np.intp)
     rows, every = np.arange(r), np.arange(n)
     for col in range(c):

@@ -91,7 +91,11 @@ def cmd_verify(args) -> int:
         print(f"integrity: ok ({len(ff.members)} members, canonical rows)")
 
     if args.mode in ("symbolic", "both"):
-        rep, partition = verify.verify_symbolic(family)
+        try:
+            rep, partition = verify.verify_symbolic(family)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         ok = ok and rep.passed
         print(f"symbolic: {rep.describe()}")
         if partition is None:

@@ -17,9 +17,11 @@ layers of construction live here:
   symplectic frame of the left member — reaching the dimension bound
   (p^{2kn}-1)/(p^{2k}-1) members in M_{p^{kn}}.
 
-The recursion step is integer linear algebra (the symplectic-tableau view of
-Aaronson & Gottesman, PRA 70, 052328, 2004): one batched kernel computes the
-generator rows of every mixed member of a frame as Z_p matrix products.
+Every layer is batched integer linear algebra in ``_modlin._dtype`` (exact at
+every p), the symplectic-tableau view of Aaronson & Gottesman (PRA 70,
+052328, 2004): the GF coordinates of all generator pairs of the two-block
+spread (``build_C``, ``build_D``: one member) or of a frame's mixed members
+go through one array-valued pi1, then one elimination or Z_p matrix product.
 
 All builders are deterministic: field elements enumerate in base-p counting
 order, labels encode the construction path, and subspaces canonicalise, so
@@ -32,16 +34,17 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from . import _modlin
 from .finite_field import (FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue,
                            require_odd_prime)
-from .phase_space import (GFPhasePoint, PhasePoint, Subspace, _canonical, _gram, _interleave, _pi1_rows,
+from .phase_space import (INDEX_LIMIT, PhasePoint, Subspace, _canonical, _gram, _pi1_rows,
                           symplectic_basis)
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
 
 MAX_MEMBERS = 100_000
-MAX_K = 32  # extension degree: field arithmetic costs O(k^3) Python-int operations per candidate
+MAX_K = 32  # extension degree: each irreducibility candidate costs O(k^3) Python-int operations
 
 
 class _Infinity:
@@ -140,14 +143,41 @@ def expected_count(p: int, k: int, n: int) -> int:
     return num // den
 
 
-def _gf_subspace(field: FieldSpec, generators: list[GFPhasePoint]) -> Subspace:
-    """Z_p subspace spanned by all field multiples of the generators.
+def _gf_spans(params: ConstructionParams, generators) -> list[Subspace]:
+    """Per member of an (N, 8, k) array of two GF(p^k)^4 generators, the Z_p span
+    of all their field multiples: one ``_pi1_rows`` of every t^j g, one ``_canonical``."""
+    k = params.k
+    rows = _pi1_rows(params.field, np.reshape(generators, (-1, 2, 4, k)))
+    return _canonical(params.p, 2 * k, rows.reshape(-1, 2 * k, 4 * k))
 
-    The GF(p^k)-span of g is Z_p-spanned by {t^i g}, so each generator
-    contributes k rows, pushed through the coordinate map.
-    """
-    rows = np.concatenate([_pi1_rows(g) for g in generators])
-    return Subspace.from_generators(field.p, 2 * field.k, rows.tolist())
+
+def _generators(field: FieldSpec, *coords) -> np.ndarray:
+    """The (N, slots, k) GF coordinates of N points from their slots, broadcast:
+    (N, k) or (k,) arrays, or ints for Z_p."""
+    parts = [np.asarray(field.scalar(c).coords if isinstance(c, int) else c, dtype=field.mul_tables.dtype)
+             for c in coords]
+    return np.stack(np.broadcast_arrays(*parts), axis=-2).reshape(-1, len(coords), field.k)
+
+
+def _times(params: ConstructionParams, x, z: GFElement) -> np.ndarray:
+    """x z for an (N, k) or (k,) coordinate array x and a field element z."""
+    return np.asarray(x, dtype=params.field.mul_tables.dtype) @ params.field.mul_matrices(z.coords) % params.p
+
+
+def _c_generators(params: ConstructionParams, a, b) -> np.ndarray:
+    """(1, b, 0, a) and (0, a, -1, bD) for coordinate arrays a, b."""
+    return _generators(params.field, 1, b, 0, a, 0, a, -1, _times(params, b, params.nonresidue))
+
+
+def _d_generators(params: ConstructionParams, a) -> np.ndarray:
+    """(1, 1, -a, aD) and (1, 2, -a, 2aD) for a coordinate array a."""
+    minus_a, ad = _times(params, a, params.field.scalar(-1)), _times(params, a, params.nonresidue)
+    return _generators(params.field, 1, 1, minus_a, ad, 1, 2, minus_a, 2 * ad % params.p)
+
+
+def _pair_generators(params: ConstructionParams, a, b) -> np.ndarray:
+    """(1, 0, a, b) and (0, 1, bD, a), the mixed member of (a, b), for coordinate arrays a, b."""
+    return _generators(params.field, 1, 0, a, b, 0, 1, _times(params, b, params.nonresidue), a)
 
 
 def build_C(a, b, params: ConstructionParams) -> Subspace:
@@ -157,17 +187,11 @@ def build_C(a, b, params: ConstructionParams) -> Subspace:
     (0,1,0,0) and (0,0,0,1).  Members with a != 0 are symplectically
     nondegenerate; a = 0 gives isotropic (commutative) members.
     """
-    fld = params.field
-    one, zero = fld.one(), fld.zero()
     if a is INFINITY:
         if b is not None and b is not INFINITY:
             raise ValueError("the infinity member takes no second parameter")
-        g1 = GFPhasePoint((zero, one, zero, zero))
-        g2 = GFPhasePoint((zero, zero, zero, one))
-    else:
-        g1 = GFPhasePoint((one, b, zero, a))
-        g2 = GFPhasePoint((zero, a, -one, b * params.nonresidue))
-    return _gf_subspace(fld, [g1, g2])
+        return _gf_spans(params, _generators(params.field, 0, 1, 0, 0, 0, 0, 0, 1))[0]
+    return _gf_spans(params, _c_generators(params, a.coords, b.coords))[0]
 
 
 def build_D(a, params: ConstructionParams) -> Subspace:
@@ -177,34 +201,25 @@ def build_D(a, params: ConstructionParams) -> Subspace:
     (0,0,0,1).  Every member is nondegenerate: the generators pair to
     1 - a^2 D, nonzero because D is a non-residue.
     """
-    fld = params.field
-    one, zero = fld.one(), fld.zero()
     if a is INFINITY:
-        g1 = GFPhasePoint((zero, zero, one, zero))
-        g2 = GFPhasePoint((zero, zero, zero, one))
-    else:
-        ad = a * params.nonresidue
-        g1 = GFPhasePoint((one, one, -a, ad))
-        g2 = GFPhasePoint((one, fld.scalar(2), -a, 2 * ad))
-    return _gf_subspace(fld, [g1, g2])
+        return _gf_spans(params, _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1))[0]
+    return _gf_spans(params, _d_generators(params, a.coords))[0]
 
 
 def build_spread_2(params: ConstructionParams) -> SpreadFamily:
     """The p^{2k}+1 pairwise quasi-orthogonal matrix-algebra members of two
-    blocks: {C[a,b] : a != 0} + {D[a] : all a} + D[inf]."""
+    blocks: {C[a,b] : a != 0} + {D[a] : all a} + D[inf], in one batch."""
     if params.n != 2:
         raise ValueError(f"the two-block spread needs n = 2, got n = {params.n}")
-    members = []
-    for a in params.field.elements():
-        if a.is_zero:
-            continue
-        for b in params.field.elements():
-            label = f"C[{format_element(a)},{format_element(b)}]"
-            members.append(FamilyMember(label, MATRIX_ALGEBRA, build_C(a, b, params)))
-    for a in params.field.elements():
-        members.append(FamilyMember(f"D[{format_element(a)}]", MATRIX_ALGEBRA, build_D(a, params)))
-    members.append(FamilyMember("D[inf]", MATRIX_ALGEBRA, build_D(INFINITY, params)))
-    return SpreadFamily(params, members)
+    elements = list(params.field.elements())
+    names = [format_element(a) for a in elements]
+    coords = np.array([a.coords for a in elements], dtype=params.field.mul_tables.dtype)
+    slow, fast = np.repeat(coords[1:], len(coords), axis=0), np.tile(coords, (len(coords) - 1, 1))
+    generators = np.concatenate([_c_generators(params, slow, fast), _d_generators(params, coords),
+                                 _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1)])
+    labels = [f"C[{a},{b}]" for a in names[1:] for b in names] + [f"D[{a}]" for a in names] + ["D[inf]"]
+    return SpreadFamily(params, [FamilyMember(label, MATRIX_ALGEBRA, sub)
+                                 for label, sub in zip(labels, _gf_spans(params, generators))])
 
 
 def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
@@ -222,49 +237,36 @@ def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
     p, k = params.p, params.k
     big = gf(p, 2 * k)
     slopes = list(big.elements())
-    clocks = big.mul_matrices([m.coords for m in slopes]) @ big.trace_matrix % p
-    shifts = np.eye(2 * k, dtype=np.int64)
-    rows = np.concatenate([_interleave(np.broadcast_to(shifts, clocks.shape), clocks),
-                           _interleave(0 * shifts, big.trace_matrix)[None]])
+    lines = np.concatenate([_generators(big, 1, [m.coords for m in slopes], 0, 0), _generators(big, 0, 1, 0, 0)])
+    rows = _pi1_rows(big, lines)[..., : 4 * k]  # the first block: t^j (x, mx) at x = 1, then t^j (0, 1)
     labels = [f"M[{format_element(m)}]" for m in slopes] + ["M[inf]"]
     return SpreadFamily(params, [FamilyMember(label, MASA, sub)
                                  for label, sub in zip(labels, _canonical(p, 2 * k, rows))])
 
 
-def _mixed_members(frames, masas, pairs, params: ConstructionParams):
-    """Per left frame F_i, the (masa, pair, 2k, columns) generator rows
-    [Lc @ F_i | Rc @ R_j] mod p of the mixed members, after checking every
-    frame's Gram matrix and every masa basis R_j's isotropy up front.
-
-    With T the trace matrix and M_z multiplication by z: Lc = blockdiag(I, T)
-    and Rc = [[M_a, M_b T], [M_bD, M_a T]] for finite (a, b), so row j < k is
-    the image of t^j (1, 0, a, b) and row k + j of t^j (0, 1, bD, a); for
-    (INFINITY, None), Lc = 0 and Rc = blockdiag(I, T).
-    """
-    fld, p, k = params.field, params.p, params.k
-    frames, masas = np.asarray(frames, dtype=np.int64), np.asarray(masas, dtype=np.int64)
-    eye, zero, t = np.eye(k, dtype=np.int64), np.zeros((k, k), dtype=np.int64), fld.trace_matrix
+def _mixed_members(frames, masas, generators, params: ConstructionParams):
+    """Per left frame F_i, the (masa, pair, 2k, columns) generator rows of the
+    mixed members, after checking every frame's Gram matrix and every masa
+    basis R_j's isotropy up front.  The pi1 rows of each pair's generators
+    (``_pair_generators``, or (0, 0, 1, 0), (0, 0, 0, 1) for INFINITY, as a
+    (P, 8, k) array) thread block 1 along F_i and block 2 along R_j, mod p."""
+    p, k = params.p, params.k
+    dtype = _modlin._dtype(p, len(frames[0][0]) + len(masas[0][0]))  # every sum here has fewer terms
+    frames, masas = np.asarray(frames, dtype=dtype), np.asarray(masas, dtype=dtype)
+    eye, zero = np.eye(k, dtype=dtype), np.zeros((k, k), dtype=dtype)
     if (_gram(frames, p) != np.block([[zero, eye], [-eye, zero]]) % p).any():
         raise ValueError("left basis is not a normalised symplectic frame")
     if _gram(masas, p).any():
         raise ValueError("right basis does not span an isotropic subspace")
-    dual = np.block([[eye, zero], [zero, t]])
-    lefts, rights = [], []
-    for a, b in pairs:
-        if a is INFINITY:
-            lefts.append(0 * dual)
-            rights.append(dual)
-        else:
-            ma, mb, mbd = fld.mul_matrices([a.coords, b.coords, (b * params.nonresidue).coords])
-            lefts.append(dual)
-            rights.append(np.block([[ma, mb @ t], [mbd, ma @ t]]) % p)
-    lefts, right = np.array(lefts), np.array(rights) @ masas[:, None] % p
+    rows = _pi1_rows(params.field, np.reshape(generators, (-1, 2, 4, k))).reshape(-1, 2 * k, 4 * k)
+    order = np.arange(2 * k).reshape(2, k).T.ravel()  # the basis vectors in pi1's interleaved order
+    lefts, right = rows[..., : 2 * k], rows[..., 2 * k :] @ masas[:, None, order] % p
 
-    def rows(frame: np.ndarray) -> np.ndarray:
-        left = lefts @ frame % p
+    def member_rows(frame: np.ndarray) -> np.ndarray:
+        left = lefts @ frame[order] % p
         return np.concatenate([np.broadcast_to(left, (len(masas),) + left.shape), right], axis=-1)
 
-    return map(rows, frames)
+    return map(member_rows, frames)
 
 
 def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
@@ -285,7 +287,9 @@ def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
         raise ValueError(f"bases must have 2k = {2 * k} vectors")
     frame = [pt.coords for pt in left_basis]
     masa = [pt.coords for pt in right_basis]
-    rows = next(_mixed_members([frame], [masa], [(a, b)], params))[0, 0]
+    generators = (_generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1) if a is INFINITY
+                  else _pair_generators(params, a.coords, b.coords))
+    rows = next(_mixed_members([frame], [masa], generators, params))[0, 0]
     return Subspace.from_generators(params.p, left_basis[0].m + right_basis[0].m, rows.tolist())
 
 
@@ -309,6 +313,10 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     expected = expected_count(p, k, n)
     if expected > MAX_MEMBERS:
         raise ValueError(f"family would have {expected} members, above the budget {MAX_MEMBERS}")
+    # verify's ownership index holds every nonzero point; at n = 1 the one member is small or not indexed
+    if n > 1 and p ** (2 * k * n) - 1 > INDEX_LIMIT:
+        raise ValueError(f"verifying the family would index {p ** (2 * k * n) - 1} points, "
+                         f"above the limit {INDEX_LIMIT}")
     if n == 1:
         full = Subspace.from_generators(p, k, np.eye(2 * k, dtype=np.int64))
         return SpreadFamily(params, [FamilyMember("full", MATRIX_ALGEBRA, full)])
@@ -329,9 +337,11 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     frames = [[pt.coords for pt in symplectic_basis(mem.subspace)] for mem in left.members]
     masa_rows = [mem.subspace.rows for mem in masas.members]
     elements = list(params.field.elements())
-    pairs = [(a, b) for a in elements for b in elements if a or b]
-    names = [(j, format_element(a), format_element(b)) for j in range(len(masa_rows)) for a, b in pairs]
-    for i, rows in enumerate(_mixed_members(frames, masa_rows, pairs, params)):
+    names = [(j, format_element(a), format_element(b)) for j in range(len(masa_rows))
+             for a in elements for b in elements if a or b]
+    coords = np.array([a.coords for a in elements], dtype=params.field.mul_tables.dtype)
+    a, b = np.repeat(coords, len(coords), axis=0)[1:], np.tile(coords, (len(coords), 1))[1:]  # (a, b) != (0, 0)
+    for i, rows in enumerate(_mixed_members(frames, masa_rows, _pair_generators(params, a, b), params)):
         subs = _canonical(p, m_left + m_right, rows.reshape((-1,) + rows.shape[2:]))
         members.extend(FamilyMember(f"B[A={i}|C={j}|a={a},b={b}]", MATRIX_ALGEBRA, sub)
                        for (j, a, b), sub in zip(names, subs))

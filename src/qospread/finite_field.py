@@ -20,11 +20,11 @@ Reproducibility conventions, relied on by the on-disk family format:
   that coefficient order (c_0 varies fastest).
 * ``find_nonresidue`` returns the first non-square in enumeration order.
 
-Each ``FieldSpec`` carries two Z_p tables, computed once from the literal
-product and trace, that turn field arithmetic into integer matrix products:
-``mul_tables`` (multiplication by each t^j) and ``trace_matrix``
-(T[i][j] = Tr(t^i t^j), so T z lists z's trace-dual coordinates).  They
-hold O(k^3) integers whatever the field size.
+Each ``FieldSpec`` carries two exact Z_p tables of O(k^3) integers, in the
+dtype ``_modlin._dtype`` picks (Python ints past int64): ``mul_tables``, the
+matrices of multiplication by each t^j, and ``trace_matrix`` (T[i][j] =
+Tr(t^i t^j), so T z lists z's trace-dual coordinates), read from them since
+Tr(a) is the trace of "multiply by a" (Lidl & Niederreiter, Finite Fields, 2.3).
 
 Characteristic 2 is rejected everywhere: the subspace constructions built on
 top of this module need both 2^{-1} mod p and a quadratic non-residue.
@@ -72,15 +72,21 @@ def _digits(i: int, p: int, k: int) -> list[int]:
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Berlekamp's criterion: f is irreducible iff x^{p^k} = x mod f, so f is
     square-free with factors of degrees dividing k, and Q - I has rank k - 1,
-    k minus the number of factors, where row j of Q is x^{jp} mod f."""
+    k minus the number of factors, where row j of the Frobenius matrix Q is
+    x^{jp} mod f; g -> g^p is linear with matrix Q, so x^{p^k} is x Q^k."""
     k = len(poly)
     if k == 1:
         return True
     x = (0, 1) + (0,) * (k - 2)
-    if _pow_coords(p, poly, x, p**k) != x:
-        return False
-    q = [_pow_coords(p, poly, x, j * p) for j in range(k)]
-    return _modlin.rank([[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(q)], p) == k - 1
+    xp = _pow_coords(p, poly, x, p)
+    rows = [(1,) + (0,) * (k - 1)]
+    for _ in range(k - 1):
+        rows.append(_mul_coords(p, poly, rows[-1], xp))
+    frobenius = np.array(rows, dtype=_modlin._dtype(p, k))
+    v = frobenius[1]  # x^p = x Q
+    for _ in range(k - 1):
+        v = v @ frobenius % p
+    return v.tolist() == list(x) and _modlin.rank(frobenius - np.eye(k, dtype=frobenius.dtype), p) == k - 1
 
 
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -160,20 +166,25 @@ class FieldSpec:
 
     @cached_property
     def mul_tables(self) -> np.ndarray:
-        """(k, k, k) array: row i of ``mul_tables[j]`` holds the coordinates of t^i t^j."""
-        units = [(0,) * i + (1,) + (0,) * (self.k - 1 - i) for i in range(self.k)]
-        return _frozen([[_mul_coords(self.p, self.poly, ti, tj) for ti in units] for tj in units])
+        """(k, k, k) array: row i of ``mul_tables[j]`` holds the coordinates of
+        t^i t^j = t^{i+j}, gathered from the powers t^0, ..., t^{2k-2}."""
+        k = self.k
+        powers = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        for _ in range(k - 1):
+            powers.append(_mul_coords(self.p, self.poly, powers[-1], powers[1]))
+        hankel = np.add.outer(np.arange(k), np.arange(k))
+        return _frozen(np.array(powers, dtype=_modlin._dtype(self.p, k))[hankel])
 
     @cached_property
     def trace_matrix(self) -> np.ndarray:
-        """The symmetric (k, k) array T[i][j] = Tr(t^i t^j)."""
-        basis = self.power_basis()
-        return _frozen([[field_trace(ti * tj) for tj in basis] for ti in basis])
+        """The symmetric (k, k) array T[i][j] = Tr(t^i t^j) = trace(mul_tables[i] @ mul_tables[j])."""
+        tables = self.mul_tables.astype(_modlin._dtype(self.p, self.k**2))
+        return _frozen(np.einsum("iab,jba->ij", tables, tables) % self.p)
 
     def mul_matrices(self, coords) -> np.ndarray:
         """Multiplication matrices, row j = coordinates of z t^j, for an (..., k)
         array of coordinate vectors z: an (..., k, k) array mod p."""
-        return np.tensordot(np.asarray(coords, dtype=np.int64), self.mul_tables, axes=1) % self.p
+        return np.tensordot(np.asarray(coords, dtype=self.mul_tables.dtype), self.mul_tables, axes=1) % self.p
 
     def __str__(self) -> str:
         if self.k == 1:
@@ -186,10 +197,9 @@ def gf(p: int, k: int = 1, poly=None) -> FieldSpec:
     return FieldSpec(p, k, tuple(poly) if poly is not None else find_irreducible(p, k))
 
 
-def _frozen(table) -> np.ndarray:
-    arr = np.array(table, dtype=np.int64)
-    arr.flags.writeable = False
-    return arr
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def _mul_coords(p: int, poly: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -252,8 +262,7 @@ class GFElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return GFElement(self.field, tuple((x + y) % p for x, y in zip(self.coords, other.coords)))
+        return self.field.element(x + y for x, y in zip(self.coords, other.coords))
 
     __radd__ = __add__
 
@@ -261,15 +270,13 @@ class GFElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return GFElement(self.field, tuple((x - y) % p for x, y in zip(self.coords, other.coords)))
+        return self.field.element(x - y for x, y in zip(self.coords, other.coords))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        p = self.field.p
-        return GFElement(self.field, tuple((-x) % p for x in self.coords))
+        return self.field.element(-x for x in self.coords)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -310,19 +317,12 @@ def gf_inv(a: GFElement) -> GFElement:
 
 
 def field_trace(a: GFElement) -> int:
-    """The trace Tr(a) = a + a^p + ... + a^{p^{k-1}}, a value in Z_p.
+    """The trace Tr(a) = a + a^p + ... + a^{p^{k-1}} = sum_i a_i Tr(t^i), a value in Z_p.
 
     Tr is Z_p-linear and (x, y) -> Tr(xy) is a non-degenerate bilinear form;
     for k = 1 it is the identity on Z_p.
     """
-    acc = a
-    frob = a
-    for _ in range(a.field.k - 1):
-        frob = frob**a.field.p
-        acc = acc + frob
-    if any(acc.coords[1:]):
-        raise AssertionError(f"trace landed outside the prime subfield: {acc.coords}")
-    return acc.coords[0]
+    return sum(c * t for c, t in zip(a.coords, a.field.trace_matrix[0].tolist())) % a.field.p
 
 
 def trace_dual_basis(basis: list[GFElement]) -> list[GFElement]:
@@ -335,7 +335,7 @@ def trace_dual_basis(basis: list[GFElement]) -> list[GFElement]:
     field = basis[0].field
     if len(basis) != field.k or any(e.field != field for e in basis):
         raise ValueError(f"need {field.k} elements of {field}")
-    mat = (np.array([e.coords for e in basis]) @ field.trace_matrix % field.p).tolist()
+    mat = (np.array([e.coords for e in basis], dtype=object) @ field.trace_matrix % field.p).tolist()
     inv = _modlin.inverse(mat, field.p)
     if inv is None:
         raise ValueError("input elements are linearly dependent over Z_p")

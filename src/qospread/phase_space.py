@@ -14,7 +14,7 @@ Points with four GF(p^k) coordinates (``GFPhasePoint``) convert to Z_p
 points through ``pi1``: odd GF coordinates expand over the power basis
 {1, t, ..., t^{k-1}}, even ones over its trace-dual basis, and the blocks
 are interleaved factor by factor; both expansions are integer matrix
-products with the field's multiplication and trace tables.  By
+products with the field's tables, over whole arrays of points.  By
 construction the field trace carries the GF form to the Z_p form,
 
     Tr(a o b) = pi1(a) o pi1(b),
@@ -35,7 +35,8 @@ per member dimension, stacked with an owner column and sorted
 lexicographically into arrays, so points with two or more owners sit next
 to each other and the distinct points are counted in passing.  Members too
 large to enumerate are compared by rank, and the partition then goes
-unchecked.  All of it is exact integer combinatorics, with no floating point.
+unchecked; an index above ``INDEX_LIMIT`` points is refused before any span
+is built.  All of it is exact integer combinatorics, with no floating point.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .finite_field import FieldSpec, GFElement
 from .report import VerificationReport
 
 SPAN_LIMIT = 10**6
+INDEX_LIMIT = 2**23  # points in one ownership index, about 52 bytes each while it is built and sorted
 MAX_LISTED_PAIRS = 1000
 
 NONDEGENERATE = "nondegenerate"
@@ -160,18 +162,14 @@ def gf_symplectic(a: GFPhasePoint, b: GFPhasePoint, partial: bool = False) -> GF
     return out
 
 
-def _interleave(shifts: np.ndarray, clocks: np.ndarray) -> np.ndarray:
-    """Rows (k_1, l_1, k_2, l_2, ...) from equal-shape shift and clock exponent rows."""
-    return np.stack([shifts, clocks], axis=-1).reshape(shifts.shape[:-1] + (-1,))
-
-
-def _pi1_rows(a: GFPhasePoint) -> np.ndarray:
-    """The (k, 4k) integer rows pi1(t^j a), j = 0..k-1: multiplication matrices
-    of the four coordinates, the even ones times the trace matrix, interleaved."""
-    field = a.field
-    m1, m2, m3, m4 = field.mul_matrices([c.coords for c in a.coords])
-    t = field.trace_matrix
-    return np.concatenate([_interleave(m1, m2 @ t % field.p), _interleave(m3, m4 @ t % field.p)], axis=1)
+def _pi1_rows(field: FieldSpec, coords) -> np.ndarray:
+    """The (..., k, 4k) integer rows pi1(t^j a), j = 0..k-1, of an (..., 4, k)
+    array of GF coordinates a: multiplication matrices of the four slots, the
+    even ones times the trace matrix, interleaved (shift, clock) per factor."""
+    k, mul = field.k, field.mul_matrices(coords)
+    mul[..., 1::2, :, :] = mul[..., 1::2, :, :] @ field.trace_matrix % field.p
+    slots = mul.reshape(mul.shape[:-3] + (2, 2, k, k))  # block, shift or clock, j, factor
+    return np.einsum("...bsji->...jbis", slots).reshape(mul.shape[:-3] + (k, 4 * k))
 
 
 def pi1(a: GFPhasePoint) -> PhasePoint:
@@ -183,7 +181,8 @@ def pi1(a: GFPhasePoint) -> PhasePoint:
     the same map satisfies both the full and the first-block trace
     identities.
     """
-    return PhasePoint(a.field.p, 2 * a.field.k, tuple(_pi1_rows(a)[0].tolist()))
+    rows = _pi1_rows(a.field, [c.coords for c in a.coords])
+    return PhasePoint(a.field.p, 2 * a.field.k, tuple(rows[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,7 @@ def _stacks(p: int, width: int, row_lists: Sequence) -> Iterator[tuple[list[int]
     counts = [len(rows) for rows in row_lists]
     for r in sorted(set(counts)):
         at = [i for i, count in enumerate(counts) if count == r]
-        stack = np.array([row_lists[i] for i in at]) % p  # entries of any size or sign
-        yield at, stack.astype(_modlin._dtype(p, width)).reshape(len(at), r, width)
+        yield at, _modlin._residues([row_lists[i] for i in at], p, width).reshape(len(at), r, width)
 
 
 def _canonical(p: int, m: int, row_lists: Sequence) -> list[Subspace]:
@@ -353,10 +351,14 @@ def _disjointness(
     pair order; past ``MAX_LISTED_PAIRS`` pairs the listing stops with a
     "family" entry.  The partition names the first pair with its number of
     shared points and counts the index's distinct points against the ambient.
+    An index above ``INDEX_LIMIT`` points is refused before any span is built.
     """
     n = len(subspaces)
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
     oversize = {i for i, s in enumerate(subspaces) if s.p**s.dim > SPAN_LIMIT}
+    points = sum(s.p**s.dim - 1 for i, s in enumerate(subspaces) if i not in oversize)
+    if points > INDEX_LIMIT:
+        raise ValueError(f"the ownership index would hold {points} points, above the limit {INDEX_LIMIT}")
     index = _owners((i, s) for i, s in enumerate(subspaces) if i not in oversize)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}
@@ -401,7 +403,7 @@ def check_pairwise_trivial(
 
 def check_partition(subspaces: Sequence[Subspace], labels: Sequence[str] | None = None) -> VerificationReport:
     """Pass iff the members' nonzero points are disjoint and cover Z_p^{2m} \\ {0};
-    raises for an empty family or a member above ``SPAN_LIMIT``."""
+    raises for an empty family, a member above ``SPAN_LIMIT`` or an index above ``INDEX_LIMIT``."""
     report = _disjointness(subspaces, labels)[1]
     if report is None:
         raise ValueError(f"a member's span is above the limit {SPAN_LIMIT}" if subspaces else "empty family")

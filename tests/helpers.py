@@ -1,6 +1,7 @@
 """Reference implementations shared by the test modules."""
 
 from qospread import _modlin
+from qospread.finite_field import GFElement
 from qospread.phase_space import Subspace
 
 
@@ -9,3 +10,32 @@ def intersect_trivially(a: Subspace, b: Subspace) -> bool:
     if (a.p, a.m) != (b.p, b.m):
         raise ValueError("ambient mismatch")
     return _modlin.rank(a.rows + b.rows, a.p) == a.dim + b.dim
+
+
+def frobenius_trace(a: GFElement) -> int:
+    """The field trace by its definition a + a^p + ... + a^{p^{k-1}}, which must land in Z_p."""
+    acc = frob = a
+    for _ in range(a.field.k - 1):
+        frob = frob**a.field.p
+        acc = acc + frob
+    assert not any(acc.coords[1:]), f"trace landed outside the prime subfield: {acc.coords}"
+    return acc.coords[0]
+
+
+def literal_pi1(coords) -> tuple[int, ...]:
+    """pi1 of a point of GF(p^k)^4 by literal traces: coordinates 1 and 3 over the
+    power basis, 2 and 4 over its trace dual (Tr(c t^i)), interleaved per factor."""
+    basis = coords[0].field.power_basis()
+    out = []
+    for shift, clock in (coords[:2], coords[2:]):
+        for i, ti in enumerate(basis):
+            out += [shift.coords[i], frobenius_trace(clock * ti)]
+    return tuple(out)
+
+
+def literal_gf_span(generators) -> Subspace:
+    """The Z_p span of all field multiples of GF(p^k)^4 generators, one member at a
+    time: pi1(t^j g) by literal traces for every generator g and power t^j."""
+    field = generators[0][0].field
+    rows = [literal_pi1([tj * c for c in g]) for g in generators for tj in field.power_basis()]
+    return Subspace.from_generators(field.p, 2 * field.k, rows)

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import yaml
 
 from qospread import constructions, family_io, phase_space, verify
 from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_text, main
-from qospread.constructions import ConstructionParams, build_masa_spread
+from qospread.constructions import ConstructionParams, build_C, build_masa_spread
 
 
 def run(capsys, *argv):
@@ -68,6 +69,17 @@ def test_generate_and_verify_big_fields_at_once(tmp_path, capsys, p, k):
     assert code == EXIT_OK
     assert "symbolic: PASS (checks=2)" in out
     assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_generate_and_verify_past_int64(tmp_path, capsys, k):
+    # p = 2^63 + 29 is prime and fits no fixed-width integer: eliminations reduce Python ints
+    path = tmp_path / "big.yaml"
+    code, _, _ = run(capsys, "generate", "--p", str(2**63 + 29), "--k", k, "--n", "1", "--out", str(path))
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == EXIT_OK
+    assert "symbolic: PASS (checks=2)" in out
 
 
 def test_generate_and_verify_refuse_k_above_the_limit_at_once(tmp_path, capsys):
@@ -221,6 +233,41 @@ def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
     assert "  ... and 981 more failures" in out  # 20 shown + 1,000 pairs + the stop entry
     assert "partition: FAIL (checks=651, covered=24/15624)" in out
     assert elapsed < 3.0, f"verify took {elapsed:.2f} s"
+
+
+def test_generate_refuses_a_family_its_verify_would_refuse(tmp_path, capsys):
+    # p=313, n=2: 97,970 members, under MAX_MEMBERS, but 313^4 - 1 points to index
+    path = tmp_path / "big.yaml"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "generate", "--p", "313", "--n", "2", "--out", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert err == (f"error: verifying the family would index {313**4 - 1} points, "
+                   f"above the limit {phase_space.INDEX_LIMIT}\n")
+    assert not path.exists()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, capsys):
+    # ten C members of p=997, n=2: 994,008 nonzero points each, under SPAN_LIMIT,
+    # 9,940,080 together; building that index took gigabytes
+    params = ConstructionParams.create(997, 1, 2)
+    one = params.field.one()
+    members = [family_io.FileMember(f"C[1,{b}]", "matrix_algebra", build_C(one, params.field.scalar(b), params).rows)
+               for b in range(10)]
+    path = tmp_path / "wide.yaml"
+    family_io.save(family_io.FamilyFile(997, 1, 2, params.field.poly, params.nonresidue.coords, members), path)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "verify", str(path), "--mode", "symbolic")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_INPUT
+    assert err == f"error: the ownership index would hold 9940080 points, above the limit {2**23}\n"
+    assert out == "integrity: ok (10 members, canonical rows)\n"
+    assert elapsed < 1.0 and peak < 10 * 2**20, (elapsed, peak)
 
 
 def test_verify_missing_file(tmp_path, capsys):

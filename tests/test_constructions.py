@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from qospread.constructions import (
@@ -13,6 +14,8 @@ from qospread.constructions import (
     MATRIX_ALGEBRA,
     ConstructionParams,
     _mixed_members,
+    _generators,
+    _pair_generators,
     build_C,
     build_D,
     build_masa_spread,
@@ -20,7 +23,8 @@ from qospread.constructions import (
     build_spread_2,
     embed_hat,
 )
-from qospread.finite_field import field_trace, gf
+from helpers import frobenius_trace, literal_gf_span
+from qospread.finite_field import gf
 from qospread.phase_space import (
     Subspace,
     check_pairwise_trivial,
@@ -102,6 +106,52 @@ def test_spread_2_is_a_spread_of_full_algebras(p, k):
     assert rep.covered == p ** (4 * k) - 1
     for m in fam.members:
         assert classify_subspace(m.subspace) == ("nondegenerate", 2 * k)
+
+
+def c_reference(a, b, params):
+    fld = params.field
+    one, zero = fld.one(), fld.zero()
+    if a is INFINITY:
+        return literal_gf_span([(zero, one, zero, zero), (zero, zero, zero, one)])
+    return literal_gf_span([(one, b, zero, a), (zero, a, -one, b * params.nonresidue)])
+
+
+def d_reference(a, params):
+    fld = params.field
+    one, zero = fld.one(), fld.zero()
+    if a is INFINITY:
+        return literal_gf_span([(zero, zero, one, zero), (zero, zero, zero, one)])
+    ad = a * params.nonresidue
+    return literal_gf_span([(one, one, -a, ad), (one, fld.scalar(2), -a, 2 * ad)])
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_batched_spread_matches_member_by_member_reference(p, k):
+    params = ConstructionParams.create(p, k, 2)
+    elements = list(params.field.elements())
+    want = [c_reference(a, b, params) for a in elements[1:] for b in elements]
+    want += [d_reference(a, params) for a in elements] + [d_reference(INFINITY, params)]
+    assert [m.subspace for m in build_spread_2(params).members] == want
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 2)])
+def test_build_c_and_d_are_the_one_member_case(p, k):
+    params = ConstructionParams.create(p, k, 2)
+    for a in params.field.elements():
+        assert build_D(a, params) == d_reference(a, params)
+        for b in params.field.elements():
+            assert build_C(a, b, params) == c_reference(a, b, params)
+    assert build_C(INFINITY, None, params) == c_reference(INFINITY, None, params)
+    assert build_D(INFINITY, params) == d_reference(INFINITY, params)
+
+
+def test_build_c_is_exact_past_int64():
+    # p = 2^61 - 1, k = 2: the images of t^j (0, a, -1, bD) sum products near 2^122
+    params = ConstructionParams.create(2**61 - 1, 2, 2)
+    fld = params.field
+    for a, b in [(fld.element((2**61 - 5, 7)), fld.element((2**61 - 2, 2**61 - 3))), (fld.one(), fld.zero())]:
+        assert build_C(a, b, params) == c_reference(a, b, params)
+        assert build_D(b, params) == d_reference(b, params)
 
 
 def test_spread_2_label_order():
@@ -256,7 +306,7 @@ def embed_reference(a, b, frame, masa, params):
         gens = [(one, zero, a, b), (zero, one, b * params.nonresidue, a)]
 
     def thread(power, dual, vectors):
-        coeffs = list(power.coords) + [field_trace(dual * ti) for ti in basis]
+        coeffs = list(power.coords) + [frobenius_trace(dual * ti) for ti in basis]
         width = len(vectors[0].coords)
         return [sum(c * v.coords[col] for c, v in zip(coeffs, vectors)) % p for col in range(width)]
 
@@ -279,11 +329,18 @@ def recursion_inputs(p, k, n):
     return params, frames, masas, pairs
 
 
+def pair_generators(pairs, params):
+    """The kernel's generator array of the pairs, one pair at a time."""
+    infinity = _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1)
+    return np.concatenate([infinity if a is INFINITY else _pair_generators(params, a.coords, b.coords)
+                           for a, b in pairs])
+
+
 @pytest.mark.parametrize("p,k,n,sample", [(3, 1, 3, None), (3, 1, 4, 150), (5, 1, 3, 150), (3, 2, 3, 150)])
 def test_kernel_rows_match_literal_embedding_and_embed_hat(p, k, n, sample):
     params, frames, masas, pairs = recursion_inputs(p, k, n)
     batches = list(_mixed_members([[pt.coords for pt in f] for f in frames],
-                                  [[pt.coords for pt in r] for r in masas], pairs, params))
+                                  [[pt.coords for pt in r] for r in masas], pair_generators(pairs, params), params))
     cases = list(itertools.product(range(len(frames)), range(len(masas)), range(len(pairs))))
     if sample is not None:
         rng = random.Random(p * 100 + k * 10 + n)
@@ -301,10 +358,11 @@ def test_kernel_rejects_skewed_frame_or_non_isotropic_masa():
     masa_rows = [[pt.coords for pt in r] for r in masas]
     skewed = frame_rows[:3] + [[frame_rows[3][0], [2 * c for c in frame_rows[3][1]]]] + frame_rows[4:]
     with pytest.raises(ValueError, match="symplectic frame"):
-        _mixed_members(skewed, masa_rows, pairs, params)
+        _mixed_members(skewed, masa_rows, pair_generators(pairs, params), params)
     nondegenerate = [pt.coords for pt in build_spread_2(P3).members[0].subspace.basis]
     with pytest.raises(ValueError, match="isotropic"):
-        _mixed_members(frame_rows, masa_rows[:5] + [nondegenerate] + masa_rows[6:], pairs, params)
+        _mixed_members(frame_rows, masa_rows[:5] + [nondegenerate] + masa_rows[6:], pair_generators(pairs, params),
+                       params)
 
 
 # --- recursion ---------------------------------------------------------------------
@@ -349,6 +407,15 @@ def test_recursive_members_all_full_algebras_n3():
 def test_recursive_member_budget_guard():
     with pytest.raises(ValueError, match="budget"):
         build_recursive(ConstructionParams.create(11, 2, 5))
+
+
+def test_recursive_index_guard():
+    # verify indexes every nonzero point: 53^4 - 1 and 7^8 - 1 fit the limit, 59^4 - 1 does not
+    for p, k in [(53, 1), (7, 2)]:
+        assert len(build_recursive(ConstructionParams.create(p, k, 2)).members) == expected_count(p, k, 2)
+    for p, k, n in [(59, 1, 2), (313, 1, 2), (11, 2, 2), (17, 1, 3)]:
+        with pytest.raises(ValueError, match="would index"):
+            build_recursive(ConstructionParams.create(p, k, n))
 
 
 def test_recursive_gf9_members_have_dimension_2k():

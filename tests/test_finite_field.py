@@ -6,10 +6,13 @@ import time
 import numpy as np
 import pytest
 
+from helpers import frobenius_trace
+from qospread import _modlin
 from qospread.finite_field import (
     FieldSpec,
     _is_irreducible,
     _mul_coords,
+    _pow_coords,
     field_trace,
     find_irreducible,
     find_nonresidue,
@@ -152,6 +155,26 @@ def test_berlekamp_criterion_matches_trial_division(p, k):
         assert _is_irreducible(low, p) == verdicts[-1], low
     first = verdicts.index(True)
     assert find_irreducible(p, k) == tuple(first // p**i % p for i in range(k))
+
+
+def _is_irreducible_reference(poly, p):
+    """Berlekamp's criterion with two separate exponentiations: x^{p^k} = x mod f,
+    and rank k - 1 of Q - I with each row x^{jp} of Q raised on its own."""
+    k = len(poly)
+    if k == 1:
+        return True
+    x = (0, 1) + (0,) * (k - 2)
+    if _pow_coords(p, poly, x, p**k) != x:
+        return False
+    q = [_pow_coords(p, poly, x, j * p) for j in range(k)]
+    return _modlin.rank([[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(q)], p) == k - 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3)])
+def test_frobenius_matrix_criterion_matches_two_exponentiations(p, k):
+    for idx in range(p**k):
+        low = tuple(idx // p**i % p for i in range(k))
+        assert _is_irreducible(low, p) == _is_irreducible_reference(low, p), low
 
 
 def test_big_fields_are_set_up_at_once():
@@ -297,6 +320,23 @@ def test_field_trace_is_identity_for_k1():
         assert field_trace(x) == x.coords[0]
 
 
+@pytest.mark.parametrize("field", [gf(3, 2), gf(5, 2), gf(3, 3), gf(3, 4)], ids=str)
+def test_field_trace_matches_the_frobenius_sum(field):
+    # field_trace reads the trace matrix; the reference sums the conjugates a^{p^i}
+    for a in field.elements():
+        assert field_trace(a) == frobenius_trace(a)
+
+
+def test_tables_are_exact_past_int64():
+    # Tr(t^i t^j) sums k^2 products of residues near 2^61: int64 would wrap
+    field = gf(2**61 - 1, 2)
+    basis = field.power_basis()
+    assert field.trace_matrix.tolist() == [[frobenius_trace(ti * tj) for tj in basis] for ti in basis]
+    z = field.element((2**61 - 3, 2**60 + 7))
+    assert field.mul_matrices(z.coords).tolist() == [list((z * tj).coords) for tj in basis]
+    assert field_trace(z) == frobenius_trace(z)
+
+
 @pytest.mark.parametrize("field", [gf(3, 2), gf(3, 3), gf(5, 2)], ids=str)
 def test_field_trace_linear(field):
     rng = random.Random(23)
@@ -390,7 +430,7 @@ def test_field_tables_match_literal_definitions(field):
     assert trace.shape == (field.k, field.k) and tables.shape == (field.k,) * 3
     for z in field.elements():
         coords = np.array(z.coords)
-        assert (trace @ coords % p).tolist() == [field_trace(z * ti) for ti in basis]
+        assert (trace @ coords % p).tolist() == [frobenius_trace(z * ti) for ti in basis]
         for j, tj in enumerate(basis):
             assert (coords @ tables[j] % p).tolist() == list(_mul_coords(p, field.poly, z.coords, tj.coords))
         assert field.mul_matrices(z.coords).tolist() == [list((z * tj).coords) for tj in basis]

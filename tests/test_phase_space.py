@@ -10,8 +10,8 @@ import pytest
 
 from qospread import _modlin, phase_space
 from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D
-from qospread.finite_field import field_trace, gf
-from helpers import intersect_trivially
+from qospread.finite_field import gf
+from helpers import frobenius_trace, intersect_trivially, literal_pi1
 from qospread.phase_space import (
     MAX_LISTED_PAIRS,
     SPAN_LIMIT,
@@ -154,10 +154,25 @@ def test_pi1_trace_identity_random():
     for _ in range(2000):
         a = random_gf_point(F9, rng)
         b = random_gf_point(F9, rng)
-        assert field_trace(gf_symplectic(a, b)) == symplectic_product(pi1(a), pi1(b))
-        assert field_trace(gf_symplectic(a, b, partial=True)) == symplectic_product(
+        assert frobenius_trace(gf_symplectic(a, b)) == symplectic_product(pi1(a), pi1(b))
+        assert frobenius_trace(gf_symplectic(a, b, partial=True)) == symplectic_product(
             pi1(a), pi1(b), nfactors=F9.k
         )
+
+
+def test_pi1_matches_literal_traces_on_gf9():
+    for tup in itertools.product(list(F9.elements()), repeat=2):
+        a = GFPhasePoint(tup + tup[::-1])
+        assert pi1(a).coords == literal_pi1(a.coords)
+
+
+def test_pi1_is_exact_past_int64():
+    # p = 2^61 - 1, k = 2: each clock coordinate Tr(c t^i) sums products near 2^122
+    field = gf(2**61 - 1, 2)
+    one, zero = field.one(), field.zero()
+    a, b = field.element((2**61 - 5, 7)), field.element((2**61 - 2, 2**61 - 3))
+    for pt in [(one, b, zero, a), (zero, a, -one, b * a)]:
+        assert pi1(GFPhasePoint(pt)).coords == literal_pi1(pt)
 
 
 def test_pi1_is_bijective_on_gf9():
