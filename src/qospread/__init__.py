@@ -6,6 +6,8 @@ unbiased bases they induce, and verifies everything twice: exactly, through
 finite-field combinatorics, and numerically, through literal trace checks.
 """
 
+import types
+
 from .constructions import (
     INFINITY,
     MASA,
@@ -60,53 +62,5 @@ from .weyl import WeylMonomial, basis_matrices, commutation_phase, monomial_text
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITY",
-    "MASA",
-    "MATRIX_ALGEBRA",
-    "ConstructionParams",
-    "FamilyMember",
-    "FieldSpec",
-    "GFElement",
-    "GFPhasePoint",
-    "PhasePoint",
-    "SpreadFamily",
-    "Subspace",
-    "VerificationReport",
-    "WeylMonomial",
-    "basis_matrices",
-    "build_C",
-    "build_D",
-    "build_masa_spread",
-    "build_recursive",
-    "build_spread_2",
-    "check_mub_overlaps",
-    "check_pairwise_trivial",
-    "check_partition",
-    "classify_subspace",
-    "commutation_phase",
-    "counting_identity_holds",
-    "embed_hat",
-    "expected_count",
-    "extract_and_check_mub",
-    "extract_mub_bases",
-    "field_trace",
-    "find_irreducible",
-    "find_nonresidue",
-    "format_element",
-    "gf",
-    "gf_inv",
-    "gf_mul",
-    "gf_symplectic",
-    "monomial_text",
-    "pi1",
-    "span_enumerate",
-    "symplectic_basis",
-    "symplectic_product",
-    "synthesize",
-    "trace_dual_basis",
-    "verify_full_algebra",
-    "verify_qo_numeric",
-    "verify_qo_symbolic",
-    "weyl_mul",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

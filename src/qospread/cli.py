@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import family_io, verify
+from . import family_io, phase_space, verify
 from .constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
 from .phase_space import span_enumerate
 from .weyl import monomial_text
@@ -58,7 +58,7 @@ def cmd_generate(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {args.out}: {len(family.members)} members of M_"
+    print(f"wrote {args.out}: {len(family.rows)} members of M_"
           f"{params.p ** (params.k * params.n)}, each a copy of M_{params.p ** params.k}")
     return EXIT_OK
 
@@ -75,9 +75,14 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_INPUT
     try:
         ff = family_io.parse(text)
+        if args.mode in ("symbolic", "both"):  # a span has at most p^rows points: refuse before any elimination
+            phase_space._check_index_size(ff.rows)
         family = family_io.to_family(ff)
     except family_io.FamilyFormatError as exc:
         print(f"error: malformed family file: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
     ok = True
@@ -88,7 +93,7 @@ def cmd_verify(args) -> int:
         for label, detail in bad_rows[:10]:
             print(f"  {label}: {detail}")
     else:
-        print(f"integrity: ok ({len(ff.members)} members, canonical rows)")
+        print(f"integrity: ok ({len(ff.labels)} members, canonical rows)")
 
     if args.mode in ("symbolic", "both"):
         try:

@@ -30,14 +30,15 @@ identical parameters reproduce identical families byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import _modlin
 from .finite_field import (FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue,
                            require_odd_prime)
-from .phase_space import (INDEX_LIMIT, PhasePoint, Subspace, _canonical, _gram, _pi1_rows,
+from .phase_space import (INDEX_LIMIT, PhasePoint, RowStacks, Subspace, _canonical, _gram, _pi1_rows,
                           symplectic_basis)
 
 MATRIX_ALGEBRA = "matrix_algebra"
@@ -106,29 +107,40 @@ class FamilyMember:
     subspace: Subspace
 
 
-@dataclass
 class SpreadFamily:
     """A labeled family of subspaces with its construction parameters.
 
-    ``complete`` records whether the family claims the maximal member count
-    (p^{2kn}-1)/(p^{2k}-1); builders always produce complete families, while
-    hand-assembled test families may opt out.
+    The members are held as arrays: a label list, a kind list and the table
+    ``rows`` of their canonical echelon bases; ``members`` gives
+    ``FamilyMember`` views, built on first access.  ``complete`` records
+    whether the family claims the maximal member count (p^{2kn}-1)/(p^{2k}-1);
+    builders always produce complete families, while hand-assembled test
+    families may opt out.
     """
 
-    params: ConstructionParams
-    members: list[FamilyMember] = dc_field(default_factory=list)
-    complete: bool = True
-
-    def __post_init__(self) -> None:
-        labels = [m.label for m in self.members]
+    def __init__(self, params: ConstructionParams, members=(), complete: bool = True, *,
+                 labels: list[str] | None = None, kinds: list[str] | None = None, rows: RowStacks | None = None):
+        """From ``FamilyMember`` records, or from labels, kinds and a table of canonical rows."""
+        if rows is None:
+            members = list(members)
+            labels, kinds = [m.label for m in members], [m.kind for m in members]
+            rows = RowStacks.lists(params.p, 2 * params.ambient_factors, [m.subspace.rows for m in members])
         if len(set(labels)) != len(labels):
             raise ValueError("member labels must be unique")
+        self.params, self._labels, self._kinds, self.rows, self.complete = params, labels, kinds, rows, complete
+
+    @cached_property
+    def members(self) -> list[FamilyMember]:
+        return [FamilyMember(*member) for member in zip(self._labels, self._kinds, self.rows.subspaces())]
 
     def subspaces(self) -> list[Subspace]:
         return [m.subspace for m in self.members]
 
     def labels(self) -> list[str]:
-        return [m.label for m in self.members]
+        return list(self._labels)
+
+    def kinds(self) -> list[str]:
+        return list(self._kinds)
 
 
 def expected_count(p: int, k: int, n: int) -> int:
@@ -143,12 +155,12 @@ def expected_count(p: int, k: int, n: int) -> int:
     return num // den
 
 
-def _gf_spans(params: ConstructionParams, generators) -> list[Subspace]:
+def _gf_spans(params: ConstructionParams, generators) -> RowStacks:
     """Per member of an (N, 8, k) array of two GF(p^k)^4 generators, the Z_p span
     of all their field multiples: one ``_pi1_rows`` of every t^j g, one ``_canonical``."""
     k = params.k
     rows = _pi1_rows(params.field, np.reshape(generators, (-1, 2, 4, k)))
-    return _canonical(params.p, 2 * k, rows.reshape(-1, 2 * k, 4 * k))
+    return _canonical(RowStacks.single(params.p, rows.reshape(-1, 2 * k, 4 * k)))
 
 
 def _generators(field: FieldSpec, *coords) -> np.ndarray:
@@ -190,8 +202,8 @@ def build_C(a, b, params: ConstructionParams) -> Subspace:
     if a is INFINITY:
         if b is not None and b is not INFINITY:
             raise ValueError("the infinity member takes no second parameter")
-        return _gf_spans(params, _generators(params.field, 0, 1, 0, 0, 0, 0, 0, 1))[0]
-    return _gf_spans(params, _c_generators(params, a.coords, b.coords))[0]
+        return _gf_spans(params, _generators(params.field, 0, 1, 0, 0, 0, 0, 0, 1)).subspace(0)
+    return _gf_spans(params, _c_generators(params, a.coords, b.coords)).subspace(0)
 
 
 def build_D(a, params: ConstructionParams) -> Subspace:
@@ -202,8 +214,8 @@ def build_D(a, params: ConstructionParams) -> Subspace:
     1 - a^2 D, nonzero because D is a non-residue.
     """
     if a is INFINITY:
-        return _gf_spans(params, _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1))[0]
-    return _gf_spans(params, _d_generators(params, a.coords))[0]
+        return _gf_spans(params, _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1)).subspace(0)
+    return _gf_spans(params, _d_generators(params, a.coords)).subspace(0)
 
 
 def build_spread_2(params: ConstructionParams) -> SpreadFamily:
@@ -218,8 +230,7 @@ def build_spread_2(params: ConstructionParams) -> SpreadFamily:
     generators = np.concatenate([_c_generators(params, slow, fast), _d_generators(params, coords),
                                  _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1)])
     labels = [f"C[{a},{b}]" for a in names[1:] for b in names] + [f"D[{a}]" for a in names] + ["D[inf]"]
-    return SpreadFamily(params, [FamilyMember(label, MATRIX_ALGEBRA, sub)
-                                 for label, sub in zip(labels, _gf_spans(params, generators))])
+    return SpreadFamily(params, labels=labels, kinds=[MATRIX_ALGEBRA] * len(labels), rows=_gf_spans(params, generators))
 
 
 def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
@@ -240,8 +251,7 @@ def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
     lines = np.concatenate([_generators(big, 1, [m.coords for m in slopes], 0, 0), _generators(big, 0, 1, 0, 0)])
     rows = _pi1_rows(big, lines)[..., : 4 * k]  # the first block: t^j (x, mx) at x = 1, then t^j (0, 1)
     labels = [f"M[{format_element(m)}]" for m in slopes] + ["M[inf]"]
-    return SpreadFamily(params, [FamilyMember(label, MASA, sub)
-                                 for label, sub in zip(labels, _canonical(p, 2 * k, rows))])
+    return SpreadFamily(params, labels=labels, kinds=[MASA] * len(labels), rows=_canonical(RowStacks.single(p, rows)))
 
 
 def _mixed_members(frames, masas, generators, params: ConstructionParams):
@@ -293,21 +303,14 @@ def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
     return Subspace.from_generators(params.p, left_basis[0].m + right_basis[0].m, rows.tolist())
 
 
-def _pad(sub: Subspace, before: int, after: int) -> Subspace:
-    """The same span inside a wider ambient, zero on the added factors.
-
-    Zero columns keep echelon rows reduced, so the padded rows are canonical.
-    """
-    rows = tuple((0,) * (2 * before) + row + (0,) * (2 * after) for row in sub.rows)
-    return Subspace(sub.p, before + sub.m + after, rows)
-
-
 def build_recursive(params: ConstructionParams) -> SpreadFamily:
     """The maximal family of (p^{2kn}-1)/(p^{2k}-1) members in M_{p^{kn}}.
 
     n = 1 is the single full block and n = 2 the two-block spread; larger n
     recurses on the leading n-2 blocks and splices the trailing two blocks in
-    through the masa spread.
+    through the masa spread.  Left members pad with zero columns on the right,
+    right members on the left, and every mixed member of every left frame goes
+    through one ``_canonical``.
     """
     p, k, n = params.p, params.k, params.n
     expected = expected_count(p, k, n)
@@ -318,8 +321,8 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
         raise ValueError(f"verifying the family would index {p ** (2 * k * n) - 1} points, "
                          f"above the limit {INDEX_LIMIT}")
     if n == 1:
-        full = Subspace.from_generators(p, k, np.eye(2 * k, dtype=np.int64))
-        return SpreadFamily(params, [FamilyMember("full", MATRIX_ALGEBRA, full)])
+        full = _canonical(RowStacks.single(p, np.eye(2 * k, dtype=np.int64)[None]))
+        return SpreadFamily(params, labels=["full"], kinds=[MATRIX_ALGEBRA], rows=full)
     if n == 2:
         return build_spread_2(params)
 
@@ -327,22 +330,23 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     left = build_recursive(replace(params, n=n - 2))
     masas = build_masa_spread(two_block)
     right = build_spread_2(two_block)
-    m_left = k * (n - 2)
-    m_right = 2 * k
 
-    members = [FamilyMember(f"{mem.label}⊗I", MATRIX_ALGEBRA, _pad(mem.subspace, 0, m_right))
-               for mem in left.members]
-    members += [FamilyMember(f"I⊗{mem.label}", MATRIX_ALGEBRA, _pad(mem.subspace, m_left, 0))
-                for mem in right.members]
-    frames = [[pt.coords for pt in symplectic_basis(mem.subspace)] for mem in left.members]
-    masa_rows = [mem.subspace.rows for mem in masas.members]
+    def stack(family: SpreadFamily) -> np.ndarray:
+        return family.rows.ordered().reshape(-1, 2 * k, family.rows.width)
+
+    frames = [[pt.coords for pt in symplectic_basis(sub)] for sub in left.rows.subspaces()]
     elements = list(params.field.elements())
-    names = [(j, format_element(a), format_element(b)) for j in range(len(masa_rows))
-             for a in elements for b in elements if a or b]
     coords = np.array([a.coords for a in elements], dtype=params.field.mul_tables.dtype)
     a, b = np.repeat(coords, len(coords), axis=0)[1:], np.tile(coords, (len(coords), 1))[1:]  # (a, b) != (0, 0)
-    for i, rows in enumerate(_mixed_members(frames, masa_rows, _pair_generators(params, a, b), params)):
-        subs = _canonical(p, m_left + m_right, rows.reshape((-1,) + rows.shape[2:]))
-        members.extend(FamilyMember(f"B[A={i}|C={j}|a={a},b={b}]", MATRIX_ALGEBRA, sub)
-                       for (j, a, b), sub in zip(names, subs))
-    return SpreadFamily(params, members)
+    mixed = np.concatenate(list(_mixed_members(frames, stack(masas), _pair_generators(params, a, b), params)))
+    padded = np.concatenate([np.pad(stack(left), ((0, 0), (0, 0), (0, 4 * k))),  # zero columns keep them canonical
+                             np.pad(stack(right), ((0, 0), (0, 0), (2 * k * (n - 2), 0)))])
+    mixed = _canonical(RowStacks.single(p, mixed.reshape((-1,) + mixed.shape[2:])))
+    names = [format_element(x) for x in elements]  # each element once
+    pairs = [f"a={x},b={y}]" for x in names for y in names][1:]  # (a, b) != (0, 0)
+    tails = [f"C={j}|{pair}" for j in range(len(masas.rows)) for pair in pairs]
+    labels = ([f"{label}⊗I" for label in left.labels()] + [f"I⊗{label}" for label in right.labels()]
+              + [f"B[A={i}|{tail}" for i in range(len(frames)) for tail in tails])
+    rows = [(np.arange(len(padded)), padded)] + [(at + len(padded), stack) for at, stack in mixed.groups]
+    return SpreadFamily(params, labels=labels, kinds=[MATRIX_ALGEBRA] * len(labels),
+                        rows=RowStacks.join(p, 2 * k * n, rows))

@@ -24,10 +24,11 @@ suite re-verifies this rather than trusting the construction.
 
 ``Subspace`` holds the reduced row echelon basis of its span over Z_p as
 rows of Python ints, so equal spans compare equal and serialise
-identically; ``basis`` is a ``PhasePoint`` view built on access.  Members
-are stacked into one integer array per distinct dimension, which one
-elimination canonicalises or classifies (by the ranks of the Gram stack)
-and one matrix product enumerates: the coefficient vectors, in
+identically; ``basis`` is a ``PhasePoint`` view built on access.  A family's
+members are one ``RowStacks`` table, one integer array per distinct row
+count, of which ``Subspace`` objects are views built on access.  Each array
+is canonicalised or classified (by the ranks of the Gram stack) by one
+elimination and enumerated by one matrix product: the coefficient vectors, in
 ``itertools.product`` order (zero first), times every echelon basis, mod p.
 Both set checks, trivial pairwise intersection and the partition of the
 nonzero ambient, are one scan of one point-ownership index: one such product
@@ -219,23 +220,112 @@ class Subspace:
         return _modlin.rank(self.rows + (pt.coords,), self.p) == self.dim
 
 
-def _stacks(p: int, width: int, row_lists: Sequence) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Per distinct row count r, ascending: the positions of the row lists
-    (matrices) with r rows and their (count, r, width) integer stack."""
-    counts = [len(rows) for rows in row_lists]
-    for r in sorted(set(counts)):
-        at = [i for i, count in enumerate(counts) if count == r]
-        yield at, _modlin._residues([row_lists[i] for i in at], p, width).reshape(len(at), r, width)
+def _distinct(counts: np.ndarray) -> list[int]:
+    """The distinct values of an array of row counts, ascending (plain ``np.unique`` imports ``numpy.ma``)."""
+    return np.flatnonzero(np.bincount(counts)).tolist()
 
 
-def _canonical(p: int, m: int, row_lists: Sequence) -> list[Subspace]:
-    """The span of every row list, by one batched elimination per distinct row count."""
-    out: list[Subspace] = [None] * len(row_lists)
-    for at, stack in _stacks(p, 2 * m, row_lists):
-        ech, ranks = _modlin.rref_stack(stack, p)
-        for i, rows, r in zip(at, ech.tolist(), ranks.tolist()):
-            out[i] = Subspace(p, m, tuple(map(tuple, rows[:r])))
-    return out
+@dataclass(frozen=True, eq=False)
+class RowStacks:
+    """N integer matrices over Z_p of one width, grouped by row count: per
+    distinct row count r, ascending, the positions (0..N-1, ascending; a table
+    from ``take`` keeps those it took) of the matrices with r rows and their
+    (count, r, width) array in ``_modlin._dtype(p, width)``."""
+
+    p: int
+    width: int
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def join(cls, p: int, width: int, parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> "RowStacks":
+        """The table of (positions, stack) parts in any order, several of one row count allowed."""
+        by_count: dict[int, list] = {}
+        for at, stack in parts:
+            by_count.setdefault(stack.shape[1], []).append((np.asarray(at, dtype=np.intp), stack))
+        groups = []
+        for r in sorted(by_count):
+            at, stack = (np.concatenate(column) for column in zip(*by_count[r]))
+            order = np.argsort(at, kind="stable")
+            groups.append((at[order], stack.astype(_modlin._dtype(p, width), copy=False)[order]))
+        return cls(p, width, tuple((at, stack) for at, stack in groups if len(at)))
+
+    @classmethod
+    def of(cls, p: int, width: int, counts, rows: np.ndarray) -> "RowStacks":
+        """The table of matrices of the given row counts, from their rows as one (total, width) array."""
+        counts = np.asarray(counts, dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        ats = [np.flatnonzero(counts == r) for r in _distinct(counts)]
+        return cls.join(p, width, [(at, rows[starts[at, None] + np.arange(counts[at[0]])]) for at in ats])
+
+    @classmethod
+    def lists(cls, p: int, width: int, row_lists: Sequence) -> "RowStacks":
+        """The table of row lists (sequences of integer rows), reduced mod p."""
+        flat = [row for matrix in row_lists for row in matrix]
+        rows = _modlin._residues(flat, p, width).reshape(len(flat), width)  # raises for rows of another width
+        return cls.of(p, width, [len(matrix) for matrix in row_lists], rows)
+
+    @classmethod
+    def single(cls, p: int, stack: np.ndarray) -> "RowStacks":
+        return cls.join(p, stack.shape[-1], [(np.arange(len(stack)), stack)])
+
+    def __len__(self) -> int:
+        return sum(len(at) for at, _ in self.groups)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RowStacks) and (self.p, self.width, len(self.groups)) ==
+                (other.p, other.width, len(other.groups)) and all(
+                    np.array_equal(a, b) and np.array_equal(s, t) for (a, s), (b, t) in zip(self.groups, other.groups)))
+
+    def counts(self) -> np.ndarray:
+        """Every matrix's row count, by position."""
+        out = np.zeros(len(self), dtype=np.intp)
+        for at, stack in self.groups:
+            out[at] = stack.shape[1]
+        return out
+
+    def ordered(self) -> np.ndarray:
+        """All rows, matrix by matrix: the (total, width) array ``of`` reads."""
+        if len(self.groups) == 1:
+            return self.groups[0][1].reshape(-1, self.width)
+        counts = self.counts()
+        out = np.zeros((counts.sum(), self.width), dtype=_modlin._dtype(self.p, self.width))
+        for at, stack in self.groups:
+            out[(np.cumsum(counts) - counts)[at, None] + np.arange(stack.shape[1])] = stack
+        return out
+
+    def take(self, positions) -> "RowStacks":
+        """The matrices at ascending ``positions``."""
+        positions, groups = np.asarray(positions, dtype=np.intp), []
+        for at, stack in self.groups:
+            k = np.minimum(np.searchsorted(at, positions), len(at) - 1)
+            groups.append((positions[at[k] == positions], stack[k[at[k] == positions]]))
+        return RowStacks(self.p, self.width, tuple((at, stack) for at, stack in groups if len(at)))
+
+    def split(self) -> list[np.ndarray]:
+        """Every matrix's (r, width) rows, by position: views into the stacks."""
+        out: list[np.ndarray] = [None] * len(self)
+        for at, stack in self.groups:
+            for i, rows in zip(at.tolist(), stack):
+                out[i] = rows
+        return out
+
+    def matrix(self, i: int) -> np.ndarray:
+        return self.take([i]).groups[0][1][0]
+
+    def subspace(self, i: int) -> Subspace:
+        return Subspace(self.p, self.width // 2, tuple(map(tuple, self.matrix(i).tolist())))
+
+    def subspaces(self) -> list[Subspace]:
+        return [Subspace(self.p, self.width // 2, tuple(map(tuple, rows.tolist()))) for rows in self.split()]
+
+
+def _canonical(rows: RowStacks) -> RowStacks:
+    """The canonical echelon basis of every matrix's row span, grouped by dimension: one elimination per row count."""
+    parts = []
+    for at, stack in rows.groups:
+        ech, ranks = _modlin.rref_stack(stack, rows.p)
+        parts += [(at[ranks == r], ech[ranks == r, :r]) for r in _distinct(ranks)]
+    return RowStacks.join(rows.p, rows.width, parts)
 
 
 def _spans(p: int, stack: np.ndarray) -> np.ndarray:
@@ -251,8 +341,7 @@ def _spans(p: int, stack: np.ndarray) -> np.ndarray:
 
 def _span_rows(s: Subspace) -> np.ndarray:
     """All p^dim points of the span as integer rows (zero first), in coefficient order."""
-    (_, stack), = _stacks(s.p, 2 * s.m, [s.rows])
-    return _spans(s.p, stack)[0]
+    return _spans(s.p, _modlin._residues(s.rows, s.p, 2 * s.m).reshape(1, s.dim, 2 * s.m))[0]
 
 
 def span_enumerate(s: Subspace) -> list[PhasePoint]:
@@ -280,21 +369,26 @@ class _Index(NamedTuple):
         return cls(points, owners, first)
 
 
-def _owners(members: Iterable[tuple[int, Subspace]]) -> _Index:
-    """The index of the (owner index, member) spans, one span product per
-    distinct member dimension; raises above ``SPAN_LIMIT``."""
-    members = list(members)
-    if not members:
-        return _Index.sort(np.zeros((0, 0), dtype=np.uint8), np.zeros(0, dtype=np.int64))
-    p, m = members[0][1].p, members[0][1].m
-    if any((s.p, s.m) != (p, m) for _, s in members):
-        raise ValueError("ambient mismatch")
-    ids = np.array([i for i, _ in members])
-    points, owners = [], []
-    for at, stack in _stacks(p, 2 * m, [s.rows for _, s in members]):
-        # the smallest dtype holding [0, p-1] makes the sort several times faster
-        points.append(_spans(p, stack)[:, 1:].astype(np.min_scalar_type(p - 1)).reshape(-1, 2 * m))
-        owners.append(np.repeat(ids[at], p ** stack.shape[1] - 1))
+def _enumerable(p: int, dim: int) -> bool:
+    return p ** min(dim, 21) <= SPAN_LIMIT  # 2^21 > SPAN_LIMIT, so no larger power is needed
+
+
+def _check_index_size(rows: RowStacks) -> None:
+    """Refuse an ownership index of the table's enumerable spans above ``INDEX_LIMIT`` points."""
+    p = rows.p
+    points = sum(len(at) * (p ** stack.shape[1] - 1) for at, stack in rows.groups if _enumerable(p, stack.shape[1]))
+    if points > INDEX_LIMIT:
+        raise ValueError(f"the ownership index would hold {points} points, above the limit {INDEX_LIMIT}")
+
+
+def _owners(rows: RowStacks) -> _Index:
+    """The index of the spans of a table of echelon bases, positions as owners,
+    one span product per row count; raises above ``SPAN_LIMIT``."""
+    p, small = rows.p, np.min_scalar_type(rows.p - 1)  # the smallest dtype holding [0, p-1] sorts fastest
+    points, owners = [np.zeros((0, rows.width), dtype=small)], [np.zeros(0, dtype=np.intp)]
+    for at, stack in rows.groups:
+        points.append(_spans(p, stack)[:, 1:].astype(small).reshape(-1, rows.width))
+        owners.append(np.repeat(at, p ** stack.shape[1] - 1))
     points, owners = np.concatenate(points), np.concatenate(owners)  # frees the parts before sorting
     return _Index.sort(points, owners)
 
@@ -338,11 +432,12 @@ def _shared_point(a: Subspace, b: Subspace) -> tuple[int, ...]:
 
 
 def _disjointness(
-    subspaces: Sequence[Subspace], labels: Sequence[str] | None = None
+    rows: RowStacks, labels: Sequence[str] | None = None
 ) -> tuple[VerificationReport, VerificationReport | None]:
     """The pairwise and partition reports from one ownership index of the
-    members at or below ``SPAN_LIMIT``; pairs with a larger member get a rank
-    test, and the partition report is then None (also when empty).  The rank
+    members (a table of echelon bases) at or below ``SPAN_LIMIT``; pairs with
+    a larger member get a rank test, and the partition report is then None
+    (also when empty).  The rank
     tests take one first member at a time, in pair order, with its later
     partners (all of them if it is above the limit, else those above it) in
     one elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
@@ -353,26 +448,25 @@ def _disjointness(
     shared points and counts the index's distinct points against the ambient.
     An index above ``INDEX_LIMIT`` points is refused before any span is built.
     """
-    n = len(subspaces)
+    n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
-    oversize = {i for i, s in enumerate(subspaces) if s.p**s.dim > SPAN_LIMIT}
-    points = sum(s.p**s.dim - 1 for i, s in enumerate(subspaces) if i not in oversize)
-    if points > INDEX_LIMIT:
-        raise ValueError(f"the ownership index would hold {points} points, above the limit {INDEX_LIMIT}")
-    index = _owners((i, s) for i, s in enumerate(subspaces) if i not in oversize)
+    small = RowStacks(p, rows.width, tuple(g for g in rows.groups if _enumerable(p, g[1].shape[1])))
+    _check_index_size(small)
+    index = _owners(small)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}
-    big, meets = sorted(oversize), []  # meets: the pairs whose stacked rows are dependent
+    big = sorted(i for at, stack in rows.groups if not _enumerable(p, stack.shape[1]) for i in at.tolist())
+    oversize, meets = set(big), []  # meets: the pairs whose stacked rows are dependent
     for i in range(big[-1] + 1 if big else 0):
         if len(meets) > MAX_LISTED_PAIRS:
             break
-        s = subspaces[i]
+        mine = rows.matrix(i)
         later = range(i + 1, n) if i in oversize else big[bisect.bisect_right(big, i):]
-        for at, stack in _stacks(s.p, 2 * s.m, [s.rows + subspaces[j].rows for j in later]):
-            ranks = _modlin.rref_stack(stack, s.p)[1].tolist()
-            meets += [(i, later[k]) for k, r in zip(at, ranks) if r < stack.shape[1]]
+        for at, stack in rows.take(later).groups:
+            pairs = np.concatenate([np.broadcast_to(mine, (len(at),) + mine.shape), stack], axis=1)
+            meets += [(i, j) for j in at[_modlin.rref_stack(pairs, p)[1] < pairs.shape[1]].tolist()]
     for i, j in sorted(meets)[: MAX_LISTED_PAIRS + 1]:
-        witnesses[i, j] = _shared_point(subspaces[i], subspaces[j])
+        witnesses[i, j] = _shared_point(rows.subspace(i), rows.subspace(j))
     listed = sorted(witnesses.items())
     failures = [
         (f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}")
@@ -383,28 +477,38 @@ def _disjointness(
             ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
         )
     pairwise = VerificationReport(checks_run=n * (n - 1) // 2, failures=failures)
-    if oversize or not n:
+    if big or not n:
         return pairwise, None
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points") for (i, j), _, count in conflicts[:1]
     ]
-    covered, expected = int(index.first.sum()), subspaces[0].p ** (2 * subspaces[0].m) - 1
+    covered, expected = int(index.first.sum()), p**rows.width - 1
     if covered != expected:
         failures.append(("family", f"covers {covered} of {expected} nonzero points"))
     return pairwise, VerificationReport(checks_run=n, failures=failures, covered=covered, expected=expected)
+
+
+def _table(subspaces: Sequence[Subspace]) -> RowStacks:
+    """The table of one ambient's subspaces (with no ambient, p = 0, for none)."""
+    if not subspaces:
+        return RowStacks(0, 0, ())
+    p, m = subspaces[0].p, subspaces[0].m
+    if any((s.p, s.m) != (p, m) for s in subspaces):
+        raise ValueError("ambient mismatch")
+    return RowStacks.lists(p, 2 * m, [s.rows for s in subspaces])
 
 
 def check_pairwise_trivial(
     subspaces: Sequence[Subspace], labels: Sequence[str] | None = None
 ) -> VerificationReport:
     """Pass iff every pair of distinct members meets only in 0 (see ``_disjointness``)."""
-    return _disjointness(subspaces, labels)[0]
+    return _disjointness(_table(subspaces), labels)[0]
 
 
 def check_partition(subspaces: Sequence[Subspace], labels: Sequence[str] | None = None) -> VerificationReport:
     """Pass iff the members' nonzero points are disjoint and cover Z_p^{2m} \\ {0};
     raises for an empty family, a member above ``SPAN_LIMIT`` or an index above ``INDEX_LIMIT``."""
-    report = _disjointness(subspaces, labels)[1]
+    report = _disjointness(_table(subspaces), labels)[1]
     if report is None:
         raise ValueError(f"a member's span is above the limit {SPAN_LIMIT}" if subspaces else "empty family")
     return report
@@ -421,17 +525,23 @@ def _gram(rows: np.ndarray, p: int) -> np.ndarray:
     return (shift @ clock.swapaxes(-1, -2) - clock @ shift.swapaxes(-1, -2)) % p
 
 
-def _classify(subspaces: Sequence[Subspace]) -> list[Classification]:
-    """``classify_subspace`` of every member of one ambient: per distinct
-    dimension one Gram stack, ranked by one batched elimination."""
-    out: list[Classification] = [None] * len(subspaces)
-    if not subspaces:
-        return out
-    p, m = subspaces[0].p, subspaces[0].m
-    for at, stack in _stacks(p, 2 * m, [s.rows for s in subspaces]):
-        for i, r in zip(at, _modlin.rref_stack(_gram(stack, p), p)[1].tolist()):
-            out[i] = Classification(ISOTROPIC if r == 0 else NONDEGENERATE if r == stack.shape[1] else MIXED, r)
+def _gram_ranks(rows: RowStacks) -> np.ndarray:
+    """The rank of every member's symplectic Gram matrix, by position: per row
+    count one Gram stack, ranked by one batched elimination."""
+    out = np.zeros(len(rows), dtype=np.intp)
+    for at, stack in rows.groups:
+        out[at] = _modlin.rref_stack(_gram(stack, rows.p), rows.p)[1]
     return out
+
+
+def _kind(gram_rank: int, dim: int) -> str:
+    return ISOTROPIC if gram_rank == 0 else NONDEGENERATE if gram_rank == dim else MIXED
+
+
+def _classify(subspaces: Sequence[Subspace]) -> list[Classification]:
+    """``classify_subspace`` of every member of one ambient."""
+    rows = _table(subspaces)
+    return [Classification(_kind(r, d), r) for r, d in zip(_gram_ranks(rows).tolist(), rows.counts().tolist())]
 
 
 def classify_subspace(s: Subspace) -> Classification:

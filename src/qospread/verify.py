@@ -30,8 +30,9 @@ from .phase_space import (
     ISOTROPIC,
     NONDEGENERATE,
     Subspace,
-    _classify,
     _disjointness,
+    _gram_ranks,
+    _kind,
     _span_rows,
     classify_subspace,
 )
@@ -65,25 +66,26 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
     index, is ``phase_space.check_partition``'s report, or None when a member
     is too large to enumerate.
     """
-    pairs, partition = _disjointness(family.subspaces(), family.labels())
+    labels, kinds = family.labels(), family.kinds()
+    pairs, partition = _disjointness(family.rows, labels)
     failures = list(pairs.failures)
-    checks = pairs.checks_run
+    checks = pairs.checks_run + len(labels)
     dim_want = 2 * family.params.k
-    for mem, cls in zip(family.members, _classify(family.subspaces())):
-        checks += 1
-        want = NONDEGENERATE if mem.kind == MATRIX_ALGEBRA else ISOTROPIC
-        if cls.kind != want or mem.subspace.dim != dim_want:
-            failures.append(
-                (mem.label,
-                 f"{mem.kind} member classified {cls.kind} (gram rank {cls.gram_rank}, "
-                 f"dim {mem.subspace.dim}, want {want} of dim {dim_want})")
-            )
+    dims, ranks = family.rows.counts(), _gram_ranks(family.rows)
+    algebra = np.array([kind == MATRIX_ALGEBRA for kind in kinds], dtype=bool)
+    for i in np.flatnonzero((dims != dim_want) | np.where(algebra, ranks != dims, ranks != 0)).tolist():
+        want = NONDEGENERATE if algebra[i] else ISOTROPIC
+        failures.append(
+            (labels[i],
+             f"{kinds[i]} member classified {_kind(ranks[i], dims[i])} (gram rank {ranks[i]}, "
+             f"dim {dims[i]}, want {want} of dim {dim_want})")
+        )
     if family.complete:
         checks += 1
         p, k, n = family.params.p, family.params.k, family.params.n
         want_count = expected_count(p, k, n)
-        if len(family.members) != want_count:
-            failures.append(("family", f"{len(family.members)} members, expected {want_count}"))
+        if len(labels) != want_count:
+            failures.append(("family", f"{len(labels)} members, expected {want_count}"))
     return VerificationReport(checks_run=checks, failures=failures), partition
 
 
@@ -165,7 +167,7 @@ def verify_qo_numeric(
         cross = traces(*basis_parts(family.members[j].subspace))
         # both spans list the identity first: cross[a, 0] = Tr(A_a) and cross[0, b] = Tr(B_b)
         resid = np.abs(cross[1:, 1:] - np.outer(cross[1:, 0], cross[0, 1:]) / dim)
-        top = float(resid.max())
+        top = float(resid.max(initial=0.0))  # a member of dimension 0 has no non-identity matrix
         worst = float(np.maximum(worst, top))  # NaN once either is NaN; max() would drop it
         if not top <= tol:
             failures.append(

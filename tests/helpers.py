@@ -1,8 +1,8 @@
 """Reference implementations shared by the test modules."""
 
-from qospread import _modlin
+from qospread import _modlin, family_io
 from qospread.finite_field import GFElement
-from qospread.phase_space import Subspace
+from qospread.phase_space import RowStacks, Subspace
 
 
 def intersect_trivially(a: Subspace, b: Subspace) -> bool:
@@ -39,3 +39,16 @@ def literal_gf_span(generators) -> Subspace:
     field = generators[0][0].field
     rows = [literal_pi1([tj * c for c in g]) for g in generators for tj in field.power_basis()]
     return Subspace.from_generators(field.p, 2 * field.k, rows)
+
+
+def file_of(p, k, n, poly, nonresidue, members, verification=None) -> family_io.FamilyFile:
+    """The family file of ``FileMember`` records, whose rows may be any integer sequences."""
+    rows = RowStacks.lists(p, 2 * k * n, [m.rows for m in members])
+    return family_io.FamilyFile(p, k, n, tuple(poly), tuple(nonresidue), [m.label for m in members],
+                                [m.kind for m in members], rows, verification)
+
+
+def with_rows(ff: family_io.FamilyFile, edits: dict) -> family_io.FamilyFile:
+    """A copy of a family file whose members at the keys of ``edits`` store the given rows."""
+    members = [family_io.FileMember(m.label, m.kind, edits.get(i, m.rows)) for i, m in enumerate(ff.members)]
+    return file_of(ff.p, ff.k, ff.n, ff.poly, ff.nonresidue, members, ff.verification)

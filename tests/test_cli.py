@@ -1,8 +1,11 @@
 """Exit-code and determinism tests for the command-line surface."""
 
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -13,6 +16,7 @@ import yaml
 from qospread import constructions, family_io, phase_space, verify
 from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_text, main
 from qospread.constructions import ConstructionParams, build_C, build_masa_spread
+from helpers import file_of, with_rows
 
 
 def run(capsys, *argv):
@@ -36,6 +40,30 @@ def test_generate_writes_ten_members(family_path):
     ff = family_io.load(family_path)
     assert len(ff.members) == 10
     assert ff.nonresidue == (2,)
+
+
+def test_only_restyled_files_import_yaml(tmp_path):
+    """generate, example, mub and the line reader run without PyYAML; a file in
+    another layout loads it."""
+    path, restyled = tmp_path / "fam.yaml", tmp_path / "restyled.yaml"
+    script = f"""
+import contextlib, io, sys
+from qospread.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["generate", "--p", "3", "--n", "2", "--out", {str(path)!r}])
+    main(["example"])
+    main(["mub", "--p", "3", "--out", {str(tmp_path / "mub.txt")!r}])
+    main(["verify", {str(path)!r}])
+print("yaml" in sys.modules, end=" ")
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify", {str(restyled)!r}])
+print("yaml" in sys.modules)
+"""
+    restyled.write_text("# a comment\n" + family_io.serialize(family_io.from_family(
+        constructions.build_spread_2(ConstructionParams.create(3, 1, 2)))))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_generate_n1(tmp_path, capsys):
@@ -222,9 +250,7 @@ def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
     path = tmp_path / "same.yaml"
     run(capsys, "generate", "--p", "5", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    for member in ff.members:
-        member.rows = ff.members[0].rows
-    family_io.save(ff, path)
+    family_io.save(with_rows(ff, dict.fromkeys(range(len(ff.labels)), ff.members[0].rows)), path)
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     elapsed = time.perf_counter() - start
@@ -247,7 +273,7 @@ def test_generate_refuses_a_family_its_verify_would_refuse(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
-def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, capsys):
+def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, capsys, monkeypatch):
     # ten C members of p=997, n=2: 994,008 nonzero points each, under SPAN_LIMIT,
     # 9,940,080 together; building that index took gigabytes
     params = ConstructionParams.create(997, 1, 2)
@@ -255,7 +281,9 @@ def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, cap
     members = [family_io.FileMember(f"C[1,{b}]", "matrix_algebra", build_C(one, params.field.scalar(b), params).rows)
                for b in range(10)]
     path = tmp_path / "wide.yaml"
-    family_io.save(family_io.FamilyFile(997, 1, 2, params.field.poly, params.nonresidue.coords, members), path)
+    family_io.save(file_of(997, 1, 2, params.field.poly, params.nonresidue.coords, members), path)
+    canonical = []
+    monkeypatch.setattr(family_io, "_canonical", lambda rows: canonical.append(1) or phase_space._canonical(rows))
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -266,8 +294,21 @@ def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, cap
         tracemalloc.stop()
     assert code == EXIT_BAD_INPUT
     assert err == f"error: the ownership index would hold 9940080 points, above the limit {2**23}\n"
-    assert out == "integrity: ok (10 members, canonical rows)\n"
+    assert out == ""  # refused from the stored row counts: no integrity line, no elimination
+    assert not canonical
     assert elapsed < 1.0 and peak < 10 * 2**20, (elapsed, peak)
+
+
+def test_verify_member_of_dimension_zero(family_path, capsys):
+    # zero rows span only the identity, which has no non-identity matrix to pair:
+    # the numeric check must report, not fail on an empty residual array
+    ff = family_io.load(family_path)
+    family_io.save(with_rows(ff, {3: [(0, 0, 0, 0), (0, 0, 0, 0)]}), family_path)
+    code, out, _ = run(capsys, "verify", str(family_path), "--mode", "both")
+    assert code == EXIT_VERIFY_FAILED
+    assert "integrity: FAIL (1 members with non-canonical rows)" in out
+    assert "matrix_algebra member classified isotropic (gram rank 0, dim 0, want nondegenerate of dim 2)" in out
+    assert "numeric: PASS (checks=45," in out
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -342,9 +383,7 @@ def test_verify_both_sampled_failures_match_golden(tmp_path, capsys, request, na
     path = tmp_path / "fam.yaml"
     run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    for i in range(40, 60):
-        ff.members[i].rows = ff.members[5].rows
-    family_io.save(ff, path)
+    family_io.save(with_rows(ff, dict.fromkeys(range(40, 60), ff.members[5].rows)), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both", *extra)
     golden = request.path.parent / "data" / f"verify_p3n3_{name}.txt"
     assert code == EXIT_VERIFY_FAILED
@@ -360,8 +399,7 @@ def test_verify_both_p7n3_matches_golden(tmp_path, capsys, request, name, duplic
     if duplicate:
         ff = family_io.load(path)
         src, dst = duplicate
-        ff.members[dst].rows = ff.members[src].rows
-        family_io.save(ff, path)
+        family_io.save(with_rows(ff, {dst: ff.members[src].rows}), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     golden = request.path.parent / "data" / f"verify_p7n3_{name}.txt"
     assert code == (EXIT_VERIFY_FAILED if duplicate else EXIT_OK)
@@ -375,7 +413,7 @@ def test_verify_partition_above_a_million_points(tmp_path, capsys):
     unit = [tuple(int(i == j) for j in range(14)) for i in range(14)]
     members = [family_io.FileMember(f"F[{i}]", "matrix_algebra", unit[2 * i:2 * i + 2]) for i in range(7)]
     path = tmp_path / "few.yaml"
-    family_io.save(family_io.FamilyFile(3, 1, 7, params.field.poly, params.nonresidue.coords, members), path)
+    family_io.save(file_of(3, 1, 7, params.field.poly, params.nonresidue.coords, members), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "symbolic")
     assert code == EXIT_VERIFY_FAILED
     assert "partition: FAIL (checks=7, covered=56/4782968)\n  family: covers 56 of 4782968 nonzero points\n" in out
@@ -396,12 +434,11 @@ def _tamper_p3n3(path):
     member 5's rows become another basis of the same span, member 40 gets a
     dependent second row (dimension 1), member 60 becomes an isotropic span."""
     ff = family_io.load(path)
-    r0, r1 = ff.members[5].rows
-    ff.members[5].rows = [tuple((x + y) % 3 for x, y in zip(r0, r1)), r1]
-    r0 = ff.members[40].rows[0]
-    ff.members[40].rows = [r0, tuple(2 * x % 3 for x in r0)]
-    ff.members[60].rows = [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
-    family_io.save(ff, path)
+    r0, r1 = ff.members[5].rows.tolist()
+    five = [tuple((x + y) % 3 for x, y in zip(r0, r1)), r1]
+    r0 = ff.members[40].rows[0].tolist()
+    forty = [r0, tuple(2 * x % 3 for x in r0)]
+    family_io.save(with_rows(ff, {5: five, 40: forty, 60: [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]}), path)
 
 
 @pytest.mark.parametrize("name,pkn,tamper", [

@@ -49,7 +49,7 @@ def test_serialized_family_matches_golden(pkn):
 @pytest.mark.parametrize("pkn", sorted(GOLDENS), ids=_id)
 def test_line_reader_matches_yaml(pkn):
     text = serialized(pkn)
-    assert family_io._own_format(text) == yaml.load(text, Loader=_SafeLoader)
+    assert family_io._own_format(text) == family_io._from_document(yaml.load(text, Loader=_SafeLoader))
 
 
 def test_line_reader_matches_yaml_on_fault_copy():
@@ -58,6 +58,6 @@ def test_line_reader_matches_yaml_on_fault_copy():
     starts = [i for i, line in enumerate(lines) if line.startswith("- label: ")]
     a, b = (range(starts[m] + 3, starts[m + 1]) for m in (1200, 1500))
     text = "\n".join(lines[: b.start] + lines[a.start : a.stop] + lines[b.stop :])
-    doc = family_io._own_format(text)
-    assert doc == yaml.load(text, Loader=_SafeLoader)
-    assert doc["members"][1500]["generators"] == doc["members"][1200]["generators"]
+    ff = family_io._own_format(text)
+    assert ff == family_io._from_document(yaml.load(text, Loader=_SafeLoader))
+    assert ff.members[1500].rows.tolist() == ff.members[1200].rows.tolist()
