@@ -457,6 +457,22 @@ def test_verify_symbolic_matches_golden(tmp_path, capsys, request, name, pkn, ta
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_verify_both_mixed_row_counts_matches_golden(tmp_path, capsys, request):
+    # p=3, n=3 with stored row counts 3, 2 and 3 among 2: member 5 gains the
+    # dependent row r0 + r1, member 40 lists its rows in reverse echelon order,
+    # member 60 gains an all-zero row; every span is unchanged
+    path = tmp_path / "fam.yaml"
+    run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
+    ff = family_io.load(path)
+    five, forty, sixty = (ff.members[i].rows.tolist() for i in (5, 40, 60))
+    edits = {5: five + [[(x + y) % 3 for x, y in zip(*five)]], 40: forty[::-1], 60: sixty + [[0] * 6]}
+    family_io.save(with_rows(ff, edits), path)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
+    golden = request.path.parent / "data" / "verify_p3n3_mixed_counts.txt"
+    assert code == EXIT_VERIFY_FAILED
+    assert _mask_residual(out) == _mask_residual(golden.read_text(encoding="utf-8"))
+
+
 # --- example --------------------------------------------------------------------
 
 
