@@ -155,12 +155,17 @@ def expected_count(p: int, k: int, n: int) -> int:
     return num // den
 
 
+def _echelon(p: int, stack: np.ndarray) -> RowStacks:
+    """The table of the canonical echelon bases of the row spans of an (N, r, w) stack."""
+    return _canonical(RowStacks.of(p, stack.shape[-1], np.full(len(stack), stack.shape[1]), stack))
+
+
 def _gf_spans(params: ConstructionParams, generators) -> RowStacks:
     """Per member of an (N, 8, k) array of two GF(p^k)^4 generators, the Z_p span
     of all their field multiples: one ``_pi1_rows`` of every t^j g, one ``_canonical``."""
     k = params.k
     rows = _pi1_rows(params.field, np.reshape(generators, (-1, 2, 4, k)))
-    return _canonical(RowStacks.single(params.p, rows.reshape(-1, 2 * k, 4 * k)))
+    return _echelon(params.p, rows.reshape(-1, 2 * k, 4 * k))
 
 
 def _generators(field: FieldSpec, *coords) -> np.ndarray:
@@ -251,7 +256,7 @@ def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
     lines = np.concatenate([_generators(big, 1, [m.coords for m in slopes], 0, 0), _generators(big, 0, 1, 0, 0)])
     rows = _pi1_rows(big, lines)[..., : 4 * k]  # the first block: t^j (x, mx) at x = 1, then t^j (0, 1)
     labels = [f"M[{format_element(m)}]" for m in slopes] + ["M[inf]"]
-    return SpreadFamily(params, labels=labels, kinds=[MASA] * len(labels), rows=_canonical(RowStacks.single(p, rows)))
+    return SpreadFamily(params, labels=labels, kinds=[MASA] * len(labels), rows=_echelon(p, rows))
 
 
 def _mixed_members(frames, masas, generators, params: ConstructionParams):
@@ -321,7 +326,7 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
         raise ValueError(f"verifying the family would index {p ** (2 * k * n) - 1} points, "
                          f"above the limit {INDEX_LIMIT}")
     if n == 1:
-        full = _canonical(RowStacks.single(p, np.eye(2 * k, dtype=np.int64)[None]))
+        full = _echelon(p, np.eye(2 * k, dtype=np.int64)[None])
         return SpreadFamily(params, labels=["full"], kinds=[MATRIX_ALGEBRA], rows=full)
     if n == 2:
         return build_spread_2(params)
@@ -331,22 +336,20 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     masas = build_masa_spread(two_block)
     right = build_spread_2(two_block)
 
-    def stack(family: SpreadFamily) -> np.ndarray:
-        return family.rows.ordered().reshape(-1, 2 * k, family.rows.width)
-
     frames = [[pt.coords for pt in symplectic_basis(sub)] for sub in left.rows.subspaces()]
     elements = list(params.field.elements())
     coords = np.array([a.coords for a in elements], dtype=params.field.mul_tables.dtype)
     a, b = np.repeat(coords, len(coords), axis=0)[1:], np.tile(coords, (len(coords), 1))[1:]  # (a, b) != (0, 0)
-    mixed = np.concatenate(list(_mixed_members(frames, stack(masas), _pair_generators(params, a, b), params)))
-    padded = np.concatenate([np.pad(stack(left), ((0, 0), (0, 0), (0, 4 * k))),  # zero columns keep them canonical
-                             np.pad(stack(right), ((0, 0), (0, 0), (2 * k * (n - 2), 0)))])
-    mixed = _canonical(RowStacks.single(p, mixed.reshape((-1,) + mixed.shape[2:])))
+    masa_rows = masas.rows.rows.reshape(-1, 2 * k, 4 * k)
+    mixed = np.concatenate(list(_mixed_members(frames, masa_rows, _pair_generators(params, a, b), params)))
+    mixed = _echelon(p, mixed.reshape((-1,) + mixed.shape[2:]))
     names = [format_element(x) for x in elements]  # each element once
     pairs = [f"a={x},b={y}]" for x in names for y in names][1:]  # (a, b) != (0, 0)
     tails = [f"C={j}|{pair}" for j in range(len(masas.rows)) for pair in pairs]
     labels = ([f"{label}⊗I" for label in left.labels()] + [f"I⊗{label}" for label in right.labels()]
               + [f"B[A={i}|{tail}" for i in range(len(frames)) for tail in tails])
-    rows = [(np.arange(len(padded)), padded)] + [(at + len(padded), stack) for at, stack in mixed.groups]
+    rows = [np.pad(left.rows.rows, ((0, 0), (0, 4 * k))), np.pad(right.rows.rows, ((0, 0), (2 * k * (n - 2), 0))),
+            mixed.rows]  # zero columns keep the left and right rows canonical
+    counts = np.concatenate([left.rows.counts, right.rows.counts, mixed.counts])
     return SpreadFamily(params, labels=labels, kinds=[MATRIX_ALGEBRA] * len(labels),
-                        rows=RowStacks.join(p, 2 * k * n, rows))
+                        rows=RowStacks.of(p, 2 * k * n, counts, np.concatenate(rows)))

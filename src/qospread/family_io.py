@@ -115,10 +115,9 @@ def noncanonical_members(ff: FamilyFile, family: SpreadFamily) -> list[tuple[str
     Generated files always store canonical rows, so any hit here means the
     file was edited or corrupted — including edits that happen to preserve
     the span and would be invisible to the set-theoretic checks."""
-    counts = ff.rows.counts()
-    same, ok = np.flatnonzero(counts == family.rows.counts()), np.zeros(len(counts), dtype=bool)
+    same, ok = np.flatnonzero(ff.rows.counts == family.rows.counts), np.zeros(len(ff.labels), dtype=bool)
     for (at, stored), (_, canonical) in zip(ff.rows.take(same).groups, family.rows.take(same).groups):
-        ok[at] = (stored == canonical).all(axis=(1, 2))
+        ok[same[at]] = (stored == canonical).all(axis=(1, 2))
     return [(ff.labels[i], "rows are not the canonical basis of their span") for i in np.flatnonzero(~ok).tolist()]
 
 
@@ -165,7 +164,7 @@ def _rows(p: int, width: int, labels, counts, lengths, values: np.ndarray, fault
         raise FamilyFormatError(f"{what} must have {width} entries, got {lengths[row]}")
     if fault is not None:
         raise FamilyFormatError(fault)
-    return RowStacks.of(p, width, counts, values.reshape(-1, width))
+    return RowStacks.of(p, width, counts, values)
 
 
 def _from_document(doc) -> FamilyFile:
@@ -299,7 +298,7 @@ def _text(ff: FamilyFile) -> Iterator[str]:
         raise ValueError(f"cannot serialise {quoted!r}")
     yield (f"format_version: {FORMAT_VERSION}\np: {ff.p}\nk: {ff.k}\nn: {ff.n}\n"
            f"poly: [{', '.join(map(str, ff.poly))}]\nnonresidue: [{', '.join(map(str, ff.nonresidue))}]\nmembers:\n")
-    width, counts, rows = ff.rows.width, ff.rows.counts(), ff.rows.ordered()
+    width, counts, rows = ff.rows.width, ff.rows.counts, ff.rows.rows
     row = "  - [" + ", ".join(["%d"] * width) + "]\n"
     formats = {r: _MEMBER_HEAD + row * r for r in set(counts.tolist())}
     ends = np.cumsum(counts)

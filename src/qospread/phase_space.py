@@ -42,9 +42,9 @@ is built.  All of it is exact integer combinatorics, with no floating point.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -220,97 +220,62 @@ class Subspace:
         return _modlin.rank(self.rows + (pt.coords,), self.p) == self.dim
 
 
-def _distinct(counts: np.ndarray) -> list[int]:
-    """The distinct values of an array of row counts, ascending (plain ``np.unique`` imports ``numpy.ma``)."""
-    return np.flatnonzero(np.bincount(counts)).tolist()
-
-
 @dataclass(frozen=True, eq=False)
 class RowStacks:
-    """N integer matrices over Z_p of one width, grouped by row count: per
-    distinct row count r, ascending, the positions (0..N-1, ascending; a table
-    from ``take`` keeps those it took) of the matrices with r rows and their
-    (count, r, width) array in ``_modlin._dtype(p, width)``."""
+    """N integer matrices over Z_p of one width, as a family file lists them:
+    every matrix's row count, by position, and all rows, matrix by matrix, as
+    one (total, width) array in ``_modlin._dtype(p, width)``."""
 
     p: int
     width: int
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    counts: np.ndarray
+    rows: np.ndarray
 
     @classmethod
-    def join(cls, p: int, width: int, parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> "RowStacks":
-        """The table of (positions, stack) parts in any order, several of one row count allowed."""
-        by_count: dict[int, list] = {}
-        for at, stack in parts:
-            by_count.setdefault(stack.shape[1], []).append((np.asarray(at, dtype=np.intp), stack))
-        groups = []
-        for r in sorted(by_count):
-            at, stack = (np.concatenate(column) for column in zip(*by_count[r]))
-            order = np.argsort(at, kind="stable")
-            groups.append((at[order], stack.astype(_modlin._dtype(p, width), copy=False)[order]))
-        return cls(p, width, tuple((at, stack) for at, stack in groups if len(at)))
-
-    @classmethod
-    def of(cls, p: int, width: int, counts, rows: np.ndarray) -> "RowStacks":
-        """The table of matrices of the given row counts, from their rows as one (total, width) array."""
+    def of(cls, p: int, width: int, counts, rows) -> "RowStacks":
+        """The table of matrices of the given row counts, from their rows in any shape holding (total, width)."""
         counts = np.asarray(counts, dtype=np.intp)
-        starts = np.cumsum(counts) - counts
-        ats = [np.flatnonzero(counts == r) for r in _distinct(counts)]
-        return cls.join(p, width, [(at, rows[starts[at, None] + np.arange(counts[at[0]])]) for at in ats])
+        rows = np.asarray(rows).astype(_modlin._dtype(p, width), copy=False)
+        return cls(p, width, counts, rows.reshape(counts.sum(), width))  # not -1: the empty table has width 0
 
     @classmethod
     def lists(cls, p: int, width: int, row_lists: Sequence) -> "RowStacks":
         """The table of row lists (sequences of integer rows), reduced mod p."""
-        flat = [row for matrix in row_lists for row in matrix]
-        rows = _modlin._residues(flat, p, width).reshape(len(flat), width)  # raises for rows of another width
-        return cls.of(p, width, [len(matrix) for matrix in row_lists], rows)
-
-    @classmethod
-    def single(cls, p: int, stack: np.ndarray) -> "RowStacks":
-        return cls.join(p, stack.shape[-1], [(np.arange(len(stack)), stack)])
+        flat = [row for matrix in row_lists for row in matrix]  # rows of another width fail the reshape in ``of``
+        return cls.of(p, width, [len(matrix) for matrix in row_lists], _modlin._residues(flat, p, width))
 
     def __len__(self) -> int:
-        return sum(len(at) for at, _ in self.groups)
+        return len(self.counts)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RowStacks) and (self.p, self.width, len(self.groups)) ==
-                (other.p, other.width, len(other.groups)) and all(
-                    np.array_equal(a, b) and np.array_equal(s, t) for (a, s), (b, t) in zip(self.groups, other.groups)))
+        return (isinstance(other, RowStacks) and (self.p, self.width) == (other.p, other.width)
+                and np.array_equal(self.counts, other.counts) and np.array_equal(self.rows, other.rows))
 
-    def counts(self) -> np.ndarray:
-        """Every matrix's row count, by position."""
-        out = np.zeros(len(self), dtype=np.intp)
-        for at, stack in self.groups:
-            out[at] = stack.shape[1]
-        return out
-
-    def ordered(self) -> np.ndarray:
-        """All rows, matrix by matrix: the (total, width) array ``of`` reads."""
-        if len(self.groups) == 1:
-            return self.groups[0][1].reshape(-1, self.width)
-        counts = self.counts()
-        out = np.zeros((counts.sum(), self.width), dtype=_modlin._dtype(self.p, self.width))
-        for at, stack in self.groups:
-            out[(np.cumsum(counts) - counts)[at, None] + np.arange(stack.shape[1])] = stack
-        return out
+    @cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per distinct row count r, ascending: the positions of the matrices
+        with r rows and their (len, r, width) stack (for one row count, a view)."""
+        distinct = np.flatnonzero(np.bincount(self.counts)).tolist()  # ascending; np.unique imports numpy.ma
+        if len(distinct) == 1:
+            return ((np.arange(len(self)), self.rows.reshape(len(self), distinct[0], self.width)),)
+        starts = np.cumsum(self.counts) - self.counts
+        ats = [np.flatnonzero(self.counts == r) for r in distinct]
+        return tuple((at, self.rows[starts[at, None] + np.arange(r)]) for at, r in zip(ats, distinct))
 
     def take(self, positions) -> "RowStacks":
-        """The matrices at ascending ``positions``."""
-        positions, groups = np.asarray(positions, dtype=np.intp), []
-        for at, stack in self.groups:
-            k = np.minimum(np.searchsorted(at, positions), len(at) - 1)
-            groups.append((positions[at[k] == positions], stack[k[at[k] == positions]]))
-        return RowStacks(self.p, self.width, tuple((at, stack) for at, stack in groups if len(at)))
+        """The table of the matrices at ``positions``, in that order."""
+        counts = self.counts[positions]
+        starts = (np.cumsum(self.counts) - self.counts)[positions]
+        gather = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        return RowStacks(self.p, self.width, counts, self.rows[gather])
 
     def split(self) -> list[np.ndarray]:
-        """Every matrix's (r, width) rows, by position: views into the stacks."""
-        out: list[np.ndarray] = [None] * len(self)
-        for at, stack in self.groups:
-            for i, rows in zip(at.tolist(), stack):
-                out[i] = rows
-        return out
+        """Every matrix's (r, width) rows, by position: views into ``rows``."""
+        ends = np.cumsum(self.counts).tolist()
+        return [self.rows[end - r : end] for r, end in zip(self.counts.tolist(), ends)]
 
     def matrix(self, i: int) -> np.ndarray:
-        return self.take([i]).groups[0][1][0]
+        return self.take([i]).rows
 
     def subspace(self, i: int) -> Subspace:
         return Subspace(self.p, self.width // 2, tuple(map(tuple, self.matrix(i).tolist())))
@@ -320,12 +285,13 @@ class RowStacks:
 
 
 def _canonical(rows: RowStacks) -> RowStacks:
-    """The canonical echelon basis of every matrix's row span, grouped by dimension: one elimination per row count."""
-    parts = []
+    """The canonical echelon basis of every matrix's row span, by position: one elimination per row count."""
+    counts, parts = np.zeros(len(rows), dtype=np.intp), [rows.rows[:0]]
     for at, stack in rows.groups:
-        ech, ranks = _modlin.rref_stack(stack, rows.p)
-        parts += [(at[ranks == r], ech[ranks == r, :r]) for r in _distinct(ranks)]
-    return RowStacks.join(rows.p, rows.width, parts)
+        ech, counts[at] = _modlin.rref_stack(stack, rows.p)
+        parts.append(ech[np.arange(stack.shape[1]) < counts[at, None]])  # each matrix's first rank rows
+    at = np.concatenate([np.zeros(0, dtype=np.intp)] + [at for at, _ in rows.groups])  # the order of ``parts``
+    return RowStacks.of(rows.p, rows.width, counts[at], np.concatenate(parts)).take(np.argsort(at))
 
 
 def _spans(p: int, stack: np.ndarray) -> np.ndarray:
@@ -376,17 +342,19 @@ def _enumerable(p: int, dim: int) -> bool:
 def _check_index_size(rows: RowStacks) -> None:
     """Refuse an ownership index of the table's enumerable spans above ``INDEX_LIMIT`` points."""
     p = rows.p
-    points = sum(len(at) * (p ** stack.shape[1] - 1) for at, stack in rows.groups if _enumerable(p, stack.shape[1]))
+    points = sum(n * (p**r - 1) for r, n in enumerate(np.bincount(rows.counts).tolist()) if n and _enumerable(p, r))
     if points > INDEX_LIMIT:
         raise ValueError(f"the ownership index would hold {points} points, above the limit {INDEX_LIMIT}")
 
 
 def _owners(rows: RowStacks) -> _Index:
-    """The index of the spans of a table of echelon bases, positions as owners,
-    one span product per row count; raises above ``SPAN_LIMIT``."""
+    """The index of the enumerable spans of a table of echelon bases, positions
+    as owners, one span product per row count."""
     p, small = rows.p, np.min_scalar_type(rows.p - 1)  # the smallest dtype holding [0, p-1] sorts fastest
     points, owners = [np.zeros((0, rows.width), dtype=small)], [np.zeros(0, dtype=np.intp)]
     for at, stack in rows.groups:
+        if not _enumerable(p, stack.shape[1]):
+            continue
         points.append(_spans(p, stack)[:, 1:].astype(small).reshape(-1, rows.width))
         owners.append(np.repeat(at, p ** stack.shape[1] - 1))
     points, owners = np.concatenate(points), np.concatenate(owners)  # frees the parts before sorting
@@ -450,21 +418,20 @@ def _disjointness(
     """
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
-    small = RowStacks(p, rows.width, tuple(g for g in rows.groups if _enumerable(p, g[1].shape[1])))
-    _check_index_size(small)
-    index = _owners(small)
+    _check_index_size(rows)
+    index = _owners(rows)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}
-    big = sorted(i for at, stack in rows.groups if not _enumerable(p, stack.shape[1]) for i in at.tolist())
-    oversize, meets = set(big), []  # meets: the pairs whose stacked rows are dependent
-    for i in range(big[-1] + 1 if big else 0):
+    big = np.flatnonzero(rows.counts > max(r for r in range(21) if _enumerable(p, r)))
+    oversize, meets = set(big.tolist()), []  # meets: the pairs whose stacked rows are dependent
+    for i in range(big[-1] + 1 if len(big) else 0):
         if len(meets) > MAX_LISTED_PAIRS:
             break
         mine = rows.matrix(i)
-        later = range(i + 1, n) if i in oversize else big[bisect.bisect_right(big, i):]
+        later = np.arange(i + 1, n) if i in oversize else big[big > i]
         for at, stack in rows.take(later).groups:
             pairs = np.concatenate([np.broadcast_to(mine, (len(at),) + mine.shape), stack], axis=1)
-            meets += [(i, j) for j in at[_modlin.rref_stack(pairs, p)[1] < pairs.shape[1]].tolist()]
+            meets += [(i, j) for j in later[at[_modlin.rref_stack(pairs, p)[1] < pairs.shape[1]]].tolist()]
     for i, j in sorted(meets)[: MAX_LISTED_PAIRS + 1]:
         witnesses[i, j] = _shared_point(rows.subspace(i), rows.subspace(j))
     listed = sorted(witnesses.items())
@@ -477,7 +444,7 @@ def _disjointness(
             ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
         )
     pairwise = VerificationReport(checks_run=n * (n - 1) // 2, failures=failures)
-    if big or not n:
+    if len(big) or not n:
         return pairwise, None
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points") for (i, j), _, count in conflicts[:1]
@@ -490,9 +457,7 @@ def _disjointness(
 
 def _table(subspaces: Sequence[Subspace]) -> RowStacks:
     """The table of one ambient's subspaces (with no ambient, p = 0, for none)."""
-    if not subspaces:
-        return RowStacks(0, 0, ())
-    p, m = subspaces[0].p, subspaces[0].m
+    p, m = (subspaces[0].p, subspaces[0].m) if subspaces else (0, 0)
     if any((s.p, s.m) != (p, m) for s in subspaces):
         raise ValueError("ambient mismatch")
     return RowStacks.lists(p, 2 * m, [s.rows for s in subspaces])
@@ -541,7 +506,7 @@ def _kind(gram_rank: int, dim: int) -> str:
 def _classify(subspaces: Sequence[Subspace]) -> list[Classification]:
     """``classify_subspace`` of every member of one ambient."""
     rows = _table(subspaces)
-    return [Classification(_kind(r, d), r) for r, d in zip(_gram_ranks(rows).tolist(), rows.counts().tolist())]
+    return [Classification(_kind(r, d), r) for r, d in zip(_gram_ranks(rows).tolist(), rows.counts.tolist())]
 
 
 def classify_subspace(s: Subspace) -> Classification:

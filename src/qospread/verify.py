@@ -71,7 +71,7 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
     failures = list(pairs.failures)
     checks = pairs.checks_run + len(labels)
     dim_want = 2 * family.params.k
-    dims, ranks = family.rows.counts(), _gram_ranks(family.rows)
+    dims, ranks = family.rows.counts, _gram_ranks(family.rows)
     algebra = np.array([kind == MATRIX_ALGEBRA for kind in kinds], dtype=bool)
     for i in np.flatnonzero((dims != dim_want) | np.where(algebra, ranks != dims, ranks != 0)).tolist():
         want = NONDEGENERATE if algebra[i] else ISOTROPIC

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qospread import _modlin, phase_space
 from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D
@@ -17,7 +19,9 @@ from qospread.phase_space import (
     SPAN_LIMIT,
     GFPhasePoint,
     PhasePoint,
+    RowStacks,
     Subspace,
+    _canonical,
     check_pairwise_trivial,
     check_partition,
     classify_subspace,
@@ -577,3 +581,38 @@ def test_symplectic_basis_rejects_isotropic():
     with pytest.raises(ValueError, match="degenerate"):
         symplectic_basis(build_C(INFINITY, None, params))
 
+
+
+@st.composite
+def row_lists(draw):
+    """(p, width, matrices, positions): integer row lists of mixed row counts, 0 included, and positions into them."""
+    p = draw(st.sampled_from([3, 5, 7, 2**61 - 1]))
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-2 * p, 2 * p), min_size=width, max_size=width)
+    matrices = draw(st.lists(st.lists(row, max_size=4), max_size=6))
+    positions = draw(st.lists(st.integers(0, len(matrices) - 1), max_size=8)) if matrices else []
+    return p, width, matrices, positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_row_table_round_trips_and_canonicalises(case):
+    p, width, matrices, positions = case
+    want = [[[x % p for x in row] for row in matrix] for matrix in matrices]
+    table = RowStacks.lists(p, width, matrices)
+    assert table.rows.dtype == _modlin._dtype(p, width) and table.counts.tolist() == list(map(len, want))
+    assert [rows.tolist() for rows in table.split()] == want
+    assert [table.matrix(i).tolist() for i in range(len(want))] == want
+    assert all(rows.shape == (len(matrix), width) for rows, matrix in zip(table.split(), want))
+    assert [rows.tolist() for rows in table.take(positions).split()] == [want[i] for i in positions]
+    # the groups partition the positions by row count, ascending, each stack holding its matrices
+    assert sorted(i for at, _ in table.groups for i in at.tolist()) == list(range(len(want)))
+    assert [stack.shape[1] for _, stack in table.groups] == sorted(set(map(len, want)))
+    for at, stack in table.groups:
+        assert stack.shape == (len(at), stack.shape[1], width)
+        assert [want[i] for i in at.tolist()] == stack.tolist()
+    canonical = _canonical(table)
+    echelon = [[list(row) for row in _modlin.rref(matrix, p)[0]] for matrix in want]
+    assert [rows.tolist() for rows in canonical.split()] == echelon
+    assert canonical.counts.tolist() == [len(rows) for rows in echelon]
+    assert canonical == RowStacks.lists(p, width, echelon)
