@@ -17,7 +17,8 @@ Reproducibility conventions, relied on by the on-disk family format:
 * ``FieldSpec.elements`` enumerates in base-p counting order with a_0 as the
   least significant digit: 0, 1, ..., p-1, t, 1+t, ...
 * ``find_irreducible`` returns the first monic irreducible polynomial in
-  that coefficient order (c_0 varies fastest).
+  that coefficient order (c_0 varies fastest) among the first ``COUNTED``
+  candidates, else the first among candidates read from shake_256 digests.
 * ``find_nonresidue`` returns the first non-square in enumeration order.
 
 Each ``FieldSpec`` carries two exact Z_p tables of O(k^3) integers, in the
@@ -32,6 +33,8 @@ top of this module need both 2^{-1} mod p and a quadratic non-residue.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +42,7 @@ import numpy as np
 
 from . import _modlin
 
+COUNTED = 256  # find_irreducible's candidates in counting order, before the hashed ones
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all of them
@@ -90,22 +94,23 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible degree-k polynomial over Z_p.
+    """The first monic irreducible degree-k polynomial over Z_p among fixed candidates.
 
-    Candidates are scanned in base-p counting order of the low coefficients
-    (c_0 fastest); the returned tuple is (c_0, ..., c_{k-1}), the monic x^k
-    term being implicit.  For k = 1 this is f(x) = x, i.e. (0,).
+    Candidate j < ``COUNTED`` is j in base p (c_0 least significant); past
+    them it is shake_256 of "p,k,j" as an integer mod p^k in base p, so about
+    k candidates past ``COUNTED`` are tested whatever p is (about one monic
+    polynomial in k is irreducible).  Returns (c_0, ..., c_{k-1}), the monic
+    x^k term implicit; for k = 1 this is f(x) = x, i.e. (0,).
     """
     require_odd_prime(p)
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    if k == 1:
-        return (0,)
-    for idx in range(p**k):
-        cand = tuple(_digits(idx, p, k))
+    size = (p**k).bit_length() // 8 + 8  # digest bytes: the bias mod p^k stays below 2^-64
+    for j in itertools.count():
+        idx = j if j < COUNTED else int.from_bytes(hashlib.shake_256(f"{p},{k},{j}".encode()).digest(size), "big")
+        cand = tuple(_digits(idx % p**k, p, k))
         if _is_irreducible(cand, p):
             return cand
-    raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Tests for Z_p / GF(p^k) arithmetic against brute-force oracles."""
 
+import hashlib
+import itertools
 import random
 import time
 
@@ -9,6 +11,7 @@ import pytest
 from helpers import frobenius_trace
 from qospread import _modlin
 from qospread.finite_field import (
+    COUNTED,
     FieldSpec,
     _is_irreducible,
     _mul_coords,
@@ -140,6 +143,38 @@ def test_find_irreducible_is_first_in_scan_order():
     for i in range(idx):
         cand = (i % p, (i // p) % p)
         assert not brute_force_irreducible(cand, p)
+
+
+def _hashed_candidate(p, k, j):
+    """Candidate j past the counted ones: shake_256 of "p,k,j" as an integer mod p^k, in base p."""
+    size = (p**k).bit_length() // 8 + 8
+    idx = int.from_bytes(hashlib.shake_256(f"{p},{k},{j}".encode()).digest(size), "big") % p**k
+    return tuple(idx // p**i % p for i in range(k))
+
+
+def test_find_irreducible_past_the_counted_candidates():
+    # p = 10,007 = 2 mod 3, so every x^3 + c is reducible (cubing permutes Z_p)
+    # and the first COUNTED candidates, x^3 + j, all have a root
+    p, k = 10_007, 3
+    for j in range(COUNTED):
+        assert pow(-j % p, (2 * p - 1) // 3, p) ** 3 % p == -j % p
+    low = find_irreducible(p, k)
+    first = next(j for j in itertools.count(COUNTED) if not poly_has_root(_hashed_candidate(p, k, j), p))
+    assert low == _hashed_candidate(p, k, first)
+
+
+def test_find_irreducible_needs_few_candidates_whatever_p_is():
+    # a scan with c_0 fastest would test about p candidates at each of these
+    start = time.perf_counter()
+    for p, k in [(1_000_000_007, 3), (2**61 - 1, 4)]:
+        assert _is_irreducible(find_irreducible(p, k), p)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_every_pinned_field_is_found_among_the_counted_candidates():
+    # the latest first hit of the fields the tests and CI use is candidate 172, at (11, 31)
+    low = find_irreducible(11, 31)
+    assert sum(c * 11**i for i, c in enumerate(low)) == 172
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3),
