@@ -21,9 +21,10 @@ Example file::
 is independent of how those were picked.  Generator rows are the canonical
 echelon basis of each member (2kn integers per row, all in [0, p-1]).
 
-In memory a ``FamilyFile`` holds its members as arrays, as a ``SpreadFamily``
-does: a label list, a kind list and a ``RowStacks`` table of the stored rows;
-``members`` gives ``FileMember`` views on access.
+In memory a ``FamilyFile`` holds its members as a ``SpreadFamily`` does: a
+label list, a kind list and a ``RowStacks`` table of the stored rows in file
+order, which the reader fills and the writer reads as is; ``members`` gives
+``FileMember`` views on access.
 
 The files are plain YAML, so any YAML tool can read them; writing is
 manual so identical families produce identical bytes.  The writer formats

@@ -33,7 +33,6 @@ top of this module need both 2^{-1} mod p and a quadratic non-residue.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,6 +106,8 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     size = (p**k).bit_length() // 8 + 8  # digest bytes: the bias mod p^k stays below 2^-64
     for j in itertools.count():
+        if j == COUNTED:
+            import hashlib  # only here: importing it maps OpenSSL, about 3.5 MB of resident memory
         idx = j if j < COUNTED else int.from_bytes(hashlib.shake_256(f"{p},{k},{j}".encode()).digest(size), "big")
         cand = tuple(_digits(idx % p**k, p, k))
         if _is_irreducible(cand, p):

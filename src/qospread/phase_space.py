@@ -25,10 +25,10 @@ suite re-verifies this rather than trusting the construction.
 ``Subspace`` holds the reduced row echelon basis of its span over Z_p as
 rows of Python ints, so equal spans compare equal and serialise
 identically; ``basis`` is a ``PhasePoint`` view built on access.  A family's
-members are one ``RowStacks`` table, one integer array per distinct row
-count, of which ``Subspace`` objects are views built on access.  Each array
-is canonicalised or classified (by the ranks of the Gram stack) by one
-elimination and enumerated by one matrix product: the coefficient vectors, in
+members are one ``RowStacks`` table in file order, row counts plus one row
+array, with ``Subspace`` views built on access.  Its stack per row count,
+derived on first use, is canonicalised or classified by one elimination and
+enumerated by one matrix product: the coefficient vectors, in
 ``itertools.product`` order (zero first), times every echelon basis, mod p.
 Both set checks, trivial pairwise intersection and the partition of the
 nonzero ambient, are one scan of one point-ownership index: one such product
@@ -234,9 +234,8 @@ class RowStacks:
     @classmethod
     def of(cls, p: int, width: int, counts, rows) -> "RowStacks":
         """The table of matrices of the given row counts, from their rows in any shape holding (total, width)."""
-        counts = np.asarray(counts, dtype=np.intp)
-        rows = np.asarray(rows).astype(_modlin._dtype(p, width), copy=False)
-        return cls(p, width, counts, rows.reshape(counts.sum(), width))  # not -1: the empty table has width 0
+        counts = np.asarray(counts, dtype=np.intp)  # rows reshape to counts.sum(), not -1: the empty table has width 0
+        return cls(p, width, counts, np.asarray(rows, dtype=_modlin._dtype(p, width)).reshape(counts.sum(), width))
 
     @classmethod
     def lists(cls, p: int, width: int, row_lists: Sequence) -> "RowStacks":
@@ -271,8 +270,7 @@ class RowStacks:
 
     def split(self) -> list[np.ndarray]:
         """Every matrix's (r, width) rows, by position: views into ``rows``."""
-        ends = np.cumsum(self.counts).tolist()
-        return [self.rows[end - r : end] for r, end in zip(self.counts.tolist(), ends)]
+        return [self.rows[end - r : end] for r, end in zip(self.counts.tolist(), np.cumsum(self.counts).tolist())]
 
     def matrix(self, i: int) -> np.ndarray:
         return self.take([i]).rows
