@@ -406,6 +406,26 @@ def test_verify_both_p7n3_matches_golden(tmp_path, capsys, request, name, duplic
     assert out == golden.read_text(encoding="utf-8")
 
 
+@pytest.fixture(scope="module")
+def k2_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("k2") / "k2.yaml"
+    assert main(["generate", "--p", "3", "--k", "2", "--n", "2", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("p3k2n2", ("--mode", "both")),
+    ("p3k2n2_every_pair", ("--mode", "numeric", "--sample", "3321")),
+])
+def test_verify_p3k2n2_matches_golden(k2_path, capsys, request, name, argv):
+    # d = 81: the numeric oracle reads no BLAS, so every byte is pinned, the
+    # residual of the 200 sampled pairs and of all 3,321 pairs included
+    code, out, _ = run(capsys, "verify", str(k2_path), *argv)
+    golden = request.path.parent / "data" / f"verify_{name}.txt"
+    assert code == EXIT_OK
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_verify_partition_above_a_million_points(tmp_path, capsys):
     # p=3, n=7: the ambient Z_3^14 has 4,782,969 points; the seven single-factor
     # members are small, so the partition is read from the same index
