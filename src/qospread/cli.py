@@ -140,17 +140,22 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
-def _basis_text(basis: np.ndarray) -> str:
+def _basis_bytes(basis: np.ndarray) -> bytes:
     """One line per column of ``basis``: its entries as ``+x.xxxe+xx+y.yyye+yyj``,
-    space separated: each distinct double (by bit pattern) is formatted once,
-    the same bytes as ``f"{x:+.15e}"``, NaN, inf and -0.0 included, and one
-    ``%`` format places the tokens of the interleaved real and imaginary parts."""
+    space separated, in ASCII.  Each distinct double (by bit pattern) is formatted
+    once, the same bytes as ``f"{x:+.15e}"``, NaN, inf and -0.0 included, into a
+    row of a byte table padded with NULs; the entries gather their rows, the
+    separators go in after each pair, and one mask drops the padding."""
     rows, cols = basis.shape
-    line = " ".join(["%s%sj"] * rows)
     bits = np.ascontiguousarray(basis.T, dtype=complex).view(np.int64).ravel()
     distinct, at = np.unique(bits, return_inverse=True)
     tokens = ["%+.15e" % x for x in distinct.view(np.float64).tolist()]
-    return ("\n".join([line] * cols) + "\n") % tuple([tokens[i] for i in at.tolist()])
+    width = max(map(len, tokens), default=0)
+    table = np.frombuffer("".join(token.ljust(width, "\0") for token in tokens).encode("ascii"), dtype=np.uint8)
+    text = np.empty((cols, rows, 2 * width + 2), dtype=np.uint8)  # real token, imaginary token, "j", separator
+    text[..., :-2] = table.reshape(-1, width)[at].reshape(cols, rows, 2 * width)
+    text[..., -2], text[..., -1], text[:, -1, -1] = ord("j"), ord(" "), ord("\n")
+    return text[text != 0].tobytes()
 
 
 def cmd_mub(args) -> int:
@@ -165,12 +170,12 @@ def cmd_mub(args) -> int:
     rep = verify.check_mub_overlaps(bases, args.tol, masas.labels())
     out = args.out or f"mub_p{args.p}_k{args.k}.txt"
     try:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(out, "wb") as handle:
             handle.write(f"# {len(bases)} mutually unbiased bases of C^{dim} (p={args.p}, "
-                         f"k={args.k}, basis vectors are columns, one per line)\n")
-            for mem, basis in zip(masas.members, bases):
-                handle.write(f"basis {mem.label}\n")
-                handle.write(_basis_text(basis))
+                         f"k={args.k}, basis vectors are columns, one per line)\n".encode())
+            for label, basis in zip(masas.labels(), bases):
+                handle.write(f"basis {label}\n".encode())
+                handle.write(_basis_bytes(basis))
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -30,7 +30,7 @@ identical parameters reproduce identical families byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -63,20 +63,26 @@ INFINITY = _Infinity()
 @dataclass(frozen=True)
 class ConstructionParams:
     """Shared construction inputs: the field GF(p^k), the block count n and
-    a fixed quadratic non-residue."""
+    a fixed quadratic non-residue.
+
+    Euler's criterion refuses a square non-residue unless ``known_nonresidue``
+    says it was found by ``find_nonresidue`` or taken from checked parameters:
+    at large p^k each test is a (p^k - 1)/2 power, the cost of the search itself.
+    """
 
     field: FieldSpec
     n: int
     nonresidue: GFElement
+    known_nonresidue: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, known_nonresidue: bool) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.nonresidue.field != self.field:
             raise ValueError("non-residue comes from a different field")
         if self.nonresidue.is_zero:
             raise ValueError("non-residue must be nonzero")
-        if not is_nonresidue(self.nonresidue):
+        if not known_nonresidue and not is_nonresidue(self.nonresidue):
             raise ValueError(f"{format_element(self.nonresidue)} is a square, not a non-residue")
 
     @classmethod
@@ -84,8 +90,9 @@ class ConstructionParams:
         if k > MAX_K:
             raise ValueError(f"extension degree {k} exceeds the limit {MAX_K}")
         fld = gf(p, k, poly)
-        d = fld.element(nonresidue) if nonresidue is not None else find_nonresidue(fld)
-        return cls(fld, n, d)
+        if nonresidue is None:
+            return cls(fld, n, find_nonresidue(fld), known_nonresidue=True)
+        return cls(fld, n, fld.element(nonresidue))
 
     @property
     def p(self) -> int:
@@ -331,8 +338,8 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     if n == 2:
         return build_spread_2(params)
 
-    two_block = replace(params, n=2)
-    left = build_recursive(replace(params, n=n - 2))
+    two_block = replace(params, n=2, known_nonresidue=True)
+    left = build_recursive(replace(params, n=n - 2, known_nonresidue=True))
     masas = build_masa_spread(two_block)
     right = build_spread_2(two_block)
 

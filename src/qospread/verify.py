@@ -32,17 +32,19 @@ from .phase_space import (
     Subspace,
     _disjointness,
     _gram_ranks,
+    RowStacks,
     _kind,
-    _span_rows,
+    _spans,
     classify_subspace,
 )
 from .report import VerificationReport
-from .weyl import basis_matrices, basis_parts
+from .weyl import MAX_DIM, _monomial_parts, basis_matrices
 
 DEFAULT_TOL = 1e-9
 NUMERIC_MAX_DIM = 81
 SAMPLE_THRESHOLD = 1000
 SAMPLE_PAIRS = 200
+NUMERIC_BATCH_ENTRIES = 2**14  # partner part entries (matrices x columns) per trace call: two M_9 at d = 81
 
 
 def counting_identity_holds(p: int, k: int, n: int) -> bool:
@@ -106,8 +108,9 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
     """cross(t, v)[a, b] = Tr(A_a B_b) = sum_{x,y} A_a[x, y] B_b[y, x] for the A_a of
     parts (target, values) and the B_b of parts (t, v).  A_a's entries are indexed
     once by position (CSR, key x * d + y); B_b[y, x] is nonzero only at y = t[b, x],
-    so only the keys x * d + t[b, x] are read.  A non-finite value on either side
-    makes every trace NaN, as in a dense product, though most entries go unread."""
+    so only the keys x * d + t[b, x] are read, and each cell adds its hits in
+    increasing x.  A non-finite value makes every trace of its matrix NaN (every
+    trace, on A's side), as in a dense product, though most entries go unread."""
     count, d = target.shape
     keys = (target * d + np.arange(d)).ravel()
     order = np.argsort(keys, kind="stable")
@@ -115,7 +118,7 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
     owners, vals, finite = order // d, values.ravel()[order], np.isfinite(values).all()
 
     def cross(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if not (finite and np.isfinite(v).all()):
+        if not finite:
             return np.full((count, len(t)), np.nan, dtype=complex)
         keys = (np.arange(d) * d + t).ravel()
         lo, hits = indptr[keys], indptr[keys + 1] - indptr[keys]
@@ -123,9 +126,22 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
         pos = np.arange(query.size) + np.repeat(lo - np.cumsum(hits) + hits, hits)
         prod, cell, size = vals[pos] * v.ravel()[query], owners[pos] * len(t) + query // d, count * len(t)
         cross = np.bincount(cell, prod.real, size) + 1j * np.bincount(cell, prod.imag, size)
-        return cross.reshape(count, len(t))
+        cross = cross.reshape(count, len(t))
+        cross[:, ~np.isfinite(v).all(axis=1)] = np.nan
+        return cross
 
     return cross
+
+
+def _member_parts(rows: RowStacks, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``basis_parts`` of the members at ``positions``, stacked member after member:
+    one span enumeration per row count and one synthesis for all of them."""
+    rows = rows.take(positions)
+    sizes = rows.p ** rows.counts
+    spans = np.empty((sizes.sum(), rows.width), dtype=rows.rows.dtype)
+    for at, stack in rows.groups:
+        spans[(np.cumsum(sizes) - sizes)[at, None] + np.arange(rows.p ** stack.shape[1])] = _spans(rows.p, stack)
+    return _monomial_parts(rows.p, rows.width // 2, spans, MAX_DIM)
 
 
 def verify_qo_numeric(
@@ -139,15 +155,17 @@ def verify_qo_numeric(
     ``SAMPLE_THRESHOLD`` member pairs a random subset of ``SAMPLE_PAIRS`` pairs is
     used unless ``sample_pairs`` says otherwise; it is drawn as ranks in the
     lexicographic order of all pairs, each mapped back to its pair, so no pair list
-    is built.  Both members come as ``basis_parts`` (value v[x] at (t[x], x)), and
-    every trace, Tr(A) = Tr(A I) included, is ``_cross_traces`` over the stored
-    entries of both.  Pairs are examined in sorted order, so the first member is
-    indexed once for the whole run of pairs that start with it.
+    is built.  Members come as ``basis_parts`` (value v[x] at (t[x], x)), and every
+    trace, Tr(A) = Tr(A I) included, is ``_cross_traces`` over the stored entries of
+    both.  Pairs are examined in sorted order: the first member is indexed once for
+    the run of pairs that start with it, and its partners are synthesized and traced
+    together, at most ``NUMERIC_BATCH_ENTRIES`` part entries at a time, then cut
+    into one block per pair.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     dim = _numeric_dim(family.params.p, family.params.ambient_factors)
-    n = len(family.members)
+    n = len(family.rows)
     checks = n * (n - 1) // 2
     if sample_pairs is None and checks > SAMPLE_THRESHOLD:
         sample_pairs = SAMPLE_PAIRS
@@ -160,20 +178,21 @@ def verify_qo_numeric(
     else:
         pairs = itertools.combinations(range(n), 2)
 
-    worst, failures, row = 0.0, [], None
-    for i, j in pairs:
-        if i != row:
-            traces, row = _cross_traces(*basis_parts(family.members[i].subspace)), i
-        cross = traces(*basis_parts(family.members[j].subspace))
-        # both spans list the identity first: cross[a, 0] = Tr(A_a) and cross[0, b] = Tr(B_b)
-        resid = np.abs(cross[1:, 1:] - np.outer(cross[1:, 0], cross[0, 1:]) / dim)
-        top = float(resid.max(initial=0.0))  # a member of dimension 0 has no non-identity matrix
-        worst = float(np.maximum(worst, top))  # NaN once either is NaN; max() would drop it
-        if not top <= tol:
-            failures.append(
-                (f"{family.members[i].label} & {family.members[j].label}",
-                 f"trace-condition residual {top:.3e} exceeds tol {tol:.1e}")
-            )
+    labels, rows, worst, failures = family.labels(), family.rows, 0.0, []
+    sizes = (family.params.p ** rows.counts).tolist()  # matrices per member
+    batch = max(1, NUMERIC_BATCH_ENTRIES // (max(sizes, default=1) * dim))  # partners per call
+    for i, run in itertools.groupby(pairs, key=lambda pair: pair[0]):
+        traces, partners = _cross_traces(*_member_parts(rows, [i])), [j for _, j in run]
+        for start in range(0, len(partners), batch):
+            chunk = partners[start:start + batch]
+            cross = traces(*_member_parts(rows, chunk))
+            for j, block in zip(chunk, np.split(cross, np.cumsum([sizes[j] for j in chunk[:-1]]), axis=1)):
+                # both spans list the identity first: block[a, 0] = Tr(A_a) and block[0, b] = Tr(B_b)
+                resid = np.abs(block[1:, 1:] - np.outer(block[1:, 0], block[0, 1:]) / dim)
+                top = float(resid.max(initial=0.0))  # a member of dimension 0 has no non-identity matrix
+                worst = float(np.maximum(worst, top))  # NaN once either is NaN; max() would drop it
+                if not top <= tol:
+                    failures.append((f"{labels[i]} & {labels[j]}", f"trace-condition residual {top:.3e} exceeds tol {tol:.1e}"))
     return VerificationReport(checks_run=checks, max_residual=worst, failures=failures)
 
 
@@ -229,12 +248,12 @@ def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
     digits = np.indices((p,) * m).reshape(m, dim).T  # row t: the m base-p digits of t
     char = digits @ digits.T % p  # char[w, u] = w . c(u), span row u having coefficients digits[u]
     places = p ** np.arange(m - 1, -1, -1)
+    rows = masas.rows
+    bad = np.flatnonzero((rows.counts != m) | (_gram_ranks(rows) != 0)).tolist()
+    if bad:
+        raise ValueError(f"{masas.labels()[bad[0]]}: subspace is not isotropic of dimension {m}")
     bases = []
-    for mem in masas.members:
-        sub = mem.subspace
-        if classify_subspace(sub).kind != ISOTROPIC or sub.dim != sub.m:
-            raise ValueError(f"{mem.label}: subspace is not isotropic of dimension {sub.m}")
-        span = _span_rows(sub).astype(np.int64)
+    for span in _spans(p, rows.rows.reshape(len(rows), m, 2 * m)).astype(np.int64):
         shifts, clocks = span[:, 0::2], span[:, 1::2]
         free = ~shifts.any(axis=1)
         acts = (char[:, None, free] + (digits @ clocks[free].T)[None]) % p  # acts[w, x, kappa]
@@ -245,6 +264,15 @@ def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
         basis[(first[:, None] + shifts) % p @ places, np.arange(dim)[:, None]] = table[expo]
         bases.append(basis)
     return bases
+
+
+def _unbiasedness(overlaps: np.ndarray, d: int) -> np.ndarray:
+    """max | |z|^2 - 1/d | over the entries z of each overlaps[:, j, :], read from the
+    largest and the smallest |z| of the slice: squaring and subtracting round
+    monotonically, so the bits are those of the entry-wise maximum, and a NaN
+    anywhere in a slice makes its residual NaN."""
+    size = np.abs(overlaps)
+    return np.maximum(size.max(axis=(0, 2)) ** 2 - 1.0 / d, 1.0 / d - size.min(axis=(0, 2)) ** 2)
 
 
 def check_mub_overlaps(
@@ -272,7 +300,7 @@ def check_mub_overlaps(
         worst = float(np.maximum(worst, resid))
         if not resid <= tol:
             own_failures.append((labels[i], f"not orthonormal: residual {resid:.3e}"))
-        resid = np.abs(np.abs(blocks[:, 1:]) ** 2 - 1.0 / d).max(axis=(0, 2))  # one per later basis
+        resid = _unbiasedness(blocks[:, 1:], d)  # one per later basis
         worst = float(np.max(resid, initial=worst))  # NaN-propagating, like np.maximum
         for j in np.flatnonzero(~(resid <= tol)).tolist():
             pair_failures.append(

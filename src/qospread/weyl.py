@@ -31,6 +31,7 @@ anything is allocated when it holds too many entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,22 +73,36 @@ def commutation_phase(u: PhasePoint, v: PhasePoint) -> int:
     return (-symplectic_product(u, v)) % u.p
 
 
+@lru_cache(maxsize=4)
+def _tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(add, clock), both (p^m, p^m): the phase-0 monomial with shift digits s and
+    clock digits c (each read as a base-p index, factor 1 most significant) holds
+    clock[c, x] in row add[s, x] of column x.  add is digit-wise addition mod p;
+    clock[c, x] multiplies the m factor values lam^{c_i x_i} factor 1 first, left
+    to right, as in np.kron: SIMD complex * is not commutative.  Read-only, and
+    kept per (p, m), so a synthesis is two row gathers."""
+    d = p**m
+    lam = np.exp(2j * np.pi / p)
+    table = np.array([[lam ** (l * j) for j in range(p)] for l in range(p)])
+    digits = np.indices((p,) * m).reshape(m, d)  # digits[:, t]: the m base-p digits of t, factor 1 first
+    add, clock = 0, None
+    for i in range(m):
+        add = add * p + (digits[i, :, None] + digits[i]) % p
+        factor = table[digits[i, :, None], digits[i]]
+        clock = factor if clock is None else np.multiply(clock, factor)
+    add.flags.writeable = clock.flags.writeable = False
+    return add, clock
+
+
 def _monomial_parts(p: int, m: int, rows: np.ndarray, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase-0 monomials, one per integer point row, as (target, values): column x
     of matrix a holds values[a, x] in row target[a, x] and zeros elsewhere."""
     d = p**m
     if d > max_dim:
         raise ValueError(f"dimension {d} exceeds the synthesis limit {max_dim}")
-    lam = np.exp(2j * np.pi / p)
-    table = np.array([[lam ** (l * j) for j in range(p)] for l in range(p)])
-    digits = np.indices((p,) * m).reshape(m, d)  # column digits, factor 1 first
-    target, values = 0, None
-    for i in range(m):
-        target = target * p + (digits[i] + rows[:, 2 * i, None]) % p
-        factor = table[rows[:, 2 * i + 1, None], digits[i]]
-        # earlier factors on the left, as in np.kron: SIMD complex * is not commutative
-        values = factor if values is None else np.multiply(values, factor)
-    return target, values
+    add, clock = _tables(p, m)
+    rows, places = np.asarray(rows) % p, p ** np.arange(m - 1, -1, -1)
+    return add[rows[:, 0::2] @ places], clock[rows[:, 1::2] @ places]
 
 
 def _monomial_stack(p: int, m: int, rows: np.ndarray, max_dim: int) -> np.ndarray:

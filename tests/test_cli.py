@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from qospread import constructions, family_io, phase_space, verify
-from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_text, main
+from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_bytes, main
 from qospread.constructions import ConstructionParams, build_C, build_masa_spread
 from helpers import file_of, with_rows
 
@@ -570,7 +570,7 @@ def test_mub_file_matches_per_entry_formatter(tmp_path, capsys, p, k):
             f"basis vectors are columns, one per line)\n"]
     for label, basis in zip(masas.labels(), bases):
         text = _reference_text(basis)
-        assert _basis_text(basis) == text
+        assert _basis_bytes(basis) == text.encode("ascii")
         want += [f"basis {label}\n", text]
     out_path = tmp_path / "mub.txt"
     code, out, _ = run(capsys, "mub", "--p", str(p), "--k", str(k), "--out", str(out_path))
@@ -587,9 +587,10 @@ def test_basis_text_special_values_match_per_entry_formatter():
               float("nan"), float("inf"), float("-inf"), 1.0]
     basis = np.array([complex(x, y) for x in values for y in values[::-1]]).reshape(12, 12)
     basis = basis[:, :5]  # not square: rows per line and lines per basis differ
-    assert _basis_text(basis) == _reference_text(basis)
-    assert "-0.000000000000000e+00" in _basis_text(basis)
-    assert "+nan" in _basis_text(basis) and "-inf" in _basis_text(basis)
+    text = _basis_bytes(basis)
+    assert text == _reference_text(basis).encode("ascii")
+    assert b"-0.000000000000000e+00" in text
+    assert b"+nan" in text and b"-inf" in text
 
 
 def test_mub_guard(tmp_path, capsys):

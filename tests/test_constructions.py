@@ -1,6 +1,7 @@
 """Tests for the family builders: the two-block spreads, the masa spread,
 the frame embedding and the recursion."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -8,6 +9,8 @@ import time
 import numpy as np
 import pytest
 
+from qospread import constructions
+from qospread.cli import EXIT_BAD_INPUT, main
 from qospread.constructions import (
     INFINITY,
     MASA,
@@ -447,6 +450,33 @@ def test_params_large_prime_field_is_fast_and_checks_squares():
     assert params.nonresidue.coords == (next(x for x in range(1, p) if pow(x, (p - 1) // 2, p) == p - 1),)
     with pytest.raises(ValueError, match="square"):
         ConstructionParams.create(p, 1, 1, nonresidue=(4,))
+
+
+def test_params_test_only_supplied_nonresidues(monkeypatch):
+    """Euler's criterion runs once per supplied non-residue (from a caller, a file
+    or --d-override) and never again on the one find_nonresidue returned, nor on
+    parameters that replace only n."""
+    calls = []
+    euler = constructions.is_nonresidue
+    monkeypatch.setattr(constructions, "is_nonresidue", lambda a: calls.append(a) or euler(a))
+    params = ConstructionParams.create(3, 2, 3)
+    build_recursive(params)
+    assert calls == []
+    assert ConstructionParams.create(3, 2, 3, nonresidue=params.nonresidue.coords) == params
+    assert calls == [params.nonresidue]
+    square = params.field.element((1, 0))
+    for make in (lambda: ConstructionParams.create(3, 2, 3, nonresidue=square.coords),
+                 lambda: ConstructionParams(params.field, 3, square),
+                 lambda: dataclasses.replace(params, nonresidue=square)):
+        with pytest.raises(ValueError, match="square"):
+            make()
+
+
+def test_generate_refuses_a_square_d_override(tmp_path, capsys):
+    code = main(["generate", "--p", "7", "--d-override", "2", "--out", str(tmp_path / "x.yaml")])
+    assert code == EXIT_BAD_INPUT
+    assert "2 is a square, not a non-residue" in capsys.readouterr().err
+    assert not (tmp_path / "x.yaml").exists()
 
 
 def test_params_reject_zero_nonresidue():

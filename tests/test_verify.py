@@ -273,24 +273,25 @@ def test_numeric_nan_parts_fail(monkeypatch):
     fam = SpreadFamily(ConstructionParams.create(3, 1, 3),
                        [FamilyMember(f"P{i}", MATRIX_ALGEBRA, sub) for i, sub in enumerate(planes)], complete=False)
     assert verify_qo_numeric(fam).passed
-    parts = verify.basis_parts
-    shifted = [int(np.flatnonzero(parts(sub)[0][:, 0])[0]) for sub in planes]  # target[a, 0] != 0
+    shifted = [int(np.flatnonzero(basis_parts(sub)[0][:, 0])[0]) for sub in planes]  # target[a, 0] != 0
     for i, j in itertools.permutations(range(10), 2):
-        t1, t2 = parts(planes[i])[0], parts(planes[j])[0]
+        t1, t2 = basis_parts(planes[i])[0], basis_parts(planes[j])[0]
         x = t1[shifted[i], 0]  # the NaN of plane i sits at (x, 0), off the diagonal
         assert x != 0 and not (t2[:, x] == 0).any()  # B_b[0, x] = 0 for every b: no hit reads it
+    member_parts = verify._member_parts
 
     def nan_in(poisoned):
-        def nan_parts(s):
-            target, values = parts(s)
-            if s in poisoned:
-                values = values.copy()
-                values[shifted[planes.index(s)], 0] = np.nan
+        def nan_parts(rows, positions):  # the parts of several members, nine matrices each
+            target, values = member_parts(rows, positions)
+            values = values.copy()
+            for at, i in enumerate(positions):
+                if i in poisoned:
+                    values[9 * at + shifted[i], 0] = np.nan
             return target, values
         return nan_parts
 
     # every member but the last, so every pair has a NaN in its row member
-    monkeypatch.setattr(verify, "basis_parts", nan_in(planes[:-1]))
+    monkeypatch.setattr(verify, "_member_parts", nan_in(range(9)))
     rep = verify_qo_numeric(fam)
     assert not rep.passed
     assert rep.checks_run == len(rep.failures) == 45
@@ -298,21 +299,23 @@ def test_numeric_nan_parts_fail(monkeypatch):
     assert np.isnan(rep.max_residual)
     assert "max_residual=nan" in rep.describe()
 
-    # the last member only, which is never a row member: the nine pairs with it fail
-    monkeypatch.setattr(verify, "basis_parts", nan_in(planes[-1:]))
+    # the last member only, which is never a row member: the nine pairs with it
+    # fail, and the partners synthesized and traced with it in one call pass
+    monkeypatch.setattr(verify, "_member_parts", nan_in([9]))
     rep = verify_qo_numeric(fam)
     assert [who for who, _ in rep.failures] == [f"P{i} & P9" for i in range(9)]
     assert all("residual nan" in detail for _, detail in rep.failures)
 
-    # the partner's parts: one NaN value, off the diagonal, fails every pair too
-    def nan_partner(s):
-        target, values = parts(s)
+    # one NaN value in every member, off the diagonal, fails every pair too
+    def nan_partner(rows, positions):
+        target, values = member_parts(rows, positions)
         values = values.copy()
-        values[-1, -1] = np.nan
-        assert target[-1, -1] != values.shape[1] - 1  # so only the cross trace can see it
-        return target, values
+        last = values.reshape(len(positions), -1, values.shape[1])[:, -1]  # each member's last matrix
+        last[:, -1] = np.nan
+        assert (target.reshape(len(positions), -1, values.shape[1])[:, -1, -1] != values.shape[1] - 1).all()
+        return target, values  # so only the cross trace can see it
 
-    monkeypatch.setattr(verify, "basis_parts", nan_partner)
+    monkeypatch.setattr(verify, "_member_parts", nan_partner)
     rep = verify_qo_numeric(build_spread_2(P3))
     assert not rep.passed
     assert rep.checks_run == len(rep.failures) == 45
@@ -500,8 +503,8 @@ def test_mub_rejects_non_maximal_isotropic_member(monkeypatch):
         raise AssertionError("synthesized a rejected member")
 
     monkeypatch.setattr(verify, "basis_matrices", no_synthesis)
-    monkeypatch.setattr(verify, "basis_parts", no_synthesis)
-    monkeypatch.setattr(verify, "_span_rows", no_synthesis)
+    monkeypatch.setattr(verify, "_monomial_parts", no_synthesis)
+    monkeypatch.setattr(verify, "_spans", no_synthesis)
     with pytest.raises(ValueError, match="not isotropic of dimension 2"):
         extract_mub_bases(fam)
     with pytest.raises(ValueError, match="not isotropic"):
@@ -566,6 +569,47 @@ def test_mub_overlaps_match_per_pair_loop_past_the_failure_cap():
     assert rep.failures[0][1].startswith("not orthonormal")
     assert len(rep.failures) > 20
     assert rep.describe().endswith(f"... and {len(rep.failures) - 20} more failures")
+
+
+def _entrywise_unbiasedness(overlaps, d):
+    """max | |z|^2 - 1/d | entry by entry, then per slice overlaps[:, j, :]."""
+    return np.abs(np.abs(overlaps) ** 2 - 1.0 / d).max(axis=(0, 2))
+
+
+def _perturbed_bases(rng):
+    """The d = 9 bases with zeros, NaN, +-inf, rescaled columns and noise put in."""
+    bases = extract_mub_bases(build_masa_spread(P3))
+    bases[1][:, 3] = 0
+    bases[2][4, 4] = np.nan
+    bases[3][0, 0] = np.inf
+    bases[4][2, 7] = complex(-np.inf, 1.0)
+    bases[5][:, 1] *= 1 + 1e-6
+    bases[6] = bases[6] + 1e-9 * rng.standard_normal((9, 9))
+    bases[7] = bases[0]
+    bases[8][5, 5] = complex(0.0, np.nan)
+    return bases
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_unbiasedness_equals_the_entrywise_formula_bit_for_bit(monkeypatch):
+    """The residual from the extrema of |z| is the entry-wise maximum bit for bit
+    (int64 view, NaN and inf included), on raw overlaps and through
+    check_mub_overlaps, whose failure list and max_residual are unchanged."""
+    rng = np.random.default_rng(16)
+    for d in (3, 9, 81):
+        z = (rng.standard_normal((d, 7, d)) + 1j * rng.standard_normal((d, 7, d))) / np.sqrt(2 * d)
+        z[:, 1] = np.exp(2j * np.pi * rng.random((d, d))) / np.sqrt(d)  # unbiased up to rounding
+        z[0, 2, 0], z[1, 3, 1], z[2, 4, 2], z[:, 5] = 0, np.nan, complex(np.inf, 0), 0
+        z[d - 1, 6, d - 1] = complex(0, -np.inf)
+        assert np.array_equal(verify._unbiasedness(z, d).view(np.int64), _entrywise_unbiasedness(z, d).view(np.int64))
+    bases = _perturbed_bases(rng)
+    labels = [f"B{i}" for i in range(len(bases))]
+    reports = [check_mub_overlaps(bases, 1e-9, labels)]
+    monkeypatch.setattr(verify, "_unbiasedness", _entrywise_unbiasedness)
+    reports.append(check_mub_overlaps(bases, 1e-9, labels))
+    assert reports[0].failures == reports[1].failures
+    assert len(reports[0].failures) > 10
+    assert np.float64(reports[0].max_residual).view(np.int64) == np.float64(reports[1].max_residual).view(np.int64)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qospread.constructions import ConstructionParams, build_C
+from qospread.constructions import ConstructionParams, build_C, build_recursive
 from qospread.phase_space import PhasePoint, Subspace, _span_rows, span_enumerate
 from qospread.weyl import (
     MAX_DIM,
@@ -225,6 +225,40 @@ def test_monomial_parts_scatter_to_basis_matrices(p, m):
         dense = np.zeros((len(values), d, d), dtype=complex)
         dense[np.arange(len(values))[:, None], target, np.arange(d)] = values
         assert np.array_equal(dense, basis_matrices(sub))
+
+
+def _factor_by_factor_parts(p, m, rows):
+    """The parts computed factor by factor for each row, the values multiplied
+    left to right, factor 1 first."""
+    d = p**m
+    lam = np.exp(2j * np.pi / p)
+    table = np.array([[lam ** (l * j) for j in range(p)] for l in range(p)])
+    digits = np.indices((p,) * m).reshape(m, d)
+    target, values = 0, None
+    for i in range(m):
+        target = target * p + (digits[i] + rows[:, 2 * i, None]) % p
+        factor = table[rows[:, 2 * i + 1, None], digits[i]]
+        values = factor if values is None else np.multiply(values, factor)
+    return target, values
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 2)], ids=["d27", "d81-k1", "d81-k2"])
+def test_batched_monomial_parts_equal_per_member_calls_bit_for_bit(k, n):
+    """Several members' stacked span rows in one call give each member's own
+    parts, and those of the factor-by-factor product, bit for bit (int64 view):
+    SIMD complex products are not bitwise commutative, so the order matters."""
+    params = ConstructionParams.create(3, k, n)
+    m = k * n
+    spans = [_span_rows(s) for s in build_recursive(params).subspaces()[::7][:12]]
+    target, values = _monomial_parts(3, m, np.concatenate(spans), MAX_DIM)
+    start = 0
+    for span in spans:
+        block = slice(start, start + len(span))
+        for t, v in (_monomial_parts(3, m, span, MAX_DIM), _factor_by_factor_parts(3, m, span)):
+            assert t.dtype == target.dtype and np.array_equal(t, target[block])
+            assert np.array_equal(v.view(np.int64), values[block].view(np.int64))
+        start += len(span)
+    assert start == len(values)
 
 
 def test_basis_matrices_dimension_guard():
