@@ -145,17 +145,18 @@ def _basis_bytes(basis: np.ndarray) -> bytes:
     space separated, in ASCII.  Each distinct double (by bit pattern) is formatted
     once, the same bytes as ``f"{x:+.15e}"``, NaN, inf and -0.0 included, into a
     row of a byte table padded with NULs; the entries gather their rows, the
-    separators go in after each pair, and one mask drops the padding."""
+    separators go in after each pair, and the padding is dropped at the end."""
     rows, cols = basis.shape
     bits = np.ascontiguousarray(basis.T, dtype=complex).view(np.int64).ravel()
-    distinct, at = np.unique(bits, return_inverse=True)
+    ordered = np.sort(bits)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])] if bits.size else ordered
     tokens = ["%+.15e" % x for x in distinct.view(np.float64).tolist()]
     width = max(map(len, tokens), default=0)
     table = np.frombuffer("".join(token.ljust(width, "\0") for token in tokens).encode("ascii"), dtype=np.uint8)
     text = np.empty((cols, rows, 2 * width + 2), dtype=np.uint8)  # real token, imaginary token, "j", separator
-    text[..., :-2] = table.reshape(-1, width)[at].reshape(cols, rows, 2 * width)
+    text[..., :-2] = table.reshape(-1, width).take(np.searchsorted(distinct, bits), axis=0).reshape(cols, rows, -1)
     text[..., -2], text[..., -1], text[:, -1, -1] = ord("j"), ord(" "), ord("\n")
-    return text[text != 0].tobytes()
+    return text.tobytes().replace(b"\0", b"")
 
 
 def cmd_mub(args) -> int:

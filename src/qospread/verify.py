@@ -38,7 +38,7 @@ from .phase_space import (
     classify_subspace,
 )
 from .report import VerificationReport
-from .weyl import MAX_DIM, _monomial_parts, basis_matrices
+from .weyl import MAX_DIM, _monomial_parts, _tables, basis_matrices
 
 DEFAULT_TOL = 1e-9
 NUMERIC_MAX_DIM = 81
@@ -247,7 +247,7 @@ def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
     dim = _numeric_dim(p, m)
     digits = np.indices((p,) * m).reshape(m, dim).T  # row t: the m base-p digits of t
     char = digits @ digits.T % p  # char[w, u] = w . c(u), span row u having coefficients digits[u]
-    places = p ** np.arange(m - 1, -1, -1)
+    places, add = p ** np.arange(m - 1, -1, -1), _tables(p, m)[0]  # add[x, s]: the index of x + s, digit-wise mod p
     rows = masas.rows
     bad = np.flatnonzero((rows.counts != m) | (_gram_ranks(rows) != 0)).tolist()
     if bad:
@@ -257,11 +257,11 @@ def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
         shifts, clocks = span[:, 0::2], span[:, 1::2]
         free = ~shifts.any(axis=1)
         acts = (char[:, None, free] + (digits @ clocks[free].T)[None]) % p  # acts[w, x, kappa]
-        first = digits[(~acts.any(axis=2)).argmax(axis=1)]  # the digits of x_w
-        expo = (char + (clocks * shifts).sum(axis=1) * ((p + 1) // 2) + first @ clocks.T) % p
+        first = (~acts.any(axis=2)).argmax(axis=1)  # x_w
+        expo = (char + (clocks * shifts).sum(axis=1) * ((p + 1) // 2) + digits[first] @ clocks.T) % p
         table = np.sqrt(free.sum() / dim) * np.exp(2j * np.pi * np.arange(p) / p)
         basis = np.zeros((dim, dim), dtype=complex)
-        basis[(first[:, None] + shifts) % p @ places, np.arange(dim)[:, None]] = table[expo]
+        basis[add[first[:, None], shifts @ places], np.arange(dim)[:, None]] = table[expo]  # row x_w + k(u)
         bases.append(basis)
     return bases
 
@@ -272,7 +272,8 @@ def _unbiasedness(overlaps: np.ndarray, d: int) -> np.ndarray:
     monotonically, so the bits are those of the entry-wise maximum, and a NaN
     anywhere in a slice makes its residual NaN."""
     size = np.abs(overlaps)
-    return np.maximum(size.max(axis=(0, 2)) ** 2 - 1.0 / d, 1.0 / d - size.min(axis=(0, 2)) ** 2)
+    hi, lo = size.max(axis=0).max(axis=1), size.min(axis=0).min(axis=1)  # axis 0 first: whole rows at a time
+    return np.maximum(hi**2 - 1.0 / d, 1.0 / d - lo**2)
 
 
 def check_mub_overlaps(
