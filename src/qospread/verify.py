@@ -11,12 +11,17 @@ read from the same scan as the pairwise intersections.  The numeric
 route ignores all of that and evaluates the trace condition literally on
 synthesized matrices, both members of a pair as (target, values) parts, the
 one nonzero entry per column of each monomial, with a CSR index on the row
-member, so the two routes check each other.
+member, so the two routes check each other.  A row member's partners are
+synthesized and traced a batch at a time; each cell still adds its hits in
+increasing column order, so every residual has the bits of a pair-by-pair
+run.
 
 The masa bridge: each isotropic member of dimension m spans a maximal
 abelian subalgebra whose common eigenbasis is written down from its
 characters, and quasi-orthogonality of two masas is equivalent to the two
-bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).
+bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).  All
+masas are classified by one batched Gram elimination and spanned by one
+span product before any basis is written.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
     trace, on A's side), as in a dense product, though most entries go unread."""
     count, d = target.shape
     keys = (target * d + np.arange(d)).ravel()
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.min_scalar_type(d * d - 1)), kind="stable")  # a radix sort up to d = 256
     indptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=d * d))))
     owners, vals, finite = order // d, values.ravel()[order], np.isfinite(values).all()
 
@@ -133,15 +138,22 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
     return cross
 
 
-def _member_parts(rows: RowStacks, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``basis_parts`` of the members at ``positions``, stacked member after member:
-    one span enumeration per row count and one synthesis for all of them."""
-    rows = rows.take(positions)
+def _member_parts(rows: RowStacks):
+    """parts(positions): the ``basis_parts`` of the members at ``positions``, stacked
+    member after member.  Every member's span points are enumerated once, by one
+    span product per row count; each call gathers its members' points and
+    synthesizes them at once."""
     sizes = rows.p ** rows.counts
-    spans = np.empty((sizes.sum(), rows.width), dtype=rows.rows.dtype)
+    starts, spans = np.cumsum(sizes) - sizes, np.empty((sizes.sum(), rows.width), dtype=rows.rows.dtype)
     for at, stack in rows.groups:
-        spans[(np.cumsum(sizes) - sizes)[at, None] + np.arange(rows.p ** stack.shape[1])] = _spans(rows.p, stack)
-    return _monomial_parts(rows.p, rows.width // 2, spans, MAX_DIM)
+        spans[starts[at, None] + np.arange(rows.p ** stack.shape[1])] = _spans(rows.p, stack)
+
+    def parts(positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        size = sizes[positions]
+        points = np.repeat(starts[positions] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        return _monomial_parts(rows.p, rows.width // 2, spans[points], MAX_DIM)
+
+    return parts
 
 
 def verify_qo_numeric(
@@ -155,9 +167,9 @@ def verify_qo_numeric(
     ``SAMPLE_THRESHOLD`` member pairs a random subset of ``SAMPLE_PAIRS`` pairs is
     used unless ``sample_pairs`` says otherwise; it is drawn as ranks in the
     lexicographic order of all pairs, each mapped back to its pair, so no pair list
-    is built.  Members come as ``basis_parts`` (value v[x] at (t[x], x)), and every
-    trace, Tr(A) = Tr(A I) included, is ``_cross_traces`` over the stored entries of
-    both.  Pairs are examined in sorted order: the first member is indexed once for
+    is built.  Members come as ``basis_parts`` (value v[x] at (t[x], x)) from
+    ``_member_parts``, and every trace, Tr(A) = Tr(A I) included, is
+    ``_cross_traces`` over the stored entries of both.  Pairs are examined in sorted order: the first member is indexed once for
     the run of pairs that start with it, and its partners are synthesized and traced
     together, at most ``NUMERIC_BATCH_ENTRIES`` part entries at a time, then cut
     into one block per pair.
@@ -178,21 +190,23 @@ def verify_qo_numeric(
     else:
         pairs = itertools.combinations(range(n), 2)
 
-    labels, rows, worst, failures = family.labels(), family.rows, 0.0, []
-    sizes = (family.params.p ** rows.counts).tolist()  # matrices per member
+    labels, parts, worst, failures = family.labels(), _member_parts(family.rows), 0.0, []
+    sizes = (family.params.p ** family.rows.counts).tolist()  # matrices per member
     batch = max(1, NUMERIC_BATCH_ENTRIES // (max(sizes, default=1) * dim))  # partners per call
     for i, run in itertools.groupby(pairs, key=lambda pair: pair[0]):
-        traces, partners = _cross_traces(*_member_parts(rows, [i])), [j for _, j in run]
+        traces, partners = _cross_traces(*parts([i])), [j for _, j in run]
         for start in range(0, len(partners), batch):
             chunk = partners[start:start + batch]
-            cross = traces(*_member_parts(rows, chunk))
+            cross = traces(*parts(chunk))
             for j, block in zip(chunk, np.split(cross, np.cumsum([sizes[j] for j in chunk[:-1]]), axis=1)):
                 # both spans list the identity first: block[a, 0] = Tr(A_a) and block[0, b] = Tr(B_b)
                 resid = np.abs(block[1:, 1:] - np.outer(block[1:, 0], block[0, 1:]) / dim)
                 top = float(resid.max(initial=0.0))  # a member of dimension 0 has no non-identity matrix
                 worst = float(np.maximum(worst, top))  # NaN once either is NaN; max() would drop it
                 if not top <= tol:
-                    failures.append((f"{labels[i]} & {labels[j]}", f"trace-condition residual {top:.3e} exceeds tol {tol:.1e}"))
+                    failures.append(
+                        (f"{labels[i]} & {labels[j]}", f"trace-condition residual {top:.3e} exceeds tol {tol:.1e}")
+                    )
     return VerificationReport(checks_run=checks, max_residual=worst, failures=failures)
 
 

@@ -281,14 +281,18 @@ def test_numeric_nan_parts_fail(monkeypatch):
     member_parts = verify._member_parts
 
     def nan_in(poisoned):
-        def nan_parts(rows, positions):  # the parts of several members, nine matrices each
-            target, values = member_parts(rows, positions)
-            values = values.copy()
-            for at, i in enumerate(positions):
-                if i in poisoned:
-                    values[9 * at + shifted[i], 0] = np.nan
-            return target, values
-        return nan_parts
+        def nan_parts_of(rows):
+            parts = member_parts(rows)
+
+            def nan_parts(positions):  # the parts of several members, nine matrices each
+                target, values = parts(positions)
+                values = values.copy()
+                for at, i in enumerate(positions):
+                    if i in poisoned:
+                        values[9 * at + shifted[i], 0] = np.nan
+                return target, values
+            return nan_parts
+        return nan_parts_of
 
     # every member but the last, so every pair has a NaN in its row member
     monkeypatch.setattr(verify, "_member_parts", nan_in(range(9)))
@@ -307,15 +311,19 @@ def test_numeric_nan_parts_fail(monkeypatch):
     assert all("residual nan" in detail for _, detail in rep.failures)
 
     # one NaN value in every member, off the diagonal, fails every pair too
-    def nan_partner(rows, positions):
-        target, values = member_parts(rows, positions)
-        values = values.copy()
-        last = values.reshape(len(positions), -1, values.shape[1])[:, -1]  # each member's last matrix
-        last[:, -1] = np.nan
-        assert (target.reshape(len(positions), -1, values.shape[1])[:, -1, -1] != values.shape[1] - 1).all()
-        return target, values  # so only the cross trace can see it
+    def nan_last_of(rows):
+        parts = member_parts(rows)
 
-    monkeypatch.setattr(verify, "_member_parts", nan_partner)
+        def nan_last(positions):
+            target, values = parts(positions)
+            values = values.copy()
+            last = values.reshape(len(positions), -1, values.shape[1])[:, -1]  # each member's last matrix
+            last[:, -1] = np.nan
+            assert (target.reshape(len(positions), -1, values.shape[1])[:, -1, -1] != values.shape[1] - 1).all()
+            return target, values  # so only the cross trace can see it
+        return nan_last
+
+    monkeypatch.setattr(verify, "_member_parts", nan_last_of)
     rep = verify_qo_numeric(build_spread_2(P3))
     assert not rep.passed
     assert rep.checks_run == len(rep.failures) == 45
