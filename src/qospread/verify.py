@@ -280,12 +280,11 @@ def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
     return bases
 
 
-def _unbiasedness(overlaps: np.ndarray, d: int) -> np.ndarray:
-    """max | |z|^2 - 1/d | over the entries z of each overlaps[:, j, :], read from the
-    largest and the smallest |z| of the slice: squaring and subtracting round
+def _unbiasedness(size: np.ndarray, d: int) -> np.ndarray:
+    """max | s^2 - 1/d | over the entries s = |<x, z>| of each size[:, j, :], read from
+    the largest and the smallest s of the slice: squaring and subtracting round
     monotonically, so the bits are those of the entry-wise maximum, and a NaN
     anywhere in a slice makes its residual NaN."""
-    size = np.abs(overlaps)
     hi, lo = size.max(axis=0).max(axis=1), size.min(axis=0).min(axis=1)  # axis 0 first: whole rows at a time
     return np.maximum(hi**2 - 1.0 / d, 1.0 / d - lo**2)
 
@@ -315,7 +314,7 @@ def check_mub_overlaps(
         worst = float(np.maximum(worst, resid))
         if not resid <= tol:
             own_failures.append((labels[i], f"not orthonormal: residual {resid:.3e}"))
-        resid = _unbiasedness(blocks[:, 1:], d)  # one per later basis
+        resid = _unbiasedness(np.abs(blocks)[:, 1:], d)  # one per later basis; abs of the whole block is faster
         worst = float(np.max(resid, initial=worst))  # NaN-propagating, like np.maximum
         for j in np.flatnonzero(~(resid <= tol)).tolist():
             pair_failures.append(

@@ -579,9 +579,28 @@ def test_mub_overlaps_match_per_pair_loop_past_the_failure_cap():
     assert rep.describe().endswith(f"... and {len(rep.failures) - 20} more failures")
 
 
-def _entrywise_unbiasedness(overlaps, d):
-    """max | |z|^2 - 1/d | entry by entry, then per slice overlaps[:, j, :]."""
-    return np.abs(np.abs(overlaps) ** 2 - 1.0 / d).max(axis=(0, 2))
+def _entrywise_unbiasedness(size, d):
+    """max | s^2 - 1/d | entry by entry, then per slice size[:, j, :]."""
+    return np.abs(size**2 - 1.0 / d).max(axis=(0, 2))
+
+
+def _entrywise_overlap_check(bases, tol, labels):
+    """``check_mub_overlaps`` with every pair residual read entry by entry:
+    the same products, |z| of the later bases' blocks only."""
+    d = bases[0].shape[0]
+    columns = np.concatenate(bases, axis=1)
+    worst, own_failures, pair_failures = 0.0, [], []
+    for i, u in enumerate(bases):
+        blocks = (u.conj().T @ columns[:, i * d:]).reshape(d, len(bases) - i, d)
+        resid = float(np.abs(blocks[:, 0] - np.eye(d)).max())
+        worst = float(np.maximum(worst, resid))
+        if not resid <= tol:
+            own_failures.append((labels[i], f"not orthonormal: residual {resid:.3e}"))
+        resid = _entrywise_unbiasedness(np.abs(blocks[:, 1:]), d)
+        worst = float(np.max(resid, initial=worst))
+        pair_failures += [(f"{labels[i]} & {labels[i + 1 + j]}", f"unbiasedness residual {resid[j]:.3e}")
+                          for j in np.flatnonzero(~(resid <= tol)).tolist()]
+    return own_failures + pair_failures, worst
 
 
 def _perturbed_bases(rng):
@@ -599,7 +618,7 @@ def _perturbed_bases(rng):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_unbiasedness_equals_the_entrywise_formula_bit_for_bit(monkeypatch):
+def test_unbiasedness_equals_the_entrywise_formula_bit_for_bit():
     """The residual from the extrema of |z| is the entry-wise maximum bit for bit
     (int64 view, NaN and inf included), on raw overlaps and through
     check_mub_overlaps, whose failure list and max_residual are unchanged."""
@@ -609,15 +628,15 @@ def test_unbiasedness_equals_the_entrywise_formula_bit_for_bit(monkeypatch):
         z[:, 1] = np.exp(2j * np.pi * rng.random((d, d))) / np.sqrt(d)  # unbiased up to rounding
         z[0, 2, 0], z[1, 3, 1], z[2, 4, 2], z[:, 5] = 0, np.nan, complex(np.inf, 0), 0
         z[d - 1, 6, d - 1] = complex(0, -np.inf)
-        assert np.array_equal(verify._unbiasedness(z, d).view(np.int64), _entrywise_unbiasedness(z, d).view(np.int64))
-    bases = _perturbed_bases(rng)
-    labels = [f"B{i}" for i in range(len(bases))]
-    reports = [check_mub_overlaps(bases, 1e-9, labels)]
-    monkeypatch.setattr(verify, "_unbiasedness", _entrywise_unbiasedness)
-    reports.append(check_mub_overlaps(bases, 1e-9, labels))
-    assert reports[0].failures == reports[1].failures
-    assert len(reports[0].failures) > 10
-    assert np.float64(reports[0].max_residual).view(np.int64) == np.float64(reports[1].max_residual).view(np.int64)
+        size = np.abs(z)
+        assert np.array_equal(verify._unbiasedness(size, d).view(np.int64), _entrywise_unbiasedness(size, d).view(np.int64))
+    d81 = extract_mub_bases(build_masa_spread(ConstructionParams.create(3, 2, 2)))
+    for bases, failing in ((_perturbed_bases(rng), 50), (d81, 0)):  # 50 of the 55 checks fail
+        labels = [f"B{i}" for i in range(len(bases))]
+        rep = check_mub_overlaps(bases, 1e-9, labels)
+        failures, worst = _entrywise_overlap_check(bases, 1e-9, labels)
+        assert rep.failures == failures and len(failures) == failing
+        assert np.float64(rep.max_residual).view(np.int64) == np.float64(worst).view(np.int64)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
