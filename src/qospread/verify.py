@@ -19,9 +19,7 @@ run.
 The masa bridge: each isotropic member of dimension m spans a maximal
 abelian subalgebra whose common eigenbasis is written down from its
 characters, and quasi-orthogonality of two masas is equivalent to the two
-bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).  All
-masas are classified by one batched Gram elimination and spanned by one
-span product before any basis is written.
+bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).
 """
 
 from __future__ import annotations
@@ -34,10 +32,10 @@ from .constructions import MASA, MATRIX_ALGEBRA, SpreadFamily, expected_count
 from .phase_space import (
     ISOTROPIC,
     NONDEGENERATE,
+    RowStacks,
     Subspace,
     _disjointness,
     _gram_ranks,
-    RowStacks,
     _kind,
     _spans,
     classify_subspace,
@@ -169,10 +167,11 @@ def verify_qo_numeric(
     lexicographic order of all pairs, each mapped back to its pair, so no pair list
     is built.  Members come as ``basis_parts`` (value v[x] at (t[x], x)) from
     ``_member_parts``, and every trace, Tr(A) = Tr(A I) included, is
-    ``_cross_traces`` over the stored entries of both.  Pairs are examined in sorted order: the first member is indexed once for
-    the run of pairs that start with it, and its partners are synthesized and traced
-    together, at most ``NUMERIC_BATCH_ENTRIES`` part entries at a time, then cut
-    into one block per pair.
+    ``_cross_traces`` over the stored entries of both.  Pairs are examined in
+    sorted order: the first member is indexed once for the run of pairs that start
+    with it, and its partners are synthesized and traced together, at most
+    ``NUMERIC_BATCH_ENTRIES`` part entries at a time, then cut into one block per
+    pair.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -256,6 +255,8 @@ def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
     first index on which the shift-free points K of L act by the character w.
     Each u in L puts sqrt(|K|/d) lam^e at row x_w + k(u), with
     e = w . c(u) + beta(u, u)/2 + l(u) . x_w: no random draw, no eigensolver.
+    All members are classified by one batched Gram elimination and spanned by
+    one span product before any basis is written.
     """
     p, m = masas.params.p, masas.params.ambient_factors
     dim = _numeric_dim(p, m)
@@ -314,7 +315,7 @@ def check_mub_overlaps(
         worst = float(np.maximum(worst, resid))
         if not resid <= tol:
             own_failures.append((labels[i], f"not orthonormal: residual {resid:.3e}"))
-        resid = _unbiasedness(np.abs(blocks)[:, 1:], d)  # one per later basis; abs of the whole block is faster
+        resid = _unbiasedness(np.abs(blocks)[:, 1:], d)  # one per later basis; |z| in one contiguous pass
         worst = float(np.max(resid, initial=worst))  # NaN-propagating, like np.maximum
         for j in np.flatnonzero(~(resid <= tol)).tolist():
             pair_failures.append(
