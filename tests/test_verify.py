@@ -258,6 +258,39 @@ def test_numeric_row_reuse_matches_per_pair_loop(k, n, sample, seed, dup):
         assert [who for who, _ in failures] == [f"{members[24].label} & {members[45].label}"]
 
 
+def _sparse_per_pair(family, tol, pairs):
+    """The sparse oracle one pair at a time: both members' parts synthesized and
+    traced for every pair."""
+    dim = family.params.p**family.params.ambient_factors
+    worst, failures = 0.0, []
+    for i, j in pairs:
+        a, b = (basis_parts(family.members[x].subspace) for x in (i, j))
+        cross = verify._cross_traces(*a)(*b)
+        top = float(np.abs(cross[1:, 1:] - np.outer(cross[1:, 0], cross[0, 1:]) / dim).max(initial=0.0))
+        worst = float(np.maximum(worst, top))
+        if not top <= tol:
+            failures.append((f"{family.members[i].label} & {family.members[j].label}",
+                             f"trace-condition residual {top:.3e} exceeds tol {tol:.1e}"))
+    return worst, failures
+
+
+@pytest.mark.parametrize("k,n,sample,tol", [(1, 3, 4095, 1e-14), (2, 2, 300, 4e-14)], ids=["d27-all", "d81-300"])
+def test_batched_numeric_equals_pair_by_pair_bit_for_bit(k, n, sample, tol):
+    """Partners synthesized and traced a batch at a time give every pair the
+    residual of a pair-by-pair run: the same max_residual bits, and at a tol
+    inside the spread of the residuals the same failures, in the same order
+    and digits."""
+    fam = build_recursive(ConstructionParams.create(3, k, n))
+    pairs = list(itertools.combinations(range(len(fam.members)), 2))
+    if sample < len(pairs):
+        pairs = [pairs[i] for i in sorted(np.random.default_rng(5).choice(len(pairs), size=sample, replace=False))]
+    rep = verify_qo_numeric(fam, tol, sample_pairs=sample, seed=5)
+    worst, failures = _sparse_per_pair(fam, tol, pairs)
+    assert rep.checks_run == len(pairs) == sample
+    assert rep.failures == failures and 0 < len(failures) < len(pairs)
+    assert np.float64(rep.max_residual).view(np.int64) == np.float64(worst).view(np.int64)
+
+
 def test_numeric_nan_parts_fail(monkeypatch):
     """NaN residuals are failures and make max_residual NaN (nan > tol is False).
 
