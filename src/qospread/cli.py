@@ -2,12 +2,22 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
 parameters or malformed input file, 3 I/O failure.
+
+``generate``, ``verify`` and ``example`` make no BLAS call, so when one of
+them is the process's command and numpy is not loaded yet, this module sets
+``OPENBLAS_NUM_THREADS=1`` before importing numpy: OpenBLAS then starts no
+worker threads, which would spin on every other core and go unused.  A value
+the caller has set is kept.  ``mub`` and ``--help`` keep OpenBLAS's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+if "numpy" not in sys.modules and sys.argv[1:2] in (["generate"], ["verify"], ["example"]):
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

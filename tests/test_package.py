@@ -1,6 +1,11 @@
 """The package namespace: the public names it exports and where each one lives."""
 
 import importlib
+import os
+import subprocess
+import sys
+
+import pytest
 
 import qospread
 
@@ -49,3 +54,58 @@ def test_star_import_binds_every_public_name():
     assert sorted(name for name in namespace if name != "__builtins__") == qospread.__all__
     assert all(namespace[name] is getattr(qospread, name) for name in qospread.__all__)
     assert set(qospread.__all__) <= set(dir(qospread))
+
+
+def _python(script: str, *args: str, **env: str) -> str:
+    """The stdout of ``script`` in a fresh interpreter, OPENBLAS_NUM_THREADS unset unless given."""
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env = {**base, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env,
+                          check=True).stdout
+
+
+def test_import_loads_no_layer_and_no_numpy():
+    script = ("import sys, qospread\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('qospread.')))")
+    assert _python(script) == "[]\n"
+
+
+# Runs one CLI command through an entry path and prints what OPENBLAS_NUM_THREADS
+# held when numpy was first imported.
+NUMPY_IMPORT_SPY = """
+import contextlib, io, os, sys
+
+class NumpySpy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, NumpySpy())
+entry, sys.argv = sys.argv[1], ["qospread", *sys.argv[2:]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        if entry == "module":  # python -m qospread.cli
+            import runpy
+            runpy.run_module("qospread.cli", run_name="__main__")
+        else:  # the console script
+            from qospread.cli import main
+            main()
+    except SystemExit:
+        pass
+print(NumpySpy.seen)
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("command,threads", [
+    ("generate", "1"), ("verify", "1"), ("example", "1"), ("mub", None), ("--help", None),
+])
+def test_cli_sets_blas_threads_before_numpy_loads(entry, command, threads):
+    assert _python(NUMPY_IMPORT_SPY, entry, command) == f"{[threads]}\n"
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_cli_keeps_the_callers_blas_threads(entry):
+    assert _python(NUMPY_IMPORT_SPY, entry, "generate", OPENBLAS_NUM_THREADS="2") == "['2']\n"
