@@ -96,7 +96,7 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_INPUT
 
     ok = True
-    bad_rows = family_io.noncanonical_members(ff, family)
+    bad_rows = family_io.noncanonical_members(ff)
     if bad_rows:
         ok = False
         print(f"integrity: FAIL ({len(bad_rows)} members with non-canonical rows)")

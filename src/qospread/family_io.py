@@ -98,28 +98,28 @@ def from_family(family: SpreadFamily, verification: dict | None = None) -> Famil
 
 
 def to_family(ff: FamilyFile) -> SpreadFamily:
-    """Rebuild the in-memory family (one batched elimination per distinct row
-    count); invalid field/non-residue data is a format error."""
+    """Rebuild the in-memory family; invalid field/non-residue data is a format
+    error.  Stored rows already in canonical form (all of them, in a generated
+    file) are kept; the other members are eliminated, one batch per row count."""
     try:
         params = ConstructionParams.create(ff.p, ff.k, ff.n, poly=ff.poly, nonresidue=ff.nonresidue)
     except (ValueError, ZeroDivisionError) as exc:
         raise FamilyFormatError(f"invalid construction parameters: {exc}") from exc
     try:
-        return SpreadFamily(params, labels=list(ff.labels), kinds=list(ff.kinds), rows=_canonical(ff.rows))
+        return SpreadFamily(params, labels=list(ff.labels), kinds=list(ff.kinds),
+                            rows=_canonical(ff.rows, ff.rows.canonical))
     except ValueError as exc:
         raise FamilyFormatError(str(exc)) from exc
 
 
-def noncanonical_members(ff: FamilyFile, family: SpreadFamily) -> list[tuple[str, str]]:
-    """Members whose stored rows are not the canonical basis of their span,
-    read against ``family = to_family(ff)`` (one comparison per row count).
-    Generated files always store canonical rows, so any hit here means the
-    file was edited or corrupted — including edits that happen to preserve
-    the span and would be invisible to the set-theoretic checks."""
-    same, ok = np.flatnonzero(ff.rows.counts == family.rows.counts), np.zeros(len(ff.labels), dtype=bool)
-    for (at, stored), (_, canonical) in zip(ff.rows.take(same).groups, family.rows.take(same).groups):
-        ok[same[at]] = (stored == canonical).all(axis=(1, 2))
-    return [(ff.labels[i], "rows are not the canonical basis of their span") for i in np.flatnonzero(~ok).tolist()]
+def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
+    """Members whose stored rows are not the canonical basis of their span:
+    the ones ``to_family`` eliminates (the reduced form is unique).  Generated
+    files always store canonical rows, so any hit here means the file was
+    edited or corrupted — including edits that happen to preserve the span
+    and would be invisible to the set-theoretic checks."""
+    return [(ff.labels[i], "rows are not the canonical basis of their span")
+            for i in np.flatnonzero(~ff.rows.canonical).tolist()]
 
 
 def _is_ints(values) -> bool:

@@ -261,6 +261,18 @@ class RowStacks:
         ats = [np.flatnonzero(self.counts == r) for r in distinct]
         return tuple((at, self.rows[starts[at, None] + np.arange(r)]) for at, r in zip(ats, distinct))
 
+    @cached_property
+    def canonical(self) -> np.ndarray:
+        """Which matrices already are the canonical echelon basis of their row
+        span, by position: the leading columns strictly increase and each one
+        is a unit vector, so every row is nonzero and leads with a 1."""
+        ok = np.ones(len(self), dtype=bool)
+        for at, stack in self.groups:
+            lead = (stack != 0).argmax(axis=2)  # a zero row leads at column 0 with a 0, which fails the unit test
+            pivots = np.take_along_axis(stack, lead[:, None, :], axis=2)  # [i, j, l]: matrix i, row j, column lead[i, l]
+            ok[at] = (np.diff(lead, axis=1) > 0).all(axis=1) & (pivots == np.eye(stack.shape[1], dtype=int)).all(axis=(1, 2))
+        return ok
+
     def take(self, positions) -> "RowStacks":
         """The table of the matrices at ``positions``, in that order."""
         counts = self.counts[positions]
@@ -282,14 +294,23 @@ class RowStacks:
         return [Subspace(self.p, self.width // 2, tuple(map(tuple, rows.tolist()))) for rows in self.split()]
 
 
-def _canonical(rows: RowStacks) -> RowStacks:
-    """The canonical echelon basis of every matrix's row span, by position: one elimination per row count."""
-    counts, parts = np.zeros(len(rows), dtype=np.intp), [rows.rows[:0]]
-    for at, stack in rows.groups:
-        ech, counts[at] = _modlin.rref_stack(stack, rows.p)
-        parts.append(ech[np.arange(stack.shape[1]) < counts[at, None]])  # each matrix's first rank rows
-    at = np.concatenate([np.zeros(0, dtype=np.intp)] + [at for at, _ in rows.groups])  # the order of ``parts``
-    return RowStacks.of(rows.p, rows.width, counts[at], np.concatenate(parts)).take(np.argsort(at))
+def _canonical(rows: RowStacks, keep: np.ndarray | None = None) -> RowStacks:
+    """The canonical echelon basis of every matrix's row span, by position: one
+    elimination per row count, of the matrices the mask ``keep`` does not mark
+    (the marked ones must be canonical already, and are taken as they are)."""
+    if keep is None:
+        keep = np.zeros(len(rows), dtype=bool)
+    elif keep.all():
+        return rows
+    kept, todo = np.flatnonzero(keep), np.flatnonzero(~keep)
+    ats, counts, parts = [kept], [rows.counts[kept]], [rows.take(kept).rows]
+    for at, stack in (rows.take(todo) if len(kept) else rows).groups:
+        ech, rank = _modlin.rref_stack(stack, rows.p)
+        ats.append(todo[at])
+        counts.append(rank)
+        parts.append(ech[np.arange(stack.shape[1]) < rank[:, None]])  # each matrix's first rank rows
+    table = RowStacks.of(rows.p, rows.width, np.concatenate(counts), np.concatenate(parts))
+    return table.take(np.argsort(np.concatenate(ats)))
 
 
 def _spans(p: int, stack: np.ndarray) -> np.ndarray:

@@ -616,3 +616,8 @@ def test_row_table_round_trips_and_canonicalises(case):
     assert [rows.tolist() for rows in canonical.split()] == echelon
     assert canonical.counts.tolist() == [len(rows) for rows in echelon]
     assert canonical == RowStacks.lists(p, width, echelon)
+    # the echelon-form check marks exactly the matrices elimination leaves as they are
+    assert table.canonical.tolist() == [rows.tolist() == ech for rows, ech in zip(table.split(), echelon)]
+    assert canonical.canonical.all() and _canonical(canonical, canonical.canonical) is canonical
+    mixed = RowStacks.lists(p, width, [matrix for pair in zip(want, echelon) for matrix in pair])
+    assert _canonical(mixed, mixed.canonical) == _canonical(mixed)
