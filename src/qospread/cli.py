@@ -3,11 +3,14 @@
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
 parameters or malformed input file, 3 I/O failure.
 
-``generate``, ``verify`` and ``example`` make no BLAS call, so when one of
-them is the process's command and numpy is not loaded yet, this module sets
-``OPENBLAS_NUM_THREADS=1`` before importing numpy: OpenBLAS then starts no
-worker threads, which would spin on every other core and go unused.  A value
-the caller has set is kept.  ``mub`` and ``--help`` keep OpenBLAS's default.
+``generate``, ``verify`` and ``example`` make no BLAS call, so when the
+process was started as qospread (``python -m qospread.cli``, where argv[0] is
+this file, or the ``qospread`` console script) with one of them as its command,
+and numpy is not loaded yet, this module sets ``OPENBLAS_NUM_THREADS=1`` before
+importing numpy: OpenBLAS then starts no worker threads, which would spin on
+every other core and go unused.  A value the caller has set is kept.  ``mub``
+and ``--help`` keep OpenBLAS's default, and so does any other program that
+imports this module, whatever its arguments.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import argparse
 import os
 import sys
 
-if "numpy" not in sys.modules and sys.argv[1:2] in (["generate"], ["verify"], ["example"]):
+if (sys.argv[1:2] in (["generate"], ["verify"], ["example"]) and "numpy" not in sys.modules
+        and (sys.argv[0] == __file__ or os.path.splitext(os.path.basename(sys.argv[0]))[0] == "qospread")):
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

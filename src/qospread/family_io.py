@@ -99,22 +99,22 @@ def from_family(family: SpreadFamily, verification: dict | None = None) -> Famil
 
 def to_family(ff: FamilyFile) -> SpreadFamily:
     """Rebuild the in-memory family; invalid field/non-residue data is a format
-    error.  Stored rows already in canonical form (all of them, in a generated
-    file) are kept; the other members are eliminated, one batch per row count."""
+    error.  Stored rows that are all in canonical form (as in every generated
+    file) are kept; otherwise every member is eliminated, one batch per row count."""
     try:
         params = ConstructionParams.create(ff.p, ff.k, ff.n, poly=ff.poly, nonresidue=ff.nonresidue)
     except (ValueError, ZeroDivisionError) as exc:
         raise FamilyFormatError(f"invalid construction parameters: {exc}") from exc
     try:
-        return SpreadFamily(params, labels=list(ff.labels), kinds=list(ff.kinds),
-                            rows=_canonical(ff.rows, ff.rows.canonical))
+        rows = ff.rows if ff.rows.canonical.all() else _canonical(ff.rows)
+        return SpreadFamily(params, labels=list(ff.labels), kinds=list(ff.kinds), rows=rows)
     except ValueError as exc:
         raise FamilyFormatError(str(exc)) from exc
 
 
 def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
     """Members whose stored rows are not the canonical basis of their span:
-    the ones ``to_family`` eliminates (the reduced form is unique).  Generated
+    the ones elimination would change (the reduced form is unique).  Generated
     files always store canonical rows, so any hit here means the file was
     edited or corrupted — including edits that happen to preserve the span
     and would be invisible to the set-theoretic checks."""

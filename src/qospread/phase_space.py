@@ -294,23 +294,14 @@ class RowStacks:
         return [Subspace(self.p, self.width // 2, tuple(map(tuple, rows.tolist()))) for rows in self.split()]
 
 
-def _canonical(rows: RowStacks, keep: np.ndarray | None = None) -> RowStacks:
-    """The canonical echelon basis of every matrix's row span, by position: one
-    elimination per row count, of the matrices the mask ``keep`` does not mark
-    (the marked ones must be canonical already, and are taken as they are)."""
-    if keep is None:
-        keep = np.zeros(len(rows), dtype=bool)
-    elif keep.all():
-        return rows
-    kept, todo = np.flatnonzero(keep), np.flatnonzero(~keep)
-    ats, counts, parts = [kept], [rows.counts[kept]], [rows.take(kept).rows]
-    for at, stack in (rows.take(todo) if len(kept) else rows).groups:
-        ech, rank = _modlin.rref_stack(stack, rows.p)
-        ats.append(todo[at])
-        counts.append(rank)
-        parts.append(ech[np.arange(stack.shape[1]) < rank[:, None]])  # each matrix's first rank rows
-    table = RowStacks.of(rows.p, rows.width, np.concatenate(counts), np.concatenate(parts))
-    return table.take(np.argsort(np.concatenate(ats)))
+def _canonical(rows: RowStacks) -> RowStacks:
+    """The canonical echelon basis of every matrix's row span, by position: one elimination per row count."""
+    counts, parts = np.zeros(len(rows), dtype=np.intp), [rows.rows[:0]]
+    for at, stack in rows.groups:
+        ech, counts[at] = _modlin.rref_stack(stack, rows.p)
+        parts.append(ech[np.arange(stack.shape[1]) < counts[at, None]])  # each matrix's first rank rows
+    at = np.concatenate([np.zeros(0, dtype=np.intp)] + [at for at, _ in rows.groups])  # the order of ``parts``
+    return RowStacks.of(rows.p, rows.width, counts[at], np.concatenate(parts)).take(np.argsort(at))
 
 
 def _spans(p: int, stack: np.ndarray) -> np.ndarray:

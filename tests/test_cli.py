@@ -283,7 +283,7 @@ def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, cap
     path = tmp_path / "wide.yaml"
     family_io.save(file_of(997, 1, 2, params.field.poly, params.nonresidue.coords, members), path)
     canonical = []
-    monkeypatch.setattr(family_io, "_canonical", lambda *args: canonical.append(1) or phase_space._canonical(*args))
+    monkeypatch.setattr(family_io, "_canonical", lambda rows: canonical.append(1) or phase_space._canonical(rows))
     tracemalloc.start()
     start = time.perf_counter()
     try:

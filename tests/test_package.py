@@ -71,7 +71,9 @@ def test_import_loads_no_layer_and_no_numpy():
 
 
 # Runs one CLI command through an entry path and prints what OPENBLAS_NUM_THREADS
-# held when numpy was first imported.
+# held when numpy was first imported.  "module" is python -m qospread.cli (runpy
+# sets argv[0] to the module's file), "script" the console script, "importer"
+# another program that imports qospread.cli with the command as its own argv[1].
 NUMPY_IMPORT_SPY = """
 import contextlib, io, os, sys
 
@@ -83,13 +85,14 @@ class NumpySpy:
             self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 
 sys.meta_path.insert(0, NumpySpy())
-entry, sys.argv = sys.argv[1], ["qospread", *sys.argv[2:]]
+entry, command = sys.argv[1], sys.argv[2:]
+sys.argv = [{"module": "-m", "script": "/usr/local/bin/qospread", "importer": "/usr/local/bin/other"}[entry], *command]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        if entry == "module":  # python -m qospread.cli
+        if entry == "module":
             import runpy
-            runpy.run_module("qospread.cli", run_name="__main__")
-        else:  # the console script
+            runpy.run_module("qospread.cli", run_name="__main__", alter_sys=True)
+        else:
             from qospread.cli import main
             main()
     except SystemExit:
@@ -109,3 +112,8 @@ def test_cli_sets_blas_threads_before_numpy_loads(entry, command, threads):
 @pytest.mark.parametrize("entry", ["module", "script"])
 def test_cli_keeps_the_callers_blas_threads(entry):
     assert _python(NUMPY_IMPORT_SPY, entry, "generate", OPENBLAS_NUM_THREADS="2") == "['2']\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "example"])
+def test_cli_leaves_blas_threads_to_other_programs(command):
+    assert _python(NUMPY_IMPORT_SPY, "importer", command) == "[None]\n"
