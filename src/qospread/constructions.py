@@ -266,10 +266,10 @@ def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
     return SpreadFamily(params, labels=labels, kinds=[MASA] * len(labels), rows=_echelon(p, rows))
 
 
-def _mixed_members(frames, masas, generators, params: ConstructionParams):
-    """Per left frame F_i, the (masa, pair, 2k, columns) generator rows of the
-    mixed members, after checking every frame's Gram matrix and every masa
-    basis R_j's isotropy up front.  The pi1 rows of each pair's generators
+def _mixed_members(frames, masas, generators, params: ConstructionParams) -> np.ndarray:
+    """The (frame, masa, pair, 2k, columns) generator rows of the mixed members,
+    after checking every left frame F_i's Gram matrix and every masa basis R_j's
+    isotropy up front.  The pi1 rows of each pair's generators
     (``_pair_generators``, or (0, 0, 1, 0), (0, 0, 0, 1) for INFINITY, as a
     (P, 8, k) array) thread block 1 along F_i and block 2 along R_j, mod p."""
     p, k = params.p, params.k
@@ -282,13 +282,11 @@ def _mixed_members(frames, masas, generators, params: ConstructionParams):
         raise ValueError("right basis does not span an isotropic subspace")
     rows = _pi1_rows(params.field, np.reshape(generators, (-1, 2, 4, k))).reshape(-1, 2 * k, 4 * k)
     order = np.arange(2 * k).reshape(2, k).T.ravel()  # the basis vectors in pi1's interleaved order
-    lefts, right = rows[..., : 2 * k], rows[..., 2 * k :] @ masas[:, None, order] % p
-
-    def member_rows(frame: np.ndarray) -> np.ndarray:
-        left = lefts @ frame[order] % p
-        return np.concatenate([np.broadcast_to(left, (len(masas),) + left.shape), right], axis=-1)
-
-    return map(member_rows, frames)
+    left = rows[..., : 2 * k] @ frames[:, None, order] % p  # (frame, pair, 2k, left columns)
+    right = rows[..., 2 * k :] @ masas[:, None, order] % p  # (masa, pair, 2k, right columns)
+    shape = (len(frames), len(masas)) + right.shape[1:-1]
+    return np.concatenate([np.broadcast_to(left[:, None], shape + left.shape[-1:]),
+                           np.broadcast_to(right, shape + right.shape[-1:])], axis=-1)
 
 
 def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
@@ -311,7 +309,7 @@ def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
     masa = [pt.coords for pt in right_basis]
     generators = (_generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1) if a is INFINITY
                   else _pair_generators(params, a.coords, b.coords))
-    rows = next(_mixed_members([frame], [masa], generators, params))[0, 0]
+    rows = _mixed_members([frame], [masa], generators, params)[0, 0, 0]
     return Subspace.from_generators(params.p, left_basis[0].m + right_basis[0].m, rows.tolist())
 
 
@@ -348,8 +346,8 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     coords = np.array([a.coords for a in elements], dtype=params.field.mul_tables.dtype)
     a, b = np.repeat(coords, len(coords), axis=0)[1:], np.tile(coords, (len(coords), 1))[1:]  # (a, b) != (0, 0)
     masa_rows = masas.rows.rows.reshape(-1, 2 * k, 4 * k)
-    mixed = np.concatenate(list(_mixed_members(frames, masa_rows, _pair_generators(params, a, b), params)))
-    mixed = _echelon(p, mixed.reshape((-1,) + mixed.shape[2:]))
+    mixed = _mixed_members(frames, masa_rows, _pair_generators(params, a, b), params)
+    mixed = _echelon(p, mixed.reshape((-1,) + mixed.shape[-2:]))
     names = [format_element(x) for x in elements]  # each element once
     pairs = [f"a={x},b={y}]" for x in names for y in names][1:]  # (a, b) != (0, 0)
     tails = [f"C={j}|{pair}" for j in range(len(masas.rows)) for pair in pairs]

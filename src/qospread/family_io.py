@@ -23,8 +23,7 @@ echelon basis of each member (2kn integers per row, all in [0, p-1]).
 
 In memory a ``FamilyFile`` holds its members as a ``SpreadFamily`` does: a
 label list, a kind list and a ``RowStacks`` table of the stored rows in file
-order, which the reader fills and the writer reads as is; ``members`` gives
-``FileMember`` views on access.
+order, which the reader fills and the writer reads as is.
 
 The files are plain YAML, so any YAML tool can read them; writing is
 manual so identical families produce identical bytes.  The writer formats
@@ -62,15 +61,6 @@ class FamilyFormatError(ValueError):
     """The file is not a well-formed, internally consistent family file."""
 
 
-@dataclass(frozen=True)
-class FileMember:
-    """A view of one stored member; ``rows`` is an (r, 2kn) integer array."""
-
-    label: str
-    kind: str
-    rows: np.ndarray
-
-
 @dataclass
 class FamilyFile:
     """A family file: its header, and its members as a label list, a kind list
@@ -85,10 +75,6 @@ class FamilyFile:
     kinds: list[str]
     rows: RowStacks
     verification: dict | None = None
-
-    @property
-    def members(self) -> list[FileMember]:
-        return [FileMember(*member) for member in zip(self.labels, self.kinds, self.rows.split())]
 
 
 def from_family(family: SpreadFamily, verification: dict | None = None) -> FamilyFile:

@@ -220,6 +220,11 @@ class Subspace:
         return _modlin.rank(self.rows + (pt.coords,), self.p) == self.dim
 
 
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The index ranges starts[i] .. starts[i] + sizes[i] - 1, one after another."""
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
 @dataclass(frozen=True, eq=False)
 class RowStacks:
     """N integer matrices over Z_p of one width, as a family file lists them:
@@ -276,8 +281,7 @@ class RowStacks:
     def take(self, positions) -> "RowStacks":
         """The table of the matrices at ``positions``, in that order."""
         counts = self.counts[positions]
-        starts = (np.cumsum(self.counts) - self.counts)[positions]
-        gather = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        gather = _ranges((np.cumsum(self.counts) - self.counts)[positions], counts)
         return RowStacks(self.p, self.width, counts, self.rows[gather])
 
     def split(self) -> list[np.ndarray]:
@@ -390,8 +394,7 @@ def _conflicts(index: _Index) -> Iterator[tuple[tuple[int, int], tuple[int, ...]
         groups = group[rows]
         # every row of the groups of owner i, group by group (groups ascend)
         lengths = sizes[groups]
-        where = np.arange(lengths.sum()) + np.repeat(starts[groups] - np.cumsum(lengths) + lengths, lengths)
-        owner = index.owners[where]
+        owner = index.owners[_ranges(starts[groups], lengths)]
         others, at = owner[owner > i], np.repeat(groups, lengths)[owner > i]
         order = np.argsort(others, kind="stable")  # by partner, then point
         others, at = others[order], at[order]
@@ -513,19 +516,14 @@ def _kind(gram_rank: int, dim: int) -> str:
     return ISOTROPIC if gram_rank == 0 else NONDEGENERATE if gram_rank == dim else MIXED
 
 
-def _classify(subspaces: Sequence[Subspace]) -> list[Classification]:
-    """``classify_subspace`` of every member of one ambient."""
-    rows = _table(subspaces)
-    return [Classification(_kind(r, d), r) for r, d in zip(_gram_ranks(rows).tolist(), rows.counts.tolist())]
-
-
 def classify_subspace(s: Subspace) -> Classification:
     """Rank of the symplectic Gram matrix of the canonical basis.
 
     Nondegenerate (rank = dim) spans generate a full matrix algebra; an
     isotropic span (zero Gram) generates a commutative one.
     """
-    return _classify([s])[0]
+    rank = int(_gram_ranks(_table([s]))[0])
+    return Classification(_kind(rank, s.dim), rank)
 
 
 def symplectic_basis(s: Subspace) -> list[PhasePoint]:

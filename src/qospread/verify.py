@@ -37,6 +37,7 @@ from .phase_space import (
     _disjointness,
     _gram_ranks,
     _kind,
+    _ranges,
     _spans,
     classify_subspace,
 )
@@ -125,8 +126,7 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
             return np.full((count, len(t)), np.nan, dtype=complex)
         keys = (np.arange(d) * d + t).ravel()
         lo, hits = indptr[keys], indptr[keys + 1] - indptr[keys]
-        query = np.repeat(np.arange(keys.size), hits)  # b * d + x of each hit
-        pos = np.arange(query.size) + np.repeat(lo - np.cumsum(hits) + hits, hits)
+        query, pos = np.repeat(np.arange(keys.size), hits), _ranges(lo, hits)  # b * d + x of each hit, its entry
         prod, cell, size = vals[pos] * v.ravel()[query], owners[pos] * len(t) + query // d, count * len(t)
         cross = np.bincount(cell, prod.real, size) + 1j * np.bincount(cell, prod.imag, size)
         cross = cross.reshape(count, len(t))
@@ -137,8 +137,8 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
 
 
 def _member_parts(rows: RowStacks):
-    """parts(positions): the ``basis_parts`` of the members at ``positions``, stacked
-    member after member.  Every member's span points are enumerated once, by one
+    """parts(positions): the ``_monomial_parts`` of the span points of the members
+    at ``positions``, stacked member after member.  Every member's span points are enumerated once, by one
     span product per row count; each call gathers its members' points and
     synthesizes them at once."""
     sizes = rows.p ** rows.counts
@@ -147,8 +147,7 @@ def _member_parts(rows: RowStacks):
         spans[starts[at, None] + np.arange(rows.p ** stack.shape[1])] = _spans(rows.p, stack)
 
     def parts(positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        size = sizes[positions]
-        points = np.repeat(starts[positions] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        points = _ranges(starts[positions], sizes[positions])
         return _monomial_parts(rows.p, rows.width // 2, spans[points], MAX_DIM)
 
     return parts
@@ -165,8 +164,8 @@ def verify_qo_numeric(
     ``SAMPLE_THRESHOLD`` member pairs a random subset of ``SAMPLE_PAIRS`` pairs is
     used unless ``sample_pairs`` says otherwise; it is drawn as ranks in the
     lexicographic order of all pairs, each mapped back to its pair, so no pair list
-    is built.  Members come as ``basis_parts`` (value v[x] at (t[x], x)) from
-    ``_member_parts``, and every trace, Tr(A) = Tr(A I) included, is
+    is built.  Members come as (target, values) parts (value v[x] at (t[x], x),
+    one matrix per span point) from ``_member_parts``, and every trace, Tr(A) = Tr(A I) included, is
     ``_cross_traces`` over the stored entries of both.  Pairs are examined in
     sorted order: the first member is indexed once for the run of pairs that start
     with it, and its partners are synthesized and traced together, at most
@@ -329,7 +328,7 @@ def check_mub_overlaps(
 def extract_and_check_mub(masas: SpreadFamily, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Extract one orthonormal basis per masa member and check mutual
     unbiasedness of the whole collection."""
-    if any(mem.kind != MASA for mem in masas.members):
+    if any(kind != MASA for kind in masas.kinds()):
         raise ValueError("all members must be masas")
     bases = extract_mub_bases(masas)
     return check_mub_overlaps(bases, tol, masas.labels())

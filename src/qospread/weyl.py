@@ -20,12 +20,13 @@ matter through products.
 Synthesis writes each monomial as a generalized permutation matrix: with
 indices of C^{p^m} as m base-p digits, factor 1 the most significant, factor
 i sends column digit j to row digit (j + k_i) mod p with value lam^{l_i j},
-and the m values multiply factor 1 first, left to right.  ``basis_parts``
+and the m values multiply factor 1 first, left to right.  ``_monomial_parts``
 keeps that (target, values) form, p^m row indices and complex128 values per
-matrix; ``basis_matrices`` scatters the same bits into dense (p^m, p^m)
-arrays.  Both span functions refuse a dimension above ``MAX_DIM``, because
-dense matrices grow as p^{2m}, and a span's dense stack is refused before
-anything is allocated when it holds too many entries.
+matrix, which the numeric oracle reads; ``basis_matrices`` scatters the same
+bits into dense (p^m, p^m) arrays.  Both refuse a dimension above their
+limit (``MAX_DIM`` for a span), because dense matrices grow as p^{2m}, and a
+span's dense stack is refused before anything is allocated when it holds too
+many entries.
 """
 
 from __future__ import annotations
@@ -134,11 +135,6 @@ def basis_matrices(s: Subspace) -> np.ndarray:
     if count * d * d > MAX_STACK_ENTRIES:
         raise ValueError(f"{count} matrices of side {d} exceed the stack limit {MAX_STACK_ENTRIES}")
     return _monomial_stack(s.p, s.m, _span_rows(s), MAX_DIM)
-
-
-def basis_parts(s: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices of ``basis_matrices`` as (target, values) arrays of shape (p^dim(s), p^m)."""
-    return _monomial_parts(s.p, s.m, _span_rows(s), MAX_DIM)
 
 
 def monomial_text(u: PhasePoint) -> str:

@@ -42,13 +42,13 @@ def literal_gf_span(generators) -> Subspace:
 
 
 def file_of(p, k, n, poly, nonresidue, members, verification=None) -> family_io.FamilyFile:
-    """The family file of ``FileMember`` records, whose rows may be any integer sequences."""
-    rows = RowStacks.lists(p, 2 * k * n, [m.rows for m in members])
-    return family_io.FamilyFile(p, k, n, tuple(poly), tuple(nonresidue), [m.label for m in members],
-                                [m.kind for m in members], rows, verification)
+    """The family file of (label, kind, rows) members, whose rows may be any integer sequences."""
+    labels, kinds, rows = zip(*members)
+    return family_io.FamilyFile(p, k, n, tuple(poly), tuple(nonresidue), list(labels), list(kinds),
+                                RowStacks.lists(p, 2 * k * n, rows), verification)
 
 
 def with_rows(ff: family_io.FamilyFile, edits: dict) -> family_io.FamilyFile:
     """A copy of a family file whose members at the keys of ``edits`` store the given rows."""
-    members = [family_io.FileMember(m.label, m.kind, edits.get(i, m.rows)) for i, m in enumerate(ff.members)]
-    return file_of(ff.p, ff.k, ff.n, ff.poly, ff.nonresidue, members, ff.verification)
+    rows = [edits.get(i, matrix) for i, matrix in enumerate(ff.rows.split())]
+    return file_of(ff.p, ff.k, ff.n, ff.poly, ff.nonresidue, zip(ff.labels, ff.kinds, rows), ff.verification)

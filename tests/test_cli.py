@@ -38,7 +38,7 @@ def family_path(tmp_path, capsys):
 
 def test_generate_writes_ten_members(family_path):
     ff = family_io.load(family_path)
-    assert len(ff.members) == 10
+    assert len(ff.labels) == 10
     assert ff.nonresidue == (2,)
 
 
@@ -70,7 +70,7 @@ def test_generate_n1(tmp_path, capsys):
     path = tmp_path / "one.yaml"
     code, out, _ = run(capsys, "generate", "--p", "3", "--n", "1", "--out", str(path))
     assert code == EXIT_OK
-    assert len(family_io.load(path).members) == 1
+    assert len(family_io.load(path).labels) == 1
 
 
 def test_generate_and_verify_at_a_61_bit_prime(tmp_path, capsys):
@@ -250,7 +250,7 @@ def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
     path = tmp_path / "same.yaml"
     run(capsys, "generate", "--p", "5", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    family_io.save(with_rows(ff, dict.fromkeys(range(len(ff.labels)), ff.members[0].rows)), path)
+    family_io.save(with_rows(ff, dict.fromkeys(range(len(ff.labels)), ff.rows.matrix(0))), path)
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     elapsed = time.perf_counter() - start
@@ -278,8 +278,7 @@ def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, cap
     # 9,940,080 together; building that index took gigabytes
     params = ConstructionParams.create(997, 1, 2)
     one = params.field.one()
-    members = [family_io.FileMember(f"C[1,{b}]", "matrix_algebra", build_C(one, params.field.scalar(b), params).rows)
-               for b in range(10)]
+    members = [(f"C[1,{b}]", "matrix_algebra", build_C(one, params.field.scalar(b), params).rows) for b in range(10)]
     path = tmp_path / "wide.yaml"
     family_io.save(file_of(997, 1, 2, params.field.poly, params.nonresidue.coords, members), path)
     canonical = []
@@ -383,7 +382,7 @@ def test_verify_both_sampled_failures_match_golden(tmp_path, capsys, request, na
     path = tmp_path / "fam.yaml"
     run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    family_io.save(with_rows(ff, dict.fromkeys(range(40, 60), ff.members[5].rows)), path)
+    family_io.save(with_rows(ff, dict.fromkeys(range(40, 60), ff.rows.matrix(5))), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both", *extra)
     golden = request.path.parent / "data" / f"verify_p3n3_{name}.txt"
     assert code == EXIT_VERIFY_FAILED
@@ -399,7 +398,7 @@ def test_verify_both_p7n3_matches_golden(tmp_path, capsys, request, name, duplic
     if duplicate:
         ff = family_io.load(path)
         src, dst = duplicate
-        family_io.save(with_rows(ff, {dst: ff.members[src].rows}), path)
+        family_io.save(with_rows(ff, {dst: ff.rows.matrix(src)}), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     golden = request.path.parent / "data" / f"verify_p7n3_{name}.txt"
     assert code == (EXIT_VERIFY_FAILED if duplicate else EXIT_OK)
@@ -431,7 +430,7 @@ def test_verify_partition_above_a_million_points(tmp_path, capsys):
     # members are small, so the partition is read from the same index
     params = ConstructionParams.create(3, 1, 7)
     unit = [tuple(int(i == j) for j in range(14)) for i in range(14)]
-    members = [family_io.FileMember(f"F[{i}]", "matrix_algebra", unit[2 * i:2 * i + 2]) for i in range(7)]
+    members = [(f"F[{i}]", "matrix_algebra", unit[2 * i:2 * i + 2]) for i in range(7)]
     path = tmp_path / "few.yaml"
     family_io.save(file_of(3, 1, 7, params.field.poly, params.nonresidue.coords, members), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "symbolic")
@@ -454,9 +453,9 @@ def _tamper_p3n3(path):
     member 5's rows become another basis of the same span, member 40 gets a
     dependent second row (dimension 1), member 60 becomes an isotropic span."""
     ff = family_io.load(path)
-    r0, r1 = ff.members[5].rows.tolist()
+    r0, r1 = ff.rows.matrix(5).tolist()
     five = [tuple((x + y) % 3 for x, y in zip(r0, r1)), r1]
-    r0 = ff.members[40].rows[0].tolist()
+    r0 = ff.rows.matrix(40)[0].tolist()
     forty = [r0, tuple(2 * x % 3 for x in r0)]
     family_io.save(with_rows(ff, {5: five, 40: forty, 60: [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]}), path)
 
@@ -484,7 +483,7 @@ def test_verify_both_mixed_row_counts_matches_golden(tmp_path, capsys, request):
     path = tmp_path / "fam.yaml"
     run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    five, forty, sixty = (ff.members[i].rows.tolist() for i in (5, 40, 60))
+    five, forty, sixty = (ff.rows.matrix(i).tolist() for i in (5, 40, 60))
     edits = {5: five + [[(x + y) % 3 for x, y in zip(*five)]], 40: forty[::-1], 60: sixty + [[0] * 6]}
     family_io.save(with_rows(ff, edits), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")

@@ -60,4 +60,4 @@ def test_line_reader_matches_yaml_on_fault_copy():
     text = "\n".join(lines[: b.start] + lines[a.start : a.stop] + lines[b.stop :])
     ff = family_io._own_format(text)
     assert ff == family_io._from_document(yaml.load(text, Loader=_SafeLoader))
-    assert ff.members[1500].rows.tolist() == ff.members[1200].rows.tolist()
+    assert ff.rows.matrix(1500).tolist() == ff.rows.matrix(1200).tolist()

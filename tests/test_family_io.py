@@ -63,8 +63,8 @@ def test_file_is_plain_yaml(spread3):
 
 def test_integer_payload_in_range(spread3):
     ff = family_io.from_family(spread3)
-    for member in ff.members:
-        for row in member.rows:
+    for matrix in ff.rows.split():
+        for row in matrix:
             assert len(row) == 4
             assert all(0 <= x <= 2 for x in row)
 
@@ -74,7 +74,7 @@ def test_noncanonical_members_detects_tampering(spread3):
     assert family_io.noncanonical_members(ff) == []
     # span-preserving edit: replace a D[0] row by a non-reduced combination
     target = ff.labels.index("D[0]")
-    assert ff.members[target].rows.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert ff.rows.matrix(target).tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
     ff = with_rows(ff, {target: [(1, 2, 0, 0), (0, 1, 0, 0)]})
     bad = family_io.noncanonical_members(ff)
     assert [label for label, _ in bad] == ["D[0]"]
@@ -284,7 +284,7 @@ def _reference_members(text):
 def _members(outcome):
     if isinstance(outcome, str):
         return outcome
-    return [(m.label, m.kind, m.rows.tolist()) for m in outcome.members]
+    return [(label, kind, rows.tolist()) for label, kind, rows in zip(outcome.labels, outcome.kinds, outcome.rows.split())]
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,7 +320,7 @@ def test_line_reader_past_int64(entry, ok):
     assert line == _outcome(_parse_yaml_only, text)
     if ok:
         assert family_io.serialize(line) == text
-        assert line.members[0].rows.tolist() == [[entry, 0], [0, 1]]
+        assert line.rows.matrix(0).tolist() == [[entry, 0], [0, 1]]
     else:
         assert line == f"FamilyFormatError: generator row of 'full' entries must lie in [0, {P_PAST_INT64 - 1}]"
 

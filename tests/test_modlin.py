@@ -17,8 +17,9 @@ from qospread.phase_space import (
     ISOTROPIC,
     MIXED,
     NONDEGENERATE,
+    RowStacks,
     Subspace,
-    _classify,
+    _gram_ranks,
     classify_subspace,
     symplectic_product,
 )
@@ -134,7 +135,8 @@ def families(draw):
 @given(families())
 def test_batched_classification_matches_literal_gram(subs):
     want = [literal_classification(s) for s in subs]
-    assert [tuple(c) for c in _classify(subs)] == want
+    table = RowStacks.lists(subs[0].p, 2 * subs[0].m, [s.rows for s in subs])  # one elimination per row count
+    assert _gram_ranks(table).tolist() == [rank for _, rank in want]
     assert [tuple(classify_subspace(s)) for s in subs] == want
 
 
@@ -144,5 +146,5 @@ def test_classification_on_both_dtypes(p, m):
     unit = [[int(i == j) for j in range(2 * m)] for i in range(2 * m)]
     subs = [Subspace.from_generators(p, m, unit[:d]) for d in range(2 * m + 1)]
     want = [literal_classification(s) for s in subs]
-    assert [tuple(c) for c in _classify(subs)] == want
+    assert [tuple(classify_subspace(s)) for s in subs] == want
     assert {kind for kind, _ in want} == ({ISOTROPIC, NONDEGENERATE, MIXED} if m > 1 else {ISOTROPIC, NONDEGENERATE})

@@ -20,7 +20,7 @@ from qospread.constructions import (
     build_recursive,
     build_spread_2,
 )
-from qospread.phase_space import Subspace
+from qospread.phase_space import Subspace, _span_rows
 from qospread.verify import (
     check_mub_overlaps,
     counting_identity_holds,
@@ -31,9 +31,14 @@ from qospread.verify import (
     verify_qo_numeric,
     verify_qo_symbolic,
 )
-from qospread.weyl import basis_matrices, basis_parts
+from qospread.weyl import MAX_DIM, _monomial_parts, basis_matrices
 
 P3 = ConstructionParams.create(3, 1, 2)
+
+
+def span_parts(s):
+    """The (target, values) parts of the monomials over every span point of ``s``."""
+    return _monomial_parts(s.p, s.m, _span_rows(s), MAX_DIM)
 
 
 # --- symbolic route -------------------------------------------------------------
@@ -158,7 +163,7 @@ def test_sparse_cross_traces_equal_dense_products(p):
         a, b = random_plane(rng, p), random_plane(rng, p)
         if trial % 2:  # a plane through a's first row: the pair meets
             b = Subspace.from_generators(p, 2, [a.rows[0], b.rows[0]])
-        sparse = verify._cross_traces(*basis_parts(a))(*basis_parts(b))  # identities included
+        sparse = verify._cross_traces(*span_parts(a))(*span_parts(b))  # identities included
         s1, s2 = basis_matrices(a), basis_matrices(b)
         dense = s1.reshape(len(s1), -1) @ s2.transpose(0, 2, 1).reshape(len(s2), -1).T
         assert np.abs(sparse - dense).max() <= 1e-12
@@ -264,7 +269,7 @@ def _sparse_per_pair(family, tol, pairs):
     dim = family.params.p**family.params.ambient_factors
     worst, failures = 0.0, []
     for i, j in pairs:
-        a, b = (basis_parts(family.members[x].subspace) for x in (i, j))
+        a, b = (span_parts(family.members[x].subspace) for x in (i, j))
         cross = verify._cross_traces(*a)(*b)
         top = float(np.abs(cross[1:, 1:] - np.outer(cross[1:, 0], cross[0, 1:]) / dim).max(initial=0.0))
         worst = float(np.maximum(worst, top))
@@ -306,9 +311,9 @@ def test_numeric_nan_parts_fail(monkeypatch):
     fam = SpreadFamily(ConstructionParams.create(3, 1, 3),
                        [FamilyMember(f"P{i}", MATRIX_ALGEBRA, sub) for i, sub in enumerate(planes)], complete=False)
     assert verify_qo_numeric(fam).passed
-    shifted = [int(np.flatnonzero(basis_parts(sub)[0][:, 0])[0]) for sub in planes]  # target[a, 0] != 0
+    shifted = [int(np.flatnonzero(span_parts(sub)[0][:, 0])[0]) for sub in planes]  # target[a, 0] != 0
     for i, j in itertools.permutations(range(10), 2):
-        t1, t2 = basis_parts(planes[i])[0], basis_parts(planes[j])[0]
+        t1, t2 = span_parts(planes[i])[0], span_parts(planes[j])[0]
         x = t1[shifted[i], 0]  # the NaN of plane i sits at (x, 0), off the diagonal
         assert x != 0 and not (t2[:, x] == 0).any()  # B_b[0, x] = 0 for every b: no hit reads it
     member_parts = verify._member_parts
@@ -501,7 +506,7 @@ def test_mub_extraction_matches_dense_reference(p, k):
 def _eigen_residual(basis, sub):
     """max over the monomials M_u of the span and the columns v of the basis of
     |M_u v - (v^* M_u v) v|, with M_u applied entry by entry from its parts."""
-    target, values = basis_parts(sub)
+    target, values = span_parts(sub)
     images = np.zeros((len(target),) + basis.shape, dtype=complex)
     images[np.arange(len(target))[:, None], target] = values[:, :, None] * basis
     eigenvalues = np.einsum("xc,axc->ac", basis.conj(), images)

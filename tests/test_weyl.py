@@ -14,7 +14,6 @@ from qospread.weyl import (
     WeylMonomial,
     _monomial_parts,
     basis_matrices,
-    basis_parts,
     commutation_phase,
     monomial_text,
     synthesize,
@@ -220,7 +219,6 @@ def test_monomial_parts_scatter_to_basis_matrices(p, m):
         subspaces.append(Subspace.from_generators(p, m, gens.tolist()))
     for sub in subspaces:
         target, values = _monomial_parts(p, m, _span_rows(sub), MAX_DIM)
-        assert all(np.array_equal(x, y) for x, y in zip((target, values), basis_parts(sub)))
         assert target.shape == values.shape == (p**sub.dim, d)
         dense = np.zeros((len(values), d, d), dtype=complex)
         dense[np.arange(len(values))[:, None], target, np.arange(d)] = values
@@ -262,8 +260,6 @@ def test_batched_monomial_parts_equal_per_member_calls_bit_for_bit(k, n):
 
 
 def test_basis_matrices_dimension_guard():
-    with pytest.raises(ValueError, match="limit"):
-        basis_parts(Subspace.from_generators(3, 7, []))
     with pytest.raises(ValueError, match="limit"):
         basis_matrices(Subspace.from_generators(3, 7, []))
 
