@@ -28,6 +28,7 @@ import numpy as np
 from . import family_io, phase_space, verify
 from .constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
 from .phase_space import span_enumerate
+from .report import _power
 from .weyl import monomial_text
 
 EXIT_OK = 0
@@ -118,17 +119,16 @@ def cmd_verify(args) -> int:
         ok = ok and rep.passed
         print(f"symbolic: {rep.describe()}")
         if partition is None:
-            print(f"partition: skipped (ambient has {ff.p ** (2 * ff.k * ff.n)} points)")
+            print(f"partition: skipped (ambient has {_power(ff.p, 2 * ff.k * ff.n)} points)")
         else:
             ok = ok and partition.passed
             print(f"partition: {partition.describe()}")
 
     if args.mode in ("numeric", "both"):
-        dim = ff.p ** (ff.k * ff.n)
-        if dim > verify.NUMERIC_MAX_DIM:
+        dim = _power(ff.p, ff.k * ff.n)
+        if isinstance(dim, str) or dim > verify.NUMERIC_MAX_DIM:
             if args.mode == "numeric":
-                print(f"error: dimension {dim} exceeds the numeric guard "
-                      f"{verify.NUMERIC_MAX_DIM}", file=sys.stderr)
+                print(f"error: dimension {dim} exceeds the numeric guard {verify.NUMERIC_MAX_DIM}", file=sys.stderr)
                 return EXIT_BAD_INPUT
             print(f"numeric: skipped (dimension {dim} exceeds guard {verify.NUMERIC_MAX_DIM})")
         else:

@@ -40,6 +40,7 @@ from .finite_field import (FieldSpec, GFElement, find_nonresidue, format_element
                            require_odd_prime)
 from .phase_space import (INDEX_LIMIT, PhasePoint, RowStacks, Subspace, _canonical, _gram, _pi1_rows,
                           symplectic_basis)
+from .report import _power
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
@@ -160,6 +161,14 @@ def expected_count(p: int, k: int, n: int) -> int:
     if num % den:
         raise AssertionError("count is not an integer")  # impossible
     return num // den
+
+
+def _member_count(p: int, k: int, n: int) -> int | str:
+    """``expected_count``, or the text of its formula when ``_power`` holds its lower
+    bound p^{2k(n-1)} as text: the powers are then never built."""
+    if isinstance(_power(p, 2 * k * (n - 1)), str):
+        return f"({p}^{2 * k * n} - 1)/({p}^{2 * k} - 1)"
+    return expected_count(p, k, n)
 
 
 def _echelon(p: int, stack: np.ndarray) -> RowStacks:
@@ -323,9 +332,9 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     through one ``_canonical``.
     """
     p, k, n = params.p, params.k, params.n
-    expected = expected_count(p, k, n)
-    if expected > MAX_MEMBERS:
-        raise ValueError(f"family would have {expected} members, above the budget {MAX_MEMBERS}")
+    count = _member_count(p, k, n)  # decided from the exponents, so no huge power is built
+    if isinstance(count, str) or count > MAX_MEMBERS:
+        raise ValueError(f"family would have {count} members, above the budget {MAX_MEMBERS}")
     # verify's ownership index holds every nonzero point; at n = 1 the one member is small or not indexed
     if n > 1 and p ** (2 * k * n) - 1 > INDEX_LIMIT:
         raise ValueError(f"verifying the family would index {p ** (2 * k * n) - 1} points, "

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import _modlin
 from .finite_field import FieldSpec, GFElement
-from .report import VerificationReport
+from .report import VerificationReport, _power
 
 SPAN_LIMIT = 10**6
 INDEX_LIMIT = 2**23  # points in one ownership index, about 52 bytes each while it is built and sorted
@@ -462,7 +462,8 @@ def _disjointness(
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points") for (i, j), _, count in conflicts[:1]
     ]
-    covered, expected = int(index.first.sum()), p**rows.width - 1
+    points = _power(p, rows.width)  # text for an ambient too large to build, which no index covers
+    covered, expected = int(index.first.sum()), points - 1 if isinstance(points, int) else f"({points} - 1)"
     if covered != expected:
         failures.append(("family", f"covers {covered} of {expected} nonzero points"))
     return pairwise, VerificationReport(checks_run=n, failures=failures, covered=covered, expected=expected)

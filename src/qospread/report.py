@@ -1,8 +1,18 @@
-"""Structured pass/fail outcome shared by the symbolic and numeric checkers."""
+"""Structured pass/fail outcome shared by the symbolic and numeric checkers,
+and the bounded text of the powers of p that reports and refusals name."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+PRINT_BITS = 128  # a power of p past this many bits, and past p's own, is held as its text
+
+
+def _power(p: int, e: int) -> int | str:
+    """p^e, or the text "p^e" past ``PRINT_BITS`` bits and past p's.  The exponent
+    decides first (p^e >= 2^(e (bits(p) - 1))), so no larger power is ever built."""
+    bits = max(PRINT_BITS, p.bit_length())
+    return p**e if e * (p.bit_length() - 1) < bits and p**e < 1 << bits else f"{p}^{e}"
 
 
 @dataclass
@@ -11,7 +21,8 @@ class VerificationReport:
 
     ``failures`` holds (member labels, detail) pairs; ``max_residual`` is set
     by numeric checks only; ``covered``/``expected`` are filled by counting
-    checks such as the partition oracle.  ``passed`` is read from
+    checks such as the partition oracle, ``expected`` as text ("(p^e - 1)")
+    when ``_power`` holds p^e as text.  ``passed`` is read from
     ``failures``: it is true exactly when there are none (numeric residuals
     above tolerance are recorded as failures by the checker that measured them).
     """
@@ -20,7 +31,7 @@ class VerificationReport:
     max_residual: float | None = None
     failures: list[tuple[str, str]] = field(default_factory=list)
     covered: int | None = None
-    expected: int | None = None
+    expected: int | str | None = None
 
     @property
     def passed(self) -> bool:

@@ -28,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from .constructions import MASA, MATRIX_ALGEBRA, SpreadFamily, expected_count
+from .constructions import MASA, MATRIX_ALGEBRA, SpreadFamily, _member_count, expected_count
 from .phase_space import (
     ISOTROPIC,
     NONDEGENERATE,
@@ -41,7 +41,7 @@ from .phase_space import (
     _spans,
     classify_subspace,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _power
 from .weyl import MAX_DIM, _monomial_parts, _tables, basis_matrices
 
 DEFAULT_TOL = 1e-9
@@ -88,8 +88,7 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
         )
     if family.complete:
         checks += 1
-        p, k, n = family.params.p, family.params.k, family.params.n
-        want_count = expected_count(p, k, n)
+        want_count = _member_count(family.params.p, family.params.k, family.params.n)  # text: never equal
         if len(labels) != want_count:
             failures.append(("family", f"{len(labels)} members, expected {want_count}"))
     return VerificationReport(checks_run=checks, failures=failures), partition
@@ -101,9 +100,10 @@ def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
 
 
 def _numeric_dim(p: int, m: int) -> int:
-    """The dimension p^m of the matrices over m factors, refused above ``NUMERIC_MAX_DIM``."""
-    dim = p**m
-    if dim > NUMERIC_MAX_DIM:
+    """The dimension p^m of the matrices over m factors, refused above ``NUMERIC_MAX_DIM``
+    (for any m: a huge power is neither built nor printed)."""
+    dim = _power(p, m)
+    if isinstance(dim, str) or dim > NUMERIC_MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
     return dim
 

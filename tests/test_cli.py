@@ -130,6 +130,47 @@ def test_generate_and_verify_refuse_k_above_the_limit_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv,word", [
+    (("generate", "--p", "3", "--n", "100000"), "budget"),
+    (("generate", "--p", "3", "--n", "10000000"), "budget"),
+    (("generate", "--p", "3", "--n", "100000000"), "budget"),
+    (("mub", "--p", "3", "--k", "10000000"), "guard"),
+])
+def test_huge_arguments_are_refused_from_the_exponents(tmp_path, capsys, argv, word):
+    # p^(2kn) past Python's 4,300-digit limit failed to print, and at n = 10^8 took minutes to build
+    path = tmp_path / "out"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert word in err and len(err) < 120, err
+    assert not path.exists()
+
+
+def test_in_range_refusals_print_the_exact_count(tmp_path, capsys):
+    code, _, err = run(capsys, "generate", "--p", "11", "--k", "2", "--n", "5", "--out", str(tmp_path / "x.yaml"))
+    assert code == EXIT_BAD_INPUT
+    assert err == f"error: family would have 45952868506322405 members, above the budget {constructions.MAX_MEMBERS}\n"
+    code, _, err = run(capsys, "mub", "--p", "11", "--out", str(tmp_path / "x.txt"))
+    assert err == f"error: dimension 121 exceeds the numeric guard {verify.NUMERIC_MAX_DIM}\n"
+
+
+def test_generate_poly_override(tmp_path, capsys):
+    path = tmp_path / "poly.yaml"
+    code, _, _ = run(capsys, "generate", "--p", "3", "--k", "2", "--n", "2", "--poly-override", "2,1", "--out", str(path))
+    assert code == EXIT_OK
+    ff = family_io.load(path)
+    assert (ff.poly, ff.nonresidue) == ((2, 1), (0, 1))
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "symbolic")
+    assert code == EXIT_OK and out.endswith("result: PASS\n")
+    for poly, message in [("2,0", "x^2 + [2, 0] is reducible over Z_3"), ("1", "need 2 low coefficients, got 1")]:
+        path = tmp_path / f"bad{poly}.yaml"
+        code, _, err = run(capsys, "generate", "--p", "3", "--k", "2", "--n", "2", "--poly-override", poly,
+                           "--out", str(path))
+        assert (code, err) == (EXIT_BAD_INPUT, f"error: {message}\n")
+        assert not path.exists()
+
+
 def test_generate_rejects_p_above_the_primality_bound(tmp_path, capsys):
     out = tmp_path / "x.yaml"
     code, _, err = run(capsys, "generate", "--p", "3317044064679887385961981", "--n", "1", "--out", str(out))
@@ -436,6 +477,30 @@ def test_verify_partition_above_a_million_points(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--mode", "symbolic")
     assert code == EXIT_VERIFY_FAILED
     assert "partition: FAIL (checks=7, covered=56/4782968)\n  family: covers 56 of 4782968 nonzero points\n" in out
+
+
+@pytest.mark.parametrize("rows", [2, 13])
+@pytest.mark.parametrize("mode", ["symbolic", "both", "numeric"])
+def test_verify_prints_no_giant_integer(tmp_path, capsys, rows, mode):
+    # p=3, n=4600: one member of unit rows; the ambient 3^9200 has 4,390 digits,
+    # past Python's limit for printing an integer, and the dimension 3^4600 has 2,195
+    path = tmp_path / "wide.yaml"
+    path.write_text("format_version: 1\np: 3\nk: 1\nn: 4600\npoly: [0]\nnonresidue: [2]\nmembers:\n"
+                    '- label: "U"\n  kind: matrix_algebra\n  generators:\n'
+                    + "".join(f"  - {[int(i == j) for j in range(9200)]}\n" for i in range(rows)))
+    code, out, err = run(capsys, "verify", str(path), "--mode", mode)
+    assert all(len(line) < 120 for line in (out + err).splitlines()), out + err
+    if mode == "numeric":
+        assert (code, err) == (EXIT_BAD_INPUT, "error: dimension 3^4600 exceeds the numeric guard 81\n")
+        return
+    assert code == EXIT_VERIFY_FAILED
+    assert "symbolic: FAIL (checks=2)\n" in out and out.endswith("result: FAIL\n")
+    assert "  family: 1 members, expected (3^9200 - 1)/(3^2 - 1)\n" in out
+    if rows == 2:
+        assert "partition: FAIL (checks=1, covered=8/(3^9200 - 1))\n" in out
+    else:
+        assert "partition: skipped (ambient has 3^9200 points)\n" in out
+    assert ("numeric: skipped (dimension 3^4600 exceeds guard 81)\n" in out) == (mode == "both")
 
 
 def test_verify_builds_the_ownership_index_once(family_path, capsys, monkeypatch):

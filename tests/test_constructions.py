@@ -412,6 +412,14 @@ def test_recursive_member_budget_guard():
         build_recursive(ConstructionParams.create(11, 2, 5))
 
 
+def test_recursive_member_budget_decided_from_the_exponents():
+    # (3^(2 * 10^9) - 1)/8 members: no power is built, and the refusal names the formula
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^family would have \(3\^2000000000 - 1\)/\(3\^2 - 1\) members, above"):
+        build_recursive(ConstructionParams.create(3, 1, 10**9))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_recursive_index_guard():
     # verify indexes every nonzero point: 53^4 - 1 and 7^8 - 1 fit the limit, 59^4 - 1 does not
     for p, k in [(53, 1), (7, 2)]:

@@ -284,7 +284,7 @@ def _reference_members(text):
 def _members(outcome):
     if isinstance(outcome, str):
         return outcome
-    return [(label, kind, rows.tolist()) for label, kind, rows in zip(outcome.labels, outcome.kinds, outcome.rows.split())]
+    return list(zip(outcome.labels, outcome.kinds, (rows.tolist() for rows in outcome.rows.split())))
 
 
 @settings(max_examples=200, deadline=None)

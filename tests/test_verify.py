@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from qospread.constructions import (
     build_spread_2,
 )
 from qospread.phase_space import Subspace, _span_rows
+from qospread.report import _power
 from qospread.verify import (
     check_mub_overlaps,
     counting_identity_holds,
@@ -114,6 +116,18 @@ def test_numeric_dimension_guard():
     fam = build_recursive(ConstructionParams.create(3, 1, 5))
     with pytest.raises(ValueError, match="guard"):
         verify_qo_numeric(fam)
+
+
+def test_power_is_exact_below_the_print_bound_and_text_past_it():
+    assert _power(3, 80) == 3**80 and _power(2**61 - 1, 2) == (2**61 - 1) ** 2
+    assert _power(3, 81) == "3^81"  # 3^81 > 2^128
+    assert _power(2**521 - 1, 1) == 2**521 - 1  # p itself is always a number
+    assert _power(2**521 - 1, 2) == f"{2**521 - 1}^2"
+    start = time.perf_counter()
+    assert _power(3, 10**18) == f"3^{10**18}"
+    with pytest.raises(ValueError, match=r"^dimension 3\^1000000000000 exceeds the numeric guard 81$"):
+        verify._numeric_dim(3, 10**12)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_symbolic_implies_numeric_n3_full_pairwise():
