@@ -128,7 +128,8 @@ def cmd_verify(args) -> int:
         dim = _power(ff.p, ff.k * ff.n)
         if isinstance(dim, str) or dim > verify.NUMERIC_MAX_DIM:
             if args.mode == "numeric":
-                print(f"error: dimension {dim} exceeds the numeric guard {verify.NUMERIC_MAX_DIM}", file=sys.stderr)
+                print(f"error: dimension {dim} exceeds the numeric guard "
+                      f"{verify.NUMERIC_MAX_DIM}", file=sys.stderr)
                 return EXIT_BAD_INPUT
             print(f"numeric: skipped (dimension {dim} exceeds guard {verify.NUMERIC_MAX_DIM})")
         else:

@@ -1,17 +1,16 @@
-"""Structured pass/fail outcome shared by the symbolic and numeric checkers,
-and the bounded text of the powers of p that reports and refusals name."""
+"""Structured pass/fail outcome shared by the symbolic and numeric checkers, and bounded powers of p."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-PRINT_BITS = 128  # a power of p past this many bits, and past p's own, is held as its text
+_PRINT_BITS = 128  # a power of p past this many bits, and past p's own, is held as its text
 
 
 def _power(p: int, e: int) -> int | str:
-    """p^e, or the text "p^e" past ``PRINT_BITS`` bits and past p's.  The exponent
+    """p^e, or the text "p^e" past ``_PRINT_BITS`` bits and past p's.  The exponent
     decides first (p^e >= 2^(e (bits(p) - 1))), so no larger power is ever built."""
-    bits = max(PRINT_BITS, p.bit_length())
+    bits = max(_PRINT_BITS, p.bit_length())
     return p**e if e * (p.bit_length() - 1) < bits and p**e < 1 << bits else f"{p}^{e}"
 
 

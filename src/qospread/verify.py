@@ -88,7 +88,7 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
         )
     if family.complete:
         checks += 1
-        want_count = _member_count(family.params.p, family.params.k, family.params.n)  # text: never equal
+        want_count = _member_count(family.params.p, family.params.k, family.params.n)  # text: no count equals it
         if len(labels) != want_count:
             failures.append(("family", f"{len(labels)} members, expected {want_count}"))
     return VerificationReport(checks_run=checks, failures=failures), partition
@@ -100,8 +100,7 @@ def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
 
 
 def _numeric_dim(p: int, m: int) -> int:
-    """The dimension p^m of the matrices over m factors, refused above ``NUMERIC_MAX_DIM``
-    (for any m: a huge power is neither built nor printed)."""
+    """The dimension p^m of the matrices over m factors, refused above ``NUMERIC_MAX_DIM``."""
     dim = _power(p, m)
     if isinstance(dim, str) or dim > NUMERIC_MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
@@ -126,7 +125,8 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
             return np.full((count, len(t)), np.nan, dtype=complex)
         keys = (np.arange(d) * d + t).ravel()
         lo, hits = indptr[keys], indptr[keys + 1] - indptr[keys]
-        query, pos = np.repeat(np.arange(keys.size), hits), _ranges(lo, hits)  # b * d + x of each hit, its entry
+        query = np.repeat(np.arange(keys.size), hits)  # b * d + x of each hit
+        pos = _ranges(lo, hits)
         prod, cell, size = vals[pos] * v.ravel()[query], owners[pos] * len(t) + query // d, count * len(t)
         cross = np.bincount(cell, prod.real, size) + 1j * np.bincount(cell, prod.imag, size)
         cross = cross.reshape(count, len(t))
@@ -137,10 +137,10 @@ def _cross_traces(target: np.ndarray, values: np.ndarray):
 
 
 def _member_parts(rows: RowStacks):
-    """parts(positions): the ``_monomial_parts`` of the span points of the members
-    at ``positions``, stacked member after member.  Every member's span points are enumerated once, by one
-    span product per row count; each call gathers its members' points and
-    synthesizes them at once."""
+    """parts(positions): the ``_monomial_parts`` of the span points of the members at
+    ``positions``, member after member.  Every member's span points are enumerated
+    once, by one span product per row count; each call gathers its members' points
+    and synthesizes them at once."""
     sizes = rows.p ** rows.counts
     starts, spans = np.cumsum(sizes) - sizes, np.empty((sizes.sum(), rows.width), dtype=rows.rows.dtype)
     for at, stack in rows.groups:
@@ -164,13 +164,13 @@ def verify_qo_numeric(
     ``SAMPLE_THRESHOLD`` member pairs a random subset of ``SAMPLE_PAIRS`` pairs is
     used unless ``sample_pairs`` says otherwise; it is drawn as ranks in the
     lexicographic order of all pairs, each mapped back to its pair, so no pair list
-    is built.  Members come as (target, values) parts (value v[x] at (t[x], x),
-    one matrix per span point) from ``_member_parts``, and every trace, Tr(A) = Tr(A I) included, is
-    ``_cross_traces`` over the stored entries of both.  Pairs are examined in
-    sorted order: the first member is indexed once for the run of pairs that start
-    with it, and its partners are synthesized and traced together, at most
-    ``NUMERIC_BATCH_ENTRIES`` part entries at a time, then cut into one block per
-    pair.
+    is built.  Members come as (target, values) parts from ``_member_parts`` (value
+    v[x] at (t[x], x), one matrix per span point), and every trace, Tr(A) = Tr(A I)
+    included, is ``_cross_traces`` over the stored entries of both.  Pairs are
+    examined in sorted order: the first member is indexed once for the run of pairs
+    that start with it, and its partners are synthesized and traced together, at
+    most ``NUMERIC_BATCH_ENTRIES`` part entries at a time, then cut into one block
+    per pair.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -157,7 +157,8 @@ def test_in_range_refusals_print_the_exact_count(tmp_path, capsys):
 
 def test_generate_poly_override(tmp_path, capsys):
     path = tmp_path / "poly.yaml"
-    code, _, _ = run(capsys, "generate", "--p", "3", "--k", "2", "--n", "2", "--poly-override", "2,1", "--out", str(path))
+    code, _, _ = run(capsys, "generate", "--p", "3", "--k", "2", "--n", "2", "--poly-override", "2,1",
+                     "--out", str(path))
     assert code == EXIT_OK
     ff = family_io.load(path)
     assert (ff.poly, ff.nonresidue) == ((2, 1), (0, 1))

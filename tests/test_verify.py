@@ -127,7 +127,7 @@ def test_power_is_exact_below_the_print_bound_and_text_past_it():
     assert _power(3, 10**18) == f"3^{10**18}"
     with pytest.raises(ValueError, match=r"^dimension 3\^1000000000000 exceeds the numeric guard 81$"):
         verify._numeric_dim(3, 10**12)
-    assert time.perf_counter() - start < 0.1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_symbolic_implies_numeric_n3_full_pairwise():
