@@ -26,7 +26,7 @@ if (sys.argv[1:2] in (["generate"], ["verify"], ["example"]) and "numpy" not in 
 import numpy as np
 
 from . import family_io, phase_space, verify
-from .constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
+from .constructions import ConstructionParams, _check_ambient, build_masa_spread, build_recursive, build_spread_2
 from .phase_space import span_enumerate
 from .report import _power
 from .weyl import monomial_text
@@ -54,15 +54,12 @@ def _positive(kind):
     return positive
 
 
-def _make_params(args) -> ConstructionParams:
-    poly = _parse_coords(args.poly_override) if args.poly_override else None
-    nonres = _parse_coords(args.d_override) if args.d_override else None
-    return ConstructionParams.create(args.p, args.k, args.n, poly=poly, nonresidue=nonres)
-
-
 def cmd_generate(args) -> int:
     try:
-        params = _make_params(args)
+        _check_ambient(args.p, args.k, args.n)  # before the field, whose search takes seconds at large p^k
+        poly = _parse_coords(args.poly_override) if args.poly_override else None
+        nonres = _parse_coords(args.d_override) if args.d_override else None
+        params = ConstructionParams.create(args.p, args.k, args.n, poly=poly, nonresidue=nonres)
         family = build_recursive(params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -111,11 +108,7 @@ def cmd_verify(args) -> int:
         print(f"integrity: ok ({len(ff.labels)} members, canonical rows)")
 
     if args.mode in ("symbolic", "both"):
-        try:
-            rep, partition = verify.verify_symbolic(family)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        rep, partition = verify.verify_symbolic(family)  # its index was refused or admitted above
         ok = ok and rep.passed
         print(f"symbolic: {rep.describe()}")
         if partition is None:
@@ -125,13 +118,13 @@ def cmd_verify(args) -> int:
             print(f"partition: {partition.describe()}")
 
     if args.mode in ("numeric", "both"):
-        dim = _power(ff.p, ff.k * ff.n)
-        if isinstance(dim, str) or dim > verify.NUMERIC_MAX_DIM:
+        try:
+            verify._numeric_dim(ff.p, ff.k * ff.n)
+        except ValueError as exc:
             if args.mode == "numeric":
-                print(f"error: dimension {dim} exceeds the numeric guard "
-                      f"{verify.NUMERIC_MAX_DIM}", file=sys.stderr)
+                print(f"error: {exc}", file=sys.stderr)
                 return EXIT_BAD_INPUT
-            print(f"numeric: skipped (dimension {dim} exceeds guard {verify.NUMERIC_MAX_DIM})")
+            print(f"numeric: skipped ({exc})")
         else:
             rep = verify.verify_qo_numeric(family, args.tol, sample_pairs=args.sample)
             ok = ok and rep.passed

@@ -38,14 +38,12 @@ import numpy as np
 from . import _modlin
 from .finite_field import (FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue,
                            require_odd_prime)
-from .phase_space import (INDEX_LIMIT, PhasePoint, RowStacks, Subspace, _canonical, _gram, _pi1_rows,
-                          symplectic_basis)
-from .report import _power
+from .phase_space import (PhasePoint, RowStacks, Subspace, _canonical, _check_index_size, _gram, _nonzero_points,
+                          _pi1_rows, symplectic_basis)
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
 
-MAX_MEMBERS = 100_000
 MAX_K = 32  # extension degree: each irreducibility candidate costs O(k^3) Python-int operations
 
 
@@ -163,12 +161,10 @@ def expected_count(p: int, k: int, n: int) -> int:
     return num // den
 
 
-def _member_count(p: int, k: int, n: int) -> int | str:
-    """``expected_count``, or the text of its formula when ``_power`` holds its lower
-    bound p^{2k(n-1)} as text: the powers are then never built."""
-    if isinstance(_power(p, 2 * k * (n - 1)), str):
-        return f"({p}^{2 * k * n} - 1)/({p}^{2 * k} - 1)"
-    return expected_count(p, k, n)
+def _check_ambient(p: int, k: int, n: int) -> None:
+    """Refuse, from 2kn alone, a family whose ``verify`` would index its p^{2kn} - 1 points past ``INDEX_LIMIT``."""
+    if n > 1 and k > 0:  # at n = 1 the one member is small or not indexed
+        _check_index_size(_nonzero_points(p, 2 * k * n))
 
 
 def _echelon(p: int, stack: np.ndarray) -> RowStacks:
@@ -332,13 +328,7 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     through one ``_canonical``.
     """
     p, k, n = params.p, params.k, params.n
-    count = _member_count(p, k, n)  # decided from the exponents, so no huge power is built
-    if isinstance(count, str) or count > MAX_MEMBERS:
-        raise ValueError(f"family would have {count} members, above the budget {MAX_MEMBERS}")
-    # verify's ownership index holds every nonzero point; at n = 1 the one member is small or not indexed
-    if n > 1 and p ** (2 * k * n) - 1 > INDEX_LIMIT:
-        raise ValueError(f"verifying the family would index {p ** (2 * k * n) - 1} points, "
-                         f"above the limit {INDEX_LIMIT}")
+    _check_ambient(p, k, n)
     if n == 1:
         full = _echelon(p, np.eye(2 * k, dtype=np.int64)[None])
         return SpreadFamily(params, labels=["full"], kinds=[MATRIX_ALGEBRA], rows=full)

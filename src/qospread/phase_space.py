@@ -312,8 +312,8 @@ def _spans(p: int, stack: np.ndarray) -> np.ndarray:
     """All p^d points of the span of every matrix of an (N, d, w) stack of
     echelon rows, zero first, in coefficient order."""
     d = stack.shape[1]
-    if p**d > SPAN_LIMIT:
-        raise ValueError(f"span has {p**d} points, above the limit {SPAN_LIMIT}")
+    if not _enumerable(p, d):
+        raise ValueError(f"span has {_power(p, d)} points, above the limit {SPAN_LIMIT}")
     span = np.indices((p,) * d).reshape(d, p**d).T.astype(stack.dtype) @ stack
     span %= p
     return span
@@ -349,15 +349,23 @@ class _Index(NamedTuple):
         return cls(points, owners, first)
 
 
-def _enumerable(p: int, dim: int) -> bool:
-    return p ** min(dim, 21) <= SPAN_LIMIT  # 2^21 > SPAN_LIMIT, so no larger power is needed
+def _enumerable(p: int, dims):  # dims: an int or an array; 2^21 > SPAN_LIMIT
+    return np.asarray(dims) <= max(r for r in range(21) if p**r <= SPAN_LIMIT)
 
 
-def _check_index_size(rows: RowStacks) -> None:
-    """Refuse an ownership index of the table's enumerable spans above ``INDEX_LIMIT`` points."""
-    p = rows.p
-    points = sum(n * (p**r - 1) for r, n in enumerate(np.bincount(rows.counts).tolist()) if n and _enumerable(p, r))
-    if points > INDEX_LIMIT:
+def _nonzero_points(p: int, width: int) -> int | str:
+    """p^width - 1, or its text "(p^width - 1)" when ``_power`` holds p^width as text."""
+    points = _power(p, width)
+    return points - 1 if isinstance(points, int) else f"({points} - 1)"
+
+
+def _check_index_size(points: RowStacks | int | str) -> None:
+    """Refuse an ownership index past ``INDEX_LIMIT`` points: a count (text is past it), or a table's
+    enumerable spans, counted from its row counts alone."""
+    if isinstance(points, RowStacks):
+        p, sizes = points.p, np.bincount(points.counts).tolist()
+        points = sum(n * (p**r - 1) for r, n in enumerate(sizes) if n and _enumerable(p, r))
+    if isinstance(points, str) or points > INDEX_LIMIT:
         raise ValueError(f"the ownership index would hold {points} points, above the limit {INDEX_LIMIT}")
 
 
@@ -412,22 +420,29 @@ def _shared_point(a: Subspace, b: Subspace) -> tuple[int, ...]:
     return next(row[2 * a.m :] for row in ech if not any(row[: 2 * a.m]))
 
 
+def _point_text(point: tuple[int, ...]) -> str:
+    """The point, or past 64 coordinates (32 factors) its first 8 nonzero ones by position and its width."""
+    if len(point) <= 64:
+        return str(point)
+    nonzero = [f"{i}: {x}" for i, x in enumerate(point) if x]
+    return f"{{{', '.join(nonzero[:8] + ['...'] * (len(nonzero) > 8))}}} of {len(point)} coordinates"
+
+
 def _disjointness(
     rows: RowStacks, labels: Sequence[str] | None = None
 ) -> tuple[VerificationReport, VerificationReport | None]:
     """The pairwise and partition reports from one ownership index of the
-    members (a table of echelon bases) at or below ``SPAN_LIMIT``; pairs with
-    a larger member get a rank test, and the partition report is then None
-    (also when empty).  The rank
-    tests take one first member at a time, in pair order, with its later
-    partners (all of them if it is above the limit, else those above it) in
-    one elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
+    members (a table of echelon bases) at or below ``SPAN_LIMIT``, refused past
+    ``INDEX_LIMIT`` points before any span is built; pairs with a larger member
+    get a rank test, and the partition report is then None (also when empty).
+    The rank tests take one first member at a time, in pair order, with its
+    later partners (all of them if it is above the limit, else those above it)
+    in one elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
 
-    Each pair of owners of a point fails, with its smallest shared point, in
-    pair order; past ``MAX_LISTED_PAIRS`` pairs the listing stops with a
-    "family" entry.  The partition names the first pair with its number of
-    shared points and counts the index's distinct points against the ambient.
-    An index above ``INDEX_LIMIT`` points is refused before any span is built.
+    Each pair of owners of a point fails, with its smallest shared point
+    (``_point_text``), in pair order; past ``MAX_LISTED_PAIRS`` pairs the listing
+    stops with a "family" entry.  The partition names the first pair with its
+    number of shared points and counts the index's distinct points against the ambient.
     """
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
@@ -435,7 +450,7 @@ def _disjointness(
     index = _owners(rows)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}
-    big = np.flatnonzero(rows.counts > max(r for r in range(21) if _enumerable(p, r)))
+    big = np.flatnonzero(~_enumerable(p, rows.counts))
     oversize, meets = set(big.tolist()), []  # meets: the pairs whose stacked rows are dependent
     for i in range(big[-1] + 1 if len(big) else 0):
         if len(meets) > MAX_LISTED_PAIRS:
@@ -449,7 +464,7 @@ def _disjointness(
         witnesses[i, j] = _shared_point(rows.subspace(i), rows.subspace(j))
     listed = sorted(witnesses.items())
     failures = [
-        (f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}")
+        (f"{labels[i]} & {labels[j]}", f"shared nonzero point {_point_text(witness)}")
         for (i, j), witness in listed[:MAX_LISTED_PAIRS]
     ]
     if len(listed) > MAX_LISTED_PAIRS:
@@ -462,8 +477,7 @@ def _disjointness(
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points") for (i, j), _, count in conflicts[:1]
     ]
-    points = _power(p, rows.width)  # text for an ambient too large to build, which no index covers
-    covered, expected = int(index.first.sum()), points - 1 if isinstance(points, int) else f"({points} - 1)"
+    covered, expected = int(index.first.sum()), _nonzero_points(p, rows.width)  # text: no index covers it
     if covered != expected:
         failures.append(("family", f"covers {covered} of {expected} nonzero points"))
     return pairwise, VerificationReport(checks_run=n, failures=failures, covered=covered, expected=expected)

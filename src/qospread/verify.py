@@ -28,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from .constructions import MASA, MATRIX_ALGEBRA, SpreadFamily, _member_count, expected_count
+from .constructions import MASA, MATRIX_ALGEBRA, SpreadFamily, expected_count
 from .phase_space import (
     ISOTROPIC,
     NONDEGENERATE,
@@ -88,7 +88,9 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
         )
     if family.complete:
         checks += 1
-        want_count = _member_count(family.params.p, family.params.k, family.params.n)  # text: no count equals it
+        p, k, n = family.params.p, family.params.k, family.params.n
+        want_count = (expected_count(p, k, n) if isinstance(_power(p, 2 * k * (n - 1)), int)  # p^{2k(n-1)} <= count
+                      else f"({p}^{2 * k * n} - 1)/({p}^{2 * k} - 1)")  # text, which no count equals: no power built
         if len(labels) != want_count:
             failures.append(("family", f"{len(labels)} members, expected {want_count}"))
     return VerificationReport(checks_run=checks, failures=failures), partition
@@ -103,7 +105,7 @@ def _numeric_dim(p: int, m: int) -> int:
     """The dimension p^m of the matrices over m factors, refused above ``NUMERIC_MAX_DIM``."""
     dim = _power(p, m)
     if isinstance(dim, str) or dim > NUMERIC_MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the numeric guard {NUMERIC_MAX_DIM}")
+        raise ValueError(f"dimension {dim} exceeds guard {NUMERIC_MAX_DIM}")
     return dim
 
 

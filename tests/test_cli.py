@@ -12,6 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qospread import constructions, family_io, phase_space, verify
 from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_bytes, main
@@ -153,6 +155,35 @@ def test_in_range_refusals_print_the_exact_count(tmp_path, capsys):
     assert err == f"error: family would have 45952868506322405 members, above the budget {constructions.MAX_MEMBERS}\n"
     code, _, err = run(capsys, "mub", "--p", "11", "--out", str(tmp_path / "x.txt"))
     assert err == f"error: dimension 121 exceeds the numeric guard {verify.NUMERIC_MAX_DIM}\n"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=st.sampled_from([3, 7, 53, 59, 313, 2**61 - 1]), k=st.integers(1, 40),
+       n=st.one_of(st.integers(1, 8), st.integers(1, 10**9)))
+@example(p=2**61 - 1, k=32, n=2)  # its field alone takes seconds to build: refused before it
+def test_generate_refuses_exactly_past_the_index_bound_or_max_k(tmp_path, capsys, p, k, n):
+    # the exponent of the largest power of p that is at most INDEX_LIMIT + 1 points
+    largest = max(e for e in range(64) if p**e <= phase_space.INDEX_LIMIT + 1)
+    over_index = n > 1 and 2 * k * n > largest  # p^(2kn) - 1 > INDEX_LIMIT
+    path = tmp_path / f"p{p}k{k}n{n}.yaml"
+    if not (over_index or k > constructions.MAX_K):
+        constructions._check_ambient(p, k, n)  # generate's up-front check admits it
+        if p ** (2 * k * n) <= 10**4:  # small enough to build here
+            assert run(capsys, "generate", "--p", str(p), "--k", str(k), "--n", str(n), "--out", str(path))[0] == EXIT_OK
+            path.unlink()
+        return
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generate", "--p", str(p), "--k", str(k), "--n", str(n), "--out", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BAD_INPUT and out == "" and not path.exists()
+    index = re.fullmatch(rf"error: the ownership index would hold (\d+|\({p}\^{2 * k * n} - 1\)) points, "
+                         rf"above the limit {phase_space.INDEX_LIMIT}\n", err)
+    if index or k <= constructions.MAX_K:
+        assert over_index and index, err
+    else:
+        assert err == f"error: extension degree {k} exceeds the limit {constructions.MAX_K}\n"
+    if index and index[1].isdigit():
+        assert int(index[1]) == p ** (2 * k * n) - 1
 
 
 def test_generate_poly_override(tmp_path, capsys):
@@ -480,26 +511,34 @@ def test_verify_partition_above_a_million_points(tmp_path, capsys):
     assert "partition: FAIL (checks=7, covered=56/4782968)\n  family: covers 56 of 4782968 nonzero points\n" in out
 
 
-@pytest.mark.parametrize("rows", [2, 13])
+@pytest.mark.parametrize("rows", [2, 13, "shared"])
 @pytest.mark.parametrize("mode", ["symbolic", "both", "numeric"])
 def test_verify_prints_no_giant_integer(tmp_path, capsys, rows, mode):
-    # p=3, n=4600: one member of unit rows; the ambient 3^9200 has 4,390 digits,
-    # past Python's limit for printing an integer, and the dimension 3^4600 has 2,195
+    # p=3, n=4600: one member of unit rows, or two members that share e_0; the ambient
+    # 3^9200 has 4,390 digits, past Python's limit for printing an integer, the dimension
+    # 3^4600 has 2,195, and the whole witness point e_0 printed 27,630 characters
+    members = {"U": (0, 1), "V": (0, 2)} if rows == "shared" else {"U": range(rows)}
     path = tmp_path / "wide.yaml"
-    path.write_text("format_version: 1\np: 3\nk: 1\nn: 4600\npoly: [0]\nnonresidue: [2]\nmembers:\n"
-                    '- label: "U"\n  kind: matrix_algebra\n  generators:\n'
-                    + "".join(f"  - {[int(i == j) for j in range(9200)]}\n" for i in range(rows)))
+    path.write_text("format_version: 1\np: 3\nk: 1\nn: 4600\npoly: [0]\nnonresidue: [2]\nmembers:\n" + "".join(
+        f'- label: "{label}"\n  kind: matrix_algebra\n  generators:\n'
+        + "".join(f"  - {[int(i == j) for j in range(9200)]}\n" for i in units) for label, units in members.items()))
     code, out, err = run(capsys, "verify", str(path), "--mode", mode)
     assert all(len(line) < 120 for line in (out + err).splitlines()), out + err
     if mode == "numeric":
         assert (code, err) == (EXIT_BAD_INPUT, "error: dimension 3^4600 exceeds the numeric guard 81\n")
         return
     assert code == EXIT_VERIFY_FAILED
-    assert "symbolic: FAIL (checks=2)\n" in out and out.endswith("result: FAIL\n")
-    assert "  family: 1 members, expected (3^9200 - 1)/(3^2 - 1)\n" in out
+    assert out.endswith("result: FAIL\n")
+    if rows == "shared":
+        assert "symbolic: FAIL (checks=4)\n  U & V: shared nonzero point {0: 1} of 9200 coordinates\n" in out
+        assert "  family: 2 members, expected (3^9200 - 1)/(3^2 - 1)\n" in out
+        assert "partition: FAIL (checks=2, covered=14/(3^9200 - 1))\n  U & V: 2 shared nonzero points\n" in out
+    else:
+        assert "symbolic: FAIL (checks=2)\n" in out
+        assert "  family: 1 members, expected (3^9200 - 1)/(3^2 - 1)\n" in out
     if rows == 2:
         assert "partition: FAIL (checks=1, covered=8/(3^9200 - 1))\n" in out
-    else:
+    elif rows == 13:
         assert "partition: skipped (ambient has 3^9200 points)\n" in out
     assert ("numeric: skipped (dimension 3^4600 exceeds guard 81)\n" in out) == (mode == "both")
 

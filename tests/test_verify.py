@@ -16,11 +16,13 @@ from qospread.constructions import (
     ConstructionParams,
     FamilyMember,
     SpreadFamily,
+    _check_ambient,
     build_C,
     build_masa_spread,
     build_recursive,
     build_spread_2,
 )
+from qospread.finite_field import is_prime
 from qospread.phase_space import Subspace, _span_rows
 from qospread.report import _power
 from qospread.verify import (
@@ -746,6 +748,26 @@ def test_expected_count_rejects_bad_input():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_counting_identity(p, k, n):
     assert counting_identity_holds(p, k, n)
+
+
+def test_counting_identity_wherever_the_index_bound_admits():
+    # pure arithmetic over every (p, k, n >= 3) that generate admits; p^(2kn) grows
+    # with p, k and n, so each loop stops at its first refusal
+    def admits(p, k, n):
+        try:
+            _check_ambient(p, k, n)
+        except ValueError:
+            return False
+        return True
+
+    admitted = []
+    for p in itertools.takewhile(lambda p: admits(p, 1, 3), filter(is_prime, itertools.count(3, 2))):
+        for k in itertools.takewhile(lambda k: admits(p, k, 3), itertools.count(1)):
+            admitted += [(p, k, n) for n in itertools.takewhile(lambda n: admits(p, k, n), itertools.count(3))]
+    assert admitted == [(3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 1, 7), (3, 2, 3),
+                        (5, 1, 3), (5, 1, 4), (7, 1, 3), (7, 1, 4), (11, 1, 3), (13, 1, 3)]
+    for p, k, n in admitted:
+        assert counting_identity_holds(p, k, n)
 
 
 def test_counting_identity_needs_n3():
