@@ -133,9 +133,9 @@ def test_generate_and_verify_refuse_k_above_the_limit_at_once(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,word", [
-    (("generate", "--p", "3", "--n", "100000"), "budget"),
-    (("generate", "--p", "3", "--n", "10000000"), "budget"),
-    (("generate", "--p", "3", "--n", "100000000"), "budget"),
+    (("generate", "--p", "3", "--n", "100000"), "index"),
+    (("generate", "--p", "3", "--n", "10000000"), "index"),
+    (("generate", "--p", "3", "--n", "100000000"), "index"),
     (("mub", "--p", "3", "--k", "10000000"), "guard"),
 ])
 def test_huge_arguments_are_refused_from_the_exponents(tmp_path, capsys, argv, word):
@@ -152,9 +152,9 @@ def test_huge_arguments_are_refused_from_the_exponents(tmp_path, capsys, argv, w
 def test_in_range_refusals_print_the_exact_count(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--p", "11", "--k", "2", "--n", "5", "--out", str(tmp_path / "x.yaml"))
     assert code == EXIT_BAD_INPUT
-    assert err == f"error: family would have 45952868506322405 members, above the budget {constructions.MAX_MEMBERS}\n"
+    assert err == f"error: the ownership index would hold {11**20 - 1} points, above the limit {phase_space.INDEX_LIMIT}\n"
     code, _, err = run(capsys, "mub", "--p", "11", "--out", str(tmp_path / "x.txt"))
-    assert err == f"error: dimension 121 exceeds the numeric guard {verify.NUMERIC_MAX_DIM}\n"
+    assert err == f"error: dimension 121 exceeds guard {verify.NUMERIC_MAX_DIM}\n"
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -335,13 +335,12 @@ def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
 
 
 def test_generate_refuses_a_family_its_verify_would_refuse(tmp_path, capsys):
-    # p=313, n=2: 97,970 members, under MAX_MEMBERS, but 313^4 - 1 points to index
+    # p=313, n=2: 97,970 members, but 313^4 - 1 points to index, the message verify gives
     path = tmp_path / "big.yaml"
     start = time.perf_counter()
     code, _, err = run(capsys, "generate", "--p", "313", "--n", "2", "--out", str(path))
     assert code == EXIT_BAD_INPUT
-    assert err == (f"error: verifying the family would index {313**4 - 1} points, "
-                   f"above the limit {phase_space.INDEX_LIMIT}\n")
+    assert err == f"error: the ownership index would hold {313**4 - 1} points, above the limit {phase_space.INDEX_LIMIT}\n"
     assert not path.exists()
     assert time.perf_counter() - start < 1.0
 
@@ -525,7 +524,7 @@ def test_verify_prints_no_giant_integer(tmp_path, capsys, rows, mode):
     code, out, err = run(capsys, "verify", str(path), "--mode", mode)
     assert all(len(line) < 120 for line in (out + err).splitlines()), out + err
     if mode == "numeric":
-        assert (code, err) == (EXIT_BAD_INPUT, "error: dimension 3^4600 exceeds the numeric guard 81\n")
+        assert (code, err) == (EXIT_BAD_INPUT, "error: dimension 3^4600 exceeds guard 81\n")
         return
     assert code == EXIT_VERIFY_FAILED
     assert out.endswith("result: FAIL\n")

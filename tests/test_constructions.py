@@ -407,26 +407,21 @@ def test_recursive_members_all_full_algebras_n3():
         assert classify_subspace(m.subspace) == ("nondegenerate", 2)
 
 
-def test_recursive_member_budget_guard():
-    with pytest.raises(ValueError, match="budget"):
-        build_recursive(ConstructionParams.create(11, 2, 5))
-
-
-def test_recursive_member_budget_decided_from_the_exponents():
-    # (3^(2 * 10^9) - 1)/8 members: no power is built, and the refusal names the formula
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"^family would have \(3\^2000000000 - 1\)/\(3\^2 - 1\) members, above"):
-        build_recursive(ConstructionParams.create(3, 1, 10**9))
-    assert time.perf_counter() - start < 0.5
-
-
 def test_recursive_index_guard():
     # verify indexes every nonzero point: 53^4 - 1 and 7^8 - 1 fit the limit, 59^4 - 1 does not
     for p, k in [(53, 1), (7, 2)]:
         assert len(build_recursive(ConstructionParams.create(p, k, 2)).members) == expected_count(p, k, 2)
-    for p, k, n in [(59, 1, 2), (313, 1, 2), (11, 2, 2), (17, 1, 3)]:
-        with pytest.raises(ValueError, match="would index"):
+    for p, k, n in [(59, 1, 2), (313, 1, 2), (11, 2, 2), (17, 1, 3), (11, 2, 5)]:
+        with pytest.raises(ValueError, match=f"^the ownership index would hold {p ** (2 * k * n) - 1} points, above"):
             build_recursive(ConstructionParams.create(p, k, n))
+
+
+def test_recursive_index_guard_decided_from_the_exponents():
+    # 3^(2 * 10^9) - 1 points: no power is built, and the refusal names the formula
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^the ownership index would hold \(3\^2000000000 - 1\) points, above"):
+        build_recursive(ConstructionParams.create(3, 1, 10**9))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_recursive_gf9_members_have_dimension_2k():
