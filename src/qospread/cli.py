@@ -87,8 +87,10 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_INPUT
     try:
         ff = family_io.parse(text)
-        if args.mode in ("symbolic", "both"):  # a span has at most p^rows points: refuse before any elimination
+        if args.mode != "numeric":  # a span has at most p^rows points: refuse before any elimination
             phase_space._check_index_size(ff.rows)
+        else:  # the dimension is the header's: refuse before the field
+            verify._numeric_dim(ff.p, ff.k * ff.n)
         family = family_io.to_family(ff)
     except family_io.FamilyFormatError as exc:
         print(f"error: malformed family file: {exc}", file=sys.stderr)
@@ -119,11 +121,8 @@ def cmd_verify(args) -> int:
 
     if args.mode in ("numeric", "both"):
         try:
-            verify._numeric_dim(ff.p, ff.k * ff.n)
+            verify._numeric_dim(ff.p, ff.k * ff.n)  # refused above in numeric mode
         except ValueError as exc:
-            if args.mode == "numeric":
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_BAD_INPUT
             print(f"numeric: skipped ({exc})")
         else:
             rep = verify.verify_qo_numeric(family, args.tol, sample_pairs=args.sample)

@@ -390,9 +390,10 @@ def test_verify_missing_file(tmp_path, capsys):
 def test_verify_numeric_guard_exceeded(tmp_path, capsys):
     path = tmp_path / "big.yaml"
     run(capsys, "generate", "--p", "5", "--n", "3", "--out", str(path))
-    code, _, err = run(capsys, "verify", str(path), "--mode", "numeric")
+    code, out, err = run(capsys, "verify", str(path), "--mode", "numeric")
     assert code == EXIT_BAD_INPUT
-    assert "guard" in err
+    assert err == "error: dimension 125 exceeds guard 81\n"
+    assert out == ""  # refused from the header, before the field and the integrity line
     # in 'both' mode the numeric stage is skipped, not fatal
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     assert code == EXIT_OK
