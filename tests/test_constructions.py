@@ -411,9 +411,15 @@ def test_recursive_index_guard():
     # verify indexes every nonzero point: 53^4 - 1 and 7^8 - 1 fit the limit, 59^4 - 1 does not
     for p, k in [(53, 1), (7, 2)]:
         assert len(build_recursive(ConstructionParams.create(p, k, 2)).members) == expected_count(p, k, 2)
-    for p, k, n in [(59, 1, 2), (313, 1, 2), (11, 2, 2), (17, 1, 3), (11, 2, 5)]:
+    for p, k, n in [(59, 1, 2), (313, 1, 2), (11, 2, 2), (17, 1, 3)]:
         with pytest.raises(ValueError, match=f"^the ownership index would hold {p ** (2 * k * n) - 1} points, above"):
             build_recursive(ConstructionParams.create(p, k, n))
+
+
+def test_recursive_member_budget_guard():
+    # (11^20 - 1)/(11^4 - 1) members: the index bound is the one size check, and it refuses them
+    with pytest.raises(ValueError, match=f"^the ownership index would hold {11 ** 20 - 1} points, above"):
+        build_recursive(ConstructionParams.create(11, 2, 5))
 
 
 def test_recursive_index_guard_decided_from_the_exponents():

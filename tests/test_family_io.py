@@ -208,7 +208,7 @@ _BASE = family_io.serialize(family_io.from_family(build_spread_2(ConstructionPar
 _LINES = _BASE.split("\n")
 # edits the line reader checks itself, and edits that send the text to the YAML route
 _CHECKED = ("at-least-p", "25-digits", "short-row", "long-row")
-_DECLINED = ("leading-zero", "sign", "empty-generators", "duplicate-label")
+_DECLINED = ("leading-zero", "sign", "empty-row", "empty-generators", "duplicate-label")
 READ_BOUND_S = 2.0
 
 
@@ -232,7 +232,8 @@ def mutated_text(draw):
                 end += 1
             del lines[at + 3 : end]
             continue
-        at = draw(st.sampled_from([i for i, line in enumerate(lines[: heads[4]]) if line.startswith("  - [")]))
+        rows = [i for i, line in enumerate(lines[: heads[4]]) if line.startswith("  - [") and line != "  - []"]
+        at = draw(st.sampled_from(rows))
         entries = lines[at][5:-1].split(", ")
         j = draw(st.integers(0, len(entries) - 1))
         if kind == "at-least-p":
@@ -240,7 +241,10 @@ def mutated_text(draw):
         elif kind == "25-digits":
             entries[j] = str(draw(st.integers(10**24, 10**25 - 1)))
         elif kind == "short-row":
-            del entries[j]
+            # a row of no entries, "[]", is not the writer's layout: that is the edit "empty-row"
+            del entries[j : j + (len(entries) > 1)]
+        elif kind == "empty-row":
+            entries = []
         elif kind == "long-row":
             entries.insert(j, str(draw(st.integers(0, 4))))
         elif kind == "leading-zero":
