@@ -26,7 +26,8 @@ if (sys.argv[1:2] in (["generate"], ["verify"], ["example"]) and "numpy" not in 
 import numpy as np
 
 from . import family_io, phase_space, verify
-from .constructions import ConstructionParams, _check_ambient, build_masa_spread, build_recursive, build_spread_2
+from .constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
+from .finite_field import require_odd_prime
 from .phase_space import span_enumerate
 from .report import _power
 from .weyl import monomial_text
@@ -56,7 +57,9 @@ def _positive(kind):
 
 def cmd_generate(args) -> int:
     try:
-        _check_ambient(args.p, args.k, args.n)  # before the field, whose search takes seconds at large p^k
+        require_odd_prime(args.p)  # say that p is not prime before counting its points
+        if args.n > 1 and args.k > 0:  # build_recursive's index check, before the field search (seconds at large p^k)
+            phase_space._check_index_size(phase_space._nonzero_points(args.p, 2 * args.k * args.n))
         poly = _parse_coords(args.poly_override) if args.poly_override else None
         nonres = _parse_coords(args.d_override) if args.d_override else None
         params = ConstructionParams.create(args.p, args.k, args.n, poly=poly, nonresidue=nonres)
@@ -88,7 +91,7 @@ def cmd_verify(args) -> int:
     try:
         ff = family_io.parse(text)
         if args.mode != "numeric":  # a span has at most p^rows points: refuse before any elimination
-            phase_space._check_index_size(ff.rows)
+            phase_space._check_index_size(phase_space._index_points(ff.rows))
         else:  # the dimension is the header's: refuse before the field
             verify._numeric_dim(ff.p, ff.k * ff.n)
         family = family_io.to_family(ff)
@@ -110,7 +113,11 @@ def cmd_verify(args) -> int:
         print(f"integrity: ok ({len(ff.labels)} members, canonical rows)")
 
     if args.mode in ("symbolic", "both"):
-        rep, partition = verify.verify_symbolic(family)  # its index was refused or admitted above
+        try:  # elimination may bring a member stored with too many rows to enumerable rank
+            rep, partition = verify.verify_symbolic(family)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         ok = ok and rep.passed
         print(f"symbolic: {rep.describe()}")
         if partition is None:

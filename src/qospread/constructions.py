@@ -161,12 +161,6 @@ def expected_count(p: int, k: int, n: int) -> int:
     return num // den
 
 
-def _check_ambient(p: int, k: int, n: int) -> None:
-    """Refuse, from 2kn alone, a family whose ``verify`` would index its p^{2kn} - 1 points past ``INDEX_LIMIT``."""
-    if n > 1 and k > 0:  # at n = 1 the one member is small or not indexed
-        _check_index_size(_nonzero_points(p, 2 * k * n))
-
-
 def _echelon(p: int, stack: np.ndarray) -> RowStacks:
     """The table of the canonical echelon bases of the row spans of an (N, r, w) stack."""
     return _canonical(RowStacks.of(p, stack.shape[-1], np.full(len(stack), stack.shape[1]), stack))
@@ -328,10 +322,10 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     through one ``_canonical``.
     """
     p, k, n = params.p, params.k, params.n
-    _check_ambient(p, k, n)
-    if n == 1:
+    if n == 1:  # the one member is small or not indexed
         full = _echelon(p, np.eye(2 * k, dtype=np.int64)[None])
         return SpreadFamily(params, labels=["full"], kinds=[MATRIX_ALGEBRA], rows=full)
+    _check_index_size(_nonzero_points(p, 2 * k * n))  # verify's index, decided from 2kn: no huge power is built
     if n == 2:
         return build_spread_2(params)
 

@@ -112,10 +112,7 @@ def symplectic_product(u: PhasePoint, v: PhasePoint, nfactors: int | None = None
     """
     u._check(v)
     n = u.m if nfactors is None else nfactors
-    total = 0
-    for i in range(n):
-        total += u.coords[2 * i] * v.coords[2 * i + 1] - v.coords[2 * i] * u.coords[2 * i + 1]
-    return total % u.p
+    return sum(u.coords[2 * i] * v.coords[2 * i + 1] - v.coords[2 * i] * u.coords[2 * i + 1] for i in range(n)) % u.p
 
 
 @dataclass(frozen=True)
@@ -359,12 +356,14 @@ def _nonzero_points(p: int, width: int) -> int | str:
     return points - 1 if isinstance(points, int) else f"({points} - 1)"
 
 
-def _check_index_size(points: RowStacks | int | str) -> None:
-    """Refuse an ownership index past ``INDEX_LIMIT`` points: a count (text is past it), or a table's
-    enumerable spans, counted from its row counts alone."""
-    if isinstance(points, RowStacks):
-        p, sizes = points.p, np.bincount(points.counts).tolist()
-        points = sum(n * (p**r - 1) for r, n in enumerate(sizes) if n and _enumerable(p, r))
+def _index_points(rows: RowStacks) -> int:
+    """The nonzero points of a table's enumerable spans, counted from its row counts alone."""
+    p, sizes = rows.p, np.bincount(rows.counts).tolist()
+    return sum(n * (p**r - 1) for r, n in enumerate(sizes) if n and _enumerable(p, r))
+
+
+def _check_index_size(points: int | str) -> None:
+    """Refuse an ownership index past ``INDEX_LIMIT`` points (a count as text is past it)."""
     if isinstance(points, str) or points > INDEX_LIMIT:
         raise ValueError(f"the ownership index would hold {points} points, above the limit {INDEX_LIMIT}")
 
@@ -446,7 +445,7 @@ def _disjointness(
     """
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
-    _check_index_size(rows)
+    _check_index_size(_index_points(rows))
     index = _owners(rows)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}

@@ -167,7 +167,8 @@ def test_generate_refuses_exactly_past_the_index_bound_or_max_k(tmp_path, capsys
     over_index = n > 1 and 2 * k * n > largest  # p^(2kn) - 1 > INDEX_LIMIT
     path = tmp_path / f"p{p}k{k}n{n}.yaml"
     if not (over_index or k > constructions.MAX_K):
-        constructions._check_ambient(p, k, n)  # generate's up-front check admits it
+        if n > 1:  # generate's up-front check admits it
+            phase_space._check_index_size(phase_space._nonzero_points(p, 2 * k * n))
         if p ** (2 * k * n) <= 10**4:  # small enough to build here
             assert run(capsys, "generate", "--p", str(p), "--k", str(k), "--n", str(n), "--out", str(path))[0] == EXIT_OK
             path.unlink()
@@ -215,6 +216,18 @@ def test_generate_rejects_p4(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--p", "4", "--out", str(tmp_path / "x.yaml"))
     assert code == EXIT_BAD_INPUT
     assert "must be an odd prime" in err
+
+
+@pytest.mark.parametrize("p,n", [("1000", "2"), ("9", "20")])
+def test_generate_says_p_is_not_prime_before_counting_its_points(tmp_path, capsys, p, n):
+    code, _, err = run(capsys, "generate", "--p", p, "--n", n, "--out", str(tmp_path / "x.yaml"))
+    assert (code, err) == (EXIT_BAD_INPUT, f"error: p must be an odd prime >= 3, got {p}\n")
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_generate_says_k_is_below_one_before_counting_points(tmp_path, capsys, k):
+    code, _, err = run(capsys, "generate", "--p", "3", "--k", k, "--n", "2", "--out", str(tmp_path / "x.yaml"))
+    assert (code, err) == (EXIT_BAD_INPUT, f"error: extension degree must be >= 1, got {k}\n")
 
 
 def test_generate_rejects_p2(tmp_path, capsys):
@@ -368,6 +381,23 @@ def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, cap
     assert out == ""  # refused from the stored row counts: no integrity line, no elimination
     assert not canonical
     assert elapsed < 1.0 and peak < 10 * 2**20, (elapsed, peak)
+
+
+def test_verify_refuses_an_index_that_elimination_brings_over_the_limit(tmp_path, capsys):
+    # p=3, n=7: 16 members stored with 13 rows of rank 12; 3^13 points is above SPAN_LIMIT, so
+    # the stored row counts index nothing, but eliminated each holds 3^12 - 1 points, 8,503,040 together
+    rows = [[int(i == j) for j in range(14)] for i in range(12)] + [[1, 1] + [0] * 12]
+    path = tmp_path / "dependent.yaml"
+    path.write_text("format_version: 1\np: 3\nk: 1\nn: 7\npoly: [0]\nnonresidue: [2]\nmembers:\n" + "".join(
+        f'- label: "M{i}"\n  kind: matrix_algebra\n  generators:\n' + "".join(f"  - {row}\n" for row in rows)
+        for i in range(16)))
+    for mode in ("symbolic", "both"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path), "--mode", mode)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BAD_INPUT
+        assert out.startswith("integrity: FAIL (16 members with non-canonical rows)\n") and "symbolic" not in out
+        assert err == f"error: the ownership index would hold {16 * (3**12 - 1)} points, above the limit {2**23}\n"
 
 
 def test_verify_member_of_dimension_zero(family_path, capsys):

@@ -16,14 +16,13 @@ from qospread.constructions import (
     ConstructionParams,
     FamilyMember,
     SpreadFamily,
-    _check_ambient,
     build_C,
     build_masa_spread,
     build_recursive,
     build_spread_2,
 )
 from qospread.finite_field import is_prime
-from qospread.phase_space import Subspace, _span_rows
+from qospread.phase_space import Subspace, _check_index_size, _nonzero_points, _span_rows
 from qospread.report import _power
 from qospread.verify import (
     check_mub_overlaps,
@@ -755,7 +754,7 @@ def test_counting_identity_wherever_the_index_bound_admits():
     # with p, k and n, so each loop stops at its first refusal
     def admits(p, k, n):
         try:
-            _check_ambient(p, k, n)
+            _check_index_size(_nonzero_points(p, 2 * k * n))
         except ValueError:
             return False
         return True
