@@ -59,7 +59,7 @@ def cmd_generate(args) -> int:
     try:
         require_odd_prime(args.p)  # say that p is not prime before counting its points
         if args.n > 1 and args.k > 0:  # build_recursive's index check, before the field search (seconds at large p^k)
-            phase_space._check_index_size(phase_space._nonzero_points(args.p, 2 * args.k * args.n))
+            phase_space._check_index_size(phase_space._nonzero_lines(args.p, 2 * args.k * args.n))
         poly = _parse_coords(args.poly_override) if args.poly_override else None
         nonres = _parse_coords(args.d_override) if args.d_override else None
         params = ConstructionParams.create(args.p, args.k, args.n, poly=poly, nonresidue=nonres)
@@ -90,8 +90,8 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_INPUT
     try:
         ff = family_io.parse(text)
-        if args.mode != "numeric":  # a span has at most p^rows points: refuse before any elimination
-            phase_space._check_index_size(phase_space._index_points(ff.rows))
+        if args.mode != "numeric":  # a span has at most (p^rows - 1)/(p - 1) lines: refuse before any elimination
+            phase_space._check_index_size(phase_space._index_lines(ff.rows))
         else:  # the dimension is the header's: refuse before the field
             verify._numeric_dim(ff.p, ff.k * ff.n)
         family = family_io.to_family(ff)

@@ -38,7 +38,7 @@ import numpy as np
 from . import _modlin
 from .finite_field import (FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue,
                            require_odd_prime)
-from .phase_space import (PhasePoint, RowStacks, Subspace, _canonical, _check_index_size, _gram, _nonzero_points,
+from .phase_space import (PhasePoint, RowStacks, Subspace, _canonical, _check_index_size, _gram, _nonzero_lines,
                           _pi1_rows, symplectic_basis)
 
 MATRIX_ALGEBRA = "matrix_algebra"
@@ -325,7 +325,7 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     if n == 1:  # the one member is small or not indexed
         full = _echelon(p, np.eye(2 * k, dtype=np.int64)[None])
         return SpreadFamily(params, labels=["full"], kinds=[MATRIX_ALGEBRA], rows=full)
-    _check_index_size(_nonzero_points(p, 2 * k * n))  # verify's index, decided from 2kn: no huge power is built
+    _check_index_size(_nonzero_lines(p, 2 * k * n))  # verify's index, decided from 2kn: no huge power is built
     if n == 2:
         return build_spread_2(params)
 

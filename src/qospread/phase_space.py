@@ -31,13 +31,19 @@ derived on first use, is canonicalised or classified by one elimination and
 enumerated by one matrix product: the coefficient vectors, in
 ``itertools.product`` order (zero first), times every echelon basis, mod p.
 Both set checks, trivial pairwise intersection and the partition of the
-nonzero ambient, are one scan of one point-ownership index: one such product
-per member dimension, stacked with an owner column and sorted
-lexicographically into arrays, so points with two or more owners sit next
-to each other and the distinct points are counted in passing.  Members too
-large to enumerate are compared by rank, and the partition then goes
-unchecked; an index above ``INDEX_LIMIT`` points is refused before any span
-is built.  All of it is exact integer combinatorics, with no floating point.
+nonzero ambient, are one scan of one point-ownership index.  Members are
+subspaces, so two share a nonzero point exactly when they share its line,
+and the index holds one point per line: per member dimension r, the
+(p^r - 1)/(p - 1) coefficient vectors whose first nonzero entry is 1 times
+every canonical basis give the normalised points (first nonzero coordinate 1),
+which are stacked with an owner column and sorted lexicographically into
+arrays, so points with two or more owners sit next to each other and the
+distinct lines are counted in passing, p - 1 nonzero points each.  The
+normalised point of a line is its smallest, so each witness is the smallest
+shared point.  Members too large to enumerate are compared by rank, and the
+partition then goes unchecked; an index above ``INDEX_LIMIT`` lines is refused
+before any span is built.  All of it is exact integer combinatorics, with no
+floating point.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .finite_field import FieldSpec, GFElement
 from .report import VerificationReport, _power
 
 SPAN_LIMIT = 10**6
-INDEX_LIMIT = 2**23  # points in one ownership index, about 52 bytes each while it is built and sorted
+INDEX_LIMIT = 2**23  # lines in one ownership index, about 52 bytes each while it is built and sorted
 MAX_LISTED_PAIRS = 1000
 
 NONDEGENERATE = "nondegenerate"
@@ -305,13 +311,24 @@ def _canonical(rows: RowStacks) -> RowStacks:
     return RowStacks.of(rows.p, rows.width, counts[at], np.concatenate(parts)).take(np.argsort(at))
 
 
+def _coefficients(p: int, d: int) -> np.ndarray:
+    """All p^d coefficient vectors of length d, in ``itertools.product`` order (zero first)."""
+    if not _enumerable(p, d):
+        raise ValueError(f"span has {_power(p, d)} points, above the limit {SPAN_LIMIT}")
+    return np.indices((p,) * d).reshape(d, p**d).T
+
+
+def _line_coefficients(p: int, d: int) -> np.ndarray:
+    """The (p^d - 1)/(p - 1) coefficient vectors of length d whose first nonzero
+    entry is 1, in coefficient order: one per line through 0 (none for d = 0)."""
+    c = _coefficients(p, d)
+    return c[((c == 1) & (np.cumsum(c != 0, axis=1) == 1)).any(axis=1)]
+
+
 def _spans(p: int, stack: np.ndarray) -> np.ndarray:
     """All p^d points of the span of every matrix of an (N, d, w) stack of
     echelon rows, zero first, in coefficient order."""
-    d = stack.shape[1]
-    if not _enumerable(p, d):
-        raise ValueError(f"span has {_power(p, d)} points, above the limit {SPAN_LIMIT}")
-    span = np.indices((p,) * d).reshape(d, p**d).T.astype(stack.dtype) @ stack
+    span = _coefficients(p, stack.shape[1]).astype(stack.dtype) @ stack
     span %= p
     return span
 
@@ -327,9 +344,10 @@ def span_enumerate(s: Subspace) -> list[PhasePoint]:
 
 
 class _Index(NamedTuple):
-    """The point-ownership index: every nonzero point of the members' spans with
-    its owner, sorted lexicographically by point and, for equal points, by owner;
-    ``first`` marks the first row of each distinct point."""
+    """The point-ownership index: one point per line through 0 of the members'
+    spans, its normalised point (first nonzero coordinate 1), with its owner,
+    sorted lexicographically by point and, for equal points, by owner; ``first``
+    marks the first row of each distinct point."""
 
     points: np.ndarray
     owners: np.ndarray
@@ -356,35 +374,45 @@ def _nonzero_points(p: int, width: int) -> int | str:
     return points - 1 if isinstance(points, int) else f"({points} - 1)"
 
 
-def _index_points(rows: RowStacks) -> int:
-    """The nonzero points of a table's enumerable spans, counted from its row counts alone."""
+def _nonzero_lines(p: int, width: int) -> int | str:
+    """(p^width - 1)/(p - 1), the lines through 0 of Z_p^width, or its text when ``_power`` holds p^width as text."""
+    points = _nonzero_points(p, width)
+    return points // (p - 1) if isinstance(points, int) else f"{points}/{p - 1}"
+
+
+def _index_lines(rows: RowStacks) -> int:
+    """The lines through 0 of a table's enumerable spans, counted from its row counts alone."""
     p, sizes = rows.p, np.bincount(rows.counts).tolist()
-    return sum(n * (p**r - 1) for r, n in enumerate(sizes) if n and _enumerable(p, r))
+    return sum(n * ((p**r - 1) // (p - 1)) for r, n in enumerate(sizes) if n and _enumerable(p, r))
 
 
-def _check_index_size(points: int | str) -> None:
-    """Refuse an ownership index past ``INDEX_LIMIT`` points (a count as text is past it)."""
-    if isinstance(points, str) or points > INDEX_LIMIT:
-        raise ValueError(f"the ownership index would hold {points} points, above the limit {INDEX_LIMIT}")
+def _check_index_size(lines: int | str) -> None:
+    """Refuse an ownership index past ``INDEX_LIMIT`` lines (a count as text is past it)."""
+    if isinstance(lines, str) or lines > INDEX_LIMIT:
+        raise ValueError(f"the ownership index would hold {lines} lines, above the limit {INDEX_LIMIT}")
 
 
 def _owners(rows: RowStacks) -> _Index:
-    """The index of the enumerable spans of a table of echelon bases, positions
-    as owners, one span product per row count."""
+    """The index of the enumerable spans of a table of canonical echelon bases,
+    positions as owners: per row count r, one product of the stack with the
+    (p^r - 1)/(p - 1) line coefficients.  Unit pivots in increasing columns make
+    each c·R the normalised point of its line (first nonzero coordinate 1)."""
     p, small = rows.p, np.min_scalar_type(rows.p - 1)  # the smallest dtype holding [0, p-1] sorts fastest
     points, owners = [np.zeros((0, rows.width), dtype=small)], [np.zeros(0, dtype=np.intp)]
     for at, stack in rows.groups:
         if not _enumerable(p, stack.shape[1]):
             continue
-        points.append(_spans(p, stack)[:, 1:].astype(small).reshape(-1, rows.width))
-        owners.append(np.repeat(at, p ** stack.shape[1] - 1))
+        lines = _line_coefficients(p, stack.shape[1]).astype(stack.dtype) @ stack
+        lines %= p
+        points.append(lines.astype(small).reshape(-1, rows.width))
+        owners.append(np.repeat(at, lines.shape[1]))
     points, owners = np.concatenate(points), np.concatenate(owners)  # frees the parts before sorting
     return _Index.sort(points, owners)
 
 
 def _conflicts(index: _Index) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
-    """The pairs sharing a nonzero point, lazily in pair order, each with its
-    smallest shared point and the number of points it shares.
+    """The pairs sharing an indexed point, lazily in pair order, each with its
+    smallest shared point and the number of indexed points it shares.
 
     Only the points with two or more owners are read, one owner at a time, so
     a caller that stops early pays only for the owners it reached.
@@ -431,21 +459,24 @@ def _disjointness(
     rows: RowStacks, labels: Sequence[str] | None = None
 ) -> tuple[VerificationReport, VerificationReport | None]:
     """The pairwise and partition reports from one ownership index of the
-    members (a table of echelon bases) at or below ``SPAN_LIMIT``, refused past
-    ``INDEX_LIMIT`` points before any span is built; pairs with a larger member
-    get a rank test, and the partition report is then None (also when empty).
-    The rank tests take one first member at a time, in pair order, with its
-    later partners (all of them if it is above the limit, else those above it)
-    in one elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
+    members (a table of canonical echelon bases) at or below ``SPAN_LIMIT``,
+    refused past ``INDEX_LIMIT`` lines before any span is built; pairs with a
+    larger member get a rank test, and the partition report is then None (also
+    when empty).  The rank tests take one first member at a time, in pair order,
+    with its later partners (all of them if it is above the limit, else those
+    above it) in one elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
 
-    Each pair of owners of a point fails, with its smallest shared point
-    (``_point_text``), in pair order; past ``MAX_LISTED_PAIRS`` pairs the listing
-    stops with a "family" entry.  The partition names the first pair with its
-    number of shared points and counts the index's distinct points against the ambient.
+    Members are subspaces, so two share a nonzero point exactly when they share
+    its line, and the index holds one point per line.  Each pair of owners of a
+    line fails, with its smallest shared point (``_point_text``), in pair order:
+    the smallest point of a line is its normalised one, the one indexed.  Past
+    ``MAX_LISTED_PAIRS`` pairs the listing stops with a "family" entry.  The
+    partition names the first pair with its number of shared points and counts
+    the covered points against the ambient, p - 1 nonzero points per distinct line.
     """
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
-    _check_index_size(_index_points(rows))
+    _check_index_size(_index_lines(rows))
     index = _owners(rows)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}
@@ -474,20 +505,22 @@ def _disjointness(
     if len(big) or not n:
         return pairwise, None
     failures = [
-        (f"{labels[i]} & {labels[j]}", f"{count} shared nonzero points") for (i, j), _, count in conflicts[:1]
+        (f"{labels[i]} & {labels[j]}", f"{count * (p - 1)} shared nonzero points") for (i, j), _, count in conflicts[:1]
     ]
-    covered, expected = int(index.first.sum()), _nonzero_points(p, rows.width)  # text: no index covers it
+    covered, expected = int(index.first.sum()) * (p - 1), _nonzero_points(p, rows.width)  # text: no index covers it
     if covered != expected:
         failures.append(("family", f"covers {covered} of {expected} nonzero points"))
     return pairwise, VerificationReport(checks_run=n, failures=failures, covered=covered, expected=expected)
 
 
 def _table(subspaces: Sequence[Subspace]) -> RowStacks:
-    """The table of one ambient's subspaces (with no ambient, p = 0, for none)."""
+    """The table of one ambient's subspaces (with no ambient, p = 0, for none),
+    in canonical form: a ``Subspace`` built from rows that are not is eliminated."""
     p, m = (subspaces[0].p, subspaces[0].m) if subspaces else (0, 0)
     if any((s.p, s.m) != (p, m) for s in subspaces):
         raise ValueError("ambient mismatch")
-    return RowStacks.lists(p, 2 * m, [s.rows for s in subspaces])
+    table = RowStacks.lists(p, 2 * m, [s.rows for s in subspaces])
+    return table if table.canonical.all() else _canonical(table)
 
 
 def check_pairwise_trivial(
@@ -499,7 +532,7 @@ def check_pairwise_trivial(
 
 def check_partition(subspaces: Sequence[Subspace], labels: Sequence[str] | None = None) -> VerificationReport:
     """Pass iff the members' nonzero points are disjoint and cover Z_p^{2m} \\ {0};
-    raises for an empty family, a member above ``SPAN_LIMIT`` or an index above ``INDEX_LIMIT``."""
+    raises for an empty family, a member above ``SPAN_LIMIT`` or an index above ``INDEX_LIMIT`` lines."""
     report = _disjointness(_table(subspaces), labels)[1]
     if report is None:
         raise ValueError(f"a member's span is above the limit {SPAN_LIMIT}" if subspaces else "empty family")
