@@ -152,7 +152,7 @@ def test_huge_arguments_are_refused_from_the_exponents(tmp_path, capsys, argv, w
 def test_in_range_refusals_print_the_exact_count(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--p", "11", "--k", "2", "--n", "5", "--out", str(tmp_path / "x.yaml"))
     assert code == EXIT_BAD_INPUT
-    assert err == f"error: the ownership index would hold {11**20 - 1} points, above the limit {phase_space.INDEX_LIMIT}\n"
+    assert err == f"error: the ownership index would hold {(11**20 - 1) // 10} lines, above the limit {phase_space.INDEX_LIMIT}\n"
     code, _, err = run(capsys, "mub", "--p", "11", "--out", str(tmp_path / "x.txt"))
     assert err == f"error: dimension 121 exceeds guard {verify.NUMERIC_MAX_DIM}\n"
 
@@ -162,13 +162,13 @@ def test_in_range_refusals_print_the_exact_count(tmp_path, capsys):
        n=st.one_of(st.integers(1, 8), st.integers(1, 10**9)))
 @example(p=2**61 - 1, k=32, n=2)  # its field alone takes seconds to build: refused before it
 def test_generate_refuses_exactly_past_the_index_bound_or_max_k(tmp_path, capsys, p, k, n):
-    # the exponent of the largest power of p that is at most INDEX_LIMIT + 1 points
-    largest = max(e for e in range(64) if p**e <= phase_space.INDEX_LIMIT + 1)
-    over_index = n > 1 and 2 * k * n > largest  # p^(2kn) - 1 > INDEX_LIMIT
+    # the exponent of the largest power of p that is at most INDEX_LIMIT * (p - 1) + 1
+    largest = max(e for e in range(64) if p**e <= phase_space.INDEX_LIMIT * (p - 1) + 1)
+    over_index = n > 1 and 2 * k * n > largest  # (p^(2kn) - 1)/(p - 1) > INDEX_LIMIT
     path = tmp_path / f"p{p}k{k}n{n}.yaml"
     if not (over_index or k > constructions.MAX_K):
         if n > 1:  # generate's up-front check admits it
-            phase_space._check_index_size(phase_space._nonzero_points(p, 2 * k * n))
+            phase_space._check_index_size(phase_space._nonzero_lines(p, 2 * k * n))
         if p ** (2 * k * n) <= 10**4:  # small enough to build here
             assert run(capsys, "generate", "--p", str(p), "--k", str(k), "--n", str(n), "--out", str(path))[0] == EXIT_OK
             path.unlink()
@@ -177,14 +177,14 @@ def test_generate_refuses_exactly_past_the_index_bound_or_max_k(tmp_path, capsys
     code, out, err = run(capsys, "generate", "--p", str(p), "--k", str(k), "--n", str(n), "--out", str(path))
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_BAD_INPUT and out == "" and not path.exists()
-    index = re.fullmatch(rf"error: the ownership index would hold (\d+|\({p}\^{2 * k * n} - 1\)) points, "
+    index = re.fullmatch(rf"error: the ownership index would hold (\d+|\({p}\^{2 * k * n} - 1\)/{p - 1}) lines, "
                          rf"above the limit {phase_space.INDEX_LIMIT}\n", err)
     if index or k <= constructions.MAX_K:
         assert over_index and index, err
     else:
         assert err == f"error: extension degree {k} exceeds the limit {constructions.MAX_K}\n"
     if index and index[1].isdigit():
-        assert int(index[1]) == p ** (2 * k * n) - 1
+        assert int(index[1]) == (p ** (2 * k * n) - 1) // (p - 1)
 
 
 def test_generate_poly_override(tmp_path, capsys):
@@ -348,22 +348,21 @@ def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
 
 
 def test_generate_refuses_a_family_its_verify_would_refuse(tmp_path, capsys):
-    # p=313, n=2: 97,970 members, but 313^4 - 1 points to index, the message verify gives
+    # p=313, n=2: 97,970 members, but (313^4 - 1)/312 lines to index, the message verify gives
     path = tmp_path / "big.yaml"
     start = time.perf_counter()
     code, _, err = run(capsys, "generate", "--p", "313", "--n", "2", "--out", str(path))
     assert code == EXIT_BAD_INPUT
-    assert err == f"error: the ownership index would hold {313**4 - 1} points, above the limit {phase_space.INDEX_LIMIT}\n"
+    assert err == f"error: the ownership index would hold {(313**4 - 1) // 312} lines, above the limit {phase_space.INDEX_LIMIT}\n"
     assert not path.exists()
     assert time.perf_counter() - start < 1.0
 
 
 def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, capsys, monkeypatch):
-    # ten C members of p=997, n=2: 994,008 nonzero points each, under SPAN_LIMIT,
-    # 9,940,080 together; building that index took gigabytes
+    # 8,500 planes of p=997, n=2 (the graphs of distinct 2x2 matrices): 998 lines each,
+    # 994,008 nonzero points under SPAN_LIMIT, 8,483,000 lines together
     params = ConstructionParams.create(997, 1, 2)
-    one = params.field.one()
-    members = [(f"C[1,{b}]", "matrix_algebra", build_C(one, params.field.scalar(b), params).rows) for b in range(10)]
+    members = [(f"M{i}", "matrix_algebra", [(1, 0, i // 997, i % 997), (0, 1, 0, 1)]) for i in range(8500)]
     path = tmp_path / "wide.yaml"
     family_io.save(file_of(997, 1, 2, params.field.poly, params.nonresidue.coords, members), path)
     canonical = []
@@ -377,27 +376,27 @@ def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, cap
     finally:
         tracemalloc.stop()
     assert code == EXIT_BAD_INPUT
-    assert err == f"error: the ownership index would hold 9940080 points, above the limit {2**23}\n"
+    assert err == f"error: the ownership index would hold 8483000 lines, above the limit {2**23}\n"
     assert out == ""  # refused from the stored row counts: no integrity line, no elimination
     assert not canonical
     assert elapsed < 1.0 and peak < 10 * 2**20, (elapsed, peak)
 
 
 def test_verify_refuses_an_index_that_elimination_brings_over_the_limit(tmp_path, capsys):
-    # p=3, n=7: 16 members stored with 13 rows of rank 12; 3^13 points is above SPAN_LIMIT, so
-    # the stored row counts index nothing, but eliminated each holds 3^12 - 1 points, 8,503,040 together
+    # p=3, n=7: 32 members stored with 13 rows of rank 12; 3^13 points is above SPAN_LIMIT, so
+    # the stored row counts index nothing, but eliminated each holds (3^12 - 1)/2 lines, 8,503,040 together
     rows = [[int(i == j) for j in range(14)] for i in range(12)] + [[1, 1] + [0] * 12]
     path = tmp_path / "dependent.yaml"
     path.write_text("format_version: 1\np: 3\nk: 1\nn: 7\npoly: [0]\nnonresidue: [2]\nmembers:\n" + "".join(
         f'- label: "M{i}"\n  kind: matrix_algebra\n  generators:\n' + "".join(f"  - {row}\n" for row in rows)
-        for i in range(16)))
+        for i in range(32)))
     for mode in ("symbolic", "both"):
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", str(path), "--mode", mode)
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_BAD_INPUT
-        assert out.startswith("integrity: FAIL (16 members with non-canonical rows)\n") and "symbolic" not in out
-        assert err == f"error: the ownership index would hold {16 * (3**12 - 1)} points, above the limit {2**23}\n"
+        assert out.startswith("integrity: FAIL (32 members with non-canonical rows)\n") and "symbolic" not in out
+        assert err == f"error: the ownership index would hold {32 * (3**12 - 1) // 2} lines, above the limit {2**23}\n"
 
 
 def test_verify_member_of_dimension_zero(family_path, capsys):

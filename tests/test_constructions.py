@@ -30,6 +30,8 @@ from helpers import frobenius_trace, literal_gf_span
 from qospread.finite_field import gf
 from qospread.phase_space import (
     Subspace,
+    _check_index_size,
+    _nonzero_lines,
     check_pairwise_trivial,
     check_partition,
     classify_subspace,
@@ -408,24 +410,27 @@ def test_recursive_members_all_full_algebras_n3():
 
 
 def test_recursive_index_guard():
-    # verify indexes every nonzero point: 53^4 - 1 and 7^8 - 1 fit the limit, 59^4 - 1 does not
+    # verify indexes one point per line: (p^(2kn) - 1)/(p - 1) lines fit the limit for
+    # p = 199 at n = 2, the largest such prime, and not for p = 211
     for p, k in [(53, 1), (7, 2)]:
         assert len(build_recursive(ConstructionParams.create(p, k, 2)).members) == expected_count(p, k, 2)
-    for p, k, n in [(59, 1, 2), (313, 1, 2), (11, 2, 2), (17, 1, 3)]:
-        with pytest.raises(ValueError, match=f"^the ownership index would hold {p ** (2 * k * n) - 1} points, above"):
+    for p, k, n in [(59, 1, 2), (199, 1, 2), (17, 1, 3), (23, 1, 3), (5, 1, 5)]:
+        _check_index_size(_nonzero_lines(p, 2 * k * n))
+    for p, k, n in [(211, 1, 2), (313, 1, 2), (11, 2, 2), (29, 1, 3), (3, 1, 8), (3, 2, 4)]:
+        with pytest.raises(ValueError, match=f"^the ownership index would hold {(p ** (2 * k * n) - 1) // (p - 1)} lines, above"):
             build_recursive(ConstructionParams.create(p, k, n))
 
 
 def test_recursive_member_budget_guard():
     # (11^20 - 1)/(11^4 - 1) members: the index bound is the one size check, and it refuses them
-    with pytest.raises(ValueError, match=f"^the ownership index would hold {11 ** 20 - 1} points, above"):
+    with pytest.raises(ValueError, match=f"^the ownership index would hold {(11 ** 20 - 1) // 10} lines, above"):
         build_recursive(ConstructionParams.create(11, 2, 5))
 
 
 def test_recursive_index_guard_decided_from_the_exponents():
-    # 3^(2 * 10^9) - 1 points: no power is built, and the refusal names the formula
+    # (3^(2 * 10^9) - 1)/2 lines: no power is built, and the refusal names the formula
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"^the ownership index would hold \(3\^2000000000 - 1\) points, above"):
+    with pytest.raises(ValueError, match=r"^the ownership index would hold \(3\^2000000000 - 1\)/2 lines, above"):
         build_recursive(ConstructionParams.create(3, 1, 10**9))
     assert time.perf_counter() - start < 0.5
 

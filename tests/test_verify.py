@@ -22,7 +22,7 @@ from qospread.constructions import (
     build_spread_2,
 )
 from qospread.finite_field import is_prime
-from qospread.phase_space import Subspace, _check_index_size, _nonzero_points, _span_rows
+from qospread.phase_space import Subspace, _check_index_size, _nonzero_lines, _span_rows
 from qospread.report import _power
 from qospread.verify import (
     check_mub_overlaps,
@@ -754,7 +754,7 @@ def test_counting_identity_wherever_the_index_bound_admits():
     # with p, k and n, so each loop stops at its first refusal
     def admits(p, k, n):
         try:
-            _check_index_size(_nonzero_points(p, 2 * k * n))
+            _check_index_size(_nonzero_lines(p, 2 * k * n))
         except ValueError:
             return False
         return True
@@ -763,8 +763,8 @@ def test_counting_identity_wherever_the_index_bound_admits():
     for p in itertools.takewhile(lambda p: admits(p, 1, 3), filter(is_prime, itertools.count(3, 2))):
         for k in itertools.takewhile(lambda k: admits(p, k, 3), itertools.count(1)):
             admitted += [(p, k, n) for n in itertools.takewhile(lambda n: admits(p, k, n), itertools.count(3))]
-    assert admitted == [(3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 1, 7), (3, 2, 3),
-                        (5, 1, 3), (5, 1, 4), (7, 1, 3), (7, 1, 4), (11, 1, 3), (13, 1, 3)]
+    assert admitted == [(3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 1, 7), (3, 2, 3), (5, 1, 3), (5, 1, 4),
+                        (5, 1, 5), (7, 1, 3), (7, 1, 4), (11, 1, 3), (13, 1, 3), (17, 1, 3), (19, 1, 3), (23, 1, 3)]
     for p, k, n in admitted:
         assert counting_identity_holds(p, k, n)
 
