@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qospread import _modlin, phase_space
-from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D
+from qospread.constructions import INFINITY, ConstructionParams, build_C, build_D, build_recursive
 from qospread.finite_field import gf
 from helpers import frobenius_trace, intersect_trivially, literal_pi1
 from qospread.phase_space import (
@@ -469,6 +469,111 @@ def test_index_above_int64_codes_agrees_with_rank_oracle():
     covered = len(set().union(*map(_brute_nonzero_points, subs)))
     rep = check_partition(subs)
     assert (rep.covered, rep.expected) == (covered, p ** (2 * m) - 1)
+
+
+def _full_index(rows):
+    """Every nonzero point of the enumerable spans with its owner, sorted: the
+    index as it was before it held one point per line, the reference for it."""
+    p, points, owners = rows.p, [np.zeros((0, rows.width), dtype=np.int64)], [np.zeros(0, dtype=np.intp)]
+    for at, stack in rows.groups:
+        if phase_space._enumerable(p, stack.shape[1]):
+            points.append(phase_space._spans(p, stack)[:, 1:].astype(np.int64).reshape(-1, rows.width))
+            owners.append(np.repeat(at, p ** stack.shape[1] - 1))
+    return phase_space._Index.sort(np.concatenate(points), np.concatenate(owners))
+
+
+def _full_point_reports(rows):
+    """The pairwise and partition failures and the covered count, from the full
+    index and a rank test of every pair with a member above ``SPAN_LIMIT``."""
+    p, subs = rows.p, rows.subspaces()
+    full = _full_index(rows)
+    conflicts = list(phase_space._conflicts(full))
+    witnesses = {pair: point for pair, point, _ in conflicts}
+    big = set(np.flatnonzero(~phase_space._enumerable(p, rows.counts)).tolist())
+    for i, j in itertools.combinations(range(len(subs)), 2):
+        if (i in big or j in big) and not intersect_trivially(subs[i], subs[j]):
+            witnesses[i, j] = phase_space._shared_point(subs[i], subs[j])
+    listed = sorted(witnesses.items())
+    pairwise = [(f"member {i} & member {j}", f"shared nonzero point {w}") for (i, j), w in listed[:MAX_LISTED_PAIRS]]
+    if len(listed) > MAX_LISTED_PAIRS:
+        pairwise.append(("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs"))
+    if big:
+        return pairwise, None, None
+    partition = [(f"member {i} & member {j}", f"{count} shared nonzero points") for (i, j), _, count in conflicts[:1]]
+    covered, expected = int(full.first.sum()), p**rows.width - 1
+    if covered != expected:
+        partition.append(("family", f"covers {covered} of {expected} nonzero points"))
+    return pairwise, partition, covered
+
+
+def _copies(subs, sources, targets):
+    """The family with each target member replaced by a copy of its source."""
+    subs = list(subs)
+    for i, j in zip(sources, targets):
+        subs[j] = subs[i]
+    return subs
+
+
+def _index_cases():
+    """(name, members, conflicting pairs or None) at p = 3, 5, 7 and 53."""
+    rng = random.Random(22)
+    p3, p5, p7 = (build_recursive(ConstructionParams.create(p, 1, 3)).subspaces() for p in (3, 5, 7))
+    p53 = build_recursive(ConstructionParams.create(53, 1, 2)).subspaces()[::10]  # 281 of 2,810 planes
+
+    def member(p, m, dim):
+        return Subspace.from_generators(p, m, [[rng.randrange(p) for _ in range(2 * m)] for _ in range(dim)])
+
+    def line_of(sub):  # a line inside the member
+        return Subspace.from_generators(sub.p, sub.m, [tuple(sum(c) % sub.p for c in zip(*sub.rows))])
+
+    nothing = Subspace(53, 2, ())
+    mixed53 = p53[:100] + [nothing, line_of(p53[3]), member(53, 2, 3), member(53, 2, 1)] + p53[100:]
+    return [
+        ("p3 spread", p3, 0),
+        ("p5 spread", p5, 0),
+        ("p7 spread", p7, 0),
+        ("p53 planes", p53, 0),
+        ("p3 one copy", _copies(p3, [2], [5]), 1),
+        ("p5 three copies", _copies(p5, [0, 7, 300], [1, 8, 600]), 3),
+        ("p7 27 copies", _copies(p7, range(27), range(1000, 1027)), 27),
+        ("p7 1,100 copies", _copies(p7, range(1100), range(1200, 2300)), 1100),
+        ("p53 copies", _copies(p53, [4, 5, 6], [200, 201, 202]), 3),
+        ("p3 mixed row counts", p3[:40] + [Subspace(3, 3, ()), line_of(p3[7]), member(3, 3, 3), member(3, 3, 4)]
+         + [member(3, 3, 2) for _ in range(5)] + p3[40:], None),
+        ("p53 mixed row counts", mixed53, None),
+        ("p53 mixed, oversize", mixed53 + [member(53, 2, 4)], None),
+    ]
+
+
+@pytest.mark.parametrize("case", _index_cases(), ids=lambda case: case[0])
+def test_line_index_agrees_with_the_full_point_index(case):
+    """One point per line gives the full index's pairs, witness points, shared
+    counts and covered count: every conflict, and every line of the reports."""
+    _, subs, failing = case
+    rows = phase_space._table(subs)
+    p = rows.p
+    lines, full = phase_space._owners(rows), _full_index(rows)
+    assert len(lines.owners) == phase_space._index_lines(rows) and len(full.owners) == len(lines.owners) * (p - 1)
+    assert (np.take_along_axis(lines.points, (lines.points != 0).argmax(axis=1)[:, None], axis=1) == 1).all()
+    got = [(pair, point, count * (p - 1)) for pair, point, count in phase_space._conflicts(lines)]
+    want = list(phase_space._conflicts(full))
+    assert got == want
+    assert failing is None or len(want) == failing
+    assert int(lines.first.sum()) * (p - 1) == int(full.first.sum())
+    pairwise, partition = phase_space._disjointness(rows)
+    want_pairwise, want_partition, covered = _full_point_reports(rows)
+    assert pairwise.failures == want_pairwise
+    if want_partition is None:
+        assert partition is None
+    else:
+        assert (partition.failures, partition.covered) == (want_partition, covered)
+
+
+def test_subspaces_given_non_canonical_rows_are_indexed_by_their_lines():
+    # (2, 0) is not a canonical basis of its line; indexed as given, it would miss (1, 0)
+    scaled, line = Subspace(3, 1, ((2, 0),)), Subspace.from_generators(3, 1, [(1, 0)])
+    assert check_pairwise_trivial([scaled, line]).failures == [("member 0 & member 1", "shared nonzero point (1, 0)")]
+    assert check_partition([scaled, line]).failures[0] == ("member 0 & member 1", "2 shared nonzero points")
 
 
 def test_partition_of_non_complete_family_above_a_million_points():
