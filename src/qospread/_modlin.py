@@ -1,6 +1,6 @@
 """Exact Gaussian elimination over the prime field Z_p.
 
-``rref_stack`` is the one elimination: it reduces an ``(N, r, c)`` stack of
+``rref_stack`` is the batched elimination: it reduces an ``(N, r, c)`` stack of
 matrices one column at a time, each step (pivot search, swap, scaling to a
 unit leading entry, clearing the column) one numpy operation over all N
 matrices, as in the dense mod-p elimination of FFLAS-FFPACK (Dumas, Giorgi &
@@ -10,6 +10,8 @@ signed integer dtype that holds every intermediate, or Python-int objects
 past int64, and the same code runs on both; no floating point is involved.
 Pivots are the first nonzero columns with unit leading entries, so the
 reduced form, and with it the canonical basis of a row span, is unique.
+``det``, for the norm of a field element, eliminates one matrix of Python
+ints and keeps its pivots.
 """
 
 from __future__ import annotations
@@ -96,3 +98,22 @@ def inverse(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]] | No
     if len(ech) < n or pivots[:n] != list(range(n)):
         return None
     return [tuple(row[n:]) for row in ech]
+
+
+def det(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Determinant of a square matrix mod p, in [0, p): the product of the pivots,
+    its sign flipped by each row swap."""
+    a, out = [[x % p for x in row] for row in rows], 1
+    for col in range(len(a)):
+        pivot = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot], out = a[pivot], a[col], -out
+        out = out * a[col][col] % p
+        inv = pow(a[col][col], -1, p)
+        for r in range(col + 1, len(a)):
+            if a[r][col]:
+                factor = a[r][col] * inv % p
+                a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
+    return out

@@ -64,9 +64,9 @@ class ConstructionParams:
     """Shared construction inputs: the field GF(p^k), the block count n and
     a fixed quadratic non-residue.
 
-    Euler's criterion refuses a square non-residue unless ``known_nonresidue``
+    ``is_nonresidue`` refuses a square non-residue unless ``known_nonresidue``
     says it was found by ``find_nonresidue`` or taken from checked parameters:
-    at large p^k each test is a (p^k - 1)/2 power, the cost of the search itself.
+    each test is a k x k determinant, the cost of one step of the search.
     """
 
     field: FieldSpec

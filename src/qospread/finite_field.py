@@ -350,15 +350,18 @@ def trace_dual_basis(basis: list[GFElement]) -> list[GFElement]:
 
 
 def is_nonresidue(a: GFElement) -> bool:
-    """Euler's criterion: a is a non-square exactly when a^((q-1)/2) = -1."""
-    return a ** ((a.field.size - 1) // 2) == a.field.scalar(-1)
+    """a is a non-square exactly when its norm, the determinant of multiplication
+    by a, is a non-square mod p: the norm maps the cyclic group GF(q)* onto Z_p*,
+    a generator to a generator, so it keeps the parity of every exponent."""
+    p = a.field.p
+    return pow(_modlin.det(a.field.mul_matrices(a.coords).tolist(), p), (p - 1) // 2, p) == p - 1
 
 
 def find_nonresidue(field: FieldSpec) -> GFElement:
     """First element D != 0 in enumeration order with D != x^2 for all x.
 
     Exactly half the nonzero elements are squares when p >= 3, so the scan
-    always terminates; each candidate costs O(log q) multiplications.  For even
+    always terminates; each candidate costs one k x k determinant mod p.  For even
     k the scan skips Z_p, whose elements are all squares in GF(p^2) <= GF(p^k).
     """
     for i in range(field.p if field.k % 2 == 0 else 0, field.size):

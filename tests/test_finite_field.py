@@ -270,6 +270,15 @@ def test_find_nonresidue_gf9():
     assert d not in brute_force_squares(f9)
 
 
+@pytest.mark.parametrize("field", SMALL_FIELDS + [gf(3, 4), gf(11, 2), gf(5, 3)], ids=str)
+def test_norm_test_agrees_with_euler_on_every_nonzero_element(field):
+    # Euler's criterion: a is a non-square exactly when a^((q-1)/2) = -1
+    minus_one = field.scalar(-1)
+    for i in range(1, field.size):
+        a = field.from_index(i)
+        assert is_nonresidue(a) == (a ** ((field.size - 1) // 2) == minus_one), a
+
+
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
 def test_nonresidue_is_never_a_square(field):
     d = find_nonresidue(field)

@@ -7,6 +7,9 @@ fixed-width integers, 2^31 - 1 and 2^31 + 11 in int64 for short rows and in
 Python-int objects for longer ones, and 4294967311 in objects always.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,3 +151,19 @@ def test_classification_on_both_dtypes(p, m):
     want = [literal_classification(s) for s in subs]
     assert [tuple(classify_subspace(s)) for s in subs] == want
     assert {kind for kind, _ in want} == ({ISOTROPIC, NONDEGENERATE, MIXED} if m > 1 else {ISOTROPIC, NONDEGENERATE})
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_det_matches_the_permutation_expansion(p):
+    # the Leibniz sum over permutations, each signed by its inversions; rows with
+    # zero leading entries force swaps, and a repeated row makes a singular matrix
+    rng = np.random.default_rng(p % 1000)
+    for size in range(5):
+        for _ in range(6):
+            rows = [[int(x) for x in row] for row in rng.integers(0, min(p, 4), (size, size))]
+            if size > 1 and rng.random() < 0.3:
+                rows[-1] = list(rows[0])
+            want = sum(math.prod(rows[i][j] for i, j in enumerate(perm))
+                       * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                       for perm in itertools.permutations(range(size))) % p
+            assert _modlin.det(rows, p) == want, rows
