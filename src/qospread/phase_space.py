@@ -402,10 +402,9 @@ def _owners(rows: RowStacks) -> _Index:
     for at, stack in rows.groups:
         if not _enumerable(p, stack.shape[1]):
             continue
-        lines = _line_coefficients(p, stack.shape[1]).astype(stack.dtype) @ stack
-        lines %= p
-        points.append(lines.astype(small).reshape(-1, rows.width))
-        owners.append(np.repeat(at, lines.shape[1]))
+        lines = _line_coefficients(p, stack.shape[1]).astype(stack.dtype)
+        points.append((lines @ stack % p).astype(small).reshape(-1, rows.width))
+        owners.append(np.repeat(at, len(lines)))
     points, owners = np.concatenate(points), np.concatenate(owners)  # frees the parts before sorting
     return _Index.sort(points, owners)
 
