@@ -60,7 +60,7 @@ from .finite_field import FieldSpec, GFElement
 from .report import VerificationReport, _power
 
 SPAN_LIMIT = 10**6
-INDEX_LIMIT = 2**23  # lines in one ownership index, about 52 bytes each while it is built and sorted
+INDEX_LIMIT = 2**23  # lines in one ownership index, 51-70 bytes each (width 8-14) while it is built and sorted
 MAX_LISTED_PAIRS = 1000
 
 NONDEGENERATE = "nondegenerate"
