@@ -1,5 +1,6 @@
 """Tests for the symplectic forms, the coordinate map and the set checks."""
 
+import functools
 import itertools
 import random
 import re
@@ -506,6 +507,11 @@ def _full_point_reports(rows):
     return pairwise, partition, covered
 
 
+@functools.cache
+def _spread(p, n):
+    return build_recursive(ConstructionParams.create(p, 1, n)).subspaces()
+
+
 def _copies(subs, sources, targets):
     """The family with each target member replaced by a copy of its source."""
     subs = list(subs)
@@ -514,43 +520,43 @@ def _copies(subs, sources, targets):
     return subs
 
 
-def _index_cases():
-    """(name, members, conflicting pairs or None) at p = 3, 5, 7 and 53."""
+def _mixed(subs, at, oversize=False):
+    """The family with members of row counts 0 to 4 inserted at ``at``, a line
+    inside member 3 among them, and with ``oversize`` a member above
+    ``SPAN_LIMIT`` appended."""
     rng = random.Random(22)
-    p3, p5, p7 = (build_recursive(ConstructionParams.create(p, 1, 3)).subspaces() for p in (3, 5, 7))
-    p53 = build_recursive(ConstructionParams.create(53, 1, 2)).subspaces()[::10]  # 281 of 2,810 planes
+    p, m = subs[0].p, subs[0].m
 
-    def member(p, m, dim):
+    def member(dim):
         return Subspace.from_generators(p, m, [[rng.randrange(p) for _ in range(2 * m)] for _ in range(dim)])
 
-    def line_of(sub):  # a line inside the member
-        return Subspace.from_generators(sub.p, sub.m, [tuple(sum(c) % sub.p for c in zip(*sub.rows))])
-
-    nothing = Subspace(53, 2, ())
-    mixed53 = p53[:100] + [nothing, line_of(p53[3]), member(53, 2, 3), member(53, 2, 1)] + p53[100:]
-    return [
-        ("p3 spread", p3, 0),
-        ("p5 spread", p5, 0),
-        ("p7 spread", p7, 0),
-        ("p53 planes", p53, 0),
-        ("p3 one copy", _copies(p3, [2], [5]), 1),
-        ("p5 three copies", _copies(p5, [0, 7, 300], [1, 8, 600]), 3),
-        ("p7 27 copies", _copies(p7, range(27), range(1000, 1027)), 27),
-        ("p7 1,100 copies", _copies(p7, range(1100), range(1200, 2300)), 1100),
-        ("p53 copies", _copies(p53, [4, 5, 6], [200, 201, 202]), 3),
-        ("p3 mixed row counts", p3[:40] + [Subspace(3, 3, ()), line_of(p3[7]), member(3, 3, 3), member(3, 3, 4)]
-         + [member(3, 3, 2) for _ in range(5)] + p3[40:], None),
-        ("p53 mixed row counts", mixed53, None),
-        ("p53 mixed, oversize", mixed53 + [member(53, 2, 4)], None),
-    ]
+    line = Subspace.from_generators(p, m, [tuple(sum(c) % p for c in zip(*subs[3].rows))])
+    extra = [Subspace(p, m, ()), line] + [member(dim) for dim in (1, 2, 2, 3, 4) if phase_space._enumerable(p, dim)]
+    return subs[:at] + extra + subs[at:] + [member(2 * m)] * oversize
 
 
-@pytest.mark.parametrize("case", _index_cases(), ids=lambda case: case[0])
+_INDEX_CASES = {  # name: (the members, the number of conflicting pairs or None)
+    "p3 spread": (lambda: _spread(3, 3), 0),
+    "p5 spread": (lambda: _spread(5, 3), 0),
+    "p7 spread": (lambda: _spread(7, 3), 0),
+    "p53 planes": (lambda: _spread(53, 2)[::10], 0),  # 281 of 2,810
+    "p3 one copy": (lambda: _copies(_spread(3, 3), [2], [5]), 1),
+    "p5 three copies": (lambda: _copies(_spread(5, 3), [0, 7, 300], [1, 8, 600]), 3),
+    "p7 27 copies": (lambda: _copies(_spread(7, 3), range(27), range(1000, 1027)), 27),
+    "p7 1,100 copies": (lambda: _copies(_spread(7, 3), range(1100), range(1200, 2300)), 1100),
+    "p53 copies": (lambda: _copies(_spread(53, 2)[::10], [4, 5, 6], [200, 201, 202]), 3),
+    "p3 mixed row counts": (lambda: _mixed(_spread(3, 3), 40), None),
+    "p53 mixed row counts": (lambda: _mixed(_spread(53, 2)[::10], 100), None),
+    "p53 mixed, oversize": (lambda: _mixed(_spread(53, 2)[::10], 100, oversize=True), None),
+}
+
+
+@pytest.mark.parametrize("case", _INDEX_CASES)
 def test_line_index_agrees_with_the_full_point_index(case):
     """One point per line gives the full index's pairs, witness points, shared
     counts and covered count: every conflict, and every line of the reports."""
-    _, subs, failing = case
-    rows = phase_space._table(subs)
+    members, failing = _INDEX_CASES[case]
+    rows = phase_space._table(members())
     p = rows.p
     lines, full = phase_space._owners(rows), _full_index(rows)
     assert len(lines.owners) == phase_space._index_lines(rows) and len(full.owners) == len(lines.owners) * (p - 1)
