@@ -20,8 +20,9 @@ layers of construction live here:
 Every layer is batched integer linear algebra in ``_modlin._dtype`` (exact at
 every p), the symplectic-tableau view of Aaronson & Gottesman (PRA 70,
 052328, 2004): the GF coordinates of all generator pairs of the two-block
-spread (``build_C``, ``build_D``: one member) or of a frame's mixed members
-go through one array-valued pi1, then one elimination or Z_p matrix product.
+spread (``build_C``, ``build_D``: one member) or of the mixed members go
+through one array-valued pi1, then one elimination: per member, or for the
+mixed members, per left frame (``_frames``), in closed form.
 
 All builders are deterministic: field elements enumerate in base-p counting
 order, labels encode the construction path, and subspaces canonicalise, so
@@ -30,7 +31,7 @@ identical parameters reproduce identical families byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,8 +39,8 @@ import numpy as np
 from . import _modlin
 from .finite_field import (FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue,
                            require_odd_prime)
-from .phase_space import (PhasePoint, RowStacks, Subspace, _canonical, _check_index_size, _gram, _nonzero_lines,
-                          _pi1_rows, symplectic_basis)
+from .phase_space import (PhasePoint, RowStacks, Subspace, _canonical, _check_index_size, _frames, _gram,
+                          _nonzero_lines, _pi1_rows)
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
@@ -62,26 +63,22 @@ INFINITY = _Infinity()
 @dataclass(frozen=True)
 class ConstructionParams:
     """Shared construction inputs: the field GF(p^k), the block count n and
-    a fixed quadratic non-residue.
-
-    ``is_nonresidue`` refuses a square non-residue unless ``known_nonresidue``
-    says it was found by ``find_nonresidue`` or taken from checked parameters:
-    each test is a k x k determinant, the cost of one step of the search.
+    a fixed quadratic non-residue, refused if ``is_nonresidue`` (one k x k
+    determinant) finds it a square.
     """
 
     field: FieldSpec
     n: int
     nonresidue: GFElement
-    known_nonresidue: InitVar[bool] = False
 
-    def __post_init__(self, known_nonresidue: bool) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.nonresidue.field != self.field:
             raise ValueError("non-residue comes from a different field")
         if self.nonresidue.is_zero:
             raise ValueError("non-residue must be nonzero")
-        if not known_nonresidue and not is_nonresidue(self.nonresidue):
+        if not is_nonresidue(self.nonresidue):
             raise ValueError(f"{format_element(self.nonresidue)} is a square, not a non-residue")
 
     @classmethod
@@ -89,9 +86,7 @@ class ConstructionParams:
         if k > MAX_K:
             raise ValueError(f"extension degree {k} exceeds the limit {MAX_K}")
         fld = gf(p, k, poly)
-        if nonresidue is None:
-            return cls(fld, n, find_nonresidue(fld), known_nonresidue=True)
-        return cls(fld, n, fld.element(nonresidue))
+        return cls(fld, n, find_nonresidue(fld) if nonresidue is None else fld.element(nonresidue))
 
     @property
     def p(self) -> int:
@@ -266,26 +261,30 @@ def build_masa_spread(params: ConstructionParams) -> SpreadFamily:
 
 
 def _mixed_members(frames, masas, generators, params: ConstructionParams) -> np.ndarray:
-    """The (frame, masa, pair, 2k, columns) generator rows of the mixed members,
-    after checking every left frame F_i's Gram matrix and every masa basis R_j's
+    """The (frame, masa, pair, 2k, columns) rows of the mixed members, after
+    checking every left frame F_i's Gram matrix and every masa basis R_j's
     isotropy up front.  The pi1 rows of each pair's generators
     (``_pair_generators``, or (0, 0, 1, 0), (0, 0, 0, 1) for INFINITY, as a
-    (P, 8, k) array) thread block 1 along F_i and block 2 along R_j, mod p."""
+    (P, 8, k) array) are [L | X_q], with one left block L for every pair.  One
+    elimination of [L F_i | I] per frame gives [S_i | W_i], S_i the canonical
+    rows of F_i's span and W_i L F_i = S_i, so member (i, j, q) has the rows
+    [S_i | W_i X_q R_j], canonical wherever L is invertible (not INFINITY's)."""
     p, k = params.p, params.k
     dtype = _modlin._dtype(p, len(frames[0][0]) + len(masas[0][0]))  # every sum here has fewer terms
     frames, masas = np.asarray(frames, dtype=dtype), np.asarray(masas, dtype=dtype)
-    eye, zero = np.eye(k, dtype=dtype), np.zeros((k, k), dtype=dtype)
-    if (_gram(frames, p) != np.block([[zero, eye], [-eye, zero]]) % p).any():
+    if (_gram(frames, p) != (np.eye(2 * k, k=k, dtype=dtype) - np.eye(2 * k, k=-k, dtype=dtype)) % p).any():
         raise ValueError("left basis is not a normalised symplectic frame")
     if _gram(masas, p).any():
         raise ValueError("right basis does not span an isotropic subspace")
     rows = _pi1_rows(params.field, np.reshape(generators, (-1, 2, 4, k))).reshape(-1, 2 * k, 4 * k)
+    if (rows[:, :, : 2 * k] != rows[0, :, : 2 * k]).any():
+        raise ValueError("the pairs do not share one left block")
     order = np.arange(2 * k).reshape(2, k).T.ravel()  # the basis vectors in pi1's interleaved order
-    left = rows[..., : 2 * k] @ frames[:, None, order] % p  # (frame, pair, 2k, left columns)
-    right = rows[..., 2 * k :] @ masas[:, None, order] % p  # (masa, pair, 2k, right columns)
-    shape = (len(frames), len(masas)) + right.shape[1:-1]
-    return np.concatenate([np.broadcast_to(left[:, None], shape + left.shape[-1:]),
-                           np.broadcast_to(right, shape + right.shape[-1:])], axis=-1)
+    left = rows[0, :, : 2 * k] @ frames[:, order] % p  # L F_i: (frame, 2k, left columns)
+    unit = np.broadcast_to(np.eye(2 * k, dtype=dtype), left.shape[:-1] + (2 * k,))
+    ech = _modlin.rref_stack(np.concatenate([left, unit], axis=-1), p)[0][:, None, None]  # [S_i | W_i]
+    right = ech[..., -2 * k :] @ (rows[:, :, 2 * k :] @ masas[:, None, order] % p) % p  # (frame, masa, pair, 2k, right)
+    return np.concatenate([np.broadcast_to(ech[..., : -2 * k], right.shape[:-1] + left.shape[-1:]), right], axis=-1)
 
 
 def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
@@ -304,8 +303,7 @@ def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
     k = params.k
     if len(left_basis) != 2 * k or len(right_basis) != 2 * k:
         raise ValueError(f"bases must have 2k = {2 * k} vectors")
-    frame = [pt.coords for pt in left_basis]
-    masa = [pt.coords for pt in right_basis]
+    frame, masa = [pt.coords for pt in left_basis], [pt.coords for pt in right_basis]
     generators = (_generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1) if a is INFINITY
                   else _pair_generators(params, a.coords, b.coords))
     rows = _mixed_members([frame], [masa], generators, params)[0, 0, 0]
@@ -318,8 +316,8 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     n = 1 is the single full block and n = 2 the two-block spread; larger n
     recurses on the leading n-2 blocks and splices the trailing two blocks in
     through the masa spread.  Left members pad with zero columns on the right,
-    right members on the left, and every mixed member of every left frame goes
-    through one ``_canonical``.
+    right members on the left, and the mixed members of all left frames come
+    from one ``_mixed_members``, already canonical.
     """
     p, k, n = params.p, params.k, params.n
     if n == 1:  # the one member is small or not indexed
@@ -329,18 +327,19 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     if n == 2:
         return build_spread_2(params)
 
-    two_block = replace(params, n=2, known_nonresidue=True)
-    left = build_recursive(replace(params, n=n - 2, known_nonresidue=True))
+    two_block = replace(params, n=2)
+    left = build_recursive(replace(params, n=n - 2))
     masas = build_masa_spread(two_block)
     right = build_spread_2(two_block)
 
-    frames = [[pt.coords for pt in symplectic_basis(sub)] for sub in left.rows.subspaces()]
+    stack = left.rows.rows.reshape(len(left.rows), 2 * k, -1)  # every left member has 2k rows
+    frames = _frames(stack, p) @ stack % p
     elements = list(params.field.elements())
     coords = np.array([a.coords for a in elements], dtype=params.field.mul_tables.dtype)
     a, b = np.repeat(coords, len(coords), axis=0)[1:], np.tile(coords, (len(coords), 1))[1:]  # (a, b) != (0, 0)
     masa_rows = masas.rows.rows.reshape(-1, 2 * k, 4 * k)
     mixed = _mixed_members(frames, masa_rows, _pair_generators(params, a, b), params)
-    mixed = _echelon(p, mixed.reshape((-1,) + mixed.shape[-2:]))
+    mixed = RowStacks.of(p, 2 * k * n, np.full(np.prod(mixed.shape[:3]), 2 * k), mixed)
     names = [format_element(x) for x in elements]  # each element once
     pairs = [f"a={x},b={y}]" for x in names for y in names][1:]  # (a, b) != (0, 0)
     tails = [f"C={j}|{pair}" for j in range(len(masas.rows)) for pair in pairs]

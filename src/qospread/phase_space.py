@@ -93,22 +93,6 @@ class PhasePoint:
         if (self.p, self.m) != (other.p, other.m):
             raise ValueError(f"ambient mismatch: Z_{self.p}^{2*self.m} vs Z_{other.p}^{2*other.m}")
 
-    def __add__(self, other: "PhasePoint") -> "PhasePoint":
-        self._check(other)
-        return PhasePoint(self.p, self.m, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "PhasePoint") -> "PhasePoint":
-        self._check(other)
-        return PhasePoint(self.p, self.m, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "PhasePoint":
-        return PhasePoint(self.p, self.m, tuple(-x for x in self.coords))
-
-    def __rmul__(self, c: int) -> "PhasePoint":
-        if not isinstance(c, int):
-            return NotImplemented
-        return PhasePoint(self.p, self.m, tuple(c * x for x in self.coords))
-
 
 def symplectic_product(u: PhasePoint, v: PhasePoint, nfactors: int | None = None) -> int:
     """The alternating form sum_i k_i l'_i - k'_i l_i mod p.
@@ -572,26 +556,39 @@ def classify_subspace(s: Subspace) -> Classification:
     return Classification(_kind(rank, s.dim), rank)
 
 
+def _frames(stack: np.ndarray, p: int) -> np.ndarray:
+    """The (N, d, d) coefficients C of the symplectic frames of an (N, d, w)
+    stack of bases S: C·S is ``symplectic_basis``'s frame of S.  One step per
+    pair, each over all N Gram matrices of the current vectors: e is the first
+    vector left, f the first later one with e o f != 0, scaled to e o f = 1,
+    and every other vector v left becomes v - (v o f) e + (v o e) f."""
+    n, d = stack.shape[:2]
+    if d % 2:
+        raise ValueError("a symplectically nondegenerate subspace has even dimension")
+    gram = _gram(stack, p)  # in the stack's dtype, which holds these sums of d <= w products
+    coef, out = np.broadcast_to(np.eye(d, dtype=gram.dtype), gram.shape).copy(), np.zeros_like(gram)
+    every = np.arange(n)
+    for step in range(d // 2):
+        products = coef @ gram % p @ coef.swapaxes(1, 2) % p
+        e = coef.any(axis=2).argmax(axis=1)  # the update below zeroes every vector it has taken
+        with_e = products[every, e]  # e o v, nonzero only for vectors left after e
+        if not with_e.any(axis=1).all():
+            raise ValueError("symplectic form is degenerate on this subspace")
+        f = (with_e != 0).argmax(axis=1)
+        scale = _modlin._inv(with_e[every, f], p)
+        out[:, step], out[:, d // 2 + step] = coef[every, e], coef[every, f] * scale[:, None] % p
+        with_f = products[every, f] * scale[:, None] % p  # f o v for f scaled: v + (f o v) e - (e o v) f below
+        coef = (coef + with_f[:, :, None] * out[:, step, None] - with_e[:, :, None] * out[:, d // 2 + step, None]) % p
+    return out
+
+
 def symplectic_basis(s: Subspace) -> list[PhasePoint]:
     """A basis (s_1..s_k, w_1..w_k) whose Gram matrix is the standard form.
 
     Standard means s_i o w_j = delta_ij with both halves isotropic.  Raises
     if the form restricted to the subspace is degenerate.  The construction
-    is deterministic: it consumes the canonical basis in order.
+    is deterministic: it consumes the canonical basis in order (``_frames``).
     """
-    if s.dim % 2:
-        raise ValueError("a symplectically nondegenerate subspace has even dimension")
-    vecs = list(s.basis)
-    first: list[PhasePoint] = []
-    second: list[PhasePoint] = []
-    while vecs:
-        e = vecs.pop(0)
-        idx = next((i for i, v in enumerate(vecs) if symplectic_product(e, v)), None)
-        if idx is None:
-            raise ValueError("symplectic form is degenerate on this subspace")
-        f = vecs.pop(idx)
-        f = pow(symplectic_product(e, f), -1, s.p) * f
-        vecs = [v - symplectic_product(v, f) * e + symplectic_product(v, e) * f for v in vecs]
-        first.append(e)
-        second.append(f)
-    return first + second
+    rows = _modlin._residues(s.rows, s.p, 2 * s.m).reshape(1, s.dim, 2 * s.m)
+    frame = _frames(rows, s.p)[0] @ rows[0] % s.p
+    return [PhasePoint(s.p, s.m, tuple(row)) for row in frame.tolist()]

@@ -66,7 +66,7 @@ def weyl_mul(x: WeylMonomial, y: WeylMonomial) -> WeylMonomial:
     u, v = x.point, y.point
     u._check(v)
     cross = sum(v.coords[2 * i] * u.coords[2 * i + 1] for i in range(u.m))
-    return WeylMonomial(u + v, x.phase_exp + y.phase_exp + cross)
+    return WeylMonomial(PhasePoint(u.p, u.m, tuple(map(sum, zip(u.coords, v.coords)))), x.phase_exp + y.phase_exp + cross)
 
 
 def commutation_phase(u: PhasePoint, v: PhasePoint) -> int:

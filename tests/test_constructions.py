@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from qospread import constructions
 from qospread.cli import EXIT_BAD_INPUT, main
 from qospread.constructions import (
     INFINITY,
@@ -29,6 +28,7 @@ from qospread.constructions import (
 from helpers import frobenius_trace, literal_gf_span
 from qospread.finite_field import gf
 from qospread.phase_space import (
+    PhasePoint,
     Subspace,
     _check_index_size,
     _nonzero_lines,
@@ -284,7 +284,7 @@ def test_embed_hat_validates_inputs():
     right = pure_clock_basis()
     with pytest.raises(ValueError, match="2k"):
         embed_hat(scal(P3, 1), scal(P3, 0), frame[:1], right, P3)
-    skewed = [frame[0], 2 * frame[1]]
+    skewed = [frame[0], frame[1].__class__(3, 1, tuple(2 * c for c in frame[1].coords))]
     with pytest.raises(ValueError, match="symplectic frame"):
         embed_hat(scal(P3, 1), scal(P3, 0), skewed, right, P3)
     not_isotropic = standard_block_frame()
@@ -343,18 +343,40 @@ def pair_generators(pairs, params):
 
 @pytest.mark.parametrize("p,k,n,sample", [(3, 1, 3, None), (3, 1, 4, 150), (5, 1, 3, 150), (3, 2, 3, 150)])
 def test_kernel_rows_match_literal_embedding_and_embed_hat(p, k, n, sample):
+    """The kernel's rows are canonical and span what the literal embedding
+    spans.  INFINITY's left block is zero, not the pairs' shared one, so it
+    goes through embed_hat alone."""
     params, frames, masas, pairs = recursion_inputs(p, k, n)
+    pairs, infinity = pairs[:-1], pairs[-1]
     batches = list(_mixed_members([[pt.coords for pt in f] for f in frames],
                                   [[pt.coords for pt in r] for r in masas], pair_generators(pairs, params), params))
-    cases = list(itertools.product(range(len(frames)), range(len(masas)), range(len(pairs))))
+    cases = list(itertools.product(range(len(frames)), range(len(masas)), range(len(pairs) + 1)))
     if sample is not None:
         rng = random.Random(p * 100 + k * 10 + n)
         cases = rng.sample(cases, sample)
     m = k * n
     for i, j, q in cases:
-        (a, b), rows = pairs[q], batches[i][j, q].tolist()
-        assert rows == embed_reference(a, b, frames[i], masas[j], params)
-        assert embed_hat(a, b, frames[i], masas[j], params) == Subspace.from_generators(p, m, rows)
+        (a, b) = pairs[q] if q < len(pairs) else infinity
+        reference = Subspace.from_generators(p, m, embed_reference(a, b, frames[i], masas[j], params))
+        assert embed_hat(a, b, frames[i], masas[j], params) == reference
+        if q < len(pairs):
+            rows = tuple(map(tuple, batches[i][j, q].tolist()))
+            assert rows == reference.rows
+
+
+def test_embed_hat_at_a_61_bit_prime():
+    """The kernel's closed form on Python ints (the object dtype): random frames
+    and the pure-clock masa, against the literal embedding."""
+    p, rng = 2**61 - 1, random.Random(7)
+    for k in (1, 2):
+        params = ConstructionParams.create(p, k, 3)
+        full = Subspace.from_generators(p, k, [[rng.randrange(p) for _ in range(2 * k)] for _ in range(2 * k)])
+        frame = symplectic_basis(full)
+        masa = [PhasePoint(p, 2 * k, tuple(int(j == 2 * i + 1) for j in range(4 * k))) for i in range(2 * k)]
+        a, b = (params.field.element([rng.randrange(p) for _ in range(k)]) for _ in range(2))
+        for x, y in [(a, b), (params.field.zero(), b), (INFINITY, None)]:
+            reference = Subspace.from_generators(p, 3 * k, embed_reference(x, y, frame, masa, params))
+            assert embed_hat(x, y, frame, masa, params) == reference
 
 
 def test_kernel_rejects_skewed_frame_or_non_isotropic_masa():
@@ -368,6 +390,10 @@ def test_kernel_rejects_skewed_frame_or_non_isotropic_masa():
     with pytest.raises(ValueError, match="isotropic"):
         _mixed_members(frame_rows, masa_rows[:5] + [nondegenerate] + masa_rows[6:], pair_generators(pairs, params),
                        params)
+    with pytest.raises(ValueError, match="one left block"):  # INFINITY's left block is zero
+        _mixed_members(frame_rows, masa_rows, pair_generators(pairs, params), params)
+    assert _mixed_members(frame_rows, masa_rows, pair_generators(pairs[:-1], params), params).shape[:3] == (
+        len(frames), len(masas), len(pairs) - 1)
 
 
 # --- recursion ---------------------------------------------------------------------
@@ -466,18 +492,11 @@ def test_params_large_prime_field_is_fast_and_checks_squares():
         ConstructionParams.create(p, 1, 1, nonresidue=(4,))
 
 
-def test_params_test_only_supplied_nonresidues(monkeypatch):
-    """Euler's criterion runs once per supplied non-residue (from a caller, a file
-    or --d-override) and never again on the one find_nonresidue returned, nor on
-    parameters that replace only n."""
-    calls = []
-    euler = constructions.is_nonresidue
-    monkeypatch.setattr(constructions, "is_nonresidue", lambda a: calls.append(a) or euler(a))
+def test_params_refuse_a_square_however_made():
+    """A square is refused whether it comes through create, the constructor or
+    dataclasses.replace."""
     params = ConstructionParams.create(3, 2, 3)
-    build_recursive(params)
-    assert calls == []
     assert ConstructionParams.create(3, 2, 3, nonresidue=params.nonresidue.coords) == params
-    assert calls == [params.nonresidue]
     square = params.field.element((1, 0))
     for make in (lambda: ConstructionParams.create(3, 2, 3, nonresidue=square.coords),
                  lambda: ConstructionParams(params.field, 3, square),

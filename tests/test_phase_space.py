@@ -82,7 +82,8 @@ def test_symplectic_bilinear_random(p, m):
     for _ in range(100):
         u, w, v = rand(), rand(), rand()
         al, be = rng.randrange(p), rng.randrange(p)
-        lhs = symplectic_product(al * u + be * w, v)
+        combination = PhasePoint(p, m, tuple(al * x + be * y for x, y in zip(u.coords, w.coords)))
+        lhs = symplectic_product(combination, v)
         rhs = (al * symplectic_product(u, v) + be * symplectic_product(w, v)) % p
         assert lhs == rhs
 
@@ -692,6 +693,86 @@ def test_symplectic_basis_rejects_isotropic():
     with pytest.raises(ValueError, match="degenerate"):
         symplectic_basis(build_C(INFINITY, None, params))
 
+
+def symplectic_basis_reference(s):
+    """The frame one vector at a time, as symplectic_basis built it before the
+    batched ``_frames``: e is the first vector left, f the first later one with
+    e o f != 0, scaled to e o f = 1, and every other vector v becomes
+    v - (v o f) e + (v o e) f."""
+    if s.dim % 2:
+        raise ValueError("a symplectically nondegenerate subspace has even dimension")
+
+    def form(u, v):
+        return symplectic_product(PhasePoint(s.p, s.m, u), PhasePoint(s.p, s.m, v))
+
+    def combine(v, c, e, d, f):
+        return tuple((x + c * y + d * z) % s.p for x, y, z in zip(v, e, f))
+
+    vecs, first, second = list(s.rows), [], []
+    while vecs:
+        e = vecs.pop(0)
+        idx = next((i for i, v in enumerate(vecs) if form(e, v)), None)
+        if idx is None:
+            raise ValueError("symplectic form is degenerate on this subspace")
+        f = vecs.pop(idx)
+        f = tuple(pow(form(e, f), -1, s.p) * x % s.p for x in f)
+        vecs = [combine(v, -form(v, f), e, form(v, e), f) for v in vecs]
+        first.append(e)
+        second.append(f)
+    return first + second
+
+
+def random_nondegenerate(p, m, dims, count, seed):
+    """``count`` canonical subspaces of Z_p^{2m} of the given even dimensions
+    whose form is nondegenerate, from random generators."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        d = rng.choice(dims)
+        s = Subspace.from_generators(p, m, [[rng.randrange(p) for _ in range(2 * m)] for _ in range(d)])
+        if s.dim == d and classify_subspace(s).gram_rank == d:
+            out.append(s)
+    return out
+
+
+@functools.cache
+def frame_cases():
+    cases = {f"left{p}{k}{n + 2}": build_recursive(ConstructionParams.create(p, k, n)).subspaces()
+             for p, k, n in [(3, 1, 3), (5, 1, 1), (7, 1, 1), (3, 2, 1)]}
+    cases["members332"] = build_recursive(ConstructionParams.create(3, 3, 2)).subspaces()  # dimension 6
+    cases["random3"] = random_nondegenerate(3, 4, [2, 4, 6, 8], 300, 1)
+    cases["random2^61-1"] = random_nondegenerate(2**61 - 1, 4, [2, 4, 6, 8], 60, 2)  # the object dtype
+    return cases
+
+
+@pytest.mark.parametrize("name", ["left315", "left513", "left713", "left323", "members332", "random3", "random2^61-1"])
+def test_batched_frames_match_the_one_vector_reference(name):
+    """Per row count, one ``_frames`` call over every subspace gives each one's
+    reference frame, and ``symplectic_basis`` is its one-member view."""
+    subspaces = frame_cases()[name]
+    p, m = subspaces[0].p, subspaces[0].m
+    table = RowStacks.lists(p, 2 * m, [s.rows for s in subspaces])
+    for at, stack in table.groups:
+        frames = (phase_space._frames(stack, p) @ stack % p).tolist()
+        for i, frame in zip(at.tolist(), frames):
+            want = symplectic_basis_reference(subspaces[i])
+            assert list(map(tuple, frame)) == want
+            assert [pt.coords for pt in symplectic_basis(subspaces[i])] == want
+
+
+def test_batched_frames_refuse_odd_and_degenerate_stacks():
+    odd = Subspace.from_generators(3, 2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    isotropic = build_C(INFINITY, None, ConstructionParams.create(3, 1, 2))
+    for s, match in [(odd, "even dimension"), (isotropic, "degenerate")]:
+        stack = np.array(s.rows, dtype=np.int64)[None]
+        for frame in (symplectic_basis_reference, symplectic_basis, lambda s: phase_space._frames(stack, 3)):
+            with pytest.raises(ValueError, match=match):
+                frame(s)
+    # the second member's first pair is standard and its second, two shifts, pairs to 0
+    unit = np.eye(6, dtype=np.int64)
+    batch = np.stack([unit[:4], unit[[0, 1, 2, 4]]])
+    assert (phase_space._frames(batch[:1], 3) @ batch[0] % 3 == unit[[0, 2, 1, 3]]).all()
+    with pytest.raises(ValueError, match="degenerate"):
+        phase_space._frames(batch, 3)
 
 
 @st.composite
