@@ -30,13 +30,11 @@ manual so identical families produce identical bytes.  The writer formats
 ``CHUNK_MEMBERS`` members at a time, one ``%`` format per chunk, and writes
 chunk by chunk, so no whole-file string is built.  Reading takes two routes
 to the same ``FamilyFile``: text in exactly the writer's line format (what
-``serialize`` writes for a family without a verification block) goes
-through a line reader (one regex pass over the member blocks, one integer
+``serialize`` writes) goes through a line reader (one regex pass over the member blocks, one integer
 parse of every row entry), and any other YAML, restyled or hand-edited,
-through ``yaml.safe_load``, imported only then.  Both end in the same
-vectorised range and length checks, which name the first offending row in
-file order.  An optional ``verification`` mapping carries a
-machine-readable check summary and round-trips untouched.
+through ``yaml.safe_load``, imported only then; it reads past keys it does
+not know.  Both end in the same vectorised range and length checks, which
+name the first offending row in file order.
 """
 
 from __future__ import annotations
@@ -74,13 +72,12 @@ class FamilyFile:
     labels: list[str]
     kinds: list[str]
     rows: RowStacks
-    verification: dict | None = None
 
 
-def from_family(family: SpreadFamily, verification: dict | None = None) -> FamilyFile:
+def from_family(family: SpreadFamily) -> FamilyFile:
     params = family.params
     return FamilyFile(params.p, params.k, params.n, params.field.poly, params.nonresidue.coords,
-                      family.labels(), family.kinds(), family.rows, verification)
+                      family.labels(), family.kinds(), family.rows)
 
 
 def to_family(ff: FamilyFile) -> SpreadFamily:
@@ -189,10 +186,7 @@ def _from_document(doc) -> FamilyFile:
         if fault is not None:
             break
     rows = _rows(p, 2 * k * n, labels, counts, lengths, np.array(values, dtype=object), fault)
-    verification = doc.get("verification")
-    if verification is not None and not isinstance(verification, dict):
-        raise FamilyFormatError("verification must be a mapping")
-    return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, rows, verification)
+    return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, rows)
 
 
 _INT = r"(?:0|[1-9][0-9]*)"
@@ -266,20 +260,9 @@ def parse(text: str) -> FamilyFile:
     return ff if ff is not None else _from_document(doc)
 
 
-def _scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    text = str(value)
-    if '"' in text:
-        raise ValueError(f"cannot serialise {text!r}")
-    return f'"{text}"'
-
-
 def _text(ff: FamilyFile) -> Iterator[str]:
-    """The file text in pieces: the header, ``CHUNK_MEMBERS`` members at a time
-    (one ``%`` format of their labels, kinds and rows), the verification block."""
+    """The file text in pieces: the header, then ``CHUNK_MEMBERS`` members at a
+    time (one ``%`` format of their labels, kinds and rows)."""
     quoted = next((label for label in ff.labels if '"' in label), None)
     if quoted is not None:
         raise ValueError(f"cannot serialise {quoted!r}")
@@ -298,8 +281,6 @@ def _text(ff: FamilyFile) -> Iterator[str]:
         args[heads], args[heads + 1] = ff.labels[a : a + len(part)], ff.kinds[a : a + len(part)]
         args[body] = rows[ends[a] - part[0] : ends[a + len(part) - 1]].ravel()
         yield "".join(map(formats.__getitem__, part.tolist())) % tuple(args.tolist())
-    if ff.verification is not None:
-        yield "verification:\n" + "".join(f"  {key}: {_scalar(value)}\n" for key, value in ff.verification.items())
 
 
 def serialize(ff: FamilyFile) -> str:

@@ -48,14 +48,3 @@ class VerificationReport:
         if len(self.failures) > 20:
             lines.append(f"  ... and {len(self.failures) - 20} more failures")
         return "\n".join(lines)
-
-    def summary(self) -> dict:
-        """Machine-readable form for the family-file verification block."""
-        out: dict = {"passed": self.passed, "checks": self.checks_run}
-        if self.max_residual is not None:
-            out["max_residual"] = float(self.max_residual)
-        if self.covered is not None:
-            out["covered"] = self.covered
-            out["expected"] = self.expected
-        out["failures"] = len(self.failures)
-        return out

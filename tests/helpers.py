@@ -41,14 +41,14 @@ def literal_gf_span(generators) -> Subspace:
     return Subspace.from_generators(field.p, 2 * field.k, rows)
 
 
-def file_of(p, k, n, poly, nonresidue, members, verification=None) -> family_io.FamilyFile:
+def file_of(p, k, n, poly, nonresidue, members) -> family_io.FamilyFile:
     """The family file of (label, kind, rows) members, whose rows may be any integer sequences."""
     labels, kinds, rows = zip(*members)
     return family_io.FamilyFile(p, k, n, tuple(poly), tuple(nonresidue), list(labels), list(kinds),
-                                RowStacks.lists(p, 2 * k * n, rows), verification)
+                                RowStacks.lists(p, 2 * k * n, rows))
 
 
 def with_rows(ff: family_io.FamilyFile, edits: dict) -> family_io.FamilyFile:
     """A copy of a family file whose members at the keys of ``edits`` store the given rows."""
     rows = [edits.get(i, matrix) for i, matrix in enumerate(ff.rows.split())]
-    return file_of(ff.p, ff.k, ff.n, ff.poly, ff.nonresidue, zip(ff.labels, ff.kinds, rows), ff.verification)
+    return file_of(ff.p, ff.k, ff.n, ff.poly, ff.nonresidue, zip(ff.labels, ff.kinds, rows))

@@ -37,14 +37,14 @@ def test_serialize_parse_serialize_is_identity(spread3):
 
 
 def test_round_trip_with_verification_block(spread3):
-    from qospread.verify import verify_qo_numeric
-
-    summary = verify_qo_numeric(spread3).summary()
-    assert summary["passed"] is True and summary["checks"] == 45
-    ff = family_io.from_family(spread3, verification=summary)
-    back = family_io.parse(family_io.serialize(ff))
-    assert back.verification == summary
-    assert family_io.serialize(back) == family_io.serialize(ff)
+    """A file that still ends in the verification block earlier writers
+    appended is read past it: the line reader declines the text, and the YAML
+    route ignores keys it does not know."""
+    text = family_io.serialize(family_io.from_family(spread3))
+    block = "verification:\n  passed: true\n  checks: 45\n  max_residual: 0.0\n  failures: 0\n"
+    back = family_io.parse(text + block)
+    assert family_io.serialize(back) == text
+    assert family_io.to_family(back).rows == spread3.rows
 
 
 def test_masa_family_round_trips():
