@@ -100,12 +100,19 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     k candidates past ``COUNTED`` are tested whatever p is (about one monic
     polynomial in k is irreducible).  Returns (c_0, ..., c_{k-1}), the monic
     x^k term implicit; for k = 1 this is f(x) = x, i.e. (0,).
+
+    For p >= ``COUNTED`` the counted candidates are the binomials x^k + j, and
+    none is irreducible when a prime factor of k does not divide p - 1, or
+    when 4 | k and p = 3 mod 4 (Lidl & Niederreiter, Theorem 3.75): the search
+    then starts at the hashed candidates, with the same result.
     """
     require_odd_prime(p)
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     size = (p**k).bit_length() // 8 + 8  # digest bytes: the bias mod p^k stays below 2^-64
-    for j in itertools.count():
+    primes = [r for r in range(2, k + 1) if k % r == 0 and all(r % q for q in range(2, r))]
+    counted = p < COUNTED or all((p - 1) % r == 0 for r in primes) and not (k % 4 == 0 and p % 4 == 3)
+    for j in itertools.count(0 if counted else COUNTED):
         if j == COUNTED:
             import hashlib  # only here: importing it maps OpenSSL, about 3.5 MB of resident memory
         idx = j if j < COUNTED else int.from_bytes(hashlib.shake_256(f"{p},{k},{j}".encode()).digest(size), "big")

@@ -163,6 +163,37 @@ def test_find_irreducible_past_the_counted_candidates():
     assert low == _hashed_candidate(p, k, first)
 
 
+def find_irreducible_unskipped(p, k):
+    """The search from candidate 0 whatever p and k are: the counted candidates
+    j in base p, then the hashed ones."""
+    for j in itertools.count():
+        low = tuple(j // p**i % p for i in range(k)) if j < COUNTED else _hashed_candidate(p, k, j)
+        if _is_irreducible(low, p):
+            return low
+
+
+def binomials_reducible(p, k):
+    """Lidl & Niederreiter, Theorem 3.75: no x^k + c over Z_p is irreducible when
+    a prime factor of k does not divide p - 1, or when 4 | k and p = 3 mod 4."""
+    primes = [r for r in range(2, k + 1) if k % r == 0 and all(r % q for q in range(2, r))]
+    return any((p - 1) % r for r in primes) or (k % 4 == 0 and p % 4 == 3)
+
+
+SKIPPED = [(p, k) for p in (257, 263, 269, 271, 277, 281, 283, 293, 307, 311, 313, 317, 331, 337, 347, 349, 353)
+           for k in range(2, 10) if binomials_reducible(p, k)]
+
+
+def test_skipping_the_counted_binomials_keeps_every_polynomial():
+    """Where the theorem rules out every counted binomial, the search that skips
+    them returns what the search from candidate 0 returns; k = 2 never skips."""
+    assert len(SKIPPED) == 69
+    for p, k in SKIPPED:
+        assert find_irreducible(p, k) == find_irreducible_unskipped(p, k), (p, k)
+    for p, k in [(257, 4), (313, 4), (337, 2)]:  # the theorem allows a binomial, and each finds one
+        assert not binomials_reducible(p, k) and find_irreducible(p, k) == find_irreducible_unskipped(p, k)
+    assert not binomials_reducible(2**61 - 1, 2) and find_irreducible(2**61 - 1, 2) == (1, 0)
+
+
 def test_find_irreducible_needs_few_candidates_whatever_p_is():
     # a scan with c_0 fastest would test about p candidates at each of these
     start = time.perf_counter()
