@@ -21,8 +21,9 @@ Every layer is batched integer linear algebra in ``_modlin._dtype`` (exact at
 every p), the symplectic-tableau view of Aaronson & Gottesman (PRA 70,
 052328, 2004): the GF coordinates of all generator pairs of the two-block
 spread (``build_C``, ``build_D``: one member) or of the mixed members go
-through one array-valued pi1, then one elimination: per member, or for the
-mixed members, per left frame (``_frames``), in closed form.
+through one array-valued pi1, then one elimination: of every member, or for
+the mixed members of every left frame, whose rows then follow in closed form
+(``_mixed_members``); the frames come from one batched ``_frames``.
 
 All builders are deterministic: field elements enumerate in base-p counting
 order, labels encode the construction path, and subspaces canonicalise, so

@@ -30,11 +30,11 @@ manual so identical families produce identical bytes.  The writer formats
 ``CHUNK_MEMBERS`` members at a time, one ``%`` format per chunk, and writes
 chunk by chunk, so no whole-file string is built.  Reading takes two routes
 to the same ``FamilyFile``: text in exactly the writer's line format (what
-``serialize`` writes) goes through a line reader (one regex pass over the member blocks, one integer
-parse of every row entry), and any other YAML, restyled or hand-edited,
-through ``yaml.safe_load``, imported only then; it reads past keys it does
-not know.  Both end in the same vectorised range and length checks, which
-name the first offending row in file order.
+``serialize`` writes) goes through a line reader (one regex pass over the
+member blocks, one integer parse of every row entry), and any other YAML,
+restyled or hand-edited, through ``yaml.safe_load``, imported only then; it
+reads past keys it does not know.  Both end in the same vectorised range and
+length checks, which name the first offending row in file order.
 """
 
 from __future__ import annotations

@@ -356,7 +356,7 @@ def test_kernel_rows_match_literal_embedding_and_embed_hat(p, k, n, sample):
         cases = rng.sample(cases, sample)
     m = k * n
     for i, j, q in cases:
-        (a, b) = pairs[q] if q < len(pairs) else infinity
+        a, b = pairs[q] if q < len(pairs) else infinity
         reference = Subspace.from_generators(p, m, embed_reference(a, b, frames[i], masas[j], params))
         assert embed_hat(a, b, frames[i], masas[j], params) == reference
         if q < len(pairs):
