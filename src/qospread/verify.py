@@ -25,6 +25,8 @@ bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 
 import numpy as np
 
@@ -299,8 +301,10 @@ def check_mub_overlaps(
 
     One check per basis (orthonormality) and one per pair of bases.  For each
     basis U_i a single product U_i^* [U_i U_{i+1} ... U_{N-1}] gives its Gram
-    block and the overlaps with every later basis; orthonormality failures are
-    listed first, then pair failures in (i, j) order.
+    block and the overlaps with every later basis.  Row i goes to worker i mod w
+    of one thread per CPU the process may run on (numpy releases the GIL in the
+    product and in |z|); rows merge in index order, orthonormality failures
+    first, then pair failures in (i, j) order, with the bits of one thread.
     """
     if not bases:
         raise ValueError("no bases to check")
@@ -308,19 +312,34 @@ def check_mub_overlaps(
     d = bases[0].shape[0]
     eye = np.eye(d)
     columns = np.concatenate(bases, axis=1)  # basis j in columns j*d .. (j+1)*d - 1
-    worst = 0.0
-    own_failures, pair_failures = [], []
-    for i, u in enumerate(bases):
-        blocks = (u.conj().T @ columns[:, i * d:]).reshape(d, len(bases) - i, d)
-        resid = float(np.abs(blocks[:, 0] - eye).max())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers, rows, errors = min(cpus, len(bases)), [None] * len(bases), []
+
+    def work(first: int) -> None:
+        try:
+            for i in range(first, len(bases), workers):
+                blocks = (bases[i].conj().T @ columns[:, i * d:]).reshape(d, len(bases) - i, d)
+                rows[i] = float(np.abs(blocks[:, 0] - eye).max()), _unbiasedness(np.abs(blocks)[:, 1:], d)
+        except BaseException as exc:  # re-raised in the calling thread once every worker is joined
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    worst, own_failures, pair_failures = 0.0, [], []
+    for i, (resid, pair_resid) in enumerate(rows):
         worst = float(np.maximum(worst, resid))
         if not resid <= tol:
             own_failures.append((labels[i], f"not orthonormal: residual {resid:.3e}"))
-        resid = _unbiasedness(np.abs(blocks)[:, 1:], d)  # one per later basis; |z| in one contiguous pass
-        worst = float(np.max(resid, initial=worst))  # NaN-propagating, like np.maximum
-        for j in np.flatnonzero(~(resid <= tol)).tolist():
+        worst = float(np.max(pair_resid, initial=worst))  # NaN-propagating, like np.maximum
+        for j in np.flatnonzero(~(pair_resid <= tol)).tolist():
             pair_failures.append(
-                (f"{labels[i]} & {labels[i + 1 + j]}", f"unbiasedness residual {resid[j]:.3e}")
+                (f"{labels[i]} & {labels[i + 1 + j]}", f"unbiasedness residual {pair_resid[j]:.3e}")
             )
     checks = len(bases) * (len(bases) + 1) // 2
     failures = own_failures + pair_failures

@@ -103,7 +103,7 @@ print(NumpySpy.seen)
 
 @pytest.mark.parametrize("entry", ["module", "script"])
 @pytest.mark.parametrize("command,threads", [
-    ("generate", "1"), ("verify", "1"), ("example", "1"), ("mub", None), ("--help", None),
+    ("generate", "1"), ("verify", "1"), ("example", "1"), ("mub", "1"), ("--help", None),
 ])
 def test_cli_sets_blas_threads_before_numpy_loads(entry, command, threads):
     assert _python(NUMPY_IMPORT_SPY, entry, command) == f"{[threads]}\n"
@@ -111,9 +111,10 @@ def test_cli_sets_blas_threads_before_numpy_loads(entry, command, threads):
 
 @pytest.mark.parametrize("entry", ["module", "script"])
 def test_cli_keeps_the_callers_blas_threads(entry):
-    assert _python(NUMPY_IMPORT_SPY, entry, "generate", OPENBLAS_NUM_THREADS="2") == "['2']\n"
+    for command in ("generate", "mub"):
+        assert _python(NUMPY_IMPORT_SPY, entry, command, OPENBLAS_NUM_THREADS="2") == "['2']\n"
 
 
-@pytest.mark.parametrize("command", ["generate", "verify", "example"])
+@pytest.mark.parametrize("command", ["generate", "verify", "example", "mub"])
 def test_cli_leaves_blas_threads_to_other_programs(command):
     assert _python(NUMPY_IMPORT_SPY, "importer", command) == "[None]\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import threading
 import time
 import tracemalloc
 
@@ -702,6 +703,61 @@ def test_mub_overlaps_non_finite_basis_fails(bad):
     assert [who for who, _ in rep.failures] == ["basis 1", "basis 0 & basis 1"]
     assert np.isnan(rep.max_residual)
     assert "max_residual=nan" in rep.describe()
+
+
+def _pin_cpus(monkeypatch, workers):
+    """Make check_mub_overlaps see ``workers`` CPUs, and list the threads it starts."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(verify.threading, "Thread", Thread)
+    return started
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_mub_overlaps_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    """Rows dealt to 1, 2 or 5 threads merge into the per-pair loop's checks and
+    failures, in its order, and into the serial loop's report bit for bit."""
+    started = _pin_cpus(monkeypatch, workers)
+    d81 = extract_mub_bases(build_masa_spread(ConstructionParams.create(3, 2, 2)))
+    d81[81], d81[60], d81[45] = d81[2], d81[30], 2 * d81[45]  # failing pairs in rows 2, 30, 0 .. 45
+    for bases, failing in ((d81, 84), (_perturbed_bases(np.random.default_rng(24)), 50)):
+        labels = [f"B{i}" for i in range(len(bases))]
+        rep = check_mub_overlaps(bases, 1e-9, labels)
+        checks, failures, _ = _overlaps_per_pair(bases, 1e-9, labels)
+        assert rep.checks_run == checks
+        assert [who for who, _ in rep.failures] == [who for who, _ in failures] and len(failures) == failing
+        failures, worst = _entrywise_overlap_check(bases, 1e-9, labels)
+        assert rep.failures == failures
+        assert np.float64(rep.max_residual).view(np.int64) == np.float64(worst).view(np.int64)
+    assert len(started) == 2 * (workers - 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("row", [0, 1])
+def test_mub_overlaps_raise_what_a_worker_raises(monkeypatch, workers, row):
+    """An exception in any row, in the calling thread or another, reaches the
+    caller only once every thread has ended, however long the other rows take."""
+    _pin_cpus(monkeypatch, workers)
+    unbiasedness = verify._unbiasedness
+
+    def fail_on_one_row(size, d):  # row i of ten bases has 9 - i later ones
+        if size.shape[1] == 9 - row:
+            raise RuntimeError(f"row {row}")
+        time.sleep(0.02)
+        return unbiasedness(size, d)
+
+    monkeypatch.setattr(verify, "_unbiasedness", fail_on_one_row)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"row {row}"):
+        check_mub_overlaps(extract_mub_bases(build_masa_spread(P3)))
+    assert threading.active_count() == before
 
 
 def test_projector_trace_equals_overlap_squared():
