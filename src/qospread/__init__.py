@@ -19,7 +19,7 @@ _HOME = {name: module for module, names in {
                       "build_C", "build_D", "build_masa_spread", "build_recursive", "build_spread_2", "embed_hat",
                       "expected_count"),
     "finite_field": ("FieldSpec", "GFElement", "field_trace", "find_irreducible", "find_nonresidue",
-                     "format_element", "gf", "gf_inv", "gf_mul", "trace_dual_basis"),
+                     "format_element", "gf", "trace_dual_basis"),
     "phase_space": ("GFPhasePoint", "PhasePoint", "Subspace", "check_pairwise_trivial", "check_partition",
                     "classify_subspace", "gf_symplectic", "pi1", "span_enumerate", "symplectic_basis",
                     "symplectic_product"),

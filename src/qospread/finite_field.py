@@ -319,16 +319,6 @@ class GFElement:
         return format_element(self)
 
 
-def gf_mul(a: GFElement, b: GFElement) -> GFElement:
-    """Exact product in GF(p^k); rejects mixed-field inputs."""
-    return a * b
-
-
-def gf_inv(a: GFElement) -> GFElement:
-    """Multiplicative inverse; raises ZeroDivisionError on 0."""
-    return a.inverse()
-
-
 def field_trace(a: GFElement) -> int:
     """The trace Tr(a) = a + a^p + ... + a^{p^{k-1}} = sum_i a_i Tr(t^i), a value in Z_p.
 
