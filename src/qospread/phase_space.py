@@ -41,9 +41,9 @@ arrays, so points with two or more owners sit next to each other and the
 distinct lines are counted in passing, p - 1 nonzero points each.  The
 normalised point of a line is its smallest, so each witness is the smallest
 shared point.  Members too large to enumerate are compared by rank, and the
-partition then goes unchecked; an index above ``INDEX_LIMIT`` lines is refused
-before any span is built.  All of it is exact integer combinatorics, with no
-floating point.
+partition then goes unchecked; an index above ``INDEX_LIMIT`` lines, or rank
+tests above ``RANK_LIMIT``, are refused before any span is built.  All of it
+is exact integer combinatorics, with no floating point.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .report import VerificationReport, _power
 
 SPAN_LIMIT = 10**6
 INDEX_LIMIT = 2**23  # lines in one ownership index, 51-70 bytes each (width 8-14) while it is built and sorted
+RANK_LIMIT = 2**30  # rank-test work, (2r + 4)^2 * width a pair (16 times that in Python ints): about 20 ns a unit
 MAX_LISTED_PAIRS = 1000
 
 NONDEGENERATE = "nondegenerate"
@@ -445,9 +446,11 @@ def _disjointness(
     members (a table of canonical echelon bases) at or below ``SPAN_LIMIT``,
     refused past ``INDEX_LIMIT`` lines before any span is built; pairs with a
     larger member get a rank test, and the partition report is then None (also
-    when empty).  The rank tests take one first member at a time, in pair order,
-    with its later partners (all of them if it is above the limit, else those
-    above it) in one elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
+    when empty).  The rank tests are refused past ``RANK_LIMIT``, counted from
+    the row counts (r the most rows of a member), before any elimination.  They
+    take one first member at a time, in pair order, with its later partners
+    (all of them if it is above the limit, else those above it) in one
+    elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
 
     Members are subspaces, so two share a nonzero point exactly when they share
     its line, and the index holds one point per line.  Each pair of owners of a
@@ -460,10 +463,14 @@ def _disjointness(
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
     _check_index_size(_index_lines(rows))
+    big = np.flatnonzero(~_enumerable(p, rows.counts))
+    pairs = len(big) * (n - 1) - len(big) * (len(big) - 1) // 2
+    work = pairs * (2 * int(rows.counts.max(initial=0)) + 4) ** 2 * rows.width * (16 if rows.rows.dtype == object else 1)
+    if work > RANK_LIMIT:
+        raise ValueError(f"the rank tests of {pairs} member pairs would take {work} steps, above the limit {RANK_LIMIT}")
     index = _owners(rows)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}
-    big = np.flatnonzero(~_enumerable(p, rows.counts))
     oversize, meets = set(big.tolist()), []  # meets: the pairs whose stacked rows are dependent
     for i in range(big[-1] + 1 if len(big) else 0):
         if len(meets) > MAX_LISTED_PAIRS:

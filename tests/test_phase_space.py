@@ -375,6 +375,41 @@ def test_oversize_members_fall_back_to_rank_test():
         check_partition([])
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work past a refusal")
+
+
+def test_rank_tests_past_the_limit_are_refused_before_any_elimination(monkeypatch):
+    """p=1009: 3,000 copies of one plane of 1,018,081 points, a table as cheap to
+    build as its 4,498,500 pairs are costly to rank-test ((2*2 + 4)^2 * 4 = 256
+    steps each, past ``RANK_LIMIT``): refused with no index and no elimination."""
+    table = RowStacks.of(1009, 4, np.full(3000, 2), np.tile([[1, 0, 0, 0], [0, 1, 0, 0]], (3000, 1)))
+    monkeypatch.setattr(_modlin, "rref_stack", _no_work)
+    monkeypatch.setattr(phase_space, "_owners", _no_work)
+    with pytest.raises(ValueError, match="^the rank tests of 4498500 member pairs would take 1151616000 steps, "
+                                         "above the limit 1073741824$"):
+        phase_space._disjointness(table)
+
+
+@pytest.mark.parametrize("p,pairs,weight", [(1009, 9, 1), (2**63 + 29, 10, 16)], ids=["int32", "object"])
+def test_rank_limit_counts_pairs_rows_and_width(monkeypatch, p, pairs, weight):
+    """Three planes and two lines of Z_p^4, all pairwise disjoint.  At p = 1009
+    the planes are above ``SPAN_LIMIT`` and the lines not, so 9 pairs have a
+    big member; past int64 products all 10 do, and each costs 16 times as
+    much.  A pair costs (2r + 4)^2 w for the most rows r = 2 and width w = 4:
+    the work at the limit is admitted, and one step less of limit refuses it."""
+    members = [[(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)], [(1, 0, 1, 0), (0, 1, 0, 1)],
+               [(1, 0, 2, 0)], [(1, 1, 2, 3)]]
+    table = RowStacks.lists(p, 4, members)
+    work = pairs * 8**2 * 4 * weight
+    monkeypatch.setattr(phase_space, "RANK_LIMIT", work)
+    assert phase_space._disjointness(table)[0].passed
+    monkeypatch.setattr(phase_space, "RANK_LIMIT", work - 1)
+    with pytest.raises(ValueError, match=f"^the rank tests of {pairs} member pairs would take {work} steps, "
+                                         f"above the limit {work - 1}$"):
+        phase_space._disjointness(table)
+
+
 def _rank_fallback_reference(subs):
     """The pairwise failures as the rank fallback listed them, one rank test and
     one witness per pair, for a family in which every pair has a member above
