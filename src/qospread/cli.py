@@ -81,21 +81,15 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except UnicodeDecodeError as exc:
-        print(f"error: malformed family file: not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        ff = family_io.parse(text)
+        ff = family_io.load(args.path)
         if args.mode != "numeric":  # a span has at most (p^rows - 1)/(p - 1) lines: refuse before any elimination
             phase_space._check_index_size(phase_space._index_lines(ff.rows))
         else:  # the dimension is the header's: refuse before the field
             verify._numeric_dim(ff.p, ff.k * ff.n)
         family = family_io.to_family(ff)
+    except OSError as exc:
+        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
+        return EXIT_IO
     except family_io.FamilyFormatError as exc:
         print(f"error: malformed family file: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -103,10 +97,9 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    ok = True
     bad_rows = family_io.noncanonical_members(ff)
+    ok = not bad_rows
     if bad_rows:
-        ok = False
         print(f"integrity: FAIL ({len(bad_rows)} members with non-canonical rows)")
         for label, detail in bad_rows[:10]:
             print(f"  {label}: {detail}")

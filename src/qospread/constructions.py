@@ -26,8 +26,9 @@ the mixed members of every left frame, whose rows then follow in closed form
 (``_mixed_members``); the frames come from one batched ``_frames``.
 
 All builders are deterministic: field elements enumerate in base-p counting
-order, labels encode the construction path, and subspaces canonicalise, so
-identical parameters reproduce identical families byte for byte.
+order, labels encode the construction path (and so are distinct, and keep
+``family_io``'s label rule), and subspaces canonicalise, so identical
+parameters reproduce identical families byte for byte.
 """
 
 from __future__ import annotations
@@ -114,22 +115,19 @@ class SpreadFamily:
 
     The members are held as arrays: a label list, a kind list and the table
     ``rows`` of their canonical echelon bases; ``members`` gives
-    ``FamilyMember`` views, built on first access.  ``complete`` records
-    whether the family claims the maximal member count (p^{2kn}-1)/(p^{2k}-1);
-    builders always produce complete families, while hand-assembled test
-    families may opt out.
+    ``FamilyMember`` views, built on first access.  Labels are not checked
+    here: the builders' are distinct by construction, and a file's have passed
+    its reader (``family_io``).
     """
 
-    def __init__(self, params: ConstructionParams, members=(), complete: bool = True, *,
-                 labels: list[str] | None = None, kinds: list[str] | None = None, rows: RowStacks | None = None):
+    def __init__(self, params: ConstructionParams, members=(), *, labels: list[str] | None = None,
+                 kinds: list[str] | None = None, rows: RowStacks | None = None):
         """From ``FamilyMember`` records, or from labels, kinds and a table of canonical rows."""
         if rows is None:
             members = list(members)
             labels, kinds = [m.label for m in members], [m.kind for m in members]
             rows = RowStacks.lists(params.p, 2 * params.ambient_factors, [m.subspace.rows for m in members])
-        if len(set(labels)) != len(labels):
-            raise ValueError("member labels must be unique")
-        self.params, self._labels, self._kinds, self.rows, self.complete = params, labels, kinds, rows, complete
+        self.params, self._labels, self._kinds, self.rows = params, labels, kinds, rows
 
     @cached_property
     def members(self) -> list[FamilyMember]:
@@ -345,7 +343,7 @@ def build_recursive(params: ConstructionParams) -> SpreadFamily:
     pairs = [f"a={x},b={y}]" for x in names for y in names][1:]  # (a, b) != (0, 0)
     tails = [f"C={j}|{pair}" for j in range(len(masas.rows)) for pair in pairs]
     labels = ([f"{label}⊗I" for label in left.labels()] + [f"I⊗{label}" for label in right.labels()]
-              + [f"B[A={i}|{tail}" for i in range(len(frames)) for tail in tails])
+              + [head + tail for head in map("B[A={}|".format, range(len(frames))) for tail in tails])
     rows = [np.pad(left.rows.rows, ((0, 0), (0, 4 * k))), np.pad(right.rows.rows, ((0, 0), (2 * k * (n - 2), 0))),
             mixed.rows]  # zero columns keep the left and right rows canonical
     counts = np.concatenate([left.rows.counts, right.rows.counts, mixed.counts])

@@ -31,15 +31,18 @@ manual so identical families produce identical bytes.  The writer formats
 chunk by chunk, so no whole-file string is built.  Reading takes two routes
 to the same ``FamilyFile``: text in exactly the writer's line format (what
 ``serialize`` writes) goes through a line reader (one regex pass over the
-member blocks, one integer parse of every row entry), and any other YAML,
-restyled or hand-edited, through ``yaml.safe_load``, imported only then; it
-reads past keys it does not know.  Both end in the same vectorised range and
-length checks, which name the first offending row in file order.
+member blocks, one integer parse of every row entry), and any other YAML of
+at most ``YAML_LIMIT`` characters, restyled or hand-edited, through
+``yaml.safe_load``, imported only then; it reads past keys it does not know.
+Both end in the same vectorised range and length checks, which name the
+first offending row in file order.  The writer refuses, and the line reader
+declines, labels that break the one label rule (``_keeps_label_rule``).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -51,6 +54,7 @@ from .phase_space import RowStacks, _canonical
 
 FORMAT_VERSION = 1
 CHUNK_MEMBERS = 256  # members per write
+YAML_LIMIT = 2**22  # characters PyYAML may read: about 10 s and 140 MB a MB of family text
 
 _KINDS = (MATRIX_ALGEBRA, MASA)
 
@@ -88,11 +92,8 @@ def to_family(ff: FamilyFile) -> SpreadFamily:
         params = ConstructionParams.create(ff.p, ff.k, ff.n, poly=ff.poly, nonresidue=ff.nonresidue)
     except (ValueError, ZeroDivisionError) as exc:
         raise FamilyFormatError(f"invalid construction parameters: {exc}") from exc
-    try:
-        rows = ff.rows if ff.rows.canonical.all() else _canonical(ff.rows)
-        return SpreadFamily(params, labels=list(ff.labels), kinds=list(ff.kinds), rows=rows)
-    except ValueError as exc:
-        raise FamilyFormatError(str(exc)) from exc
+    rows = ff.rows if ff.rows.canonical.all() else _canonical(ff.rows)
+    return SpreadFamily(params, labels=list(ff.labels), kinds=list(ff.kinds), rows=rows)
 
 
 def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
@@ -103,6 +104,15 @@ def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
     and would be invisible to the set-theoretic checks."""
     return [(ff.labels[i], "rows are not the canonical basis of their span")
             for i in np.flatnonzero(~ff.rows.canonical).tolist()]
+
+
+def _keeps_label_rule(labels: list[str]) -> bool:
+    """The one label rule: every label is non-empty and printable, holds no ``"`` and no ``\\``, and comes
+    once.  The text tests run on the sorted labels joined with a ``"`` after each (no set: 8 bytes a label)."""
+    ordered = sorted(labels)
+    joined = '"'.join([*ordered, ""])
+    return (all(labels) and joined.isprintable() and joined.count('"') == len(labels) and "\\" not in joined
+            and not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None))))
 
 
 def _is_ints(values) -> bool:
@@ -208,8 +218,8 @@ def _ints(row: str) -> list[int]:
 
 def _own_format(text: str) -> FamilyFile | None:
     """The ``FamilyFile`` of text in exactly the writer's layout (no
-    verification block, distinct printable labels without quotes or
-    backslashes, plain decimal integers), checked as the YAML route checks it;
+    verification block, labels that keep the label rule, plain decimal
+    integers), checked as the YAML route checks it;
     None for any other text.  Every integer is converted before any check, as
     YAML constructs the whole document first.  ``strtoull`` saturates at
     2^64 - 1, so a saturated entry sends the rows to an exact Python-int
@@ -218,8 +228,7 @@ def _own_format(text: str) -> FamilyFile | None:
     blocks = _MEMBER.findall(text, head.end()) if head else []
     labels, kinds, texts = (list(column) for column in zip(*blocks)) if blocks else ([], [], [])
     tiled = len(_MEMBER_HEAD % ("", "")) * len(blocks) + sum(map(len, labels + kinds + texts))  # no gap between blocks
-    if (head is None or tiled != len(text) - head.end() or not all(map(str.isprintable, labels))
-            or not all(labels) or len(set(labels)) < len(labels)):
+    if head is None or tiled != len(text) - head.end() or not _keeps_label_rule(labels):
         return None
     version, p, k, n, poly, nonresidue = head.groups()
     doc = {"format_version": int(version), "p": int(p), "k": int(k), "n": int(n),
@@ -250,6 +259,8 @@ def _load_yaml(text: str):
 def parse(text: str) -> FamilyFile:
     try:
         ff = _own_format(text)
+        if ff is None and len(text) > YAML_LIMIT:  # refused before PyYAML is imported
+            raise FamilyFormatError(f"{len(text)} characters out of the writer's layout, above the limit {YAML_LIMIT}")
         doc = _load_yaml(text) if ff is None else None
     except FamilyFormatError:
         raise
@@ -262,10 +273,10 @@ def parse(text: str) -> FamilyFile:
 
 def _text(ff: FamilyFile) -> Iterator[str]:
     """The file text in pieces: the header, then ``CHUNK_MEMBERS`` members at a
-    time (one ``%`` format of their labels, kinds and rows)."""
-    quoted = next((label for label in ff.labels if '"' in label), None)
-    if quoted is not None:
-        raise ValueError(f"cannot serialise {quoted!r}")
+    time (one ``%`` format of their labels, kinds and rows), once the labels keep the label rule."""
+    if not _keeps_label_rule(ff.labels):
+        bad = next((label for label in ff.labels if not _keeps_label_rule([label])), None)
+        raise ValueError(f"cannot serialise the label {bad!r}" if bad is not None else "cannot serialise repeated labels")
     yield (f"format_version: {FORMAT_VERSION}\np: {ff.p}\nk: {ff.k}\nn: {ff.n}\n"
            f"poly: [{', '.join(map(str, ff.poly))}]\nnonresidue: [{', '.join(map(str, ff.nonresidue))}]\nmembers:\n")
     width, counts, rows = ff.rows.width, ff.rows.counts, ff.rows.rows
@@ -294,4 +305,8 @@ def save(ff: FamilyFile, path) -> None:
 
 def load(path) -> FamilyFile:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise FamilyFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse(text)

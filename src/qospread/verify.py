@@ -68,16 +68,15 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
 
     The first passes iff all pairwise intersections are trivial, every
     matrix-algebra member is nondegenerate of dimension 2k (hence spans a
-    copy of M_{p^k}), every masa member is isotropic of dimension 2k, and —
-    for families that claim completeness — the member count meets the
-    dimension bound.  The second, from the same scan of the point-ownership
-    index, is ``phase_space.check_partition``'s report, or None when a member
-    is too large to enumerate.
+    copy of M_{p^k}), every masa member is isotropic of dimension 2k, and the
+    member count meets the dimension bound, its failure listed last.  The
+    second, from the same scan of the point-ownership index, is
+    ``check_partition``'s report, or None when a member is too large to enumerate.
     """
     labels, kinds = family.labels(), family.kinds()
     pairs, partition = _disjointness(family.rows, labels)
     failures = list(pairs.failures)
-    checks = pairs.checks_run + len(labels)
+    checks = pairs.checks_run + len(labels) + 1  # the last one the member count
     dim_want = 2 * family.params.k
     dims, ranks = family.rows.counts, _gram_ranks(family.rows)
     algebra = np.array([kind == MATRIX_ALGEBRA for kind in kinds], dtype=bool)
@@ -88,13 +87,11 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
              f"{kinds[i]} member classified {_kind(ranks[i], dims[i])} (gram rank {ranks[i]}, "
              f"dim {dims[i]}, want {want} of dim {dim_want})")
         )
-    if family.complete:
-        checks += 1
-        p, k, n = family.params.p, family.params.k, family.params.n
-        want_count = (expected_count(p, k, n) if isinstance(_power(p, 2 * k * (n - 1)), int)  # p^{2k(n-1)} <= count
-                      else f"({p}^{2 * k * n} - 1)/({p}^{2 * k} - 1)")  # text, which no count equals: no power built
-        if len(labels) != want_count:
-            failures.append(("family", f"{len(labels)} members, expected {want_count}"))
+    p, k, n = family.params.p, family.params.k, family.params.n
+    want_count = (expected_count(p, k, n) if isinstance(_power(p, 2 * k * (n - 1)), int)  # p^{2k(n-1)} <= count
+                  else f"({p}^{2 * k * n} - 1)/({p}^{2 * k} - 1)")  # text, which no count equals: no power built
+    if len(labels) != want_count:
+        failures.append(("family", f"{len(labels)} members, expected {want_count}"))
     return VerificationReport(checks_run=checks, failures=failures), partition
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -326,8 +327,42 @@ def test_verify_non_utf8_file_is_malformed(family_path, capsys):
     family_path.write_bytes(family_path.read_bytes().replace(b"p: 3", b"p: \xff", 1))
     code, out, err = run(capsys, "verify", str(family_path))
     assert code == EXIT_BAD_INPUT
-    assert err.startswith("error: malformed family file: not UTF-8 text")
+    assert err == ("error: malformed family file: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                   "position 21: invalid start byte\n")
     assert out == ""
+
+
+def test_verify_refuses_a_large_file_out_of_layout_before_yaml(tmp_path, capsys, monkeypatch):
+    """p=3, n=6 (a 10 MB file) with one row entry made -1: the line reader
+    declines it, and past ``YAML_LIMIT`` characters it is refused, not read by
+    PyYAML (which took 105 s and 1.5 GB on it)."""
+    path = tmp_path / "n6.yaml"
+    assert run(capsys, "generate", "--p", "3", "--n", "6", "--out", str(path))[0] == EXIT_OK
+    text = path.read_text().replace("  - [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n",
+                                    "  - [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n", 1)
+    assert "-1" in text and len(text) > family_io.YAML_LIMIT
+    path.write_text(text)
+    monkeypatch.setattr(family_io, "_load_yaml", mock.Mock(side_effect=AssertionError("PyYAML was called")))
+    code, out, err = run(capsys, "verify", str(path), "--mode", "symbolic")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == (f"error: malformed family file: {len(text)} characters out of the writer's layout, above the "
+                   f"limit {2**22}\n")
+
+
+def test_verify_refuses_rank_tests_past_the_limit(tmp_path, capsys, monkeypatch):
+    """3,000 members at p = 1009, each the same plane of 1,018,081 points: the
+    rank tests of every pair are refused (exit 2) before any elimination."""
+    params = ConstructionParams.create(1009, 1, 2)
+    rows = [[(1, 0, 0, 0), (0, 1, 0, 0)]] * 3000
+    ff = file_of(1009, 1, 2, params.field.poly, params.nonresidue.coords,
+                 [(f"M{i}", "matrix_algebra", matrix) for i, matrix in enumerate(rows)])
+    path = tmp_path / "same.yaml"
+    family_io.save(ff, path)
+    monkeypatch.setattr(phase_space._modlin, "rref_stack", mock.Mock(side_effect=AssertionError("eliminated")))
+    code, out, err = run(capsys, "verify", str(path), "--mode", "symbolic")
+    assert (code, out) == (EXIT_BAD_INPUT, "integrity: ok (3000 members, canonical rows)\n")
+    assert err == ("error: the rank tests of 4498500 member pairs would take 1151616000 steps, above the limit "
+                   "1073741824\n")
 
 
 def test_verify_all_identical_members_fails_fast(tmp_path, capsys):

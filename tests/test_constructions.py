@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from qospread import family_io
 from qospread.cli import EXIT_BAD_INPUT, main
 from qospread.constructions import (
     INFINITY,
@@ -419,6 +420,20 @@ def test_recursive_counts(p, k, n):
     assert len(fam.members) == expected_count(p, k, n)
     assert len(set(fam.labels())) == len(fam.members)
     assert all(m.kind == MATRIX_ALGEBRA for m in fam.members)
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 2, 2), (3, 2, 3), (5, 1, 3),
+                                   (7, 1, 3)])
+def test_builder_labels_are_distinct_and_keep_the_label_rule(p, k, n):
+    """``SpreadFamily`` takes labels unchecked: the builders' are distinct by
+    construction, and each is one the family-file writer accepts."""
+    params = ConstructionParams.create(p, k, n)
+    families = [build_recursive(params)] + ([build_masa_spread(params)] if n == 2 else [])
+    for fam in families:
+        labels = fam.labels()
+        assert len(set(labels)) == len(labels) == len(fam.rows)
+        assert all(label and label.isprintable() and '"' not in label and "\\" not in label for label in labels)
+        assert family_io._keeps_label_rule(labels)
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 1, 3), (3, 1, 4), (3, 1, 5)])

@@ -1,5 +1,6 @@
 """Round-trip and validation tests for the on-disk family format."""
 
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -172,16 +173,99 @@ def _outcome(parse, text):
         return f"FamilyFormatError: {exc}"
 
 
+# the characters str.isprintable accepts: none of Unicode's "other" and separator categories but the space
+PRINTABLE = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"), include_characters=" ")
+# mostly printable text, some of it any text at all
+LABEL = st.one_of(st.text(PRINTABLE), st.text())
+
+
+def _breaks_label_rule(labels):
+    """The label rule spelled out label by label: each non-empty and printable,
+    without a double quote or a backslash, and no label twice."""
+    return len(set(labels)) < len(labels) or not all(
+        label and label.isprintable() and '"' not in label and "\\" not in label for label in labels)
+
+
 @settings(max_examples=300, deadline=None)
-@given(labels=st.lists(st.text(), min_size=2, max_size=2, unique=True))
+@given(labels=st.lists(LABEL, min_size=2, max_size=2, unique=True))
 def test_both_readers_agree_on_any_label(labels):
     ff = family_io.from_family(build_spread_2(ConstructionParams.create(3, 1, 2)))
     ff.labels[0], ff.labels[5] = labels
     try:
         text = family_io.serialize(ff)
     except ValueError:
-        assume(False)  # the writer refuses labels with a double quote
+        assume(False)  # the writer refuses labels that break the label rule
     assert _outcome(family_io.parse, text) == _outcome(_parse_yaml_only, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.text(PRINTABLE, min_size=1), min_size=10, max_size=10, unique=True),
+       other=st.none() | st.tuples(st.integers(0, 9), LABEL))
+def test_every_label_list_the_writer_accepts_reads_back(labels, other):
+    """``serialize`` refuses exactly the label lists that break the label rule,
+    and the line reader reads every text it writes back to the same file."""
+    if other is not None:
+        labels[other[0]] = other[1]
+    ff = family_io.from_family(build_spread_2(ConstructionParams.create(3, 1, 2)))
+    ff.labels = labels
+    if _breaks_label_rule(labels):
+        with pytest.raises(ValueError, match="cannot serialise"):
+            family_io.serialize(ff)
+        return
+    text = family_io.serialize(ff)
+    assert family_io._own_format(text) == family_io.parse(text) == ff
+
+
+@pytest.mark.parametrize("label", ["a\\nb", "a\nb", '"', 'a"b', "a\x00b", "a\u2028b", ""],
+                         ids=["backslash-n", "newline", "quote", "inner-quote", "nul", "line-separator", "empty"])
+def test_writer_refuses_labels_that_break_the_rule(spread3, label):
+    """Each of these came back changed or not at all: a backslash and an n as a
+    newline, a NUL or an empty label as a format error."""
+    ff = family_io.from_family(spread3)
+    ff.labels[3] = label
+    with pytest.raises(ValueError, match=f"^cannot serialise the label {re.escape(repr(label))}$"):
+        family_io.serialize(ff)
+
+
+def test_writer_refuses_repeated_labels(spread3, tmp_path):
+    ff = family_io.from_family(spread3)
+    ff.labels[7] = ff.labels[2]
+    with pytest.raises(ValueError, match="^cannot serialise repeated labels$"):
+        family_io.serialize(ff)
+    with pytest.raises(ValueError, match="^cannot serialise repeated labels$"):
+        family_io.save(ff, tmp_path / "dup.yaml")
+    assert (tmp_path / "dup.yaml").read_text() == ""  # refused before the first piece
+
+
+def test_yaml_route_is_bounded(spread_text, monkeypatch):
+    """Text out of the writer's layout goes to PyYAML only up to ``YAML_LIMIT``
+    characters; past it, it is refused before PyYAML is called."""
+    text = spread_text + "verification:\n  passed: true\n"
+    monkeypatch.setattr(family_io, "YAML_LIMIT", len(text))
+    assert family_io.parse(text) == family_io.parse(spread_text)
+    monkeypatch.setattr(family_io, "YAML_LIMIT", len(text) - 1)
+    monkeypatch.setattr(family_io, "_load_yaml", mock.Mock(side_effect=AssertionError("PyYAML was called")))
+    with pytest.raises(FamilyFormatError, match=f"^{len(text)} characters out of the writer's layout, "
+                                                f"above the limit {len(text) - 1}$"):
+        family_io.parse(text)
+    assert family_io.parse(spread_text) == family_io.parse(spread_text + "")  # the line reader has no such bound
+
+
+def test_yaml_limit_at_its_size(spread_text, monkeypatch):
+    """A text of 2^22 + 1 characters that the line reader declines never reaches PyYAML."""
+    monkeypatch.setattr(family_io, "_load_yaml", mock.Mock(side_effect=AssertionError("PyYAML was called")))
+    text = spread_text + "#" * (family_io.YAML_LIMIT + 1 - len(spread_text))
+    with pytest.raises(FamilyFormatError, match=f"^{2**22 + 1} characters out of the writer's layout, "
+                                                f"above the limit {2**22}$"):
+        family_io.parse(text)
+
+
+def test_load_reports_text_that_is_not_utf8(tmp_path, spread_text):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(spread_text.encode().replace(b"p: 3", b"p: \xff", 1))
+    with pytest.raises(FamilyFormatError, match="^not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                                                "position 21: invalid start byte$"):
+        family_io.load(path)
 
 
 @pytest.mark.parametrize(

@@ -64,8 +64,7 @@ def test_symbolic_fails_on_duplicate():
     sub = build_C(P3.field.one(), P3.field.zero(), P3)
     fam = SpreadFamily(
         P3,
-        [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)],
-        complete=False,
+        [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)]
     )
     rep = verify_qo_symbolic(fam)
     assert not rep.passed
@@ -74,7 +73,7 @@ def test_symbolic_fails_on_duplicate():
 
 def test_symbolic_fails_on_isotropic_matrix_member():
     sub = build_C(P3.field.zero(), P3.field.one(), P3)
-    fam = SpreadFamily(P3, [FamilyMember("bad", MATRIX_ALGEBRA, sub)], complete=False)
+    fam = SpreadFamily(P3, [FamilyMember("bad", MATRIX_ALGEBRA, sub)])
     rep = verify_qo_symbolic(fam)
     assert not rep.passed
     assert "isotropic" in rep.failures[0][1]
@@ -82,7 +81,7 @@ def test_symbolic_fails_on_isotropic_matrix_member():
 
 def test_symbolic_fails_on_wrong_count():
     fam = build_spread_2(P3)
-    short = SpreadFamily(fam.params, fam.members[:-1], complete=True)
+    short = SpreadFamily(fam.params, fam.members[:-1])
     rep = verify_qo_symbolic(short)
     assert not rep.passed
     assert any("expected 10" in detail for _, detail in rep.failures)
@@ -106,8 +105,7 @@ def test_numeric_duplicate_family_hits_orthogonality_bound():
     sub = build_C(P3.field.one(), P3.field.zero(), P3)
     fam = SpreadFamily(
         P3,
-        [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)],
-        complete=False,
+        [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)]
     )
     rep = verify_qo_numeric(fam)
     assert not rep.passed
@@ -196,7 +194,7 @@ def test_numeric_sampling_does_not_list_the_pairs():
                      Subspace.from_generators(3, 3, [[rng.randrange(3) for _ in range(6)] for _ in range(2)]))
         for i in range(2000)
     ]
-    fam = SpreadFamily(ConstructionParams.create(3, 1, 3), members, complete=False)
+    fam = SpreadFamily(ConstructionParams.create(3, 1, 3), members)
     tracemalloc.start()
     try:
         rep = verify_qo_numeric(fam, sample_pairs=5)
@@ -262,7 +260,7 @@ def test_numeric_row_reuse_matches_per_pair_loop(k, n, sample, seed, dup):
     members = list(fam.members)
     src, dst = dup
     members[dst] = FamilyMember(members[dst].label, members[dst].kind, members[src].subspace)
-    fam = SpreadFamily(fam.params, members, complete=False)
+    fam = SpreadFamily(fam.params, members)
     rep = verify_qo_numeric(fam, 1e-9, sample_pairs=sample, seed=seed)
     all_pairs = list(itertools.combinations(range(len(members)), 2))
     if sample < len(all_pairs):
@@ -325,7 +323,7 @@ def test_numeric_nan_parts_fail(monkeypatch):
     planes = [Subspace.from_generators(3, 3, [sum(([c, 0] for c in dirn), []), sum(([0, c] for c in dirn), [])])
               for dirn in directions[:10]]
     fam = SpreadFamily(ConstructionParams.create(3, 1, 3),
-                       [FamilyMember(f"P{i}", MATRIX_ALGEBRA, sub) for i, sub in enumerate(planes)], complete=False)
+                       [FamilyMember(f"P{i}", MATRIX_ALGEBRA, sub) for i, sub in enumerate(planes)])
     assert verify_qo_numeric(fam).passed
     shifted = [int(np.flatnonzero(span_parts(sub)[0][:, 0])[0]) for sub in planes]  # target[a, 0] != 0
     for i, j in itertools.permutations(range(10), 2):
@@ -400,8 +398,7 @@ def test_numeric_agrees_with_symbolic_reduction():
         a, b = random_plane(rng), random_plane(rng)
         fam = SpreadFamily(
             P3,
-            [FamilyMember("a", MATRIX_ALGEBRA, a), FamilyMember("b", MATRIX_ALGEBRA, b)],
-            complete=False,
+            [FamilyMember("a", MATRIX_ALGEBRA, a), FamilyMember("b", MATRIX_ALGEBRA, b)]
         )
         rep = verify_qo_numeric(fam)
         if intersect_trivially(a, b):
@@ -543,7 +540,6 @@ def test_mub_basis_diagonalises_its_own_masa(p, k):
 def test_mub_single_basis_trivially_unbiased():
     masas = build_masa_spread(P3)
     solo = SpreadFamily(P3, masas.members[:1])
-    solo.complete = False
     rep = extract_and_check_mub(solo)
     assert rep.passed
     assert rep.checks_run == 1  # orthonormality only, no cross pairs
@@ -551,7 +547,7 @@ def test_mub_single_basis_trivially_unbiased():
 
 def test_mub_rejects_non_isotropic_member():
     sub = build_C(P3.field.one(), P3.field.zero(), P3)
-    fam = SpreadFamily(P3, [FamilyMember("bad", MASA, sub)], complete=False)
+    fam = SpreadFamily(P3, [FamilyMember("bad", MASA, sub)])
     with pytest.raises(ValueError, match="not isotropic"):
         extract_and_check_mub(fam)
 
@@ -559,7 +555,7 @@ def test_mub_rejects_non_isotropic_member():
 def test_mub_rejects_non_maximal_isotropic_member(monkeypatch):
     """A 1-dim member of Z_3^4 commutes but is no masa: refused before synthesis."""
     sub = Subspace.from_generators(3, 2, [(1, 0, 0, 0)])
-    fam = SpreadFamily(P3, [FamilyMember("short", MASA, sub)], complete=False)
+    fam = SpreadFamily(P3, [FamilyMember("short", MASA, sub)])
 
     def no_synthesis(*args, **kwargs):
         raise AssertionError("synthesized a rejected member")
