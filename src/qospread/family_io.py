@@ -29,14 +29,13 @@ The files are plain YAML, so any YAML tool can read them; writing is
 manual so identical families produce identical bytes.  The writer formats
 ``CHUNK_MEMBERS`` members at a time, one ``%`` format per chunk, and writes
 chunk by chunk, so no whole-file string is built.  Reading takes two routes
-to the same ``FamilyFile``: text in exactly the writer's line format (what
-``serialize`` writes) goes through a line reader (one regex pass over the
-member blocks, one integer parse of every row entry), and any other YAML of
-at most ``YAML_LIMIT`` characters, restyled or hand-edited, through
-``yaml.safe_load``, imported only then; it reads past keys it does not know.
-Both end in the same vectorised range and length checks, which name the
-first offending row in file order.  The writer refuses, and the line reader
-declines, labels that break the one label rule (``_keeps_label_rule``).
+to the same ``FamilyFile``: text in exactly the writer's line format goes
+through a line reader (one regex pass over the member blocks, one integer
+parse of every row entry), and other YAML of at most ``YAML_LIMIT``
+characters through ``yaml.safe_load``, imported only then; it reads past
+keys it does not know.  Both end in the same vectorised range and length
+checks, which name the first offending row in file order.  The writer
+refuses, and the line reader declines, labels that break ``_keeps_label_rule``.
 """
 
 from __future__ import annotations
@@ -108,11 +107,14 @@ def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
 
 def _keeps_label_rule(labels: list[str]) -> bool:
     """The one label rule: every label is non-empty and printable, holds no ``"`` and no ``\\``, and comes
-    once.  The text tests run on the sorted labels joined with a ``"`` after each (no set: 8 bytes a label)."""
+    once.  Text is tested ``CHUNK_MEMBERS`` labels at a time, each followed by a ``"``; repeats once sorted."""
+    for a in range(0, len(labels), CHUNK_MEMBERS):
+        chunk = labels[a : a + CHUNK_MEMBERS]
+        text = '"'.join([*chunk, ""])
+        if not (all(chunk) and text.isprintable() and text.count('"') == len(chunk) and "\\" not in text):
+            return False
     ordered = sorted(labels)
-    joined = '"'.join([*ordered, ""])
-    return (all(labels) and joined.isprintable() and joined.count('"') == len(labels) and "\\" not in joined
-            and not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None))))
+    return not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None)))
 
 
 def _is_ints(values) -> bool:
@@ -304,9 +306,8 @@ def save(ff: FamilyFile, path) -> None:
 
 
 def load(path) -> FamilyFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise FamilyFormatError(f"not UTF-8 text: {exc}") from exc
-    return parse(text)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read())
+    except UnicodeDecodeError as exc:
+        raise FamilyFormatError(f"not UTF-8 text: {exc}") from exc

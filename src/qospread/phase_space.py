@@ -446,11 +446,9 @@ def _disjointness(
     members (a table of canonical echelon bases) at or below ``SPAN_LIMIT``,
     refused past ``INDEX_LIMIT`` lines before any span is built; pairs with a
     larger member get a rank test, and the partition report is then None (also
-    when empty).  The rank tests are refused past ``RANK_LIMIT``, counted from
-    the row counts (r the most rows of a member), before any elimination.  They
-    take one first member at a time, in pair order, with its later partners
-    (all of them if it is above the limit, else those above it) in one
-    elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
+    when empty).  The rank tests, refused past ``RANK_LIMIT`` before any elimination, take one first member
+    at a time, in pair order, with its later partners (all of them if it is above the limit, else those
+    above it) in one elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
 
     Members are subspaces, so two share a nonzero point exactly when they share
     its line, and the index holds one point per line.  Each pair of owners of a
