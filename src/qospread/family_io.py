@@ -53,7 +53,7 @@ from .phase_space import RowStacks, _canonical
 
 FORMAT_VERSION = 1
 CHUNK_MEMBERS = 256  # members per write
-YAML_LIMIT = 2**22  # characters PyYAML may read: about 10 s and 140 MB a MB of family text
+YAML_LIMIT = 2**22  # characters PyYAML may read: it takes about 8-10 s and 150 MB a MB of family text
 
 _KINDS = (MATRIX_ALGEBRA, MASA)
 
@@ -107,7 +107,7 @@ def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
 
 def _keeps_label_rule(labels: list[str]) -> bool:
     """The one label rule: every label is non-empty and printable, holds no ``"`` and no ``\\``, and comes
-    once.  Text is tested ``CHUNK_MEMBERS`` labels at a time, each followed by a ``"``; repeats once sorted."""
+    once.  Text is tested ``CHUNK_MEMBERS`` labels at a time, each followed by a ``"``; repeats by sorting."""
     for a in range(0, len(labels), CHUNK_MEMBERS):
         chunk = labels[a : a + CHUNK_MEMBERS]
         text = '"'.join([*chunk, ""])
