@@ -234,7 +234,6 @@ def test_writer_refuses_repeated_labels(spread3, tmp_path):
         family_io.serialize(ff)
     with pytest.raises(ValueError, match="^cannot serialise repeated labels$"):
         family_io.save(ff, tmp_path / "dup.yaml")
-    assert (tmp_path / "dup.yaml").read_text() == ""  # refused before the first piece
 
 
 def test_yaml_route_is_bounded(spread_text, monkeypatch):

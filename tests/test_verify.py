@@ -62,13 +62,11 @@ def test_symbolic_passes_recursive_n3():
 
 def test_symbolic_fails_on_duplicate():
     sub = build_C(P3.field.one(), P3.field.zero(), P3)
-    fam = SpreadFamily(
-        P3,
-        [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)]
-    )
+    fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)])
     rep = verify_qo_symbolic(fam)
     assert not rep.passed
     assert rep.failures[0][0] == "a & b"
+    assert rep.failures[-1] == ("family", "2 members, expected 10")  # the member count is always checked, last
 
 
 def test_symbolic_fails_on_isotropic_matrix_member():
@@ -103,10 +101,7 @@ def test_numeric_passes_spread_2_p3():
 
 def test_numeric_duplicate_family_hits_orthogonality_bound():
     sub = build_C(P3.field.one(), P3.field.zero(), P3)
-    fam = SpreadFamily(
-        P3,
-        [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)]
-    )
+    fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)])
     rep = verify_qo_numeric(fam)
     assert not rep.passed
     assert rep.max_residual == pytest.approx(9.0, abs=1e-6)
@@ -396,10 +391,7 @@ def test_numeric_agrees_with_symbolic_reduction():
     seen_trivial = seen_shared = 0
     while seen_trivial < 50 or seen_shared < 50:
         a, b = random_plane(rng), random_plane(rng)
-        fam = SpreadFamily(
-            P3,
-            [FamilyMember("a", MATRIX_ALGEBRA, a), FamilyMember("b", MATRIX_ALGEBRA, b)]
-        )
+        fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, a), FamilyMember("b", MATRIX_ALGEBRA, b)])
         rep = verify_qo_numeric(fam)
         if intersect_trivially(a, b):
             seen_trivial += 1
