@@ -11,8 +11,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-import yaml
 
+from qospread import family_io
 from qospread.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from qospread.constructions import (
     INFINITY,
@@ -40,6 +40,7 @@ from qospread.verify import (
     verify_qo_symbolic,
 )
 from qospread.weyl import WeylMonomial, commutation_phase, synthesize, weyl_mul
+from helpers import with_rows
 
 
 @contextmanager
@@ -220,18 +221,17 @@ def test_criterion_10_fault_injection(tmp_path, capsys):
         path = tmp_path / "fam.yaml"
         assert main(["generate", "--p", "3", "--k", "1", "--n", "2", "--out", str(path)]) == EXIT_OK
         capsys.readouterr()
-        pristine = path.read_text()
+        pristine = family_io.load(path)
         assert main(["verify", str(path)]) == EXIT_OK
         capsys.readouterr()
         rng = random.Random(1234)
         for trial in range(20):
-            doc = yaml.safe_load(pristine)
-            member = rng.choice(doc["members"])
-            row = rng.randrange(len(member["generators"]))
+            member = rng.randrange(len(pristine.labels))
+            rows = pristine.rows.matrix(member).tolist()
+            row = rng.randrange(len(rows))
             pos = rng.randrange(4)
-            old = member["generators"][row][pos]
-            member["generators"][row][pos] = (old + rng.randrange(1, 3)) % 3
-            path.write_text(yaml.safe_dump(doc))
+            rows[row][pos] = (rows[row][pos] + rng.randrange(1, 3)) % 3
+            family_io.save(with_rows(pristine, {member: rows}), path)  # the writer's layout
             code = main(["verify", str(path)])
             capsys.readouterr()
             assert code == EXIT_VERIFY_FAILED, f"corruption {trial} went undetected"

@@ -277,9 +277,10 @@ def test_verify_symbolic_only(family_path, capsys):
 
 
 def test_verify_detects_cross_member_corruption(family_path, capsys):
-    doc = yaml.safe_load(family_path.read_text())
-    doc["members"][0]["generators"][0][3] = (doc["members"][0]["generators"][0][3] + 1) % 3
-    family_path.write_text(yaml.safe_dump(doc))
+    ff = family_io.load(family_path)
+    rows = ff.rows.matrix(0).tolist()
+    rows[0][3] = (rows[0][3] + 1) % 3
+    family_io.save(with_rows(ff, {0: rows}), family_path)
     code, out, _ = run(capsys, "verify", str(family_path))
     assert code == EXIT_VERIFY_FAILED
     assert "result: FAIL" in out
@@ -289,10 +290,11 @@ def test_verify_detects_span_preserving_corruption(family_path, capsys):
     # D[0] stores rows (1,0,0,0) and (0,1,0,0); bumping one coordinate inside
     # the span leaves every set-theoretic check intact, so only the
     # canonical-row integrity check can see it
-    doc = yaml.safe_load(family_path.read_text())
-    d0 = next(m for m in doc["members"] if m["label"] == "D[0]")
-    d0["generators"][0][1] = 2
-    family_path.write_text(yaml.safe_dump(doc))
+    ff = family_io.load(family_path)
+    d0 = ff.labels.index("D[0]")
+    rows = ff.rows.matrix(d0).tolist()
+    rows[0][1] = 2
+    family_io.save(with_rows(ff, {d0: rows}), family_path)
     code, out, _ = run(capsys, "verify", str(family_path))
     assert code == EXIT_VERIFY_FAILED
     assert "integrity: FAIL" in out
@@ -501,10 +503,9 @@ def test_verify_both_matches_golden(tmp_path, capsys, request, name, duplicate):
     path = tmp_path / "fam.yaml"
     run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
     if duplicate:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        ff = family_io.load(path)
         src, dst = duplicate
-        doc["members"][dst]["generators"] = doc["members"][src]["generators"]
-        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        family_io.save(with_rows(ff, {dst: ff.rows.matrix(src)}), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     golden = request.path.parent / "data" / f"verify_p3n3_{name}.txt"
     assert code == (EXIT_VERIFY_FAILED if duplicate else EXIT_OK)
@@ -772,13 +773,13 @@ def test_mub_guard(tmp_path, capsys):
 
 def test_random_single_coordinate_corruption_detected(family_path, capsys):
     rng = random.Random(0)
-    original = family_path.read_text()
+    original = family_io.load(family_path)
     for _ in range(5):
-        doc = yaml.safe_load(original)
-        member = rng.choice(doc["members"])
-        row = rng.choice(member["generators"])
+        member = rng.randrange(len(original.labels))
+        rows = original.rows.matrix(member).tolist()
+        row = rows[rng.randrange(len(rows))]
         pos = rng.randrange(len(row))
         row[pos] = (row[pos] + rng.randrange(1, 3)) % 3
-        family_path.write_text(yaml.safe_dump(doc))
+        family_io.save(with_rows(original, {member: rows}), family_path)
         code, _, _ = run(capsys, "verify", str(family_path))
         assert code == EXIT_VERIFY_FAILED
