@@ -301,8 +301,11 @@ def serialize(ff: FamilyFile) -> str:
 
 
 def save(ff: FamilyFile, path) -> None:
+    pieces = _text(ff)
+    header = next(pieces)  # the labels are checked before the path is opened
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_text(ff))
+        handle.write(header)
+        handle.writelines(pieces)
 
 
 def load(path) -> FamilyFile:

@@ -236,6 +236,21 @@ def test_writer_refuses_repeated_labels(spread3, tmp_path):
         family_io.save(ff, tmp_path / "dup.yaml")
 
 
+def test_save_refuses_labels_before_opening_the_path(spread3, tmp_path):
+    """A refused label list leaves the file at the path as it was."""
+    path = tmp_path / "fam.yaml"
+    family_io.save(family_io.from_family(spread3), path)
+    before = path.read_bytes()
+    ff = family_io.from_family(spread3)
+    ff.labels[7] = ff.labels[2]
+    with pytest.raises(ValueError, match="^cannot serialise repeated labels$"):
+        family_io.save(ff, path)
+    ff.labels[7] = "a\nb"
+    with pytest.raises(ValueError, match="^cannot serialise the label 'a\\\\nb'$"):
+        family_io.save(ff, path)
+    assert path.read_bytes() == before
+
+
 def test_yaml_route_is_bounded(spread_text, monkeypatch):
     """Text out of the writer's layout goes to PyYAML only up to ``YAML_LIMIT``
     characters; past it, it is refused before PyYAML is called."""
