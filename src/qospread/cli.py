@@ -84,6 +84,7 @@ def cmd_verify(args) -> int:
         ff = family_io.load(args.path)
         if args.mode != "numeric":  # a span has at most (p^rows - 1)/(p - 1) lines: refuse before any elimination
             phase_space._check_index_size(phase_space._index_lines(ff.rows))
+            phase_space._check_rank_work(ff.rows)  # elimination only lowers the row counts, and so the work
         else:  # the dimension is the header's: refuse before the field
             verify._numeric_dim(ff.p, ff.k * ff.n)
         family = family_io.to_family(ff)

@@ -377,6 +377,16 @@ def _check_index_size(lines: int | str) -> None:
         raise ValueError(f"the ownership index would hold {lines} lines, above the limit {INDEX_LIMIT}")
 
 
+def _check_rank_work(rows: RowStacks) -> None:
+    """Refuse the rank tests of the pairs with a member above ``SPAN_LIMIT`` past ``RANK_LIMIT`` steps, counted
+    from the row counts alone."""
+    n, big = len(rows), int((~_enumerable(rows.p, rows.counts)).sum())
+    pairs = big * (n - 1) - big * (big - 1) // 2
+    work = pairs * (2 * int(rows.counts.max(initial=0)) + 4) ** 2 * rows.width * (16 if rows.rows.dtype == object else 1)
+    if work > RANK_LIMIT:
+        raise ValueError(f"the rank tests of {pairs} member pairs would take {work} steps, above the limit {RANK_LIMIT}")
+
+
 def _owners(rows: RowStacks) -> _Index:
     """The index of the enumerable spans of a table of canonical echelon bases,
     positions as owners: per row count r, one product of the stack with the
@@ -461,11 +471,8 @@ def _disjointness(
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
     _check_index_size(_index_lines(rows))
+    _check_rank_work(rows)
     big = np.flatnonzero(~_enumerable(p, rows.counts))
-    pairs = len(big) * (n - 1) - len(big) * (len(big) - 1) // 2
-    work = pairs * (2 * int(rows.counts.max(initial=0)) + 4) ** 2 * rows.width * (16 if rows.rows.dtype == object else 1)
-    if work > RANK_LIMIT:
-        raise ValueError(f"the rank tests of {pairs} member pairs would take {work} steps, above the limit {RANK_LIMIT}")
     index = _owners(rows)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
     witnesses = {pair: pt for pair, pt, _ in conflicts}
