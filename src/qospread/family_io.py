@@ -1,4 +1,4 @@
-"""On-disk family format: a YAML tree with integer-only algebraic payload.
+"""On-disk family format: one fixed YAML layout with integer-only algebraic payload.
 
 Example file::
 
@@ -28,14 +28,14 @@ order, which the reader fills and the writer reads as is.
 The files are plain YAML, so any YAML tool can read them; writing is
 manual so identical families produce identical bytes.  The writer formats
 ``CHUNK_MEMBERS`` members at a time, one ``%`` format per chunk, and writes
-chunk by chunk, so no whole-file string is built.  Reading takes two routes
-to the same ``FamilyFile``: text in exactly the writer's line format goes
-through a line reader (one regex pass over the member blocks, one integer
-parse of every row entry), and other YAML of at most ``YAML_LIMIT``
-characters through ``yaml.safe_load``, imported only then; it reads past
-keys it does not know.  Both end in the same vectorised range and length
-checks, which name the first offending row in file order.  The writer
-refuses, and the line reader declines, labels that break ``_keeps_label_rule``.
+chunk by chunk, so no whole-file string is built.  The reader accepts
+exactly the writer's layout: one regex pass over the member blocks, one
+integer parse of every row entry, then vectorised range and length checks,
+which name the first offending row in file order.  Any other text, a
+restyled YAML file or one that ends in an old ``verification:`` block
+included, is a ``FamilyFormatError`` naming its first line out of layout.
+The writer refuses, and the reader names, the first label that breaks
+``_keeps_label_rule``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .phase_space import RowStacks, _canonical
 
 FORMAT_VERSION = 1
 CHUNK_MEMBERS = 256  # members per write
-YAML_LIMIT = 2**22  # characters PyYAML may read: it takes about 8-10 s and 150 MB a MB of family text
 
 _KINDS = (MATRIX_ALGEBRA, MASA)
 
@@ -117,101 +116,62 @@ def _keeps_label_rule(labels: list[str]) -> bool:
     return not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None)))
 
 
-def _is_ints(values) -> bool:
-    return isinstance(values, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+def _broken_label(labels: list[str]) -> tuple[int, int] | None:
+    """Where the labels first break the label rule, in order: (i, i) for a label
+    that breaks it on its own, (i, j) for a repeat of label j; None if they keep it."""
+    if _keeps_label_rule(labels):
+        return None
+    first: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if not _keeps_label_rule([label]):
+            return i, i
+        if first.setdefault(label, i) < i:
+            return i, first[label]
+    return None
 
 
-def _int_list(values, what: str, p: int, length: int) -> tuple[int, ...]:
-    if not _is_ints(values):
-        raise FamilyFormatError(f"{what} must be a list of integers")
-    if any(not 0 <= v < p for v in values):
+def _int_list(values: list[int], what: str, p: int, length: int) -> tuple[int, ...]:
+    if any(v >= p for v in values):
         raise FamilyFormatError(f"{what} entries must lie in [0, {p - 1}]")
     if len(values) != length:
         raise FamilyFormatError(f"{what} must have {length} entries, got {len(values)}")
     return tuple(values)
 
 
-def _header(doc: dict) -> tuple:
-    """The checked (p, k, n, poly, nonresidue) of a document."""
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise FamilyFormatError(f"unsupported format_version {doc.get('format_version')!r}")
-    for key in ("p", "k", "n"):
-        if not isinstance(doc.get(key), int) or isinstance(doc.get(key), bool):
-            raise FamilyFormatError(f"{key} must be an integer")
-    p, k, n = doc["p"], doc["k"], doc["n"]
+def _header(version: int, p: int, k: int, n: int, poly: list[int], nonresidue: list[int]) -> tuple:
+    """The checked (p, k, n, poly, nonresidue) of a header's values."""
+    if version != FORMAT_VERSION:
+        raise FamilyFormatError(f"unsupported format_version {version!r}")
     if p < 3 or k < 1 or n < 1:
         raise FamilyFormatError(f"out-of-range parameters p={p}, k={k}, n={n}")
-    return p, k, n, _int_list(doc.get("poly"), "poly", p, k), _int_list(doc.get("nonresidue"), "nonresidue", p, k)
+    return p, k, n, _int_list(poly, "poly", p, k), _int_list(nonresidue, "nonresidue", p, k)
 
 
-def _rows(p: int, width: int, labels, counts, lengths, values: np.ndarray, fault: str | None) -> RowStacks:
+def _rows(p: int, width: int, labels, counts, lengths, values: np.ndarray) -> RowStacks:
     """The table of member rows given as every member's row count, every row's
     entry count and all entries in file order.  Raises for the first row with
-    an entry outside [0, p-1] or without ``width`` entries, naming its member;
-    past the given rows, for ``fault``, the reader's first fault after them."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    outside = np.flatnonzero((values < 0) | (values >= p))
-    outside = np.searchsorted(np.cumsum(lengths), outside[:1], side="right").tolist()
+    an entry above p-1 or without ``width`` entries, naming its member."""
+    outside = np.searchsorted(np.cumsum(lengths), np.flatnonzero(values >= p)[:1], side="right").tolist()
     row = min(outside + np.flatnonzero(lengths != width)[:1].tolist(), default=None)
     if row is not None:
         what = f"generator row of {labels[np.searchsorted(np.cumsum(counts), row, side='right')]!r}"
         if outside == [row]:
             raise FamilyFormatError(f"{what} entries must lie in [0, {p - 1}]")
         raise FamilyFormatError(f"{what} must have {width} entries, got {lengths[row]}")
-    if fault is not None:
-        raise FamilyFormatError(fault)
     return RowStacks.of(p, width, counts, values)
-
-
-def _from_document(doc) -> FamilyFile:
-    """The file of a YAML document: members checked one by one up to the first
-    fault, then their rows as arrays."""
-    if not isinstance(doc, dict):
-        raise FamilyFormatError("top level must be a mapping")
-    p, k, n, poly, nonresidue = _header(doc)
-    raw_members = doc.get("members")
-    if not isinstance(raw_members, list) or not raw_members:
-        raise FamilyFormatError("members must be a non-empty list")
-    labels, kinds, counts, lengths, values, fault, seen = [], [], [], [], [], None, set()
-    for idx, entry in enumerate(raw_members):
-        label = entry.get("label") if isinstance(entry, dict) else None
-        if not isinstance(entry, dict):
-            fault = f"member {idx} must be a mapping"
-        elif not isinstance(label, str) or not label:
-            fault = f"member {idx} needs a non-empty string label"
-        elif label in seen:
-            fault = f"duplicate label {label!r}"
-        elif entry.get("kind") not in _KINDS:
-            fault = f"member {label!r} has unknown kind {entry.get('kind')!r}"
-        elif not isinstance(entry.get("generators"), list) or not entry["generators"]:
-            fault = f"member {label!r} needs generator rows"
-        else:
-            rows = list(itertools.takewhile(_is_ints, entry["generators"]))
-            seen.add(label)
-            labels.append(label)
-            kinds.append(entry["kind"])
-            counts.append(len(rows))
-            lengths += map(len, rows)
-            values += itertools.chain.from_iterable(rows)
-            if len(rows) < len(entry["generators"]):
-                fault = f"generator row of {label!r} must be a list of integers"
-        if fault is not None:
-            break
-    rows = _rows(p, 2 * k * n, labels, counts, lengths, np.array(values, dtype=object), fault)
-    return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, rows)
 
 
 _INT = r"(?:0|[1-9][0-9]*)"
 _ROW = rf"\[{_INT}(?:, {_INT})*\]"
-_HEADER = re.compile(
-    rf"format_version: ({_INT})\np: ({_INT})\nk: ({_INT})\nn: ({_INT})\n"
-    rf"poly: ({_ROW})\nnonresidue: ({_ROW})\nmembers:\n"
-)
-_MEMBER = re.compile(
-    rf'- label: "([^"\\\n]*)"\n  kind: ({"|".join(_KINDS)})\n  generators:\n((?:  - {_ROW}\n)+)'
-)
+# the writer's layout line by line: the header, then per member a head of three lines and one or more rows
+_HEADER_LINES = (rf"format_version: ({_INT})", rf"p: ({_INT})", rf"k: ({_INT})", rf"n: ({_INT})",
+                 rf"poly: ({_ROW})", rf"nonresidue: ({_ROW})", "members:")
+_MEMBER_LINES = (r'- label: "([^"\\\n]*)"', rf"  kind: ({'|'.join(_KINDS)})", "  generators:", rf"  - {_ROW}")
+_HEADER = re.compile("".join(rf"{line}\n" for line in _HEADER_LINES))
+_MEMBER = re.compile("".join(rf"{line}\n" for line in _MEMBER_LINES[:3]) + rf"((?:{_MEMBER_LINES[3]}\n)+)")
 _MEMBER_HEAD = '- label: "%s"\n  kind: %s\n  generators:\n'  # the text of _MEMBER before its rows
 _SPACES = str.maketrans("[],-\n", "     ")
+_SHOWN = 60  # characters of a line out of layout that its error shows
 
 
 def _ints(row: str) -> list[int]:
@@ -219,13 +179,10 @@ def _ints(row: str) -> list[int]:
 
 
 def _own_format(text: str) -> FamilyFile | None:
-    """The ``FamilyFile`` of text in exactly the writer's layout (no
-    verification block, labels that keep the label rule, plain decimal
-    integers), checked as the YAML route checks it;
-    None for any other text.  Every integer is converted before any check, as
-    YAML constructs the whole document first.  ``strtoull`` saturates at
-    2^64 - 1, so a saturated entry sends the rows to an exact Python-int
-    parse, which also raises for digits past Python's limit."""
+    """The checked ``FamilyFile`` of text in exactly the writer's layout (labels
+    that keep the label rule, plain decimal integers); None for any other text.
+    ``strtoull`` saturates at 2^64 - 1, so a saturated entry sends the rows to
+    an exact Python-int parse, which also raises for digits past Python's limit."""
     head = _HEADER.match(text)
     blocks = _MEMBER.findall(text, head.end()) if head else []
     labels, kinds, texts = (list(column) for column in zip(*blocks)) if blocks else ([], [], [])
@@ -233,52 +190,80 @@ def _own_format(text: str) -> FamilyFile | None:
     if head is None or tiled != len(text) - head.end() or not _keeps_label_rule(labels):
         return None
     version, p, k, n, poly, nonresidue = head.groups()
-    doc = {"format_version": int(version), "p": int(p), "k": int(k), "n": int(n),
-           "poly": _ints(poly), "nonresidue": _ints(nonresidue)}
+    p, k, n, poly, nonresidue = _header(int(version), int(p), int(k), int(n), _ints(poly), _ints(nonresidue))
+    if not blocks:
+        raise FamilyFormatError("members must be a non-empty list")
     blob = "".join(texts)
     values = np.fromstring(blob.translate(_SPACES), dtype=np.uint64, sep=" ")
     if (values == np.iinfo(np.uint64).max).any():
         values = np.array([int(v) for v in re.findall("[0-9]+", blob)], dtype=object)
-    p, k, n, poly, nonresidue = _header(doc)
-    if not blocks:
-        raise FamilyFormatError("members must be a non-empty list")
     chars = np.frombuffer(blob.encode("ascii"), dtype=np.uint8)
     starts = np.append(0, np.flatnonzero(chars == ord("\n"))[:-1] + 1)
     lengths = np.add.reduceat(chars == ord(","), starts, dtype=np.intp) + 1
-    rows = _rows(p, 2 * k * n, labels, [t.count("\n") for t in texts], lengths, values, None)
+    rows = _rows(p, 2 * k * n, labels, [t.count("\n") for t in texts], lengths, values)
     return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, rows)
 
 
-def _load_yaml(text: str):
-    import yaml  # only files in another layout than the writer's need PyYAML
+def _line_fault(text: str, at: int, patterns) -> str:
+    """The first of the lines from offset ``at`` that does not match its
+    pattern in turn, by number and text."""
+    for pattern in patterns:
+        end = text.find("\n", at)
+        if end < 0 or re.fullmatch(pattern, text[at:end]) is None:
+            break
+        at = end + 1
+    number, line = text.count("\n", 0, at) + 1, text[at:] if end < 0 else text[at:end]
+    shown = repr(line[:_SHOWN] + "…" * (len(line) > _SHOWN))
+    if end < 0:
+        shown = f"{shown} ends the file with no line break" if line else "the file ends"
+    return f"line {number} is out of the writer's layout: {shown}"
 
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise FamilyFormatError(f"not valid YAML: {exc}") from exc
+
+def _fault(text: str) -> str:
+    """Why ``_own_format`` declined the text: its first line out of the
+    writer's layout, or the first label that breaks the label rule, by line
+    number.  Only errors pay for it: one ``_MEMBER`` match per member up to
+    the first that fails, then the lines of that one."""
+    head = _HEADER.match(text)
+    if head is None:
+        return _line_fault(text, 0, _HEADER_LINES)
+    at, labels, starts = head.end(), [], []
+    while (block := _MEMBER.match(text, at)) is not None:
+        labels.append(block[1])
+        starts.append(at)
+        at = block.end()
+    if (block := re.compile(rf"{_MEMBER_LINES[0]}\n").match(text, at)) is not None:  # the failing member's label
+        labels.append(block[1])
+        starts.append(at)
+    broken = _broken_label(labels)
+    if broken is None:
+        return _line_fault(text, at, _MEMBER_LINES)
+    i, j = broken
+    line, first = (text.count("\n", 0, starts[m]) + 1 for m in broken)
+    if i == j:
+        return f"line {line}: the label {labels[i]!r} breaks the label rule"
+    return f"line {line}: duplicate label {labels[i]!r}, first on line {first}"
 
 
 def parse(text: str) -> FamilyFile:
     try:
         ff = _own_format(text)
-        if ff is None and len(text) > YAML_LIMIT:  # refused before PyYAML is imported
-            raise FamilyFormatError(f"{len(text)} characters out of the writer's layout, above the limit {YAML_LIMIT}")
-        doc = _load_yaml(text) if ff is None else None
     except FamilyFormatError:
         raise
-    except (ValueError, RecursionError) as exc:
-        # a YAML timestamp that is no date, an integer past Python's digit
-        # limit, or nesting past the recursion limit
+    except ValueError as exc:  # an integer past Python's digit limit
         raise FamilyFormatError(f"unreadable value: {exc}") from exc
-    return ff if ff is not None else _from_document(doc)
+    if ff is None:
+        raise FamilyFormatError(_fault(text))
+    return ff
 
 
 def _text(ff: FamilyFile) -> Iterator[str]:
     """The file text in pieces: the header, then ``CHUNK_MEMBERS`` members at a
     time (one ``%`` format of their labels, kinds and rows), once the labels keep the label rule."""
-    if not _keeps_label_rule(ff.labels):
-        bad = next((label for label in ff.labels if not _keeps_label_rule([label])), None)
-        raise ValueError(f"cannot serialise the label {bad!r}" if bad is not None else "cannot serialise repeated labels")
+    broken = _broken_label(ff.labels)
+    if broken is not None:
+        i, j = broken
+        raise ValueError(f"cannot serialise the label {ff.labels[i]!r}" if i == j else "cannot serialise repeated labels")
     yield (f"format_version: {FORMAT_VERSION}\np: {ff.p}\nk: {ff.k}\nn: {ff.n}\n"
            f"poly: [{', '.join(map(str, ff.poly))}]\nnonresidue: [{', '.join(map(str, ff.nonresidue))}]\nmembers:\n")
     width, counts, rows = ff.rows.width, ff.rows.counts, ff.rows.rows

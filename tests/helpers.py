@@ -1,5 +1,7 @@
 """Reference implementations shared by the test modules."""
 
+import yaml
+
 from qospread import _modlin, family_io
 from qospread.finite_field import GFElement
 from qospread.phase_space import RowStacks, Subspace
@@ -52,3 +54,40 @@ def with_rows(ff: family_io.FamilyFile, edits: dict) -> family_io.FamilyFile:
     """A copy of a family file whose members at the keys of ``edits`` store the given rows."""
     rows = [edits.get(i, matrix) for i, matrix in enumerate(ff.rows.split())]
     return file_of(ff.p, ff.k, ff.n, ff.poly, ff.nonresidue, zip(ff.labels, ff.kinds, rows))
+
+
+def reference_members(text):
+    """The YAML oracle: the members of the text's YAML document as the
+    per-member, per-row checks of earlier versions read them, (label, kind,
+    rows) triples, or the message of the first fault in file order.  Only
+    members are checked; the header is ``family_io._header``'s."""
+    doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    p, k, n, _, _ = family_io._header(*(doc[key] for key in ("format_version", "p", "k", "n", "poly", "nonresidue")))
+    if not isinstance(doc.get("members"), list) or not doc["members"]:
+        return "FamilyFormatError: members must be a non-empty list"
+    out, labels = [], set()
+    for idx, entry in enumerate(doc["members"]):
+        label = entry.get("label")
+        if not isinstance(label, str) or not label:
+            return f"FamilyFormatError: member {idx} needs a non-empty string label"
+        if label in labels:
+            return f"FamilyFormatError: duplicate label {label!r}"
+        labels.add(label)
+        if not isinstance(entry.get("generators"), list) or not entry["generators"]:
+            return f"FamilyFormatError: member {label!r} needs generator rows"
+        for row in entry["generators"]:
+            if not all(isinstance(v, int) for v in row):
+                return f"FamilyFormatError: generator row of {label!r} must be a list of integers"
+            if any(not 0 <= v < p for v in row):
+                return f"FamilyFormatError: generator row of {label!r} entries must lie in [0, {p - 1}]"
+            if len(row) != 2 * k * n:
+                return f"FamilyFormatError: generator row of {label!r} must have {2 * k * n} entries, got {len(row)}"
+        out.append((label, entry["kind"], [list(row) for row in entry["generators"]]))
+    return out
+
+
+def members_of(outcome):
+    """A parse outcome as ``reference_members`` gives it: (label, kind, rows) triples, or the error text."""
+    if isinstance(outcome, str):
+        return outcome
+    return list(zip(outcome.labels, outcome.kinds, (rows.tolist() for rows in outcome.rows.split())))

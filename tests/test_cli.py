@@ -12,7 +12,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -45,28 +44,26 @@ def test_generate_writes_ten_members(family_path):
     assert ff.nonresidue == (2,)
 
 
-def test_only_restyled_files_import_yaml(tmp_path):
-    """generate, example, mub and the line reader run without PyYAML; a file in
-    another layout loads it."""
+def test_commands_run_without_yaml(tmp_path):
+    """With ``import yaml`` blocked, every subcommand runs, and a restyled file
+    exits 2 naming its first line out of layout."""
     path, restyled = tmp_path / "fam.yaml", tmp_path / "restyled.yaml"
     script = f"""
 import contextlib, io, sys
+sys.modules["yaml"] = None  # any import of yaml raises ImportError
 from qospread.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    main(["generate", "--p", "3", "--n", "2", "--out", {str(path)!r}])
-    main(["example"])
-    main(["mub", "--p", "3", "--out", {str(tmp_path / "mub.txt")!r}])
-    main(["verify", {str(path)!r}])
-print("yaml" in sys.modules, end=" ")
-with contextlib.redirect_stdout(io.StringIO()):
-    main(["verify", {str(restyled)!r}])
-print("yaml" in sys.modules)
+    codes = [main(["generate", "--p", "3", "--n", "2", "--out", {str(path)!r}]), main(["example"]),
+             main(["mub", "--p", "3", "--out", {str(tmp_path / "mub.txt")!r}]), main(["verify", {str(path)!r}]),
+             main(["verify", {str(restyled)!r}])]
+print(*codes)
 """
     restyled.write_text("# a comment\n" + family_io.serialize(family_io.from_family(
         constructions.build_spread_2(ConstructionParams.create(3, 1, 2)))))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True).stdout
-    assert out.split() == ["False", "True"]
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split() == ["0", "0", "0", "0", "2"]
+    assert run.stderr == "error: malformed family file: line 1 is out of the writer's layout: '# a comment'\n"
 
 
 def test_generate_n1(tmp_path, capsys):
@@ -311,9 +308,9 @@ def test_verify_truncated_file(family_path, capsys):
 @pytest.mark.parametrize(
     "old,new",
     [
-        ("p: 3\n", "p: 2001-02-30\n"),  # the YAML timestamp constructor raises
+        ("p: 3\n", "p: 2001-02-30\n"),  # a YAML date, out of the writer's layout
         ("p: 3\n", f"p: {'7' * 5000}\n"),  # past Python's integer digit limit
-        ("p: 3\n", f"p: {'[' * 5000}{']' * 5000}\n"),  # past the recursion limit
+        ("p: 3\n", f"p: {'[' * 5000}{']' * 5000}\n"),  # a line of 10,003 characters, out of layout
     ],
     ids=["timestamp", "huge-int", "deep-nesting"],
 )
@@ -335,20 +332,20 @@ def test_verify_non_utf8_file_is_malformed(family_path, capsys):
 
 
 def test_verify_refuses_a_large_file_out_of_layout_before_yaml(tmp_path, capsys, monkeypatch):
-    """p=3, n=6 (a 10 MB file) with one row entry made -1: the line reader
-    declines it, and past ``YAML_LIMIT`` characters it is refused, not read by
-    PyYAML (which took 105 s and 1.5 GB on it)."""
+    """p=3, n=6 (a 10 MB file) with one row entry made -1: refused, naming the
+    line, with no YAML parser loaded (PyYAML took 105 s and 1.5 GB on it)."""
     path = tmp_path / "n6.yaml"
     assert run(capsys, "generate", "--p", "3", "--n", "6", "--out", str(path))[0] == EXIT_OK
-    text = path.read_text().replace("  - [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n",
-                                    "  - [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n", 1)
-    assert "-1" in text and len(text) > family_io.YAML_LIMIT
-    path.write_text(text)
-    monkeypatch.setattr(family_io, "_load_yaml", mock.Mock(side_effect=AssertionError("PyYAML was called")))
+    text = path.read_text()
+    at = text.index("  - [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n")
+    path.write_text(text[:at] + "  - [-" + text[at + 5 :])
+    monkeypatch.setitem(sys.modules, "yaml", None)
+    start = time.perf_counter()
     code, out, err = run(capsys, "verify", str(path), "--mode", "symbolic")
+    assert time.perf_counter() - start < 10.0
     assert (code, out) == (EXIT_BAD_INPUT, "")
-    assert err == (f"error: malformed family file: {len(text)} characters out of the writer's layout, above the "
-                   f"limit {2**22}\n")
+    assert err == (f"error: malformed family file: line {text.count(chr(10), 0, at) + 1} is out of the writer's "
+                   "layout: '  - [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]'\n")
 
 
 def test_verify_refuses_rank_tests_past_the_limit(tmp_path, capsys, monkeypatch):

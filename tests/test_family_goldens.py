@@ -10,10 +10,10 @@ import functools
 import hashlib
 
 import pytest
-import yaml
 
 from qospread import family_io
 from qospread.constructions import ConstructionParams, build_recursive
+from helpers import members_of, reference_members
 
 GOLDENS = {
     (3, 1, 2): "7c3e4c1a102eb928edb280f9140c7d64da7489c32b27f68b202a90280c3f88b8",
@@ -31,11 +31,6 @@ def _id(pkn):
     return "p{}k{}n{}".format(*pkn)
 
 
-# libyaml's loader builds the same document as yaml.safe_load (the same
-# SafeConstructor) in a fraction of the time on these megabyte files
-_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 @functools.lru_cache(maxsize=None)
 def serialized(pkn):
     return family_io.serialize(family_io.from_family(build_recursive(ConstructionParams.create(*pkn))))
@@ -46,10 +41,18 @@ def test_serialized_family_matches_golden(pkn):
     assert hashlib.sha256(serialized(pkn).encode("utf-8")).hexdigest() == GOLDENS[pkn]
 
 
+def _reads_as_yaml(text):
+    """The reader gives the YAML oracle's members (libyaml's loader where
+    present), and the writer writes them back to the same text."""
+    ff = family_io.parse(text)
+    assert members_of(ff) == reference_members(text)
+    assert family_io.serialize(ff) == text
+    return ff
+
+
 @pytest.mark.parametrize("pkn", sorted(GOLDENS), ids=_id)
 def test_line_reader_matches_yaml(pkn):
-    text = serialized(pkn)
-    assert family_io._own_format(text) == family_io._from_document(yaml.load(text, Loader=_SafeLoader))
+    _reads_as_yaml(serialized(pkn))
 
 
 def test_line_reader_matches_yaml_on_fault_copy():
@@ -57,7 +60,5 @@ def test_line_reader_matches_yaml_on_fault_copy():
     lines = serialized((7, 1, 3)).split("\n")
     starts = [i for i, line in enumerate(lines) if line.startswith("- label: ")]
     a, b = (range(starts[m] + 3, starts[m + 1]) for m in (1200, 1500))
-    text = "\n".join(lines[: b.start] + lines[a.start : a.stop] + lines[b.stop :])
-    ff = family_io._own_format(text)
-    assert ff == family_io._from_document(yaml.load(text, Loader=_SafeLoader))
+    ff = _reads_as_yaml("\n".join(lines[: b.start] + lines[a.start : a.stop] + lines[b.stop :]))
     assert ff.rows.matrix(1500).tolist() == ff.rows.matrix(1200).tolist()

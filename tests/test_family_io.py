@@ -1,9 +1,9 @@
 """Round-trip and validation tests for the on-disk family format."""
 
+import difflib
 import re
 import time
 import tracemalloc
-from unittest import mock
 
 import pytest
 import yaml
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qospread import family_io
 from qospread.constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
 from qospread.family_io import FamilyFormatError
-from helpers import with_rows
+from helpers import members_of, reference_members, with_rows
 
 
 @pytest.fixture(scope="module")
@@ -37,15 +37,14 @@ def test_serialize_parse_serialize_is_identity(spread3):
     assert text == again
 
 
-def test_round_trip_with_verification_block(spread3):
+def test_verification_block_is_out_of_layout(spread3):
     """A file that still ends in the verification block earlier writers
-    appended is read past it: the line reader declines the text, and the YAML
-    route ignores keys it does not know."""
+    appended is refused at the block's first line."""
     text = family_io.serialize(family_io.from_family(spread3))
     block = "verification:\n  passed: true\n  checks: 45\n  max_residual: 0.0\n  failures: 0\n"
-    back = family_io.parse(text + block)
-    assert family_io.serialize(back) == text
-    assert family_io.to_family(back).rows == spread3.rows
+    with pytest.raises(FamilyFormatError, match=f"^line {text.count(chr(10)) + 1} is out of the writer's layout: "
+                                                "'verification:'$"):
+        family_io.parse(text + block)
 
 
 def test_masa_family_round_trips():
@@ -84,29 +83,30 @@ def test_noncanonical_members_detects_tampering(spread3):
 @pytest.mark.parametrize(
     "mutate,message",
     [
-        (lambda d: d.__setitem__("format_version", 2), "format_version"),
-        (lambda d: d.__setitem__("p", 4), "invalid construction parameters"),
-        (lambda d: d.__setitem__("p", "three"), "must be an integer"),
-        (lambda d: d.__setitem__("nonresidue", [1]), "invalid construction parameters"),
-        (lambda d: d["members"][0].__setitem__("kind", "banana"), "unknown kind"),
-        (lambda d: d["members"][0]["generators"].__setitem__(0, [1, 0, 0]), "4 entries"),
-        (lambda d: d["members"][0]["generators"][0].__setitem__(0, 7), "lie in"),
-        (lambda d: d["members"][1].__setitem__("label", d["members"][0]["label"]), "duplicate"),
-        (lambda d: d.__setitem__("members", []), "non-empty"),
+        (lambda t: t.replace("format_version: 1\n", "format_version: 2\n"), "format_version"),
+        (lambda t: t.replace("p: 3\n", "p: 4\n"), "invalid construction parameters"),
+        (lambda t: t.replace("nonresidue: [2]\n", "nonresidue: [1]\n"), "invalid construction parameters"),
+        (lambda t: t.replace("  - [1, 0, 0, 1]\n", "  - [1, 0, 0]\n", 1), "4 entries"),
+        (lambda t: t.replace("  - [1, 0, 0, 1]\n", "  - [7, 0, 0, 1]\n", 1), "lie in"),
+        (lambda t: t.replace('"C[1,1]"', '"C[1,0]"'), "duplicate"),
+        (lambda t: t[: t.index("- label")], "non-empty"),
     ],
 )
 def test_parse_rejects_malformed_documents(spread3, mutate, message):
-    doc = yaml.safe_load(family_io.serialize(family_io.from_family(spread3)))
-    mutate(doc)
+    """Faults in the writer's layout, each named as such (an unknown kind or a
+    value that is no integer is out of layout: ``test_line_reader_declines_other_text``)."""
+    text = family_io.serialize(family_io.from_family(spread3))
+    assert mutate(text) != text
     with pytest.raises(FamilyFormatError, match=message):
-        parsed = family_io.parse(yaml.safe_dump(doc))
+        parsed = family_io.parse(mutate(text))
         family_io.to_family(parsed)
 
 
 def test_parse_rejects_truncated_yaml(spread3):
     text = family_io.serialize(family_io.from_family(spread3))
     cut = text[: text.rindex("[") + 2]
-    with pytest.raises(FamilyFormatError):
+    with pytest.raises(FamilyFormatError, match=f"^line {cut.count(chr(10)) + 1} is out of the writer's layout: "
+                                                "'  - \\[0' ends the file with no line break$"):
         family_io.parse(cut)
 
 
@@ -117,7 +117,7 @@ def test_save_and_load(tmp_path, spread3):
     assert family_io.load(path) == ff
 
 
-# --- the line reader for the writer's own format ------------------------------
+# --- the one reader: the writer's layout or a named line --------------------------
 
 
 @pytest.fixture(scope="module")
@@ -125,16 +125,31 @@ def spread_text(spread3):
     return family_io.serialize(family_io.from_family(spread3))
 
 
+def _edited_lines(old, new):
+    """The numbers of the lines of ``new``, line breaks included, that an edit
+    of ``old`` changed or inserted, or that follow lines it deleted."""
+    a, b = (re.findall(r"[^\n]*\n|[^\n]+\Z", text) for text in (old, new))
+    ops = difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    return {j for tag, _, _, j1, j2 in ops if tag != "equal" for j in range(j1 + 1, max(j1 + 1, j2) + 1)}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FamilyFormatError as exc:
+        return f"FamilyFormatError: {exc}"
+
+
 def test_line_reader_gives_the_yaml_document(spread_text):
     ff = family_io._own_format(spread_text)
     assert ff is not None
-    assert ff == family_io._from_document(yaml.safe_load(spread_text))
+    assert members_of(ff) == reference_members(spread_text)
     # an empty member list is written as a bare "members:", which YAML reads as null
     header = spread_text[: spread_text.index("- label")]
     assert yaml.safe_load(header)["members"] is None
-    for read in (family_io._own_format, _parse_yaml_only):
-        with pytest.raises(FamilyFormatError, match="^members must be a non-empty list$"):
-            read(header)
+    assert reference_members(header) == "FamilyFormatError: members must be a non-empty list"
+    with pytest.raises(FamilyFormatError, match="^members must be a non-empty list$"):
+        family_io.parse(header)
 
 
 @pytest.mark.parametrize(
@@ -156,21 +171,21 @@ def test_line_reader_gives_the_yaml_document(spread_text):
     ],
 )
 def test_line_reader_declines_other_text(spread_text, edit):
+    """Any other text is refused, naming the first line that differs from the writer's."""
     text = edit(spread_text)
     assert text != spread_text
     assert family_io._own_format(text) is None
+    with pytest.raises(FamilyFormatError, match=f"^line {min(_edited_lines(spread_text, text))}[ :]"):
+        family_io.parse(text)
 
 
-def _parse_yaml_only(text):
-    with mock.patch.object(family_io, "_own_format", return_value=None):
-        return family_io.parse(text)
-
-
-def _outcome(parse, text):
-    try:
-        return parse(text)
-    except FamilyFormatError as exc:
-        return f"FamilyFormatError: {exc}"
+def test_reader_names_labels_that_break_the_rule(spread_text):
+    tab = spread_text.replace('"C[1,2]"', '"C\t[1,2]"')
+    with pytest.raises(FamilyFormatError, match=r"^line 18: the label 'C\\t\[1,2\]' breaks the label rule$"):
+        family_io.parse(tab)
+    repeat = spread_text.replace('"D[1]"', '"C[1,2]"')
+    with pytest.raises(FamilyFormatError, match=r"^line 43: duplicate label 'C\[1,2\]', first on line 18$"):
+        family_io.parse(repeat)
 
 
 # the characters str.isprintable accepts: none of Unicode's "other" and separator categories but the space
@@ -189,13 +204,18 @@ def _breaks_label_rule(labels):
 @settings(max_examples=300, deadline=None)
 @given(labels=st.lists(LABEL, min_size=2, max_size=2, unique=True))
 def test_both_readers_agree_on_any_label(labels):
+    """The reader and the YAML oracle read every text the writer writes to
+    the same members, and the writer writes what the reader read back to the
+    same text."""
     ff = family_io.from_family(build_spread_2(ConstructionParams.create(3, 1, 2)))
     ff.labels[0], ff.labels[5] = labels
     try:
         text = family_io.serialize(ff)
     except ValueError:
         assume(False)  # the writer refuses labels that break the label rule
-    assert _outcome(family_io.parse, text) == _outcome(_parse_yaml_only, text)
+    back = family_io.parse(text)
+    assert members_of(back) == reference_members(text)
+    assert family_io.serialize(back) == text
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,7 +223,7 @@ def test_both_readers_agree_on_any_label(labels):
        other=st.none() | st.tuples(st.integers(0, 9), LABEL))
 def test_every_label_list_the_writer_accepts_reads_back(labels, other):
     """``serialize`` refuses exactly the label lists that break the label rule,
-    and the line reader reads every text it writes back to the same file."""
+    and the reader reads every text it writes back to the same file."""
     if other is not None:
         labels[other[0]] = other[1]
     ff = family_io.from_family(build_spread_2(ConstructionParams.create(3, 1, 2)))
@@ -251,30 +271,6 @@ def test_save_refuses_labels_before_opening_the_path(spread3, tmp_path):
     assert path.read_bytes() == before
 
 
-def test_yaml_route_is_bounded(spread_text, monkeypatch):
-    """Text out of the writer's layout goes to PyYAML only up to ``YAML_LIMIT``
-    characters; past it, it is refused before PyYAML is called."""
-    text = spread_text + "verification:\n  passed: true\n"
-    monkeypatch.setattr(family_io, "YAML_LIMIT", len(text))
-    assert family_io.parse(text) == family_io.parse(spread_text)
-    monkeypatch.setattr(family_io, "YAML_LIMIT", len(text) - 1)
-    monkeypatch.setattr(family_io, "_load_yaml", mock.Mock(side_effect=AssertionError("PyYAML was called")))
-    with pytest.raises(FamilyFormatError, match=f"^{len(text)} characters out of the writer's layout, "
-                                                f"above the limit {len(text) - 1}$"):
-        family_io.parse(text)
-    monkeypatch.setattr(family_io, "YAML_LIMIT", 10)
-    assert family_io.parse(spread_text) == family_io._own_format(spread_text)  # the line reader has no such bound
-
-
-def test_yaml_limit_at_its_size(spread_text, monkeypatch):
-    """A text of 2^22 + 1 characters that the line reader declines never reaches PyYAML."""
-    monkeypatch.setattr(family_io, "_load_yaml", mock.Mock(side_effect=AssertionError("PyYAML was called")))
-    text = spread_text + "#" * (family_io.YAML_LIMIT + 1 - len(spread_text))
-    with pytest.raises(FamilyFormatError, match=f"^{2**22 + 1} characters out of the writer's layout, "
-                                                f"above the limit {2**22}$"):
-        family_io.parse(text)
-
-
 def test_load_reports_text_that_is_not_utf8(tmp_path, spread_text):
     path = tmp_path / "bad.yaml"
     path.write_bytes(spread_text.encode().replace(b"p: 3", b"p: \xff", 1))
@@ -286,10 +282,11 @@ def test_load_reports_text_that_is_not_utf8(tmp_path, spread_text):
 @pytest.mark.parametrize(
     "old,new,message",
     [
-        ("p: 3\n", "p: 2001-02-30\n", "day is out of range"),  # the YAML timestamp constructor
+        ("p: 3\n", "p: 2001-02-30\n", "^line 2 is out of the writer's layout: 'p: 2001-02-30'$"),  # a YAML date
         ("p: 3\n", f"p: {'7' * 5000}\n", "digits"),  # past Python's integer digit limit
         ("[1, 0, 0, 1]", f"[{'1' * 5000}, 0, 0, 1]", "digits"),
-        ("p: 3\n", f"p: {'[' * 5000}{']' * 5000}\n", "recursion"),
+        # a line is shown up to its first 60 characters
+        ("p: 3\n", f"p: {'[' * 5000}{']' * 5000}\n", rf"^line 2 is out of the writer's layout: 'p: {re.escape('[' * 57)}…'$"),
     ],
     ids=["timestamp", "huge-int-header", "huge-int-row", "deep-nesting"],
 )
@@ -297,25 +294,23 @@ def test_crafted_values_are_format_errors(spread_text, old, new, message):
     text = spread_text.replace(old, new, 1)
     with pytest.raises(FamilyFormatError, match=message):
         family_io.parse(text)
-    with pytest.raises(FamilyFormatError, match=message):
-        _parse_yaml_only(text)
 
 
-# --- both readers on mutated own-format text ----------------------------------
+# --- the reader and the YAML oracle on mutated text ------------------------------
 
 _BASE = family_io.serialize(family_io.from_family(build_spread_2(ConstructionParams.create(5, 1, 2))))
 _LINES = _BASE.split("\n")
-# edits the line reader checks itself, and edits that send the text to the YAML route
-_CHECKED = ("at-least-p", "25-digits", "short-row", "long-row")
+# edits that keep the writer's layout, and edits out of it
+_CHECKED = ("in-range", "at-least-p", "25-digits", "short-row", "long-row")
 _DECLINED = ("leading-zero", "sign", "empty-row", "empty-generators", "duplicate-label")
 READ_BOUND_S = 2.0
 
 
 @st.composite
 def mutated_text(draw):
-    """The p=5, n=2 file with one to four edits, all checked by the line reader
-    or all declined by it, in the rows of its first members, so that several
-    faults often meet in one row or one member."""
+    """The p=5, n=2 file with one to four edits, all in the writer's layout or
+    all out of it, in the rows of its first members, so that several faults
+    often meet in one row or one member."""
     group, lines = draw(st.sampled_from([_CHECKED, _DECLINED])), list(_LINES)
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(group))
@@ -335,7 +330,9 @@ def mutated_text(draw):
         at = draw(st.sampled_from(rows))
         entries = lines[at][5:-1].split(", ")
         j = draw(st.integers(0, len(entries) - 1))
-        if kind == "at-least-p":
+        if kind == "in-range":
+            entries[j] = str(draw(st.integers(0, 4)))
+        elif kind == "at-least-p":
             entries[j] = str(draw(st.integers(5, 10**19)))
         elif kind == "25-digits":
             entries[j] = str(draw(st.integers(10**24, 10**25 - 1)))
@@ -354,58 +351,23 @@ def mutated_text(draw):
     return group is _CHECKED, "\n".join(lines)
 
 
-def _reference_members(text):
-    """The members of the YAML document as the per-member, per-row checks of
-    earlier versions read them: (label, kind, rows) triples, or the message of
-    the first fault in file order.  Only members are checked; the header is
-    ``family_io._header``'s."""
-    doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    p, k, n, _, _ = family_io._header(doc)
-    if not isinstance(doc.get("members"), list) or not doc["members"]:
-        return "FamilyFormatError: members must be a non-empty list"
-    out, labels = [], set()
-    for idx, entry in enumerate(doc["members"]):
-        label = entry.get("label")
-        if not isinstance(label, str) or not label:
-            return f"FamilyFormatError: member {idx} needs a non-empty string label"
-        if label in labels:
-            return f"FamilyFormatError: duplicate label {label!r}"
-        labels.add(label)
-        if not isinstance(entry.get("generators"), list) or not entry["generators"]:
-            return f"FamilyFormatError: member {label!r} needs generator rows"
-        for row in entry["generators"]:
-            if not all(isinstance(v, int) for v in row):
-                return f"FamilyFormatError: generator row of {label!r} must be a list of integers"
-            if any(not 0 <= v < p for v in row):
-                return f"FamilyFormatError: generator row of {label!r} entries must lie in [0, {p - 1}]"
-            if len(row) != 2 * k * n:
-                return f"FamilyFormatError: generator row of {label!r} must have {2 * k * n} entries, got {len(row)}"
-        out.append((label, entry["kind"], [list(row) for row in entry["generators"]]))
-    return out
-
-
-def _members(outcome):
-    if isinstance(outcome, str):
-        return outcome
-    return list(zip(outcome.labels, outcome.kinds, (rows.tolist() for rows in outcome.rows.split())))
-
-
 @settings(max_examples=200, deadline=None)
 @given(mutated_text())
 def test_both_readers_agree_on_mutated_rows(case):
-    """The line reader and the YAML route give the same file or the same error,
-    the one the per-row reference names; the checked edits never leave the
-    line reader."""
+    """Edits in the writer's layout: the reader gives the YAML oracle's
+    members or its first fault, and whatever it reads the writer writes back
+    to the same text.  Edits out of it: the error names an edited line (a
+    repeated label names its first line too) and blames none before the first edit."""
     checked, text = case
     start = time.perf_counter()
-    line, yaml_route = _outcome(family_io._own_format, text), _outcome(_parse_yaml_only, text)
+    outcome = _outcome(family_io.parse, text)
     assert time.perf_counter() - start < READ_BOUND_S
-    assert _members(yaml_route) == _reference_members(text)
     if checked:
-        assert line == yaml_route
+        assert members_of(outcome) == reference_members(text)
+        assert isinstance(outcome, str) or family_io.serialize(outcome) == text
     else:
-        assert line is None
-        assert _outcome(family_io.parse, text) == yaml_route
+        named, edited = [int(line) for line in re.findall(r"line ([0-9]+)", outcome)], _edited_lines(_BASE, text)
+        assert edited.intersection(named) and named[0] >= min(edited), outcome
 
 
 P_PAST_INT64 = 2**63 + 29
@@ -417,10 +379,11 @@ P_PAST_INT64 = 2**63 + 29
 def test_line_reader_past_int64(entry, ok):
     ff = family_io.from_family(build_recursive(ConstructionParams.create(P_PAST_INT64, 1, 1)))
     text = family_io.serialize(ff)
-    assert family_io._own_format(text) == _parse_yaml_only(text) == ff
+    assert family_io.parse(text) == ff
+    assert members_of(ff) == reference_members(text)
     text = text.replace("  - [1, 0]\n", f"  - [{entry}, 0]\n")
-    line = _outcome(family_io._own_format, text)
-    assert line == _outcome(_parse_yaml_only, text)
+    line = _outcome(family_io.parse, text)
+    assert members_of(line) == reference_members(text)
     if ok:
         assert family_io.serialize(line) == text
         assert line.rows.matrix(0).tolist() == [[entry, 0], [0, 1]]
