@@ -332,8 +332,8 @@ def test_verify_non_utf8_file_is_malformed(family_path, capsys):
 
 
 def test_verify_refuses_a_large_file_out_of_layout_before_yaml(tmp_path, capsys, monkeypatch):
-    """p=3, n=6 (a 10 MB file) with one row entry made -1: refused, naming the
-    line, with no YAML parser loaded (PyYAML took 105 s and 1.5 GB on it)."""
+    """p=3, n=6 (a 10 MB file) with one row entry made -1: refused within 10 s,
+    naming the line, with no YAML parser loaded."""
     path = tmp_path / "n6.yaml"
     assert run(capsys, "generate", "--p", "3", "--n", "6", "--out", str(path))[0] == EXIT_OK
     text = path.read_text()

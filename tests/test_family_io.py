@@ -93,13 +93,14 @@ def test_noncanonical_members_detects_tampering(spread3):
     ],
 )
 def test_parse_rejects_malformed_documents(spread3, mutate, message):
-    """Faults in the writer's layout, each named as such (an unknown kind or a
-    value that is no integer is out of layout: ``test_line_reader_declines_other_text``)."""
+    """Faults that keep the writer's layout, each refused with its own message
+    (an unknown kind or a value that is no integer is a line out of layout:
+    ``test_line_reader_declines_other_text``)."""
     text = family_io.serialize(family_io.from_family(spread3))
-    assert mutate(text) != text
+    edited = mutate(text)
+    assert edited != text
     with pytest.raises(FamilyFormatError, match=message):
-        parsed = family_io.parse(mutate(text))
-        family_io.to_family(parsed)
+        family_io.to_family(family_io.parse(edited))
 
 
 def test_parse_rejects_truncated_yaml(spread3):
