@@ -295,7 +295,7 @@ def save(ff: FamilyFile, path) -> None:
 
 def load(path) -> FamilyFile:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:  # no newline translation: the bytes as written
             return parse(handle.read())
     except UnicodeDecodeError as exc:
         raise FamilyFormatError(f"not UTF-8 text: {exc}") from exc

@@ -40,10 +40,11 @@ which are stacked with an owner column and sorted lexicographically into
 arrays, so points with two or more owners sit next to each other and the
 distinct lines are counted in passing, p - 1 nonzero points each.  The
 normalised point of a line is its smallest, so each witness is the smallest
-shared point.  Members too large to enumerate are compared by rank, and the
-partition then goes unchecked; an index above ``INDEX_LIMIT`` lines, or rank
-tests above ``RANK_LIMIT``, are refused before any span is built.  All of it
-is exact integer combinatorics, with no floating point.
+shared point.  A member too large to enumerate is admitted only alone, with
+no pair to check and the partition unchecked; beside another member, or in an
+index above ``INDEX_LIMIT`` lines, it is refused from the row counts before
+any span is built.  All of it is exact integer combinatorics, with no
+floating point.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .report import VerificationReport, _power
 
 SPAN_LIMIT = 10**6
 INDEX_LIMIT = 2**23  # lines in one ownership index, 51-70 bytes each (width 8-14) while it is built and sorted
-RANK_LIMIT = 2**30  # rank-test work, (2r + 4)^2 * width a pair (16 times that in Python ints): about 20 ns a unit
 MAX_LISTED_PAIRS = 1000
 
 NONDEGENERATE = "nondegenerate"
@@ -377,14 +377,15 @@ def _check_index_size(lines: int | str) -> None:
         raise ValueError(f"the ownership index would hold {lines} lines, above the limit {INDEX_LIMIT}")
 
 
-def _check_rank_work(rows: RowStacks) -> None:
-    """Refuse the rank tests of the pairs with a member above ``SPAN_LIMIT`` past ``RANK_LIMIT`` steps, counted
-    from the row counts alone."""
-    n, big = len(rows), int((~_enumerable(rows.p, rows.counts)).sum())
-    pairs = big * (n - 1) - big * (big - 1) // 2
-    work = pairs * (2 * int(rows.counts.max(initial=0)) + 4) ** 2 * rows.width * (16 if rows.rows.dtype == object else 1)
-    if work > RANK_LIMIT:
-        raise ValueError(f"the rank tests of {pairs} member pairs would take {work} steps, above the limit {RANK_LIMIT}")
+def _check_index(rows: RowStacks, labels: Sequence[str]) -> None:
+    """Refuse, from the row counts alone, a member above ``SPAN_LIMIT`` beside another (no index
+    holds it, so its pairs go unchecked) and an ownership index past ``INDEX_LIMIT`` lines."""
+    big = np.flatnonzero(~_enumerable(rows.p, rows.counts))
+    if len(big) and len(rows) > 1:
+        i = int(big[0])
+        raise ValueError(f"{labels[i]} spans {_power(rows.p, int(rows.counts[i]))} points, "
+                         f"above the limit {SPAN_LIMIT} for a member beside another")
+    _check_index_size(_index_lines(rows))
 
 
 def _owners(rows: RowStacks) -> _Index:
@@ -395,8 +396,6 @@ def _owners(rows: RowStacks) -> _Index:
     p, small = rows.p, np.min_scalar_type(rows.p - 1)  # the smallest dtype holding [0, p-1] sorts fastest
     points, owners = [np.zeros((0, rows.width), dtype=small)], [np.zeros(0, dtype=np.intp)]
     for at, stack in rows.groups:
-        if not _enumerable(p, stack.shape[1]):
-            continue
         lines = _line_coefficients(p, stack.shape[1]).astype(stack.dtype)
         points.append((lines @ stack % p).astype(small).reshape(-1, rows.width))
         owners.append(np.repeat(at, len(lines)))
@@ -433,14 +432,6 @@ def _conflicts(index: _Index) -> Iterator[tuple[tuple[int, int], tuple[int, ...]
             yield (i, j), tuple(index.points[starts[g]].tolist()), count
 
 
-def _shared_point(a: Subspace, b: Subspace) -> tuple[int, ...]:
-    """A nonzero point of a meet b (callers ensure the meet is nontrivial): an echelon
-    row of [a_i | a_i], [b_j | 0] zero on the left carries sum c_i a_i = -sum d_j b_j."""
-    zero = (0,) * (2 * a.m)
-    ech, _ = _modlin.rref([row + row for row in a.rows] + [row + zero for row in b.rows], a.p)
-    return next(row[2 * a.m :] for row in ech if not any(row[: 2 * a.m]))
-
-
 def _point_text(point: tuple[int, ...]) -> str:
     """The point, or past 64 coordinates (32 factors) its first 8 nonzero ones by position and its width."""
     if len(point) <= 64:
@@ -453,12 +444,9 @@ def _disjointness(
     rows: RowStacks, labels: Sequence[str] | None = None
 ) -> tuple[VerificationReport, VerificationReport | None]:
     """The pairwise and partition reports from one ownership index of the
-    members (a table of canonical echelon bases) at or below ``SPAN_LIMIT``,
-    refused past ``INDEX_LIMIT`` lines before any span is built; pairs with a
-    larger member get a rank test, and the partition report is then None (also
-    when empty).  The rank tests, refused past ``RANK_LIMIT`` before any elimination, take one first member
-    at a time, in pair order, with its later partners (all of them if it is above the limit, else those
-    above it) in one elimination per row count; they stop at ``MAX_LISTED_PAIRS`` + 1 meets.
+    members (a table of canonical echelon bases), after ``_check_index``: a
+    member above ``SPAN_LIMIT`` is admitted only alone, and then, as for no
+    member, there is no pair and the partition report is None.
 
     Members are subspaces, so two share a nonzero point exactly when they share
     its line, and the index holds one point per line.  Each pair of owners of a
@@ -470,35 +458,20 @@ def _disjointness(
     """
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
-    _check_index_size(_index_lines(rows))
-    _check_rank_work(rows)
-    big = np.flatnonzero(~_enumerable(p, rows.counts))
+    _check_index(rows, labels)
+    if not n or not _enumerable(p, rows.counts).all():  # no member, or one alone above SPAN_LIMIT
+        return VerificationReport(checks_run=0), None
     index = _owners(rows)
     conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
-    witnesses = {pair: pt for pair, pt, _ in conflicts}
-    oversize, meets = set(big.tolist()), []  # meets: the pairs whose stacked rows are dependent
-    for i in range(big[-1] + 1 if len(big) else 0):
-        if len(meets) > MAX_LISTED_PAIRS:
-            break
-        mine = rows.matrix(i)
-        later = np.arange(i + 1, n) if i in oversize else big[big > i]
-        for at, stack in rows.take(later).groups:
-            pairs = np.concatenate([np.broadcast_to(mine, (len(at),) + mine.shape), stack], axis=1)
-            meets += [(i, j) for j in later[at[_modlin.rref_stack(pairs, p)[1] < pairs.shape[1]]].tolist()]
-    for i, j in sorted(meets)[: MAX_LISTED_PAIRS + 1]:
-        witnesses[i, j] = _shared_point(rows.subspace(i), rows.subspace(j))
-    listed = sorted(witnesses.items())
     failures = [
         (f"{labels[i]} & {labels[j]}", f"shared nonzero point {_point_text(witness)}")
-        for (i, j), witness in listed[:MAX_LISTED_PAIRS]
+        for (i, j), witness, _ in conflicts[:MAX_LISTED_PAIRS]
     ]
-    if len(listed) > MAX_LISTED_PAIRS:
+    if len(conflicts) > MAX_LISTED_PAIRS:
         failures.append(
             ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
         )
     pairwise = VerificationReport(checks_run=n * (n - 1) // 2, failures=failures)
-    if len(big) or not n:
-        return pairwise, None
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count * (p - 1)} shared nonzero points") for (i, j), _, count in conflicts[:1]
     ]
@@ -527,7 +500,7 @@ def check_pairwise_trivial(
 
 def check_partition(subspaces: Sequence[Subspace], labels: Sequence[str] | None = None) -> VerificationReport:
     """Pass iff the members' nonzero points are disjoint and cover Z_p^{2m} \\ {0};
-    raises for an empty family, a member above ``SPAN_LIMIT`` or an index above ``INDEX_LIMIT`` lines."""
+    raises for an empty family, a member above ``SPAN_LIMIT`` (alone or not) or an index above ``INDEX_LIMIT`` lines."""
     report = _disjointness(_table(subspaces), labels)[1]
     if report is None:
         raise ValueError(f"a member's span is above the limit {SPAN_LIMIT}" if subspaces else "empty family")

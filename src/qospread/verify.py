@@ -44,7 +44,7 @@ from .phase_space import (
     classify_subspace,
 )
 from .report import VerificationReport, _power
-from .weyl import MAX_DIM, _monomial_parts, _tables, basis_matrices
+from .weyl import _monomial_parts, _tables, basis_matrices
 
 DEFAULT_TOL = 1e-9
 NUMERIC_MAX_DIM = 81
@@ -71,7 +71,8 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
     copy of M_{p^k}), every masa member is isotropic of dimension 2k, and the
     member count meets the dimension bound, its failure listed last.  The
     second, from the same scan of the point-ownership index, is
-    ``check_partition``'s report, or None when a member is too large to enumerate.
+    ``check_partition``'s report, or None for no member or a lone member too
+    large to enumerate.  Raises where ``phase_space._check_index`` refuses.
     """
     labels, kinds = family.labels(), family.kinds()
     pairs, partition = _disjointness(family.rows, labels)
@@ -149,7 +150,7 @@ def _member_parts(rows: RowStacks):
 
     def parts(positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
         points = _ranges(starts[positions], sizes[positions])
-        return _monomial_parts(rows.p, rows.width // 2, spans[points], MAX_DIM)
+        return _monomial_parts(rows.p, rows.width // 2, spans[points])
 
     return parts
 

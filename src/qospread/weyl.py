@@ -23,10 +23,11 @@ i sends column digit j to row digit (j + k_i) mod p with value lam^{l_i j},
 and the m values multiply factor 1 first, left to right.  ``_monomial_parts``
 keeps that (target, values) form, p^m row indices and complex128 values per
 matrix, which the numeric oracle reads; ``basis_matrices`` scatters the same
-bits into dense (p^m, p^m) arrays.  Both refuse a dimension above their
-limit (``MAX_DIM`` for a span), because dense matrices grow as p^{2m}, and a
-span's dense stack is refused before anything is allocated when it holds too
-many entries.
+bits into dense (p^m, p^m) arrays.  Both refuse a dimension d above
+``MAX_DIM`` (``synthesize`` also above a lower limit of its caller's),
+because dense matrices grow as d^2 and ``_tables`` keeps four (p, m) entries
+of 24 d^2 bytes each, and a span's dense stack is refused before anything is
+allocated when it holds too many entries.
 """
 
 from __future__ import annotations
@@ -95,20 +96,20 @@ def _tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return add, clock
 
 
-def _monomial_parts(p: int, m: int, rows: np.ndarray, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _monomial_parts(p: int, m: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase-0 monomials, one per integer point row, as (target, values): column x
     of matrix a holds values[a, x] in row target[a, x] and zeros elsewhere."""
     d = p**m
-    if d > max_dim:
-        raise ValueError(f"dimension {d} exceeds the synthesis limit {max_dim}")
+    if d > MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds the synthesis limit {MAX_DIM}")
     add, clock = _tables(p, m)
     rows, places = np.asarray(rows) % p, p ** np.arange(m - 1, -1, -1)
     return add[rows[:, 0::2] @ places], clock[rows[:, 1::2] @ places]
 
 
-def _monomial_stack(p: int, m: int, rows: np.ndarray, max_dim: int) -> np.ndarray:
+def _monomial_stack(p: int, m: int, rows: np.ndarray) -> np.ndarray:
     """Dense phase-0 monomials, one (p^m, p^m) matrix per integer point row."""
-    target, values = _monomial_parts(p, m, rows, max_dim)
+    target, values = _monomial_parts(p, m, rows)
     d = p**m
     stack = np.zeros((len(rows), d, d), dtype=complex)
     stack[np.arange(len(rows))[:, None], target, np.arange(d)] = values
@@ -116,9 +117,12 @@ def _monomial_stack(p: int, m: int, rows: np.ndarray, max_dim: int) -> np.ndarra
 
 
 def synthesize(x: WeylMonomial, max_dim: int = MAX_DIM) -> np.ndarray:
-    """Dense complex matrix of the monomial, factor 1 as the leftmost factor."""
-    p = x.point.p
-    mat = _monomial_stack(p, x.point.m, np.array([x.point.coords]), max_dim)[0]
+    """Dense complex matrix of the monomial, factor 1 as the leftmost factor,
+    refused above ``max_dim`` (and ``MAX_DIM``)."""
+    p, d = x.point.p, x.point.p ** x.point.m
+    if d > max_dim:
+        raise ValueError(f"dimension {d} exceeds the synthesis limit {max_dim}")
+    mat = _monomial_stack(p, x.point.m, np.array([x.point.coords]))[0]
     if x.phase_exp:
         mat = np.exp(2j * np.pi * x.phase_exp / p) * mat
     return mat
@@ -134,7 +138,7 @@ def basis_matrices(s: Subspace) -> np.ndarray:
     count, d = s.p**s.dim, s.p**s.m
     if count * d * d > MAX_STACK_ENTRIES:
         raise ValueError(f"{count} matrices of side {d} exceed the stack limit {MAX_STACK_ENTRIES}")
-    return _monomial_stack(s.p, s.m, _span_rows(s), MAX_DIM)
+    return _monomial_stack(s.p, s.m, _span_rows(s))
 
 
 def monomial_text(u: PhasePoint) -> str:

@@ -311,8 +311,10 @@ def test_verify_truncated_file(family_path, capsys):
         ("p: 3\n", "p: 2001-02-30\n"),  # a YAML date, out of the writer's layout
         ("p: 3\n", f"p: {'7' * 5000}\n"),  # past Python's integer digit limit
         ("p: 3\n", f"p: {'[' * 5000}{']' * 5000}\n"),  # a line of 10,003 characters, out of layout
+        ("\n", "\r\n"),  # line ends are read as written, with no translation
+        ("\n", "\r"),
     ],
-    ids=["timestamp", "huge-int", "deep-nesting"],
+    ids=["timestamp", "huge-int", "deep-nesting", "crlf", "cr"],
 )
 def test_verify_crafted_file_is_malformed(family_path, capsys, old, new):
     family_path.write_text(family_path.read_text().replace(old, new, 1))
@@ -349,9 +351,9 @@ def test_verify_refuses_a_large_file_out_of_layout_before_yaml(tmp_path, capsys,
 
 
 def test_verify_refuses_rank_tests_past_the_limit(tmp_path, capsys, monkeypatch):
-    """3,000 members at p = 1009, each the same plane of 1,018,081 points: the
-    rank tests of every pair are refused (exit 2) before any elimination and
-    before anything is printed."""
+    """3,000 members at p = 1009, each the same plane of 1,018,081 points, above
+    ``SPAN_LIMIT``: no index holds them, so the file is refused (exit 2),
+    naming the first, before any index or elimination and before anything is printed."""
     params = ConstructionParams.create(1009, 1, 2)
     rows = [[(1, 0, 0, 0), (0, 1, 0, 0)]] * 3000
     ff = file_of(1009, 1, 2, params.field.poly, params.nonresidue.coords,
@@ -359,10 +361,13 @@ def test_verify_refuses_rank_tests_past_the_limit(tmp_path, capsys, monkeypatch)
     path = tmp_path / "same.yaml"
     family_io.save(ff, path)
     monkeypatch.setattr(phase_space._modlin, "rref_stack", mock.Mock(side_effect=AssertionError("eliminated")))
-    code, out, err = run(capsys, "verify", str(path), "--mode", "symbolic")
-    assert (code, out) == (EXIT_BAD_INPUT, "")
-    assert err == ("error: the rank tests of 4498500 member pairs would take 1151616000 steps, above the limit "
-                   "1073741824\n")
+    monkeypatch.setattr(phase_space, "_owners", mock.Mock(side_effect=AssertionError("indexed")))
+    for mode in ("symbolic", "both"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path), "--mode", mode)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == "error: M0 spans 1018081 points, above the limit 1000000 for a member beside another\n"
 
 
 def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
@@ -417,21 +422,23 @@ def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, cap
     assert elapsed < 1.0 and peak < 10 * 2**20, (elapsed, peak)
 
 
-def test_verify_refuses_an_index_that_elimination_brings_over_the_limit(tmp_path, capsys):
-    # p=3, n=7: 32 members stored with 13 rows of rank 12; 3^13 points is above SPAN_LIMIT, so
-    # the stored row counts index nothing, but eliminated each holds (3^12 - 1)/2 lines, 8,503,040 together
+def test_verify_refuses_an_index_that_elimination_brings_over_the_limit(tmp_path, capsys, monkeypatch):
+    # p=3, n=7: 32 members stored with 13 rows of rank 12.  Eliminated, each would hold (3^12 - 1)/2
+    # lines, 8,503,040 together, past INDEX_LIMIT; as stored, each spans 3^13 points, above
+    # SPAN_LIMIT, so the file is refused from its row counts before anything is printed
     rows = [[int(i == j) for j in range(14)] for i in range(12)] + [[1, 1] + [0] * 12]
     path = tmp_path / "dependent.yaml"
     path.write_text("format_version: 1\np: 3\nk: 1\nn: 7\npoly: [0]\nnonresidue: [2]\nmembers:\n" + "".join(
         f'- label: "M{i}"\n  kind: matrix_algebra\n  generators:\n' + "".join(f"  - {row}\n" for row in rows)
         for i in range(32)))
+    monkeypatch.setattr(phase_space._modlin, "rref_stack", mock.Mock(side_effect=AssertionError("eliminated")))
+    monkeypatch.setattr(phase_space, "_owners", mock.Mock(side_effect=AssertionError("indexed")))
     for mode in ("symbolic", "both"):
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", str(path), "--mode", mode)
         assert time.perf_counter() - start < 1.0
-        assert code == EXIT_BAD_INPUT
-        assert out.startswith("integrity: FAIL (32 members with non-canonical rows)\n") and "symbolic" not in out
-        assert err == f"error: the ownership index would hold {32 * (3**12 - 1) // 2} lines, above the limit {2**23}\n"
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == f"error: M0 spans {3**13} points, above the limit 1000000 for a member beside another\n"
 
 
 def test_verify_member_of_dimension_zero(family_path, capsys):

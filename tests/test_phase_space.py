@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -350,131 +351,67 @@ def test_set_check_agrees_with_rank_oracle():
     assert agree_trivial and agree_shared and multi_owner  # every branch exercised
 
 
-def test_oversize_members_fall_back_to_rank_test():
-    # p=1009, dim 2: 1,018,081 points, above SPAN_LIMIT
-    p = 1009
-    small = Subspace.from_generators(p, 2, [(1, 5, 0, 0)])
-    meets = Subspace.from_generators(p, 2, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    misses = Subspace.from_generators(p, 2, [(0, 0, 1, 0), (0, 0, 0, 1)])
-    straddles = Subspace.from_generators(p, 2, [(1, 0, 0, 0), (0, 0, 1, 0)])
-    subs = [small, meets, misses, small, straddles]
-    assert meets.p**meets.dim > SPAN_LIMIT
-    rep = check_pairwise_trivial(subs)
-    assert not rep.passed
-    assert rep.checks_run == 10
-    pairs = [(0, 1), (0, 3), (1, 3), (1, 4), (2, 4)]
-    assert [who for who, _ in rep.failures] == [f"member {i} & member {j}" for i, j in pairs]
-    for (_, what), (i, j) in zip(rep.failures, pairs):
-        witness = PhasePoint(p, 2, tuple(int(c) for c in re.findall(r"\d+", what)))
-        assert not witness.is_zero
-        assert subs[i].contains(witness) and subs[j].contains(witness)
-    assert rep.failures[1][1] == "shared nonzero point (1, 5, 0, 0)"
-    with pytest.raises(ValueError, match="limit"):
-        check_partition([small, meets])
-    with pytest.raises(ValueError, match="empty family"):
-        check_partition([])
-
-
 def _no_work(*args, **kwargs):
     raise AssertionError("work past a refusal")
 
 
+def test_oversize_members_are_refused_beside_another(monkeypatch):
+    """p=1009, dim 2: 1,018,081 points, above SPAN_LIMIT.  No index holds such a
+    member, so beside another it is refused, named, before any span or
+    elimination; alone it has no pair, and the partition goes unchecked."""
+    p = 1009
+    small = Subspace.from_generators(p, 2, [(1, 5, 0, 0)])
+    meets = Subspace.from_generators(p, 2, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    assert meets.p**meets.dim > SPAN_LIMIT
+    monkeypatch.setattr(_modlin, "rref_stack", _no_work)
+    monkeypatch.setattr(phase_space, "_owners", _no_work)
+    refused = f" spans 1018081 points, above the limit {SPAN_LIMIT} for a member beside another$"
+    for check in (check_pairwise_trivial, check_partition):
+        with pytest.raises(ValueError, match="^member 1" + refused):
+            check([small, meets, small, meets])
+        with pytest.raises(ValueError, match="^B" + refused):
+            check([meets, small], ["B", "A"])
+    rep = check_pairwise_trivial([meets])
+    assert (rep.passed, rep.checks_run) == (True, 0)
+    with pytest.raises(ValueError, match="limit"):
+        check_partition([meets])
+    with pytest.raises(ValueError, match="empty family"):
+        check_partition([])
+
+
 def test_rank_tests_past_the_limit_are_refused_before_any_elimination(monkeypatch):
     """p=1009: 3,000 copies of one plane of 1,018,081 points, a table as cheap to
-    build as its 4,498,500 pairs are costly to rank-test ((2*2 + 4)^2 * 4 = 256
-    steps each, past ``RANK_LIMIT``): refused with no index and no elimination."""
+    build as its 4,498,500 pairs would be costly to compare without an index:
+    refused, naming the first plane, with no index and no elimination."""
     table = RowStacks.of(1009, 4, np.full(3000, 2), np.tile([[1, 0, 0, 0], [0, 1, 0, 0]], (3000, 1)))
     monkeypatch.setattr(_modlin, "rref_stack", _no_work)
     monkeypatch.setattr(phase_space, "_owners", _no_work)
-    with pytest.raises(ValueError, match="^the rank tests of 4498500 member pairs would take 1151616000 steps, "
-                                         "above the limit 1073741824$"):
+    with pytest.raises(ValueError, match=f"^member 0 spans 1018081 points, above the limit {SPAN_LIMIT} "
+                                         "for a member beside another$"):
         phase_space._disjointness(table)
 
 
-@pytest.mark.parametrize("p,pairs,weight", [(1009, 9, 1), (2**63 + 29, 10, 16)], ids=["int32", "object"])
-def test_rank_limit_counts_pairs_rows_and_width(monkeypatch, p, pairs, weight):
-    """Three planes and two lines of Z_p^4, all pairwise disjoint.  At p = 1009
-    the planes are above ``SPAN_LIMIT`` and the lines not, so 9 pairs have a
-    big member; past int64 products all 10 do, and each costs 16 times as
-    much.  A pair costs (2r + 4)^2 w for the most rows r = 2 and width w = 4:
-    the work at the limit is admitted, and one step less of limit refuses it."""
-    members = [[(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)], [(1, 0, 1, 0), (0, 1, 0, 1)],
-               [(1, 0, 2, 0)], [(1, 1, 2, 3)]]
-    table = RowStacks.lists(p, 4, members)
-    work = pairs * 8**2 * 4 * weight
-    monkeypatch.setattr(phase_space, "RANK_LIMIT", work)
-    assert phase_space._disjointness(table)[0].passed
-    monkeypatch.setattr(phase_space, "RANK_LIMIT", work - 1)
-    with pytest.raises(ValueError, match=f"^the rank tests of {pairs} member pairs would take {work} steps, "
-                                         f"above the limit {work - 1}$"):
-        phase_space._disjointness(table)
+def test_every_family_the_index_admits_has_members_it_can_index():
+    """For n >= 2 a generated family's (p^{2kn} - 1)/(p - 1) lines pass
+    ``INDEX_LIMIT`` only where its members' p^{2k} points are at or below
+    ``SPAN_LIMIT``, so ``_check_index`` refuses no generated family.  The lines
+    grow with p, k and n, so each scan stops at its first refusal."""
 
+    def admits(p, k, n):
+        try:
+            phase_space._check_index_size(phase_space._nonzero_lines(p, 2 * k * n))
+        except ValueError:
+            return False
+        return True
 
-def _rank_fallback_reference(subs):
-    """The pairwise failures as the rank fallback listed them, one rank test and
-    one witness per pair, for a family in which every pair has a member above
-    ``SPAN_LIMIT``."""
-    witnesses = {}
-    for i, j in itertools.combinations(range(len(subs)), 2):
-        if not intersect_trivially(subs[i], subs[j]):
-            witnesses[i, j] = phase_space._shared_point(subs[i], subs[j])
-    listed = sorted(witnesses.items())
-    failures = [(f"member {i} & member {j}", f"shared nonzero point {w}") for (i, j), w in listed[:MAX_LISTED_PAIRS]]
-    if len(listed) > MAX_LISTED_PAIRS:
-        failures.append(
-            ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
-        )
-    return failures, len(listed)
-
-
-def _oversize_family(copies):
-    """p=1009: 20 random planes (1,018,081 points each), ``copies`` copies of one
-    more plane, a line inside it and a 3-dimensional member that meets every
-    plane, so the pairs stack 3, 4 and 5 rows; 46 copies make 1,035 failing
-    pairs, past the listing cap."""
-    p, rng = 1009, random.Random(copies)
-
-    def member(dim):
-        while True:
-            sub = Subspace.from_generators(p, 2, [[rng.randrange(p) for _ in range(4)] for _ in range(dim)])
-            if sub.dim == dim:
-                return sub
-
-    plane = member(2)
-    line = Subspace.from_generators(p, 2, [tuple(a + 2 * b for a, b in zip(*plane.rows))])
-    return [member(2) for _ in range(20)] + [plane] * copies + [line, member(3)]
-
-
-@pytest.mark.parametrize("copies", [3, 46])
-def test_oversize_pairs_are_ranked_in_one_batch(monkeypatch, copies):
-    """The report on ``_oversize_family`` is the per-pair rank test's, with no
-    per-pair rank call and witnesses only for listable pairs."""
-    subs = _oversize_family(copies)
-    want, failing = _rank_fallback_reference(subs)
-    ranks, witnesses = [], []
-    monkeypatch.setattr(_modlin, "rank", lambda rows, p: ranks.append(1) or len(_modlin.rref(rows, p)[0]))
-    shared_point = phase_space._shared_point
-    monkeypatch.setattr(phase_space, "_shared_point", lambda a, b: witnesses.append(1) or shared_point(a, b))
-    rep = check_pairwise_trivial(subs)
-    assert rep.failures == want
-    assert rep.checks_run == len(subs) * (len(subs) - 1) // 2
-    assert failing >= copies * (copies - 1) // 2 + copies + (20 + copies)  # copies, line, 3-dim member
-    assert not ranks
-    assert len(witnesses) == min(failing, MAX_LISTED_PAIRS + 1)
-
-
-@pytest.mark.parametrize("copies", [3, 46])
-def test_oversize_rank_stacks_hold_one_first_member(monkeypatch, copies):
-    """Each elimination stacks the pairs of one first member, so it holds fewer
-    pairs than there are members; one stack of every pair with the same row
-    count would grow with the square of the member count."""
-    subs = _oversize_family(copies)
-    want, _ = _rank_fallback_reference(subs)
-    sizes = []
-    rref_stack = _modlin.rref_stack
-    monkeypatch.setattr(_modlin, "rref_stack", lambda stack, p: sizes.append(len(stack)) or rref_stack(stack, p))
-    assert check_pairwise_trivial(subs).failures == want
-    assert 1 < max(sizes) < len(subs)
+    admitted = []
+    for p in (q for q in itertools.count(3, 2) if all(q % d for d in range(3, math.isqrt(q) + 1, 2))):
+        if not admits(p, 1, 2):
+            break
+        for k in itertools.takewhile(lambda k: admits(p, k, 2), itertools.count(1)):
+            admitted += itertools.takewhile(lambda key: admits(*key), ((p, k, n) for n in itertools.count(2)))
+    assert len(admitted) == 65 and admitted[-1] == (199, 1, 2)
+    assert max(p ** (2 * k) for p, k, _ in admitted) == 199**2 <= SPAN_LIMIT
 
 
 def test_index_above_int64_codes_agrees_with_rank_oracle():
@@ -513,29 +450,19 @@ def _full_index(rows):
     index as it was before it held one point per line, the reference for it."""
     p, points, owners = rows.p, [np.zeros((0, rows.width), dtype=np.int64)], [np.zeros(0, dtype=np.intp)]
     for at, stack in rows.groups:
-        if phase_space._enumerable(p, stack.shape[1]):
-            points.append(phase_space._spans(p, stack)[:, 1:].astype(np.int64).reshape(-1, rows.width))
-            owners.append(np.repeat(at, p ** stack.shape[1] - 1))
+        points.append(phase_space._spans(p, stack)[:, 1:].astype(np.int64).reshape(-1, rows.width))
+        owners.append(np.repeat(at, p ** stack.shape[1] - 1))
     return phase_space._Index.sort(np.concatenate(points), np.concatenate(owners))
 
 
 def _full_point_reports(rows):
-    """The pairwise and partition failures and the covered count, from the full
-    index and a rank test of every pair with a member above ``SPAN_LIMIT``."""
-    p, subs = rows.p, rows.subspaces()
-    full = _full_index(rows)
+    """The pairwise and partition failures and the covered count, from the full index."""
+    p, full = rows.p, _full_index(rows)
     conflicts = list(phase_space._conflicts(full))
-    witnesses = {pair: point for pair, point, _ in conflicts}
-    big = set(np.flatnonzero(~phase_space._enumerable(p, rows.counts)).tolist())
-    for i, j in itertools.combinations(range(len(subs)), 2):
-        if (i in big or j in big) and not intersect_trivially(subs[i], subs[j]):
-            witnesses[i, j] = phase_space._shared_point(subs[i], subs[j])
-    listed = sorted(witnesses.items())
-    pairwise = [(f"member {i} & member {j}", f"shared nonzero point {w}") for (i, j), w in listed[:MAX_LISTED_PAIRS]]
-    if len(listed) > MAX_LISTED_PAIRS:
+    pairwise = [(f"member {i} & member {j}", f"shared nonzero point {point}")
+                for (i, j), point, _ in conflicts[:MAX_LISTED_PAIRS]]
+    if len(conflicts) > MAX_LISTED_PAIRS:
         pairwise.append(("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs"))
-    if big:
-        return pairwise, None, None
     partition = [(f"member {i} & member {j}", f"{count} shared nonzero points") for (i, j), _, count in conflicts[:1]]
     covered, expected = int(full.first.sum()), p**rows.width - 1
     if covered != expected:
@@ -571,7 +498,7 @@ def _mixed(subs, at, oversize=False):
     return subs[:at] + extra + subs[at:] + [member(2 * m)] * oversize
 
 
-_INDEX_CASES = {  # name: (the members, the number of conflicting pairs or None)
+_INDEX_CASES = {  # name: (the members, the number of conflicting pairs, None, or "refused")
     "p3 spread": (lambda: _spread(3, 3), 0),
     "p5 spread": (lambda: _spread(5, 3), 0),
     "p7 spread": (lambda: _spread(7, 3), 0),
@@ -583,17 +510,24 @@ _INDEX_CASES = {  # name: (the members, the number of conflicting pairs or None)
     "p53 copies": (lambda: _copies(_spread(53, 2)[::10], [4, 5, 6], [200, 201, 202]), 3),
     "p3 mixed row counts": (lambda: _mixed(_spread(3, 3), 40), None),
     "p53 mixed row counts": (lambda: _mixed(_spread(53, 2)[::10], 100), None),
-    "p53 mixed, oversize": (lambda: _mixed(_spread(53, 2)[::10], 100, oversize=True), None),
+    "p53 mixed, oversize": (lambda: _mixed(_spread(53, 2)[::10], 100, oversize=True), "refused"),
 }
 
 
 @pytest.mark.parametrize("case", _INDEX_CASES)
-def test_line_index_agrees_with_the_full_point_index(case):
+def test_line_index_agrees_with_the_full_point_index(case, monkeypatch):
     """One point per line gives the full index's pairs, witness points, shared
-    counts and covered count: every conflict, and every line of the reports."""
+    counts and covered count: every conflict, and every line of the reports.
+    A member above ``SPAN_LIMIT`` beside the others is refused before either."""
     members, failing = _INDEX_CASES[case]
     rows = phase_space._table(members())
     p = rows.p
+    if failing == "refused":
+        monkeypatch.setattr(_modlin, "rref_stack", _no_work)
+        monkeypatch.setattr(phase_space, "_owners", _no_work)
+        with pytest.raises(ValueError, match=f"^member {len(rows) - 1} spans {p**rows.width} points, above the limit"):
+            phase_space._disjointness(rows)
+        return
     lines, full = phase_space._owners(rows), _full_index(rows)
     assert len(lines.owners) == phase_space._index_lines(rows) and len(full.owners) == len(lines.owners) * (p - 1)
     assert (np.take_along_axis(lines.points, (lines.points != 0).argmax(axis=1)[:, None], axis=1) == 1).all()
@@ -605,10 +539,7 @@ def test_line_index_agrees_with_the_full_point_index(case):
     pairwise, partition = phase_space._disjointness(rows)
     want_pairwise, want_partition, covered = _full_point_reports(rows)
     assert pairwise.failures == want_pairwise
-    if want_partition is None:
-        assert partition is None
-    else:
-        assert (partition.failures, partition.covered) == (want_partition, covered)
+    assert (partition.failures, partition.covered) == (want_partition, covered)
 
 
 def test_subspaces_given_non_canonical_rows_are_indexed_by_their_lines():

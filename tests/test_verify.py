@@ -35,14 +35,14 @@ from qospread.verify import (
     verify_qo_numeric,
     verify_qo_symbolic,
 )
-from qospread.weyl import MAX_DIM, _monomial_parts, basis_matrices
+from qospread.weyl import _monomial_parts, basis_matrices
 
 P3 = ConstructionParams.create(3, 1, 2)
 
 
 def span_parts(s):
     """The (target, values) parts of the monomials over every span point of ``s``."""
-    return _monomial_parts(s.p, s.m, _span_rows(s), MAX_DIM)
+    return _monomial_parts(s.p, s.m, _span_rows(s))
 
 
 # --- symbolic route -------------------------------------------------------------

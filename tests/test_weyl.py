@@ -93,6 +93,10 @@ def test_synthesize_identity():
 def test_synthesize_dimension_guard():
     with pytest.raises(ValueError, match="limit"):
         synthesize(WeylMonomial.identity(3, 7))
+    with pytest.raises(ValueError, match="^dimension 81 exceeds the synthesis limit 27$"):
+        synthesize(WeylMonomial.identity(3, 4), 27)
+    with pytest.raises(ValueError, match=f"^dimension 2187 exceeds the synthesis limit {MAX_DIM}$"):
+        _monomial_parts(3, 7, np.zeros((1, 14), dtype=int))  # the bound of the ``_tables`` cache
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (5, 1)])
@@ -218,7 +222,7 @@ def test_monomial_parts_scatter_to_basis_matrices(p, m):
         gens = rng.integers(p, size=(int(rng.integers(1, max_span_dim + 1)), 2 * m))
         subspaces.append(Subspace.from_generators(p, m, gens.tolist()))
     for sub in subspaces:
-        target, values = _monomial_parts(p, m, _span_rows(sub), MAX_DIM)
+        target, values = _monomial_parts(p, m, _span_rows(sub))
         assert target.shape == values.shape == (p**sub.dim, d)
         dense = np.zeros((len(values), d, d), dtype=complex)
         dense[np.arange(len(values))[:, None], target, np.arange(d)] = values
@@ -248,11 +252,11 @@ def test_batched_monomial_parts_equal_per_member_calls_bit_for_bit(k, n):
     params = ConstructionParams.create(3, k, n)
     m = k * n
     spans = [_span_rows(s) for s in build_recursive(params).subspaces()[::7][:12]]
-    target, values = _monomial_parts(3, m, np.concatenate(spans), MAX_DIM)
+    target, values = _monomial_parts(3, m, np.concatenate(spans))
     start = 0
     for span in spans:
         block = slice(start, start + len(span))
-        for t, v in (_monomial_parts(3, m, span, MAX_DIM), _factor_by_factor_parts(3, m, span)):
+        for t, v in (_monomial_parts(3, m, span), _factor_by_factor_parts(3, m, span)):
             assert t.dtype == target.dtype and np.array_equal(t, target[block])
             assert np.array_equal(v.view(np.int64), values[block].view(np.int64))
         start += len(span)
