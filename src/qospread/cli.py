@@ -1,37 +1,47 @@
 """Command-line surface: generate, verify, example, mub.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
-parameters or malformed input file, 3 I/O failure.
+parameters or malformed input file, 3 I/O failure (a closed stdout included).
 
 When the process was started as qospread (``python -m qospread.cli``, where
-argv[0] is this file, or the ``qospread`` console script) with a subcommand,
-and numpy is not loaded yet, this module sets ``OPENBLAS_NUM_THREADS=1``
-before importing numpy: OpenBLAS then starts no worker threads, which would
-spin on every other core.  ``generate``, ``verify`` and ``example`` make no
-BLAS call; ``mub`` splits its overlap products over threads of its own
-(``verify.check_mub_overlaps``).  A value the caller has set is kept.
-``--help`` keeps OpenBLAS's default, and so does any other program that
-imports this module, whatever its arguments.
+argv[0] is this file, or the ``qospread`` console script) and numpy is not
+loaded yet, this module imports numpy and the layers with the garbage
+collector off, then freezes what they made (``gc.freeze``) and turns it back
+on, so neither the run's collections nor the one at exit walk that heap.  With
+a subcommand it also sets ``OPENBLAS_NUM_THREADS=1`` before importing numpy,
+unless the caller has set it: OpenBLAS then starts no worker threads, which
+would spin on every other core (``mub`` splits its overlap products over
+threads of its own, ``verify.check_mub_overlaps``; the other subcommands make
+no BLAS call).  Any other program that imports this module keeps its own
+collector state and OpenBLAS default.  ``verify`` and ``weyl`` load only in
+the subcommands that run them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
-if (sys.argv[1:2] in (["generate"], ["verify"], ["example"], ["mub"]) and "numpy" not in sys.modules
-        and (sys.argv[0] == __file__ or os.path.splitext(os.path.basename(sys.argv[0]))[0] == "qospread")):
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_STARTED_AS_QOSPREAD = "numpy" not in sys.modules and (
+    sys.argv[0] == __file__ or os.path.splitext(os.path.basename(sys.argv[0]))[0] == "qospread")
+if _STARTED_AS_QOSPREAD:
+    gc.disable()
+    if sys.argv[1:2] in (["generate"], ["verify"], ["example"], ["mub"]):
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import family_io, phase_space, verify
+from . import family_io, phase_space
 from .constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
 from .finite_field import require_odd_prime
 from .phase_space import span_enumerate
-from .report import _power
-from .weyl import monomial_text
+from .report import DEFAULT_TOL, _power
+
+if _STARTED_AS_QOSPREAD:
+    gc.freeze()
+    gc.enable()
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -80,6 +90,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     try:
         ff = family_io.load(args.path)
         if args.mode != "numeric":  # from the stored row counts, before any elimination, which only lowers them
@@ -135,6 +147,8 @@ def _display_label(label: str) -> str:
 
 
 def cmd_example(args) -> int:
+    from .weyl import monomial_text
+
     del args
     params = ConstructionParams.create(3, 1, 2)
     family = build_spread_2(params)
@@ -164,6 +178,8 @@ def _basis_bytes(basis: np.ndarray) -> bytes:
 
 
 def cmd_mub(args) -> int:
+    from . import verify
+
     try:
         dim = verify._numeric_dim(args.p, 2 * args.k)
         params = ConstructionParams.create(args.p, args.k, 2)
@@ -209,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verify a stored family file")
     ver.add_argument("path", help="family file to verify")
     ver.add_argument("--mode", choices=("symbolic", "numeric", "both"), default="both")
-    ver.add_argument("--tol", type=_positive(float), default=verify.DEFAULT_TOL)
+    ver.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL)
     ver.add_argument("--sample", type=_positive(int), default=None,
                      help="number of member pairs for the numeric check (default: all, "
                           "or 200 when there are many)")
@@ -222,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     mub.add_argument("--p", type=int, required=True)
     mub.add_argument("--k", type=int, default=1)
     mub.add_argument("--out", default=None, help="output file (default mub_p{p}_k{k}.txt)")
-    mub.add_argument("--tol", type=_positive(float), default=verify.DEFAULT_TOL)
+    mub.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL)
     mub.set_defaults(func=cmd_mub)
 
     return parser
@@ -230,7 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())  # leaves nothing for the flush at exit to fail on
+        os.close(null)
+        print("error: cannot write to stdout: broken pipe", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
-"""Structured pass/fail outcome shared by the symbolic and numeric checkers, and bounded powers of p."""
+"""Structured pass/fail outcome shared by the symbolic and numeric checkers, their default
+tolerance, and bounded powers of p."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+DEFAULT_TOL = 1e-9  # the numeric and MUB checks' tolerance (``verify``), and the CLI's ``--tol`` default
 _PRINT_BITS = 128  # a power of p past this many bits, and past p's own, is held as its text
 
 

@@ -24,6 +24,7 @@ bases being mutually unbiased (all cross overlaps |<x, z>|^2 = 1/d).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import threading
@@ -43,10 +44,9 @@ from .phase_space import (
     _spans,
     classify_subspace,
 )
-from .report import VerificationReport, _power
+from .report import DEFAULT_TOL, VerificationReport, _power
 from .weyl import _monomial_parts, _tables, basis_matrices
 
-DEFAULT_TOL = 1e-9
 NUMERIC_MAX_DIM = 81
 SAMPLE_THRESHOLD = 1000
 SAMPLE_PAIRS = 200
@@ -299,10 +299,13 @@ def check_mub_overlaps(
 
     One check per basis (orthonormality) and one per pair of bases.  For each
     basis U_i a single product U_i^* [U_i U_{i+1} ... U_{N-1}] gives its Gram
-    block and the overlaps with every later basis.  Row i goes to worker i mod w
-    of one thread per CPU the process may run on (numpy releases the GIL in the
-    product and in |z|); rows merge in index order, orthonormality failures
-    first, then pair failures in (i, j) order, with the bits of one thread.
+    block and the overlaps with every later basis.  One thread per CPU the
+    process may run on takes rows from one queue (numpy releases the GIL in the
+    product and in |z|): the calling thread from the front, where rows are
+    largest, the others from the back, so a large row's products are alive
+    beside small ones, and each row's products are freed before its thread
+    takes the next.  Rows merge in index order, orthonormality failures first,
+    then pair failures in (i, j) order, with the bits of one thread.
     """
     if not bases:
         raise ValueError("no bases to check")
@@ -312,19 +315,27 @@ def check_mub_overlaps(
     columns = np.concatenate(bases, axis=1)  # basis j in columns j*d .. (j+1)*d - 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers, rows, errors = min(cpus, len(bases)), [None] * len(bases), []
+    pending, lock = collections.deque(range(len(bases))), threading.Lock()
 
-    def work(first: int) -> None:
+    def overlaps(i: int) -> tuple[float, np.ndarray]:
+        blocks = (bases[i].conj().T @ columns[:, i * d:]).reshape(d, len(bases) - i, d)
+        return float(np.abs(blocks[:, 0] - eye).max()), _unbiasedness(np.abs(blocks)[:, 1:], d)
+
+    def work(front: bool) -> None:
         try:
-            for i in range(first, len(bases), workers):
-                blocks = (bases[i].conj().T @ columns[:, i * d:]).reshape(d, len(bases) - i, d)
-                rows[i] = float(np.abs(blocks[:, 0] - eye).max()), _unbiasedness(np.abs(blocks)[:, 1:], d)
+            while True:
+                with lock:
+                    if not pending:
+                        return
+                    i = pending.popleft() if front else pending.pop()
+                rows[i] = overlaps(i)
         except BaseException as exc:  # re-raised in the calling thread once every worker is joined
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    threads = [threading.Thread(target=work, args=(False,)) for _ in range(1, workers)]
     for thread in threads:
         thread.start()
-    work(0)
+    work(True)
     for thread in threads:
         thread.join()
     if errors:

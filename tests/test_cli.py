@@ -246,6 +246,28 @@ def test_generate_io_failure(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("command", ["example", "generate"])
+def test_closed_stdout_is_an_io_failure(tmp_path, command, unbuffered):
+    """stdout whose reader has gone: exit 3 with one error line and no traceback,
+    whether print or the final flush meets the closed pipe; generate writes its file first."""
+    out = tmp_path / "fam.yaml"
+    argv = {"example": ["example"], "generate": ["generate", "--p", "3", "--out", str(out)]}[command]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONPATH": os.pathsep.join(sys.path)}, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        ran = subprocess.run([sys.executable, "-m", "qospread.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert ran.returncode == EXIT_IO
+    assert ran.stderr == "error: cannot write to stdout: broken pipe\n"
+    family = constructions.build_recursive(ConstructionParams.create(3, 1, 2))
+    assert command == "example" or out.read_text() == family_io.serialize(family_io.from_family(family))
+
+
 def test_generate_with_overrides(tmp_path, capsys):
     path = tmp_path / "alt.yaml"
     code, _, _ = run(capsys, "generate", "--p", "7", "--out", str(path), "--d-override", "5")
@@ -477,6 +499,15 @@ def test_verify_sampled_numeric(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--mode", "numeric", "--sample", "25")
     assert code == EXIT_OK
     assert "checks=25" in out
+
+
+def test_tol_defaults_to_the_checkers_tolerance():
+    from qospread import report
+    from qospread.cli import build_parser
+
+    assert verify.DEFAULT_TOL is report.DEFAULT_TOL == 1e-9
+    for argv in (["verify", "fam.yaml"], ["mub", "--p", "3"]):
+        assert build_parser().parse_args(argv).tol is verify.DEFAULT_TOL
 
 
 @pytest.mark.parametrize("argv", [

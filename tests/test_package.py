@@ -1,5 +1,6 @@
 """The package namespace: the public names it exports and where each one lives."""
 
+import gc
 import importlib
 import os
 import subprocess
@@ -70,21 +71,13 @@ def test_import_loads_no_layer_and_no_numpy():
     assert _python(script) == "[]\n"
 
 
-# Runs one CLI command through an entry path and prints what OPENBLAS_NUM_THREADS
-# held when numpy was first imported.  "module" is python -m qospread.cli (runpy
-# sets argv[0] to the module's file), "script" the console script, "importer"
-# another program that imports qospread.cli with the command as its own argv[1].
-NUMPY_IMPORT_SPY = """
-import contextlib, io, os, sys
+# Runs one CLI command through an entry path.  "module" is python -m qospread.cli
+# (runpy sets argv[0] to the module's file), "script" the console script,
+# "importer" another program that imports qospread.cli with the command as its
+# own argv[1].
+RUN_ENTRY = """
+import contextlib, io, sys
 
-class NumpySpy:
-    seen = []
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not self.seen:
-            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-
-sys.meta_path.insert(0, NumpySpy())
 entry, command = sys.argv[1], sys.argv[2:]
 sys.argv = [{"module": "-m", "script": "/usr/local/bin/qospread", "importer": "/usr/local/bin/other"}[entry], *command]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -97,7 +90,32 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
             main()
     except SystemExit:
         pass
+"""
+
+# Prints what OPENBLAS_NUM_THREADS held when numpy was first imported.
+NUMPY_IMPORT_SPY = """
+import os, sys
+
+class NumpySpy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, NumpySpy())
+""" + RUN_ENTRY + """
 print(NumpySpy.seen)
+"""
+
+# Prints the layers the command never loaded, whether the collector is on and
+# whether anything is frozen; the first argument is the collector state the caller sets.
+GC_SPY = """
+import gc, sys
+
+gc.enable() if sys.argv.pop(1) == "on" else gc.disable()
+""" + RUN_ENTRY + """
+print(sorted({"qospread.verify", "qospread.weyl"} - set(sys.modules)), gc.isenabled(), gc.get_freeze_count() > 0)
 """
 
 
@@ -118,3 +136,31 @@ def test_cli_keeps_the_callers_blas_threads(entry):
 @pytest.mark.parametrize("command", ["generate", "verify", "example", "mub"])
 def test_cli_leaves_blas_threads_to_other_programs(command):
     assert _python(NUMPY_IMPORT_SPY, "importer", command) == "[None]\n"
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("command", ["--help", "generate"])
+def test_cli_freezes_its_imports_and_loads_only_what_it_runs(tmp_path, entry, command):
+    argv = [command] if command == "--help" else [command, "--p", "3", "--out", str(tmp_path / "fam.yaml")]
+    for caller in ("on", "off"):
+        assert _python(GC_SPY, caller, entry, *argv) == "['qospread.verify', 'qospread.weyl'] True True\n"
+    assert command == "--help" or (tmp_path / "fam.yaml").exists()
+
+
+@pytest.mark.parametrize("caller", ["on", "off"])
+def test_cli_leaves_the_collector_to_other_programs(tmp_path, caller):
+    out = _python(GC_SPY, caller, "importer", "generate", "--p", "3", "--out", str(tmp_path / "fam.yaml"))
+    assert out == f"['qospread.verify', 'qospread.weyl'] {caller == 'on'} False\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_leaves_the_collector_alone(tmp_path, capsys, enabled):
+    from qospread.cli import main
+
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        assert main(["generate", "--p", "3", "--out", str(tmp_path / "fam.yaml")]) == 0
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+    finally:
+        gc.enable() if was else gc.disable()

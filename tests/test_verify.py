@@ -727,6 +727,24 @@ def test_mub_overlaps_do_not_depend_on_the_worker_count(monkeypatch, workers):
     assert len(started) == 2 * (workers - 1)
 
 
+@pytest.mark.parametrize("workers", [2, 5])
+def test_mub_overlaps_run_large_rows_beside_small_ones(monkeypatch, workers):
+    """The calling thread takes rows 0, 1, ... and the other threads take rows
+    from the back, so a large row runs beside smaller ones."""
+    _pin_cpus(monkeypatch, workers)
+    unbiasedness, taken = verify._unbiasedness, {}
+
+    def record(size, d):  # row i of ten bases has 9 - i later ones
+        taken[9 - size.shape[1]] = threading.current_thread() is threading.main_thread()
+        time.sleep(0.01)
+        return unbiasedness(size, d)
+
+    monkeypatch.setattr(verify, "_unbiasedness", record)
+    assert check_mub_overlaps(extract_mub_bases(build_masa_spread(P3))).passed
+    front = sorted(i for i, by_caller in taken.items() if by_caller)
+    assert sorted(taken) == list(range(10)) and front == list(range(len(front))) and 0 < len(front) < 10
+
+
 @pytest.mark.parametrize("workers", [1, 2, 5])
 @pytest.mark.parametrize("row", [0, 1])
 def test_mub_overlaps_raise_what_a_worker_raises(monkeypatch, workers, row):
