@@ -154,7 +154,7 @@ def test_cli_leaves_the_collector_to_other_programs(tmp_path, caller):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_main_in_process_leaves_the_collector_alone(tmp_path, capsys, enabled):
+def test_main_in_process_leaves_the_collector_alone(tmp_path, enabled):
     from qospread.cli import main
 
     was = gc.isenabled()
