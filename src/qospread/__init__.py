@@ -15,18 +15,14 @@ import importlib
 __version__ = "0.1.0"
 
 _HOME = {name: module for module, names in {
-    "constructions": ("INFINITY", "MASA", "MATRIX_ALGEBRA", "ConstructionParams", "FamilyMember", "SpreadFamily",
-                      "build_C", "build_D", "build_masa_spread", "build_recursive", "build_spread_2", "embed_hat",
-                      "expected_count"),
+    "constructions": ("MASA", "MATRIX_ALGEBRA", "ConstructionParams", "FamilyMember", "SpreadFamily",
+                      "build_masa_spread", "build_recursive", "build_spread_2", "expected_count"),
     "finite_field": ("FieldSpec", "GFElement", "field_trace", "find_irreducible", "find_nonresidue",
-                     "format_element", "gf", "trace_dual_basis"),
-    "phase_space": ("GFPhasePoint", "PhasePoint", "Subspace", "check_pairwise_trivial", "check_partition",
-                    "classify_subspace", "gf_symplectic", "pi1", "span_enumerate", "symplectic_basis",
-                    "symplectic_product"),
+                     "format_element", "gf"),
+    "phase_space": ("GFPhasePoint", "PhasePoint", "Subspace", "pi1", "span_enumerate"),
     "report": ("VerificationReport",),
-    "verify": ("check_mub_overlaps", "counting_identity_holds", "extract_and_check_mub", "extract_mub_bases",
-               "verify_full_algebra", "verify_qo_numeric", "verify_qo_symbolic"),
-    "weyl": ("WeylMonomial", "basis_matrices", "commutation_phase", "monomial_text", "synthesize", "weyl_mul"),
+    "verify": ("check_mub_overlaps", "extract_mub_bases", "verify_qo_numeric", "verify_symbolic"),
+    "weyl": ("WeylMonomial", "monomial_text", "synthesize"),
 }.items() for name in names}
 
 __all__ = sorted(_HOME)

@@ -11,32 +11,24 @@ import pytest
 import qospread
 
 PUBLIC = {
-    "constructions": ["ConstructionParams", "FamilyMember", "INFINITY", "MASA", "MATRIX_ALGEBRA", "SpreadFamily",
-                      "build_C", "build_D", "build_masa_spread", "build_recursive", "build_spread_2", "embed_hat",
-                      "expected_count"],
+    "constructions": ["ConstructionParams", "FamilyMember", "MASA", "MATRIX_ALGEBRA", "SpreadFamily",
+                      "build_masa_spread", "build_recursive", "build_spread_2", "expected_count"],
     "finite_field": ["FieldSpec", "GFElement", "field_trace", "find_irreducible", "find_nonresidue",
-                     "format_element", "gf", "trace_dual_basis"],
-    "phase_space": ["GFPhasePoint", "PhasePoint", "Subspace", "check_pairwise_trivial", "check_partition",
-                    "classify_subspace", "gf_symplectic", "pi1", "span_enumerate", "symplectic_basis",
-                    "symplectic_product"],
+                     "format_element", "gf"],
+    "phase_space": ["GFPhasePoint", "PhasePoint", "Subspace", "pi1", "span_enumerate"],
     "report": ["VerificationReport"],
-    "verify": ["check_mub_overlaps", "counting_identity_holds", "extract_and_check_mub", "extract_mub_bases",
-               "verify_full_algebra", "verify_qo_numeric", "verify_qo_symbolic"],
-    "weyl": ["WeylMonomial", "basis_matrices", "commutation_phase", "monomial_text", "synthesize", "weyl_mul"],
+    "verify": ["check_mub_overlaps", "extract_mub_bases", "verify_qo_numeric", "verify_symbolic"],
+    "weyl": ["WeylMonomial", "monomial_text", "synthesize"],
 }
 
 
-def test_all_lists_the_46_public_names():
+def test_all_lists_the_29_public_names():
     assert qospread.__all__ == [
-        "ConstructionParams", "FamilyMember", "FieldSpec", "GFElement", "GFPhasePoint", "INFINITY", "MASA",
-        "MATRIX_ALGEBRA", "PhasePoint", "SpreadFamily", "Subspace", "VerificationReport", "WeylMonomial",
-        "basis_matrices", "build_C", "build_D", "build_masa_spread", "build_recursive", "build_spread_2",
-        "check_mub_overlaps", "check_pairwise_trivial", "check_partition", "classify_subspace",
-        "commutation_phase", "counting_identity_holds", "embed_hat", "expected_count", "extract_and_check_mub",
-        "extract_mub_bases", "field_trace", "find_irreducible", "find_nonresidue", "format_element", "gf",
-        "gf_symplectic", "monomial_text", "pi1", "span_enumerate", "symplectic_basis",
-        "symplectic_product", "synthesize", "trace_dual_basis", "verify_full_algebra", "verify_qo_numeric",
-        "verify_qo_symbolic", "weyl_mul",
+        "ConstructionParams", "FamilyMember", "FieldSpec", "GFElement", "GFPhasePoint", "MASA", "MATRIX_ALGEBRA",
+        "PhasePoint", "SpreadFamily", "Subspace", "VerificationReport", "WeylMonomial", "build_masa_spread",
+        "build_recursive", "build_spread_2", "check_mub_overlaps", "expected_count", "extract_mub_bases",
+        "field_trace", "find_irreducible", "find_nonresidue", "format_element", "gf", "monomial_text", "pi1",
+        "span_enumerate", "synthesize", "verify_qo_numeric", "verify_symbolic",
     ]
     assert sorted(name for names in PUBLIC.values() for name in names) == qospread.__all__
     assert qospread.__version__ == "0.1.0"
