@@ -4,8 +4,8 @@
 matrices one column at a time, each step (pivot search, swap, scaling to a
 unit leading entry, clearing the column) one numpy operation over all N
 matrices, as in the dense mod-p elimination of FFLAS-FFPACK (Dumas, Giorgi &
-Pernet, ACM TOMS 35(3), 2008).  ``rref``, ``rank`` and ``inverse`` are its
-one-matrix case.  It is exact for every prime: ``_dtype`` picks the smallest
+Pernet, ACM TOMS 35(3), 2008).  ``rref`` and ``rank`` are its one-matrix
+case.  It is exact for every prime: ``_dtype`` picks the smallest
 signed integer dtype that holds every intermediate, or Python-int objects
 past int64, and the same code runs on both; no floating point is involved.
 Pivots are the first nonzero columns with unit leading entries, so the
@@ -86,18 +86,6 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, ...]], 
 
 def rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(rref(rows, p)[0])
-
-
-def inverse(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]] | None:
-    """Inverse of a square matrix mod p, or None if singular."""
-    n = len(rows)
-    if n == 0:
-        return []
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    ech, pivots = rref(aug, p)
-    if len(ech) < n or pivots[:n] != list(range(n)):
-        return None
-    return [tuple(row[n:]) for row in ech]
 
 
 def det(rows: Sequence[Sequence[int]], p: int) -> int:

@@ -20,10 +20,10 @@ layers of construction live here:
 Every layer is batched integer linear algebra in ``_modlin._dtype`` (exact at
 every p), the symplectic-tableau view of Aaronson & Gottesman (PRA 70,
 052328, 2004): the GF coordinates of all generator pairs of the two-block
-spread (``build_C``, ``build_D``: one member) or of the mixed members go
-through one array-valued pi1, then one elimination: of every member, or for
-the mixed members of every left frame, whose rows then follow in closed form
-(``_mixed_members``); the frames come from one batched ``_frames``.
+spread or of the mixed members go through one array-valued pi1, then one
+elimination: of every member, or for the mixed members of every left frame,
+whose rows then follow in closed form (``_mixed_members``); the frames come
+from one batched ``_frames``.
 
 All builders are deterministic: field elements enumerate in base-p counting
 order, labels encode the construction path (and so are distinct, and keep
@@ -41,25 +41,12 @@ import numpy as np
 from . import _modlin
 from .finite_field import (FieldSpec, GFElement, find_nonresidue, format_element, gf, is_nonresidue,
                            require_odd_prime)
-from .phase_space import (PhasePoint, RowStacks, Subspace, _canonical, _check_index_size, _frames, _gram,
-                          _nonzero_lines, _pi1_rows)
+from .phase_space import RowStacks, Subspace, _canonical, _check_index_size, _frames, _gram, _nonzero_lines, _pi1_rows
 
 MATRIX_ALGEBRA = "matrix_algebra"
 MASA = "masa"
 
 MAX_K = 32  # extension degree: each irreducibility candidate costs O(k^3) Python-int operations
-
-
-class _Infinity:
-    """Sentinel for the infinity member of a projective family."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INFINITY = _Infinity()
 
 
 @dataclass(frozen=True)
@@ -182,12 +169,14 @@ def _times(params: ConstructionParams, x, z: GFElement) -> np.ndarray:
 
 
 def _c_generators(params: ConstructionParams, a, b) -> np.ndarray:
-    """(1, b, 0, a) and (0, a, -1, bD) for coordinate arrays a, b."""
+    """(1, b, 0, a) and (0, a, -1, bD) for coordinate arrays a, b: the member C[a,b],
+    symplectically nondegenerate for a != 0 and isotropic for a = 0."""
     return _generators(params.field, 1, b, 0, a, 0, a, -1, _times(params, b, params.nonresidue))
 
 
 def _d_generators(params: ConstructionParams, a) -> np.ndarray:
-    """(1, 1, -a, aD) and (1, 2, -a, 2aD) for a coordinate array a."""
+    """(1, 1, -a, aD) and (1, 2, -a, 2aD) for a coordinate array a: the member D[a],
+    nondegenerate, as the pair pairs to 1 - a^2 D, nonzero because D is a non-residue."""
     minus_a, ad = _times(params, a, params.field.scalar(-1)), _times(params, a, params.nonresidue)
     return _generators(params.field, 1, 1, minus_a, ad, 1, 2, minus_a, 2 * ad % params.p)
 
@@ -195,32 +184,6 @@ def _d_generators(params: ConstructionParams, a) -> np.ndarray:
 def _pair_generators(params: ConstructionParams, a, b) -> np.ndarray:
     """(1, 0, a, b) and (0, 1, bD, a), the mixed member of (a, b), for coordinate arrays a, b."""
     return _generators(params.field, 1, 0, a, b, 0, 1, _times(params, b, params.nonresidue), a)
-
-
-def build_C(a, b, params: ConstructionParams) -> Subspace:
-    """The C family: span of (1, b, 0, a) and (0, a, -1, bD) over the field.
-
-    ``a`` may be the INFINITY sentinel (``b`` then None), giving the span of
-    (0,1,0,0) and (0,0,0,1).  Members with a != 0 are symplectically
-    nondegenerate; a = 0 gives isotropic (commutative) members.
-    """
-    if a is INFINITY:
-        if b is not None and b is not INFINITY:
-            raise ValueError("the infinity member takes no second parameter")
-        return _gf_spans(params, _generators(params.field, 0, 1, 0, 0, 0, 0, 0, 1)).subspace(0)
-    return _gf_spans(params, _c_generators(params, a.coords, b.coords)).subspace(0)
-
-
-def build_D(a, params: ConstructionParams) -> Subspace:
-    """The D family: span of (1, 1, -a, aD) and (1, 2, -a, 2aD).
-
-    ``a`` may be the INFINITY sentinel, giving the span of (0,0,1,0) and
-    (0,0,0,1).  Every member is nondegenerate: the generators pair to
-    1 - a^2 D, nonzero because D is a non-residue.
-    """
-    if a is INFINITY:
-        return _gf_spans(params, _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1)).subspace(0)
-    return _gf_spans(params, _d_generators(params, a.coords)).subspace(0)
 
 
 def build_spread_2(params: ConstructionParams) -> SpreadFamily:
@@ -263,11 +226,11 @@ def _mixed_members(frames, masas, generators, params: ConstructionParams) -> np.
     """The (frame, masa, pair, 2k, columns) rows of the mixed members, after
     checking every left frame F_i's Gram matrix and every masa basis R_j's
     isotropy up front.  The pi1 rows of each pair's generators
-    (``_pair_generators``, or (0, 0, 1, 0), (0, 0, 0, 1) for INFINITY, as a
-    (P, 8, k) array) are [L | X_q], with one left block L for every pair.  One
-    elimination of [L F_i | I] per frame gives [S_i | W_i], S_i the canonical
-    rows of F_i's span and W_i L F_i = S_i, so member (i, j, q) has the rows
-    [S_i | W_i X_q R_j], canonical wherever L is invertible (not INFINITY's)."""
+    (``_pair_generators``, a (P, 8, k) array) are [L | X_q], with one left
+    block L for every pair.  One elimination of [L F_i | I] per frame gives
+    [S_i | W_i], S_i the canonical rows of F_i's span and W_i L F_i = S_i, so
+    member (i, j, q) has the rows [S_i | W_i X_q R_j], canonical wherever L is
+    invertible."""
     p, k = params.p, params.k
     dtype = _modlin._dtype(p, len(frames[0][0]) + len(masas[0][0]))  # every sum here has fewer terms
     frames, masas = np.asarray(frames, dtype=dtype), np.asarray(masas, dtype=dtype)
@@ -284,29 +247,6 @@ def _mixed_members(frames, masas, generators, params: ConstructionParams) -> np.
     ech = _modlin.rref_stack(np.concatenate([left, unit], axis=-1), p)[0][:, None, None]  # [S_i | W_i]
     right = ech[..., -2 * k :] @ (rows[:, :, 2 * k :] @ masas[:, None, order] % p) % p  # (frame, masa, pair, 2k, right)
     return np.concatenate([np.broadcast_to(ech[..., : -2 * k], right.shape[:-1] + left.shape[-1:]), right], axis=-1)
-
-
-def embed_hat(a, b, left_basis: list[PhasePoint], right_basis: list[PhasePoint],
-              params: ConstructionParams) -> Subspace:
-    """One mixed member of the recursion step.
-
-    ``left_basis`` is a normalised symplectic frame (s_1..s_k, w_1..w_k) of
-    a nondegenerate 2k-dim subspace of the left ambient; ``right_basis``
-    spans an isotropic 2k-dim subspace of the right ambient.  The member is
-    the image of the span of (1, 0, a, b) and (0, 1, bD, a) over the field,
-    with first/second coordinates threaded along the left frame and
-    third/fourth along the right basis.  (0, 0) reproduces left tensor
-    identity; the INFINITY sentinel reproduces identity tensor right.  This
-    is the one-member case of the batched kernel ``build_recursive`` uses.
-    """
-    k = params.k
-    if len(left_basis) != 2 * k or len(right_basis) != 2 * k:
-        raise ValueError(f"bases must have 2k = {2 * k} vectors")
-    frame, masa = [pt.coords for pt in left_basis], [pt.coords for pt in right_basis]
-    generators = (_generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1) if a is INFINITY
-                  else _pair_generators(params, a.coords, b.coords))
-    rows = _mixed_members([frame], [masa], generators, params)[0, 0, 0]
-    return Subspace.from_generators(params.p, left_basis[0].m + right_basis[0].m, rows.tolist())
 
 
 def build_recursive(params: ConstructionParams) -> SpreadFamily:

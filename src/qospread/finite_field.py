@@ -328,24 +328,6 @@ def field_trace(a: GFElement) -> int:
     return sum(c * t for c, t in zip(a.coords, a.field.trace_matrix[0].tolist())) % a.field.p
 
 
-def trace_dual_basis(basis: list[GFElement]) -> list[GFElement]:
-    """The basis {f_j} with Tr(e_i * f_j) = delta_ij for the given {e_i}.
-
-    Solves the k x k linear system over Z_p; rejects linearly dependent input.
-    """
-    if not basis:
-        raise ValueError("empty basis")
-    field = basis[0].field
-    if len(basis) != field.k or any(e.field != field for e in basis):
-        raise ValueError(f"need {field.k} elements of {field}")
-    mat = (np.array([e.coords for e in basis], dtype=object) @ field.trace_matrix % field.p).tolist()
-    inv = _modlin.inverse(mat, field.p)
-    if inv is None:
-        raise ValueError("input elements are linearly dependent over Z_p")
-    k = field.k
-    return [field.element(tuple(inv[c][j] for c in range(k))) for j in range(k)]
-
-
 def is_nonresidue(a: GFElement) -> bool:
     """a is a non-square exactly when its norm, the determinant of multiplication
     by a, is a non-square mod p: the norm maps the cyclic group GF(q)* onto Z_p*,

@@ -82,29 +82,6 @@ class PhasePoint:
             raise ValueError(f"expected {2 * self.m} coordinates, got {len(self.coords)}")
         object.__setattr__(self, "coords", tuple(int(c) % self.p for c in self.coords))
 
-    @classmethod
-    def zero(cls, p: int, m: int) -> "PhasePoint":
-        return cls(p, m, (0,) * (2 * m))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def _check(self, other: "PhasePoint") -> None:
-        if (self.p, self.m) != (other.p, other.m):
-            raise ValueError(f"ambient mismatch: Z_{self.p}^{2*self.m} vs Z_{other.p}^{2*other.m}")
-
-
-def symplectic_product(u: PhasePoint, v: PhasePoint, nfactors: int | None = None) -> int:
-    """The alternating form sum_i k_i l'_i - k'_i l_i mod p.
-
-    ``nfactors`` restricts the sum to the leading factors (the first-block
-    form used when the trailing factors are commutative).
-    """
-    u._check(v)
-    n = u.m if nfactors is None else nfactors
-    return sum(u.coords[2 * i] * v.coords[2 * i + 1] - v.coords[2 * i] * u.coords[2 * i + 1] for i in range(n)) % u.p
-
 
 @dataclass(frozen=True)
 class GFPhasePoint:
@@ -123,32 +100,8 @@ class GFPhasePoint:
     def field(self) -> FieldSpec:
         return self.coords[0].field
 
-    @classmethod
-    def zero(cls, field: FieldSpec) -> "GFPhasePoint":
-        z = field.zero()
-        return cls((z, z, z, z))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coords)
-
     def scale(self, s: GFElement) -> "GFPhasePoint":
         return GFPhasePoint(tuple(s * c for c in self.coords))
-
-    def __add__(self, other: "GFPhasePoint") -> "GFPhasePoint":
-        return GFPhasePoint(tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-
-def gf_symplectic(a: GFPhasePoint, b: GFPhasePoint, partial: bool = False) -> GFElement:
-    """The GF(p^k)-valued form a1 b2 - a2 b1 (+ a3 b4 - a4 b3 unless partial)."""
-    if a.field != b.field:
-        raise ValueError(f"mixed fields: {a.field} vs {b.field}")
-    a1, a2, a3, a4 = a.coords
-    b1, b2, b3, b4 = b.coords
-    out = a1 * b2 - a2 * b1
-    if not partial:
-        out = out + a3 * b4 - a4 * b3
-    return out
 
 
 def _pi1_rows(field: FieldSpec, coords) -> np.ndarray:
@@ -201,11 +154,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, pt: PhasePoint) -> bool:
-        if (pt.p, pt.m) != (self.p, self.m):
-            return False
-        return _modlin.rank(self.rows + (pt.coords,), self.p) == self.dim
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -276,12 +224,6 @@ class RowStacks:
         """Every matrix's (r, width) rows, by position: views into ``rows``."""
         return [self.rows[end - r : end] for r, end in zip(self.counts.tolist(), np.cumsum(self.counts).tolist())]
 
-    def matrix(self, i: int) -> np.ndarray:
-        return self.take([i]).rows
-
-    def subspace(self, i: int) -> Subspace:
-        return Subspace(self.p, self.width // 2, tuple(map(tuple, self.matrix(i).tolist())))
-
     def subspaces(self) -> list[Subspace]:
         return [Subspace(self.p, self.width // 2, tuple(map(tuple, rows.tolist()))) for rows in self.split()]
 
@@ -318,14 +260,10 @@ def _spans(p: int, stack: np.ndarray) -> np.ndarray:
     return span
 
 
-def _span_rows(s: Subspace) -> np.ndarray:
-    """All p^dim points of the span as integer rows (zero first), in coefficient order."""
-    return _spans(s.p, _modlin._residues(s.rows, s.p, 2 * s.m).reshape(1, s.dim, 2 * s.m))[0]
-
-
 def span_enumerate(s: Subspace) -> list[PhasePoint]:
     """All p^dim points of the span (zero first), in coefficient order."""
-    return [PhasePoint(s.p, s.m, row) for row in _span_rows(s).tolist()]
+    rows = _modlin._residues(s.rows, s.p, 2 * s.m).reshape(1, s.dim, 2 * s.m)
+    return [PhasePoint(s.p, s.m, row) for row in _spans(s.p, rows)[0].tolist()]
 
 
 class _Index(NamedTuple):
@@ -481,37 +419,6 @@ def _disjointness(
     return pairwise, VerificationReport(checks_run=n, failures=failures, covered=covered, expected=expected)
 
 
-def _table(subspaces: Sequence[Subspace]) -> RowStacks:
-    """The table of one ambient's subspaces (with no ambient, p = 0, for none),
-    in canonical form: a ``Subspace`` built from rows that are not is eliminated."""
-    p, m = (subspaces[0].p, subspaces[0].m) if subspaces else (0, 0)
-    if any((s.p, s.m) != (p, m) for s in subspaces):
-        raise ValueError("ambient mismatch")
-    table = RowStacks.lists(p, 2 * m, [s.rows for s in subspaces])
-    return table if table.canonical.all() else _canonical(table)
-
-
-def check_pairwise_trivial(
-    subspaces: Sequence[Subspace], labels: Sequence[str] | None = None
-) -> VerificationReport:
-    """Pass iff every pair of distinct members meets only in 0 (see ``_disjointness``)."""
-    return _disjointness(_table(subspaces), labels)[0]
-
-
-def check_partition(subspaces: Sequence[Subspace], labels: Sequence[str] | None = None) -> VerificationReport:
-    """Pass iff the members' nonzero points are disjoint and cover Z_p^{2m} \\ {0};
-    raises for an empty family, a member above ``SPAN_LIMIT`` (alone or not) or an index above ``INDEX_LIMIT`` lines."""
-    report = _disjointness(_table(subspaces), labels)[1]
-    if report is None:
-        raise ValueError(f"a member's span is above the limit {SPAN_LIMIT}" if subspaces else "empty family")
-    return report
-
-
-class Classification(NamedTuple):
-    kind: str  # NONDEGENERATE, ISOTROPIC or MIXED
-    gram_rank: int
-
-
 def _gram(rows: np.ndarray, p: int) -> np.ndarray:
     """Symplectic Gram matrices of a stack of row bases, mod p."""
     shift, clock = rows[..., 0::2], rows[..., 1::2]
@@ -531,19 +438,11 @@ def _kind(gram_rank: int, dim: int) -> str:
     return ISOTROPIC if gram_rank == 0 else NONDEGENERATE if gram_rank == dim else MIXED
 
 
-def classify_subspace(s: Subspace) -> Classification:
-    """Rank of the symplectic Gram matrix of the canonical basis.
-
-    Nondegenerate (rank = dim) spans generate a full matrix algebra; an
-    isotropic span (zero Gram) generates a commutative one.
-    """
-    rank = int(_gram_ranks(_table([s]))[0])
-    return Classification(_kind(rank, s.dim), rank)
-
-
 def _frames(stack: np.ndarray, p: int) -> np.ndarray:
     """The (N, d, d) coefficients C of the symplectic frames of an (N, d, w)
-    stack of bases S: C·S is ``symplectic_basis``'s frame of S.  One step per
+    stack of bases S: C·S is a basis (s_1..s_k, w_1..w_k) of S's span with
+    s_i o w_j = delta_ij and both halves isotropic, and ``_frames`` raises if the
+    form is degenerate on a span.  One step per
     pair, each over all N Gram matrices of the current vectors: e is the first
     vector left, f the first later one with e o f != 0, scaled to e o f = 1,
     and every other vector v left becomes v - (v o f) e + (v o e) f."""
@@ -565,15 +464,3 @@ def _frames(stack: np.ndarray, p: int) -> np.ndarray:
         with_f = products[every, f] * scale[:, None] % p  # f o v for f scaled: v + (f o v) e - (e o v) f below
         coef = (coef + with_f[:, :, None] * out[:, step, None] - with_e[:, :, None] * out[:, d // 2 + step, None]) % p
     return out
-
-
-def symplectic_basis(s: Subspace) -> list[PhasePoint]:
-    """A basis (s_1..s_k, w_1..w_k) whose Gram matrix is the standard form.
-
-    Standard means s_i o w_j = delta_ij with both halves isotropic.  Raises
-    if the form restricted to the subspace is degenerate.  The construction
-    is deterministic: it consumes the canonical basis in order (``_frames``).
-    """
-    rows = _modlin._residues(s.rows, s.p, 2 * s.m).reshape(1, s.dim, 2 * s.m)
-    frame = _frames(rows, s.p)[0] @ rows[0] % s.p
-    return [PhasePoint(s.p, s.m, tuple(row)) for row in frame.tolist()]

@@ -31,36 +31,15 @@ import threading
 
 import numpy as np
 
-from .constructions import MASA, MATRIX_ALGEBRA, SpreadFamily, expected_count
-from .phase_space import (
-    ISOTROPIC,
-    NONDEGENERATE,
-    RowStacks,
-    Subspace,
-    _disjointness,
-    _gram_ranks,
-    _kind,
-    _ranges,
-    _spans,
-    classify_subspace,
-)
+from .constructions import MATRIX_ALGEBRA, SpreadFamily, expected_count
+from .phase_space import ISOTROPIC, NONDEGENERATE, RowStacks, _disjointness, _gram_ranks, _kind, _ranges, _spans
 from .report import DEFAULT_TOL, VerificationReport, _power
-from .weyl import _monomial_parts, _tables, basis_matrices
+from .weyl import _monomial_parts, _tables
 
 NUMERIC_MAX_DIM = 81
 SAMPLE_THRESHOLD = 1000
 SAMPLE_PAIRS = 200
 NUMERIC_BATCH_ENTRIES = 2**14  # partner part entries (matrices x columns) per trace call: two M_9 at d = 81
-
-
-def counting_identity_holds(p: int, k: int, n: int) -> bool:
-    """Self-check of the recursion arithmetic:
-    N(n-2) + N(2) + (p^{2k} - 1) N(2) N(n-2) = N(n)."""
-    if n < 3:
-        raise ValueError("the identity relates n to n - 2, so n >= 3")
-    n2 = expected_count(p, k, 2)
-    nrec = expected_count(p, k, n - 2)
-    return nrec + n2 + (p ** (2 * k) - 1) * n2 * nrec == expected_count(p, k, n)
 
 
 def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, VerificationReport | None]:
@@ -70,9 +49,10 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
     matrix-algebra member is nondegenerate of dimension 2k (hence spans a
     copy of M_{p^k}), every masa member is isotropic of dimension 2k, and the
     member count meets the dimension bound, its failure listed last.  The
-    second, from the same scan of the point-ownership index, is
-    ``check_partition``'s report, or None for no member or a lone member too
-    large to enumerate.  Raises where ``phase_space._check_index`` refuses.
+    second, from the same scan of the point-ownership index, passes iff the
+    members' nonzero points are disjoint and cover the nonzero ambient; it is
+    None for no member or a lone member too large to enumerate.  Raises where
+    ``phase_space._check_index`` refuses.
     """
     labels, kinds = family.labels(), family.kinds()
     pairs, partition = _disjointness(family.rows, labels)
@@ -94,11 +74,6 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
     if len(labels) != want_count:
         failures.append(("family", f"{len(labels)} members, expected {want_count}"))
     return VerificationReport(checks_run=checks, failures=failures), partition
-
-
-def verify_qo_symbolic(family: SpreadFamily) -> VerificationReport:
-    """The exact certification of ``verify_symbolic``, without the partition."""
-    return verify_symbolic(family)[0]
 
 
 def _numeric_dim(p: int, m: int) -> int:
@@ -210,42 +185,6 @@ def verify_qo_numeric(
     return VerificationReport(checks_run=checks, max_residual=worst, failures=failures)
 
 
-def verify_full_algebra(s: Subspace, numeric: bool = False, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Certify that the span of the monomials over ``s`` is a full matrix
-    algebra of dimension p^dim(s).
-
-    Symbolically this is nondegeneracy of the symplectic form on ``s``; the
-    numeric route additionally checks the synthesized basis has full linear
-    rank (its trace Gram matrix is p^m times the identity).
-    """
-    failures = []
-    checks = 1
-    cls = classify_subspace(s)
-    if cls.kind != NONDEGENERATE:
-        failures.append(
-            ("subspace", f"classified {cls.kind} (gram rank {cls.gram_rank} of dim {s.dim})")
-        )
-    covered = expected = None
-    worst = None
-    if numeric and not failures:
-        checks += 1
-        dim = _numeric_dim(s.p, s.m)
-        stack = basis_matrices(s)
-        flat = stack.reshape(stack.shape[0], -1)
-        gram = flat.conj() @ flat.T  # gram[a, b] = Tr(A_a^* A_b)
-        expected = s.p**s.dim
-        worst = float(np.abs(gram - dim * np.eye(len(stack))).max())
-        # the SVD behind the rank does not converge on NaN or inf entries
-        covered = int(np.linalg.matrix_rank(gram, tol=1e-6)) if np.isfinite(worst) else 0
-        if covered != expected:
-            failures.append(("subspace", f"span dimension {covered}, expected {expected}"))
-        if not worst <= max(tol, 1e-6):
-            failures.append(("subspace", f"basis not trace-orthogonal: residual {worst:.3e}"))
-    return VerificationReport(
-        checks_run=checks, max_residual=worst, failures=failures, covered=covered, expected=expected
-    )
-
-
 def extract_mub_bases(masas: SpreadFamily) -> list[np.ndarray]:
     """The common eigenbasis of each masa member, as a unitary column matrix.
 
@@ -353,12 +292,3 @@ def check_mub_overlaps(
     checks = len(bases) * (len(bases) + 1) // 2
     failures = own_failures + pair_failures
     return VerificationReport(checks_run=checks, max_residual=worst, failures=failures)
-
-
-def extract_and_check_mub(masas: SpreadFamily, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Extract one orthonormal basis per masa member and check mutual
-    unbiasedness of the whole collection."""
-    if any(kind != MASA for kind in masas.kinds()):
-        raise ValueError("all members must be masas")
-    bases = extract_mub_bases(masas)
-    return check_mub_overlaps(bases, tol, masas.labels())

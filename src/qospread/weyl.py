@@ -22,12 +22,11 @@ indices of C^{p^m} as m base-p digits, factor 1 the most significant, factor
 i sends column digit j to row digit (j + k_i) mod p with value lam^{l_i j},
 and the m values multiply factor 1 first, left to right.  ``_monomial_parts``
 keeps that (target, values) form, p^m row indices and complex128 values per
-matrix, which the numeric oracle reads; ``basis_matrices`` scatters the same
-bits into dense (p^m, p^m) arrays.  Both refuse a dimension d above
-``MAX_DIM`` (``synthesize`` also above a lower limit of its caller's),
-because dense matrices grow as d^2 and ``_tables`` keeps four (p, m) entries
-of 24 d^2 bytes each, and a span's dense stack is refused before anything is
-allocated when it holds too many entries.
+matrix, which the numeric oracle reads; ``synthesize`` scatters the same bits
+into a dense (p^m, p^m) array.  Both refuse a dimension d above ``MAX_DIM``
+(``synthesize`` also above a lower limit of its caller's), because dense
+matrices grow as d^2 and ``_tables`` keeps four (p, m) entries of 24 d^2
+bytes each.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phase_space import PhasePoint, Subspace, _span_rows, symplectic_product
+from .phase_space import PhasePoint
 
 MAX_DIM = 3**6
-MAX_STACK_ENTRIES = 2**24  # complex entries of one synthesized stack: 256 MiB
 
 
 @dataclass(frozen=True)
@@ -52,27 +50,6 @@ class WeylMonomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phase_exp", self.phase_exp % self.point.p)
-
-    @classmethod
-    def identity(cls, p: int, m: int) -> "WeylMonomial":
-        return cls(PhasePoint.zero(p, m))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.point.is_zero and self.phase_exp == 0
-
-
-def weyl_mul(x: WeylMonomial, y: WeylMonomial) -> WeylMonomial:
-    """Exact product: points add, phases pick up the per-factor cross terms."""
-    u, v = x.point, y.point
-    u._check(v)
-    cross = sum(v.coords[2 * i] * u.coords[2 * i + 1] for i in range(u.m))
-    return WeylMonomial(PhasePoint(u.p, u.m, tuple(map(sum, zip(u.coords, v.coords)))), x.phase_exp + y.phase_exp + cross)
-
-
-def commutation_phase(u: PhasePoint, v: PhasePoint) -> int:
-    """Exponent e with M_u M_v = lam^e M_v M_u; zero iff the monomials commute."""
-    return (-symplectic_product(u, v)) % u.p
 
 
 @lru_cache(maxsize=4)
@@ -126,19 +103,6 @@ def synthesize(x: WeylMonomial, max_dim: int = MAX_DIM) -> np.ndarray:
     if x.phase_exp:
         mat = np.exp(2j * np.pi * x.phase_exp / p) * mat
     return mat
-
-
-def basis_matrices(s: Subspace) -> np.ndarray:
-    """One matrix per span point (phase 0 each): a trace-orthogonal family.
-
-    Returns a (p^dim(s), p^m, p^m) complex ndarray stack with rows in
-    ``span_enumerate`` order, so the zero point's identity comes first.
-    A stack of more than ``MAX_STACK_ENTRIES`` entries is refused up front.
-    """
-    count, d = s.p**s.dim, s.p**s.m
-    if count * d * d > MAX_STACK_ENTRIES:
-        raise ValueError(f"{count} matrices of side {d} exceed the stack limit {MAX_STACK_ENTRIES}")
-    return _monomial_stack(s.p, s.m, _span_rows(s))
 
 
 def monomial_text(u: PhasePoint) -> str:

@@ -1,10 +1,167 @@
-"""Reference implementations shared by the test modules."""
+"""Reference implementations shared by the test modules: one object at a
+time, by literal arithmetic, for the batched kernels of the package to be
+compared against."""
 
+import itertools
+
+import numpy as np
 import yaml
 
-from qospread import _modlin, family_io
+from qospread import _modlin, family_io, weyl
+from qospread.constructions import _c_generators, _d_generators, _generators, _gf_spans
 from qospread.finite_field import GFElement
-from qospread.phase_space import RowStacks, Subspace
+from qospread.phase_space import NONDEGENERATE, PhasePoint, RowStacks, Subspace, _gram_ranks, _kind, span_enumerate
+from qospread.report import DEFAULT_TOL, VerificationReport
+from qospread.verify import _numeric_dim, expected_count
+
+MAX_STACK_ENTRIES = 2**24  # complex entries of one synthesized stack: 256 MiB
+
+
+def table(subspaces) -> RowStacks:
+    """The row table of one ambient's subspaces, in order."""
+    return RowStacks.lists(subspaces[0].p, 2 * subspaces[0].m, [s.rows for s in subspaces])
+
+
+def _coords(params, elements) -> np.ndarray:
+    return np.array([x.coords for x in elements], dtype=params.field.mul_tables.dtype).reshape(-1, params.k)
+
+
+def c_members(params, pairs=None, infinity=True) -> RowStacks:
+    """C[a,b] for the element pairs (a, b), by default every pair with a slowest,
+    then C[inf] = span{(0,1,0,0), (0,0,0,1)} unless ``infinity`` is false: one ``_gf_spans``."""
+    pairs = list(itertools.product(params.field.elements(), repeat=2) if pairs is None else pairs)
+    a, b = (_coords(params, elements) for elements in zip(*pairs)) if pairs else (_coords(params, ()),) * 2
+    generators = [_c_generators(params, a, b)] + [_generators(params.field, 0, 1, 0, 0, 0, 0, 0, 1)] * infinity
+    return _gf_spans(params, np.concatenate(generators))
+
+
+def d_members(params, elements=None, infinity=True) -> RowStacks:
+    """D[a] for the elements a, by default every element, then D[inf] = span{(0,0,1,0), (0,0,0,1)}
+    unless ``infinity`` is false: one ``_gf_spans``."""
+    a = _coords(params, params.field.elements() if elements is None else elements)
+    generators = [_d_generators(params, a)] + [_generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1)] * infinity
+    return _gf_spans(params, np.concatenate(generators))
+
+
+def _check_ambient(u: PhasePoint, v: PhasePoint) -> None:
+    if (u.p, u.m) != (v.p, v.m):
+        raise ValueError(f"ambient mismatch: Z_{u.p}^{2*u.m} vs Z_{v.p}^{2*v.m}")
+
+
+def symplectic_product(u: PhasePoint, v: PhasePoint, nfactors: int | None = None) -> int:
+    """The alternating form sum_i k_i l'_i - k'_i l_i mod p, over the leading
+    ``nfactors`` factors (the first-block form) or all of them."""
+    _check_ambient(u, v)
+    n = u.m if nfactors is None else nfactors
+    return sum(u.coords[2 * i] * v.coords[2 * i + 1] - v.coords[2 * i] * u.coords[2 * i + 1] for i in range(n)) % u.p
+
+
+def gf_symplectic(a, b, partial: bool = False) -> GFElement:
+    """The GF(p^k)-valued form a1 b2 - a2 b1 (+ a3 b4 - a4 b3 unless partial) of two GFPhasePoints."""
+    if a.field != b.field:
+        raise ValueError(f"mixed fields: {a.field} vs {b.field}")
+    a1, a2, a3, a4 = a.coords
+    b1, b2, b3, b4 = b.coords
+    out = a1 * b2 - a2 * b1
+    if not partial:
+        out = out + a3 * b4 - a4 * b3
+    return out
+
+
+def contains(s: Subspace, pt: PhasePoint) -> bool:
+    """Rank test: the point adds nothing to the span."""
+    return (pt.p, pt.m) == (s.p, s.m) and _modlin.rank(s.rows + (pt.coords,), s.p) == s.dim
+
+
+def weyl_identity(p: int, m: int) -> weyl.WeylMonomial:
+    return weyl.WeylMonomial(PhasePoint(p, m, (0,) * (2 * m)))
+
+
+def weyl_mul(x: weyl.WeylMonomial, y: weyl.WeylMonomial) -> weyl.WeylMonomial:
+    """Exact product: points add, phases pick up the per-factor cross terms lam^{k' l}."""
+    u, v = x.point, y.point
+    _check_ambient(u, v)
+    cross = sum(v.coords[2 * i] * u.coords[2 * i + 1] for i in range(u.m))
+    return weyl.WeylMonomial(PhasePoint(u.p, u.m, tuple(map(sum, zip(u.coords, v.coords)))),
+                             x.phase_exp + y.phase_exp + cross)
+
+
+def commutation_phase(u: PhasePoint, v: PhasePoint) -> int:
+    """Exponent e with M_u M_v = lam^e M_v M_u; zero iff the monomials commute."""
+    return (-symplectic_product(u, v)) % u.p
+
+
+def basis_matrices(s: Subspace) -> np.ndarray:
+    """One dense phase-0 matrix per span point, in ``span_enumerate`` order (the
+    identity first): a (p^dim, p^m, p^m) stack, refused up front past
+    ``MAX_STACK_ENTRIES`` entries."""
+    count, d = s.p**s.dim, s.p**s.m
+    if count * d * d > MAX_STACK_ENTRIES:
+        raise ValueError(f"{count} matrices of side {d} exceed the stack limit {MAX_STACK_ENTRIES}")
+    return weyl._monomial_stack(s.p, s.m, np.array([pt.coords for pt in span_enumerate(s)]))
+
+
+def verify_full_algebra(s: Subspace, numeric: bool = False, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Certify that the monomials over ``s`` span a full matrix algebra of
+    dimension p^dim: symbolically, the form is nondegenerate on ``s``; the
+    numeric route also checks that the synthesized basis has full linear rank
+    (its trace Gram matrix is p^m times the identity)."""
+    failures, checks = [], 1
+    rank = int(_gram_ranks(table([s]))[0])
+    kind = _kind(rank, s.dim)
+    if kind != NONDEGENERATE:
+        failures.append(("subspace", f"classified {kind} (gram rank {rank} of dim {s.dim})"))
+    covered = expected = worst = None
+    if numeric and not failures:
+        checks += 1
+        dim = _numeric_dim(s.p, s.m)
+        stack = basis_matrices(s)
+        flat = stack.reshape(stack.shape[0], -1)
+        gram = flat.conj() @ flat.T  # gram[a, b] = Tr(A_a^* A_b)
+        expected = s.p**s.dim
+        worst = float(np.abs(gram - dim * np.eye(len(stack))).max())
+        # the SVD behind the rank does not converge on NaN or inf entries
+        covered = int(np.linalg.matrix_rank(gram, tol=1e-6)) if np.isfinite(worst) else 0
+        if covered != expected:
+            failures.append(("subspace", f"span dimension {covered}, expected {expected}"))
+        if not worst <= max(tol, 1e-6):
+            failures.append(("subspace", f"basis not trace-orthogonal: residual {worst:.3e}"))
+    return VerificationReport(checks_run=checks, max_residual=worst, failures=failures, covered=covered,
+                              expected=expected)
+
+
+def counting_identity_holds(p: int, k: int, n: int) -> bool:
+    """The recursion's arithmetic: N(n-2) + N(2) + (p^{2k} - 1) N(2) N(n-2) = N(n)."""
+    if n < 3:
+        raise ValueError("the identity relates n to n - 2, so n >= 3")
+    n2, nrec = expected_count(p, k, 2), expected_count(p, k, n - 2)
+    return nrec + n2 + (p ** (2 * k) - 1) * n2 * nrec == expected_count(p, k, n)
+
+
+def inverse(rows, p: int):
+    """Inverse of a square matrix mod p, or None if singular: [A | I] reduced to [I | A^-1]."""
+    n = len(rows)
+    if n == 0:
+        return []
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    ech, pivots = _modlin.rref(aug, p)
+    if len(ech) < n or pivots[:n] != list(range(n)):
+        return None
+    return [tuple(row[n:]) for row in ech]
+
+
+def trace_dual_basis(basis: list[GFElement]) -> list[GFElement]:
+    """The basis {f_j} with Tr(e_i f_j) = delta_ij for the given {e_i}, from one
+    k x k solve over Z_p; linearly dependent input is refused."""
+    if not basis:
+        raise ValueError("empty basis")
+    field = basis[0].field
+    if len(basis) != field.k or any(e.field != field for e in basis):
+        raise ValueError(f"need {field.k} elements of {field}")
+    inv = inverse((np.array([e.coords for e in basis], dtype=object) @ field.trace_matrix % field.p).tolist(), field.p)
+    if inv is None:
+        raise ValueError("input elements are linearly dependent over Z_p")
+    return [field.element(tuple(inv[c][j] for c in range(field.k))) for j in range(field.k)]
 
 
 def intersect_trivially(a: Subspace, b: Subspace) -> bool:

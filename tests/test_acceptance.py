@@ -10,37 +10,16 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from qospread import family_io
 from qospread.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
-from qospread.constructions import (
-    INFINITY,
-    ConstructionParams,
-    build_C,
-    build_D,
-    build_masa_spread,
-    build_recursive,
-    build_spread_2,
-)
+from qospread.constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
 from qospread.finite_field import field_trace, gf
-from qospread.phase_space import (
-    GFPhasePoint,
-    PhasePoint,
-    check_partition,
-    pi1,
-    span_enumerate,
-    symplectic_product,
-)
-from qospread.verify import (
-    counting_identity_holds,
-    expected_count,
-    extract_and_check_mub,
-    verify_qo_numeric,
-    verify_qo_symbolic,
-)
-from qospread.weyl import WeylMonomial, commutation_phase, synthesize, weyl_mul
-from helpers import with_rows
+from qospread.phase_space import GFPhasePoint, PhasePoint, _disjointness, pi1
+from qospread.verify import check_mub_overlaps, expected_count, extract_mub_bases, verify_qo_numeric, verify_symbolic
+from qospread.weyl import WeylMonomial, synthesize
+from helpers import (c_members, commutation_phase, counting_identity_holds, d_members, gf_symplectic,
+                     symplectic_product, table, weyl_mul, with_rows)
 
 
 @contextmanager
@@ -107,7 +86,7 @@ def test_criterion_2_spread_counts():
         for p, k, want in [(3, 1, 10), (5, 1, 26), (7, 1, 50), (3, 2, 82)]:
             fam = build_spread_2(ConstructionParams.create(p, k, 2))
             assert len(fam.members) == want == p ** (2 * k) + 1
-            rep = verify_qo_symbolic(fam)
+            rep = verify_symbolic(fam)[0]
             assert rep.passed, rep.describe()
 
 
@@ -115,19 +94,16 @@ def test_criterion_3_partition_exactness():
     with criterion(3, "spread partitions and the D/C union identity, exact"):
         for p, k in [(3, 1), (5, 1), (7, 1), (3, 2)]:
             fam = build_spread_2(ConstructionParams.create(p, k, 2))
-            rep = check_partition(fam.subspaces(), fam.labels())
+            rep = _disjointness(fam.rows, fam.labels())[1]
             assert rep.passed and rep.covered == p ** (4 * k) - 1
         for p, k in [(3, 1), (5, 1), (7, 1), (3, 2)]:
             params = ConstructionParams.create(p, k, 2)
-            field = params.field
-            rest = [build_C(a, b, params) for a in field.elements() if not a.is_zero for b in field.elements()]
-            ds = [build_D(a, params) for a in field.elements()]
-            ds.append(build_D(INFINITY, params))
-            cs = [build_C(field.zero(), b, params) for b in field.elements()]
-            cs.append(build_C(INFINITY, None, params))
+            size = params.field.size
+            c = c_members(params).subspaces()  # C[a,b] with a slowest, then C[inf]
+            rest, cs, ds = c[size:-1], c[:size] + c[-1:], d_members(params).subspaces()
             # D covers exactly C[0,*] and C[inf]: both complete C[a,*], a != 0, to a partition
-            assert check_partition(rest + ds).passed
-            assert check_partition(rest + cs).passed
+            assert _disjointness(table(rest + ds))[1].passed
+            assert _disjointness(table(rest + cs))[1].passed
 
 
 def test_criterion_4_numeric_quasi_orthogonality():
@@ -166,8 +142,6 @@ def test_criterion_6_trace_compatibility():
         def rand_point():
             return GFPhasePoint(tuple(rng.choice(elements) for _ in range(4)))
 
-        from qospread.phase_space import gf_symplectic
-
         for _ in range(10_000):
             a, b = rand_point(), rand_point()
             assert field_trace(gf_symplectic(a, b)) == symplectic_product(pi1(a), pi1(b))
@@ -184,13 +158,13 @@ def test_criterion_7_recursion():
     with criterion(7, "recursive families: 91 members (n=3), 820 (n=4), sampled numeric", 120.0):
         fam3 = build_recursive(ConstructionParams.create(3, 1, 3))
         assert len(fam3.members) == 91
-        assert verify_qo_symbolic(fam3).passed
-        rep = check_partition(fam3.subspaces(), fam3.labels())
+        exact, rep = verify_symbolic(fam3)
+        assert exact.passed
         assert rep.passed and rep.covered == 3**6 - 1
 
         fam4 = build_recursive(ConstructionParams.create(3, 1, 4))
         assert len(fam4.members) == 820
-        assert verify_qo_symbolic(fam4).passed
+        assert verify_symbolic(fam4)[0].passed
         rep = verify_qo_numeric(fam4, 1e-9, sample_pairs=200)
         assert rep.passed
         assert rep.checks_run == 200
@@ -211,7 +185,7 @@ def test_criterion_9_mub_bridge():
         for p, want in [(3, 10), (5, 26)]:
             masas = build_masa_spread(ConstructionParams.create(p, 1, 2))
             assert len(masas.members) == want
-            rep = extract_and_check_mub(masas, 1e-9)
+            rep = check_mub_overlaps(extract_mub_bases(masas), 1e-9, masas.labels())
             assert rep.passed
             assert rep.max_residual < 1e-9
 
@@ -227,7 +201,7 @@ def test_criterion_10_fault_injection(tmp_path, capsys):
         rng = random.Random(1234)
         for trial in range(20):
             member = rng.randrange(len(pristine.labels))
-            rows = pristine.rows.matrix(member).tolist()
+            rows = pristine.rows.take([member]).rows.tolist()
             row = rng.randrange(len(rows))
             pos = rng.randrange(4)
             rows[row][pos] = (rows[row][pos] + rng.randrange(1, 3)) % 3

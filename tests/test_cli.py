@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from qospread import constructions, family_io, phase_space, verify
 from qospread.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, _basis_bytes, main
-from qospread.constructions import ConstructionParams, build_C, build_masa_spread
+from qospread.constructions import ConstructionParams, build_masa_spread
 from helpers import file_of, with_rows
 
 
@@ -297,7 +297,7 @@ def test_verify_symbolic_only(family_path, capsys):
 
 def test_verify_detects_cross_member_corruption(family_path, capsys):
     ff = family_io.load(family_path)
-    rows = ff.rows.matrix(0).tolist()
+    rows = ff.rows.take([0]).rows.tolist()
     rows[0][3] = (rows[0][3] + 1) % 3
     family_io.save(with_rows(ff, {0: rows}), family_path)
     code, out, _ = run(capsys, "verify", str(family_path))
@@ -311,7 +311,7 @@ def test_verify_detects_span_preserving_corruption(family_path, capsys):
     # canonical-row integrity check can see it
     ff = family_io.load(family_path)
     d0 = ff.labels.index("D[0]")
-    rows = ff.rows.matrix(d0).tolist()
+    rows = ff.rows.take([d0]).rows.tolist()
     rows[0][1] = 2
     family_io.save(with_rows(ff, {d0: rows}), family_path)
     code, out, _ = run(capsys, "verify", str(family_path))
@@ -398,7 +398,7 @@ def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
     path = tmp_path / "same.yaml"
     run(capsys, "generate", "--p", "5", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    family_io.save(with_rows(ff, dict.fromkeys(range(len(ff.labels)), ff.rows.matrix(0))), path)
+    family_io.save(with_rows(ff, dict.fromkeys(range(len(ff.labels)), ff.rows.take([0]).rows)), path)
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     elapsed = time.perf_counter() - start
@@ -541,7 +541,7 @@ def test_verify_both_matches_golden(tmp_path, capsys, request, name, duplicate):
     if duplicate:
         ff = family_io.load(path)
         src, dst = duplicate
-        family_io.save(with_rows(ff, {dst: ff.rows.matrix(src)}), path)
+        family_io.save(with_rows(ff, {dst: ff.rows.take([src]).rows}), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     golden = request.path.parent / "data" / f"verify_p3n3_{name}.txt"
     assert code == (EXIT_VERIFY_FAILED if duplicate else EXIT_OK)
@@ -556,7 +556,7 @@ def test_verify_both_sampled_failures_match_golden(tmp_path, capsys, request, na
     path = tmp_path / "fam.yaml"
     run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    family_io.save(with_rows(ff, dict.fromkeys(range(40, 60), ff.rows.matrix(5))), path)
+    family_io.save(with_rows(ff, dict.fromkeys(range(40, 60), ff.rows.take([5]).rows)), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both", *extra)
     golden = request.path.parent / "data" / f"verify_p3n3_{name}.txt"
     assert code == EXIT_VERIFY_FAILED
@@ -572,7 +572,7 @@ def test_verify_both_p7n3_matches_golden(tmp_path, capsys, request, name, duplic
     if duplicate:
         ff = family_io.load(path)
         src, dst = duplicate
-        family_io.save(with_rows(ff, {dst: ff.rows.matrix(src)}), path)
+        family_io.save(with_rows(ff, {dst: ff.rows.take([src]).rows}), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     golden = request.path.parent / "data" / f"verify_p7n3_{name}.txt"
     assert code == (EXIT_VERIFY_FAILED if duplicate else EXIT_OK)
@@ -659,9 +659,9 @@ def _tamper_p3n3(path):
     member 5's rows become another basis of the same span, member 40 gets a
     dependent second row (dimension 1), member 60 becomes an isotropic span."""
     ff = family_io.load(path)
-    r0, r1 = ff.rows.matrix(5).tolist()
+    r0, r1 = ff.rows.take([5]).rows.tolist()
     five = [tuple((x + y) % 3 for x, y in zip(r0, r1)), r1]
-    r0 = ff.rows.matrix(40)[0].tolist()
+    r0 = ff.rows.take([40]).rows[0].tolist()
     forty = [r0, tuple(2 * x % 3 for x in r0)]
     family_io.save(with_rows(ff, {5: five, 40: forty, 60: [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]}), path)
 
@@ -689,7 +689,7 @@ def test_verify_both_mixed_row_counts_matches_golden(tmp_path, capsys, request):
     path = tmp_path / "fam.yaml"
     run(capsys, "generate", "--p", "3", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    five, forty, sixty = (ff.rows.matrix(i).tolist() for i in (5, 40, 60))
+    five, forty, sixty = (ff.rows.take([i]).rows.tolist() for i in (5, 40, 60))
     edits = {5: five + [[(x + y) % 3 for x, y in zip(*five)]], 40: forty[::-1], 60: sixty + [[0] * 6]}
     family_io.save(with_rows(ff, edits), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
@@ -812,7 +812,7 @@ def test_random_single_coordinate_corruption_detected(family_path, capsys):
     original = family_io.load(family_path)
     for _ in range(5):
         member = rng.randrange(len(original.labels))
-        rows = original.rows.matrix(member).tolist()
+        rows = original.rows.take([member]).rows.tolist()
         row = rows[rng.randrange(len(rows))]
         pos = rng.randrange(len(row))
         row[pos] = (row[pos] + rng.randrange(1, 3)) % 3

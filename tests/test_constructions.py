@@ -9,39 +9,34 @@ import time
 import numpy as np
 import pytest
 
-from qospread import family_io
+from qospread import _modlin, family_io
 from qospread.cli import EXIT_BAD_INPUT, main
 from qospread.constructions import (
-    INFINITY,
     MASA,
     MATRIX_ALGEBRA,
     ConstructionParams,
     _mixed_members,
     _generators,
     _pair_generators,
-    build_C,
-    build_D,
     build_masa_spread,
     build_recursive,
     build_spread_2,
-    embed_hat,
 )
-from helpers import frobenius_trace, literal_gf_span
+from helpers import c_members, d_members, frobenius_trace, literal_gf_span, symplectic_product, table
 from qospread.finite_field import gf
 from qospread.phase_space import (
-    PhasePoint,
     Subspace,
     _check_index_size,
+    _disjointness,
+    _frames,
+    _gram_ranks,
     _nonzero_lines,
-    check_pairwise_trivial,
-    check_partition,
-    classify_subspace,
     span_enumerate,
-    symplectic_basis,
 )
 from qospread.verify import expected_count
 
 P3 = ConstructionParams.create(3, 1, 2)
+INFINITY = (None, None)  # the pair of the infinity member
 
 
 def scal(params, x):
@@ -52,44 +47,35 @@ def scal(params, x):
 
 
 def test_build_c_frozen_generators():
-    sub = build_C(scal(P3, 1), scal(P3, 0), P3)
+    [sub] = c_members(P3, [(scal(P3, 1), scal(P3, 0))], infinity=False).subspaces()
     assert [pt.coords for pt in sub.basis] == [(1, 0, 0, 1), (0, 1, 2, 0)]
 
 
 def test_build_c_zero_zero():
-    sub = build_C(scal(P3, 0), scal(P3, 0), P3)
-    assert sub == Subspace.from_generators(3, 2, [(1, 0, 0, 0), (0, 0, 2, 0)])
-    assert classify_subspace(sub).kind == "isotropic"
+    members = c_members(P3, [(scal(P3, 0), scal(P3, 0))], infinity=False)
+    assert members.subspaces() == [Subspace.from_generators(3, 2, [(1, 0, 0, 0), (0, 0, 2, 0)])]
+    assert _gram_ranks(members).tolist() == [0]  # isotropic
 
 
 def test_build_c_gf9_nondegenerate():
     params = ConstructionParams.create(3, 2, 2)
-    sub = build_C(params.field.one(), params.field.zero(), params)
-    assert sub.dim == 4
-    cls = classify_subspace(sub)
-    assert cls == ("nondegenerate", 4)
-
-
-def test_build_c_infinity_rejects_second_parameter():
-    with pytest.raises(ValueError, match="no second parameter"):
-        build_C(INFINITY, scal(P3, 1), P3)
+    members = c_members(params, [(params.field.one(), params.field.zero())], infinity=False)
+    assert members.counts.tolist() == _gram_ranks(members).tolist() == [4]
 
 
 def test_build_d_frozen_generators():
-    d0 = build_D(scal(P3, 0), P3)
+    d0, d1, dinf = d_members(P3, [scal(P3, 0), scal(P3, 1)]).subspaces()
     assert d0 == Subspace.from_generators(3, 2, [(1, 1, 0, 0), (1, 2, 0, 0)])
-    d1 = build_D(scal(P3, 1), P3)
     assert d1 == Subspace.from_generators(3, 2, [(1, 1, 2, 2), (1, 2, 2, 1)])
-    dinf = build_D(INFINITY, P3)
     assert [pt.coords for pt in dinf.basis] == [(0, 0, 1, 0), (0, 0, 0, 1)]
 
 
 @pytest.mark.parametrize("params", [P3, ConstructionParams.create(5, 1, 2), ConstructionParams.create(3, 2, 2)],
                          ids=["p3", "p5", "p3k2"])
 def test_build_d_always_nondegenerate(params):
-    for a in params.field.elements():
-        assert classify_subspace(build_D(a, params)).kind == "nondegenerate"
-    assert classify_subspace(build_D(INFINITY, params)).kind == "nondegenerate"
+    members = d_members(params)  # D[a] for every a, then D[inf]
+    assert len(members) == params.field.size + 1
+    assert (_gram_ranks(members) == members.counts).all() and (members.counts == 2 * params.k).all()
 
 
 # --- two-block spread ----------------------------------------------------------
@@ -106,18 +92,17 @@ def test_spread_2_counts(p, k, count):
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])
 def test_spread_2_is_a_spread_of_full_algebras(p, k):
     fam = build_spread_2(ConstructionParams.create(p, k, 2))
-    assert check_pairwise_trivial(fam.subspaces(), fam.labels()).passed
-    rep = check_partition(fam.subspaces(), fam.labels())
+    pairwise, rep = _disjointness(fam.rows, fam.labels())
+    assert pairwise.passed
     assert rep.passed
     assert rep.covered == p ** (4 * k) - 1
-    for m in fam.members:
-        assert classify_subspace(m.subspace) == ("nondegenerate", 2 * k)
+    assert (fam.rows.counts == 2 * k).all() and (_gram_ranks(fam.rows) == 2 * k).all()
 
 
 def c_reference(a, b, params):
     fld = params.field
     one, zero = fld.one(), fld.zero()
-    if a is INFINITY:
+    if a is None:  # C[inf]
         return literal_gf_span([(zero, one, zero, zero), (zero, zero, zero, one)])
     return literal_gf_span([(one, b, zero, a), (zero, a, -one, b * params.nonresidue)])
 
@@ -125,7 +110,7 @@ def c_reference(a, b, params):
 def d_reference(a, params):
     fld = params.field
     one, zero = fld.one(), fld.zero()
-    if a is INFINITY:
+    if a is None:  # D[inf]
         return literal_gf_span([(zero, zero, one, zero), (zero, zero, zero, one)])
     ad = a * params.nonresidue
     return literal_gf_span([(one, one, -a, ad), (one, fld.scalar(2), -a, 2 * ad)])
@@ -136,28 +121,29 @@ def test_batched_spread_matches_member_by_member_reference(p, k):
     params = ConstructionParams.create(p, k, 2)
     elements = list(params.field.elements())
     want = [c_reference(a, b, params) for a in elements[1:] for b in elements]
-    want += [d_reference(a, params) for a in elements] + [d_reference(INFINITY, params)]
+    want += [d_reference(a, params) for a in elements] + [d_reference(None, params)]
     assert [m.subspace for m in build_spread_2(params).members] == want
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 2)])
 def test_build_c_and_d_are_the_one_member_case(p, k):
+    """Member by member, every C[a,b] (a = 0 and C[inf] included) and every D[a]
+    (D[inf] included) of one batch each equals its literal reference."""
     params = ConstructionParams.create(p, k, 2)
-    for a in params.field.elements():
-        assert build_D(a, params) == d_reference(a, params)
-        for b in params.field.elements():
-            assert build_C(a, b, params) == c_reference(a, b, params)
-    assert build_C(INFINITY, None, params) == c_reference(INFINITY, None, params)
-    assert build_D(INFINITY, params) == d_reference(INFINITY, params)
+    elements = list(params.field.elements())
+    want = [c_reference(a, b, params) for a in elements for b in elements] + [c_reference(None, None, params)]
+    assert c_members(params).subspaces() == want
+    assert d_members(params).subspaces() == [d_reference(a, params) for a in elements] + [d_reference(None, params)]
 
 
 def test_build_c_is_exact_past_int64():
     # p = 2^61 - 1, k = 2: the images of t^j (0, a, -1, bD) sum products near 2^122
     params = ConstructionParams.create(2**61 - 1, 2, 2)
     fld = params.field
-    for a, b in [(fld.element((2**61 - 5, 7)), fld.element((2**61 - 2, 2**61 - 3))), (fld.one(), fld.zero())]:
-        assert build_C(a, b, params) == c_reference(a, b, params)
-        assert build_D(b, params) == d_reference(b, params)
+    pairs = [(fld.element((2**61 - 5, 7)), fld.element((2**61 - 2, 2**61 - 3))), (fld.one(), fld.zero())]
+    assert c_members(params, pairs, infinity=False).subspaces() == [c_reference(a, b, params) for a, b in pairs]
+    bs = [b for _, b in pairs]
+    assert d_members(params, bs, infinity=False).subspaces() == [d_reference(b, params) for b in bs]
 
 
 def test_spread_2_label_order():
@@ -179,12 +165,10 @@ def test_spread_2_requires_two_blocks():
 def _union_identity_holds(params):
     # D covers exactly the points of C[0,*] and C[inf]: both complete the
     # C[a,*] with a != 0 to a partition of the nonzero ambient
-    field = params.field
-    rest = [build_C(a, b, params) for a in field.elements() if not a.is_zero for b in field.elements()]
-    ds = [build_D(a, params) for a in field.elements()] + [build_D(INFINITY, params)]
-    cs = [build_C(field.zero(), b, params) for b in field.elements()]
-    cs.append(build_C(INFINITY, None, params))
-    return check_partition(rest + ds).passed and check_partition(rest + cs).passed
+    elements = list(params.field.elements())
+    c = c_members(params).subspaces()  # C[a,b] with a slowest, then C[inf]
+    rest, cs, ds = c[len(elements):-1], c[:len(elements)] + c[-1:], d_members(params).subspaces()
+    return _disjointness(table(rest + ds))[1].passed and _disjointness(table(rest + cs))[1].passed
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -204,12 +188,8 @@ def test_masa_spread_is_an_isotropic_spread(p, k):
     fam = build_masa_spread(ConstructionParams.create(p, k, 2))
     assert len(fam.members) == p ** (2 * k) + 1
     assert all(m.kind == MASA for m in fam.members)
-    for m in fam.members:
-        cls = classify_subspace(m.subspace)
-        assert cls.kind == "isotropic"
-        assert m.subspace.dim == 2 * k
-    rep = check_partition(fam.subspaces(), fam.labels())
-    assert rep.passed
+    assert (_gram_ranks(fam.rows) == 0).all() and (fam.rows.counts == 2 * k).all()
+    assert _disjointness(fam.rows, fam.labels())[1].passed
 
 
 def test_masa_spread_contains_pure_shift_and_pure_clock():
@@ -222,42 +202,54 @@ def test_masa_spread_contains_pure_shift_and_pure_clock():
     assert fam.members[-1].subspace == pure_w
 
 
-# --- frame embedding --------------------------------------------------------------
+# --- frame embedding: the mixed members' kernel, one frame and masa at a time ----------
+
+
+def frames_of(stack, p):
+    """The symplectic frames of an (N, 2k, w) stack of bases, as ``build_recursive`` takes them."""
+    return _frames(stack, p) @ stack % p
 
 
 def standard_block_frame():
-    full = Subspace.from_generators(3, 1, [(1, 0), (0, 1)])
-    return symplectic_basis(full)
+    return frames_of(np.eye(2, dtype=np.int64)[None], 3)[0].tolist()  # (1, 0), (0, 1)
 
 
 def pure_clock_basis():
-    masa = build_masa_spread(P3).members[-1].subspace
-    return list(masa.basis)
+    return build_masa_spread(P3).rows.split()[-1].tolist()
+
+
+def pair_generators(pairs, params):
+    """The kernel's generator array of the pairs, one pair at a time; INFINITY's
+    generators are (0, 0, 1, 0) and (0, 0, 0, 1)."""
+    infinity = _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1)
+    return np.concatenate([infinity if a is None else _pair_generators(params, a.coords, b.coords)
+                           for a, b in pairs])
+
+
+def embedded(pairs, frame, masa, params):
+    """The members of the pairs (all finite, or INFINITY alone) for one frame and
+    one masa basis, from one ``_mixed_members`` call, each as its row span."""
+    rows = _mixed_members([frame], [masa], pair_generators(pairs, params), params)[0, 0]
+    return [Subspace.from_generators(params.p, rows.shape[-1] // 2, member.tolist()) for member in rows]
 
 
 def test_embed_hat_zero_pair_is_left_padded():
-    frame = standard_block_frame()
-    right = pure_clock_basis()
-    sub = embed_hat(scal(P3, 0), scal(P3, 0), frame, right, P3)
+    [sub] = embedded([(scal(P3, 0), scal(P3, 0))], standard_block_frame(), pure_clock_basis(), P3)
     assert sub == Subspace.from_generators(3, 3, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
 
 
 def test_embed_hat_infinity_is_right_padded():
-    frame = standard_block_frame()
-    right = pure_clock_basis()
-    sub = embed_hat(INFINITY, None, frame, right, P3)
+    [sub] = embedded([INFINITY], standard_block_frame(), pure_clock_basis(), P3)
     assert sub == Subspace.from_generators(3, 3, [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)])
 
 
 def test_embed_hat_frozen_mixed_member():
     # (a, b) = (1, 0) with the standard frame and the pure-clock masa:
     # generators thread to S⊗W⊗I and W⊗I⊗W
-    sub = embed_hat(scal(P3, 1), scal(P3, 0), standard_block_frame(), pure_clock_basis(), P3)
+    [sub] = embedded([(scal(P3, 1), scal(P3, 0))], standard_block_frame(), pure_clock_basis(), P3)
     assert sub == Subspace.from_generators(3, 3, [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1)])
-    assert classify_subspace(sub) == ("nondegenerate", 2)
+    assert _gram_ranks(table([sub])).tolist() == [2]  # nondegenerate
     # only the leading factor contributes to the pairing, which is 1
-    from qospread.phase_space import symplectic_product
-
     g1, g2 = sub.basis
     assert symplectic_product(g1, g2) == symplectic_product(g1, g2, nfactors=1) == 1
 
@@ -265,35 +257,14 @@ def test_embed_hat_frozen_mixed_member():
 def test_embed_hat_partitions_with_ends():
     # over all (a, b), plus the infinity member, the images partition the
     # 4k-dimensional pullback of frame + masa
-    frame = standard_block_frame()
-    right = pure_clock_basis()
-    subs = [
-        embed_hat(a, b, frame, right, P3)
-        for a in P3.field.elements()
-        for b in P3.field.elements()
-    ]
-    subs.append(embed_hat(INFINITY, None, frame, right, P3))
-    assert check_pairwise_trivial(subs).passed
+    frame, right = standard_block_frame(), pure_clock_basis()
+    subs = embedded(list(itertools.product(P3.field.elements(), repeat=2)), frame, right, P3)
+    subs += embedded([INFINITY], frame, right, P3)
+    assert _disjointness(table(subs))[0].passed
     covered = set()
     for s in subs:
-        covered |= {pt.coords for pt in span_enumerate(s) if not pt.is_zero}
+        covered |= {pt.coords for pt in span_enumerate(s) if any(pt.coords)}
     assert len(covered) == 3**4 - 1
-
-
-def test_embed_hat_validates_inputs():
-    frame = standard_block_frame()
-    right = pure_clock_basis()
-    with pytest.raises(ValueError, match="2k"):
-        embed_hat(scal(P3, 1), scal(P3, 0), frame[:1], right, P3)
-    skewed = [frame[0], frame[1].__class__(3, 1, tuple(2 * c for c in frame[1].coords))]
-    with pytest.raises(ValueError, match="symplectic frame"):
-        embed_hat(scal(P3, 1), scal(P3, 0), skewed, right, P3)
-    not_isotropic = standard_block_frame()
-    not_isotropic = [
-        pt.__class__(3, 2, pt.coords + (0, 0)) for pt in not_isotropic
-    ]
-    with pytest.raises(ValueError, match="isotropic"):
-        embed_hat(scal(P3, 1), scal(P3, 0), frame, not_isotropic, P3)
 
 
 # --- the batched recursion kernel ---------------------------------------------------
@@ -303,18 +274,17 @@ def embed_reference(a, b, frame, masa, params):
     """Generator rows of a mixed member by literal GF arithmetic and traces,
     before canonicalisation: t^j times each generator, coordinates 1 and 3
     over the power basis and 2 and 4 over its trace dual, threaded along
-    the frame (left) and the masa basis (right)."""
+    the frame (left) and the masa basis (right), both given as rows."""
     fld, p = params.field, params.p
     one, zero, basis = fld.one(), fld.zero(), fld.power_basis()
-    if a is INFINITY:
+    if a is None:
         gens = [(zero, zero, one, zero), (zero, zero, zero, one)]
     else:
         gens = [(one, zero, a, b), (zero, one, b * params.nonresidue, a)]
 
     def thread(power, dual, vectors):
         coeffs = list(power.coords) + [frobenius_trace(dual * ti) for ti in basis]
-        width = len(vectors[0].coords)
-        return [sum(c * v.coords[col] for c, v in zip(coeffs, vectors)) % p for col in range(width)]
+        return [sum(c * v[col] for c, v in zip(coeffs, vectors)) % p for col in range(len(vectors[0]))]
 
     rows = []
     for g in gens:
@@ -327,30 +297,22 @@ def embed_reference(a, b, frame, masa, params):
 def recursion_inputs(p, k, n):
     params = ConstructionParams.create(p, k, n)
     left = build_recursive(ConstructionParams.create(p, k, n - 2))
-    frames = [symplectic_basis(m.subspace) for m in left.members]
-    two_block = ConstructionParams.create(p, k, 2)
-    masas = [list(m.subspace.basis) for m in build_masa_spread(two_block).members]
+    frames = frames_of(left.rows.rows.reshape(len(left.rows), 2 * k, -1), p).tolist()
+    masas = [rows.tolist() for rows in build_masa_spread(ConstructionParams.create(p, k, 2)).rows.split()]
     elements = list(params.field.elements())
-    pairs = [(a, b) for a in elements for b in elements] + [(INFINITY, None)]
+    pairs = [(a, b) for a in elements for b in elements] + [INFINITY]
     return params, frames, masas, pairs
-
-
-def pair_generators(pairs, params):
-    """The kernel's generator array of the pairs, one pair at a time."""
-    infinity = _generators(params.field, 0, 0, 1, 0, 0, 0, 0, 1)
-    return np.concatenate([infinity if a is INFINITY else _pair_generators(params, a.coords, b.coords)
-                           for a, b in pairs])
 
 
 @pytest.mark.parametrize("p,k,n,sample", [(3, 1, 3, None), (3, 1, 4, 150), (5, 1, 3, 150), (3, 2, 3, 150)])
 def test_kernel_rows_match_literal_embedding_and_embed_hat(p, k, n, sample):
-    """The kernel's rows are canonical and span what the literal embedding
-    spans.  INFINITY's left block is zero, not the pairs' shared one, so it
-    goes through embed_hat alone."""
+    """The kernel's rows are canonical and equal the literal embedding's
+    canonical rows.  INFINITY's left block is zero, not the pairs' shared one,
+    so it goes through a call of its own, whose rows span the reference."""
     params, frames, masas, pairs = recursion_inputs(p, k, n)
     pairs, infinity = pairs[:-1], pairs[-1]
-    batches = list(_mixed_members([[pt.coords for pt in f] for f in frames],
-                                  [[pt.coords for pt in r] for r in masas], pair_generators(pairs, params), params))
+    batches = _mixed_members(frames, masas, pair_generators(pairs, params), params)
+    infinities = _mixed_members(frames, masas, pair_generators([infinity], params), params)
     cases = list(itertools.product(range(len(frames)), range(len(masas)), range(len(pairs) + 1)))
     if sample is not None:
         rng = random.Random(p * 100 + k * 10 + n)
@@ -359,10 +321,10 @@ def test_kernel_rows_match_literal_embedding_and_embed_hat(p, k, n, sample):
     for i, j, q in cases:
         a, b = pairs[q] if q < len(pairs) else infinity
         reference = Subspace.from_generators(p, m, embed_reference(a, b, frames[i], masas[j], params))
-        assert embed_hat(a, b, frames[i], masas[j], params) == reference
         if q < len(pairs):
-            rows = tuple(map(tuple, batches[i][j, q].tolist()))
-            assert rows == reference.rows
+            assert tuple(map(tuple, batches[i, j, q].tolist())) == reference.rows
+        else:
+            assert Subspace.from_generators(p, m, infinities[i, j, 0].tolist()) == reference
 
 
 def test_embed_hat_at_a_61_bit_prime():
@@ -372,29 +334,27 @@ def test_embed_hat_at_a_61_bit_prime():
     for k in (1, 2):
         params = ConstructionParams.create(p, k, 3)
         full = Subspace.from_generators(p, k, [[rng.randrange(p) for _ in range(2 * k)] for _ in range(2 * k)])
-        frame = symplectic_basis(full)
-        masa = [PhasePoint(p, 2 * k, tuple(int(j == 2 * i + 1) for j in range(4 * k))) for i in range(2 * k)]
+        frame = frames_of(_modlin._residues(full.rows, p, 2 * k).reshape(1, 2 * k, 2 * k), p)[0].tolist()
+        masa = [[int(j == 2 * i + 1) for j in range(4 * k)] for i in range(2 * k)]
         a, b = (params.field.element([rng.randrange(p) for _ in range(k)]) for _ in range(2))
-        for x, y in [(a, b), (params.field.zero(), b), (INFINITY, None)]:
+        for x, y in [(a, b), (params.field.zero(), b), INFINITY]:
             reference = Subspace.from_generators(p, 3 * k, embed_reference(x, y, frame, masa, params))
-            assert embed_hat(x, y, frame, masa, params) == reference
+            assert embedded([(x, y)], frame, masa, params) == [reference]
 
 
 def test_kernel_rejects_skewed_frame_or_non_isotropic_masa():
-    params, frames, masas, pairs = recursion_inputs(3, 1, 4)
-    frame_rows = [[pt.coords for pt in f] for f in frames]
-    masa_rows = [[pt.coords for pt in r] for r in masas]
+    params, frame_rows, masa_rows, pairs = recursion_inputs(3, 1, 4)
     skewed = frame_rows[:3] + [[frame_rows[3][0], [2 * c for c in frame_rows[3][1]]]] + frame_rows[4:]
     with pytest.raises(ValueError, match="symplectic frame"):
         _mixed_members(skewed, masa_rows, pair_generators(pairs, params), params)
-    nondegenerate = [pt.coords for pt in build_spread_2(P3).members[0].subspace.basis]
+    nondegenerate = build_spread_2(P3).rows.split()[0].tolist()
     with pytest.raises(ValueError, match="isotropic"):
         _mixed_members(frame_rows, masa_rows[:5] + [nondegenerate] + masa_rows[6:], pair_generators(pairs, params),
                        params)
     with pytest.raises(ValueError, match="one left block"):  # INFINITY's left block is zero
         _mixed_members(frame_rows, masa_rows, pair_generators(pairs, params), params)
     assert _mixed_members(frame_rows, masa_rows, pair_generators(pairs[:-1], params), params).shape[:3] == (
-        len(frames), len(masas), len(pairs) - 1)
+        len(frame_rows), len(masa_rows), len(pairs) - 1)
 
 
 # --- recursion ---------------------------------------------------------------------
@@ -404,9 +364,7 @@ def test_recursive_n1_single_full_block():
     fam = build_recursive(ConstructionParams.create(3, 1, 1))
     assert len(fam.members) == 1
     assert fam.members[0].label == "full"
-    sub = fam.members[0].subspace
-    assert sub.dim == 2
-    assert classify_subspace(sub) == ("nondegenerate", 2)
+    assert fam.rows.counts.tolist() == _gram_ranks(fam.rows).tolist() == [2]
 
 
 def test_recursive_n2_is_spread_2():
@@ -439,15 +397,14 @@ def test_builder_labels_are_distinct_and_keep_the_label_rule(p, k, n):
 @pytest.mark.parametrize("p,k,n", [(3, 1, 3), (3, 1, 4), (3, 1, 5)])
 def test_recursive_partitions_ambient(p, k, n):
     fam = build_recursive(ConstructionParams.create(p, k, n))
-    rep = check_partition(fam.subspaces(), fam.labels())
+    rep = _disjointness(fam.rows, fam.labels())[1]
     assert rep.passed
     assert rep.covered == p ** (2 * k * n) - 1
 
 
 def test_recursive_members_all_full_algebras_n3():
     fam = build_recursive(ConstructionParams.create(3, 1, 3))
-    for m in fam.members:
-        assert classify_subspace(m.subspace) == ("nondegenerate", 2)
+    assert (fam.rows.counts == 2).all() and (_gram_ranks(fam.rows) == 2).all()
 
 
 def test_recursive_index_guard():
@@ -540,4 +497,4 @@ def test_params_accept_override():
     alt = next(x for x in f9.elements() if not x.is_zero and x not in squares and x.coords != (1, 1))
     params = ConstructionParams.create(3, 2, 2, nonresidue=alt.coords)
     fam = build_spread_2(params)
-    assert check_partition(fam.subspaces()).passed
+    assert _disjointness(fam.rows)[1].passed

@@ -61,4 +61,4 @@ def test_line_reader_matches_yaml_on_fault_copy():
     starts = [i for i, line in enumerate(lines) if line.startswith("- label: ")]
     a, b = (range(starts[m] + 3, starts[m + 1]) for m in (1200, 1500))
     ff = _reads_as_yaml("\n".join(lines[: b.start] + lines[a.start : a.stop] + lines[b.stop :]))
-    assert ff.rows.matrix(1500).tolist() == ff.rows.matrix(1200).tolist()
+    assert ff.rows.take([1500]).rows.tolist() == ff.rows.take([1200]).rows.tolist()

@@ -74,7 +74,7 @@ def test_noncanonical_members_detects_tampering(spread3):
     assert family_io.noncanonical_members(ff) == []
     # span-preserving edit: replace a D[0] row by a non-reduced combination
     target = ff.labels.index("D[0]")
-    assert ff.rows.matrix(target).tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert ff.rows.take([target]).rows.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
     ff = with_rows(ff, {target: [(1, 2, 0, 0), (0, 1, 0, 0)]})
     bad = family_io.noncanonical_members(ff)
     assert [label for label, _ in bad] == ["D[0]"]
@@ -387,7 +387,7 @@ def test_line_reader_past_int64(entry, ok):
     assert members_of(line) == reference_members(text)
     if ok:
         assert family_io.serialize(line) == text
-        assert line.rows.matrix(0).tolist() == [[entry, 0], [0, 1]]
+        assert line.rows.take([0]).rows.tolist() == [[entry, 0], [0, 1]]
     else:
         assert line == f"FamilyFormatError: generator row of 'full' entries must lie in [0, {P_PAST_INT64 - 1}]"
 

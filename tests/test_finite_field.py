@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import frobenius_trace
+from helpers import frobenius_trace, trace_dual_basis
 from qospread import _modlin
 from qospread.finite_field import (
     COUNTED,
@@ -23,7 +23,6 @@ from qospread.finite_field import (
     gf,
     is_nonresidue,
     is_prime,
-    trace_dual_basis,
 )
 
 SMALL_FIELDS = [gf(3), gf(5), gf(7), gf(3, 2), gf(5, 2), gf(3, 3), gf(7, 3)]

@@ -15,17 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import symplectic_product, table
 from qospread import _modlin
-from qospread.phase_space import (
-    ISOTROPIC,
-    MIXED,
-    NONDEGENERATE,
-    RowStacks,
-    Subspace,
-    _gram_ranks,
-    classify_subspace,
-    symplectic_product,
-)
+from qospread.phase_space import ISOTROPIC, MIXED, NONDEGENERATE, RowStacks, Subspace, _gram_ranks, _kind
 
 PRIMES = [3, 5, 7, 1009, 2**31 - 1, 2**31 + 11, 4294967311]
 
@@ -138,9 +130,8 @@ def families(draw):
 @given(families())
 def test_batched_classification_matches_literal_gram(subs):
     want = [literal_classification(s) for s in subs]
-    table = RowStacks.lists(subs[0].p, 2 * subs[0].m, [s.rows for s in subs])  # one elimination per row count
-    assert _gram_ranks(table).tolist() == [rank for _, rank in want]
-    assert [tuple(classify_subspace(s)) for s in subs] == want
+    ranks = _gram_ranks(RowStacks.lists(subs[0].p, 2 * subs[0].m, [s.rows for s in subs]))  # one per row count
+    assert [(_kind(rank, s.dim), rank) for rank, s in zip(ranks.tolist(), subs)] == want
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (2**31 - 1, 1), (2**31 - 1, 2), (4294967311, 2)])
@@ -149,7 +140,7 @@ def test_classification_on_both_dtypes(p, m):
     unit = [[int(i == j) for j in range(2 * m)] for i in range(2 * m)]
     subs = [Subspace.from_generators(p, m, unit[:d]) for d in range(2 * m + 1)]
     want = [literal_classification(s) for s in subs]
-    assert [tuple(classify_subspace(s)) for s in subs] == want
+    assert [(_kind(rank, s.dim), rank) for rank, s in zip(_gram_ranks(table(subs)).tolist(), subs)] == want
     assert {kind for kind, _ in want} == ({ISOTROPIC, NONDEGENERATE, MIXED} if m > 1 else {ISOTROPIC, NONDEGENERATE})
 
 

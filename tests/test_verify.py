@@ -9,47 +9,45 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import intersect_trivially
-from qospread import verify
+import helpers
+from helpers import basis_matrices, c_members, counting_identity_holds, d_members, intersect_trivially, verify_full_algebra
+from qospread import verify, weyl
 from qospread.constructions import (
     MASA,
     MATRIX_ALGEBRA,
     ConstructionParams,
     FamilyMember,
     SpreadFamily,
-    build_C,
     build_masa_spread,
     build_recursive,
     build_spread_2,
 )
 from qospread.finite_field import is_prime
-from qospread.phase_space import Subspace, _check_index_size, _nonzero_lines, _span_rows
+from qospread.phase_space import Subspace, _check_index_size, _nonzero_lines, span_enumerate
 from qospread.report import _power
 from qospread.verify import (
     check_mub_overlaps,
-    counting_identity_holds,
     expected_count,
-    extract_and_check_mub,
     extract_mub_bases,
-    verify_full_algebra,
     verify_qo_numeric,
-    verify_qo_symbolic,
+    verify_symbolic,
 )
-from qospread.weyl import _monomial_parts, basis_matrices
+from qospread.weyl import _monomial_parts
 
 P3 = ConstructionParams.create(3, 1, 2)
+C10, C01 = c_members(P3, [(P3.field.one(), P3.field.zero()), (P3.field.zero(), P3.field.one())], False).subspaces()
 
 
 def span_parts(s):
     """The (target, values) parts of the monomials over every span point of ``s``."""
-    return _monomial_parts(s.p, s.m, _span_rows(s))
+    return _monomial_parts(s.p, s.m, np.array([pt.coords for pt in span_enumerate(s)]))
 
 
 # --- symbolic route -------------------------------------------------------------
 
 
 def test_symbolic_passes_spread_2():
-    rep = verify_qo_symbolic(build_spread_2(P3))
+    rep = verify_symbolic(build_spread_2(P3))[0]
     assert rep.passed
     assert rep.checks_run >= 45
 
@@ -57,22 +55,20 @@ def test_symbolic_passes_spread_2():
 def test_symbolic_passes_recursive_n3():
     fam = build_recursive(ConstructionParams.create(3, 1, 3))
     assert len(fam.members) == 91
-    assert verify_qo_symbolic(fam).passed
+    assert verify_symbolic(fam)[0].passed
 
 
 def test_symbolic_fails_on_duplicate():
-    sub = build_C(P3.field.one(), P3.field.zero(), P3)
-    fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)])
-    rep = verify_qo_symbolic(fam)
+    fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, C10), FamilyMember("b", MATRIX_ALGEBRA, C10)])
+    rep = verify_symbolic(fam)[0]
     assert not rep.passed
     assert rep.failures[0][0] == "a & b"
     assert rep.failures[-1] == ("family", "2 members, expected 10")  # the member count is always checked, last
 
 
 def test_symbolic_fails_on_isotropic_matrix_member():
-    sub = build_C(P3.field.zero(), P3.field.one(), P3)
-    fam = SpreadFamily(P3, [FamilyMember("bad", MATRIX_ALGEBRA, sub)])
-    rep = verify_qo_symbolic(fam)
+    fam = SpreadFamily(P3, [FamilyMember("bad", MATRIX_ALGEBRA, C01)])
+    rep = verify_symbolic(fam)[0]
     assert not rep.passed
     assert "isotropic" in rep.failures[0][1]
 
@@ -80,13 +76,13 @@ def test_symbolic_fails_on_isotropic_matrix_member():
 def test_symbolic_fails_on_wrong_count():
     fam = build_spread_2(P3)
     short = SpreadFamily(fam.params, fam.members[:-1])
-    rep = verify_qo_symbolic(short)
+    rep = verify_symbolic(short)[0]
     assert not rep.passed
     assert any("expected 10" in detail for _, detail in rep.failures)
 
 
 def test_symbolic_passes_masa_spread():
-    assert verify_qo_symbolic(build_masa_spread(P3)).passed
+    assert verify_symbolic(build_masa_spread(P3))[0].passed
 
 
 # --- numeric route ---------------------------------------------------------------
@@ -100,8 +96,7 @@ def test_numeric_passes_spread_2_p3():
 
 
 def test_numeric_duplicate_family_hits_orthogonality_bound():
-    sub = build_C(P3.field.one(), P3.field.zero(), P3)
-    fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, sub), FamilyMember("b", MATRIX_ALGEBRA, sub)])
+    fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, C10), FamilyMember("b", MATRIX_ALGEBRA, C10)])
     rep = verify_qo_numeric(fam)
     assert not rep.passed
     assert rep.max_residual == pytest.approx(9.0, abs=1e-6)
@@ -127,7 +122,7 @@ def test_power_is_exact_below_the_print_bound_and_text_past_it():
 
 def test_symbolic_implies_numeric_n3_full_pairwise():
     fam = build_recursive(ConstructionParams.create(3, 1, 3))
-    assert verify_qo_symbolic(fam).passed
+    assert verify_symbolic(fam)[0].passed
     pair_count = 91 * 90 // 2
     rep = verify_qo_numeric(fam, 1e-9, sample_pairs=pair_count)
     assert rep.passed
@@ -146,11 +141,11 @@ def test_numeric_sampling_is_deterministic():
 def test_numeric_memory_stays_bounded(monkeypatch):
     """The default 200-pair run at d = 81 reads parts only: no dense member
     stack (8.4 MB each) is synthesized, and the peak stays under 4 MB."""
-    def no_dense(s):
+    def no_dense(*args):
         raise AssertionError("the numeric oracle synthesized a dense stack")
 
     fam = build_spread_2(ConstructionParams.create(3, 2, 2))
-    monkeypatch.setattr(verify, "basis_matrices", no_dense)
+    monkeypatch.setattr(weyl, "_monomial_stack", no_dense)
     tracemalloc.start()
     try:
         rep = verify_qo_numeric(fam)
@@ -206,7 +201,6 @@ def test_numeric_rejects_bad_tolerance():
 
 
 def test_numeric_residual_matches_plain_loop_oracle():
-    from qospread.phase_space import span_enumerate
     from qospread.weyl import WeylMonomial, synthesize
 
     fam = build_spread_2(P3)
@@ -215,9 +209,9 @@ def test_numeric_residual_matches_plain_loop_oracle():
     for i in range(10):
         for j in range(i + 1, 10):
             m1 = [synthesize(WeylMonomial(pt))
-                  for pt in span_enumerate(fam.members[i].subspace) if not pt.is_zero]
+                  for pt in span_enumerate(fam.members[i].subspace) if any(pt.coords)]
             m2 = [synthesize(WeylMonomial(pt))
-                  for pt in span_enumerate(fam.members[j].subspace) if not pt.is_zero]
+                  for pt in span_enumerate(fam.members[j].subspace) if any(pt.coords)]
             for a in m1:
                 for b in m2:
                     worst = max(worst, abs(np.trace(a @ b) - np.trace(a) * np.trace(b) / 9))
@@ -405,35 +399,29 @@ def test_numeric_agrees_with_symbolic_reduction():
 
 
 def test_full_algebra_c10():
-    sub = build_C(P3.field.one(), P3.field.zero(), P3)
-    assert verify_full_algebra(sub).passed
-    rep = verify_full_algebra(sub, numeric=True)
+    assert verify_full_algebra(C10).passed
+    rep = verify_full_algebra(C10, numeric=True)
     assert rep.passed
     assert rep.covered == rep.expected == 9
 
 
 def test_full_algebra_rejects_commutative_span():
-    sub = build_C(P3.field.zero(), P3.field.one(), P3)
-    rep = verify_full_algebra(sub)
+    rep = verify_full_algebra(C01)
     assert not rep.passed
     assert "isotropic" in rep.failures[0][1]
 
 
 def test_full_algebra_gf9_d_member():
     params = ConstructionParams.create(3, 2, 2)
-    t = params.field.element((0, 1))
-    from qospread.constructions import build_D
-
-    sub = build_D(t, params)
+    [sub] = d_members(params, [params.field.element((0, 1))], infinity=False).subspaces()
     rep = verify_full_algebra(sub, numeric=True)
     assert rep.passed
     assert rep.covered == rep.expected == 81
 
 
 def test_full_algebra_nan_stack_fails(monkeypatch):
-    real = verify.basis_matrices
-    monkeypatch.setattr(verify, "basis_matrices", lambda s: np.full_like(real(s), np.nan))
-    rep = verify_full_algebra(build_C(P3.field.one(), P3.field.zero(), P3), numeric=True)
+    monkeypatch.setattr(helpers, "basis_matrices", lambda s: np.full_like(basis_matrices(s), np.nan))
+    rep = verify_full_algebra(C10, numeric=True)
     assert not rep.passed
     assert np.isnan(rep.max_residual)
     assert any("not trace-orthogonal" in detail for _, detail in rep.failures)
@@ -532,16 +520,15 @@ def test_mub_basis_diagonalises_its_own_masa(p, k):
 def test_mub_single_basis_trivially_unbiased():
     masas = build_masa_spread(P3)
     solo = SpreadFamily(P3, masas.members[:1])
-    rep = extract_and_check_mub(solo)
+    rep = check_mub_overlaps(extract_mub_bases(solo), labels=solo.labels())
     assert rep.passed
     assert rep.checks_run == 1  # orthonormality only, no cross pairs
 
 
 def test_mub_rejects_non_isotropic_member():
-    sub = build_C(P3.field.one(), P3.field.zero(), P3)
-    fam = SpreadFamily(P3, [FamilyMember("bad", MASA, sub)])
-    with pytest.raises(ValueError, match="not isotropic"):
-        extract_and_check_mub(fam)
+    fam = SpreadFamily(P3, [FamilyMember("bad", MASA, C10)])
+    with pytest.raises(ValueError, match="^bad: subspace is not isotropic"):
+        extract_mub_bases(fam)
 
 
 def test_mub_rejects_non_maximal_isotropic_member(monkeypatch):
@@ -552,19 +539,16 @@ def test_mub_rejects_non_maximal_isotropic_member(monkeypatch):
     def no_synthesis(*args, **kwargs):
         raise AssertionError("synthesized a rejected member")
 
-    monkeypatch.setattr(verify, "basis_matrices", no_synthesis)
     monkeypatch.setattr(verify, "_monomial_parts", no_synthesis)
     monkeypatch.setattr(verify, "_spans", no_synthesis)
     with pytest.raises(ValueError, match="not isotropic of dimension 2"):
         extract_mub_bases(fam)
-    with pytest.raises(ValueError, match="not isotropic"):
-        extract_and_check_mub(fam)
 
 
 def test_mub_rejects_matrix_algebra_kind():
-    fam = build_spread_2(P3)
-    with pytest.raises(ValueError, match="masas"):
-        extract_and_check_mub(fam)
+    # the matrix-algebra members are nondegenerate, so no masa: the first one is named
+    with pytest.raises(ValueError, match=r"^C\[1,0\]: subspace is not isotropic of dimension 2$"):
+        extract_mub_bases(build_spread_2(P3))
 
 
 def _overlaps_per_pair(bases, tol, labels):

@@ -7,18 +7,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qospread.constructions import ConstructionParams, build_C, build_recursive
-from qospread.phase_space import PhasePoint, Subspace, _span_rows, span_enumerate
-from qospread.weyl import (
-    MAX_DIM,
-    WeylMonomial,
-    _monomial_parts,
-    basis_matrices,
-    commutation_phase,
-    monomial_text,
-    synthesize,
-    weyl_mul,
-)
+from helpers import basis_matrices, c_members, commutation_phase, weyl_identity, weyl_mul
+from qospread.constructions import ConstructionParams, build_recursive
+from qospread.phase_space import PhasePoint, Subspace, span_enumerate
+from qospread.weyl import MAX_DIM, WeylMonomial, _monomial_parts, monomial_text, synthesize
 
 
 def mono3(*coords):
@@ -27,6 +19,10 @@ def mono3(*coords):
 
 def points(p, m):
     return [PhasePoint(p, m, c) for c in itertools.product(range(p), repeat=2 * m)]
+
+
+def span_rows(s):
+    return np.array([pt.coords for pt in span_enumerate(s)])
 
 
 # --- symbolic products --------------------------------------------------------
@@ -45,7 +41,7 @@ def test_weyl_mul_w_times_s():
 
 
 def test_weyl_mul_identity_neutral():
-    ident = WeylMonomial.identity(3, 2)
+    ident = weyl_identity(3, 2)
     x = mono3(1, 2, 0, 1)
     assert weyl_mul(x, ident) == x
     assert weyl_mul(ident, x) == x
@@ -54,10 +50,10 @@ def test_weyl_mul_identity_neutral():
 @pytest.mark.parametrize("p", [3, 5])
 def test_pth_power_is_identity(p):
     for u in points(p, 1):
-        acc = WeylMonomial.identity(p, 1)
+        acc = weyl_identity(p, 1)
         for _ in range(p):
             acc = weyl_mul(acc, WeylMonomial(u))
-        assert acc.is_identity
+        assert acc == weyl_identity(p, 1)
 
 
 def test_commutation_phase_examples():
@@ -66,7 +62,7 @@ def test_commutation_phase_examples():
     # generators of C[1,1] pair to 2a = 2, so the phase is -2 = 1
     params = ConstructionParams.create(3, 1, 2)
     one = params.field.one()
-    g1, g2 = build_C(one, one, params).basis
+    g1, g2 = c_members(params, [(one, one)], infinity=False).subspaces()[0].basis
     assert commutation_phase(g1, g2) == 1
 
 
@@ -87,14 +83,14 @@ def test_synthesize_shift_matrix():
 
 
 def test_synthesize_identity():
-    assert np.allclose(synthesize(WeylMonomial.identity(3, 2)), np.eye(9), atol=1e-12)
+    assert np.allclose(synthesize(weyl_identity(3, 2)), np.eye(9), atol=1e-12)
 
 
 def test_synthesize_dimension_guard():
     with pytest.raises(ValueError, match="limit"):
-        synthesize(WeylMonomial.identity(3, 7))
+        synthesize(weyl_identity(3, 7))
     with pytest.raises(ValueError, match="^dimension 81 exceeds the synthesis limit 27$"):
-        synthesize(WeylMonomial.identity(3, 4), 27)
+        synthesize(weyl_identity(3, 4), 27)
     with pytest.raises(ValueError, match=f"^dimension 2187 exceeds the synthesis limit {MAX_DIM}$"):
         _monomial_parts(3, 7, np.zeros((1, 14), dtype=int))  # the bound of the ``_tables`` cache
 
@@ -142,7 +138,7 @@ def test_trace_orthogonality_exhaustive_p3_m1():
 
 def test_basis_matrices_c10():
     params = ConstructionParams.create(3, 1, 2)
-    sub = build_C(params.field.one(), params.field.zero(), params)
+    [sub] = c_members(params, [(params.field.one(), params.field.zero())], infinity=False).subspaces()
     mats = basis_matrices(sub)
     assert len(mats) == 9
     span_pts = {pt.coords for pt in span_enumerate(sub)}
@@ -222,7 +218,7 @@ def test_monomial_parts_scatter_to_basis_matrices(p, m):
         gens = rng.integers(p, size=(int(rng.integers(1, max_span_dim + 1)), 2 * m))
         subspaces.append(Subspace.from_generators(p, m, gens.tolist()))
     for sub in subspaces:
-        target, values = _monomial_parts(p, m, _span_rows(sub))
+        target, values = _monomial_parts(p, m, span_rows(sub))
         assert target.shape == values.shape == (p**sub.dim, d)
         dense = np.zeros((len(values), d, d), dtype=complex)
         dense[np.arange(len(values))[:, None], target, np.arange(d)] = values
@@ -251,7 +247,7 @@ def test_batched_monomial_parts_equal_per_member_calls_bit_for_bit(k, n):
     SIMD complex products are not bitwise commutative, so the order matters."""
     params = ConstructionParams.create(3, k, n)
     m = k * n
-    spans = [_span_rows(s) for s in build_recursive(params).subspaces()[::7][:12]]
+    spans = [span_rows(s) for s in build_recursive(params).subspaces()[::7][:12]]
     target, values = _monomial_parts(3, m, np.concatenate(spans))
     start = 0
     for span in spans:
