@@ -205,8 +205,14 @@ def cmd_mub(args) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse's own writer drops OSError, which would hide a closed stdout
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qospread",
         description="Construct and verify maximal families of pairwise "
                     "quasi-orthogonal matrix subalgebras.",
@@ -245,10 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        try:
+            args = build_parser().parse_args(argv)  # --help and usage errors leave by SystemExit
+            code = args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed stdout shows here, not at exit
     except BrokenPipeError:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())  # leaves nothing for the flush at exit to fail on

@@ -246,26 +246,41 @@ def test_generate_io_failure(tmp_path, capsys):
     assert code == EXIT_IO
 
 
-@pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("command", ["example", "generate"])
-def test_closed_stdout_is_an_io_failure(tmp_path, command, unbuffered):
-    """stdout whose reader has gone: exit 3 with one error line and no traceback,
-    whether print or the final flush meets the closed pipe; generate writes its file first."""
-    out = tmp_path / "fam.yaml"
-    argv = {"example": ["example"], "generate": ["generate", "--p", "3", "--out", str(out)]}[command]
+def _run_into_closed_stdout(argv, unbuffered):
+    """``python -m qospread.cli`` with ``argv``, its stdout a pipe whose reader has gone."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env.update({"PYTHONPATH": os.pathsep.join(sys.path)}, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        ran = subprocess.run([sys.executable, "-m", "qospread.cli", *argv], stdout=write_end,
-                             stderr=subprocess.PIPE, text=True, env=env)
+        return subprocess.run([sys.executable, "-m", "qospread.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("command", ["example", "generate", "--help", "generate --help"])
+def test_closed_stdout_is_an_io_failure(tmp_path, command, unbuffered):
+    """stdout whose reader has gone: exit 3 with one error line and no traceback,
+    whether print, the help text or the final flush meets the closed pipe;
+    generate writes its file first."""
+    out = tmp_path / "fam.yaml"
+    argv = {"example": ["example"], "generate": ["generate", "--p", "3", "--out", str(out)],
+            "--help": ["--help"], "generate --help": ["generate", "--help"]}[command]
+    ran = _run_into_closed_stdout(argv, unbuffered)
     assert ran.returncode == EXIT_IO
     assert ran.stderr == "error: cannot write to stdout: broken pipe\n"
     family = constructions.build_recursive(ConstructionParams.create(3, 1, 2))
-    assert command == "example" or out.read_text() == family_io.serialize(family_io.from_family(family))
+    assert command != "generate" or out.read_text() == family_io.serialize(family_io.from_family(family))
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_usage_error_with_a_closed_stdout_still_exits_2(unbuffered):
+    ran = _run_into_closed_stdout(["generate", "--p", "3"], unbuffered)
+    assert ran.returncode == EXIT_BAD_INPUT
+    assert ran.stderr.startswith("usage: qospread generate ")
+    assert ran.stderr.endswith("error: the following arguments are required: --out\n")
 
 
 def test_generate_with_overrides(tmp_path, capsys):
