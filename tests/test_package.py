@@ -1,10 +1,12 @@
 """The package namespace: the public names it exports and where each one lives."""
 
+import ast
 import gc
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,37 @@ def test_star_import_binds_every_public_name():
     assert sorted(name for name in namespace if name != "__builtins__") == qospread.__all__
     assert all(namespace[name] is getattr(qospread, name) for name in qospread.__all__)
     assert set(qospread.__all__) <= set(dir(qospread))
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_tree(name: str) -> ast.Module:
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def test_the_benchmark_imports_only_public_names():
+    """bench/micro.py's ``from qospread import ...`` names, read from its source:
+    the public ones are in ``__all__``, the private ones are modules."""
+    names = [alias.name for node in ast.walk(_bench_tree("micro.py"))
+             if isinstance(node, ast.ImportFrom) and node.module == "qospread" for alias in node.names]
+    public = [name for name in names if not name.startswith("_")]
+    assert "synthesize" in public and set(public) <= set(qospread.__all__)
+    for name in set(names) - set(public):
+        assert importlib.import_module(f"qospread.{name}") is getattr(importlib.import_module("qospread"), name)
+
+
+def test_the_tracer_finds_its_layers_and_methods():
+    """bench/trace_cli.py's ``LAYERS`` modules import and its ``METHODS`` resolve."""
+    values = {target.id: ast.literal_eval(node.value) for node in _bench_tree("trace_cli.py").body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name) and target.id in ("LAYERS", "METHODS")}
+    assert set(values["METHODS"]) <= set(values["LAYERS"])
+    for layer in values["LAYERS"]:
+        module = importlib.import_module(f"qospread.{layer}")
+        for qualified in values["METHODS"].get(layer, ()):
+            cls_name, method = qualified.split(".")
+            assert method in vars(getattr(module, cls_name)), qualified
 
 
 def _python(script: str, *args: str, **env: str) -> str:
