@@ -4,6 +4,7 @@ import ast
 import gc
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,7 +52,15 @@ def test_star_import_binds_every_public_name():
     assert set(qospread.__all__) <= set(dir(qospread))
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+def test_the_readme_library_example_runs():
+    """README's one ```python block, run as written against the public names."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1 and "from qospread import (" in blocks[0]
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def _bench_tree(name: str) -> ast.Module:
