@@ -1,4 +1,4 @@
-"""Clock-and-shift monomials: symbolic products and dense matrix synthesis.
+"""Clock-and-shift monomials and their synthesis as matrices.
 
 For an odd prime p put lam = exp(2*pi*i/p) and define in M_p the clock
 matrix W = diag(1, lam, ..., lam^{p-1}) and the cyclic shift S with

@@ -30,7 +30,7 @@ def c_members(params, pairs=None, infinity=True) -> RowStacks:
     """C[a,b] for the element pairs (a, b), by default every pair with a slowest,
     then C[inf] = span{(0,1,0,0), (0,0,0,1)} unless ``infinity`` is false: one ``_gf_spans``."""
     pairs = list(itertools.product(params.field.elements(), repeat=2) if pairs is None else pairs)
-    a, b = (_coords(params, elements) for elements in zip(*pairs)) if pairs else (_coords(params, ()),) * 2
+    a, b = _coords(params, [x for x, _ in pairs]), _coords(params, [y for _, y in pairs])
     generators = [_c_generators(params, a, b)] + [_generators(params.field, 0, 1, 0, 0, 0, 0, 0, 1)] * infinity
     return _gf_spans(params, np.concatenate(generators))
 

@@ -580,8 +580,9 @@ def test_classify_examples():
     params = ConstructionParams.create(3, 1, 2)
     field = params.field
     members = c_members(params, [(field.one(), field.zero()), (field.zero(), field.one())])
-    assert _gram_ranks(members).tolist() == [2, 0, 0]
-    assert [_kind(rank, 2) for rank in _gram_ranks(members).tolist()] == ["nondegenerate", "isotropic", "isotropic"]
+    ranks = _gram_ranks(members).tolist()
+    assert ranks == [2, 0, 0]
+    assert [_kind(rank, 2) for rank in ranks] == ["nondegenerate", "isotropic", "isotropic"]
 
 
 def test_classify_mixed():
