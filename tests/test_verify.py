@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import basis_matrices, c_members, counting_identity_holds, d_members, intersect_trivially, verify_full_algebra
+from helpers import (basis_matrices, c_members, counting_identity_holds, d_members, intersect_trivially,
+                     verify_full_algebra)
 from qospread import verify, weyl
 from qospread.constructions import (
     MASA,
