@@ -3,6 +3,7 @@ time, by literal arithmetic, for the batched kernels of the package to be
 compared against."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -10,7 +11,8 @@ import yaml
 from qospread import _modlin, family_io, weyl
 from qospread.constructions import _c_generators, _d_generators, _generators, _gf_spans
 from qospread.finite_field import GFElement
-from qospread.phase_space import NONDEGENERATE, PhasePoint, RowStacks, Subspace, _gram_ranks, _kind, span_enumerate
+from qospread.phase_space import (NONDEGENERATE, PhasePoint, RowStacks, Subspace, _gram_ranks, _kind, _line_coefficients,
+                                  _ranges, span_enumerate)
 from qospread.report import DEFAULT_TOL, VerificationReport
 from qospread.verify import _numeric_dim, expected_count
 
@@ -248,3 +250,60 @@ def members_of(outcome):
     if isinstance(outcome, str):
         return outcome
     return list(zip(outcome.labels, outcome.kinds, (rows.tolist() for rows in outcome.rows.split())))
+
+
+class ReferenceIndex(NamedTuple):
+    """The point-ownership index as a point matrix: each indexed point with its
+    owner, sorted lexicographically by point and, for equal points, by owner;
+    ``first`` marks the first row of each distinct point."""
+
+    points: np.ndarray
+    owners: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def sort(cls, points: np.ndarray, owners: np.ndarray) -> "ReferenceIndex":
+        # lexsort on the coordinate columns, then the owner (the last key is
+        # primary), cannot overflow for any ambient, unlike base-p codes
+        order = np.lexsort((owners, *points.T[::-1]))
+        points, owners = points[order], owners[order]
+        first = np.ones(len(points), dtype=bool)
+        first[1:] = (points[1:] != points[:-1]).any(axis=1)
+        return cls(points, owners, first)
+
+
+def reference_lines(rows: RowStacks) -> ReferenceIndex:
+    """The normalised point (first nonzero coordinate 1) of every line through 0
+    of every member of a table of canonical echelon bases, positions as owners."""
+    p, small = rows.p, np.min_scalar_type(rows.p - 1)
+    points, owners = [np.zeros((0, rows.width), dtype=small)], [np.zeros(0, dtype=np.intp)]
+    for at, stack in rows.groups:
+        lines = _line_coefficients(p, stack.shape[1]).astype(stack.dtype)
+        points.append((lines @ stack % p).astype(small).reshape(-1, rows.width))
+        owners.append(np.repeat(at, len(lines)))
+    return ReferenceIndex.sort(np.concatenate(points), np.concatenate(owners))
+
+
+def reference_conflicts(index: ReferenceIndex):
+    """The pairs sharing an indexed point, in pair order, each with its smallest
+    shared point and the number of indexed points it shares."""
+    starts = np.flatnonzero(index.first)
+    sizes = np.diff(np.append(starts, len(index.first)))
+    group = np.cumsum(index.first) - 1
+    shared = np.flatnonzero(sizes[group] > 1)
+    if not len(shared):
+        return
+    shared = shared[np.argsort(index.owners[shared], kind="stable")]  # by owner, then point
+    for rows in np.split(shared, np.flatnonzero(np.diff(index.owners[shared])) + 1):
+        i = int(index.owners[rows[0]])
+        groups = group[rows]
+        # every row of the groups of owner i, group by group (groups ascend)
+        lengths = sizes[groups]
+        owner = index.owners[_ranges(starts[groups], lengths)]
+        others, at = owner[owner > i], np.repeat(groups, lengths)[owner > i]
+        order = np.argsort(others, kind="stable")  # by partner, then point
+        others, at = others[order], at[order]
+        heads = np.flatnonzero(np.diff(others, prepend=-1))
+        counts = np.diff(np.append(heads, len(others)))
+        for j, g, count in zip(others[heads].tolist(), at[heads].tolist(), counts.tolist()):
+            yield (i, j), tuple(index.points[starts[g]].tolist()), count

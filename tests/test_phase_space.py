@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from qospread import _modlin, phase_space
 from qospread.constructions import ConstructionParams, build_recursive
 from qospread.finite_field import gf
-from helpers import (c_members, contains, d_members, frobenius_trace, gf_symplectic, intersect_trivially, literal_pi1,
-                     symplectic_product, table, trace_dual_basis)
+from helpers import (ReferenceIndex, c_members, contains, d_members, frobenius_trace, gf_symplectic, intersect_trivially,
+                     literal_pi1, reference_conflicts, reference_lines, symplectic_product, table, trace_dual_basis)
 from qospread.phase_space import (
     MAX_LISTED_PAIRS,
     SPAN_LIMIT,
@@ -424,13 +424,13 @@ def _full_index(rows):
     for at, stack in rows.groups:
         points.append(phase_space._spans(p, stack)[:, 1:].astype(np.int64).reshape(-1, rows.width))
         owners.append(np.repeat(at, p ** stack.shape[1] - 1))
-    return phase_space._Index.sort(np.concatenate(points), np.concatenate(owners))
+    return ReferenceIndex.sort(np.concatenate(points), np.concatenate(owners))
 
 
 def _full_point_reports(rows):
     """The pairwise and partition failures and the covered count, from the full index."""
     p, full = rows.p, _full_index(rows)
-    conflicts = list(phase_space._conflicts(full))
+    conflicts = list(reference_conflicts(full))
     pairwise = [(f"member {i} & member {j}", f"shared nonzero point {point}")
                 for (i, j), point, _ in conflicts[:MAX_LISTED_PAIRS]]
     if len(conflicts) > MAX_LISTED_PAIRS:
@@ -504,7 +504,7 @@ def test_line_index_agrees_with_the_full_point_index(case, monkeypatch):
     assert len(lines.owners) == phase_space._index_lines(rows) and len(full.owners) == len(lines.owners) * (p - 1)
     assert (np.take_along_axis(lines.points, (lines.points != 0).argmax(axis=1)[:, None], axis=1) == 1).all()
     got = [(pair, point, count * (p - 1)) for pair, point, count in phase_space._conflicts(lines)]
-    want = list(phase_space._conflicts(full))
+    want = list(reference_conflicts(full))
     assert got == want
     assert failing is None or len(want) == failing
     assert int(lines.first.sum()) * (p - 1) == int(full.first.sum())
@@ -512,6 +512,59 @@ def test_line_index_agrees_with_the_full_point_index(case, monkeypatch):
     want_pairwise, want_partition, covered = _full_point_reports(rows)
     assert pairwise.failures == want_pairwise
     assert (partition.failures, partition.covered) == (want_partition, covered)
+
+
+def _index_outcome(rows):
+    """Every conflict of the ownership index of a table, in order, and the number of distinct lines it holds."""
+    index = phase_space._owners(rows)
+    return list(phase_space._conflicts(index)), int(index.first.sum())
+
+
+@functools.cache
+def _family_rows(p, k, n):
+    return build_recursive(ConstructionParams.create(p, k, n)).rows
+
+
+def _repeated(p, k, n, copies):
+    """The family's table with ``copies`` members, chosen at random, each replaced by a copy of another."""
+    rows, rng = _family_rows(p, k, n), random.Random(p + n)
+    positions = list(range(len(rows)))
+    for target in rng.sample(positions, copies):
+        positions[target] = rng.randrange(len(rows))
+    return rows.take(positions)
+
+
+def _wide(p, width, seed):
+    """24 random members of dimension 1 to 3 of Z_p^width, about half of them
+    through one of three shared lines, canonicalised."""
+    rng = np.random.default_rng(seed)
+    shared, matrices = rng.integers(p, size=(3, width)), []
+    for _ in range(24):
+        generators = rng.integers(p, size=(rng.integers(1, 3), width))
+        matrices.append(np.vstack([generators, shared[rng.integers(3)]]) if rng.random() < 0.5 else generators)
+    return _canonical(RowStacks.lists(p, width, matrices))
+
+
+_AGREEMENT_CASES = {
+    **{f"p{p}k{k}n{n}{name}": functools.partial(_repeated, p, k, n, copies)
+       for p, k, n in ((3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 3), (7, 1, 3), (3, 1, 4), (53, 1, 2), (11, 1, 3))
+       for copies, name in ((0, ""), (1, " one repeat"), (7, " seven repeats"))},
+    **{f"wide p{p} w{width}": functools.partial(_wide, p, width, width) for p, width in ((3, 42), (5, 30), (3, 64), (7, 24))},
+}
+
+
+@pytest.mark.parametrize("case", _AGREEMENT_CASES)
+def test_index_agrees_with_the_reference_index(case):
+    """The ownership index gives the point-matrix reference's conflicts (every
+    pair, in order, with its witness and shared count) and its covered lines;
+    the wide tables' base-p codes times the member count pass 2^63."""
+    rows = _AGREEMENT_CASES[case]()
+    reference = reference_lines(rows)
+    conflicts, lines = _index_outcome(rows)
+    assert conflicts == list(reference_conflicts(reference))
+    assert lines == int(reference.first.sum())
+    assert bool(conflicts) == ("repeat" in case or "wide" in case)
+    assert case.startswith("wide") == (rows.p**rows.width * len(rows) >= 2**63)
 
 
 def test_subspaces_given_non_canonical_rows_are_indexed_by_their_lines():
