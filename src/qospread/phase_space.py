@@ -33,18 +33,17 @@ enumerated by one matrix product: the coefficient vectors, in
 Both set checks, trivial pairwise intersection and the partition of the
 nonzero ambient, are one scan of one point-ownership index.  Members are
 subspaces, so two share a nonzero point exactly when they share its line,
-and the index holds one point per line: per member dimension r, the
-(p^r - 1)/(p - 1) coefficient vectors whose first nonzero entry is 1 times
-every canonical basis give the normalised points (first nonzero coordinate 1),
-which are stacked with an owner column and sorted lexicographically into
-arrays, so points with two or more owners sit next to each other and the
-distinct lines are counted in passing, p - 1 nonzero points each.  The
-normalised point of a line is its smallest, so each witness is the smallest
-shared point.  A member too large to enumerate is admitted only alone, with
-no pair to check and the partition unchecked; beside another member, or in an
-index above ``INDEX_LIMIT`` lines, it is refused from the row counts before
-any span is built.  All of it is exact integer combinatorics, with no
-floating point.
+and the index holds one sorted key code·N + owner per line for N members:
+the code is the line's normalised point (first nonzero coordinate 1, its
+smallest point) read in base p, first coordinate most significant, int64
+while p^width·N < 2^63 and a Python int past it.  A line's owners sit next to
+each other, the distinct codes count the covered lines, p - 1 nonzero points
+each, and each witness, the smallest shared point, is decoded from its code.
+A member too large to enumerate is admitted only alone, with no pair to
+check and the partition unchecked; beside another member, or in an index
+above ``INDEX_LIMIT`` lines, it is refused from the row counts before any
+span is built.  All of it is exact integer combinatorics, with no floating
+point.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from .finite_field import FieldSpec, GFElement
 from .report import VerificationReport, _power
 
 SPAN_LIMIT = 10**6
-INDEX_LIMIT = 2**23  # lines in one ownership index, 51-70 bytes each (width 8-14) while it is built and sorted
+INDEX_LIMIT = 2**23  # lines in one ownership index, 18-20 bytes each (int64 keys) while it is built, sorted and scanned
 MAX_LISTED_PAIRS = 1000
 
 NONDEGENERATE = "nondegenerate"
@@ -266,27 +265,6 @@ def span_enumerate(s: Subspace) -> list[PhasePoint]:
     return [PhasePoint(s.p, s.m, row) for row in _spans(s.p, rows)[0].tolist()]
 
 
-class _Index(NamedTuple):
-    """The point-ownership index: one point per line through 0 of the members'
-    spans, its normalised point (first nonzero coordinate 1), with its owner,
-    sorted lexicographically by point and, for equal points, by owner; ``first``
-    marks the first row of each distinct point."""
-
-    points: np.ndarray
-    owners: np.ndarray
-    first: np.ndarray
-
-    @classmethod
-    def sort(cls, points: np.ndarray, owners: np.ndarray) -> "_Index":
-        # lexsort on the coordinate columns, then the owner (the last key is
-        # primary), cannot overflow for any ambient, unlike base-p codes
-        order = np.lexsort((owners, *points.T[::-1]))
-        points, owners = points[order], owners[order]
-        first = np.ones(len(points), dtype=bool)
-        first[1:] = (points[1:] != points[:-1]).any(axis=1)
-        return cls(points, owners, first)
-
-
 def _enumerable(p: int, dims):  # dims: an int or an array; 2^21 > SPAN_LIMIT
     return np.asarray(dims) <= max(r for r in range(21) if p**r <= SPAN_LIMIT)
 
@@ -326,48 +304,74 @@ def _check_index(rows: RowStacks, labels: Sequence[str]) -> None:
     _check_index_size(_index_lines(rows))
 
 
-def _owners(rows: RowStacks) -> _Index:
-    """The index of the enumerable spans of a table of canonical echelon bases,
-    positions as owners: per row count r, one product of the stack with the
-    (p^r - 1)/(p - 1) line coefficients.  Unit pivots in increasing columns make
-    each c·R the normalised point of its line (first nonzero coordinate 1)."""
-    p, small = rows.p, np.min_scalar_type(rows.p - 1)  # the smallest dtype holding [0, p-1] sorts fastest
-    points, owners = [np.zeros((0, rows.width), dtype=small)], [np.zeros(0, dtype=np.intp)]
+def _word(p: int) -> int:
+    """How many base-p digits one int64 holds: p^digits < 2^62 (one past p = 2^62)."""
+    return max(1, 62 // p.bit_length())
+
+
+def _owners(rows: RowStacks) -> np.ndarray:
+    """The ownership index of a table of canonical echelon bases, positions as owners: per row count
+    r, Horner's rule over the columns of the stack times the (p^r - 1)/(p - 1) line coefficients,
+    whose unit pivots in increasing columns make each product a normalised point."""
+    p, n, width, points, step = rows.p, len(rows), rows.width, _power(rows.p, rows.width), _word(rows.p)
+    small = isinstance(points, int) and points * n < 2**63  # every key fits int64
+    keys, end = np.empty(_index_lines(rows), dtype=np.int64 if small else object), 0
     for at, stack in rows.groups:
         lines = _line_coefficients(p, stack.shape[1]).astype(stack.dtype)
-        points.append((lines @ stack % p).astype(small).reshape(-1, rows.width))
-        owners.append(np.repeat(at, len(lines)))
-    points, owners = np.concatenate(points), np.concatenate(owners)  # frees the parts before sorting
-    return _Index.sort(points, owners)
+        codes = keys[end : end + len(at) * len(lines)].reshape(len(at), len(lines))
+        end, codes[...] = end + codes.size, 0
+        for columns in np.split(stack, range(step, width, step), axis=2):
+            word = np.zeros(codes.shape, dtype=np.result_type(stack, np.int64))
+            for column in columns.transpose(2, 0, 1):
+                word *= p
+                word += column @ lines.T % p
+            codes *= p ** columns.shape[2]
+            codes += word
+        codes *= n
+        codes += at[:, None]
+    keys.sort()
+    return keys
 
 
-def _conflicts(index: _Index) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
-    """The pairs sharing an indexed point, lazily in pair order, each with its
-    smallest shared point and the number of indexed points it shares.
+def _point(code: int, p: int, width: int) -> tuple[int, ...]:
+    """The point whose base-p digits, first coordinate most significant, read ``code``."""
+    step, words = _word(p), []
+    for _ in range(0, width, step):
+        code, word = divmod(code, p**step)
+        words.append(word)
+    powers = [p**e for e in range(step - 1, -1, -1)]
+    return tuple(word // power % p for word in reversed(words) for power in powers)[-width:]
 
-    Only the points with two or more owners are read, one owner at a time, so
-    a caller that stops early pays only for the owners it reached.
-    """
-    starts = np.flatnonzero(index.first)
-    sizes = np.diff(np.append(starts, len(index.first)))
-    group = np.cumsum(index.first) - 1
-    shared = np.flatnonzero(sizes[group] > 1)
+
+def _conflicts(rows: RowStacks, keys: np.ndarray,
+               repeats: np.ndarray) -> Iterator[tuple[tuple[int, int], tuple[int, ...], int]]:
+    """The pairs sharing a line of the keys ``_owners(rows)``, ``repeats`` marking each key whose
+    code is its predecessor's: lazily in pair order, each with its smallest shared point and the
+    number of lines it shares.  Only shared lines are read, one owner at a time, so a caller that
+    stops early pays only for the owners it reached."""
+    n = len(rows)
+    edge = np.concatenate(([False], repeats, [False]))  # edge[i]: key i holds the line of key i - 1
+    shared = np.flatnonzero(edge[:-1] | edge[1:])
     if not len(shared):
         return
-    shared = shared[np.argsort(index.owners[shared], kind="stable")]  # by owner, then point
-    for rows in np.split(shared, np.flatnonzero(np.diff(index.owners[shared])) + 1):
-        i = int(index.owners[rows[0]])
-        groups = group[rows]
-        # every row of the groups of owner i, group by group (groups ascend)
-        lengths = sizes[groups]
-        owner = index.owners[_ranges(starts[groups], lengths)]
-        others, at = owner[owner > i], np.repeat(groups, lengths)[owner > i]
-        order = np.argsort(others, kind="stable")  # by partner, then point
+    first = ~edge[shared]  # the first owner of each shared line
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(shared)))
+    line, owners = np.cumsum(first) - 1, (keys[shared] % n).astype(np.intp)
+    by_owner = np.argsort(owners, kind="stable")  # by owner, then line
+    for mine in np.split(by_owner, np.flatnonzero(np.diff(owners[by_owner])) + 1):
+        i = int(owners[mine[0]])
+        lines = line[mine]
+        # every owner of the lines of owner i, line by line (lines ascend)
+        lengths = sizes[lines]
+        owner = owners[_ranges(starts[lines], lengths)]
+        others, at = owner[owner > i], np.repeat(lines, lengths)[owner > i]
+        order = np.argsort(others, kind="stable")  # by partner, then line
         others, at = others[order], at[order]
         heads = np.flatnonzero(np.diff(others, prepend=-1))
         counts = np.diff(np.append(heads, len(others)))
         for j, g, count in zip(others[heads].tolist(), at[heads].tolist(), counts.tolist()):
-            yield (i, j), tuple(index.points[starts[g]].tolist()), count
+            yield (i, j), _point(int(keys[shared[starts[g]]]) // n, rows.p, rows.width), count
 
 
 def _point_text(point: tuple[int, ...]) -> str:
@@ -381,39 +385,31 @@ def _point_text(point: tuple[int, ...]) -> str:
 def _disjointness(
     rows: RowStacks, labels: Sequence[str] | None = None
 ) -> tuple[VerificationReport, VerificationReport | None]:
-    """The pairwise and partition reports from one ownership index of the
-    members (a table of canonical echelon bases), after ``_check_index``: a
-    member above ``SPAN_LIMIT`` is admitted only alone, and then, as for no
-    member, there is no pair and the partition report is None.
-
-    Members are subspaces, so two share a nonzero point exactly when they share
-    its line, and the index holds one point per line.  Each pair of owners of a
-    line fails, with its smallest shared point (``_point_text``), in pair order:
-    the smallest point of a line is its normalised one, the one indexed.  Past
-    ``MAX_LISTED_PAIRS`` pairs the listing stops with a "family" entry.  The
-    partition names the first pair with its number of shared points and counts
-    the covered points against the ambient, p - 1 nonzero points per distinct line.
-    """
+    """The pairwise and partition reports from one ownership index of the members (a table of
+    canonical echelon bases), after ``_check_index``; with no member, or one alone above
+    ``SPAN_LIMIT``, there is no pair and no partition report.  Each pair of owners of a line fails
+    with its smallest shared point (``_point_text``), in pair order, up to ``MAX_LISTED_PAIRS``
+    pairs and then a "family" entry.  The partition names the first pair with its number of shared
+    points and counts the covered points against the ambient, p - 1 per distinct line."""
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
     _check_index(rows, labels)
     if not n or not _enumerable(p, rows.counts).all():  # no member, or one alone above SPAN_LIMIT
         return VerificationReport(checks_run=0), None
-    index = _owners(rows)
-    conflicts = list(itertools.islice(_conflicts(index), MAX_LISTED_PAIRS + 1))
-    failures = [
-        (f"{labels[i]} & {labels[j]}", f"shared nonzero point {_point_text(witness)}")
-        for (i, j), witness, _ in conflicts[:MAX_LISTED_PAIRS]
-    ]
+    keys = _owners(rows)
+    codes = keys // n
+    repeats = codes[1:] == codes[:-1]
+    conflicts = list(itertools.islice(_conflicts(rows, keys, repeats), MAX_LISTED_PAIRS + 1))
+    failures = [(f"{labels[i]} & {labels[j]}", f"shared nonzero point {_point_text(witness)}")
+                for (i, j), witness, _ in conflicts[:MAX_LISTED_PAIRS]]
     if len(conflicts) > MAX_LISTED_PAIRS:
-        failures.append(
-            ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
-        )
+        failures.append(("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs"))
     pairwise = VerificationReport(checks_run=n * (n - 1) // 2, failures=failures)
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count * (p - 1)} shared nonzero points") for (i, j), _, count in conflicts[:1]
     ]
-    covered, expected = int(index.first.sum()) * (p - 1), _nonzero_points(p, rows.width)  # text: no index covers it
+    covered = (len(keys) - int(repeats.sum())) * (p - 1)  # p - 1 nonzero points per distinct code
+    expected = _nonzero_points(p, rows.width)  # text: no index covers it
     if covered != expected:
         failures.append(("family", f"covers {covered} of {expected} nonzero points"))
     return pairwise, VerificationReport(checks_run=n, failures=failures, covered=covered, expected=expected)

@@ -444,7 +444,7 @@ def _full_point_reports(rows):
 
 @functools.cache
 def _spread(p, n):
-    return build_recursive(ConstructionParams.create(p, 1, n)).subspaces()
+    return build_recursive(ConstructionParams.create(p, 1, n)).rows.subspaces()
 
 
 def _copies(subs, sources, targets):
@@ -500,14 +500,16 @@ def test_line_index_agrees_with_the_full_point_index(case, monkeypatch):
         with pytest.raises(ValueError, match=f"^member {len(rows) - 1} spans {p**rows.width} points, above the limit"):
             phase_space._disjointness(rows)
         return
-    lines, full = phase_space._owners(rows), _full_index(rows)
-    assert len(lines.owners) == phase_space._index_lines(rows) and len(full.owners) == len(lines.owners) * (p - 1)
-    assert (np.take_along_axis(lines.points, (lines.points != 0).argmax(axis=1)[:, None], axis=1) == 1).all()
-    got = [(pair, point, count * (p - 1)) for pair, point, count in phase_space._conflicts(lines)]
+    keys, full, reference = phase_space._owners(rows), _full_index(rows), reference_lines(rows)
+    assert len(keys) == phase_space._index_lines(rows) and len(full.owners) == len(keys) * (p - 1)
+    assert (np.take_along_axis(reference.points, (reference.points != 0).argmax(axis=1)[:, None], axis=1) == 1).all()
+    assert keys.tolist() == _reference_keys(rows, reference)
+    conflicts, lines = _index_outcome(rows)
+    got = [(pair, point, count * (p - 1)) for pair, point, count in conflicts]
     want = list(reference_conflicts(full))
     assert got == want
     assert failing is None or len(want) == failing
-    assert int(lines.first.sum()) * (p - 1) == int(full.first.sum())
+    assert lines * (p - 1) == int(full.first.sum())
     pairwise, partition = phase_space._disjointness(rows)
     want_pairwise, want_partition, covered = _full_point_reports(rows)
     assert pairwise.failures == want_pairwise
@@ -516,8 +518,15 @@ def test_line_index_agrees_with_the_full_point_index(case, monkeypatch):
 
 def _index_outcome(rows):
     """Every conflict of the ownership index of a table, in order, and the number of distinct lines it holds."""
-    index = phase_space._owners(rows)
-    return list(phase_space._conflicts(index)), int(index.first.sum())
+    keys = phase_space._owners(rows)
+    repeats = keys[1:] // len(rows) == keys[:-1] // len(rows)
+    return list(phase_space._conflicts(rows, keys, repeats)), len(keys) - int(repeats.sum())
+
+
+def _reference_keys(rows, reference):
+    """The keys code·N + owner of the reference line index, in its order, as Python ints."""
+    codes = functools.reduce(lambda code, column: code * rows.p + column, reference.points.T.astype(object), 0)
+    return (np.asarray(codes) * len(rows) + reference.owners.astype(object)).tolist()
 
 
 @functools.cache
@@ -560,6 +569,7 @@ def test_index_agrees_with_the_reference_index(case):
     the wide tables' base-p codes times the member count pass 2^63."""
     rows = _AGREEMENT_CASES[case]()
     reference = reference_lines(rows)
+    assert phase_space._owners(rows).tolist() == _reference_keys(rows, reference)
     conflicts, lines = _index_outcome(rows)
     assert conflicts == list(reference_conflicts(reference))
     assert lines == int(reference.first.sum())
@@ -716,9 +726,9 @@ def random_nondegenerate(p, m, dims, count, seed):
 
 @functools.cache
 def frame_cases():
-    cases = {f"left{p}{k}{n + 2}": build_recursive(ConstructionParams.create(p, k, n)).subspaces()
+    cases = {f"left{p}{k}{n + 2}": build_recursive(ConstructionParams.create(p, k, n)).rows.subspaces()
              for p, k, n in [(3, 1, 3), (5, 1, 1), (7, 1, 1), (3, 2, 1)]}
-    cases["members332"] = build_recursive(ConstructionParams.create(3, 3, 2)).subspaces()  # dimension 6
+    cases["members332"] = build_recursive(ConstructionParams.create(3, 3, 2)).rows.subspaces()  # dimension 6
     cases["random3"] = random_nondegenerate(3, 4, [2, 4, 6, 8], 300, 1)
     cases["random2^61-1"] = random_nondegenerate(2**61 - 1, 4, [2, 4, 6, 8], 60, 2)  # the object dtype
     return cases
