@@ -107,21 +107,12 @@ class SpreadFamily:
     its reader (``family_io``).
     """
 
-    def __init__(self, params: ConstructionParams, members=(), *, labels: list[str] | None = None,
-                 kinds: list[str] | None = None, rows: RowStacks | None = None):
-        """From ``FamilyMember`` records, or from labels, kinds and a table of canonical rows."""
-        if rows is None:
-            members = list(members)
-            labels, kinds = [m.label for m in members], [m.kind for m in members]
-            rows = RowStacks.lists(params.p, 2 * params.ambient_factors, [m.subspace.rows for m in members])
+    def __init__(self, params: ConstructionParams, *, labels: list[str], kinds: list[str], rows: RowStacks):
         self.params, self._labels, self._kinds, self.rows = params, labels, kinds, rows
 
     @cached_property
     def members(self) -> list[FamilyMember]:
         return [FamilyMember(*member) for member in zip(self._labels, self._kinds, self.rows.subspaces())]
-
-    def subspaces(self) -> list[Subspace]:
-        return [m.subspace for m in self.members]
 
     def labels(self) -> list[str]:
         return list(self._labels)

@@ -17,14 +17,13 @@ from qospread.constructions import (
     MASA,
     MATRIX_ALGEBRA,
     ConstructionParams,
-    FamilyMember,
     SpreadFamily,
     build_masa_spread,
     build_recursive,
     build_spread_2,
 )
 from qospread.finite_field import is_prime
-from qospread.phase_space import Subspace, _check_index_size, _nonzero_lines, span_enumerate
+from qospread.phase_space import RowStacks, Subspace, _check_index_size, _nonzero_lines, span_enumerate
 from qospread.report import _power
 from qospread.verify import (
     check_mub_overlaps,
@@ -37,6 +36,12 @@ from qospread.weyl import _monomial_parts
 
 P3 = ConstructionParams.create(3, 1, 2)
 C10, C01 = c_members(P3, [(P3.field.one(), P3.field.zero()), (P3.field.zero(), P3.field.one())], False).subspaces()
+
+
+def family(params, labels, kinds, subspaces):
+    """The family of the given labels, kinds and subspaces, in order."""
+    rows = RowStacks.lists(params.p, 2 * params.ambient_factors, [s.rows for s in subspaces])
+    return SpreadFamily(params, labels=list(labels), kinds=list(kinds), rows=rows)
 
 
 def span_parts(s):
@@ -60,7 +65,7 @@ def test_symbolic_passes_recursive_n3():
 
 
 def test_symbolic_fails_on_duplicate():
-    fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, C10), FamilyMember("b", MATRIX_ALGEBRA, C10)])
+    fam = family(P3, "ab", [MATRIX_ALGEBRA] * 2, [C10, C10])
     rep = verify_symbolic(fam)[0]
     assert not rep.passed
     assert rep.failures[0][0] == "a & b"
@@ -68,7 +73,7 @@ def test_symbolic_fails_on_duplicate():
 
 
 def test_symbolic_fails_on_isotropic_matrix_member():
-    fam = SpreadFamily(P3, [FamilyMember("bad", MATRIX_ALGEBRA, C01)])
+    fam = family(P3, ["bad"], [MATRIX_ALGEBRA], [C01])
     rep = verify_symbolic(fam)[0]
     assert not rep.passed
     assert "isotropic" in rep.failures[0][1]
@@ -76,7 +81,7 @@ def test_symbolic_fails_on_isotropic_matrix_member():
 
 def test_symbolic_fails_on_wrong_count():
     fam = build_spread_2(P3)
-    short = SpreadFamily(fam.params, fam.members[:-1])
+    short = family(fam.params, fam.labels()[:-1], fam.kinds()[:-1], fam.rows.subspaces()[:-1])
     rep = verify_symbolic(short)[0]
     assert not rep.passed
     assert any("expected 10" in detail for _, detail in rep.failures)
@@ -97,7 +102,7 @@ def test_numeric_passes_spread_2_p3():
 
 
 def test_numeric_duplicate_family_hits_orthogonality_bound():
-    fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, C10), FamilyMember("b", MATRIX_ALGEBRA, C10)])
+    fam = family(P3, "ab", [MATRIX_ALGEBRA] * 2, [C10, C10])
     rep = verify_qo_numeric(fam)
     assert not rep.passed
     assert rep.max_residual == pytest.approx(9.0, abs=1e-6)
@@ -180,12 +185,9 @@ def test_numeric_sampling_does_not_list_the_pairs():
     """2,000 random members of Z_3^6 (1,999,000 pairs): five sampled pairs must
     not cost a list of every pair, which alone takes over 100 MB."""
     rng = random.Random(2000)
-    members = [
-        FamilyMember(f"M{i}", MATRIX_ALGEBRA,
-                     Subspace.from_generators(3, 3, [[rng.randrange(3) for _ in range(6)] for _ in range(2)]))
-        for i in range(2000)
-    ]
-    fam = SpreadFamily(ConstructionParams.create(3, 1, 3), members)
+    members = [Subspace.from_generators(3, 3, [[rng.randrange(3) for _ in range(6)] for _ in range(2)])
+               for _ in range(2000)]
+    fam = family(ConstructionParams.create(3, 1, 3), [f"M{i}" for i in range(2000)], [MATRIX_ALGEBRA] * 2000, members)
     tracemalloc.start()
     try:
         rep = verify_qo_numeric(fam, sample_pairs=5)
@@ -249,8 +251,9 @@ def test_numeric_row_reuse_matches_per_pair_loop(k, n, sample, seed, dup):
     fam = build_recursive(ConstructionParams.create(3, k, n))
     members = list(fam.members)
     src, dst = dup
-    members[dst] = FamilyMember(members[dst].label, members[dst].kind, members[src].subspace)
-    fam = SpreadFamily(fam.params, members)
+    subspaces = fam.rows.subspaces()
+    subspaces[dst] = subspaces[src]
+    fam = family(fam.params, fam.labels(), fam.kinds(), subspaces)
     rep = verify_qo_numeric(fam, 1e-9, sample_pairs=sample, seed=seed)
     all_pairs = list(itertools.combinations(range(len(members)), 2))
     if sample < len(all_pairs):
@@ -312,8 +315,7 @@ def test_numeric_nan_parts_fail(monkeypatch):
     directions = [v for v in itertools.product(range(3), repeat=3) if any(v) and v[np.flatnonzero(v)[0]] == 1]
     planes = [Subspace.from_generators(3, 3, [sum(([c, 0] for c in dirn), []), sum(([0, c] for c in dirn), [])])
               for dirn in directions[:10]]
-    fam = SpreadFamily(ConstructionParams.create(3, 1, 3),
-                       [FamilyMember(f"P{i}", MATRIX_ALGEBRA, sub) for i, sub in enumerate(planes)])
+    fam = family(ConstructionParams.create(3, 1, 3), [f"P{i}" for i in range(10)], [MATRIX_ALGEBRA] * 10, planes)
     assert verify_qo_numeric(fam).passed
     shifted = [int(np.flatnonzero(span_parts(sub)[0][:, 0])[0]) for sub in planes]  # target[a, 0] != 0
     for i, j in itertools.permutations(range(10), 2):
@@ -386,7 +388,7 @@ def test_numeric_agrees_with_symbolic_reduction():
     seen_trivial = seen_shared = 0
     while seen_trivial < 50 or seen_shared < 50:
         a, b = random_plane(rng), random_plane(rng)
-        fam = SpreadFamily(P3, [FamilyMember("a", MATRIX_ALGEBRA, a), FamilyMember("b", MATRIX_ALGEBRA, b)])
+        fam = family(P3, "ab", [MATRIX_ALGEBRA] * 2, [a, b])
         rep = verify_qo_numeric(fam)
         if intersect_trivially(a, b):
             seen_trivial += 1
@@ -520,14 +522,14 @@ def test_mub_basis_diagonalises_its_own_masa(p, k):
 
 def test_mub_single_basis_trivially_unbiased():
     masas = build_masa_spread(P3)
-    solo = SpreadFamily(P3, masas.members[:1])
+    solo = family(P3, masas.labels()[:1], masas.kinds()[:1], masas.rows.subspaces()[:1])
     rep = check_mub_overlaps(extract_mub_bases(solo), labels=solo.labels())
     assert rep.passed
     assert rep.checks_run == 1  # orthonormality only, no cross pairs
 
 
 def test_mub_rejects_non_isotropic_member():
-    fam = SpreadFamily(P3, [FamilyMember("bad", MASA, C10)])
+    fam = family(P3, ["bad"], [MASA], [C10])
     with pytest.raises(ValueError, match="^bad: subspace is not isotropic"):
         extract_mub_bases(fam)
 
@@ -535,7 +537,7 @@ def test_mub_rejects_non_isotropic_member():
 def test_mub_rejects_non_maximal_isotropic_member(monkeypatch):
     """A 1-dim member of Z_3^4 commutes but is no masa: refused before synthesis."""
     sub = Subspace.from_generators(3, 2, [(1, 0, 0, 0)])
-    fam = SpreadFamily(P3, [FamilyMember("short", MASA, sub)])
+    fam = family(P3, ["short"], [MASA], [sub])
 
     def no_synthesis(*args, **kwargs):
         raise AssertionError("synthesized a rejected member")

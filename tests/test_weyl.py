@@ -247,7 +247,7 @@ def test_batched_monomial_parts_equal_per_member_calls_bit_for_bit(k, n):
     SIMD complex products are not bitwise commutative, so the order matters."""
     params = ConstructionParams.create(3, k, n)
     m = k * n
-    spans = [span_rows(s) for s in build_recursive(params).subspaces()[::7][:12]]
+    spans = [span_rows(s) for s in build_recursive(params).rows.subspaces()[::7][:12]]
     target, values = _monomial_parts(3, m, np.concatenate(spans))
     start = 0
     for span in spans:
