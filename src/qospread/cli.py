@@ -7,14 +7,14 @@ When the process was started as qospread (``python -m qospread.cli``, where
 argv[0] is this file, or the ``qospread`` console script) and numpy is not
 loaded yet, this module imports numpy and the layers with the garbage
 collector off, then freezes what they made (``gc.freeze``) and turns it back
-on, so neither the run's collections nor the one at exit walk that heap.  With
-a subcommand it also sets ``OPENBLAS_NUM_THREADS=1`` before importing numpy,
-unless the caller has set it: OpenBLAS then starts no worker threads, which
-would spin on every other core (``mub`` splits its overlap products over
-threads of its own, ``verify.check_mub_overlaps``; the other subcommands make
-no BLAS call).  Any other program that imports this module keeps its own
-collector state and OpenBLAS default.  ``verify`` and ``weyl`` load only in
-the subcommands that run them.
+on, so neither the run's collections nor the one at exit walk that heap.  It
+also sets ``OPENBLAS_NUM_THREADS=1`` before importing numpy, unless the caller
+has set it: OpenBLAS then starts no worker threads, which would spin on every
+other core, ``--help`` and usage errors included (``mub`` splits its overlap
+products over threads of its own, ``verify.check_mub_overlaps``; the other
+subcommands make no BLAS call).  Any other program that imports this module
+keeps its own collector state and OpenBLAS default.  ``verify`` and ``weyl``
+load only in the subcommands that run them.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ _STARTED_AS_QOSPREAD = "numpy" not in sys.modules and (
     sys.argv[0] == __file__ or os.path.splitext(os.path.basename(sys.argv[0]))[0] == "qospread")
 if _STARTED_AS_QOSPREAD:
     gc.disable()
-    if sys.argv[1:2] in (["generate"], ["verify"], ["example"], ["mub"]):
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

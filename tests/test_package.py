@@ -160,7 +160,7 @@ print(sorted({"qospread.verify", "qospread.weyl"} - set(sys.modules)), gc.isenab
 
 @pytest.mark.parametrize("entry", ["module", "script"])
 @pytest.mark.parametrize("command,threads", [
-    ("generate", "1"), ("verify", "1"), ("example", "1"), ("mub", "1"), ("--help", None),
+    ("generate", "1"), ("verify", "1"), ("example", "1"), ("mub", "1"), ("--help", "1"),
 ])
 def test_cli_sets_blas_threads_before_numpy_loads(entry, command, threads):
     assert _python(NUMPY_IMPORT_SPY, entry, command) == f"{[threads]}\n"
