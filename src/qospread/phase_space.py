@@ -305,7 +305,7 @@ def _check_index(rows: RowStacks, labels: Sequence[str]) -> None:
 
 
 def _word(p: int) -> int:
-    """How many base-p digits one int64 holds: p^digits < 2^62 (one past p = 2^62)."""
+    """How many base-p digits one int64 word holds, p^digits < 2^62: at least one (a Python int past p = 2^62)."""
     return max(1, 62 // p.bit_length())
 
 
@@ -335,12 +335,11 @@ def _owners(rows: RowStacks) -> np.ndarray:
 
 def _point(code: int, p: int, width: int) -> tuple[int, ...]:
     """The point whose base-p digits, first coordinate most significant, read ``code``."""
-    step, words = _word(p), []
-    for _ in range(0, width, step):
-        code, word = divmod(code, p**step)
-        words.append(word)
-    powers = [p**e for e in range(step - 1, -1, -1)]
-    return tuple(word // power % p for word in reversed(words) for power in powers)[-width:]
+    powers, digits = [p**e for e in range(_word(p))], []  # digits least significant first, a word at a time
+    for _ in range(0, width, len(powers)):
+        code, word = divmod(code, p ** len(powers))
+        digits += [word // power % p for power in powers]
+    return tuple(digits[width - 1 :: -1])
 
 
 def _conflicts(rows: RowStacks, keys: np.ndarray,
@@ -400,10 +399,14 @@ def _disjointness(
     codes = keys // n
     repeats = codes[1:] == codes[:-1]
     conflicts = list(itertools.islice(_conflicts(rows, keys, repeats), MAX_LISTED_PAIRS + 1))
-    failures = [(f"{labels[i]} & {labels[j]}", f"shared nonzero point {_point_text(witness)}")
-                for (i, j), witness, _ in conflicts[:MAX_LISTED_PAIRS]]
+    failures = [
+        (f"{labels[i]} & {labels[j]}", f"shared nonzero point {_point_text(witness)}")
+        for (i, j), witness, _ in conflicts[:MAX_LISTED_PAIRS]
+    ]
     if len(conflicts) > MAX_LISTED_PAIRS:
-        failures.append(("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs"))
+        failures.append(
+            ("family", f"more pairs share nonzero points; listing stopped after {MAX_LISTED_PAIRS} pairs")
+        )
     pairwise = VerificationReport(checks_run=n * (n - 1) // 2, failures=failures)
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count * (p - 1)} shared nonzero points") for (i, j), _, count in conflicts[:1]
