@@ -554,27 +554,30 @@ def _wide(p, width, seed):
     return _canonical(RowStacks.lists(p, width, matrices))
 
 
-_AGREEMENT_CASES = {
-    **{f"p{p}k{k}n{n}{name}": functools.partial(_repeated, p, k, n, copies)
+_AGREEMENT_CASES = {  # name: (the table, whether any pair conflicts, whether the keys pass int64)
+    **{f"p{p}k{k}n{n}{name}": (functools.partial(_repeated, p, k, n, copies), copies > 0, False)
        for p, k, n in ((3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 3), (7, 1, 3), (3, 1, 4), (53, 1, 2), (11, 1, 3))
        for copies, name in ((0, ""), (1, " one repeat"), (7, " seven repeats"))},
-    **{f"wide p{p} w{width}": functools.partial(_wide, p, width, width) for p, width in ((3, 42), (5, 30), (3, 64), (7, 24))},
+    # Z_3^36: int64 keys of two words; the others: Python-int keys of two or three words
+    **{f"wide p{p} w{width}": (functools.partial(_wide, p, width, width), True, width != 36)
+       for p, width in ((3, 36), (3, 42), (5, 30), (3, 64), (7, 24))},
 }
 
 
 @pytest.mark.parametrize("case", _AGREEMENT_CASES)
 def test_index_agrees_with_the_reference_index(case):
-    """The ownership index gives the point-matrix reference's conflicts (every
-    pair, in order, with its witness and shared count) and its covered lines;
-    the wide tables' base-p codes times the member count pass 2^63."""
-    rows = _AGREEMENT_CASES[case]()
+    """The ownership index gives the point-matrix reference's keys, its conflicts
+    (every pair, in order, with its witness and shared count) and its covered lines."""
+    table_of, conflicting, past_int64 = _AGREEMENT_CASES[case]
+    rows = table_of()
     reference = reference_lines(rows)
-    assert phase_space._owners(rows).tolist() == _reference_keys(rows, reference)
+    keys = phase_space._owners(rows)
+    assert keys.tolist() == _reference_keys(rows, reference)
+    assert (keys.dtype == object) == past_int64 == (rows.p**rows.width * len(rows) >= 2**63)
     conflicts, lines = _index_outcome(rows)
     assert conflicts == list(reference_conflicts(reference))
     assert lines == int(reference.first.sum())
-    assert bool(conflicts) == ("repeat" in case or "wide" in case)
-    assert case.startswith("wide") == (rows.p**rows.width * len(rows) >= 2**63)
+    assert bool(conflicts) == conflicting
 
 
 def test_subspaces_given_non_canonical_rows_are_indexed_by_their_lines():
