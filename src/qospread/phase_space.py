@@ -310,9 +310,9 @@ def _word(p: int) -> int:
 
 
 def _owners(rows: RowStacks) -> np.ndarray:
-    """The ownership index of a table of canonical echelon bases, positions as owners: per row count
-    r, Horner's rule over the columns of the stack times the (p^r - 1)/(p - 1) line coefficients,
-    whose unit pivots in increasing columns make each product a normalised point."""
+    """The sorted keys code·N + owner of a table of canonical echelon bases, positions as owners: per
+    row count r, Horner's rule over the stack times the (p^r - 1)/(p - 1) line coefficients (unit pivots
+    in increasing columns make each product a normalised point), ``_word(p)`` columns to an int64 word."""
     p, n, width, points, step = rows.p, len(rows), rows.width, _power(rows.p, rows.width), _word(rows.p)
     small = isinstance(points, int) and points * n < 2**63  # every key fits int64
     keys, end = np.empty(_index_lines(rows), dtype=np.int64 if small else object), 0
