@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qospread import _modlin, phase_space
-from qospread.constructions import ConstructionParams, build_recursive
+from qospread.constructions import ConstructionParams, build_recursive, expected_count
 from qospread.finite_field import gf
 from helpers import (ReferenceIndex, c_members, contains, d_members, frobenius_trace, gf_symplectic, intersect_trivially,
                      literal_pi1, reference_conflicts, reference_lines, symplectic_product, table, trace_dual_basis)
@@ -367,8 +367,9 @@ def test_rank_tests_past_the_limit_are_refused_before_any_elimination(monkeypatc
 def test_every_family_the_index_admits_has_members_it_can_index():
     """For n >= 2 a generated family's (p^{2kn} - 1)/(p - 1) lines pass
     ``INDEX_LIMIT`` only where its members' p^{2k} points are at or below
-    ``SPAN_LIMIT``, so ``_check_index`` refuses no generated family.  The lines
-    grow with p, k and n, so each scan stops at its first refusal."""
+    ``SPAN_LIMIT``, and its keys code·N + owner, below p^{2kn}·N, fit int64,
+    so ``_check_index`` refuses no generated family.  The lines grow with p,
+    k and n, so each scan stops at its first refusal."""
 
     def admits(p, k, n):
         try:
@@ -385,6 +386,7 @@ def test_every_family_the_index_admits_has_members_it_can_index():
             admitted += itertools.takewhile(lambda key: admits(*key), ((p, k, n) for n in itertools.count(2)))
     assert len(admitted) == 65 and admitted[-1] == (199, 1, 2)
     assert max(p ** (2 * k) for p, k, _ in admitted) == 199**2 <= SPAN_LIMIT
+    assert all(p ** (2 * k * n) * expected_count(p, k, n) < 2**63 for p, k, n in admitted)
 
 
 def test_index_above_int64_codes_agrees_with_rank_oracle():
