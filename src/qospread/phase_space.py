@@ -35,15 +35,15 @@ nonzero ambient, are one scan of one point-ownership index.  Members are
 subspaces, so two share a nonzero point exactly when they share its line,
 and the index holds one sorted key code·N + owner per line for N members:
 the code is the line's normalised point (first nonzero coordinate 1, its
-smallest point) read in base p, first coordinate most significant, int64
-while p^width·N < 2^63 and a Python int past it.  A line's owners sit next to
-each other, the distinct codes count the covered lines, p - 1 nonzero points
-each, and each witness, the smallest shared point, is decoded from its code.
-A member too large to enumerate is admitted only alone, with no pair to
-check and the partition unchecked; beside another member, or in an index
-above ``INDEX_LIMIT`` lines, it is refused from the row counts before any
-span is built.  All of it is exact integer combinatorics, with no floating
-point.
+smallest point) read in base p, first coordinate most significant, in int64.
+A line's owners sit next to each other, the distinct codes count the covered
+lines, p - 1 nonzero points each, and each witness, the smallest shared
+point, is decoded from its code.  A lone member needs no index: it covers its
+p^r - 1 points, or, too large to enumerate, leaves the partition unchecked.
+Beside another, such a member is refused from the row counts before any span
+is built, as is an index above ``INDEX_LIMIT`` lines or with keys, below
+p^width·N, past int64.  All of it is exact integer combinatorics, with no
+floating point.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _modlin
-from .finite_field import FieldSpec, GFElement
+from .finite_field import FieldSpec, GFElement, _digits
 from .report import VerificationReport, _power
 
 SPAN_LIMIT = 10**6
-INDEX_LIMIT = 2**23  # lines in one ownership index, 18-20 bytes each (int64 keys) while it is built, sorted and scanned
+INDEX_LIMIT = 2**23  # lines in one ownership index, one int64 key each: 18-20 bytes a line to build, sort and scan
 MAX_LISTED_PAIRS = 1000
 
 NONDEGENERATE = "nondegenerate"
@@ -295,51 +295,37 @@ def _check_index_size(lines: int | str) -> None:
 
 def _check_index(rows: RowStacks, labels: Sequence[str]) -> None:
     """Refuse, from the row counts alone, a member above ``SPAN_LIMIT`` beside another (no index
-    holds it, so its pairs go unchecked) and an ownership index past ``INDEX_LIMIT`` lines."""
+    holds it, so its pairs go unchecked), an ownership index past ``INDEX_LIMIT`` lines, and one
+    whose keys code·N + owner, below p^width·N for N members, would not fit int64."""
     big = np.flatnonzero(~_enumerable(rows.p, rows.counts))
     if len(big) and len(rows) > 1:
         i = int(big[0])
         raise ValueError(f"{labels[i]} spans {_power(rows.p, int(rows.counts[i]))} points, "
                          f"above the limit {SPAN_LIMIT} for a member beside another")
     _check_index_size(_index_lines(rows))
-
-
-def _word(p: int) -> int:
-    """How many base-p digits one int64 word holds, p^digits < 2^62: at least one (a Python int past p = 2^62)."""
-    return max(1, 62 // p.bit_length())
+    points, n = _power(rows.p, rows.width), len(rows)
+    if n > 1 and (isinstance(points, str) or points * n >= 2**63):
+        raise ValueError(f"the ownership index of {n} members of Z_{rows.p}^{rows.width} "
+                         f"needs keys up to {points} * {n}, past int64's 2^63")
 
 
 def _owners(rows: RowStacks) -> np.ndarray:
-    """The sorted keys code·N + owner of a table of canonical echelon bases, positions as owners: per
+    """The sorted int64 keys code·N + owner of a table of canonical echelon bases, positions as owners: per
     row count r, Horner's rule over the stack times the (p^r - 1)/(p - 1) line coefficients (unit pivots
-    in increasing columns make each product a normalised point), ``_word(p)`` columns to an int64 word."""
-    p, n, width, points, step = rows.p, len(rows), rows.width, _power(rows.p, rows.width), _word(rows.p)
-    small = isinstance(points, int) and points * n < 2**63  # every key fits int64
-    keys, end = np.empty(_index_lines(rows), dtype=np.int64 if small else object), 0
+    in increasing columns make each product a normalised point), straight into the key array."""
+    p, n = rows.p, len(rows)
+    keys, end = np.empty(_index_lines(rows), dtype=np.int64), 0
     for at, stack in rows.groups:
         lines = _line_coefficients(p, stack.shape[1]).astype(stack.dtype)
         codes = keys[end : end + len(at) * len(lines)].reshape(len(at), len(lines))
         end, codes[...] = end + codes.size, 0
-        for columns in np.split(stack, range(step, width, step), axis=2):
-            word = np.zeros(codes.shape, dtype=np.result_type(stack, np.int64))
-            for column in columns.transpose(2, 0, 1):
-                word *= p
-                word += column @ lines.T % p
-            codes *= p ** columns.shape[2]
-            codes += word
+        for column in stack.transpose(2, 0, 1):
+            codes *= p
+            codes += column @ lines.T % p
         codes *= n
         codes += at[:, None]
     keys.sort()
     return keys
-
-
-def _point(code: int, p: int, width: int) -> tuple[int, ...]:
-    """The point whose base-p digits, first coordinate most significant, read ``code``."""
-    powers, digits = [p**e for e in range(_word(p))], []  # digits least significant first, a word at a time
-    for _ in range(0, width, len(powers)):
-        code, word = divmod(code, p ** len(powers))
-        digits += [word // power % p for power in powers]
-    return tuple(digits[width - 1 :: -1])
 
 
 def _conflicts(rows: RowStacks, keys: np.ndarray,
@@ -370,15 +356,7 @@ def _conflicts(rows: RowStacks, keys: np.ndarray,
         heads = np.flatnonzero(np.diff(others, prepend=-1))
         counts = np.diff(np.append(heads, len(others)))
         for j, g, count in zip(others[heads].tolist(), at[heads].tolist(), counts.tolist()):
-            yield (i, j), _point(int(keys[shared[starts[g]]]) // n, rows.p, rows.width), count
-
-
-def _point_text(point: tuple[int, ...]) -> str:
-    """The point, or past 64 coordinates (32 factors) its first 8 nonzero ones by position and its width."""
-    if len(point) <= 64:
-        return str(point)
-    nonzero = [f"{i}: {x}" for i, x in enumerate(point) if x]
-    return f"{{{', '.join(nonzero[:8] + ['...'] * (len(nonzero) > 8))}}} of {len(point)} coordinates"
+            yield (i, j), tuple(_digits(int(keys[shared[starts[g]]]) // n, rows.p, rows.width)[::-1]), count
 
 
 def _disjointness(
@@ -386,21 +364,24 @@ def _disjointness(
 ) -> tuple[VerificationReport, VerificationReport | None]:
     """The pairwise and partition reports from one ownership index of the members (a table of
     canonical echelon bases), after ``_check_index``; with no member, or one alone above
-    ``SPAN_LIMIT``, there is no pair and no partition report.  Each pair of owners of a line fails
-    with its smallest shared point (``_point_text``), in pair order, up to ``MAX_LISTED_PAIRS``
-    pairs and then a "family" entry.  The partition names the first pair with its number of shared
-    points and counts the covered points against the ambient, p - 1 per distinct line."""
+    ``SPAN_LIMIT``, there is no pair and no partition report, and one alone needs no index.  Each
+    pair of owners of a line fails with its smallest shared point, in pair order, up to
+    ``MAX_LISTED_PAIRS`` pairs and then a "family" entry.  The partition names the first pair with
+    its number of shared points and counts the covered points against the ambient, p - 1 per line."""
     n, p = len(rows), rows.p
     labels = list(labels) if labels is not None else [f"member {i}" for i in range(n)]
     _check_index(rows, labels)
     if not n or not _enumerable(p, rows.counts).all():  # no member, or one alone above SPAN_LIMIT
         return VerificationReport(checks_run=0), None
-    keys = _owners(rows)
-    codes = keys // n
-    repeats = codes[1:] == codes[:-1]
-    conflicts = list(itertools.islice(_conflicts(rows, keys, repeats), MAX_LISTED_PAIRS + 1))
+    conflicts, covered = [], p ** int(rows.counts[0]) - 1  # a lone member's canonical lines are distinct
+    if n > 1:
+        keys = _owners(rows)
+        codes = keys // n
+        repeats = codes[1:] == codes[:-1]
+        conflicts = list(itertools.islice(_conflicts(rows, keys, repeats), MAX_LISTED_PAIRS + 1))
+        covered = (len(keys) - int(repeats.sum())) * (p - 1)  # p - 1 nonzero points per distinct code
     failures = [
-        (f"{labels[i]} & {labels[j]}", f"shared nonzero point {_point_text(witness)}")
+        (f"{labels[i]} & {labels[j]}", f"shared nonzero point {witness}")
         for (i, j), witness, _ in conflicts[:MAX_LISTED_PAIRS]
     ]
     if len(conflicts) > MAX_LISTED_PAIRS:
@@ -411,7 +392,6 @@ def _disjointness(
     failures = [
         (f"{labels[i]} & {labels[j]}", f"{count * (p - 1)} shared nonzero points") for (i, j), _, count in conflicts[:1]
     ]
-    covered = (len(keys) - int(repeats.sum())) * (p - 1)  # p - 1 nonzero points per distinct code
     expected = _nonzero_points(p, rows.width)  # text: no index covers it
     if covered != expected:
         failures.append(("family", f"covers {covered} of {expected} nonzero points"))

@@ -49,10 +49,10 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
     matrix-algebra member is nondegenerate of dimension 2k (hence spans a
     copy of M_{p^k}), every masa member is isotropic of dimension 2k, and the
     member count meets the dimension bound, its failure listed last.  The
-    second, from the same scan of the point-ownership index, passes iff the
-    members' nonzero points are disjoint and cover the nonzero ambient; it is
-    None for no member or a lone member too large to enumerate.  Raises where
-    ``phase_space._check_index`` refuses.
+    second, from the same scan of the int64 point-ownership index, passes iff
+    the members' nonzero points are disjoint and cover the nonzero ambient; it
+    is None for no member or a lone member too large to enumerate.  Raises
+    where ``phase_space._check_index`` refuses, keys past int64 included.
     """
     labels, kinds = family.labels(), family.kinds()
     pairs, partition = _disjointness(family.rows, labels)

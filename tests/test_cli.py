@@ -629,29 +629,30 @@ def test_verify_partition_above_a_million_points(tmp_path, capsys):
 
 @pytest.mark.parametrize("rows", [2, 13, "shared"])
 @pytest.mark.parametrize("mode", ["symbolic", "both", "numeric"])
-def test_verify_prints_no_giant_integer(tmp_path, capsys, rows, mode):
+def test_verify_prints_no_giant_integer(tmp_path, capsys, monkeypatch, rows, mode):
     # p=3, n=4600: one member of unit rows, or two members that share e_0; the ambient
-    # 3^9200 has 4,390 digits, past Python's limit for printing an integer, the dimension
-    # 3^4600 has 2,195, and the whole witness point e_0 printed 27,630 characters
+    # 3^9200 has 4,390 digits, past Python's limit for printing an integer, and the dimension
+    # 3^4600 has 2,195. The two members' index keys would pass int64: refused before any output
     members = {"U": (0, 1), "V": (0, 2)} if rows == "shared" else {"U": range(rows)}
     path = tmp_path / "wide.yaml"
     path.write_text("format_version: 1\np: 3\nk: 1\nn: 4600\npoly: [0]\nnonresidue: [2]\nmembers:\n" + "".join(
         f'- label: "{label}"\n  kind: matrix_algebra\n  generators:\n'
         + "".join(f"  - {[int(i == j) for j in range(9200)]}\n" for i in units) for label, units in members.items()))
+    # a lone member needs no keys, and two are refused: no index is built
+    monkeypatch.setattr(phase_space, "_owners", mock.Mock(side_effect=AssertionError("index built")))
     code, out, err = run(capsys, "verify", str(path), "--mode", mode)
     assert all(len(line) < 120 for line in (out + err).splitlines()), out + err
     if mode == "numeric":
         assert (code, err) == (EXIT_BAD_INPUT, "error: dimension 3^4600 exceeds guard 81\n")
         return
+    if rows == "shared":
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == "error: the ownership index of 2 members of Z_3^9200 needs keys up to 3^9200 * 2, past int64's 2^63\n"
+        return
     assert code == EXIT_VERIFY_FAILED
     assert out.endswith("result: FAIL\n")
-    if rows == "shared":
-        assert "symbolic: FAIL (checks=4)\n  U & V: shared nonzero point {0: 1} of 9200 coordinates\n" in out
-        assert "  family: 2 members, expected (3^9200 - 1)/(3^2 - 1)\n" in out
-        assert "partition: FAIL (checks=2, covered=14/(3^9200 - 1))\n  U & V: 2 shared nonzero points\n" in out
-    else:
-        assert "symbolic: FAIL (checks=2)\n" in out
-        assert "  family: 1 members, expected (3^9200 - 1)/(3^2 - 1)\n" in out
+    assert "symbolic: FAIL (checks=2)\n" in out
+    assert "  family: 1 members, expected (3^9200 - 1)/(3^2 - 1)\n" in out
     if rows == 2:
         assert "partition: FAIL (checks=1, covered=8/(3^9200 - 1))\n" in out
     elif rows == 13:

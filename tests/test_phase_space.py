@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qospread import _modlin, phase_space
 from qospread.constructions import ConstructionParams, build_recursive, expected_count
 from qospread.finite_field import gf
+from qospread.report import _power
 from helpers import (ReferenceIndex, c_members, contains, d_members, frobenius_trace, gf_symplectic, intersect_trivially,
                      literal_pi1, reference_conflicts, reference_lines, symplectic_product, table, trace_dual_basis)
 from qospread.phase_space import (
@@ -389,22 +390,33 @@ def test_every_family_the_index_admits_has_members_it_can_index():
     assert all(p ** (2 * k * n) * expected_count(p, k, n) < 2**63 for p, k, n in admitted)
 
 
-def test_index_above_int64_codes_agrees_with_rank_oracle():
-    # Z_3^42 has 3^42 > 2^63 points, so base-p point codes would overflow int64
-    p, m = 3, 21
-    assert p ** (2 * m) > 2**63
-    rng = random.Random(7)
+def test_index_above_int64_codes_agrees_with_rank_oracle(monkeypatch):
+    """12 random members of Z_3^36 (3^36·12 < 2^63) are indexed as the rank oracle
+    says; the same draw in Z_3^42 (3^42 > 2^63) needs keys past int64 and is refused."""
+    p = 3
 
-    def vec():
-        return tuple(rng.randrange(p) for _ in range(2 * m))
+    def members(m):
+        rng = random.Random(7)
 
-    shared = [vec() for _ in range(3)]
-    subs = []
-    for _ in range(12):
-        gens = [vec() for _ in range(rng.randrange(1, 3))]
-        if rng.random() < 0.5:  # meet another member in a chosen line
-            gens.append(rng.choice(shared))
-        subs.append(Subspace.from_generators(p, m, gens))
+        def vec():
+            return tuple(rng.randrange(p) for _ in range(2 * m))
+
+        shared, subs = [vec() for _ in range(3)], []
+        for _ in range(12):
+            gens = [vec() for _ in range(rng.randrange(1, 3))]
+            if rng.random() < 0.5:  # meet another member in a chosen line
+                gens.append(rng.choice(shared))
+            subs.append(Subspace.from_generators(p, m, gens))
+        return subs
+
+    wide = table(members(21))
+    monkeypatch.setattr(phase_space, "_owners", _no_work)
+    with pytest.raises(ValueError, match=r"^the ownership index of 12 members of Z_3\^42 needs keys up to "
+                                         rf"{3**42} \* 12, past int64's 2\^63$"):
+        _disjointness(wide)
+    monkeypatch.undo()
+    m, subs = 18, members(18)
+    assert p ** (2 * m) * len(subs) < 2**63
     rep, partition = _disjointness(table(subs))
     want = [(i, j) for i, j in itertools.combinations(range(len(subs)), 2)
             if not intersect_trivially(subs[i], subs[j])]
@@ -545,12 +557,12 @@ def _repeated(p, k, n, copies):
     return rows.take(positions)
 
 
-def _wide(p, width, seed):
-    """24 random members of dimension 1 to 3 of Z_p^width, about half of them
-    through one of three shared lines, canonicalised."""
+def _wide(p, width, seed, count=24):
+    """``count`` random members of dimension 1 to 3 of Z_p^width, about half of
+    them through one of three shared lines, canonicalised."""
     rng = np.random.default_rng(seed)
     shared, matrices = rng.integers(p, size=(3, width)), []
-    for _ in range(24):
+    for _ in range(count):
         generators = rng.integers(p, size=(rng.integers(1, 3), width))
         matrices.append(np.vstack([generators, shared[rng.integers(3)]]) if rng.random() < 0.5 else generators)
     return _canonical(RowStacks.lists(p, width, matrices))
@@ -560,26 +572,66 @@ _AGREEMENT_CASES = {  # name: (the table, whether any pair conflicts, whether th
     **{f"p{p}k{k}n{n}{name}": (functools.partial(_repeated, p, k, n, copies), copies > 0, False)
        for p, k, n in ((3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 3), (7, 1, 3), (3, 1, 4), (53, 1, 2), (11, 1, 3))
        for copies, name in ((0, ""), (1, " one repeat"), (7, " seven repeats"))},
-    # Z_3^36: int64 keys of two words; the others: Python-int keys of two or three words
-    **{f"wide p{p} w{width}": (functools.partial(_wide, p, width, width), True, width != 36)
-       for p, width in ((3, 36), (3, 42), (5, 30), (3, 64), (7, 24))},
+    # 24 members: int64 keys up to Z_3^36, Z_5^25 and Z_7^20; one coordinate more passes int64, refused
+    **{f"wide p{p} w{width}": (functools.partial(_wide, p, width, width), True, p**width * 24 >= 2**63)
+       for p, width in ((3, 36), (5, 25), (7, 20), (3, 42), (5, 30), (3, 64), (7, 24))},
 }
 
 
-@pytest.mark.parametrize("case", _AGREEMENT_CASES)
-def test_index_agrees_with_the_reference_index(case):
-    """The ownership index gives the point-matrix reference's keys, its conflicts
-    (every pair, in order, with its witness and shared count) and its covered lines."""
-    table_of, conflicting, past_int64 = _AGREEMENT_CASES[case]
-    rows = table_of()
+def _refused_past_int64(rows, monkeypatch):
+    """``_disjointness`` refuses the table from its row counts, naming its key bound, with no index and no elimination."""
+    monkeypatch.setattr(_modlin, "rref_stack", _no_work)
+    monkeypatch.setattr(phase_space, "_owners", _no_work)
+    bound = re.escape(f"{_power(rows.p, rows.width)} * {len(rows)}")
+    with pytest.raises(ValueError, match=rf"^the ownership index of {len(rows)} members of Z_{rows.p}\^{rows.width} "
+                                         rf"needs keys up to {bound}, past int64's 2\^63$"):
+        _disjointness(rows)
+
+
+def _agrees_with_the_reference(rows):
+    """The index's keys, conflicts and covered lines are the reference's; returns the conflicts."""
     reference = reference_lines(rows)
     keys = phase_space._owners(rows)
-    assert keys.tolist() == _reference_keys(rows, reference)
-    assert (keys.dtype == object) == past_int64 == (rows.p**rows.width * len(rows) >= 2**63)
+    assert keys.dtype == np.int64 and keys.tolist() == _reference_keys(rows, reference)
     conflicts, lines = _index_outcome(rows)
     assert conflicts == list(reference_conflicts(reference))
     assert lines == int(reference.first.sum())
-    assert bool(conflicts) == conflicting
+    return conflicts
+
+
+@pytest.mark.parametrize("case", _AGREEMENT_CASES)
+def test_index_agrees_with_the_reference_index(case, monkeypatch):
+    """The ownership index gives the point-matrix reference's keys, its conflicts
+    (every pair, in order, with its witness and shared count) and its covered
+    lines; a table whose keys would pass int64 is refused instead."""
+    table_of, conflicting, past_int64 = _AGREEMENT_CASES[case]
+    rows = table_of()
+    if past_int64:
+        _refused_past_int64(rows, monkeypatch)
+        return
+    assert bool(_agrees_with_the_reference(rows)) == conflicting
+
+
+@pytest.mark.parametrize("p,width,n", [(3, 38, 6), (7, 22, 2), (3, 38, 7), (7, 22, 3)])
+def test_keys_past_int64_are_refused_from_the_row_counts(p, width, n, monkeypatch):
+    """p^width·N < 2^63 is indexed and agrees with the reference; one member more is refused."""
+    rows = _wide(p, width, width, count=n)
+    if p**width * n >= 2**63:
+        _refused_past_int64(rows, monkeypatch)
+    else:
+        _disjointness(rows)
+        _agrees_with_the_reference(rows)
+
+
+def test_a_lone_member_of_any_width_needs_no_keys(monkeypatch):
+    """A lone member has no pair and distinct lines: it is not refused, and covers its points with no index."""
+    monkeypatch.setattr(_modlin, "rref_stack", _no_work)
+    monkeypatch.setattr(phase_space, "_owners", _no_work)
+    lone = RowStacks.of(3, 9200, [2], np.eye(2, 9200, dtype=np.int8))
+    pairwise, partition = _disjointness(lone, ["U"])
+    assert (pairwise.passed, pairwise.checks_run) == (True, 0)
+    assert (partition.covered, partition.expected) == (8, "(3^9200 - 1)")
+    assert partition.failures == [("family", "covers 8 of (3^9200 - 1) nonzero points")]
 
 
 def test_subspaces_given_non_canonical_rows_are_indexed_by_their_lines():
