@@ -409,11 +409,7 @@ def test_index_above_int64_codes_agrees_with_rank_oracle(monkeypatch):
             subs.append(Subspace.from_generators(p, m, gens))
         return subs
 
-    wide = table(members(21))
-    monkeypatch.setattr(phase_space, "_owners", _no_work)
-    with pytest.raises(ValueError, match=r"^the ownership index of 12 members of Z_3\^42 needs keys up to "
-                                         rf"{3**42} \* 12, past int64's 2\^63$"):
-        _disjointness(wide)
+    _refused_past_int64(table(members(21)), monkeypatch)
     monkeypatch.undo()
     m, subs = 18, members(18)
     assert p ** (2 * m) * len(subs) < 2**63
