@@ -14,6 +14,8 @@ from qospread import family_io
 from qospread.constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
 from qospread.family_io import FamilyFormatError
 from helpers import members_of, reference_members, with_rows
+from test_family_goldens import GOLDENS, serialized
+from test_family_goldens import _id as golden_id
 
 
 @pytest.fixture(scope="module")
@@ -80,18 +82,19 @@ def test_noncanonical_members_detects_tampering(spread3):
     assert [label for label, _ in bad] == ["D[0]"]
 
 
-@pytest.mark.parametrize(
-    "mutate,message",
-    [
-        (lambda t: t.replace("format_version: 1\n", "format_version: 2\n"), "format_version"),
-        (lambda t: t.replace("p: 3\n", "p: 4\n"), "invalid construction parameters"),
-        (lambda t: t.replace("nonresidue: [2]\n", "nonresidue: [1]\n"), "invalid construction parameters"),
-        (lambda t: t.replace("  - [1, 0, 0, 1]\n", "  - [1, 0, 0]\n", 1), "4 entries"),
-        (lambda t: t.replace("  - [1, 0, 0, 1]\n", "  - [7, 0, 0, 1]\n", 1), "lie in"),
-        (lambda t: t.replace('"C[1,1]"', '"C[1,0]"'), "duplicate"),
-        (lambda t: t[: t.index("- label")], "non-empty"),
-    ],
-)
+# edits that keep the writer's layout, each refused with its own message
+MALFORMED = [
+    (lambda t: t.replace("format_version: 1\n", "format_version: 2\n"), "format_version"),
+    (lambda t: t.replace("p: 3\n", "p: 4\n"), "invalid construction parameters"),
+    (lambda t: t.replace("nonresidue: [2]\n", "nonresidue: [1]\n"), "invalid construction parameters"),
+    (lambda t: t.replace("  - [1, 0, 0, 1]\n", "  - [1, 0, 0]\n", 1), "4 entries"),
+    (lambda t: t.replace("  - [1, 0, 0, 1]\n", "  - [7, 0, 0, 1]\n", 1), "lie in"),
+    (lambda t: t.replace('"C[1,1]"', '"C[1,0]"'), "duplicate"),
+    (lambda t: t[: t.index("- label")], "non-empty"),
+]
+
+
+@pytest.mark.parametrize("mutate,message", MALFORMED)
 def test_parse_rejects_malformed_documents(spread3, mutate, message):
     """Faults that keep the writer's layout, each refused with its own message
     (an unknown kind or a value that is no integer is a line out of layout:
@@ -153,24 +156,25 @@ def test_line_reader_gives_the_yaml_document(spread_text):
         family_io.parse(header)
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(lambda t: yaml.safe_dump(yaml.safe_load(t)), id="safe_dump"),
-        pytest.param(lambda t: t + "verification:\n  passed: true\n", id="verification"),
-        pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
-        pytest.param(lambda t: t[:-1], id="no-final-newline"),
-        pytest.param(lambda t: t.replace("  - [1, 0, 0, 1]", "  - [01, 0, 0, 1]", 1), id="leading-zero"),
-        pytest.param(lambda t: t.replace("p: 3\n", "p: 03\n", 1), id="leading-zero-header"),
-        pytest.param(lambda t: t.replace('"C[1,0]"', '"C\\[1,0]"', 1), id="backslash"),
-        pytest.param(lambda t: t.replace('"C[1,0]"', '"C\t[1,0]"', 1), id="tab"),
-        pytest.param(lambda t: t.replace('"C[1,0]"', '"C\x07[1,0]"', 1), id="non-printable"),
-        pytest.param(lambda t: t.replace('"C[1,0]"', '"C\u2028[1,0]"', 1), id="line-separator"),
-        pytest.param(lambda t: t.replace("kind: matrix_algebra", "kind: banana", 1), id="unknown-kind"),
-        pytest.param(lambda t: t.replace("  - [1, 0, 0, 1]", "  - [1, 0, 0, 1] ", 1), id="trailing-space"),
-        pytest.param(lambda t: "# comment\n" + t, id="comment"),
-    ],
-)
+# edits out of the writer's layout
+DECLINED = [
+    pytest.param(lambda t: yaml.safe_dump(yaml.safe_load(t)), id="safe_dump"),
+    pytest.param(lambda t: t + "verification:\n  passed: true\n", id="verification"),
+    pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(lambda t: t[:-1], id="no-final-newline"),
+    pytest.param(lambda t: t.replace("  - [1, 0, 0, 1]", "  - [01, 0, 0, 1]", 1), id="leading-zero"),
+    pytest.param(lambda t: t.replace("p: 3\n", "p: 03\n", 1), id="leading-zero-header"),
+    pytest.param(lambda t: t.replace('"C[1,0]"', '"C\\[1,0]"', 1), id="backslash"),
+    pytest.param(lambda t: t.replace('"C[1,0]"', '"C\t[1,0]"', 1), id="tab"),
+    pytest.param(lambda t: t.replace('"C[1,0]"', '"C\x07[1,0]"', 1), id="non-printable"),
+    pytest.param(lambda t: t.replace('"C[1,0]"', '"C\u2028[1,0]"', 1), id="line-separator"),
+    pytest.param(lambda t: t.replace("kind: matrix_algebra", "kind: banana", 1), id="unknown-kind"),
+    pytest.param(lambda t: t.replace("  - [1, 0, 0, 1]", "  - [1, 0, 0, 1] ", 1), id="trailing-space"),
+    pytest.param(lambda t: "# comment\n" + t, id="comment"),
+]
+
+
+@pytest.mark.parametrize("edit", DECLINED)
 def test_line_reader_declines_other_text(spread_text, edit):
     """Any other text is refused, naming the first line that differs from the writer's."""
     text = edit(spread_text)
@@ -284,17 +288,19 @@ def test_load_reports_text_that_is_not_utf8(tmp_path, spread_text):
         family_io.load(path)
 
 
-@pytest.mark.parametrize(
-    "old,new,message",
-    [
-        ("p: 3\n", "p: 2001-02-30\n", "^line 2 is out of the writer's layout: 'p: 2001-02-30'$"),  # a YAML date
-        ("p: 3\n", f"p: {'7' * 5000}\n", "digits"),  # past Python's integer digit limit
-        ("[1, 0, 0, 1]", f"[{'1' * 5000}, 0, 0, 1]", "digits"),
-        # a line is shown up to its first 60 characters
-        ("p: 3\n", f"p: {'[' * 5000}{']' * 5000}\n", rf"^line 2 is out of the writer's layout: 'p: {re.escape('[' * 57)}…'$"),
-    ],
-    ids=["timestamp", "huge-int-header", "huge-int-row", "deep-nesting"],
-)
+# values no integer parse of the writer's layout reads
+CRAFTED = [
+    pytest.param("p: 3\n", "p: 2001-02-30\n", "^line 2 is out of the writer's layout: 'p: 2001-02-30'$",
+                 id="timestamp"),  # a YAML date
+    pytest.param("p: 3\n", f"p: {'7' * 5000}\n", "digits", id="huge-int-header"),  # past Python's integer digit limit
+    pytest.param("[1, 0, 0, 1]", f"[{'1' * 5000}, 0, 0, 1]", "digits", id="huge-int-row"),
+    # a line is shown up to its first 60 characters
+    pytest.param("p: 3\n", f"p: {'[' * 5000}{']' * 5000}\n",
+                 rf"^line 2 is out of the writer's layout: 'p: {re.escape('[' * 57)}…'$", id="deep-nesting"),
+]
+
+
+@pytest.mark.parametrize("old,new,message", CRAFTED)
 def test_crafted_values_are_format_errors(spread_text, old, new, message):
     text = spread_text.replace(old, new, 1)
     with pytest.raises(FamilyFormatError, match=message):
@@ -410,3 +416,57 @@ def test_save_peaks_below_half_the_file(tmp_path):
     size = path.stat().st_size
     assert size > 1_500_000
     assert peak < size / 2, (peak, size)
+
+
+# --- load against parse: the file entry point reads what the text reader reads ---
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("load") / "family.yaml"
+
+
+def _loads_as_parsed(path, text):
+    """``load`` of the text's UTF-8 bytes gives what ``parse`` gives of the
+    text: the same header, labels, kinds and rows, in the same dtype, or the
+    same error."""
+    path.write_bytes(text.encode())
+    want, got = _outcome(family_io.parse, text), _outcome(family_io.load, path)
+    assert got == want
+    assert isinstance(want, str) or got.rows.rows.dtype == want.rows.rows.dtype
+
+
+@pytest.mark.parametrize("pkn", sorted(GOLDENS), ids=golden_id)
+def test_load_reads_the_goldens_as_parse_does(scratch, pkn):
+    _loads_as_parsed(scratch, serialized(pkn))
+
+
+# every edit of the p=3, n=2 file that the reader tests above make
+EDITS = [
+    *(pytest.param(mutate, id=f"malformed{i}") for i, (mutate, _) in enumerate(MALFORMED)),
+    *DECLINED,
+    *(pytest.param(lambda t, old=param.values[0], new=param.values[1]: t.replace(old, new, 1), id=param.id)
+      for param in CRAFTED),
+    pytest.param(lambda t: t[: t.rindex("[") + 2], id="truncated"),
+    pytest.param(lambda t: t.replace('"C[1,2]"', '"C\t[1,2]"'), id="tab-label"),
+    pytest.param(lambda t: t.replace('"D[1]"', '"C[1,2]"'), id="repeated-label"),
+    pytest.param(lambda t: t, id="unedited"),
+]
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_load_reads_edited_files_as_parse_does(scratch, spread_text, edit):
+    _loads_as_parsed(scratch, edit(spread_text))
+
+
+@pytest.mark.parametrize("entry", [1, P_PAST_INT64 - 1, P_PAST_INT64, 2**64 - 1, 2**64, 10**30])
+def test_load_reads_entries_past_int64_as_parse_does(scratch, entry):
+    text = family_io.serialize(family_io.from_family(build_recursive(ConstructionParams.create(P_PAST_INT64, 1, 1))))
+    _loads_as_parsed(scratch, text.replace("  - [1, 0]\n", f"  - [{entry}, 0]\n"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_text())
+def test_load_reads_mutated_rows_as_parse_does(scratch, case):
+    _loads_as_parsed(scratch, case[1])
+
