@@ -470,3 +470,14 @@ def test_load_reads_entries_past_int64_as_parse_does(scratch, entry):
 def test_load_reads_mutated_rows_as_parse_does(scratch, case):
     _loads_as_parsed(scratch, case[1])
 
+
+def test_load_counts_a_utf8_fault_from_the_start_of_the_file(tmp_path):
+    """A byte that is not UTF-8 in the last member's label of the p=3, k=2,
+    n=3 file is named at its offset in the whole file."""
+    data = serialized((3, 2, 3)).encode()
+    at = data.rindex(b'- label: "') + len(b'- label: "')
+    path = tmp_path / "k2n3.yaml"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(FamilyFormatError, match=f"^not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                                                f"position {at}: invalid start byte$"):
+        family_io.load(path)
