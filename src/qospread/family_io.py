@@ -29,13 +29,21 @@ The files are plain YAML, so any YAML tool can read them; writing is
 manual so identical families produce identical bytes.  The writer formats
 ``CHUNK_MEMBERS`` members at a time, one ``%`` format per chunk, and writes
 chunk by chunk, so no whole-file string is built.  The reader accepts
-exactly the writer's layout: one regex pass over the member blocks, one
-integer parse of every row entry, then vectorised range and length checks,
+exactly the writer's layout: a regex pass over the member blocks, an
+integer parse of their row entries, then vectorised range and length checks,
 which name the first offending row in file order.  Any other text, a
 restyled YAML file or one that ends in an old ``verification:`` block
 included, is a ``FamilyFormatError`` naming its first line out of layout.
 The writer refuses, and the reader names, the first label that breaks
 ``_keeps_label_rule``.
+
+``parse`` takes those steps over a whole text.  ``load`` takes them over
+one piece of the file at a time: the whole members in each ``PIECE_BYTES``
+read, their rows cast to the table's dtype before the next read, and the
+label rule once over all labels at the end.  Its transient memory so scales
+with a piece, not with the file.  A file that fails anywhere is read again
+whole by ``parse``, so every error names its line, or its byte offset, in
+the whole file; only errors pay for that.
 """
 
 from __future__ import annotations
@@ -53,8 +61,9 @@ from .phase_space import RowStacks, _canonical
 
 FORMAT_VERSION = 1
 CHUNK_MEMBERS = 256  # members per write
+PIECE_BYTES = 1 << 16  # bytes per read of ``load``, which parses the whole members read so far
 
-_KINDS = (MATRIX_ALGEBRA, MASA)
+_KINDS = {kind: kind for kind in (MATRIX_ALGEBRA, MASA)}  # a kind read back is its constant, not a new string
 
 
 class FamilyFormatError(ValueError):
@@ -147,20 +156,6 @@ def _header(version: int, p: int, k: int, n: int, poly: list[int], nonresidue: l
     return p, k, n, _int_list(poly, "poly", p, k), _int_list(nonresidue, "nonresidue", p, k)
 
 
-def _rows(p: int, width: int, labels, counts, lengths, values: np.ndarray) -> RowStacks:
-    """The table of member rows given as every member's row count, every row's
-    entry count and all entries in file order.  Raises for the first row with
-    an entry above p-1 or without ``width`` entries, naming its member."""
-    outside = np.searchsorted(np.cumsum(lengths), np.flatnonzero(values >= p)[:1], side="right").tolist()
-    row = min(outside + np.flatnonzero(lengths != width)[:1].tolist(), default=None)
-    if row is not None:
-        what = f"generator row of {labels[np.searchsorted(np.cumsum(counts), row, side='right')]!r}"
-        if outside == [row]:
-            raise FamilyFormatError(f"{what} entries must lie in [0, {p - 1}]")
-        raise FamilyFormatError(f"{what} must have {width} entries, got {lengths[row]}")
-    return RowStacks.of(p, width, counts, values)
-
-
 _INT = r"(?:0|[1-9][0-9]*)"
 _ROW = rf"\[{_INT}(?:, {_INT})*\]"
 # the writer's layout line by line: the header, then per member a head of three lines and one or more rows
@@ -178,21 +173,21 @@ def _ints(row: str) -> list[int]:
     return [int(v) for v in row[1:-1].split(", ")]
 
 
-def _own_format(text: str) -> FamilyFile | None:
-    """The checked ``FamilyFile`` of text in exactly the writer's layout (labels
-    that keep the label rule, plain decimal integers); None for any other text.
-    ``strtoull`` saturates at 2^64 - 1, so a saturated entry sends the rows to
-    an exact Python-int parse, which also raises for digits past Python's limit."""
-    head = _HEADER.match(text)
-    blocks = _MEMBER.findall(text, head.end()) if head else []
+def _blocks(text: str, at: int) -> tuple[list[str], list[str], list[str]] | None:
+    """The labels, kinds and row texts of the member blocks of the text from
+    offset ``at``; None unless the blocks tile the text from there to its end."""
+    blocks = _MEMBER.findall(text, at)
     labels, kinds, texts = (list(column) for column in zip(*blocks)) if blocks else ([], [], [])
     tiled = len(_MEMBER_HEAD % ("", "")) * len(blocks) + sum(map(len, labels + kinds + texts))  # no gap between blocks
-    if head is None or tiled != len(text) - head.end() or not _keeps_label_rule(labels):
-        return None
-    version, p, k, n, poly, nonresidue = head.groups()
-    p, k, n, poly, nonresidue = _header(int(version), int(p), int(k), int(n), _ints(poly), _ints(nonresidue))
-    if not blocks:
-        raise FamilyFormatError("members must be a non-empty list")
+    return (labels, list(map(_KINDS.__getitem__, kinds)), texts) if tiled == len(text) - at else None
+
+
+def _rows(p: int, width: int, labels: list[str], texts: list[str]) -> RowStacks:
+    """The table of the members' rows, from their row texts.  Raises for the
+    first row with an entry above p-1 or without ``width`` entries, naming its
+    member.  ``strtoull`` saturates at 2^64 - 1, so a saturated entry sends the
+    rows to an exact Python-int parse, which also raises for digits past
+    Python's limit."""
     blob = "".join(texts)
     values = np.fromstring(blob.translate(_SPACES), dtype=np.uint64, sep=" ")
     if (values == np.iinfo(np.uint64).max).any():
@@ -200,8 +195,73 @@ def _own_format(text: str) -> FamilyFile | None:
     chars = np.frombuffer(blob.encode("ascii"), dtype=np.uint8)
     starts = np.append(0, np.flatnonzero(chars == ord("\n"))[:-1] + 1)
     lengths = np.add.reduceat(chars == ord(","), starts, dtype=np.intp) + 1
-    rows = _rows(p, 2 * k * n, labels, [t.count("\n") for t in texts], lengths, values)
-    return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, rows)
+    counts = [t.count("\n") for t in texts]
+    outside = np.searchsorted(np.cumsum(lengths), np.flatnonzero(values >= p)[:1], side="right").tolist()
+    row = min(outside + np.flatnonzero(lengths != width)[:1].tolist(), default=None)
+    if row is not None:
+        what = f"generator row of {labels[np.searchsorted(np.cumsum(counts), row, side='right')]!r}"
+        if outside == [row]:
+            raise FamilyFormatError(f"{what} entries must lie in [0, {p - 1}]")
+        raise FamilyFormatError(f"{what} must have {width} entries, got {lengths[row]}")
+    return RowStacks.of(p, width, counts, values)
+
+
+def _own_format(text: str) -> FamilyFile | None:
+    """The checked ``FamilyFile`` of text in exactly the writer's layout (labels
+    that keep the label rule, plain decimal integers); None for any other text."""
+    head = _HEADER.match(text)
+    blocks = _blocks(text, head.end()) if head else None
+    if blocks is None or not _keeps_label_rule(blocks[0]):
+        return None
+    version, p, k, n, poly, nonresidue = head.groups()
+    p, k, n, poly, nonresidue = _header(int(version), int(p), int(k), int(n), _ints(poly), _ints(nonresidue))
+    labels, kinds, texts = blocks
+    if not labels:
+        raise FamilyFormatError("members must be a non-empty list")
+    return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, _rows(p, 2 * k * n, labels, texts))
+
+
+def _pieces(handle, size: int) -> Iterator[bytes]:
+    """The bytes of a binary file in pieces: reads of ``size`` bytes, each
+    piece cut after the last line break before ``- label: `` read so far, so
+    that every piece but the first starts a member; the rest is the last piece."""
+    rest = b""
+    while block := handle.read(size):
+        rest += block
+        cut = rest.rfind(b"\n- label: ", max(len(rest) - len(block) - 9, 0)) + 1  # a new cut ends in the block
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
+
+
+def _read(handle) -> FamilyFile | None:
+    """``_own_format`` of a binary file's text, taken a piece at a time: the
+    header from the first piece, then each piece's member blocks and rows,
+    and the label rule once over all labels.  None, or a ``ValueError``,
+    wherever ``parse`` of the whole text might fail."""
+    pieces = (piece.decode("utf-8") for piece in _pieces(handle, PIECE_BYTES))
+    text = next(pieces, "")
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    version, p, k, n, poly, nonresidue = head.groups()
+    p, k, n, poly, nonresidue = _header(int(version), int(p), int(k), int(n), _ints(poly), _ints(nonresidue))
+    labels, kinds, tables, at = [], [], [], head.end()
+    for text in itertools.chain([text], pieces):
+        blocks = _blocks(text, at)
+        if blocks is None:
+            return None
+        if blocks[0]:
+            labels += blocks[0]
+            kinds += blocks[1]
+            tables.append(_rows(p, 2 * k * n, blocks[0], blocks[2]))
+        at = 0
+    if not labels or not _keeps_label_rule(labels):
+        return None
+    counts, rows = np.concatenate([t.counts for t in tables]), np.concatenate([t.rows for t in tables])
+    return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, RowStacks.of(p, 2 * k * n, counts, rows))
 
 
 def _line_fault(text: str, at: int, patterns) -> str:
@@ -294,8 +354,17 @@ def save(ff: FamilyFile, path) -> None:
 
 
 def load(path) -> FamilyFile:
+    """The family file at the path, read a piece at a time; a file that
+    fails is read again whole, and ``parse`` names its fault."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:  # no newline translation: the bytes as written
+        with open(path, "rb") as handle:  # no newline translation: the bytes as written
+            ff = _read(handle)
+    except ValueError:  # not UTF-8, a format error, or digits past Python's limit
+        ff = None
+    if ff is not None:
+        return ff
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             return parse(handle.read())
     except UnicodeDecodeError as exc:
         raise FamilyFormatError(f"not UTF-8 text: {exc}") from exc

@@ -4,6 +4,7 @@ import difflib
 import re
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 import yaml
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qospread import family_io
-from qospread.constructions import ConstructionParams, build_masa_spread, build_recursive, build_spread_2
+from qospread.constructions import MATRIX_ALGEBRA, ConstructionParams, build_masa_spread, build_recursive, build_spread_2
 from qospread.family_io import FamilyFormatError
 from helpers import members_of, reference_members, with_rows
 from test_family_goldens import GOLDENS, serialized
@@ -418,6 +419,24 @@ def test_save_peaks_below_half_the_file(tmp_path):
     assert peak < size / 2, (peak, size)
 
 
+def test_load_peaks_below_three_times_the_file(tmp_path):
+    """``load`` parses the file a piece at a time and keeps every kind as its
+    constant, so its peak stays below three times the 1.56 MB of the p=3,
+    k=2, n=3 file (a parse of the whole text peaks at 13 times it)."""
+    path = tmp_path / "k2n3.yaml"
+    path.write_bytes(serialized((3, 2, 3)).encode())
+    tracemalloc.start()
+    try:
+        ff = family_io.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_500_000
+    assert peak < 3 * size, (peak, size)
+    assert all(kind is MATRIX_ALGEBRA for kind in ff.kinds)
+
+
 # --- load against parse: the file entry point reads what the text reader reads ---
 
 
@@ -426,19 +445,31 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("load") / "family.yaml"
 
 
-def _loads_as_parsed(path, text):
-    """``load`` of the text's UTF-8 bytes gives what ``parse`` gives of the
-    text: the same header, labels, kinds and rows, in the same dtype, or the
-    same error."""
+def _loads_as_parsed(path, text, piece):
+    """``load`` of the text's UTF-8 bytes, read ``piece`` bytes at a time,
+    gives what ``parse`` gives of the text: the same header, labels, kinds and
+    rows, in the same dtype, or the same error.  It hands the text to
+    ``parse`` only when ``parse`` refuses it, so a member dropped or repeated
+    at a cut fails here rather than being mended by a second, whole read."""
     path.write_bytes(text.encode())
-    want, got = _outcome(family_io.parse, text), _outcome(family_io.load, path)
+    want = _outcome(family_io.parse, text)
+    with (mock.patch.object(family_io, "PIECE_BYTES", piece),
+          mock.patch.object(family_io, "parse", wraps=family_io.parse) as whole):
+        got = _outcome(family_io.load, path)
     assert got == want
+    assert whole.called == isinstance(want, str)
     assert isinstance(want, str) or got.rows.rows.dtype == want.rows.rows.dtype
 
 
+# bytes per read of load: one member a piece, a few members, the default
+PIECES = [pytest.param(1, id="piece1"), pytest.param(300, id="piece300"),
+          pytest.param(family_io.PIECE_BYTES, id="default")]
+
+
+@pytest.mark.parametrize("piece", PIECES)
 @pytest.mark.parametrize("pkn", sorted(GOLDENS), ids=golden_id)
-def test_load_reads_the_goldens_as_parse_does(scratch, pkn):
-    _loads_as_parsed(scratch, serialized(pkn))
+def test_load_reads_the_goldens_as_parse_does(scratch, pkn, piece):
+    _loads_as_parsed(scratch, serialized(pkn), piece)
 
 
 # every edit of the p=3, n=2 file that the reader tests above make
@@ -454,21 +485,24 @@ EDITS = [
 ]
 
 
+@pytest.mark.parametrize("piece", PIECES)
 @pytest.mark.parametrize("edit", EDITS)
-def test_load_reads_edited_files_as_parse_does(scratch, spread_text, edit):
-    _loads_as_parsed(scratch, edit(spread_text))
+def test_load_reads_edited_files_as_parse_does(scratch, spread_text, edit, piece):
+    _loads_as_parsed(scratch, edit(spread_text), piece)
 
 
+@pytest.mark.parametrize("piece", PIECES)
 @pytest.mark.parametrize("entry", [1, P_PAST_INT64 - 1, P_PAST_INT64, 2**64 - 1, 2**64, 10**30])
-def test_load_reads_entries_past_int64_as_parse_does(scratch, entry):
+def test_load_reads_entries_past_int64_as_parse_does(scratch, entry, piece):
     text = family_io.serialize(family_io.from_family(build_recursive(ConstructionParams.create(P_PAST_INT64, 1, 1))))
-    _loads_as_parsed(scratch, text.replace("  - [1, 0]\n", f"  - [{entry}, 0]\n"))
+    _loads_as_parsed(scratch, text.replace("  - [1, 0]\n", f"  - [{entry}, 0]\n"), piece)
 
 
+@pytest.mark.parametrize("piece", PIECES)
 @settings(max_examples=100, deadline=None)
 @given(mutated_text())
-def test_load_reads_mutated_rows_as_parse_does(scratch, case):
-    _loads_as_parsed(scratch, case[1])
+def test_load_reads_mutated_rows_as_parse_does(scratch, piece, case):
+    _loads_as_parsed(scratch, case[1], piece)
 
 
 def test_load_counts_a_utf8_fault_from_the_start_of_the_file(tmp_path):
