@@ -38,12 +38,12 @@ The writer refuses, and the reader names, the first label that breaks
 ``_keeps_label_rule``.
 
 ``parse`` takes those steps over a whole text.  ``load`` takes them over
-one piece of the file at a time: the whole members in each ``PIECE_BYTES``
-read, their rows cast to the table's dtype before the next read, and the
-label rule once over all labels at the end.  Its transient memory so scales
-with a piece, not with the file.  A file that fails anywhere is read again
-whole by ``parse``, so every error names its line, or its byte offset, in
-the whole file; only errors pay for that.
+one piece of the file at a time: the members that each read of
+``PIECE_BYTES`` bytes completes, their rows cast to the table's dtype
+before the next read, and the label rule once over all labels at the end.
+Its transient memory so scales with a piece, not with the file.  A file
+that fails anywhere is read again whole by ``parse``, so every error names
+its line, or its byte offset, in the whole file; only errors pay for that.
 """
 
 from __future__ import annotations
@@ -237,10 +237,10 @@ def _pieces(handle, size: int) -> Iterator[bytes]:
 
 
 def _read(handle) -> FamilyFile | None:
-    """``_own_format`` of a binary file's text, taken a piece at a time: the
-    header from the first piece, then each piece's member blocks and rows,
-    and the label rule once over all labels.  None, or a ``ValueError``,
-    wherever ``parse`` of the whole text might fail."""
+    """The ``FamilyFile`` that ``parse`` gives of a binary file's text, read a
+    piece at a time: the header from the first piece, then each piece's
+    member blocks and rows, then the label rule once over all labels.  None,
+    or a ``ValueError``, for a text that ``parse`` refuses."""
     pieces = (piece.decode("utf-8") for piece in _pieces(handle, PIECE_BYTES))
     text = next(pieces, "")
     head = _HEADER.match(text)
