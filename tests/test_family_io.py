@@ -185,13 +185,40 @@ def test_line_reader_declines_other_text(spread_text, edit):
         family_io.parse(text)
 
 
+def _tab(t):
+    return t.replace('"C[1,2]"', '"C\t[1,2]"')
+
+
+def _repeat(t):
+    return t.replace('"D[1]"', '"C[1,2]"')
+
+
+_TAB = r"^line 18: the label 'C\\t\[1,2\]' breaks the label rule$"
+_REPEAT = r"^line 43: duplicate label 'C\[1,2\]', first on line 18$"
+
+
 def test_reader_names_labels_that_break_the_rule(spread_text):
-    tab = spread_text.replace('"C[1,2]"', '"C\t[1,2]"')
-    with pytest.raises(FamilyFormatError, match=r"^line 18: the label 'C\\t\[1,2\]' breaks the label rule$"):
-        family_io.parse(tab)
-    repeat = spread_text.replace('"D[1]"', '"C[1,2]"')
-    with pytest.raises(FamilyFormatError, match=r"^line 43: duplicate label 'C\[1,2\]', first on line 18$"):
-        family_io.parse(repeat)
+    with pytest.raises(FamilyFormatError, match=_TAB):
+        family_io.parse(_tab(spread_text))
+    with pytest.raises(FamilyFormatError, match=_REPEAT):
+        family_io.parse(_repeat(spread_text))
+
+
+# a label fault beside a header or row fault: parse names the label fault, wherever the other lies
+TWO_FAULTS = [
+    pytest.param(lambda t: _tab(t).replace("  - [1, 0, 0, 1]\n", "  - [7, 0, 0, 1]\n", 1), _TAB, id="tab-and-entry"),
+    pytest.param(lambda t: _repeat(t).replace("format_version: 1\n", "format_version: 2\n"), _REPEAT,
+                 id="repeat-and-version"),
+    pytest.param(lambda t: _repeat(t).replace("  - [1, 0, 0, 1]\n", "  - [1, 0, 0]\n", 1), _REPEAT,
+                 id="repeat-and-short-row"),
+    pytest.param(lambda t: _tab(t).replace("nonresidue: [2]\n", "nonresidue: [5]\n"), _TAB, id="tab-and-nonresidue"),
+]
+
+
+@pytest.mark.parametrize("edit,message", TWO_FAULTS)
+def test_a_label_fault_is_named_before_a_header_or_row_fault(spread_text, edit, message):
+    with pytest.raises(FamilyFormatError, match=message):
+        family_io.parse(edit(spread_text))
 
 
 # the characters str.isprintable accepts: none of Unicode's "other" and separator categories but the space
@@ -479,8 +506,9 @@ EDITS = [
     *(pytest.param(lambda t, old=param.values[0], new=param.values[1]: t.replace(old, new, 1), id=param.id)
       for param in CRAFTED),
     pytest.param(lambda t: t[: t.rindex("[") + 2], id="truncated"),
-    pytest.param(lambda t: t.replace('"C[1,2]"', '"C\t[1,2]"'), id="tab-label"),
-    pytest.param(lambda t: t.replace('"D[1]"', '"C[1,2]"'), id="repeated-label"),
+    pytest.param(_tab, id="tab-label"),
+    pytest.param(_repeat, id="repeated-label"),
+    *(pytest.param(param.values[0], id=param.id) for param in TWO_FAULTS),
     pytest.param(lambda t: t, id="unedited"),
 ]
 
