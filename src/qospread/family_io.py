@@ -28,22 +28,24 @@ order, which the reader fills and the writer reads as is.
 The files are plain YAML, so any YAML tool can read them; writing is
 manual so identical families produce identical bytes.  The writer formats
 ``CHUNK_MEMBERS`` members at a time, one ``%`` format per chunk, and writes
-chunk by chunk, so no whole-file string is built.  The reader accepts
-exactly the writer's layout: a regex pass over the member blocks, an
-integer parse of their row entries, then vectorised range and length checks,
-which name the first offending row in file order.  Any other text, a
-restyled YAML file or one that ends in an old ``verification:`` block
-included, is a ``FamilyFormatError`` naming its first line out of layout.
-The writer refuses, and the reader names, the first label that breaks
-``_keeps_label_rule``.
+chunk by chunk, so no whole-file string is built.
 
-``parse`` takes those steps over a whole text.  ``load`` takes them over
-one piece of the file at a time: the members that each read of
-``PIECE_BYTES`` bytes completes, their rows cast to the table's dtype
-before the next read, and the label rule once over all labels at the end.
-Its transient memory so scales with a piece, not with the file.  A file
-that fails anywhere is read again whole by ``parse``, so every error names
-its line, or its byte offset, in the whole file; only errors pay for that.
+One reader, ``_read``, accepts exactly the writer's layout.  It takes a text
+in pieces, each cut before a member, the header in the first.  Per piece, a
+regex pass finds the member blocks, which must tile the piece and keep the
+label rule; then the header is checked (at the first piece), and the
+piece's row entries get an integer parse and vectorised range and length
+checks, which name the first offending row in file order; repeats across
+pieces are found at the end.  ``parse`` hands it the whole text as one
+piece.  ``load`` hands it the members that each read of ``PIECE_BYTES``
+bytes completes, their rows cast to the table's dtype before the next
+read, so for members of a few rows its transient memory scales with a
+piece, not with the file.  Any other text, a restyled YAML file or one that
+ends in an old ``verification:`` block included, is a ``FamilyFormatError``
+naming its first line out of layout.  The writer refuses, and the reader
+names, the first label that breaks ``_keeps_label_rule``.  A file that
+``load`` refuses is read again whole by ``parse``, so every error names its
+line, or its byte offset, in the whole file; only errors pay for that.
 """
 
 from __future__ import annotations
@@ -115,14 +117,19 @@ def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
 
 def _keeps_label_rule(labels: list[str]) -> bool:
     """The one label rule: every label is non-empty and printable, holds no ``"`` and no ``\\``, and comes
-    once.  Text is tested ``CHUNK_MEMBERS`` labels at a time, each followed by a ``"``; repeats by sorting."""
+    once.  Text is tested ``CHUNK_MEMBERS`` labels at a time, each followed by a ``"``; repeats by ``_repeats``."""
     for a in range(0, len(labels), CHUNK_MEMBERS):
         chunk = labels[a : a + CHUNK_MEMBERS]
         text = '"'.join([*chunk, ""])
         if not (all(chunk) and text.isprintable() and text.count('"') == len(chunk) and "\\" not in text):
             return False
+    return not _repeats(labels)
+
+
+def _repeats(labels: list[str]) -> bool:
+    """Whether some label comes twice, by sorting."""
     ordered = sorted(labels)
-    return not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None)))
+    return any(map(operator.eq, ordered, itertools.islice(ordered, 1, None)))
 
 
 def _broken_label(labels: list[str]) -> tuple[int, int] | None:
@@ -206,59 +213,50 @@ def _rows(p: int, width: int, labels: list[str], texts: list[str]) -> RowStacks:
     return RowStacks.of(p, width, counts, values)
 
 
-def _own_format(text: str) -> FamilyFile | None:
-    """The checked ``FamilyFile`` of text in exactly the writer's layout (labels
-    that keep the label rule, plain decimal integers); None for any other text."""
-    head = _HEADER.match(text)
-    blocks = _blocks(text, head.end()) if head else None
-    if blocks is None or not _keeps_label_rule(blocks[0]):
-        return None
-    version, p, k, n, poly, nonresidue = head.groups()
-    p, k, n, poly, nonresidue = _header(int(version), int(p), int(k), int(n), _ints(poly), _ints(nonresidue))
-    labels, kinds, texts = blocks
-    if not labels:
-        raise FamilyFormatError("members must be a non-empty list")
-    return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, _rows(p, 2 * k * n, labels, texts))
-
-
 def _pieces(handle, size: int) -> Iterator[bytes]:
     """The bytes of a binary file in pieces: reads of ``size`` bytes, each
     piece cut after the last line break before ``- label: `` read so far, so
     that every piece but the first starts a member; the rest is the last piece."""
-    rest = b""
+    rest = bytearray()  # grown and cut in place, so a member of many reads costs time linear in its size
     while block := handle.read(size):
         rest += block
         cut = rest.rfind(b"\n- label: ", max(len(rest) - len(block) - 9, 0)) + 1  # a new cut ends in the block
         if cut:
-            yield rest[:cut]
-            rest = rest[cut:]
+            yield bytes(rest[:cut])
+            del rest[:cut]
     if rest:
-        yield rest
+        yield bytes(rest)
 
 
-def _read(handle) -> FamilyFile | None:
-    """The ``FamilyFile`` that ``parse`` gives of a binary file's text, read a
-    piece at a time: the header from the first piece, then each piece's
-    member blocks and rows, then the label rule once over all labels.  None,
-    or a ``ValueError``, for a text that ``parse`` refuses."""
-    pieces = (piece.decode("utf-8") for piece in _pieces(handle, PIECE_BYTES))
+def _read(pieces: Iterator[str]) -> FamilyFile | None:
+    """The checked ``FamilyFile`` of a text in exactly the writer's layout
+    (labels that keep the label rule, plain decimal integers), from its pieces:
+    the first holds the header, and each later one starts a member.  Each
+    piece's blocks must tile it and keep the label rule, then the header (at
+    the first piece) and the piece's rows are checked; repeats across pieces
+    are found at the end.  None for any other text; a ``FamilyFormatError``
+    for a fault in the header, rows or member count, a ``ValueError`` for
+    digits past Python's limit."""
     text = next(pieces, "")
     head = _HEADER.match(text)
     if head is None:
         return None
-    version, p, k, n, poly, nonresidue = head.groups()
-    p, k, n, poly, nonresidue = _header(int(version), int(p), int(k), int(n), _ints(poly), _ints(nonresidue))
     labels, kinds, tables, at = [], [], [], head.end()
     for text in itertools.chain([text], pieces):
         blocks = _blocks(text, at)
-        if blocks is None:
+        if blocks is None or not _keeps_label_rule(blocks[0]):
             return None
+        if at:  # the first piece: its header is checked after its blocks, as in a read of one piece
+            version, p, k, n, poly, nonresidue = head.groups()
+            p, k, n, poly, nonresidue = _header(int(version), int(p), int(k), int(n), _ints(poly), _ints(nonresidue))
+            at = 0
         if blocks[0]:
             labels += blocks[0]
             kinds += blocks[1]
             tables.append(_rows(p, 2 * k * n, blocks[0], blocks[2]))
-        at = 0
-    if not labels or not _keeps_label_rule(labels):
+    if not labels:
+        raise FamilyFormatError("members must be a non-empty list")
+    if _repeats(labels):
         return None
     counts, rows = np.concatenate([t.counts for t in tables]), np.concatenate([t.rows for t in tables])
     return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, RowStacks.of(p, 2 * k * n, counts, rows))
@@ -280,7 +278,7 @@ def _line_fault(text: str, at: int, patterns) -> str:
 
 
 def _fault(text: str) -> str:
-    """Why ``_own_format`` declined the text: its first line out of the
+    """Why ``_read`` declined the text: its first line out of the
     writer's layout, or the first label that breaks the label rule, by line
     number.  Only errors pay for it: one ``_MEMBER`` match per member up to
     the first that fails, then the lines of that one."""
@@ -307,7 +305,7 @@ def _fault(text: str) -> str:
 
 def parse(text: str) -> FamilyFile:
     try:
-        ff = _own_format(text)
+        ff = _read(iter([text]))
     except FamilyFormatError:
         raise
     except ValueError as exc:  # an integer past Python's digit limit
@@ -358,7 +356,7 @@ def load(path) -> FamilyFile:
     fails is read again whole, and ``parse`` names its fault."""
     try:
         with open(path, "rb") as handle:  # no newline translation: the bytes as written
-            ff = _read(handle)
+            ff = _read(piece.decode("utf-8") for piece in _pieces(handle, PIECE_BYTES))
     except ValueError:  # not UTF-8, a format error, or digits past Python's limit
         ff = None
     if ff is not None:

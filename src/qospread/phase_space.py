@@ -206,8 +206,10 @@ class RowStacks:
         """Which matrices already are the canonical echelon basis of their row
         span, by position: the leading columns strictly increase and each one
         is a unit vector, so every row is nonzero and leads with a 1."""
-        ok = np.ones(len(self), dtype=bool)
+        ok = np.zeros(len(self), dtype=bool)
         for at, stack in self.groups:
+            if stack.shape[1] > self.width:  # no echelon basis has more rows than columns; the test below is (r, r)
+                continue
             lead = (stack != 0).argmax(axis=2)  # a zero row leads at column 0 with a 0, which fails the unit test
             pivots = np.take_along_axis(stack, lead[:, None, :], axis=2)  # [i, j, l]: matrix i, row j, column lead[i, l]
             ok[at] = (np.diff(lead, axis=1) > 0).all(axis=1) & (pivots == np.eye(stack.shape[1], dtype=int)).all(axis=(1, 2))

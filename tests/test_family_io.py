@@ -1,6 +1,7 @@
 """Round-trip and validation tests for the on-disk family format."""
 
 import difflib
+import io
 import re
 import time
 import tracemalloc
@@ -146,7 +147,7 @@ def _outcome(parse, text):
 
 
 def test_line_reader_gives_the_yaml_document(spread_text):
-    ff = family_io._own_format(spread_text)
+    ff = family_io._read(iter([spread_text]))
     assert ff is not None
     assert members_of(ff) == reference_members(spread_text)
     # an empty member list is written as a bare "members:", which YAML reads as null
@@ -180,7 +181,7 @@ def test_line_reader_declines_other_text(spread_text, edit):
     """Any other text is refused, naming the first line that differs from the writer's."""
     text = edit(spread_text)
     assert text != spread_text
-    assert family_io._own_format(text) is None
+    assert family_io._read(iter([text])) is None
     with pytest.raises(FamilyFormatError, match=f"^line {min(_edited_lines(spread_text, text))}[ :]"):
         family_io.parse(text)
 
@@ -270,7 +271,7 @@ def test_every_label_list_the_writer_accepts_reads_back(labels, other):
             family_io.serialize(ff)
         return
     text = family_io.serialize(ff)
-    assert family_io._own_format(text) == family_io.parse(text) == ff
+    assert family_io._read(iter([text])) == family_io.parse(text) == ff
 
 
 @pytest.mark.parametrize("label", ["a\\nb", "a\nb", '"', 'a"b', "a\x00b", "a\u2028b", ""],
@@ -462,6 +463,19 @@ def test_load_peaks_below_three_times_the_file(tmp_path):
     assert size > 1_500_000
     assert peak < 3 * size, (peak, size)
     assert all(kind is MATRIX_ALGEBRA for kind in ff.kinds)
+
+
+def test_pieces_of_a_large_member_take_linear_time():
+    """A 2 MB member read 64 bytes at a time is one piece after the header's,
+    split in well under a second (a buffer copied at each read took 9 s)."""
+    head = serialized((3, 1, 2))[: serialized((3, 1, 2)).index("- label")]
+    member = '- label: "A"\n  kind: masa\n  generators:\n' + "  - [1, 0, 0, 0]\n" * 120_000
+    data = (head + member).encode()
+    assert len(data) > 2_000_000
+    start = time.perf_counter()
+    pieces = list(family_io._pieces(io.BytesIO(data), 64))
+    assert time.perf_counter() - start < 1.0
+    assert pieces == [head.encode(), member.encode()]
 
 
 # --- load against parse: the file entry point reads what the text reader reads ---

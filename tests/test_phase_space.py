@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -851,3 +852,17 @@ def test_row_table_round_trips_and_canonicalises(case):
     # the echelon-form check marks exactly the matrices elimination leaves as they are
     assert table.canonical.tolist() == [rows.tolist() == ech for rows, ech in zip(table.split(), echelon)]
     assert canonical.canonical.all()
+
+
+def test_canonical_marks_more_rows_than_columns_without_an_r_by_r_array():
+    """A matrix of more rows than columns is no echelon basis; marking one of
+    5,000 rows of Z_3^2 takes no array of 5,000^2 entries."""
+    table = RowStacks.of(3, 2, [5000], np.tile([1, 0], (5000, 1)))
+    tracemalloc.start()
+    try:
+        canonical = table.canonical
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert canonical.tolist() == [False]
+    assert peak < 1_000_000, peak
