@@ -467,8 +467,9 @@ def test_load_peaks_below_three_times_the_file(tmp_path):
 
 def test_pieces_of_a_large_member_take_linear_time():
     """A 2 MB member read 64 bytes at a time is one piece after the header's,
-    split in well under a second (a buffer copied at each read took 9 s)."""
-    head = serialized((3, 1, 2))[: serialized((3, 1, 2)).index("- label")]
+    split in well under a second (copying the buffer at each read took seconds)."""
+    text = serialized((3, 1, 2))
+    head = text[: text.index("- label")]
     member = '- label: "A"\n  kind: masa\n  generators:\n' + "  - [1, 0, 0, 0]\n" * 120_000
     data = (head + member).encode()
     assert len(data) > 2_000_000
