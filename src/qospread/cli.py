@@ -77,9 +77,8 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    ff = family_io.from_family(family)
     try:
-        family_io.save(ff, args.out)
+        family_io.save(family, args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -92,12 +91,12 @@ def cmd_verify(args) -> int:
     from . import verify
 
     try:
-        ff = family_io.load(args.path)
+        family = family_io.load(args.path)
+        params = family.params
         if args.mode != "numeric":  # from the stored row counts, before any elimination, which only lowers them
-            phase_space._check_index(ff.rows, ff.labels)
-        else:  # the dimension is the header's: refuse before the field
-            verify._numeric_dim(ff.p, ff.k * ff.n)
-        family = family_io.to_family(ff)
+            phase_space._check_index(family.rows, family.labels())
+        else:
+            verify._numeric_dim(params.p, params.ambient_factors)
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -108,28 +107,28 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    bad_rows = family_io.noncanonical_members(ff)
+    bad_rows = family_io.noncanonical_members(family)
     ok = not bad_rows
     if bad_rows:
         print(f"integrity: FAIL ({len(bad_rows)} members with non-canonical rows)")
         for label, detail in bad_rows[:10]:
             print(f"  {label}: {detail}")
     else:
-        print(f"integrity: ok ({len(ff.labels)} members, canonical rows)")
+        print(f"integrity: ok ({len(family.rows)} members, canonical rows)")
 
     if args.mode in ("symbolic", "both"):
         rep, partition = verify.verify_symbolic(family)
         ok = ok and rep.passed
         print(f"symbolic: {rep.describe()}")
         if partition is None:
-            print(f"partition: skipped (ambient has {_power(ff.p, 2 * ff.k * ff.n)} points)")
+            print(f"partition: skipped (ambient has {_power(params.p, 2 * params.ambient_factors)} points)")
         else:
             ok = ok and partition.passed
             print(f"partition: {partition.describe()}")
 
     if args.mode in ("numeric", "both"):
         try:
-            verify._numeric_dim(ff.p, ff.k * ff.n)  # refused above in numeric mode
+            verify._numeric_dim(params.p, params.ambient_factors)  # refused above in numeric mode
         except ValueError as exc:
             print(f"numeric: skipped ({exc})")
         else:

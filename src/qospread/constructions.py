@@ -101,8 +101,10 @@ class SpreadFamily:
     """A labeled family of subspaces with its construction parameters.
 
     The members are held as arrays: a label list, a kind list and the table
-    ``rows`` of their canonical echelon bases; ``members`` gives
-    ``FamilyMember`` views, built on first access.  Labels are not checked
+    ``rows`` of their generator rows as given; ``members`` gives
+    ``FamilyMember`` views, built on first access.  The builders give
+    canonical echelon bases, a file's rows are as stored, and the oracles in
+    ``verify`` canonicalise the rows they are given.  Labels are not checked
     here: the builders' are distinct by construction, and a file's have passed
     its reader (``family_io``).
     """

@@ -21,31 +21,32 @@ Example file::
 is independent of how those were picked.  Generator rows are the canonical
 echelon basis of each member (2kn integers per row, all in [0, p-1]).
 
-In memory a ``FamilyFile`` holds its members as a ``SpreadFamily`` does: a
-label list, a kind list and a ``RowStacks`` table of the stored rows in file
-order, which the reader fills and the writer reads as is.
-
 The files are plain YAML, so any YAML tool can read them; writing is
 manual so identical families produce identical bytes.  The writer formats
 ``CHUNK_MEMBERS`` members at a time, one ``%`` format per chunk, and writes
 chunk by chunk, so no whole-file string is built.
 
-One reader, ``_read``, accepts exactly the writer's layout.  It takes a text
-in pieces, each cut before a member, the header in the first.  Per piece, a
-regex pass finds the member blocks, which must tile the piece and keep the
-label rule; then the header is checked (at the first piece), and the
-piece's row entries get an integer parse and vectorised range and length
-checks, which name the first offending row in file order; repeats across
-pieces are found at the end.  ``parse`` hands it the whole text as one
-piece.  ``load`` hands it the members that each read of ``PIECE_BYTES``
-bytes completes, their rows cast to the table's dtype before the next
-read, so for members of a few rows its transient memory scales with a
-piece, not with the file.  Any other text, a restyled YAML file or one that
-ends in an old ``verification:`` block included, is a ``FamilyFormatError``
-naming its first line out of layout.  The writer refuses, and the reader
-names, the first label that breaks ``_keeps_label_rule``.  A file that
-``load`` refuses is read again whole by ``parse``, so every error names its
-line, or its byte offset, in the whole file; only errors pay for that.
+One reader, ``_read``, accepts exactly the writer's layout and gives a
+``SpreadFamily`` whose rows are as stored.  It takes a text in pieces, each
+cut before a member, the header in the first.  Each piece is split at every
+member head (``_HEAD``: the label, kind and ``generators:`` lines); what
+follows a head must be one or more row lines (``_ROW_LINE``) and nothing
+else, and the labels must keep the label rule.  Neither pattern repeats a
+group, so the regex engine holds no state per row.  Then the header is
+checked (at the first piece), and the piece's row entries get an integer
+parse and vectorised range and length checks, which name the first
+offending row in file order; repeats across pieces are found at the end,
+and only then are the construction parameters built from the header.
+``parse`` hands it the whole text as one piece.  ``load`` hands it the
+members that each read of ``PIECE_BYTES`` bytes completes, their rows cast
+to the table's dtype before the next read, so its transient memory scales
+with a piece, or with the largest member, not with the file.  Any other
+text, a restyled YAML file or one that ends in an old ``verification:``
+block included, is a ``FamilyFormatError`` naming its first line out of
+layout.  The writer refuses, and the reader names, the first label that
+breaks ``_keeps_label_rule``.  A file that ``load`` refuses is read again
+whole by ``parse``, so every error names its line, or its byte offset, in
+the whole file; only errors pay for that.
 """
 
 from __future__ import annotations
@@ -53,13 +54,12 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .constructions import MASA, MATRIX_ALGEBRA, ConstructionParams, SpreadFamily
-from .phase_space import RowStacks, _canonical
+from .phase_space import RowStacks
 
 FORMAT_VERSION = 1
 CHUNK_MEMBERS = 256  # members per write
@@ -72,47 +72,15 @@ class FamilyFormatError(ValueError):
     """The file is not a well-formed, internally consistent family file."""
 
 
-@dataclass
-class FamilyFile:
-    """A family file: its header, and its members as a label list, a kind list
-    and the table of their generator rows as stored."""
-
-    p: int
-    k: int
-    n: int
-    poly: tuple[int, ...]
-    nonresidue: tuple[int, ...]
-    labels: list[str]
-    kinds: list[str]
-    rows: RowStacks
-
-
-def from_family(family: SpreadFamily) -> FamilyFile:
-    params = family.params
-    return FamilyFile(params.p, params.k, params.n, params.field.poly, params.nonresidue.coords,
-                      family.labels(), family.kinds(), family.rows)
-
-
-def to_family(ff: FamilyFile) -> SpreadFamily:
-    """Rebuild the in-memory family; invalid field/non-residue data is a format
-    error.  Stored rows that are all in canonical form (as in every generated
-    file) are kept; otherwise every member is eliminated, one batch per row count."""
-    try:
-        params = ConstructionParams.create(ff.p, ff.k, ff.n, poly=ff.poly, nonresidue=ff.nonresidue)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FamilyFormatError(f"invalid construction parameters: {exc}") from exc
-    rows = ff.rows if ff.rows.canonical.all() else _canonical(ff.rows)
-    return SpreadFamily(params, labels=list(ff.labels), kinds=list(ff.kinds), rows=rows)
-
-
-def noncanonical_members(ff: FamilyFile) -> list[tuple[str, str]]:
+def noncanonical_members(family: SpreadFamily) -> list[tuple[str, str]]:
     """Members whose stored rows are not the canonical basis of their span:
     the ones elimination would change (the reduced form is unique).  Generated
     files always store canonical rows, so any hit here means the file was
     edited or corrupted — including edits that happen to preserve the span
     and would be invisible to the set-theoretic checks."""
-    return [(ff.labels[i], "rows are not the canonical basis of their span")
-            for i in np.flatnonzero(~ff.rows.canonical).tolist()]
+    labels = family.labels()
+    return [(labels[i], "rows are not the canonical basis of their span")
+            for i in np.flatnonzero(~family.rows.canonical).tolist()]
 
 
 def _keeps_label_rule(labels: list[str]) -> bool:
@@ -170,8 +138,9 @@ _HEADER_LINES = (rf"format_version: ({_INT})", rf"p: ({_INT})", rf"k: ({_INT})",
                  rf"poly: ({_ROW})", rf"nonresidue: ({_ROW})", "members:")
 _MEMBER_LINES = (r'- label: "([^"\\\n]*)"', rf"  kind: ({'|'.join(_KINDS)})", "  generators:", rf"  - {_ROW}")
 _HEADER = re.compile("".join(rf"{line}\n" for line in _HEADER_LINES))
-_MEMBER = re.compile("".join(rf"{line}\n" for line in _MEMBER_LINES[:3]) + rf"((?:{_MEMBER_LINES[3]}\n)+)")
-_MEMBER_HEAD = '- label: "%s"\n  kind: %s\n  generators:\n'  # the text of _MEMBER before its rows
+_HEAD = re.compile("".join(rf"{line}\n" for line in _MEMBER_LINES[:3]))
+_ROW_LINE = re.compile(rf"{_MEMBER_LINES[3]}\n")
+_MEMBER_HEAD = '- label: "%s"\n  kind: %s\n  generators:\n'  # the text of _HEAD
 _SPACES = str.maketrans("[],-\n", "     ")
 _SHOWN = 60  # characters of a line out of layout that its error shows
 
@@ -182,11 +151,14 @@ def _ints(row: str) -> list[int]:
 
 def _blocks(text: str, at: int) -> tuple[list[str], list[str], list[str]] | None:
     """The labels, kinds and row texts of the member blocks of the text from
-    offset ``at``; None unless the blocks tile the text from there to its end."""
-    blocks = _MEMBER.findall(text, at)
-    labels, kinds, texts = (list(column) for column in zip(*blocks)) if blocks else ([], [], [])
-    tiled = len(_MEMBER_HEAD % ("", "")) * len(blocks) + sum(map(len, labels + kinds + texts))  # no gap between blocks
-    return (labels, list(map(_KINDS.__getitem__, kinds)), texts) if tiled == len(text) - at else None
+    offset ``at``, split at each head; None unless a head starts at ``at`` (or
+    the text ends there) and each head is followed by row lines only, at least one."""
+    lead, *parts = _HEAD.split(text)
+    labels, kinds, texts = parts[0::3], parts[1::3], parts[2::3]
+    # each text ends a line, so the row lines of the joined texts are those of each text
+    if len(lead) != at or not all(t.endswith("\n") for t in texts) or _ROW_LINE.sub("", "".join(texts)):
+        return None
+    return labels, list(map(_KINDS.__getitem__, kinds)), texts
 
 
 def _rows(p: int, width: int, labels: list[str], texts: list[str]) -> RowStacks:
@@ -228,15 +200,16 @@ def _pieces(handle, size: int) -> Iterator[bytes]:
         yield bytes(rest)
 
 
-def _read(pieces: Iterator[str]) -> FamilyFile | None:
-    """The checked ``FamilyFile`` of a text in exactly the writer's layout
-    (labels that keep the label rule, plain decimal integers), from its pieces:
-    the first holds the header, and each later one starts a member.  Each
-    piece's blocks must tile it and keep the label rule, then the header (at
-    the first piece) and the piece's rows are checked; repeats across pieces
-    are found at the end.  None for any other text; a ``FamilyFormatError``
-    for a fault in the header, rows or member count, a ``ValueError`` for
-    digits past Python's limit."""
+def _read(pieces: Iterator[str]) -> SpreadFamily | None:
+    """The checked family of a text in exactly the writer's layout (labels that
+    keep the label rule, plain decimal integers), its rows as stored, from its
+    pieces: the first holds the header, and each later one starts a member.
+    Each piece's blocks must fill it and keep the label rule, then the header
+    (at the first piece) and the piece's rows are checked; repeats across
+    pieces are found at the end, and then the construction parameters are
+    built.  None for any other text; a ``FamilyFormatError`` for a fault in
+    the header, rows, member count or parameters, a ``ValueError`` for digits
+    past Python's limit."""
     text = next(pieces, "")
     head = _HEADER.match(text)
     if head is None:
@@ -258,8 +231,12 @@ def _read(pieces: Iterator[str]) -> FamilyFile | None:
         raise FamilyFormatError("members must be a non-empty list")
     if _repeats(labels):
         return None
+    try:
+        params = ConstructionParams.create(p, k, n, poly=poly, nonresidue=nonresidue)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FamilyFormatError(f"invalid construction parameters: {exc}") from exc
     counts, rows = np.concatenate([t.counts for t in tables]), np.concatenate([t.rows for t in tables])
-    return FamilyFile(p, k, n, poly, nonresidue, labels, kinds, RowStacks.of(p, 2 * k * n, counts, rows))
+    return SpreadFamily(params, labels=labels, kinds=kinds, rows=RowStacks.of(p, 2 * k * n, counts, rows))
 
 
 def _line_fault(text: str, at: int, patterns) -> str:
@@ -280,16 +257,22 @@ def _line_fault(text: str, at: int, patterns) -> str:
 def _fault(text: str) -> str:
     """Why ``_read`` declined the text: its first line out of the
     writer's layout, or the first label that breaks the label rule, by line
-    number.  Only errors pay for it: one ``_MEMBER`` match per member up to
-    the first that fails, then the lines of that one."""
+    number.  Only errors pay for it: one ``_HEAD`` match per member and one
+    ``_ROW_LINE`` match per row up to the first member that fails, then the
+    lines of that one."""
     head = _HEADER.match(text)
     if head is None:
         return _line_fault(text, 0, _HEADER_LINES)
     at, labels, starts = head.end(), [], []
-    while (block := _MEMBER.match(text, at)) is not None:
+    while (block := _HEAD.match(text, at)) is not None:
+        end = block.end()
+        while (row := _ROW_LINE.match(text, end)) is not None:
+            end = row.end()
+        if end == block.end():  # a head without rows
+            break
         labels.append(block[1])
         starts.append(at)
-        at = block.end()
+        at = end
     if (block := re.compile(rf"{_MEMBER_LINES[0]}\n").match(text, at)) is not None:  # the failing member's label
         labels.append(block[1])
         starts.append(at)
@@ -303,28 +286,30 @@ def _fault(text: str) -> str:
     return f"line {line}: duplicate label {labels[i]!r}, first on line {first}"
 
 
-def parse(text: str) -> FamilyFile:
+def parse(text: str) -> SpreadFamily:
     try:
-        ff = _read(iter([text]))
+        family = _read(iter([text]))
     except FamilyFormatError:
         raise
     except ValueError as exc:  # an integer past Python's digit limit
         raise FamilyFormatError(f"unreadable value: {exc}") from exc
-    if ff is None:
+    if family is None:
         raise FamilyFormatError(_fault(text))
-    return ff
+    return family
 
 
-def _text(ff: FamilyFile) -> Iterator[str]:
+def _text(family: SpreadFamily) -> Iterator[str]:
     """The file text in pieces: the header, then ``CHUNK_MEMBERS`` members at a
     time (one ``%`` format of their labels, kinds and rows), once the labels keep the label rule."""
-    broken = _broken_label(ff.labels)
+    labels, kinds, params = family.labels(), family.kinds(), family.params
+    broken = _broken_label(labels)
     if broken is not None:
         i, j = broken
-        raise ValueError(f"cannot serialise the label {ff.labels[i]!r}" if i == j else "cannot serialise repeated labels")
-    yield (f"format_version: {FORMAT_VERSION}\np: {ff.p}\nk: {ff.k}\nn: {ff.n}\n"
-           f"poly: [{', '.join(map(str, ff.poly))}]\nnonresidue: [{', '.join(map(str, ff.nonresidue))}]\nmembers:\n")
-    width, counts, rows = ff.rows.width, ff.rows.counts, ff.rows.rows
+        raise ValueError(f"cannot serialise the label {labels[i]!r}" if i == j else "cannot serialise repeated labels")
+    poly, nonresidue = (", ".join(map(str, coords)) for coords in (params.field.poly, params.nonresidue.coords))
+    yield (f"format_version: {FORMAT_VERSION}\np: {params.p}\nk: {params.k}\nn: {params.n}\n"
+           f"poly: [{poly}]\nnonresidue: [{nonresidue}]\nmembers:\n")
+    width, counts, rows = family.rows.width, family.rows.counts, family.rows.rows
     row = "  - [" + ", ".join(["%d"] * width) + "]\n"
     formats = {r: _MEMBER_HEAD + row * r for r in set(counts.tolist())}
     ends = np.cumsum(counts)
@@ -334,33 +319,33 @@ def _text(ff: FamilyFile) -> Iterator[str]:
         args = np.empty(2 * len(part) + width * int(part.sum()), dtype=object)
         body = np.ones(len(args), dtype=bool)
         body[heads] = body[heads + 1] = False
-        args[heads], args[heads + 1] = ff.labels[a : a + len(part)], ff.kinds[a : a + len(part)]
+        args[heads], args[heads + 1] = labels[a : a + len(part)], kinds[a : a + len(part)]
         args[body] = rows[ends[a] - part[0] : ends[a + len(part) - 1]].ravel()
         yield "".join(map(formats.__getitem__, part.tolist())) % tuple(args.tolist())
 
 
-def serialize(ff: FamilyFile) -> str:
-    return "".join(_text(ff))
+def serialize(family: SpreadFamily) -> str:
+    return "".join(_text(family))
 
 
-def save(ff: FamilyFile, path) -> None:
-    pieces = _text(ff)
+def save(family: SpreadFamily, path) -> None:
+    pieces = _text(family)
     header = next(pieces)  # the labels are checked before the path is opened
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(header)
         handle.writelines(pieces)
 
 
-def load(path) -> FamilyFile:
-    """The family file at the path, read a piece at a time; a file that
+def load(path) -> SpreadFamily:
+    """The family in the file at the path, read a piece at a time; a file that
     fails is read again whole, and ``parse`` names its fault."""
     try:
         with open(path, "rb") as handle:  # no newline translation: the bytes as written
-            ff = _read(piece.decode("utf-8") for piece in _pieces(handle, PIECE_BYTES))
+            family = _read(piece.decode("utf-8") for piece in _pieces(handle, PIECE_BYTES))
     except ValueError:  # not UTF-8, a format error, or digits past Python's limit
-        ff = None
-    if ff is not None:
-        return ff
+        family = None
+    if family is not None:
+        return family
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             return parse(handle.read())

@@ -230,7 +230,10 @@ class RowStacks:
 
 
 def _canonical(rows: RowStacks) -> RowStacks:
-    """The canonical echelon basis of every matrix's row span, by position: one elimination per row count."""
+    """The canonical echelon basis of every matrix's row span, by position: the table itself when every
+    matrix already is one, else one elimination per row count."""
+    if rows.canonical.all():
+        return rows
     counts, parts = np.zeros(len(rows), dtype=np.intp), [rows.rows[:0]]
     for at, stack in rows.groups:
         ech, counts[at] = _modlin.rref_stack(stack, rows.p)

@@ -32,7 +32,8 @@ import threading
 import numpy as np
 
 from .constructions import MATRIX_ALGEBRA, SpreadFamily, expected_count
-from .phase_space import ISOTROPIC, NONDEGENERATE, RowStacks, _disjointness, _gram_ranks, _kind, _ranges, _spans
+from .phase_space import (ISOTROPIC, NONDEGENERATE, RowStacks, _canonical, _check_index, _disjointness, _gram_ranks,
+                          _kind, _ranges, _spans)
 from .report import DEFAULT_TOL, VerificationReport, _power
 from .weyl import _monomial_parts, _tables
 
@@ -51,15 +52,19 @@ def verify_symbolic(family: SpreadFamily) -> tuple[VerificationReport, Verificat
     member count meets the dimension bound, its failure listed last.  The
     second, from the same scan of the int64 point-ownership index, passes iff
     the members' nonzero points are disjoint and cover the nonzero ambient; it
-    is None for no member or a lone member too large to enumerate.  Raises
-    where ``phase_space._check_index`` refuses, keys past int64 included.
+    is None for no member or a lone member too large to enumerate.  The rows
+    are canonicalised first, so any rows of a span give its verdicts.  Raises
+    where ``phase_space._check_index`` refuses the given rows, before any
+    elimination (which only lowers row counts), keys past int64 included.
     """
     labels, kinds = family.labels(), family.kinds()
-    pairs, partition = _disjointness(family.rows, labels)
+    _check_index(family.rows, labels)
+    rows = _canonical(family.rows)
+    pairs, partition = _disjointness(rows, labels)
     failures = list(pairs.failures)
     checks = pairs.checks_run + len(labels) + 1  # the last one the member count
     dim_want = 2 * family.params.k
-    dims, ranks = family.rows.counts, _gram_ranks(family.rows)
+    dims, ranks = rows.counts, _gram_ranks(rows)
     algebra = np.array([kind == MATRIX_ALGEBRA for kind in kinds], dtype=bool)
     for i in np.flatnonzero((dims != dim_want) | np.where(algebra, ranks != dims, ranks != 0)).tolist():
         want = NONDEGENERATE if algebra[i] else ISOTROPIC
@@ -147,7 +152,8 @@ def verify_qo_numeric(
     examined in sorted order: the first member is indexed once for the run of pairs
     that start with it, and its partners are synthesized and traced together, at
     most ``NUMERIC_BATCH_ENTRIES`` part entries at a time, then cut into one block
-    per pair.
+    per pair.  The rows are canonicalised first, so each member's matrices are
+    those of its span, each once.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -165,8 +171,9 @@ def verify_qo_numeric(
     else:
         pairs = itertools.combinations(range(n), 2)
 
-    labels, parts, worst, failures = family.labels(), _member_parts(family.rows), 0.0, []
-    sizes = (family.params.p ** family.rows.counts).tolist()  # matrices per member
+    rows = _canonical(family.rows)
+    labels, parts, worst, failures = family.labels(), _member_parts(rows), 0.0, []
+    sizes = (family.params.p ** rows.counts).tolist()  # matrices per member
     batch = max(1, NUMERIC_BATCH_ENTRIES // (max(sizes, default=1) * dim))  # partners per call
     for i, run in itertools.groupby(pairs, key=lambda pair: pair[0]):
         traces, partners = _cross_traces(*parts([i])), [j for _, j in run]

@@ -9,7 +9,7 @@ import numpy as np
 import yaml
 
 from qospread import _modlin, family_io, weyl
-from qospread.constructions import _c_generators, _d_generators, _generators, _gf_spans
+from qospread.constructions import SpreadFamily, _c_generators, _d_generators, _generators, _gf_spans
 from qospread.finite_field import GFElement
 from qospread.phase_space import (NONDEGENERATE, PhasePoint, RowStacks, Subspace, _gram_ranks, _kind, _line_coefficients,
                                   _ranges, span_enumerate)
@@ -202,17 +202,24 @@ def literal_gf_span(generators) -> Subspace:
     return Subspace.from_generators(field.p, 2 * field.k, rows)
 
 
-def file_of(p, k, n, poly, nonresidue, members) -> family_io.FamilyFile:
-    """The family file of (label, kind, rows) members, whose rows may be any integer sequences."""
+def file_of(params, members) -> SpreadFamily:
+    """The family of (label, kind, rows) members, whose rows may be any integer sequences, stored as given."""
     labels, kinds, rows = zip(*members)
-    return family_io.FamilyFile(p, k, n, tuple(poly), tuple(nonresidue), list(labels), list(kinds),
-                                RowStacks.lists(p, 2 * k * n, rows))
+    return SpreadFamily(params, labels=list(labels), kinds=list(kinds),
+                        rows=RowStacks.lists(params.p, 2 * params.ambient_factors, rows))
 
 
-def with_rows(ff: family_io.FamilyFile, edits: dict) -> family_io.FamilyFile:
-    """A copy of a family file whose members at the keys of ``edits`` store the given rows."""
-    rows = [edits.get(i, matrix) for i, matrix in enumerate(ff.rows.split())]
-    return file_of(ff.p, ff.k, ff.n, ff.poly, ff.nonresidue, zip(ff.labels, ff.kinds, rows))
+def with_rows(family: SpreadFamily, edits: dict) -> SpreadFamily:
+    """A copy of a family whose members at the keys of ``edits`` store the given rows."""
+    rows = [edits.get(i, matrix) for i, matrix in enumerate(family.rows.split())]
+    return file_of(family.params, zip(family.labels(), family.kinds(), rows))
+
+
+def same_family(a: SpreadFamily, b: SpreadFamily) -> bool:
+    """Whether two families have the same parameters, labels, kinds, row counts, row dtype and rows."""
+    return (a.params == b.params and a.labels() == b.labels() and a.kinds() == b.kinds()
+            and np.array_equal(a.rows.counts, b.rows.counts) and a.rows.rows.dtype == b.rows.rows.dtype
+            and np.array_equal(a.rows.rows, b.rows.rows))
 
 
 def reference_members(text):
@@ -249,7 +256,7 @@ def members_of(outcome):
     """A parse outcome as ``reference_members`` gives it: (label, kind, rows) triples, or the error text."""
     if isinstance(outcome, str):
         return outcome
-    return list(zip(outcome.labels, outcome.kinds, (rows.tolist() for rows in outcome.rows.split())))
+    return list(zip(outcome.labels(), outcome.kinds(), (rows.tolist() for rows in outcome.rows.split())))
 
 
 class ReferenceIndex(NamedTuple):

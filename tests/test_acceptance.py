@@ -200,7 +200,7 @@ def test_criterion_10_fault_injection(tmp_path, capsys):
         capsys.readouterr()
         rng = random.Random(1234)
         for trial in range(20):
-            member = rng.randrange(len(pristine.labels))
+            member = rng.randrange(len(pristine.rows))
             rows = pristine.rows.take([member]).rows.tolist()
             row = rng.randrange(len(rows))
             pos = rng.randrange(4)

@@ -40,8 +40,8 @@ def family_path(tmp_path, capsys):
 
 def test_generate_writes_ten_members(family_path):
     ff = family_io.load(family_path)
-    assert len(ff.labels) == 10
-    assert ff.nonresidue == (2,)
+    assert len(ff.rows) == 10
+    assert ff.params.nonresidue.coords == (2,)
 
 
 def test_commands_run_without_yaml(tmp_path):
@@ -58,8 +58,8 @@ with contextlib.redirect_stdout(io.StringIO()):
              main(["verify", {str(restyled)!r}])]
 print(*codes)
 """
-    restyled.write_text("# a comment\n" + family_io.serialize(family_io.from_family(
-        constructions.build_spread_2(ConstructionParams.create(3, 1, 2)))))
+    restyled.write_text("# a comment\n" + family_io.serialize(
+        constructions.build_spread_2(ConstructionParams.create(3, 1, 2))))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert run.stdout.split() == ["0", "0", "0", "0", "2"]
@@ -70,7 +70,7 @@ def test_generate_n1(tmp_path, capsys):
     path = tmp_path / "one.yaml"
     code, out, _ = run(capsys, "generate", "--p", "3", "--n", "1", "--out", str(path))
     assert code == EXIT_OK
-    assert len(family_io.load(path).labels) == 1
+    assert len(family_io.load(path).rows) == 1
 
 
 def test_generate_and_verify_at_a_61_bit_prime(tmp_path, capsys):
@@ -79,7 +79,7 @@ def test_generate_and_verify_at_a_61_bit_prime(tmp_path, capsys):
     start = time.perf_counter()
     code, _, _ = run(capsys, "generate", "--p", p, "--n", "1", "--out", str(path))
     assert code == EXIT_OK
-    assert family_io.load(path).p == 2**61 - 1
+    assert family_io.load(path).params.p == 2**61 - 1
     code, out, _ = run(capsys, "verify", str(path))
     assert code == EXIT_OK
     assert f"partition: skipped (ambient has {(2**61 - 1) ** 2} points)" in out
@@ -191,7 +191,7 @@ def test_generate_poly_override(tmp_path, capsys):
                      "--out", str(path))
     assert code == EXIT_OK
     ff = family_io.load(path)
-    assert (ff.poly, ff.nonresidue) == ((2, 1), (0, 1))
+    assert (ff.params.field.poly, ff.params.nonresidue.coords) == ((2, 1), (0, 1))
     code, out, _ = run(capsys, "verify", str(path), "--mode", "symbolic")
     assert code == EXIT_OK and out.endswith("result: PASS\n")
     for poly, message in [("2,0", "x^2 + [2, 0] is reducible over Z_3"), ("1", "need 2 low coefficients, got 1")]:
@@ -272,7 +272,7 @@ def test_closed_stdout_is_an_io_failure(tmp_path, command, unbuffered):
     assert ran.returncode == EXIT_IO
     assert ran.stderr == "error: cannot write to stdout: broken pipe\n"
     family = constructions.build_recursive(ConstructionParams.create(3, 1, 2))
-    assert command != "generate" or out.read_text() == family_io.serialize(family_io.from_family(family))
+    assert command != "generate" or out.read_text() == family_io.serialize(family)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
@@ -288,7 +288,7 @@ def test_generate_with_overrides(tmp_path, capsys):
     code, _, _ = run(capsys, "generate", "--p", "7", "--out", str(path), "--d-override", "5")
     assert code == EXIT_OK
     ff = family_io.load(path)
-    assert ff.nonresidue == (5,)
+    assert ff.params.nonresidue.coords == (5,)
     code, _, _ = run(capsys, "verify", str(path))
     assert code == EXIT_OK
 
@@ -325,7 +325,7 @@ def test_verify_detects_span_preserving_corruption(family_path, capsys):
     # the span leaves every set-theoretic check intact, so only the
     # canonical-row integrity check can see it
     ff = family_io.load(family_path)
-    d0 = ff.labels.index("D[0]")
+    d0 = ff.labels().index("D[0]")
     rows = ff.rows.take([d0]).rows.tolist()
     rows[0][1] = 2
     family_io.save(with_rows(ff, {d0: rows}), family_path)
@@ -387,14 +387,31 @@ def test_verify_refuses_a_large_file_out_of_layout_before_yaml(tmp_path, capsys,
                    "layout: '  - [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]'\n")
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_verify_refuses_a_square_nonresidue_before_the_row_counts(tmp_path, capsys, mode):
+    """Two planes of p = 1009, each above ``SPAN_LIMIT`` beside the other (and
+    d = 1009^2 above the numeric guard), in a file whose non-residue is a
+    square: the reader builds the construction parameters from the header, so
+    the file is refused (exit 2) for its header before its row counts or its
+    dimension are looked at, and before anything is printed."""
+    params = ConstructionParams.create(1009, 1, 2)
+    planes = [("A", "matrix_algebra", [(1, 0, 0, 0), (0, 1, 0, 0)]),
+              ("B", "matrix_algebra", [(0, 0, 1, 0), (0, 0, 0, 1)])]
+    path = tmp_path / "planes.yaml"
+    text = family_io.serialize(file_of(params, planes))
+    path.write_text(text.replace(f"nonresidue: [{params.nonresidue.coords[0]}]\n", "nonresidue: [4]\n"))
+    code, out, err = run(capsys, "verify", str(path), "--mode", mode)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: malformed family file: invalid construction parameters: 4 is a square, not a non-residue\n"
+
+
 def test_verify_refuses_rank_tests_past_the_limit(tmp_path, capsys, monkeypatch):
     """3,000 members at p = 1009, each the same plane of 1,018,081 points, above
     ``SPAN_LIMIT``: no index holds them, so the file is refused (exit 2),
     naming the first, before any index or elimination and before anything is printed."""
     params = ConstructionParams.create(1009, 1, 2)
     rows = [[(1, 0, 0, 0), (0, 1, 0, 0)]] * 3000
-    ff = file_of(1009, 1, 2, params.field.poly, params.nonresidue.coords,
-                 [(f"M{i}", "matrix_algebra", matrix) for i, matrix in enumerate(rows)])
+    ff = file_of(params, [(f"M{i}", "matrix_algebra", matrix) for i, matrix in enumerate(rows)])
     path = tmp_path / "same.yaml"
     family_io.save(ff, path)
     monkeypatch.setattr(phase_space._modlin, "rref_stack", mock.Mock(side_effect=AssertionError("eliminated")))
@@ -413,7 +430,7 @@ def test_verify_all_identical_members_fails_fast(tmp_path, capsys):
     path = tmp_path / "same.yaml"
     run(capsys, "generate", "--p", "5", "--n", "3", "--out", str(path))
     ff = family_io.load(path)
-    family_io.save(with_rows(ff, dict.fromkeys(range(len(ff.labels)), ff.rows.take([0]).rows)), path)
+    family_io.save(with_rows(ff, dict.fromkeys(range(len(ff.rows)), ff.rows.take([0]).rows)), path)
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", str(path), "--mode", "both")
     elapsed = time.perf_counter() - start
@@ -441,9 +458,9 @@ def test_verify_refuses_an_index_over_the_limit_before_building_it(tmp_path, cap
     params = ConstructionParams.create(997, 1, 2)
     members = [(f"M{i}", "matrix_algebra", [(1, 0, i // 997, i % 997), (0, 1, 0, 1)]) for i in range(8500)]
     path = tmp_path / "wide.yaml"
-    family_io.save(file_of(997, 1, 2, params.field.poly, params.nonresidue.coords, members), path)
+    family_io.save(file_of(params, members), path)
     canonical = []
-    monkeypatch.setattr(family_io, "_canonical", lambda rows: canonical.append(1) or phase_space._canonical(rows))
+    monkeypatch.setattr(verify, "_canonical", lambda rows: canonical.append(1) or phase_space._canonical(rows))
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -621,7 +638,7 @@ def test_verify_partition_above_a_million_points(tmp_path, capsys):
     unit = [tuple(int(i == j) for j in range(14)) for i in range(14)]
     members = [(f"F[{i}]", "matrix_algebra", unit[2 * i:2 * i + 2]) for i in range(7)]
     path = tmp_path / "few.yaml"
-    family_io.save(file_of(3, 1, 7, params.field.poly, params.nonresidue.coords, members), path)
+    family_io.save(file_of(params, members), path)
     code, out, _ = run(capsys, "verify", str(path), "--mode", "symbolic")
     assert code == EXIT_VERIFY_FAILED
     assert "partition: FAIL (checks=7, covered=56/4782968)\n  family: covers 56 of 4782968 nonzero points\n" in out
@@ -827,7 +844,7 @@ def test_random_single_coordinate_corruption_detected(family_path, capsys):
     rng = random.Random(0)
     original = family_io.load(family_path)
     for _ in range(5):
-        member = rng.randrange(len(original.labels))
+        member = rng.randrange(len(original.rows))
         rows = original.rows.take([member]).rows.tolist()
         row = rows[rng.randrange(len(rows))]
         pos = rng.randrange(len(row))

@@ -33,7 +33,7 @@ def _id(pkn):
 
 @functools.lru_cache(maxsize=None)
 def serialized(pkn):
-    return family_io.serialize(family_io.from_family(build_recursive(ConstructionParams.create(*pkn))))
+    return family_io.serialize(build_recursive(ConstructionParams.create(*pkn)))
 
 
 @pytest.mark.parametrize("pkn", sorted(GOLDENS), ids=_id)

@@ -91,6 +91,26 @@ def test_symbolic_passes_masa_spread():
     assert verify_symbolic(build_masa_spread(P3))[0].passed
 
 
+def test_oracles_canonicalise_the_rows_they_are_given():
+    """B = span{e1, e3} stored as [2 e1, e3], not its canonical basis, beside
+    A = span{e1, e2}: both oracles give the verdicts of the canonical rows, so
+    the shared point e1 is found (read as stored, B's lines are not normalised
+    and no point is shared)."""
+    stored, canonical = (
+        SpreadFamily(P3, labels=["A", "B"], kinds=[MATRIX_ALGEBRA] * 2,
+                     rows=RowStacks.lists(3, 4, [[(1, 0, 0, 0), (0, 1, 0, 0)], [(scale, 0, 0, 0), (0, 0, 1, 0)]]))
+        for scale in (2, 1))
+    assert stored.rows.canonical.tolist() == [True, False]
+    rep, partition = verify_symbolic(stored)
+    assert rep.failures[0] == ("A & B", "shared nonzero point (1, 0, 0, 0)")
+    assert partition.describe().startswith("FAIL (checks=2, covered=14/80)")
+    assert [r.describe() for r in verify_symbolic(stored)] == [r.describe() for r in verify_symbolic(canonical)]
+    numeric = verify_qo_numeric(stored)
+    assert not numeric.passed
+    assert numeric.describe() == verify_qo_numeric(canonical).describe()
+    assert numeric.max_residual == verify_qo_numeric(canonical).max_residual
+
+
 # --- numeric route ---------------------------------------------------------------
 
 
