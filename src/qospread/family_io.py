@@ -28,25 +28,22 @@ chunk by chunk, so no whole-file string is built.
 
 One reader, ``_read``, accepts exactly the writer's layout and gives a
 ``SpreadFamily`` whose rows are as stored.  It takes a text in pieces, each
-cut before a member, the header in the first.  Each piece is split at every
-member head (``_HEAD``: the label, kind and ``generators:`` lines); what
-follows a head must be one or more row lines (``_ROW_LINE``) and nothing
-else, and the labels must keep the label rule.  Neither pattern repeats a
-group, so the regex engine holds no state per row.  Then the header is
-checked (at the first piece), and the piece's row entries get an integer
-parse and vectorised range and length checks, which name the first
-offending row in file order; repeats across pieces are found at the end,
-and only then are the construction parameters built from the header.
-``parse`` hands it the whole text as one piece.  ``load`` hands it the
-members that each read of ``PIECE_BYTES`` bytes completes, their rows cast
-to the table's dtype before the next read, so its transient memory scales
-with a piece, or with the largest member, not with the file.  Any other
-text, a restyled YAML file or one that ends in an old ``verification:``
-block included, is a ``FamilyFormatError`` naming its first line out of
-layout.  The writer refuses, and the reader names, the first label that
-breaks ``_keeps_label_rule``.  A file that ``load`` refuses is read again
-whole by ``parse``, so every error names its line, or its byte offset, in
-the whole file; only errors pay for that.
+cut before a member, the header in the first: ``parse`` hands it the whole
+text as one piece, and ``load`` the members that each read of ``PIECE_BYTES``
+bytes completes, so its transient memory scales with a piece, or with the
+largest member, not with the file.  Each piece is split at every member head
+(``_HEAD``: the label, kind and ``generators:`` lines); what follows a head
+must be one or more row lines (``_ROW_LINE``) and nothing else.  Neither
+pattern repeats a group, so the regex engine holds no state per row.  The
+header is checked at the first piece, and each piece's row entries get an
+integer parse and vectorised range and length checks.  Any other text, a
+restyled YAML file or one that ends in an old ``verification:`` block
+included, is a ``FamilyFormatError``.  It is named from the pieces read, as
+one read of the whole text names it: the first of a byte that is not UTF-8
+(at its offset in the file), the first line out of layout or a label before
+it that breaks ``_keeps_label_rule`` (by line number), a header value, the
+first faulty row, no members, and the construction parameters.  The writer
+refuses the labels that the reader refuses.
 """
 
 from __future__ import annotations
@@ -85,19 +82,14 @@ def noncanonical_members(family: SpreadFamily) -> list[tuple[str, str]]:
 
 def _keeps_label_rule(labels: list[str]) -> bool:
     """The one label rule: every label is non-empty and printable, holds no ``"`` and no ``\\``, and comes
-    once.  Text is tested ``CHUNK_MEMBERS`` labels at a time, each followed by a ``"``; repeats by ``_repeats``."""
+    once.  Text is tested ``CHUNK_MEMBERS`` labels at a time, each followed by a ``"``; repeats by sorting."""
     for a in range(0, len(labels), CHUNK_MEMBERS):
         chunk = labels[a : a + CHUNK_MEMBERS]
         text = '"'.join([*chunk, ""])
         if not (all(chunk) and text.isprintable() and text.count('"') == len(chunk) and "\\" not in text):
             return False
-    return not _repeats(labels)
-
-
-def _repeats(labels: list[str]) -> bool:
-    """Whether some label comes twice, by sorting."""
     ordered = sorted(labels)
-    return any(map(operator.eq, ordered, itertools.islice(ordered, 1, None)))
+    return not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None)))
 
 
 def _broken_label(labels: list[str]) -> tuple[int, int] | None:
@@ -140,6 +132,7 @@ _MEMBER_LINES = (r'- label: "([^"\\\n]*)"', rf"  kind: ({'|'.join(_KINDS)})", " 
 _HEADER = re.compile("".join(rf"{line}\n" for line in _HEADER_LINES))
 _HEAD = re.compile("".join(rf"{line}\n" for line in _MEMBER_LINES[:3]))
 _ROW_LINE = re.compile(rf"{_MEMBER_LINES[3]}\n")
+_LABEL_LINE = re.compile(rf"{_MEMBER_LINES[0]}\n")
 _MEMBER_HEAD = '- label: "%s"\n  kind: %s\n  generators:\n'  # the text of _HEAD
 _SPACES = str.maketrans("[],-\n", "     ")
 _SHOWN = 60  # characters of a line out of layout that its error shows
@@ -161,12 +154,12 @@ def _blocks(text: str, at: int) -> tuple[list[str], list[str], list[str]] | None
     return labels, list(map(_KINDS.__getitem__, kinds)), texts
 
 
-def _rows(p: int, width: int, labels: list[str], texts: list[str]) -> RowStacks:
-    """The table of the members' rows, from their row texts.  Raises for the
-    first row with an entry above p-1 or without ``width`` entries, naming its
-    member.  ``strtoull`` saturates at 2^64 - 1, so a saturated entry sends the
-    rows to an exact Python-int parse, which also raises for digits past
-    Python's limit."""
+def _rows(p: int, width: int, labels: list[str], texts: list[str], counts: np.ndarray) -> RowStacks:
+    """The table of the members' rows, from their row texts and row counts.
+    Raises for the first row with an entry above p-1 or without ``width``
+    entries, naming its member.  ``strtoull`` saturates at 2^64 - 1, so a
+    saturated entry sends the rows to an exact Python-int parse, which also
+    raises for digits past Python's limit."""
     blob = "".join(texts)
     values = np.fromstring(blob.translate(_SPACES), dtype=np.uint64, sep=" ")
     if (values == np.iinfo(np.uint64).max).any():
@@ -174,7 +167,6 @@ def _rows(p: int, width: int, labels: list[str], texts: list[str]) -> RowStacks:
     chars = np.frombuffer(blob.encode("ascii"), dtype=np.uint8)
     starts = np.append(0, np.flatnonzero(chars == ord("\n"))[:-1] + 1)
     lengths = np.add.reduceat(chars == ord(","), starts, dtype=np.intp) + 1
-    counts = [t.count("\n") for t in texts]
     outside = np.searchsorted(np.cumsum(lengths), np.flatnonzero(values >= p)[:1], side="right").tolist()
     row = min(outside + np.flatnonzero(lengths != width)[:1].tolist(), default=None)
     if row is not None:
@@ -200,102 +192,114 @@ def _pieces(handle, size: int) -> Iterator[bytes]:
         yield bytes(rest)
 
 
-def _read(pieces: Iterator[str]) -> SpreadFamily | None:
+def _read(pieces: Iterator[str]) -> SpreadFamily:
     """The checked family of a text in exactly the writer's layout (labels that
     keep the label rule, plain decimal integers), its rows as stored, from its
     pieces: the first holds the header, and each later one starts a member.
-    Each piece's blocks must fill it and keep the label rule, then the header
-    (at the first piece) and the piece's rows are checked; repeats across
-    pieces are found at the end, and then the construction parameters are
-    built.  None for any other text; a ``FamilyFormatError`` for a fault in
-    the header, rows, member count or parameters, a ``ValueError`` for digits
-    past Python's limit."""
-    text = next(pieces, "")
-    head = _HEADER.match(text)
-    if head is None:
-        return None
-    labels, kinds, tables, at = [], [], [], head.end()
-    for text in itertools.chain([text], pieces):
-        blocks = _blocks(text, at)
-        if blocks is None or not _keeps_label_rule(blocks[0]):
-            return None
-        if at:  # the first piece: its header is checked after its blocks, as in a read of one piece
-            version, p, k, n, poly, nonresidue = head.groups()
-            p, k, n, poly, nonresidue = _header(int(version), int(p), int(k), int(n), _ints(poly), _ints(nonresidue))
-            at = 0
-        if blocks[0]:
-            labels += blocks[0]
-            kinds += blocks[1]
-            tables.append(_rows(p, 2 * k * n, blocks[0], blocks[2]))
+    Otherwise a ``FamilyFormatError`` for its first fault in the module's
+    order; an entry past Python's digit limit precedes every other faulty row.
+    Once a piece is refused, ``_fault`` names it and later pieces are only
+    drawn; once a header fault or such an entry is held, later pieces are only
+    split.  The label rule is tested once, over all labels, at the end."""
+    labels, kinds, counts, tables = [], [], [], []
+    named = fault = final = None  # the line named; the first header or row fault; a fault no later row precedes
+    for i, (text, after) in enumerate(itertools.pairwise(itertools.chain([next(pieces, "")], pieces, [""]))):
+        if named is not None:
+            continue
+        head = _HEADER.match(text) if i == 0 else None
+        blocks = None if i == 0 and head is None else _blocks(text, head.end() if head else 0)
+        if blocks is None:  # a line cut at the piece's end ends in the next piece's first line
+            named = _fault(text + after[: after.find("\n") + 1 or None], i == 0, labels, counts)
+            continue
+        piece_counts = np.array([t.count("\n") for t in blocks[2]], dtype=np.intp)
+        if head is not None:
+            try:
+                *values, poly, nonresidue = head.groups()  # format_version, p, k, n, then the two rows
+                p, k, n, poly, nonresidue = _header(*map(int, values), _ints(poly), _ints(nonresidue))
+            except FamilyFormatError as exc:
+                fault = final = exc
+            except ValueError as exc:  # an integer past Python's digit limit
+                fault = final = FamilyFormatError(f"unreadable value: {exc}")
+        if blocks[0] and final is None:
+            try:
+                table = _rows(p, 2 * k * n, blocks[0], blocks[2], piece_counts)
+            except FamilyFormatError as exc:
+                fault = fault or exc
+            except ValueError as exc:  # as in one parse of all rows, it precedes every other row fault
+                fault = final = FamilyFormatError(f"unreadable value: {exc}")
+            else:
+                if fault is None:
+                    tables.append(table)
+        labels += blocks[0]
+        kinds += blocks[1]
+        counts.append(piece_counts)
+    if named is None and not _keeps_label_rule(labels):
+        named = _fault("", False, labels, counts)
+    if named is not None:
+        raise FamilyFormatError(named)
+    if fault is not None:
+        raise fault
     if not labels:
         raise FamilyFormatError("members must be a non-empty list")
-    if _repeats(labels):
-        return None
     try:
         params = ConstructionParams.create(p, k, n, poly=poly, nonresidue=nonresidue)
     except (ValueError, ZeroDivisionError) as exc:
         raise FamilyFormatError(f"invalid construction parameters: {exc}") from exc
-    counts, rows = np.concatenate([t.counts for t in tables]), np.concatenate([t.rows for t in tables])
+    counts, rows = np.concatenate(counts), np.concatenate([t.rows for t in tables])
     return SpreadFamily(params, labels=labels, kinds=kinds, rows=RowStacks.of(p, 2 * k * n, counts, rows))
 
 
-def _line_fault(text: str, at: int, patterns) -> str:
-    """The first of the lines from offset ``at`` that does not match its
-    pattern in turn, by number and text."""
+def _line_fault(text: str, at: int, patterns, number: int) -> str:
+    """The first of the lines from offset ``at``, which is line ``number``,
+    that does not match its pattern in turn, by number and text."""
     for pattern in patterns:
         end = text.find("\n", at)
         if end < 0 or re.fullmatch(pattern, text[at:end]) is None:
             break
-        at = end + 1
-    number, line = text.count("\n", 0, at) + 1, text[at:] if end < 0 else text[at:end]
+        at, number = end + 1, number + 1
+    line = text[at:] if end < 0 else text[at:end]
     shown = repr(line[:_SHOWN] + "…" * (len(line) > _SHOWN))
     if end < 0:
         shown = f"{shown} ends the file with no line break" if line else "the file ends"
     return f"line {number} is out of the writer's layout: {shown}"
 
 
-def _fault(text: str) -> str:
-    """Why ``_read`` declined the text: its first line out of the
-    writer's layout, or the first label that breaks the label rule, by line
-    number.  Only errors pay for it: one ``_HEAD`` match per member and one
-    ``_ROW_LINE`` match per row up to the first member that fails, then the
-    lines of that one."""
-    head = _HEADER.match(text)
-    if head is None:
-        return _line_fault(text, 0, _HEADER_LINES)
-    at, labels, starts = head.end(), [], []
+def _fault(text: str, header: bool, labels: list[str], counts: list[np.ndarray]) -> str:
+    """Why ``_read`` refused a piece, which holds the header if ``header``, given the labels
+    and row counts of the pieces before it: the piece's first line out of the
+    writer's layout, or the first label up to that line that breaks the label
+    rule, by line number.  The text runs on into the next piece's first line.
+    Member m's label is on line 8 + 3m plus the rows before it.  Only errors
+    pay for it: one ``_HEAD`` match per member and one ``_ROW_LINE`` match per
+    row of the piece up to the first member that fails, then the lines of that one."""
+    head = _HEADER.match(text) if header else None
+    if header and head is None:
+        return _line_fault(text, 0, _HEADER_LINES, 1)
+    at, more, rows = head.end() if header else 0, [], []
     while (block := _HEAD.match(text, at)) is not None:
         end = block.end()
         while (row := _ROW_LINE.match(text, end)) is not None:
             end = row.end()
         if end == block.end():  # a head without rows
             break
-        labels.append(block[1])
-        starts.append(at)
+        more.append(block[1])
+        rows.append(text.count("\n", block.end(), end))
         at = end
-    if (block := re.compile(rf"{_MEMBER_LINES[0]}\n").match(text, at)) is not None:  # the failing member's label
-        labels.append(block[1])
-        starts.append(at)
+    if (block := _LABEL_LINE.match(text, at)) is not None:  # the failing member's label
+        more.append(block[1])
+    labels, counts = labels + more, np.concatenate([*counts, np.array(rows, dtype=np.intp)])
     broken = _broken_label(labels)
+    line, first = (8 + 3 * m + int(counts[:m].sum()) for m in broken or (len(counts), 0))  # the members' label lines
     if broken is None:
-        return _line_fault(text, at, _MEMBER_LINES)
+        return _line_fault(text, at, _MEMBER_LINES, line)
     i, j = broken
-    line, first = (text.count("\n", 0, starts[m]) + 1 for m in broken)
     if i == j:
         return f"line {line}: the label {labels[i]!r} breaks the label rule"
     return f"line {line}: duplicate label {labels[i]!r}, first on line {first}"
 
 
 def parse(text: str) -> SpreadFamily:
-    try:
-        family = _read(iter([text]))
-    except FamilyFormatError:
-        raise
-    except ValueError as exc:  # an integer past Python's digit limit
-        raise FamilyFormatError(f"unreadable value: {exc}") from exc
-    if family is None:
-        raise FamilyFormatError(_fault(text))
-    return family
+    return _read(iter([text]))
 
 
 def _text(family: SpreadFamily) -> Iterator[str]:
@@ -337,17 +341,20 @@ def save(family: SpreadFamily, path) -> None:
 
 
 def load(path) -> SpreadFamily:
-    """The family in the file at the path, read a piece at a time; a file that
-    fails is read again whole, and ``parse`` names its fault."""
-    try:
-        with open(path, "rb") as handle:  # no newline translation: the bytes as written
-            family = _read(piece.decode("utf-8") for piece in _pieces(handle, PIECE_BYTES))
-    except ValueError:  # not UTF-8, a format error, or digits past Python's limit
-        family = None
-    if family is not None:
-        return family
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            return parse(handle.read())
-    except UnicodeDecodeError as exc:
-        raise FamilyFormatError(f"not UTF-8 text: {exc}") from exc
+    """The family in the file at the path, read a piece at a time, each piece
+    decoded as UTF-8: a byte that is not is named at its offset in the file."""
+    with open(path, "rb") as handle:  # no newline translation: the bytes as written
+        return _read(_decoded(_pieces(handle, PIECE_BYTES)))
+
+
+def _decoded(pieces: Iterator[bytes]) -> Iterator[str]:
+    """The pieces as text; a fault is named as one decode of all their bytes names it."""
+    at = 0
+    for piece in pieces:
+        try:
+            yield piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            a, b = at + exc.start, at + exc.end - 1
+            where = f"byte 0x{piece[exc.start]:02x} in position {a}" if a == b else f"bytes in position {a}-{b}"
+            raise FamilyFormatError(f"not UTF-8 text: 'utf-8' codec can't decode {where}: {exc.reason}") from exc
+        at += len(piece)

@@ -187,7 +187,6 @@ def test_line_reader_declines_other_text(spread_text, edit):
     """Any other text is refused, naming the first line that differs from the writer's."""
     text = edit(spread_text)
     assert text != spread_text
-    assert family_io._read(iter([text])) is None
     with pytest.raises(FamilyFormatError, match=f"^line {min(_edited_lines(spread_text, text))}[ :]"):
         family_io.parse(text)
 
@@ -508,16 +507,17 @@ def scratch(tmp_path_factory):
 def _loads_as_parsed(path, text, piece):
     """``load`` of the text's UTF-8 bytes, read ``piece`` bytes at a time,
     gives what ``parse`` gives of the text: the same header, labels, kinds and
-    rows, in the same dtype, or the same error.  It hands the text to
-    ``parse`` only when ``parse`` refuses it, so a member dropped or repeated
-    at a cut fails here rather than being mended by a second, whole read."""
+    rows, in the same dtype, or the same error.  It never hands the text to
+    ``parse``, so a member dropped or repeated at a cut, or a line or offset
+    miscounted across pieces, fails here rather than being mended by a second,
+    whole read."""
     path.write_bytes(text.encode())
     want = _outcome(family_io.parse, text)
     with (mock.patch.object(family_io, "PIECE_BYTES", piece),
           mock.patch.object(family_io, "parse", wraps=family_io.parse) as whole):
         got = _outcome(family_io.load, path)
     assert got == want if isinstance(want, str) else same_family(got, want)
-    assert whole.called == isinstance(want, str)
+    assert not whole.called
 
 
 # bytes per read of load: one member a piece, a few members, the default
@@ -542,7 +542,34 @@ EDITS = [
     pytest.param(_repeat, id="repeated-label"),
     *(pytest.param(param.values[0], id=param.id) for param in TWO_FAULTS),
     pytest.param(lambda t: t, id="unedited"),
+    # texts at the edge of a cut (the header alone is malformed6)
+    pytest.param(lambda t: "", id="empty"),
+    pytest.param(lambda t: "\n", id="lone-newline"),
+    pytest.param(lambda t: t[: t.index("poly:") + 3], id="header-cut-mid-line"),
+    pytest.param(lambda t: t[: t.index("  kind")], id="label-line-alone"),
+    pytest.param(lambda t: t.replace("- label", '- label: "Z"\n  kind: masa\n  generators:\n- label', 1),
+                 id="head-without-rows-before-a-member"),
+    pytest.param(lambda t: t[: t.rindex("generators:\n") + len("generators:\n")], id="cut-after-generators"),
+    pytest.param(lambda t: t[: t.rindex("- label") + 12], id="cut-mid-label"),
+    pytest.param(lambda t: t[: t.rindex("generators:\n") + len("generators:\n")] + '- label: "Z',
+                 id="cut-after-a-head"),
+    pytest.param(lambda t: t.replace("members:\n", ""), id="no-members-line"),
+    # an entry past Python's digit limit is named before an earlier row fault, as by one parse of all rows
+    pytest.param(lambda t: _last_row(t.replace("  - [1, 0, 0, 1]\n", "  - [7, 0, 0, 1]\n", 1), "1" * 5000),
+                 id="row-fault-then-digits"),
 ]
+
+
+def _last_row(text, entry):
+    """The text with the first entry of its last row made ``entry``."""
+    at = text.rindex("  - [") + len("  - [")
+    return text[:at] + entry + text[text.index(",", at):]
+
+
+def test_an_empty_text_ends_at_line_1():
+    """``load`` of an empty file says the same (``EDITS``: empty)."""
+    with pytest.raises(FamilyFormatError, match="^line 1 is out of the writer's layout: the file ends$"):
+        family_io.parse("")
 
 
 @pytest.mark.parametrize("piece", PIECES)
@@ -575,3 +602,59 @@ def test_load_counts_a_utf8_fault_from_the_start_of_the_file(tmp_path):
     with pytest.raises(FamilyFormatError, match=f"^not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
                                                 f"position {at}: invalid start byte$"):
         family_io.load(path)
+
+
+# non-UTF-8 bytes in the p=3, n=2 file, mid-file in a label or at its end
+UTF8_FAULTS = [
+    pytest.param(lambda d: d.replace(b'"D[1]"', b'"D\xff[1]"'), id="invalid-start-byte"),
+    pytest.param(lambda d: d.replace(b'"D[1]"', b'"D\xe2([1]"'), id="invalid-continuation-byte"),
+    pytest.param(lambda d: d.replace(b'"D[1]"', b'"D\xf0\x9f([1]"'), id="invalid-continuation-of-two-bytes"),
+    pytest.param(lambda d: d + b"\xe2\x82", id="cut-at-the-end"),
+    pytest.param(lambda d: d.replace(b"kind: matrix_algebra", b"kind: banana", 1).replace(b'"D[1]"', b'"D\xff[1]"'),
+                 id="after-a-line-out-of-layout"),
+    pytest.param(lambda d: d.replace(b"  - [1, 0, 0, 1]\n", b"  - [7, 0, 0, 1]\n", 1).replace(b'"D[1]"', b'"D\xff[1]"'),
+                 id="after-a-row-fault"),
+]
+
+
+@pytest.mark.parametrize("piece", PIECES)
+@pytest.mark.parametrize("edit", UTF8_FAULTS)
+def test_load_names_a_utf8_fault_as_one_decode_of_the_file(scratch, spread_text, edit, piece):
+    """A byte that is not UTF-8 comes before any other fault, named in both of
+    Python's forms at its offset in the whole file, however the file is cut."""
+    data = edit(spread_text.encode())
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    scratch.write_bytes(data)
+    with mock.patch.object(family_io, "PIECE_BYTES", piece), pytest.raises(FamilyFormatError) as got:
+        family_io.load(scratch)
+    assert str(got.value) == f"not UTF-8 text: {whole.value}"
+
+
+# faults in the last member of the p=3, k=2, n=3 file
+LATE_FAULTS = [
+    pytest.param(lambda t: _last_row(t, "3"), id="last-entry-3"),
+    pytest.param(lambda t: t[:-7], id="last-7-bytes-cut"),
+    pytest.param(lambda t: t[: t.rindex("- label")] + t[t.index("- label") : t.index("\n  kind")]
+                 + t[t.index("\n  kind", t.rindex("- label")) :], id="last-label-repeats-the-first"),
+]
+
+
+@pytest.mark.parametrize("edit", LATE_FAULTS)
+def test_load_of_a_late_fault_peaks_below_three_times_the_file(tmp_path, edit):
+    """``load`` names a fault in the last member from the pieces it read, as
+    ``parse`` names it, within the bound of the intact file (a second, whole
+    read peaked at 4 to 13 times the file)."""
+    text = edit(serialized((3, 2, 3)))
+    path = tmp_path / "k2n3.yaml"
+    path.write_bytes(text.encode())
+    want = _outcome(family_io.parse, text)
+    assert want.startswith("FamilyFormatError: ")
+    tracemalloc.start()
+    try:
+        got = _outcome(family_io.load, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 3 * len(text), (peak, len(text))
