@@ -70,8 +70,8 @@ def cmd_generate(args) -> int:
         require_odd_prime(args.p)  # say that p is not prime before counting its points
         if args.n > 1 and args.k > 0:  # build_recursive's index check, before the field search (seconds at large p^k)
             phase_space._check_index_size(phase_space._nonzero_lines(args.p, 2 * args.k * args.n))
-        poly = _parse_coords(args.poly_override) if args.poly_override else None
-        nonres = _parse_coords(args.d_override) if args.d_override else None
+        poly = None if args.poly_override is None else _parse_coords(args.poly_override)
+        nonres = None if args.d_override is None else _parse_coords(args.d_override)
         params = ConstructionParams.create(args.p, args.k, args.n, poly=poly, nonresidue=nonres)
         family = build_recursive(params)
     except ValueError as exc:

@@ -41,9 +41,9 @@ restyled YAML file or one that ends in an old ``verification:`` block
 included, is a ``FamilyFormatError``.  It is named from the pieces read, as
 one read of the whole text names it: the first of a byte that is not UTF-8
 (at its offset in the file), the first line out of layout or a label before
-it that breaks ``_keeps_label_rule`` (by line number), a header value, the
-first faulty row, no members, and the construction parameters.  The writer
-refuses the labels that the reader refuses.
+it that breaks the label rule (``_broken_label``, by line number), a header
+value, the first faulty row, no members, and the construction parameters.
+The writer refuses the labels that the reader refuses.
 """
 
 from __future__ import annotations
@@ -80,30 +80,21 @@ def noncanonical_members(family: SpreadFamily) -> list[tuple[str, str]]:
             for i in np.flatnonzero(~family.rows.canonical).tolist()]
 
 
-def _keeps_label_rule(labels: list[str]) -> bool:
-    """The one label rule: every label is non-empty and printable, holds no ``"`` and no ``\\``, and comes
-    once.  Text is tested ``CHUNK_MEMBERS`` labels at a time, each followed by a ``"``; repeats by sorting."""
-    for a in range(0, len(labels), CHUNK_MEMBERS):
-        chunk = labels[a : a + CHUNK_MEMBERS]
-        text = '"'.join([*chunk, ""])
-        if not (all(chunk) and text.isprintable() and text.count('"') == len(chunk) and "\\" not in text):
-            return False
-    ordered = sorted(labels)
-    return not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None)))
-
-
 def _broken_label(labels: list[str]) -> tuple[int, int] | None:
-    """Where the labels first break the label rule, in order: (i, i) for a label
-    that breaks it on its own, (i, j) for a repeat of label j; None if they keep it."""
-    if _keeps_label_rule(labels):
-        return None
-    first: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        if not _keeps_label_rule([label]):
-            return i, i
-        if first.setdefault(label, i) < i:
-            return i, first[label]
-    return None
+    """The one label rule: every label is non-empty and printable, holds no ``"`` and no ``\\``, and comes
+    once.  Where the labels first break it: (i, i) for a label that breaks it on its own, (i, j) for a repeat
+    of label j; None if they keep it.  Text is tested ``CHUNK_MEMBERS`` labels at a time (one at a time in the
+    first chunk that fails), and the labels are sorted; the positions before a bad one only to name a repeat."""
+    def kept(chunk: list[str]) -> bool:  # the labels' text, each followed by a ``"``
+        text = '"'.join([*chunk, ""])
+        return all(chunk) and text.isprintable() and text.count('"') == len(chunk) and "\\" not in text
+    failing = (a for a in range(0, len(labels), CHUNK_MEMBERS) if not kept(labels[a : a + CHUNK_MEMBERS]))
+    bad = next((i for a in failing for i in range(a, a + CHUNK_MEMBERS) if not kept(labels[i : i + 1])), len(labels))
+    ordered = sorted(labels)
+    if any(map(operator.eq, ordered, itertools.islice(ordered, 1, None))):
+        order = sorted(range(bad), key=labels.__getitem__)  # stable: each label's positions in file order
+        return min(((j, i) for i, j in itertools.pairwise(order) if labels[i] == labels[j]), default=(bad, bad))
+    return None if bad == len(labels) else (bad, bad)
 
 
 def _int_list(values: list[int], what: str, p: int, length: int) -> tuple[int, ...]:
@@ -193,14 +184,13 @@ def _pieces(handle, size: int) -> Iterator[bytes]:
 
 
 def _read(pieces: Iterator[str]) -> SpreadFamily:
-    """The checked family of a text in exactly the writer's layout (labels that
-    keep the label rule, plain decimal integers), its rows as stored, from its
-    pieces: the first holds the header, and each later one starts a member.
-    Otherwise a ``FamilyFormatError`` for its first fault in the module's
-    order; an entry past Python's digit limit precedes every other faulty row.
-    Once a piece is refused, ``_fault`` names it and later pieces are only
-    drawn; once a header fault or such an entry is held, later pieces are only
-    split.  The label rule is tested once, over all labels, at the end."""
+    """The checked family of a text in exactly the writer's layout (labels that keep the label
+    rule, plain decimal integers), its rows as stored, from its pieces: the first holds the
+    header, and each later one starts a member.  Otherwise a ``FamilyFormatError`` for its first
+    fault in the module's order; an entry past Python's digit limit precedes every other faulty
+    row.  Once a piece is refused, ``_fault`` names it and later pieces are only drawn; once a
+    header fault or such an entry is held, later pieces are only split.  ``_label_fault`` holds
+    all labels to the label rule once, at the end."""
     labels, kinds, counts, tables = [], [], [], []
     named = fault = final = None  # the line named; the first header or row fault; a fault no later row precedes
     for i, (text, after) in enumerate(itertools.pairwise(itertools.chain([next(pieces, "")], pieces, [""]))):
@@ -233,8 +223,8 @@ def _read(pieces: Iterator[str]) -> SpreadFamily:
         labels += blocks[0]
         kinds += blocks[1]
         counts.append(piece_counts)
-    if named is None and not _keeps_label_rule(labels):
-        named = _fault("", False, labels, counts)
+    if named is None:
+        named = _label_fault(labels, *counts)
     if named is not None:
         raise FamilyFormatError(named)
     if fault is not None:
@@ -264,14 +254,25 @@ def _line_fault(text: str, at: int, patterns, number: int) -> str:
     return f"line {number} is out of the writer's layout: {shown}"
 
 
+def _label_fault(labels: list[str], *counts: np.ndarray) -> str | None:
+    """The first break of the label rule by line number, given the members' row counts in arrays (member
+    m's label is on line 8 + 3m plus the rows before it); None if the labels keep the rule."""
+    if (broken := _broken_label(labels)) is None:
+        return None
+    counts = np.concatenate(counts)  # joined only here: a file refused for a row fault never joins them
+    (i, j), (line, first) = broken, (8 + 3 * m + int(counts[:m].sum()) for m in broken)
+    if i == j:
+        return f"line {line}: the label {labels[i]!r} breaks the label rule"
+    return f"line {line}: duplicate label {labels[i]!r}, first on line {first}"
+
+
 def _fault(text: str, header: bool, labels: list[str], counts: list[np.ndarray]) -> str:
     """Why ``_read`` refused a piece, which holds the header if ``header``, given the labels
-    and row counts of the pieces before it: the piece's first line out of the
-    writer's layout, or the first label up to that line that breaks the label
-    rule, by line number.  The text runs on into the next piece's first line.
-    Member m's label is on line 8 + 3m plus the rows before it.  Only errors
-    pay for it: one ``_HEAD`` match per member and one ``_ROW_LINE`` match per
-    row of the piece up to the first member that fails, then the lines of that one."""
+    and row counts of the pieces before it: the first label up to the piece's first line out
+    of the writer's layout that breaks the label rule, or else that line, by number.  The
+    text runs on into the next piece's first line.  Only errors pay for it: one ``_HEAD``
+    match per member and one ``_ROW_LINE`` match per row of the piece up to the first
+    member that fails, then the lines of that one."""
     head = _HEADER.match(text) if header else None
     if header and head is None:
         return _line_fault(text, 0, _HEADER_LINES, 1)
@@ -288,14 +289,7 @@ def _fault(text: str, header: bool, labels: list[str], counts: list[np.ndarray])
     if (block := _LABEL_LINE.match(text, at)) is not None:  # the failing member's label
         more.append(block[1])
     labels, counts = labels + more, np.concatenate([*counts, np.array(rows, dtype=np.intp)])
-    broken = _broken_label(labels)
-    line, first = (8 + 3 * m + int(counts[:m].sum()) for m in broken or (len(counts), 0))  # the members' label lines
-    if broken is None:
-        return _line_fault(text, at, _MEMBER_LINES, line)
-    i, j = broken
-    if i == j:
-        return f"line {line}: the label {labels[i]!r} breaks the label rule"
-    return f"line {line}: duplicate label {labels[i]!r}, first on line {first}"
+    return _label_fault(labels, counts) or _line_fault(text, at, _MEMBER_LINES, 8 + 3 * len(counts) + int(counts.sum()))
 
 
 def parse(text: str) -> SpreadFamily:
@@ -306,8 +300,7 @@ def _text(family: SpreadFamily) -> Iterator[str]:
     """The file text in pieces: the header, then ``CHUNK_MEMBERS`` members at a
     time (one ``%`` format of their labels, kinds and rows), once the labels keep the label rule."""
     labels, kinds, params = family.labels(), family.kinds(), family.params
-    broken = _broken_label(labels)
-    if broken is not None:
+    if broken := _broken_label(labels):
         i, j = broken
         raise ValueError(f"cannot serialise the label {labels[i]!r}" if i == j else "cannot serialise repeated labels")
     poly, nonresidue = (", ".join(map(str, coords)) for coords in (params.field.poly, params.nonresidue.coords))

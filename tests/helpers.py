@@ -222,6 +222,20 @@ def same_family(a: SpreadFamily, b: SpreadFamily) -> bool:
             and np.array_equal(a.rows.rows, b.rows.rows))
 
 
+def broken_label(labels):
+    """The label rule label by label: the first i whose label is empty, not
+    printable or holds a ``"`` or a ``\\``, as (i, i), or that repeats label j,
+    as (i, j); None if there is none."""
+    first = {}
+    for i, label in enumerate(labels):
+        if not label or not label.isprintable() or '"' in label or "\\" in label:
+            return i, i
+        if label in first:
+            return i, first[label]
+        first[label] = i
+    return None
+
+
 def reference_members(text):
     """The YAML oracle: the members of the text's YAML document as the
     per-member, per-row checks of earlier versions read them, (label, kind,

@@ -293,6 +293,15 @@ def test_generate_with_overrides(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("option", ["--poly-override", "--d-override"])
+def test_generate_refuses_an_empty_override(tmp_path, capsys, option):
+    """An empty value is no list of integers, not the default."""
+    path = tmp_path / "x.yaml"
+    code, out, err = run(capsys, "generate", "--p", "3", "--out", str(path), option, "")
+    assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: expected comma-separated integers, got ''\n")
+    assert not path.exists()
+
+
 # --- verify ---------------------------------------------------------------------
 
 

@@ -391,7 +391,7 @@ def test_builder_labels_are_distinct_and_keep_the_label_rule(p, k, n):
         labels = fam.labels()
         assert len(set(labels)) == len(labels) == len(fam.rows)
         assert all(label and label.isprintable() and '"' not in label and "\\" not in label for label in labels)
-        assert family_io._keeps_label_rule(labels)
+        assert family_io._broken_label(labels) is None
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 1, 3), (3, 1, 4), (3, 1, 5)])

@@ -16,7 +16,8 @@ from qospread import family_io
 from qospread.constructions import (MATRIX_ALGEBRA, ConstructionParams, SpreadFamily, build_masa_spread,
                                     build_recursive, build_spread_2)
 from qospread.family_io import FamilyFormatError
-from helpers import members_of, reference_members, same_family, with_rows
+from qospread.phase_space import RowStacks
+from helpers import broken_label, members_of, reference_members, same_family, with_rows
 from test_family_goldens import GOLDENS, serialized
 from test_family_goldens import _id as golden_id
 
@@ -210,6 +211,20 @@ def test_reader_names_labels_that_break_the_rule(spread_text):
         family_io.parse(_repeat(spread_text))
 
 
+# more than one label fault: the first in file order is named
+LABEL_FAULTS = [
+    pytest.param(lambda t: t.replace('"C[2,1]"', '"C[1,0]"').replace('"D[1]"', '"C[1,0]"'),
+                 r"^line 28: duplicate label 'C\[1,0\]', first on line 8$", id="label-three-times"),
+    pytest.param(lambda t: _repeat(t).replace('"D[inf]"', '"D\t[inf]"'), _REPEAT, id="repeat-then-tab"),
+]
+
+
+@pytest.mark.parametrize("edit,message", LABEL_FAULTS)
+def test_reader_names_the_first_label_fault_in_file_order(spread_text, edit, message):
+    with pytest.raises(FamilyFormatError, match=message):
+        family_io.parse(edit(spread_text))
+
+
 # a label fault beside a header or row fault: parse names the label fault, wherever the other lies
 TWO_FAULTS = [
     pytest.param(lambda t: _tab(t).replace("  - [1, 0, 0, 1]\n", "  - [7, 0, 0, 1]\n", 1), _TAB, id="tab-and-entry"),
@@ -237,13 +252,6 @@ RULED_LABEL = st.text(st.characters(exclude_categories=NOT_PRINTABLE, include_ch
                       min_size=1)
 
 
-def _breaks_label_rule(labels):
-    """The label rule spelled out label by label: each non-empty and printable,
-    without a double quote or a backslash, and no label twice."""
-    return len(set(labels)) < len(labels) or not all(
-        label and label.isprintable() and '"' not in label and "\\" not in label for label in labels)
-
-
 @settings(max_examples=300, deadline=None)
 @given(labels=st.lists(RULED_LABEL, min_size=2, max_size=2, unique=True))
 def test_both_readers_agree_on_any_label(labels):
@@ -269,12 +277,40 @@ def test_every_label_list_the_writer_accepts_reads_back(labels, other):
     if other is not None:
         labels[other[0]] = other[1]
     ff = _relabeled(build_spread_2(ConstructionParams.create(3, 1, 2)), dict(enumerate(labels)))
-    if _breaks_label_rule(labels):
+    if broken_label(labels) is not None:
         with pytest.raises(ValueError, match="cannot serialise"):
             family_io.serialize(ff)
         return
     text = family_io.serialize(ff)
     assert same_family(family_io._read(iter([text])), ff) and same_family(family_io.parse(text), ff)
+
+
+# up to about two chunks of distinct labels L0, L1, ..., up to six of them overwritten from a few good
+# and bad labels (L0, L255 and L256 among them), so that a bad label or a label two to four times over
+# falls anywhere, across the boundaries of the chunks
+FEW_LABELS = st.sampled_from(["A", "B", "L0", "L255", "L256", "", "a\tb", 'a"b', "a\\b", "a b"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 2 * family_io.CHUNK_MEMBERS + 100),
+       edits=st.lists(st.tuples(st.integers(0, 2 * family_io.CHUNK_MEMBERS + 99), FEW_LABELS), max_size=6))
+def test_the_label_rule_names_what_the_label_by_label_rule_names(size, edits):
+    """``_broken_label`` gives what the label-by-label rule gives, and
+    ``serialize`` refuses exactly those labels, with the message for the fault."""
+    labels = [f"L{i}" for i in range(size)]
+    for i, label in edits:
+        labels[i % size] = label
+    want = broken_label(labels)
+    assert family_io._broken_label(labels) == want
+    rows = RowStacks.of(3, 2, [1] * size, [[1, 0]] * size)
+    ff = SpreadFamily(ConstructionParams.create(3, 1, 1), labels=labels, kinds=[MATRIX_ALGEBRA] * size, rows=rows)
+    if want is None:
+        assert family_io.parse(family_io.serialize(ff)).labels() == labels
+        return
+    i, j = want
+    message = f"cannot serialise the label {labels[i]!r}" if i == j else "cannot serialise repeated labels"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        family_io.serialize(ff)
 
 
 @pytest.mark.parametrize("label", ["a\\nb", "a\nb", '"', 'a"b', "a\x00b", "a\u2028b", ""],
@@ -540,7 +576,7 @@ EDITS = [
     pytest.param(lambda t: t[: t.rindex("[") + 2], id="truncated"),
     pytest.param(_tab, id="tab-label"),
     pytest.param(_repeat, id="repeated-label"),
-    *(pytest.param(param.values[0], id=param.id) for param in TWO_FAULTS),
+    *(pytest.param(param.values[0], id=param.id) for param in TWO_FAULTS + LABEL_FAULTS),
     pytest.param(lambda t: t, id="unedited"),
     # texts at the edge of a cut (the header alone is malformed6)
     pytest.param(lambda t: "", id="empty"),
